@@ -3,23 +3,25 @@
 //! (Section 7.1.1's Scheduling → Networking → Block-device-mapping →
 //! Spawning → Attestation stages).
 
-use super::{ChannelIdentities, ChannelPair, Cloud, ControlLinks};
+use super::Cloud;
 use crate::attestation::AttestationServer;
 use crate::controller::{CloudController, ServerInfo, VmLifecycle, VmRecord};
-use crate::controlplane::{as_node, controller_node, ControlPlaneTopology, CUSTOMER_ENDPOINT};
+use crate::controlplane::ControlPlaneTopology;
 use crate::engine::ShardedEngine;
 use crate::error::CloudError;
 use crate::interpret::ReferenceDb;
 use crate::latency::{LatencyParams, RetryPolicy};
+use crate::links::{LinkKey, Links};
 use crate::server::CloudServerNode;
-use crate::types::{Flavor, HealthStatus, Image, ProtocolStats, SecurityProperty, ServerId, Vid};
+use crate::types::{
+    Flavor, HealthStatus, Image, NodeId, ProtocolStats, SecurityProperty, ServerId, Vid,
+};
 use monatt_attacks::boost::{boost_attack_drivers, BoostAttackVcpu};
 use monatt_attacks::covert::CovertSender;
 use monatt_crypto::drbg::Drbg;
 use monatt_crypto::schnorr::SigningKey;
 use monatt_hypervisor::driver::{BusyLoop, IdleDriver, WorkloadDriver};
 use monatt_hypervisor::scheduler::SchedParams;
-use monatt_net::channel::handshake_pair;
 use monatt_net::sim::SimNetwork;
 use monatt_workloads::programs::SpecProgram;
 use monatt_workloads::services::CloudService;
@@ -221,7 +223,6 @@ pub struct CloudBuilder {
     avk_cert_cache: bool,
     reuse_avk: bool,
     control_plane: (u32, u32),
-    control_retry: Option<RetryPolicy>,
 }
 
 impl Default for CloudBuilder {
@@ -252,7 +253,6 @@ impl CloudBuilder {
             avk_cert_cache: false,
             reuse_avk: false,
             control_plane: (1, 1),
-            control_retry: None,
         }
     }
 
@@ -265,14 +265,6 @@ impl CloudBuilder {
     /// topology is dormant — byte-identical to the unreplicated cloud.
     pub fn control_plane(mut self, k: u32, n: u32) -> Self {
         self.control_plane = (k.max(1), n.max(1));
-        self
-    }
-
-    /// Gives control-plane hops (messages 1, 2, 5 and 6) their own
-    /// retry/timeout/backoff ladder, independent of the data-plane
-    /// measurement hops. Default: same ladder as [`Self::retry`].
-    pub fn control_retry(mut self, policy: RetryPolicy) -> Self {
-        self.control_retry = Some(policy);
         self
     }
 
@@ -427,13 +419,12 @@ impl CloudBuilder {
     /// customer↔controller, controller↔attestation-server or
     /// attestation-server↔cloud-server handshakes fails.
     pub fn try_build(self) -> Result<Cloud, CloudError> {
+        let (k, n) = self.control_plane;
         let mut rng = Drbg::from_seed(self.seed);
         let mut controller = CloudController::new(&mut rng);
-        let mut attserver = AttestationServer::new(&mut rng);
-        if self.avk_cert_cache {
-            attserver.enable_avk_cert_cache();
-        }
-        let customer_identity = SigningKey::generate(&mut rng);
+        let mut attservers = vec![AttestationServer::new(&mut rng)];
+        let mut links = Links::new(n);
+        links.add_identity(None, SigningKey::generate(&mut rng));
         let references = ReferenceDb::new();
         let all_properties = [
             SecurityProperty::StartupIntegrity,
@@ -462,7 +453,6 @@ impl CloudBuilder {
             if self.reuse_avk {
                 node.set_avk_reuse(true);
             }
-            attserver.register_cloud_server(node.identity_key());
             controller.register_server(ServerInfo {
                 id,
                 free_vcpus: node.free_vcpus(),
@@ -470,158 +460,72 @@ impl CloudBuilder {
             });
             servers.insert(id, node);
         }
-        // Establish the SSL-like channels (session keys Kx, Ky, Kz).
-        let controller_identity = SigningKey::generate(&mut rng);
-        let attserver_identity = SigningKey::generate(&mut rng);
-        let make_pair = |rng: &mut Drbg,
-                         a: &SigningKey,
-                         b: &SigningKey,
-                         a_name: &str,
-                         b_name: &str|
-         -> Result<ChannelPair, CloudError> {
-            let (mut i, mut r) =
-                handshake_pair(rng, a, b).map_err(|error| CloudError::ChannelEstablishment {
-                    initiator: a_name.to_string(),
-                    responder: b_name.to_string(),
-                    error,
-                })?;
-            i.set_peer(b_name);
-            r.set_peer(a_name);
-            Ok(ChannelPair {
-                initiator: i,
-                responder: r,
-            })
-        };
-        let cust_ctrl = make_pair(
-            &mut rng,
-            &customer_identity,
-            &controller_identity,
-            CUSTOMER_ENDPOINT,
-            &controller_node(0).endpoint(),
-        )?;
-        let ctrl_as = make_pair(
-            &mut rng,
-            &controller_identity,
-            &attserver_identity,
-            &controller_node(0).endpoint(),
-            &as_node(0).endpoint(),
-        )?;
-        let mut as_server = BTreeMap::new();
-        let mut server_identities = BTreeMap::new();
+        // Establish the SSL-like channels (session keys Kx, Ky, Kz) of
+        // the paper's three-party cloud: controller 0, AS replica 0.
+        links.add_identity(Some(NodeId::Controller(0)), SigningKey::generate(&mut rng));
+        links.add_identity(
+            Some(NodeId::AttestationServer(0)),
+            SigningKey::generate(&mut rng),
+        );
+        links.establish(&mut rng, LinkKey::CustCtrl(0))?;
+        links.establish(&mut rng, LinkKey::CtrlAs(0, 0))?;
         for id in servers.keys() {
             // In deployment the server end terminates inside the
             // Attestation Client; the channel key is Kz.
-            let server_chan_identity = SigningKey::generate(&mut rng);
-            as_server.insert(
-                *id,
-                make_pair(
-                    &mut rng,
-                    &attserver_identity,
-                    &server_chan_identity,
-                    &as_node(0).endpoint(),
-                    &id.to_string(),
-                )?,
-            );
-            server_identities.insert(*id, server_chan_identity);
+            links.add_identity(Some(NodeId::Server(*id)), SigningKey::generate(&mut rng));
+            links.establish(&mut rng, LinkKey::AsServer(0, *id))?;
         }
         // --- Replicated control plane (opt-in). Every extra key and
         // channel below is provisioned strictly AFTER the complete
         // default sequence above, so the dormant topology (K=1, N=1)
         // draws a byte-identical RNG stream to the unreplicated cloud.
-        let (k, n) = self.control_plane;
-        let mut ctrl_signing = Vec::new();
-        let mut controller_identities = vec![controller_identity];
-        let mut attserver_identities = vec![attserver_identity];
-        let mut as_pool = Vec::new();
-        for _ in 1..k {
-            // Standby controller instance: its own protocol signing key
-            // (customers pin the instance that served them) and its own
-            // channel identity.
-            ctrl_signing.push(SigningKey::generate(&mut rng));
-            controller_identities.push(SigningKey::generate(&mut rng));
+        for i in 1..k {
+            // Its own protocol signing key (customers pin the instance
+            // that served them) and its own channel identity.
+            controller.add_instance(SigningKey::generate(&mut rng));
+            links.add_identity(Some(NodeId::Controller(i)), SigningKey::generate(&mut rng));
         }
-        for _ in 1..n {
-            // Pool replica: a fully independent appraiser — own
-            // identity, own privacy CA (no shared-key shortcut), own
-            // evidence/AVK caches, warmed independently.
-            let mut replica = AttestationServer::new(&mut rng);
+        for r in 1..n {
+            // A fully independent appraiser — own identity, own privacy
+            // CA (no shared-key shortcut), own evidence/AVK caches,
+            // warmed independently.
+            attservers.push(AttestationServer::new(&mut rng));
+            links.add_identity(
+                Some(NodeId::AttestationServer(r)),
+                SigningKey::generate(&mut rng),
+            );
+        }
+        for replica in &mut attservers {
             if self.avk_cert_cache {
                 replica.enable_avk_cert_cache();
             }
             for node in servers.values() {
                 replica.register_cloud_server(node.identity_key());
             }
-            attserver_identities.push(SigningKey::generate(&mut rng));
-            as_pool.push(replica);
         }
-        let mut cust_ctrl_links = vec![cust_ctrl];
-        for (i, ctrl_chan) in controller_identities.iter().enumerate().skip(1) {
-            cust_ctrl_links.push(make_pair(
-                &mut rng,
-                &customer_identity,
-                ctrl_chan,
-                CUSTOMER_ENDPOINT,
-                &controller_node(i as u32).endpoint(),
-            )?);
+        for i in 1..k {
+            links.establish(&mut rng, LinkKey::CustCtrl(i))?;
         }
         // The controller↔AS mesh, row-major by controller instance;
         // entry (0, 0) is the default link handshaken above.
-        let mut ctrl_as_links = Vec::with_capacity(k as usize * n as usize);
-        let mut default_ctrl_as = Some(ctrl_as);
-        for (i, ctrl_chan) in controller_identities.iter().enumerate() {
-            for (r, as_chan) in attserver_identities.iter().enumerate() {
-                if i == 0 && r == 0 {
-                    if let Some(pair) = default_ctrl_as.take() {
-                        ctrl_as_links.push(pair);
-                    }
-                    continue;
-                }
-                ctrl_as_links.push(make_pair(
-                    &mut rng,
-                    ctrl_chan,
-                    as_chan,
-                    &controller_node(i as u32).endpoint(),
-                    &as_node(r as u32).endpoint(),
-                )?);
-            }
+        for (i, r) in (0..k).flat_map(|i| (0..n).map(move |r| (i, r))).skip(1) {
+            links.establish(&mut rng, LinkKey::CtrlAs(i, r))?;
         }
-        let mut as_server_links: BTreeMap<(u32, ServerId), ChannelPair> = as_server
-            .into_iter()
-            .map(|(id, pair)| ((0u32, id), pair))
-            .collect();
-        for (r, as_chan) in attserver_identities.iter().enumerate().skip(1) {
-            for (id, server_chan) in server_identities.iter() {
-                as_server_links.insert(
-                    (r as u32, *id),
-                    make_pair(
-                        &mut rng,
-                        as_chan,
-                        server_chan,
-                        &as_node(r as u32).endpoint(),
-                        &id.to_string(),
-                    )?,
-                );
+        for r in 1..n {
+            for id in servers.keys() {
+                links.establish(&mut rng, LinkKey::AsServer(r, *id))?;
             }
         }
         Ok(Cloud {
             rng,
             controller,
-            attserver,
-            as_pool,
-            ctrl_signing,
+            attservers,
             topology: ControlPlaneTopology::new(k, n),
             servers,
             network: SimNetwork::default(),
-            links: ControlLinks {
-                cust_ctrl: cust_ctrl_links,
-                ctrl_as: ctrl_as_links,
-                replicas: n.max(1),
-                as_server: as_server_links,
-            },
-            stale_links: std::collections::BTreeSet::new(),
+            links,
             latency: self.latency,
             retry: self.retry,
-            control_retry: self.control_retry.unwrap_or(self.retry),
             escalation_threshold: self.escalation_threshold.max(1),
             stats: ProtocolStats::default(),
             wall_clock_us: 0,
@@ -636,12 +540,6 @@ impl CloudBuilder {
             window_free_at: BTreeMap::new(),
             run_horizon: None,
             auto_response_failures: 0,
-            identities: ChannelIdentities {
-                customer: customer_identity,
-                controllers: controller_identities,
-                attservers: attserver_identities,
-                servers: server_identities,
-            },
             outages: None,
             outage_stats: crate::outage::OutageStats::default(),
             down: std::collections::BTreeSet::new(),

@@ -17,7 +17,11 @@
 //!
 //! The protocol state machines themselves live in [`crate::session`],
 //! driven by the [`crate::engine`] event queue; this module only owns
-//! the shared state they operate on.
+//! the shared state they operate on. Cloud nodes are named by
+//! [`NodeId`] throughout — controller instance `i`, Attestation-Server
+//! replica `r` (an element of `Cloud::attservers`), or a server — and
+//! the secure links between them, with their identities and re-key
+//! state, are owned by [`crate::links`].
 
 mod build;
 mod response;
@@ -31,13 +35,11 @@ pub use subscriptions::{Frequency, SubscriptionHealth};
 
 use crate::attestation::AttestationServer;
 use crate::controller::{CloudController, ResponseAction, VmLifecycle};
-use crate::controlplane::{
-    as_node, as_replica_index, controller_instance, controller_node, ControlPlaneStats,
-    ControlPlaneTopology, CUSTOMER_ENDPOINT,
-};
+use crate::controlplane::{ControlPlaneStats, ControlPlaneTopology};
 use crate::engine::ShardedEngine;
 use crate::error::CloudError;
 use crate::latency::{LatencyParams, RetryPolicy};
+use crate::links::Links;
 use crate::outage::{AdmissionControl, OutageModel, OutageStats};
 use crate::protocol::{CompileError, ProgramId, ProgramRegistry, Protocol};
 use crate::server::CloudServerNode;
@@ -47,8 +49,6 @@ use crate::session::{
 use crate::types::{HealthStatus, NodeId, ProtocolStats, SecurityProperty, ServerId, Vid};
 use build::VmMeta;
 use monatt_crypto::drbg::Drbg;
-use monatt_crypto::schnorr::SigningKey;
-use monatt_net::channel::{handshake_pair, SecureChannel};
 use monatt_net::sim::SimNetwork;
 use std::collections::{BTreeMap, BTreeSet};
 use subscriptions::Subscription;
@@ -82,224 +82,24 @@ fn compile_failure(e: CompileError) -> CloudError {
     }
 }
 
-/// Both endpoints of one SSL-like link, with the peer names resolved once
-/// at build time so protocol hops never format endpoint identifiers.
-pub(crate) struct ChannelPair {
-    pub(crate) initiator: SecureChannel,
-    pub(crate) responder: SecureChannel,
-}
-
-/// One secure link of the control-plane mesh, identified by the
-/// instances it connects. The unit of lazy re-keying: a recovery marks
-/// the node's links stale, and each link re-handshakes on first use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum LinkKey {
-    /// Customer ↔ controller instance `i`.
-    CustCtrl(u32),
-    /// Controller instance `i` ↔ AS replica `r`.
-    CtrlAs(u32, u32),
-    /// AS replica `r` ↔ one cloud server.
-    AsServer(u32, ServerId),
-}
-
-/// Every secure channel of the cloud, laid out by the control-plane
-/// topology: `K` customer↔controller links, a `K×N` controller↔AS
-/// mesh (row-major by controller instance), and one AS↔server link per
-/// `(replica, server)`. The dormant K=1/N=1 layout is exactly the old
-/// three-channel cloud.
-pub(crate) struct ControlLinks {
-    pub(crate) cust_ctrl: Vec<ChannelPair>,
-    pub(crate) ctrl_as: Vec<ChannelPair>,
-    /// Row width of `ctrl_as` (the AS pool size `N`).
-    pub(crate) replicas: u32,
-    pub(crate) as_server: BTreeMap<(u32, ServerId), ChannelPair>,
-}
-
-impl ControlLinks {
-    pub(crate) fn cust_ctrl_mut(&mut self, instance: u32) -> Option<&mut ChannelPair> {
-        self.cust_ctrl.get_mut(instance as usize)
-    }
-
-    pub(crate) fn ctrl_as_mut(&mut self, instance: u32, replica: u32) -> Option<&mut ChannelPair> {
-        let idx = (instance as usize)
-            .checked_mul(self.replicas.max(1) as usize)?
-            .checked_add(replica as usize)?;
-        self.ctrl_as.get_mut(idx)
-    }
-
-    pub(crate) fn as_server_mut(
-        &mut self,
-        replica: u32,
-        server: ServerId,
-    ) -> Option<&mut ChannelPair> {
-        self.as_server.get_mut(&(replica, server))
-    }
-}
-
-/// The long-term signing identities behind the secure channels,
-/// retained so a recovered node re-handshakes fresh session keys —
-/// channel state from before a crash never resumes. One identity per
-/// controller instance and per AS replica (index 0 is the primary).
-pub(crate) struct ChannelIdentities {
-    pub(crate) customer: SigningKey,
-    pub(crate) controllers: Vec<SigningKey>,
-    pub(crate) attservers: Vec<SigningKey>,
-    pub(crate) servers: BTreeMap<ServerId, SigningKey>,
-}
-
-impl ChannelIdentities {
-    fn controller(&self, instance: u32) -> Option<&SigningKey> {
-        self.controllers.get(instance as usize)
-    }
-
-    fn attserver(&self, replica: u32) -> Option<&SigningKey> {
-        self.attservers.get(replica as usize)
-    }
-}
-
-impl std::fmt::Debug for ChannelIdentities {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Signing material: identify the holders, never the bits.
-        f.debug_struct("ChannelIdentities")
-            .field("servers", &self.servers.len())
-            .finish_non_exhaustive()
-    }
-}
-
-/// The Attestation Server replica serving `replica` — index 0 is the
-/// primary, indices ≥ 1 live in the pool. A free function (not a
-/// method) so callers can borrow it alongside other `Cloud` fields.
-/// An out-of-range index falls back to the primary rather than
-/// panicking (defensive: routes are built from the topology, which
-/// matches the pool by construction).
-pub(crate) fn attserver_at<'a>(
-    primary: &'a mut AttestationServer,
-    pool: &'a mut [AttestationServer],
-    replica: u32,
-) -> &'a mut AttestationServer {
-    if replica == 0 {
-        return primary;
-    }
-    match pool.get_mut((replica - 1) as usize) {
-        Some(a) => a,
-        None => primary,
-    }
-}
-
-/// Handshakes one link between two long-term identities and stamps the
-/// peer names. A handshake between honest in-process parties only
-/// fails on a simulation bug; the caller then leaves the old channel
-/// in place (sessions on it will fail loudly) rather than panic.
-fn rekey_pair(
-    rng: &mut Drbg,
-    a: &SigningKey,
-    b: &SigningKey,
-    a_name: &str,
-    b_name: &str,
-) -> Option<ChannelPair> {
-    let (mut i, mut r) = handshake_pair(rng, a, b).ok()?;
-    i.set_peer(b_name);
-    r.set_peer(a_name);
-    Some(ChannelPair {
-        initiator: i,
-        responder: r,
-    })
-}
-
-/// Re-establishes one stale link with fresh session keys — the lazy
-/// half of the post-recovery re-key, paid at the link's first use
-/// instead of in a synchronized burst at recovery time. A free
-/// function over destructured `Cloud` fields so the transmit path can
-/// call it mid-borrow.
-pub(crate) fn refresh_stale_link(
-    rng: &mut Drbg,
-    identities: &ChannelIdentities,
-    links: &mut ControlLinks,
-    outage_stats: &mut OutageStats,
-    link: LinkKey,
-) {
-    let refreshed = match link {
-        LinkKey::CustCtrl(i) => match (identities.controller(i), links.cust_ctrl_mut(i)) {
-            (Some(ctrl), Some(slot)) => rekey_pair(
-                rng,
-                &identities.customer,
-                ctrl,
-                CUSTOMER_ENDPOINT,
-                &controller_node(i).endpoint(),
-            )
-            .map(|pair| *slot = pair)
-            .is_some(),
-            _ => false,
-        },
-        LinkKey::CtrlAs(i, r) => {
-            match (
-                identities.controller(i),
-                identities.attserver(r),
-                links.ctrl_as_mut(i, r),
-            ) {
-                (Some(ctrl), Some(attsrv), Some(slot)) => rekey_pair(
-                    rng,
-                    ctrl,
-                    attsrv,
-                    &controller_node(i).endpoint(),
-                    &as_node(r).endpoint(),
-                )
-                .map(|pair| *slot = pair)
-                .is_some(),
-                _ => false,
-            }
-        }
-        LinkKey::AsServer(r, id) => {
-            match (
-                identities.attserver(r),
-                identities.servers.get(&id),
-                links.as_server_mut(r, id),
-            ) {
-                (Some(attsrv), Some(server), Some(slot)) => rekey_pair(
-                    rng,
-                    attsrv,
-                    server,
-                    &as_node(r).endpoint(),
-                    &NodeId::Server(id).endpoint(),
-                )
-                .map(|pair| *slot = pair)
-                .is_some(),
-                _ => false,
-            }
-        }
-    };
-    if refreshed {
-        outage_stats.rehandshakes += 1;
-    }
-}
-
 /// The assembled CloudMonatt cloud.
 pub struct Cloud {
     pub(crate) rng: Drbg,
     pub(crate) controller: CloudController,
-    pub(crate) attserver: AttestationServer,
-    /// Standby Attestation-Server replicas (replica indices 1..N), each
-    /// a fully independent appraiser: own signing identity, own privacy
-    /// CA, own evidence/AVK caches. Empty in the dormant topology.
-    pub(crate) as_pool: Vec<AttestationServer>,
-    /// Protocol signing identities of standby controller instances
-    /// (instances 1..K); instance 0 signs with `controller`'s own key.
-    pub(crate) ctrl_signing: Vec<SigningKey>,
+    /// The Attestation-Server replicas, indexed by replica. Each is a
+    /// fully independent appraiser: own signing identity, own privacy
+    /// CA, own evidence/AVK caches. One element in the dormant topology.
+    pub(crate) attservers: Vec<AttestationServer>,
     /// The replicated control-plane topology: shard ownership, replica
     /// health, and the per-session routing decisions.
     pub(crate) topology: ControlPlaneTopology,
     pub(crate) servers: BTreeMap<ServerId, CloudServerNode>,
     pub(crate) network: SimNetwork,
-    pub(crate) links: ControlLinks,
-    /// Links marked stale by a node recovery, re-keyed lazily on first
-    /// use (see `OutageStats::deferred_rekeys`).
-    pub(crate) stale_links: BTreeSet<LinkKey>,
+    /// Every secure channel, the identities behind them and the lazy
+    /// re-key state (see [`crate::links`]).
+    pub(crate) links: Links,
     pub(crate) latency: LatencyParams,
     pub(crate) retry: RetryPolicy,
-    /// The retry/timeout/backoff ladder for *control-plane* hops
-    /// (messages 1, 2, 5, 6). Defaults to the data-plane policy, so the
-    /// dormant topology draws an identical backoff stream.
-    pub(crate) control_retry: RetryPolicy,
     pub(crate) escalation_threshold: u32,
     pub(crate) stats: ProtocolStats,
     pub(crate) wall_clock_us: u64,
@@ -325,8 +125,6 @@ pub struct Cloud {
     /// Automatic remediation responses that themselves failed (the error
     /// used to be silently discarded).
     pub(crate) auto_response_failures: u64,
-    /// Long-term identities for post-recovery channel re-handshakes.
-    pub(crate) identities: ChannelIdentities,
     /// The installed node-outage schedule, if any.
     pub(crate) outages: Option<OutageModel>,
     /// Node-failure activity counters.
@@ -440,8 +238,12 @@ impl Cloud {
     }
 
     /// Zeroes the protocol counters (e.g. between experiment phases).
+    /// The queue-depth high-water marks restart from the events pending
+    /// right now, so the gauges describe the phase that follows, not
+    /// the lifetime peak.
     pub fn reset_protocol_stats(&mut self) {
         self.stats = ProtocolStats::default();
+        self.engine.reset_peaks();
     }
 
     /// The per-hop retransmission policy in force.
@@ -542,10 +344,7 @@ impl Cloud {
             CloudEvent::SubscriptionDue { id } => *id,
             CloudEvent::Outage { node, .. } => match node {
                 NodeId::Server(s) => s.0 as u64,
-                NodeId::Controller
-                | NodeId::AttestationServer
-                | NodeId::ControllerReplica(_)
-                | NodeId::AsReplica(_) => 0,
+                NodeId::Controller(_) | NodeId::AttestationServer(_) => 0,
             },
             // The coalescing buffer is Attestation-Server state.
             CloudEvent::Msg4Flush => 0,
@@ -664,72 +463,6 @@ impl Cloud {
         self.topology.stats()
     }
 
-    /// The public identity key (VKc) of one controller instance.
-    /// Instance 0 is the primary `controller`; standbys sign with their
-    /// own per-instance keys, so a customer report pins the exact
-    /// instance that served the session.
-    pub(crate) fn controller_identity_key(
-        &self,
-        instance: u32,
-    ) -> monatt_crypto::schnorr::VerifyingKey {
-        match instance
-            .checked_sub(1)
-            .and_then(|i| self.ctrl_signing.get(i as usize))
-        {
-            Some(key) => key.verifying_key(),
-            None => self.controller.identity_key(),
-        }
-    }
-
-    /// The public identity key (VKa) of one Attestation-Server replica.
-    /// Replica 0 is the primary `attserver`; pool replicas carry their
-    /// own identities (per-replica pCA certification — no shared key).
-    pub(crate) fn attserver_identity_key(
-        &self,
-        replica: u32,
-    ) -> monatt_crypto::schnorr::VerifyingKey {
-        match replica
-            .checked_sub(1)
-            .and_then(|i| self.as_pool.get(i as usize))
-        {
-            Some(attsrv) => attsrv.identity_key(),
-            None => self.attserver.identity_key(),
-        }
-    }
-
-    /// Signs the message-6 customer report with the routed controller
-    /// instance's own key (instance 0 delegates to `controller`).
-    pub(crate) fn certify_msg6(
-        &mut self,
-        instance: u32,
-        vid: Vid,
-        property: SecurityProperty,
-        status: HealthStatus,
-        nonce1: [u8; 32],
-    ) -> crate::messages::CustomerReportMsg {
-        let Cloud {
-            controller,
-            ctrl_signing,
-            quote_scratch,
-            ..
-        } = self;
-        let key = match instance
-            .checked_sub(1)
-            .and_then(|i| ctrl_signing.get(i as usize))
-        {
-            Some(key) => key,
-            None => controller.signing_key(),
-        };
-        CloudController::certify_customer_report_keyed(
-            key,
-            vid,
-            property,
-            status,
-            nonce1,
-            quote_scratch,
-        )
-    }
-
     /// Servers currently crashed (the exclusion set for placement).
     pub(crate) fn down_servers(&self) -> BTreeSet<ServerId> {
         self.down
@@ -819,27 +552,23 @@ impl Cloud {
         // evidence/AVK caches, the other replicas keep theirs.
         match node {
             NodeId::Server(id) => {
-                self.attserver.invalidate_evidence_for_server(id);
-                for replica in self.as_pool.iter_mut() {
+                for replica in &mut self.attservers {
                     replica.invalidate_evidence_for_server(id);
                 }
-                // The server's volatile attestation session dies with it.
+                // The server's volatile attestation session dies with
+                // it, and so does its measurement window.
                 if let Some(n) = self.servers.get_mut(&id) {
                     n.reset_avk_session();
                 }
+                self.window_free_at.remove(&id);
+                self.evacuate_server(id);
             }
-            NodeId::AttestationServer | NodeId::AsReplica(_) => {
-                if let Some(r) = as_replica_index(node) {
-                    attserver_at(&mut self.attserver, &mut self.as_pool, r)
-                        .invalidate_all_evidence();
+            NodeId::AttestationServer(r) => {
+                if let Some(replica) = self.attservers.get_mut(r as usize) {
+                    replica.invalidate_all_evidence();
                 }
             }
-            NodeId::Controller | NodeId::ControllerReplica(_) => {}
-        }
-        if let NodeId::Server(id) = node {
-            // A crashed server's measurement window dies with it.
-            self.window_free_at.remove(&id);
-            self.evacuate_server(id);
+            NodeId::Controller(_) => {}
         }
     }
 
@@ -856,83 +585,28 @@ impl Cloud {
         // bumps (staling issued AVK certificates and dropping the
         // certified-AVK cache), and servers reusing an attestation
         // session start a fresh one.
-        self.mark_links_stale(node);
+        self.links.mark_stale(node, &mut self.outage_stats);
         match node {
             NodeId::Server(id) => {
-                self.attserver.on_rekey();
-                for replica in self.as_pool.iter_mut() {
+                for replica in &mut self.attservers {
                     replica.on_rekey();
                 }
                 if let Some(n) = self.servers.get_mut(&id) {
                     n.reset_avk_session();
                 }
             }
-            NodeId::AttestationServer | NodeId::AsReplica(_) => {
-                if let Some(r) = as_replica_index(node) {
-                    attserver_at(&mut self.attserver, &mut self.as_pool, r).on_rekey();
+            NodeId::AttestationServer(r) => {
+                if let Some(replica) = self.attservers.get_mut(r as usize) {
+                    replica.on_rekey();
                 }
                 for n in self.servers.values_mut() {
                     n.reset_avk_session();
                 }
             }
-            NodeId::Controller | NodeId::ControllerReplica(_) => {
-                self.attserver.on_rekey();
-                for replica in self.as_pool.iter_mut() {
+            NodeId::Controller(_) => {
+                for replica in &mut self.attservers {
                     replica.on_rekey();
                 }
-            }
-        }
-    }
-
-    /// Marks every secure link `node` terminates stale. Each stale link
-    /// re-handshakes on its first post-recovery use (see
-    /// [`refresh_stale_link`], called from the transmit path): session
-    /// keys from before the crash never resume, but a mass recovery
-    /// costs nothing until traffic actually crosses a link.
-    fn mark_links_stale(&mut self, node: NodeId) {
-        let k = self.topology.controllers();
-        let n = self.topology.replicas();
-        let mark = |stale: &mut BTreeSet<LinkKey>, stats: &mut OutageStats, link: LinkKey| {
-            if stale.insert(link) {
-                stats.deferred_rekeys += 1;
-            }
-        };
-        if let Some(i) = controller_instance(node) {
-            mark(
-                &mut self.stale_links,
-                &mut self.outage_stats,
-                LinkKey::CustCtrl(i),
-            );
-            for r in 0..n {
-                mark(
-                    &mut self.stale_links,
-                    &mut self.outage_stats,
-                    LinkKey::CtrlAs(i, r),
-                );
-            }
-        } else if let Some(r) = as_replica_index(node) {
-            for i in 0..k {
-                mark(
-                    &mut self.stale_links,
-                    &mut self.outage_stats,
-                    LinkKey::CtrlAs(i, r),
-                );
-            }
-            let servers: Vec<ServerId> = self.identities.servers.keys().copied().collect();
-            for id in servers {
-                mark(
-                    &mut self.stale_links,
-                    &mut self.outage_stats,
-                    LinkKey::AsServer(r, id),
-                );
-            }
-        } else if let NodeId::Server(id) = node {
-            for r in 0..n {
-                mark(
-                    &mut self.stale_links,
-                    &mut self.outage_stats,
-                    LinkKey::AsServer(r, id),
-                );
             }
         }
     }
@@ -983,7 +657,9 @@ impl Cloud {
         // caches are warmed independently, so a rerouted VM pays the
         // full protocol until its new replica has evidence.
         let replica = self.topology.serving_replica(vid);
-        let cached = attserver_at(&mut self.attserver, &mut self.as_pool, replica)
+        let cached = self
+            .attservers
+            .get_mut(replica as usize)?
             .evidence_lookup(vid, property, now)?;
         let elapsed_us = self.latency.post_hop_us(1)
             + self.latency.post_hop_us(2)
@@ -999,40 +675,34 @@ impl Cloud {
         })
     }
 
-    /// Evidence-cache hits and misses, summed over the Attestation
-    /// Server and every pool replica (each keeps its own cache).
-    pub fn evidence_cache_stats(&self) -> (u64, u64) {
-        let (mut hits, mut misses) = self.attserver.evidence_cache_stats();
-        for replica in &self.as_pool {
-            let (h, m) = replica.evidence_cache_stats();
-            hits += h;
-            misses += m;
-        }
-        (hits, misses)
+    /// Sums one `(hits, misses)` counter pair over every AS replica.
+    fn sum_over_replicas(&self, stats: fn(&AttestationServer) -> (u64, u64)) -> (u64, u64) {
+        self.attservers
+            .iter()
+            .map(stats)
+            .fold((0, 0), |(h, m), (dh, dm)| (h + dh, m + dm))
     }
 
-    /// Evidence-cache hits and misses for one AS replica (0 is the
-    /// primary). Lets tests and the chaos sweep prove cache
-    /// *independence*: a crashed replica loses its evidence, the
+    /// Evidence-cache hits and misses, summed over every Attestation
+    /// Server replica (each keeps its own cache).
+    pub fn evidence_cache_stats(&self) -> (u64, u64) {
+        self.sum_over_replicas(AttestationServer::evidence_cache_stats)
+    }
+
+    /// Evidence-cache hits and misses for one AS replica; `(0, 0)` for
+    /// an index outside the pool. Lets tests and the chaos sweep prove
+    /// cache *independence*: a crashed replica loses its evidence, the
     /// others keep theirs.
     pub fn replica_evidence_cache_stats(&self, replica: u32) -> (u64, u64) {
-        replica
-            .checked_sub(1)
-            .and_then(|i| self.as_pool.get(i as usize))
-            .unwrap_or(&self.attserver)
-            .evidence_cache_stats()
+        self.attservers
+            .get(replica as usize)
+            .map_or((0, 0), AttestationServer::evidence_cache_stats)
     }
 
     /// Certified-AVK cache hits and misses, summed over every
     /// replica's privacy CA.
     pub fn avk_cert_cache_stats(&self) -> (u64, u64) {
-        let (mut hits, mut misses) = self.attserver.avk_cert_cache_stats();
-        for replica in &self.as_pool {
-            let (h, m) = replica.avk_cert_cache_stats();
-            hits += h;
-            misses += m;
-        }
-        (hits, misses)
+        self.sum_over_replicas(AttestationServer::avk_cert_cache_stats)
     }
 
     /// Table 1: `startup_attest_current(Vid, P, N)` — attestation before

@@ -98,8 +98,7 @@ impl Cloud {
         // Any remediation changes the VM's trust context (new host,
         // suspended state, or gone): cached evidence about it is stale
         // on every replica, not just the one that served it.
-        self.attserver.invalidate_evidence_for_vid(vid);
-        for replica in self.as_pool.iter_mut() {
+        for replica in &mut self.attservers {
             replica.invalidate_evidence_for_vid(vid);
         }
         self.advance(response_us);
@@ -130,8 +129,7 @@ impl Cloud {
             };
             // Evidence gathered on the crashed host is void for this VM
             // wherever it lands — on every replica.
-            self.attserver.invalidate_evidence_for_vid(vid);
-            for replica in self.as_pool.iter_mut() {
+            for replica in &mut self.attservers {
                 replica.invalidate_evidence_for_vid(vid);
             }
             // The crashed host's simulator state for this VM is gone

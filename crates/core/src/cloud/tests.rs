@@ -403,6 +403,48 @@ fn sharded_queue_depths_break_down_the_merged_stat() {
 }
 
 #[test]
+fn reset_protocol_stats_restarts_the_queue_depth_gauges() {
+    let prop = SecurityProperty::RuntimeIntegrity;
+    let launch = |c: &mut Cloud| {
+        c.request_vm(VmRequest::new(Flavor::Small, Image::Cirros).require(prop))
+            .unwrap()
+    };
+    // What one flat attestation does to the gauges on a cloud that
+    // never ran anything deeper.
+    let mut fresh = CloudBuilder::new().servers(4).seed(911).shards(4).build();
+    let vid = launch(&mut fresh);
+    fresh.reset_protocol_stats();
+    fresh.runtime_attest_current(vid, prop).unwrap();
+    let flat_depth = fresh.protocol_stats().max_queue_depth;
+    assert!(flat_depth >= 1);
+
+    // Deep warm-up: eight concurrent subscriptions for a round.
+    let mut c = CloudBuilder::new().servers(4).seed(911).shards(4).build();
+    let vids: Vec<_> = (0..8).map(|_| launch(&mut c)).collect();
+    let subs: Vec<_> = vids
+        .iter()
+        .map(|&vid| c.runtime_attest_periodic(vid, prop, 1_000_000).unwrap())
+        .collect();
+    c.run(1_500_000);
+    for sub in subs {
+        c.stop_attest_periodic(sub).unwrap();
+    }
+    assert!(c.protocol_stats().max_queue_depth >= 8);
+
+    c.reset_protocol_stats();
+    assert!(c.shard_queue_depths().iter().all(|&d| d == 0));
+    c.runtime_attest_current(vids[0], prop).unwrap();
+    let merged = c.protocol_stats().max_queue_depth as usize;
+    assert_eq!(
+        merged, flat_depth as usize,
+        "the gauge is this session's depth, not the warm-up's"
+    );
+    let depths = c.shard_queue_depths();
+    assert!(depths.iter().all(|&d| d <= merged), "{depths:?}");
+    assert!(merged <= depths.iter().sum(), "{depths:?} vs {merged}");
+}
+
+#[test]
 fn random_interval_periodic_attestation() {
     let mut c = cloud();
     let vid = c

@@ -90,7 +90,10 @@ impl std::fmt::Display for ResponseAction {
 
 /// The Cloud Controller.
 pub struct CloudController {
-    identity: SigningKey,
+    /// The long-term signing key (SKc) of every controller instance,
+    /// indexed by instance. `new` provisions instance 0, so the list is
+    /// never empty.
+    instance_keys: Vec<SigningKey>,
     vms: BTreeMap<Vid, VmRecord>,
     servers: BTreeMap<ServerId, ServerInfo>,
     next_vid: u64,
@@ -109,16 +112,35 @@ impl CloudController {
     /// Creates a controller with a fresh identity key.
     pub fn new(rng: &mut Drbg) -> Self {
         CloudController {
-            identity: SigningKey::generate(rng),
+            instance_keys: vec![SigningKey::generate(rng)],
             vms: BTreeMap::new(),
             servers: BTreeMap::new(),
             next_vid: 1,
         }
     }
 
-    /// The controller's public identity key (VKc).
+    /// Instance 0's signing key: the whole controller's when it is not
+    /// replicated.
+    fn identity(&self) -> &SigningKey {
+        &self.instance_keys[0]
+    }
+
+    /// The controller's public identity key (VKc) — instance 0's.
     pub fn identity_key(&self) -> VerifyingKey {
-        self.identity.verifying_key()
+        self.identity().verifying_key()
+    }
+
+    /// Provisions the next controller instance with its own long-term
+    /// key: a customer report pins the exact instance that served the
+    /// session, so one instance cannot impersonate another.
+    pub(crate) fn add_instance(&mut self, key: SigningKey) {
+        self.instance_keys.push(key);
+    }
+
+    /// The long-term signing key of controller instance `instance`, for
+    /// the session layer's message-6 certification and verification.
+    pub(crate) fn instance_key(&self, instance: u32) -> Option<&SigningKey> {
+        self.instance_keys.get(instance as usize)
     }
 
     /// Registers a server in the capability table.
@@ -270,13 +292,13 @@ impl CloudController {
         nonce1: [u8; 32],
         scratch: &mut EncodeScratch,
     ) -> CustomerReportMsg {
-        Self::certify_customer_report_keyed(&self.identity, vid, property, status, nonce1, scratch)
+        Self::certify_customer_report_keyed(self.identity(), vid, property, status, nonce1, scratch)
     }
 
     /// [`Self::certify_customer_report_with`] under an explicit signing
     /// key. A replicated control plane gives every controller instance
     /// its own long-term key, so the customer pins the instance that
-    /// served the session — a standby cannot impersonate the primary.
+    /// served the session.
     pub fn certify_customer_report_keyed(
         key: &SigningKey,
         vid: Vid,
@@ -295,12 +317,6 @@ impl CloudController {
             nonce1,
             quote,
         }
-    }
-
-    /// The controller's long-term signing key (SKc), for the session
-    /// layer's per-instance message-6 certification.
-    pub(crate) fn signing_key(&self) -> &SigningKey {
-        &self.identity
     }
 
     /// Customer-side verification of message 6.

@@ -33,6 +33,12 @@
 //! hysteresis gate and are re-routed), it never migrates live protocol
 //! state.
 //!
+//! Instances and replicas are addressed by index in one namespace —
+//! [`NodeId::Controller`]`(i)` and [`NodeId::AttestationServer`]`(r)` —
+//! and index 0 is an ordinary member of each ring. Which secure link a
+//! protocol hop crosses, and which nodes terminate it, is resolved from
+//! the route in [`crate::links`].
+//!
 //! The K=1/N=1 topology is *dormant*: every route is the zero tag, no
 //! extra key material or channels exist, and the wire format is
 //! byte-identical to the unreplicated cloud (pinned by the golden
@@ -52,45 +58,6 @@ fn splitmix64(seed: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-/// The [`NodeId`] of controller instance `instance`. Instance 0 is the
-/// legacy [`NodeId::Controller`]; standbys get
-/// [`NodeId::ControllerReplica`].
-pub fn controller_node(instance: u32) -> NodeId {
-    if instance == 0 {
-        NodeId::Controller
-    } else {
-        NodeId::ControllerReplica(instance)
-    }
-}
-
-/// The [`NodeId`] of AS replica `replica`. Replica 0 is the legacy
-/// [`NodeId::AttestationServer`]; standbys get [`NodeId::AsReplica`].
-pub fn as_node(replica: u32) -> NodeId {
-    if replica == 0 {
-        NodeId::AttestationServer
-    } else {
-        NodeId::AsReplica(replica)
-    }
-}
-
-/// The controller-instance index of `node`, if it is a controller.
-pub fn controller_instance(node: NodeId) -> Option<u32> {
-    match node {
-        NodeId::Controller => Some(0),
-        NodeId::ControllerReplica(i) => Some(i),
-        _ => None,
-    }
-}
-
-/// The AS-replica index of `node`, if it is an Attestation Server.
-pub fn as_replica_index(node: NodeId) -> Option<u32> {
-    match node {
-        NodeId::AttestationServer => Some(0),
-        NodeId::AsReplica(r) => Some(r),
-        _ => None,
-    }
 }
 
 /// The customer's secure-channel peer name. The customer endpoint is
@@ -225,8 +192,8 @@ impl ControlPlaneTopology {
     /// MTBF is configured.
     pub fn control_nodes(&self) -> Vec<NodeId> {
         (0..self.shards)
-            .map(controller_node)
-            .chain((0..self.replicas).map(as_node))
+            .map(NodeId::Controller)
+            .chain((0..self.replicas).map(NodeId::AttestationServer))
             .collect()
     }
 
@@ -308,19 +275,23 @@ impl ControlPlaneTopology {
     /// failover (standbys adopt the dead instance's shards), an AS
     /// crash gates the replica out of selection.
     pub fn on_crash(&mut self, node: NodeId) {
-        if let Some(i) = controller_instance(node) {
-            if let Some(slot) = self.controller_up.get_mut(i as usize) {
-                *slot = false;
+        match node {
+            NodeId::Controller(i) => {
+                if let Some(slot) = self.controller_up.get_mut(i as usize) {
+                    *slot = false;
+                }
+                let moved = self.recompute_owners();
+                if moved > 0 {
+                    self.stats.failovers += 1;
+                    self.stats.shards_adopted += moved;
+                }
             }
-            let moved = self.recompute_owners();
-            if moved > 0 {
-                self.stats.failovers += 1;
-                self.stats.shards_adopted += moved;
+            NodeId::AttestationServer(r) => {
+                if let Some(slot) = self.replica_up.get_mut(r as usize) {
+                    *slot = false;
+                }
             }
-        } else if let Some(r) = as_replica_index(node) {
-            if let Some(slot) = self.replica_up.get_mut(r as usize) {
-                *slot = false;
-            }
+            NodeId::Server(_) => {}
         }
     }
 
@@ -329,15 +300,19 @@ impl ControlPlaneTopology {
     /// selection (with cold caches — warming is the replica's problem,
     /// not the topology's).
     pub fn on_recover(&mut self, node: NodeId) {
-        if let Some(i) = controller_instance(node) {
-            if let Some(slot) = self.controller_up.get_mut(i as usize) {
-                *slot = true;
+        match node {
+            NodeId::Controller(i) => {
+                if let Some(slot) = self.controller_up.get_mut(i as usize) {
+                    *slot = true;
+                }
+                self.stats.shards_reclaimed += self.recompute_owners();
             }
-            self.stats.shards_reclaimed += self.recompute_owners();
-        } else if let Some(r) = as_replica_index(node) {
-            if let Some(slot) = self.replica_up.get_mut(r as usize) {
-                *slot = true;
+            NodeId::AttestationServer(r) => {
+                if let Some(slot) = self.replica_up.get_mut(r as usize) {
+                    *slot = true;
+                }
             }
+            NodeId::Server(_) => {}
         }
     }
 }
@@ -380,15 +355,15 @@ mod tests {
     fn controller_crash_fails_over_on_the_ring_and_recovery_reclaims() {
         let mut t = ControlPlaneTopology::new(3, 1);
         assert_eq!(t.owner_of_shard(1), Some(1));
-        t.on_crash(NodeId::ControllerReplica(1));
+        t.on_crash(NodeId::Controller(1));
         assert_eq!(t.owner_of_shard(1), Some(2), "next live on the ring");
         assert_eq!(t.owner_of_shard(0), Some(0), "other shards untouched");
         assert_eq!(t.stats().failovers, 1);
         assert_eq!(t.stats().shards_adopted, 1);
-        t.on_crash(NodeId::ControllerReplica(2));
+        t.on_crash(NodeId::Controller(2));
         assert_eq!(t.owner_of_shard(1), Some(0), "wraps past two dead");
         assert_eq!(t.owner_of_shard(2), Some(0));
-        t.on_recover(NodeId::ControllerReplica(1));
+        t.on_recover(NodeId::Controller(1));
         assert_eq!(t.owner_of_shard(1), Some(1), "home reclaims");
         // Shard 2's home is still down; its ring scan (2 → 0 → 1) finds
         // instance 0 first, so recovery of 1 does not move it.
@@ -399,8 +374,8 @@ mod tests {
     #[test]
     fn all_controllers_down_routes_to_home_for_fail_fast() {
         let mut t = ControlPlaneTopology::new(2, 1);
-        t.on_crash(NodeId::Controller);
-        t.on_crash(NodeId::ControllerReplica(1));
+        t.on_crash(NodeId::Controller(0));
+        t.on_crash(NodeId::Controller(1));
         let vid = Vid(7);
         let home = t.shard_of(vid);
         assert_eq!(t.owner_of_shard(home), None);
@@ -414,11 +389,11 @@ mod tests {
             .map(Vid)
             .find(|&v| t.preferred_replica(v) == 1)
             .unwrap_or(Vid(0));
-        t.on_crash(NodeId::AsReplica(1));
+        t.on_crash(NodeId::AttestationServer(1));
         let tag = t.route_for(vid);
         assert_eq!(tag.replica, 0, "rerouted to the live replica");
         assert_eq!(t.stats().as_reroutes, 1);
-        t.on_recover(NodeId::AsReplica(1));
+        t.on_recover(NodeId::AttestationServer(1));
         assert_eq!(t.route_for(vid).replica, 1, "preference restored");
     }
 
@@ -433,26 +408,15 @@ mod tests {
     }
 
     #[test]
-    fn node_helpers_normalize_index_zero() {
-        assert_eq!(controller_node(0), NodeId::Controller);
-        assert_eq!(controller_node(2), NodeId::ControllerReplica(2));
-        assert_eq!(as_node(0), NodeId::AttestationServer);
-        assert_eq!(as_node(1), NodeId::AsReplica(1));
-        assert_eq!(controller_instance(NodeId::Controller), Some(0));
-        assert_eq!(as_replica_index(NodeId::AsReplica(4)), Some(4));
-        assert_eq!(controller_instance(NodeId::AttestationServer), None);
-    }
-
-    #[test]
     fn control_nodes_enumerates_the_whole_plane() {
         let t = ControlPlaneTopology::new(2, 2);
         assert_eq!(
             t.control_nodes(),
             vec![
-                NodeId::Controller,
-                NodeId::ControllerReplica(1),
-                NodeId::AttestationServer,
-                NodeId::AsReplica(1),
+                NodeId::Controller(0),
+                NodeId::Controller(1),
+                NodeId::AttestationServer(0),
+                NodeId::AttestationServer(1),
             ]
         );
     }

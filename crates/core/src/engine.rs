@@ -159,6 +159,14 @@ impl<T> ShardedEngine<T> {
     pub(crate) fn shard_depths(&self) -> &[usize] {
         &self.shard_peaks
     }
+
+    /// Restarts every high-water mark from the entries pending now.
+    pub(crate) fn reset_peaks(&mut self) {
+        self.max_depth = self.len;
+        for (peak, wheel) in self.shard_peaks.iter_mut().zip(&self.shards) {
+            *peak = wheel.len();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -243,6 +251,23 @@ mod tests {
         assert_eq!(q.shard_depths(), &[3, 1]);
         assert_eq!(q.max_depth(), 4);
         assert_eq!(q.shard_count(), 2);
+    }
+
+    #[test]
+    fn reset_peaks_restarts_from_the_pending_depth() {
+        let mut q = ShardedEngine::new(2);
+        for due in 0..4 {
+            q.schedule(due, due, ());
+        }
+        q.pop();
+        q.pop();
+        q.pop();
+        q.reset_peaks();
+        assert_eq!(q.max_depth(), 1);
+        assert_eq!(q.shard_depths(), &[0, 1]);
+        q.schedule(9, 0, ());
+        assert_eq!(q.max_depth(), 2);
+        assert_eq!(q.shard_depths(), &[1, 1]);
     }
 
     #[test]

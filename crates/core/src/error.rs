@@ -167,10 +167,17 @@ mod tests {
         );
         assert_eq!(
             CloudError::NodeDown {
-                node: NodeId::AttestationServer,
+                node: NodeId::AttestationServer(0),
             }
             .to_string(),
             "attserver is down"
+        );
+        assert_eq!(
+            CloudError::NodeDown {
+                node: NodeId::Controller(2),
+            }
+            .to_string(),
+            "controller-2 is down"
         );
         let e = CloudError::DeadlineExceeded {
             budget_us: 1_000,

@@ -58,6 +58,7 @@ pub(crate) mod engine;
 pub mod error;
 pub mod interpret;
 pub mod latency;
+pub(crate) mod links;
 pub mod measurements;
 pub mod messages;
 pub mod outage;

@@ -339,8 +339,8 @@ mod tests {
     fn scripted_transitions_drain_in_time_order() {
         let mut model = OutageModel::new(1)
             .crash_at(500, NodeId::Server(ServerId(1)))
-            .crash_at(100, NodeId::Controller)
-            .recover_at(300, NodeId::Controller);
+            .crash_at(100, NodeId::Controller(0))
+            .recover_at(300, NodeId::Controller(0));
         let due = model.drain_due(400);
         assert_eq!(due.len(), 2);
         assert_eq!(due[0].at_us, 100);
@@ -382,15 +382,15 @@ mod tests {
         // server-only seeds see an identical stream.
         let mut server_only = OutageModel::new(11).mtbf(1_000_000, 100_000);
         server_only.prime([ServerId(0)], 0);
-        server_only.prime_control_plane([NodeId::Controller, NodeId::AttestationServer], 0);
+        server_only.prime_control_plane([NodeId::Controller(0), NodeId::AttestationServer(0)], 0);
         assert_eq!(server_only.drain_due(u64::MAX).len(), 1);
 
         let mut model = OutageModel::new(11)
             .mtbf(1_000_000, 100_000)
             .control_plane_mtbf(4_000_000, 50_000);
         model.prime([ServerId(0)], 0);
-        model.prime_control_plane([NodeId::Controller, NodeId::AsReplica(1)], 0);
-        model.prime_control_plane([NodeId::Controller, NodeId::AsReplica(1)], 0); // idempotent
+        model.prime_control_plane([NodeId::Controller(0), NodeId::AttestationServer(1)], 0);
+        model.prime_control_plane([NodeId::Controller(0), NodeId::AttestationServer(1)], 0); // idempotent
         let due = model.drain_due(u64::MAX);
         assert_eq!(due.len(), 3);
         let cp: Vec<_> = due
@@ -404,7 +404,7 @@ mod tests {
         }
         // A fired control-plane crash chains a recovery on the
         // control-plane MTTR, not the server one.
-        model.chain(NodeId::AsReplica(1), true, 4_000_000);
+        model.chain(NodeId::AttestationServer(1), true, 4_000_000);
         let rec = model.drain_due(u64::MAX);
         assert_eq!(rec.len(), 1);
         let downtime = rec[0].at_us - 4_000_000;

@@ -30,7 +30,7 @@
 
 use super::compile::{Charge, Op};
 use crate::attestation::AttestationServer;
-use crate::cloud::{attserver_at, Cloud};
+use crate::cloud::Cloud;
 use crate::controller::CloudController;
 use crate::error::CloudError;
 use crate::measurements::MeasurementSpec;
@@ -41,6 +41,16 @@ use crate::messages::{
 use crate::protocol::{MsgKind, NonceSlot};
 use crate::session::{lost_session, malformed, CloudEvent, PendingMsg4, SessionEvent, SessionId};
 use monatt_net::wire::Wire;
+
+/// The Attestation-Server replica a session's route names. A free
+/// function over the replica vector so callers can borrow it alongside
+/// other `Cloud` fields.
+fn routed_replica(
+    pool: &mut [AttestationServer],
+    replica: u32,
+) -> Result<&mut AttestationServer, CloudError> {
+    pool.get_mut(replica as usize).ok_or_else(lost_session)
+}
 
 /// A program counter escaped its compiled schedule — impossible for a
 /// program the compiler accepted, but surfaced as a typed error rather
@@ -193,8 +203,8 @@ impl Cloud {
                         session.route.replica,
                     )
                 };
-                let measure_req = attserver_at(&mut self.attserver, &mut self.as_pool, replica)
-                    .build_measure_request(req_vid, req_property, nonce3);
+                let attserver = routed_replica(&mut self.attservers, replica)?;
+                let measure_req = attserver.build_measure_request(req_vid, req_property, nonce3);
                 let session = self.sessions.get_mut(sid).ok_or_else(lost_session)?;
                 session.spec = Some(measure_req.spec);
                 session.msg = MsgKind::Msg3;
@@ -247,15 +257,15 @@ impl Cloud {
                         session.route.replica,
                     )
                 };
-                let report_msg = attserver_at(&mut self.attserver, &mut self.as_pool, replica)
-                    .certify_report_with(
-                        vid,
-                        server,
-                        property,
-                        status,
-                        nonce2,
-                        &mut self.quote_scratch,
-                    );
+                let attserver = routed_replica(&mut self.attservers, replica)?;
+                let report_msg = attserver.certify_report_with(
+                    vid,
+                    server,
+                    property,
+                    status,
+                    nonce2,
+                    &mut self.quote_scratch,
+                );
                 let session = self.sessions.get_mut(sid).ok_or_else(lost_session)?;
                 session.msg = MsgKind::Msg5;
                 report_msg.encode_into(&mut session.wire);
@@ -273,7 +283,19 @@ impl Cloud {
                         session.route.controller,
                     )
                 };
-                let customer_report = self.certify_msg6(instance, vid, property, status, nonce1);
+                // Signed with the routed instance's own key.
+                let key = self
+                    .controller
+                    .instance_key(instance)
+                    .ok_or_else(lost_session)?;
+                let customer_report = CloudController::certify_customer_report_keyed(
+                    key,
+                    vid,
+                    property,
+                    status,
+                    nonce1,
+                    &mut self.quote_scratch,
+                );
                 let session = self.sessions.get_mut(sid).ok_or_else(lost_session)?;
                 session.msg = MsgKind::Msg6;
                 customer_report.encode_into(&mut session.wire);
@@ -366,9 +388,12 @@ impl Cloud {
                     let session = self.sessions.get(sid).ok_or_else(lost_session)?;
                     (session.nonce2, session.route.replica)
                 };
+                // Verified against the *routed* replica's identity
+                // (per-replica pCA certification — no shared key).
+                let replica_key = routed_replica(&mut self.attservers, replica)?.identity_key();
                 AttestationServer::verify_report_msg_with(
                     &report_msg,
-                    &self.attserver_identity_key(replica),
+                    &replica_key,
                     nonce2,
                     &mut self.quote_scratch,
                 )?;
@@ -385,9 +410,14 @@ impl Cloud {
                     let session = self.sessions.get(sid).ok_or_else(lost_session)?;
                     (session.nonce1, session.route.controller)
                 };
+                let instance_key = self
+                    .controller
+                    .instance_key(instance)
+                    .ok_or_else(lost_session)?
+                    .verifying_key();
                 CloudController::verify_customer_report_with(
                     &report_msg,
-                    &self.controller_identity_key(instance),
+                    &instance_key,
                     nonce1,
                     &mut self.quote_scratch,
                 )?;
@@ -465,17 +495,11 @@ impl Cloud {
                 session.route.replica,
             )
         };
-        attserver_at(&mut self.attserver, &mut self.as_pool, replica).validate_response_with(
-            &msg4,
-            vid,
-            spec,
-            nonce3,
-            &mut self.quote_scratch,
-        )?;
-        let status = attserver_at(&mut self.attserver, &mut self.as_pool, replica)
-            .interpret_response(property, &msg4, expected_image);
+        let attserver = routed_replica(&mut self.attservers, replica)?;
+        attserver.validate_response_with(&msg4, vid, spec, nonce3, &mut self.quote_scratch)?;
+        let status = attserver.interpret_response(property, &msg4, expected_image);
         if let Some(ttl) = self.evidence_ttl_us {
-            attserver_at(&mut self.attserver, &mut self.as_pool, replica).evidence_insert(
+            attserver.evidence_insert(
                 vid,
                 property,
                 server,
@@ -560,7 +584,12 @@ impl Cloud {
                         })
                 })
                 .collect(); // #[allow(monatt::alloc_freedom)] lifetime-bound, amortized per batch
-            let verdicts = attserver_at(&mut self.attserver, &mut self.as_pool, replica)
+                            // Routes come from the topology the pool was built for, so
+                            // every partition has its replica.
+            let Some(attserver) = self.attservers.get_mut(replica as usize) else {
+                continue;
+            };
+            let verdicts = attserver
                 // Batch validation assembles lifetime-bound signature slices
                 // internally; its allocations are likewise per flush, not
                 // per message. #[allow(monatt::alloc_freedom)]
@@ -587,16 +616,12 @@ impl Cloud {
                     self.finish_session(p.sid, Err(e));
                     continue;
                 }
-                let status = attserver_at(&mut self.attserver, &mut self.as_pool, replica)
-                    .interpret_response(property, &p.msg4, expected_image);
+                let Some(attserver) = self.attservers.get_mut(replica as usize) else {
+                    continue;
+                };
+                let status = attserver.interpret_response(property, &p.msg4, expected_image);
                 if let Some(ttl) = self.evidence_ttl_us {
-                    attserver_at(&mut self.attserver, &mut self.as_pool, replica).evidence_insert(
-                        vid,
-                        property,
-                        server,
-                        status.clone(),
-                        now + ttl,
-                    );
+                    attserver.evidence_insert(vid, property, server, status.clone(), now + ttl);
                 }
                 let Some(session) = self.sessions.get_mut(p.sid) else {
                     continue;

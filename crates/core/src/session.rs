@@ -46,17 +46,16 @@
 //!
 //! [`RetryPolicy`]: crate::latency::RetryPolicy
 
-use crate::cloud::{refresh_stale_link, Cloud, ControlLinks, LinkKey};
-use crate::controlplane::{as_node, controller_node, RouteTag};
+use crate::cloud::Cloud;
+use crate::controlplane::RouteTag;
 use crate::error::CloudError;
-use crate::latency::RetryPolicy;
+use crate::links::Hop;
 use crate::measurements::MeasurementSpec;
 use crate::messages::MeasureResponse;
 use crate::protocol::compile::ProgramId;
 use crate::protocol::MsgKind;
 use crate::types::{HealthStatus, Image, NodeId, SecurityProperty, ServerId, Vid};
-use monatt_net::channel::{ChannelError, SecureChannel};
-use std::collections::BTreeSet;
+use monatt_net::channel::ChannelError;
 
 pub(crate) use crate::arena::SessionId;
 
@@ -216,8 +215,8 @@ pub(crate) struct AttestSession {
     /// Program counter into the compiled op schedule.
     pub(crate) pc: u16,
     /// The record kind currently on the wire — cached from the current
-    /// `Hop` op so the transport layer resolves channels and node
-    /// dependencies without re-reading the program.
+    /// `Hop` op so the transport layer resolves its link (see
+    /// [`AttestSession::hop`]) without re-reading the program.
     pub(crate) msg: MsgKind,
     /// Transmit attempts of the current hop (resets per hop).
     pub(crate) attempt: u32,
@@ -403,15 +402,18 @@ impl AttestSession {
         self.pending.is_some() || self.verdict.is_some()
     }
 
+    /// The link (and direction) the session's current hop travels,
+    /// selected by its pinned route and placement.
+    pub(crate) fn hop(&self) -> Hop {
+        Hop::of(self.msg, self.route, self.server)
+    }
+
     /// Whether the session's current protocol hop depends on `node`. A
     /// parent parked on a fork depends on nothing itself — its fate
     /// rides entirely on its children, which fail (and resume it) on
     /// their own — so it is invisible to per-hop fail-fast.
     pub(crate) fn touches(&self, node: NodeId) -> bool {
-        if self.fork_outstanding > 0 {
-            return false;
-        }
-        hop_nodes(self.msg, self.route, self.server).contains(&node)
+        self.fork_outstanding == 0 && self.hop().link.touches(node)
     }
 }
 
@@ -432,100 +434,6 @@ pub(crate) fn malformed(what: &str, e: impl std::fmt::Display) -> CloudError {
 fn duplicate_not_rejected(peer: &str, outcome: Result<(), ChannelError>) -> CloudError {
     CloudError::ProtocolFailure {
         reason: format!("duplicate record from {peer} not rejected: {outcome:?}"),
-    }
-}
-
-/// The secure link a hop travels: the session's routed controller
-/// instance and AS replica select the mesh edge. The single source of
-/// endpoint resolution — protocol code never names a link by string.
-pub(crate) fn link_for(msg: MsgKind, route: RouteTag, server: ServerId) -> LinkKey {
-    match msg {
-        MsgKind::Msg1 | MsgKind::Msg6 => LinkKey::CustCtrl(route.controller),
-        MsgKind::Msg2 | MsgKind::Msg5 => LinkKey::CtrlAs(route.controller, route.replica),
-        MsgKind::Msg3 | MsgKind::Msg4 => LinkKey::AsServer(route.replica, server),
-    }
-}
-
-/// Resolves a hop's message kind to its (sender, receiver) channel
-/// halves on the session's routed link. The mapping mirrors Figure 3:
-/// Kx for messages 1/6, Ky for 2/5, Kz for 3/4.
-pub(crate) fn hop_channels(
-    msg: MsgKind,
-    links: &mut ControlLinks,
-    route: RouteTag,
-    server: ServerId,
-) -> Result<(&mut SecureChannel, &mut SecureChannel), CloudError> {
-    match msg {
-        MsgKind::Msg1 | MsgKind::Msg6 => {
-            let pair = links
-                .cust_ctrl_mut(route.controller)
-                .ok_or_else(lost_session)?;
-            Ok(match msg {
-                MsgKind::Msg1 => (&mut pair.initiator, &mut pair.responder),
-                _ => (&mut pair.responder, &mut pair.initiator),
-            })
-        }
-        MsgKind::Msg2 | MsgKind::Msg5 => {
-            let pair = links
-                .ctrl_as_mut(route.controller, route.replica)
-                .ok_or_else(lost_session)?;
-            Ok(match msg {
-                MsgKind::Msg2 => (&mut pair.initiator, &mut pair.responder),
-                _ => (&mut pair.responder, &mut pair.initiator),
-            })
-        }
-        MsgKind::Msg3 | MsgKind::Msg4 => {
-            let pair = links
-                .as_server_mut(route.replica, server)
-                .ok_or(CloudError::UnknownServer(server))?;
-            Ok(match msg {
-                MsgKind::Msg3 => (&mut pair.initiator, &mut pair.responder),
-                _ => (&mut pair.responder, &mut pair.initiator),
-            })
-        }
-    }
-}
-
-/// The cloud-side nodes a protocol hop depends on (the customer
-/// endpoint is assumed reliable), resolved through the session's
-/// route. If any of them is crashed, the hop cannot make progress and
-/// the session fails fast.
-pub(crate) fn hop_nodes(msg: MsgKind, route: RouteTag, server: ServerId) -> [NodeId; 2] {
-    let ctrl = controller_node(route.controller);
-    let attsrv = as_node(route.replica);
-    match msg {
-        // The controller terminates both customer-facing hops.
-        MsgKind::Msg1 | MsgKind::Msg6 => [ctrl, ctrl],
-        MsgKind::Msg2 | MsgKind::Msg5 => [ctrl, attsrv],
-        MsgKind::Msg3 | MsgKind::Msg4 => [attsrv, NodeId::Server(server)],
-    }
-}
-
-/// The first crashed node (if any) the hop depends on.
-fn down_node_for(
-    down: &BTreeSet<NodeId>,
-    msg: MsgKind,
-    route: RouteTag,
-    server: ServerId,
-) -> Option<NodeId> {
-    hop_nodes(msg, route, server)
-        .into_iter()
-        .find(|n| down.contains(n))
-}
-
-/// The retransmission ladder a hop runs on: control-plane hops
-/// (messages 1, 2, 5, 6 — customer/controller/AS processing) use the
-/// control-plane policy, the data-plane measurement hops (3, 4) the
-/// data-plane one. The two default to the same ladder, so an
-/// unconfigured cloud draws an identical backoff stream.
-pub(crate) fn retry_policy_for(
-    msg: MsgKind,
-    data: RetryPolicy,
-    control: RetryPolicy,
-) -> RetryPolicy {
-    match msg {
-        MsgKind::Msg3 | MsgKind::Msg4 => data,
-        _ => control,
     }
 }
 
@@ -685,10 +593,7 @@ impl Cloud {
             rng,
             stats,
             retry,
-            control_retry,
             links,
-            stale_links,
-            identities,
             outage_stats,
             engine,
             wall_clock_us,
@@ -698,20 +603,20 @@ impl Cloud {
         } = self;
         let now = *wall_clock_us;
         let session = sessions.get_mut(sid).ok_or_else(lost_session)?;
-        // Fail fast when a node this hop depends on is crashed —
-        // checked before any RNG draw or transmission, so the session
-        // does not burn the retransmission ladder against a black hole.
-        if let Some(node) = down_node_for(down, session.msg, session.route, session.server) {
+        let hop = session.hop();
+        // Fail fast when a node this hop depends on is crashed (the
+        // customer end is assumed reliable) — checked before any RNG
+        // draw or transmission, so the session does not burn the
+        // retransmission ladder against a black hole.
+        let mut ends = hop.link.ends().into_iter().flatten();
+        if let Some(node) = ends.find(|n| down.contains(n)) {
             return Err(CloudError::NodeDown { node });
         }
         // Lazy re-keying: a link marked stale by a node recovery is
         // re-handshaken here, at its first post-recovery use, instead
         // of in a synchronized burst at the recovery instant.
-        let link = link_for(session.msg, session.route, session.server);
-        if stale_links.remove(&link) {
-            refresh_stale_link(rng, identities, links, outage_stats, link);
-        }
-        let policy = retry_policy_for(session.msg, *retry, *control_retry);
+        links.refresh_if_stale(hop.link, rng, outage_stats);
+        let policy = *retry;
         // Session events shard by target server (routing only — never
         // affects pop order; see `crate::engine`).
         let shard_key = session.server.0 as u64;
@@ -723,7 +628,7 @@ impl Cloud {
         }
         session.elapsed_us += offset;
         let generation = session.generation;
-        let (send, recv) = hop_channels(session.msg, links, session.route, session.server)?;
+        let (send, recv) = links.channels(hop)?;
         // Seal once per hop: retransmits resend the byte-identical
         // record, so the receiver's anti-replay window deduplicates a
         // late first copy arriving after a retransmit was processed.
@@ -927,7 +832,7 @@ impl Cloud {
     fn step_retry(&mut self, sid: SessionId, generation: u32) -> Result<(), CloudError> {
         let (max_attempts, exhausted) = {
             let session = self.sessions.get(sid).ok_or_else(lost_session)?;
-            let policy = retry_policy_for(session.msg, self.retry, self.control_retry);
+            let policy = self.retry;
             let max_attempts = policy.max_attempts.max(1);
             if session.generation != generation {
                 // The hop this timer belonged to already completed (a
@@ -973,7 +878,7 @@ impl Cloud {
             sessions, links, ..
         } = self;
         let session = sessions.get(sid).ok_or_else(lost_session)?;
-        let (send, recv) = hop_channels(session.msg, links, session.route, session.server)?;
+        let (send, recv) = links.channels(session.hop())?;
         Err(match &session.last_auth_failure {
             Some(e) => CloudError::ProtocolFailure {
                 reason: format!(
@@ -1010,7 +915,7 @@ impl Cloud {
                 return Ok(());
             };
             let (msg, _, record) = session.late.remove(pos);
-            let (_, recv) = hop_channels(msg, links, session.route, session.server)?;
+            let (_, recv) = links.channels(Hop::of(msg, session.route, session.server))?;
             match recv.open(b"", &record) {
                 Err(ChannelError::DuplicateRecord) => {
                     // A retransmit already carried this sequence number

@@ -28,28 +28,23 @@ impl fmt::Display for ServerId {
 /// [`monatt_net::sim::FaultModel`]). The customer endpoint is assumed
 /// reliable; everything inside the cloud provider can go down.
 ///
-/// The `Display` form matches the secure-channel peer names used on the
-/// simulated network ("controller", "attserver", "server-N"), so a
-/// crashed node and its black-holed network endpoint share one name.
+/// Controller instances and Attestation-Server replicas are addressed
+/// by index (see [`crate::controlplane`]); the unreplicated cloud is
+/// simply index 0 of each.
 ///
-/// With a replicated control plane (see [`crate::controlplane`]),
-/// controller instance 0 and AS replica 0 keep the legacy
-/// `Controller`/`AttestationServer` variants; standby instances get the
-/// `ControllerReplica`/`AsReplica` variants (never constructed with
-/// index 0 — [`crate::controlplane::controller_node`] and
-/// [`crate::controlplane::as_node`] normalize).
+/// The `Display` form matches the secure-channel peer names used on the
+/// simulated network, so a crashed node and its black-holed network
+/// endpoint share one name. Index 0 prints bare ("controller",
+/// "attserver"), index `i ≥ 1` as "controller-i" / "attserver-i", a
+/// server as "server-N".
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum NodeId {
-    /// The Cloud Controller (equivalently, the link to it).
-    Controller,
-    /// The Attestation Server.
-    AttestationServer,
+    /// Cloud Controller instance `i` (equivalently, the link to it).
+    Controller(u32),
+    /// Attestation Server replica `r`.
+    AttestationServer(u32),
     /// One cloud server.
     Server(ServerId),
-    /// A standby Cloud Controller instance (index ≥ 1).
-    ControllerReplica(u32),
-    /// A standby Attestation Server replica (index ≥ 1).
-    AsReplica(u32),
 }
 
 impl NodeId {
@@ -63,11 +58,11 @@ impl NodeId {
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NodeId::Controller => f.write_str("controller"),
-            NodeId::AttestationServer => f.write_str("attserver"),
+            NodeId::Controller(0) => f.write_str("controller"),
+            NodeId::Controller(i) => write!(f, "controller-{i}"),
+            NodeId::AttestationServer(0) => f.write_str("attserver"),
+            NodeId::AttestationServer(r) => write!(f, "attserver-{r}"),
             NodeId::Server(id) => write!(f, "{id}"),
-            NodeId::ControllerReplica(i) => write!(f, "controller-{i}"),
-            NodeId::AsReplica(r) => write!(f, "attserver-{r}"),
         }
     }
 }
@@ -355,13 +350,14 @@ mod tests {
     fn display_formats() {
         assert_eq!(Vid(3).to_string(), "vid-3");
         assert_eq!(ServerId(1).to_string(), "server-1");
-        assert_eq!(NodeId::Controller.to_string(), "controller");
-        assert_eq!(NodeId::AttestationServer.to_string(), "attserver");
-        // A server node's endpoint name matches the channel peer name
-        // the builder assigns (`ServerId`'s Display).
-        assert_eq!(NodeId::Server(ServerId(2)).endpoint(), "server-2");
-        assert_eq!(NodeId::ControllerReplica(1).to_string(), "controller-1");
-        assert_eq!(NodeId::AsReplica(2).endpoint(), "attserver-2");
+        // Peer names, the network log, error text and the golden trace
+        // all carry these strings: index 0 keeps the unreplicated
+        // cloud's bare names.
+        assert_eq!(NodeId::Controller(0).to_string(), "controller");
+        assert_eq!(NodeId::AttestationServer(0).to_string(), "attserver");
+        assert_eq!(NodeId::Controller(2).to_string(), "controller-2");
+        assert_eq!(NodeId::AttestationServer(1).endpoint(), "attserver-1");
+        assert_eq!(NodeId::Server(ServerId(3)).endpoint(), "server-3");
         assert_eq!(Flavor::Large.to_string(), "large");
         assert_eq!(Image::Ubuntu.to_string(), "ubuntu");
         assert_eq!(

@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Crash the Attestation Server itself: there is no one to
     //    verify evidence, so sessions fail fast — no retry ladder is
     //    burned against a dead node.
-    cloud.crash_node(NodeId::AttestationServer);
+    cloud.crash_node(NodeId::AttestationServer(0));
     let err = cloud
         .runtime_attest_current(vid, SecurityProperty::RuntimeIntegrity)
         .unwrap_err();
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Recovery re-keys every channel the node terminates; stale
     //    pre-crash session keys never resume.
-    cloud.recover_node(NodeId::AttestationServer);
+    cloud.recover_node(NodeId::AttestationServer(0));
     cloud.recover_node(NodeId::Server(home));
     let outages = cloud.outage_stats();
     println!(

@@ -8,22 +8,6 @@
 
 use cloudmonatt::core::{CloudBuilder, Flavor, Image, NodeId, SecurityProperty, Vid, VmRequest};
 
-fn controller(instance: u32) -> NodeId {
-    if instance == 0 {
-        NodeId::Controller
-    } else {
-        NodeId::ControllerReplica(instance)
-    }
-}
-
-fn as_replica(replica: u32) -> NodeId {
-    if replica == 0 {
-        NodeId::AttestationServer
-    } else {
-        NodeId::AsReplica(replica)
-    }
-}
-
 fn launch(cloud: &mut cloudmonatt::core::Cloud) -> Vid {
     cloud
         .request_vm(
@@ -48,7 +32,7 @@ fn controller_crash_fails_over_and_recovery_reclaims() {
         .expect("healthy plane has an owner");
     assert_eq!(home, shard, "healthy ownership is the identity map");
 
-    cloud.crash_node(controller(home));
+    cloud.crash_node(NodeId::Controller(home));
     let adopted = cloud
         .control_plane()
         .owner_of_shard(shard)
@@ -68,7 +52,7 @@ fn controller_crash_fails_over_and_recovery_reclaims() {
     assert!(cp.shards_adopted >= 1, "{cp:?}");
     assert!(cp.failover_sessions >= 1, "{cp:?}");
 
-    cloud.recover_node(controller(home));
+    cloud.recover_node(NodeId::Controller(home));
     assert_eq!(
         cloud.control_plane().owner_of_shard(shard),
         Some(home),
@@ -88,8 +72,8 @@ fn total_controller_outage_fails_fast_until_recovery() {
         .control_plane(2, 1)
         .build();
     let vid = launch(&mut cloud);
-    cloud.crash_node(controller(0));
-    cloud.crash_node(controller(1));
+    cloud.crash_node(NodeId::Controller(0));
+    cloud.crash_node(NodeId::Controller(1));
     let shard = cloud.control_plane().shard_of(vid);
     assert_eq!(cloud.control_plane().owner_of_shard(shard), None);
     // With no live instance, admission routes to the dead home and the
@@ -100,8 +84,8 @@ fn total_controller_outage_fails_fast_until_recovery() {
     assert!(err.to_string().contains("down"), "{err}");
     assert_eq!(cloud.sessions_in_flight(), 0);
 
-    cloud.recover_node(controller(0));
-    cloud.recover_node(controller(1));
+    cloud.recover_node(NodeId::Controller(0));
+    cloud.recover_node(NodeId::Controller(1));
     cloud
         .runtime_attest_current(vid, SecurityProperty::RuntimeIntegrity)
         .expect("recovered plane serves again");
@@ -154,7 +138,7 @@ fn as_replica_crash_reroutes_and_invalidates_only_its_cache() {
     // Crash replica 1: its evidence dies with it, replica 0 keeps its
     // cache, and vid1's sessions reroute to replica 0 — which has no
     // evidence for vid1, so the full protocol runs there.
-    cloud.crash_node(as_replica(1));
+    cloud.crash_node(NodeId::AttestationServer(1));
     let reroutes_before = cloud.control_plane_stats().as_reroutes;
     let (h0, m0) = cloud.replica_evidence_cache_stats(0);
     cloud
@@ -178,7 +162,7 @@ fn as_replica_crash_reroutes_and_invalidates_only_its_cache() {
     // After recovery the preferred replica serves vid1 again, but its
     // cache was invalidated by the crash: first attestation misses,
     // the next one hits the re-warmed cache.
-    cloud.recover_node(as_replica(1));
+    cloud.recover_node(NodeId::AttestationServer(1));
     let (h1, m1) = cloud.replica_evidence_cache_stats(1);
     cloud
         .runtime_attest_current(vid1, SecurityProperty::RuntimeIntegrity)

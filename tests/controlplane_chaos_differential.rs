@@ -29,22 +29,13 @@ const SLOT_US: u64 = 1_500_000;
 type Event = (u64, u8, u64);
 
 /// Map an arbitrary selector onto the control-plane node set:
-/// controller instances first (0..K), then AS replicas (0..N), using
-/// the same index-0 normalization as `controlplane::{controller_node,
-/// as_node}`.
+/// controller instances first (0..K), then AS replicas (0..N).
 fn node_for(selector: u8, k: u32, n: u32) -> NodeId {
-    let i = u64::from(selector) % u64::from(k + n);
-    let i = i as u32;
+    let i = (u64::from(selector) % u64::from(k + n)) as u32;
     if i < k {
-        if i == 0 {
-            NodeId::Controller
-        } else {
-            NodeId::ControllerReplica(i)
-        }
-    } else if i == k {
-        NodeId::AttestationServer
+        NodeId::Controller(i)
     } else {
-        NodeId::AsReplica(i - k)
+        NodeId::AttestationServer(i - k)
     }
 }
 

@@ -41,7 +41,7 @@ fn server_crash_evacuates_vms_to_live_servers() {
 fn crashed_attestation_server_fails_sessions_fast() {
     let (mut cloud, vid) = chaos_cloud(901);
     cloud.reset_protocol_stats();
-    cloud.crash_node(NodeId::AttestationServer);
+    cloud.crash_node(NodeId::AttestationServer(0));
     let err = cloud
         .runtime_attest_current(vid, SecurityProperty::RuntimeIntegrity)
         .unwrap_err();
@@ -49,7 +49,7 @@ fn crashed_attestation_server_fails_sessions_fast() {
         matches!(
             err,
             CloudError::NodeDown {
-                node: NodeId::AttestationServer
+                node: NodeId::AttestationServer(0)
             }
         ),
         "expected NodeDown, got {err:?}"
@@ -65,12 +65,12 @@ fn crashed_attestation_server_fails_sessions_fast() {
 #[test]
 fn recovery_rehandshakes_and_sessions_resume() {
     let (mut cloud, vid) = chaos_cloud(902);
-    cloud.crash_node(NodeId::AttestationServer);
+    cloud.crash_node(NodeId::AttestationServer(0));
     assert!(cloud
         .runtime_attest_current(vid, SecurityProperty::RuntimeIntegrity)
         .is_err());
-    cloud.recover_node(NodeId::AttestationServer);
-    assert!(!cloud.node_is_down(NodeId::AttestationServer));
+    cloud.recover_node(NodeId::AttestationServer(0));
+    assert!(!cloud.node_is_down(NodeId::AttestationServer(0)));
     // Recovery marks every channel that terminates at the node stale;
     // the re-handshakes themselves are deferred to each link's first
     // use, so a mass recovery never triggers a synchronized burst.
