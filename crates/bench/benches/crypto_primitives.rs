@@ -4,29 +4,22 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use monatt_crypto::drbg::Drbg;
 use monatt_crypto::group::Group;
-use monatt_crypto::modmath::{mod_exp, mod_exp_ref, mod_mul, mod_mul_ref, mod_sub};
+use monatt_crypto::modmath::{mod_exp, mod_mul, mod_sub};
 use monatt_crypto::schnorr::SigningKey;
 use monatt_crypto::sha256::sha256;
 use monatt_crypto::{EphemeralSecret, SealKey};
 
-/// Before/after kernels of the modular-arithmetic hot path. The `_naive`
-/// variants are the seed implementation (binary long division); the
-/// Montgomery variants are what the protocol now runs. BENCH_crypto.json
-/// snapshots these numbers.
+/// Kernels of the modular-arithmetic hot path. The seed implementation
+/// (binary long division) these replaced is a test oracle now; its
+/// historical numbers are in DESIGN.md §7.
 fn bench_modmath(c: &mut Criterion) {
     let grp = Group::default_group();
     let mut rng = Drbg::from_seed(9);
     let a = rng.next_u256_in_group(&grp.p);
     let b = rng.next_u256_in_group(&grp.p);
     let e = rng.next_u256_in_group(&grp.q);
-    c.bench_function("mod_mul_naive", |bch| {
-        bch.iter(|| mod_mul_ref(std::hint::black_box(&a), &b, &grp.p))
-    });
     c.bench_function("mod_mul_montgomery", |bch| {
         bch.iter(|| mod_mul(std::hint::black_box(&a), &b, &grp.p))
-    });
-    c.bench_function("mod_exp_naive", |bch| {
-        bch.iter(|| mod_exp_ref(std::hint::black_box(&a), &e, &grp.p))
     });
     c.bench_function("mod_exp_montgomery_w4", |bch| {
         bch.iter(|| mod_exp(std::hint::black_box(&a), &e, &grp.p))

@@ -101,11 +101,9 @@ fn get_cert_request(r: &mut Reader<'_>) -> Result<CertificationRequest, WireErro
     let sig: [u8; 64] = r.get_fixed()?;
     let idk: [u8; 32] = r.get_fixed()?;
     Ok(CertificationRequest {
-        attestation_key: VerifyingKey::from_bytes(&avk)
-            .map_err(|_| WireError::InvalidDiscriminant(0))?,
+        attestation_key: VerifyingKey::from_bytes(&avk).map_err(|_| WireError::InvalidKey)?,
         identity_signature: Signature::from_bytes(&sig),
-        identity_key: VerifyingKey::from_bytes(&idk)
-            .map_err(|_| WireError::InvalidDiscriminant(0))?,
+        identity_key: VerifyingKey::from_bytes(&idk).map_err(|_| WireError::InvalidKey)?,
     })
 }
 
@@ -458,6 +456,55 @@ mod tests {
             quote,
         };
         assert_eq!(CustomerReportMsg::from_wire(&m6.to_wire()).unwrap(), m6);
+    }
+
+    #[test]
+    fn message_4_with_a_key_outside_the_group_is_an_invalid_key() {
+        use monatt_crypto::bigint::U256;
+        use monatt_crypto::drbg::Drbg;
+        use monatt_crypto::group::Group;
+        use monatt_tpm::module::TrustModule;
+        let mut tm = TrustModule::provision(Drbg::from_seed(9));
+        let session = tm.begin_attestation();
+        let m4 = MeasureResponse {
+            vid: Vid(1),
+            spec: MeasurementSpec::TaskListProbe,
+            measurement: Measurement::TaskLists {
+                kernel: vec![],
+                guest_visible: vec![],
+            },
+            nonce3: [5; 32],
+            quote: session.quote(&[b"fields"]),
+            cert_request: session.certification_request().clone(),
+        };
+        let wire = m4.to_wire();
+        assert!(MeasureResponse::from_wire(&wire).is_ok());
+        let grp = Group::default_group();
+        // p ≡ 3 (mod 4), so the negation of a residue is a non-residue.
+        let non_residue = grp.p.wrapping_sub(&grp.pow_g(&U256::from_u64(77)));
+        let bad_keys = [
+            U256::ZERO,
+            U256::ONE,
+            grp.p.wrapping_sub(&U256::ONE),
+            non_residue,
+            grp.p,
+            U256::MAX,
+        ];
+        // The certification request closes the message:
+        // AVK (32) || signature (64) || identity key (32).
+        let avk_at = wire.len() - 128;
+        let idk_at = wire.len() - 32;
+        for bad in bad_keys {
+            for at in [avk_at, idk_at] {
+                let mut tampered = wire.clone();
+                tampered[at..at + 32].copy_from_slice(&bad.to_be_bytes());
+                assert_eq!(
+                    MeasureResponse::from_wire(&tampered).err(),
+                    Some(WireError::InvalidKey),
+                    "key {bad:?} at offset {at}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! AES-128 (FIPS 197) encryption and CTR-mode keystream generation,
-//! implemented from scratch with table-based S-box lookups.
+//! implemented from scratch on round tables (the S-box fused with
+//! MixColumns) built at compile time from the S-box.
 //!
 //! Only the encryption direction of the block cipher is implemented because
 //! CTR mode uses it for both sealing and opening.
@@ -27,9 +28,51 @@ const SBOX: [u8; 256] = [
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
 /// xtime: multiply by x in GF(2^8) with the AES polynomial.
-#[inline]
-fn xtime(b: u8) -> u8 {
+const fn xtime(b: u8) -> u8 {
     (b << 1) ^ (((b >> 7) & 1) * 0x1b)
+}
+
+/// Round tables: `TE[r][x]` is the MixColumns output column (row 0 in
+/// the most significant byte) contributed by a state byte `x` sitting in
+/// row `r` after SubBytes and ShiftRows. One inner round is then four
+/// lookups and four XORs per column instead of sixteen byte-wise S-box
+/// and `xtime` steps. `TE[0][x]` is the column `(2s, s, s, 3s)` for
+/// `s = SBOX[x]`; row `r` rotates it down by `r` bytes.
+static TE: [[u32; 256]; 4] = round_tables();
+
+const fn round_tables() -> [[u32; 256]; 4] {
+    let mut te = [[0u32; 256]; 4];
+    let mut x = 0;
+    while x < 256 {
+        let s = SBOX[x];
+        let s2 = xtime(s);
+        let column = u32::from_be_bytes([s2, s, s, s2 ^ s]);
+        te[0][x] = column;
+        te[1][x] = column.rotate_right(8);
+        te[2][x] = column.rotate_right(16);
+        te[3][x] = column.rotate_right(24);
+        x += 1;
+    }
+    te
+}
+
+/// Loads `N` big-endian words from the front of `bytes`.
+#[inline]
+fn be_words<const N: usize>(bytes: &[u8]) -> [u32; N] {
+    std::array::from_fn(|i| {
+        u32::from_be_bytes([
+            bytes[4 * i],
+            bytes[4 * i + 1],
+            bytes[4 * i + 2],
+            bytes[4 * i + 3],
+        ])
+    })
+}
+
+/// SubBytes on each byte of a word.
+#[inline]
+fn sub_word(w: u32) -> u32 {
+    u32::from_be_bytes(w.to_be_bytes().map(|b| SBOX[b as usize]))
 }
 
 /// An expanded AES-128 key ready for block encryption.
@@ -46,7 +89,8 @@ fn xtime(b: u8) -> u8 {
 /// ```
 #[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; 11],
+    /// The 11 round keys as big-endian column words, four per round.
+    round_keys: [u32; 44],
 }
 
 impl std::fmt::Debug for Aes128 {
@@ -57,55 +101,79 @@ impl std::fmt::Debug for Aes128 {
 
 impl Drop for Aes128 {
     fn drop(&mut self) {
-        for rk in &mut self.round_keys {
-            crate::zeroize::zeroize_bytes(rk);
-        }
+        crate::zeroize::zeroize_u32s(&mut self.round_keys);
     }
 }
 
 impl Aes128 {
     /// Expands `key` into the 11 round keys.
     pub fn new(key: &[u8; 16]) -> Self {
-        let mut w = [[0u8; 4]; 44];
-        for i in 0..4 {
-            w[i].copy_from_slice(&key[i * 4..(i + 1) * 4]);
-        }
+        let mut w = [0u32; 44];
+        w[..4].copy_from_slice(&be_words::<4>(key));
         for i in 4..44 {
             let mut temp = w[i - 1];
             if i % 4 == 0 {
-                temp.rotate_left(1);
-                for b in &mut temp {
-                    *b = SBOX[*b as usize];
-                }
-                temp[0] ^= RCON[i / 4 - 1];
+                temp = sub_word(temp.rotate_left(8)) ^ ((RCON[i / 4 - 1] as u32) << 24);
             }
-            for j in 0..4 {
-                w[i][j] = w[i - 4][j] ^ temp[j];
-            }
+            w[i] = w[i - 4] ^ temp;
         }
-        let mut round_keys = [[0u8; 16]; 11];
-        for r in 0..11 {
-            for c in 0..4 {
-                round_keys[r][c * 4..(c + 1) * 4].copy_from_slice(&w[r * 4 + c]);
-            }
+        Aes128 { round_keys: w }
+    }
+
+    /// Encrypts one block held as four big-endian column words.
+    ///
+    /// The table lookups are indexed by key-dependent state bytes: like
+    /// the rest of the crate this is not constant-time (the byte-wise
+    /// S-box it replaces was indexed the same way).
+    #[inline]
+    fn encrypt_words(&self, block: [u32; 4]) -> [u32; 4] {
+        let rk = &self.round_keys;
+        let [mut s0, mut s1, mut s2, mut s3] = block;
+        s0 ^= rk[0];
+        s1 ^= rk[1];
+        s2 ^= rk[2];
+        s3 ^= rk[3];
+        // One output column: ShiftRows takes row r from column c + r.
+        let column = |a: u32, b: u32, c: u32, d: u32| {
+            TE[0][(a >> 24) as usize]
+                ^ TE[1][(b >> 16) as usize & 0xff]
+                ^ TE[2][(c >> 8) as usize & 0xff]
+                ^ TE[3][d as usize & 0xff]
+        };
+        for round in rk[4..40].chunks_exact(4) {
+            let t0 = column(s0, s1, s2, s3) ^ round[0];
+            let t1 = column(s1, s2, s3, s0) ^ round[1];
+            let t2 = column(s2, s3, s0, s1) ^ round[2];
+            let t3 = column(s3, s0, s1, s2) ^ round[3];
+            (s0, s1, s2, s3) = (t0, t1, t2, t3);
         }
-        Aes128 { round_keys }
+        // The last round has no MixColumns: plain S-box bytes.
+        let last = |a: u32, b: u32, c: u32, d: u32| {
+            u32::from_be_bytes([
+                SBOX[(a >> 24) as usize],
+                SBOX[(b >> 16) as usize & 0xff],
+                SBOX[(c >> 8) as usize & 0xff],
+                SBOX[d as usize & 0xff],
+            ])
+        };
+        [
+            last(s0, s1, s2, s3) ^ rk[40],
+            last(s1, s2, s3, s0) ^ rk[41],
+            last(s2, s3, s0, s1) ^ rk[42],
+            last(s3, s0, s1, s2) ^ rk[43],
+        ]
     }
 
     /// Encrypts a single 16-byte block.
     pub fn encrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
-        let mut state = *block;
-        add_round_key(&mut state, &self.round_keys[0]);
-        for round in 1..10 {
-            sub_bytes(&mut state);
-            shift_rows(&mut state);
-            mix_columns(&mut state);
-            add_round_key(&mut state, &self.round_keys[round]);
+        let mut out = [0u8; 16];
+        for (bytes, word) in out
+            .chunks_exact_mut(4)
+            .zip(self.encrypt_words(be_words(block)))
+        {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
-        sub_bytes(&mut state);
-        shift_rows(&mut state);
-        add_round_key(&mut state, &self.round_keys[10]);
-        state
+        out
     }
 
     /// XORs the CTR-mode keystream for `nonce` into `data` in place.
@@ -114,57 +182,16 @@ impl Aes128 {
     /// The 16-byte counter block is `nonce (12 bytes) || counter (4 bytes,
     /// big-endian)`, starting at counter 0.
     pub fn ctr_xor(&self, nonce: &[u8; 12], data: &mut [u8]) {
-        let mut counter_block = [0u8; 16];
-        counter_block[..12].copy_from_slice(nonce);
+        let [n0, n1, n2] = be_words(nonce);
         for (block_idx, chunk) in data.chunks_mut(16).enumerate() {
-            counter_block[12..].copy_from_slice(&(block_idx as u32).to_be_bytes());
-            let keystream = self.encrypt_block(&counter_block);
-            for (b, k) in chunk.iter_mut().zip(keystream.iter()) {
-                *b ^= k;
+            let keystream = self.encrypt_words([n0, n1, n2, block_idx as u32]);
+            // A trailing partial chunk stops the zip short.
+            for (bytes, word) in chunk.chunks_mut(4).zip(keystream) {
+                for (b, k) in bytes.iter_mut().zip(word.to_be_bytes()) {
+                    *b ^= k;
+                }
             }
         }
-    }
-}
-
-#[inline]
-fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-    for i in 0..16 {
-        state[i] ^= rk[i];
-    }
-}
-
-#[inline]
-fn sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = SBOX[*b as usize];
-    }
-}
-
-/// State is column-major: state[4*c + r] is row r, column c.
-#[inline]
-fn shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[4 * c + r] = s[4 * ((c + r) % 4) + r];
-        }
-    }
-}
-
-#[inline]
-fn mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [
-            state[4 * c],
-            state[4 * c + 1],
-            state[4 * c + 2],
-            state[4 * c + 3],
-        ];
-        let t = col[0] ^ col[1] ^ col[2] ^ col[3];
-        state[4 * c] = col[0] ^ t ^ xtime(col[0] ^ col[1]);
-        state[4 * c + 1] = col[1] ^ t ^ xtime(col[1] ^ col[2]);
-        state[4 * c + 2] = col[2] ^ t ^ xtime(col[2] ^ col[3]);
-        state[4 * c + 3] = col[3] ^ t ^ xtime(col[3] ^ col[0]);
     }
 }
 

@@ -3,7 +3,7 @@
 
 use crate::aes::Aes128;
 use crate::error::CryptoError;
-use crate::hmac::{hkdf, hmac_sha256, verify_tag, HmacSha256};
+use crate::hmac::{hkdf, verify_tag, HmacSha256};
 
 /// Length of the authentication tag appended to every ciphertext.
 pub const TAG_LEN: usize = 32;
@@ -16,19 +16,14 @@ pub const NONCE_LEN: usize = 12;
 #[derive(Clone)]
 pub struct SealKey {
     cipher: Aes128,
-    mac_key: [u8; 32],
+    /// HMAC state keyed with the MAC half; cloned per record so the two
+    /// pad blocks are compressed once per key, not once per record.
+    keyed_mac: HmacSha256,
 }
 
 impl std::fmt::Debug for SealKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SealKey").finish_non_exhaustive()
-    }
-}
-
-impl Drop for SealKey {
-    fn drop(&mut self) {
-        // `cipher` scrubs its own round keys in its `Drop`.
-        crate::zeroize::zeroize_bytes(&mut self.mac_key);
     }
 }
 
@@ -38,11 +33,9 @@ impl SealKey {
         let okm = hkdf(b"monatt-seal-v1", secret, label, 16 + 32);
         let mut enc_key = [0u8; 16];
         enc_key.copy_from_slice(&okm[..16]);
-        let mut mac_key = [0u8; 32];
-        mac_key.copy_from_slice(&okm[16..]);
         SealKey {
             cipher: Aes128::new(&enc_key),
-            mac_key,
+            keyed_mac: HmacSha256::new(&okm[16..]),
         }
     }
 
@@ -69,7 +62,7 @@ impl SealKey {
         if let Some(ct) = out.get_mut(start..) {
             self.cipher.ctr_xor(nonce, ct);
         }
-        let mut mac = HmacSha256::new(&self.mac_key);
+        let mut mac = self.keyed_mac.clone();
         mac.update(nonce);
         mac.update(&(aad.len() as u64).to_be_bytes());
         mac.update(aad);
@@ -116,7 +109,7 @@ impl SealKey {
             return Err(CryptoError::InvalidTag);
         }
         let (ct, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-        let mut mac = HmacSha256::new(&self.mac_key);
+        let mut mac = self.keyed_mac.clone();
         mac.update(nonce);
         mac.update(&(aad.len() as u64).to_be_bytes());
         mac.update(aad);
@@ -135,7 +128,9 @@ impl SealKey {
     /// Computes a raw MAC over `data` with this key's MAC half. Used for
     /// integrity-only records.
     pub fn mac(&self, data: &[u8]) -> [u8; 32] {
-        hmac_sha256(&self.mac_key, data)
+        let mut mac = self.keyed_mac.clone();
+        mac.update(data);
+        mac.finalize()
     }
 }
 
@@ -207,6 +202,35 @@ mod tests {
         let sealed = k.seal(&[0u8; NONCE_LEN], b"aad", b"");
         assert_eq!(sealed.len(), TAG_LEN);
         assert_eq!(k.open(&[0u8; NONCE_LEN], b"aad", &sealed).unwrap(), b"");
+    }
+
+    #[test]
+    fn cloned_key_seals_and_opens_interchangeably() {
+        // The keyed MAC state is cloned per record and must never be
+        // advanced by use: original and clone stay the same key, record
+        // after record.
+        let original = key(b"c2s");
+        let clone = original.clone();
+        for seq in 0..4u8 {
+            let nonce = [seq; NONCE_LEN];
+            let payload = vec![seq; 40 * seq as usize + 7];
+            let by_original = original.seal(&nonce, b"hdr", &payload);
+            let by_clone = clone.seal(&nonce, b"hdr", &payload);
+            assert_eq!(by_original, by_clone);
+            assert_eq!(clone.open(&nonce, b"hdr", &by_original).unwrap(), payload);
+            assert_eq!(original.open(&nonce, b"hdr", &by_clone).unwrap(), payload);
+            assert_eq!(original.mac(&payload), clone.mac(&payload));
+        }
+        // And the tag is still HMAC over nonce || len(aad) || aad || ct
+        // under the derived MAC key.
+        let okm = hkdf(b"monatt-seal-v1", &[42u8; 32], b"c2s", 48);
+        let sealed = original.seal(&[9; NONCE_LEN], b"hdr", b"payload");
+        let (ct, tag) = sealed.split_at(sealed.len() - TAG_LEN);
+        let mut framed = vec![9u8; NONCE_LEN];
+        framed.extend_from_slice(&3u64.to_be_bytes());
+        framed.extend_from_slice(b"hdr");
+        framed.extend_from_slice(ct);
+        assert_eq!(crate::hmac::hmac_sha256(&okm[16..], &framed), tag);
     }
 
     #[test]

@@ -3,11 +3,10 @@
 //!
 //! Limbs are stored little-endian (`limbs[0]` is least significant).
 //! Modular reduction uses word-level long division (Knuth's Algorithm D),
-//! which processes 64 bits per step instead of one; the original bit-by-bit
-//! binary division is retained as [`U512::rem_binary`] so differential tests
-//! can cross-check the fast path against the easy-to-audit one. None of this
-//! code is constant-time; the crate is a simulation substrate, not a
-//! production cryptography library.
+//! which processes 64 bits per step instead of one; the bit-by-bit binary
+//! division it is differentially tested against lives in `tests/support/`.
+//! None of this code is constant-time; the crate is a simulation substrate,
+//! not a production cryptography library.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -233,16 +232,6 @@ impl U256 {
         U512::from_u256(self).rem(m)
     }
 
-    /// Computes `self mod m` by the bit-by-bit reference path (see
-    /// [`U512::rem_binary`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is zero.
-    pub fn rem_binary(&self, m: &U256) -> U256 {
-        U512::from_u256(self).rem_binary(m)
-    }
-
     /// Divides by `m`, returning `(quotient, remainder)`.
     ///
     /// # Panics
@@ -403,33 +392,6 @@ impl U512 {
             }
         }
         (U512(q), U256(r))
-    }
-
-    /// Computes `self mod m` by bit-by-bit binary long division.
-    ///
-    /// This is the original, easy-to-audit reduction path. It is kept as a
-    /// reference oracle: differential tests and benchmarks compare the
-    /// word-level [`U512::rem`] and the Montgomery pipeline against it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is zero.
-    pub fn rem_binary(&self, m: &U256) -> U256 {
-        assert!(!m.is_zero(), "division by zero");
-        // The running remainder fits in 257 bits before each conditional
-        // subtraction, so track a single extra carry bit alongside a U256.
-        let mut rem = U256::ZERO;
-        for i in (0..self.bits()).rev() {
-            let carry = rem.bit(255);
-            rem = rem.shl_small(1);
-            if self.bit(i) {
-                rem.0[0] |= 1;
-            }
-            if carry || rem >= *m {
-                rem = rem.wrapping_sub(m);
-            }
-        }
-        rem
     }
 }
 
@@ -644,26 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn knuth_division_matches_binary_reference() {
-        for t in 0..200u64 {
-            let a = U256::from_limbs([mix(t), mix(t + 1), mix(t + 2), mix(t + 3)]);
-            let b = U256::from_limbs([mix(t + 4), mix(t + 5), mix(t + 6), mix(t + 7)]);
-            let prod = a.full_mul(&b);
-            // Vary the divisor width from one limb up to four.
-            let w = (t % 4) as usize + 1;
-            let mut limbs = [0u64; 4];
-            for (i, l) in limbs.iter_mut().enumerate().take(w) {
-                *l = mix(t + 8 + i as u64);
-            }
-            if limbs == [0u64; 4] {
-                limbs[0] = 1;
-            }
-            let m = U256::from_limbs(limbs);
-            assert_eq!(prod.rem(&m), prod.rem_binary(&m), "t={t} m={m:?}");
-        }
-    }
-
-    #[test]
     fn knuth_division_reconstructs_dividend() {
         for t in 0..100u64 {
             let a = U256::from_limbs([mix(t), mix(t + 10), mix(t + 20), mix(t + 30)]);
@@ -704,17 +646,6 @@ mod tests {
         let (q, r) = small.div_rem(&U256::MAX);
         assert_eq!(q, U512::ZERO);
         assert_eq!(r, U256::from_u64(5));
-        // Divisor of exactly one limb with the high bit set.
-        let d = U256::from_u64(1 << 63);
-        let prod = U256::MAX.full_mul(&U256::MAX);
-        assert_eq!(prod.rem(&d), prod.rem_binary(&d));
-        // Maximal divisor.
-        assert_eq!(prod.rem(&U256::MAX), prod.rem_binary(&U256::MAX));
-        // Divisor with trailing zero limbs (stress the normalization shift).
-        let m = U256::from_limbs([0, 0, 0, 1]);
-        assert_eq!(prod.rem(&m), prod.rem_binary(&m));
-        let m = U256::from_limbs([0, 0, 1 << 63, 0]);
-        assert_eq!(prod.rem(&m), prod.rem_binary(&m));
         // Self-division.
         let (q, r) = U256::MAX.div_rem(&U256::MAX);
         assert_eq!(q, U256::ONE);

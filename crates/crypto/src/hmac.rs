@@ -2,6 +2,7 @@
 //! top of [`crate::sha256`].
 
 use crate::sha256::{sha256, Sha256, DIGEST_LEN};
+use crate::zeroize::Zeroizing;
 
 const BLOCK_LEN: usize = 64;
 
@@ -24,46 +25,55 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
 }
 
 /// A streaming HMAC-SHA256 computation.
+///
+/// [`HmacSha256::new`] compresses the two key pad blocks once. A value
+/// that has absorbed no message yet is therefore a *keyed state*: a
+/// long-lived key holds one and clones it per message, and each tag then
+/// costs only the message blocks plus one outer block.
 #[derive(Clone)]
 pub struct HmacSha256 {
+    /// Has absorbed `key ^ ipad`, then the message so far.
     inner: Sha256,
-    opad_key: [u8; BLOCK_LEN],
+    /// Has absorbed `key ^ opad`; takes the inner digest at the end.
+    outer: Sha256,
 }
 
 impl std::fmt::Debug for HmacSha256 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // The opad key is the MAC key XOR a fixed pad: never print it.
+        // Both chaining states are equivalent to the MAC key: never
+        // print them.
         f.debug_struct("HmacSha256").finish_non_exhaustive()
     }
 }
 
 impl Drop for HmacSha256 {
     fn drop(&mut self) {
-        crate::zeroize::zeroize_bytes(&mut self.opad_key);
+        self.inner.zeroize();
+        self.outer.zeroize();
     }
 }
 
 impl HmacSha256 {
     /// Creates an HMAC instance keyed with `key`.
     pub fn new(key: &[u8]) -> Self {
-        let mut key_block = [0u8; BLOCK_LEN];
+        let mut key_block = Zeroizing::new([0u8; BLOCK_LEN]);
         if key.len() > BLOCK_LEN {
             key_block[..DIGEST_LEN].copy_from_slice(&sha256(key));
         } else {
             key_block[..key.len()].copy_from_slice(key);
         }
-        let mut ipad = [0u8; BLOCK_LEN];
-        let mut opad = [0u8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad[i] = key_block[i] ^ 0x36;
-            opad[i] = key_block[i] ^ 0x5c;
-        }
         let mut inner = Sha256::new();
-        inner.update(&ipad);
-        HmacSha256 {
-            inner,
-            opad_key: opad,
+        let mut outer = Sha256::new();
+        for b in key_block.iter_mut() {
+            *b ^= 0x36;
         }
+        inner.update(&key_block[..]);
+        for b in key_block.iter_mut() {
+            // Undo the inner pad and apply the outer one in one pass.
+            *b ^= 0x36 ^ 0x5c;
+        }
+        outer.update(&key_block[..]);
+        HmacSha256 { inner, outer }
     }
 
     /// Absorbs message bytes.
@@ -73,12 +83,10 @@ impl HmacSha256 {
 
     /// Finishes and returns the 32-byte tag.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
-        // `Drop` forbids moving `inner` out of `self`; swap it instead
-        // (the replacement hasher is scrubbed along with `self`).
-        let inner = std::mem::take(&mut self.inner);
-        let inner_digest = inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
+        // `Drop` forbids moving the hashers out of `self`; swap them
+        // instead (the replacements are scrubbed along with `self`).
+        let inner_digest = std::mem::take(&mut self.inner).finalize();
+        let mut outer = std::mem::take(&mut self.outer);
         outer.update(&inner_digest);
         outer.finalize()
     }
@@ -107,8 +115,9 @@ pub fn hkdf_expand(prk: &[u8; DIGEST_LEN], info: &[u8], len: usize) -> Vec<u8> {
     let mut okm = Vec::with_capacity(len);
     let mut prev: Vec<u8> = Vec::new();
     let mut counter = 1u8;
+    let keyed = HmacSha256::new(prk);
     while okm.len() < len {
-        let mut mac = HmacSha256::new(prk);
+        let mut mac = keyed.clone();
         mac.update(&prev);
         mac.update(info);
         mac.update(&[counter]);
@@ -136,37 +145,79 @@ mod tests {
         bytes.iter().map(|b| format!("{:02x}", b)).collect()
     }
 
-    #[test]
-    fn rfc4231_case_1() {
-        let key = [0x0b; 20];
-        let tag = hmac_sha256(&key, b"Hi There");
-        assert_eq!(
-            hex(&tag),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-        );
+    /// RFC 4231 test cases 1–7: (key, data, tag prefix). Case 5 is the
+    /// standard's 128-bit truncation; cases 6 and 7 have keys longer
+    /// than the block, which are hashed first.
+    fn rfc4231_cases() -> Vec<(Vec<u8>, Vec<u8>, &'static str)> {
+        vec![
+            (
+                vec![0x0b; 20],
+                b"Hi There".to_vec(),
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            (
+                b"Jefe".to_vec(),
+                b"what do ya want for nothing?".to_vec(),
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            (
+                vec![0xaa; 20],
+                vec![0xdd; 50],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            (
+                (0x01..=0x19).collect(),
+                vec![0xcd; 50],
+                "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b",
+            ),
+            (
+                vec![0x0c; 20],
+                b"Test With Truncation".to_vec(),
+                "a3b6167473100ee06e0c796c2955552b",
+            ),
+            (
+                vec![0xaa; 131],
+                b"Test Using Larger Than Block-Size Key - Hash Key First".to_vec(),
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+            (
+                vec![0xaa; 131],
+                b"This is a test using a larger than block-size key and a larger \
+                  than block-size data. The key needs to be hashed before being \
+                  used by the HMAC algorithm."
+                    .to_vec(),
+                "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
+            ),
+        ]
     }
 
     #[test]
-    fn rfc4231_case_2() {
-        let tag = hmac_sha256(b"Jefe", b"what do ya want for nothing?");
-        assert_eq!(
-            hex(&tag),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-        );
-    }
-
-    #[test]
-    fn rfc4231_long_key() {
-        // Case 6: 131-byte key (hashed first).
-        let key = [0xaa; 131];
-        let tag = hmac_sha256(
-            &key,
-            b"Test Using Larger Than Block-Size Key - Hash Key First",
-        );
-        assert_eq!(
-            hex(&tag),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-        );
+    fn rfc4231_cases_through_a_cloned_keyed_state() {
+        for (i, (key, data, expect)) in rfc4231_cases().iter().enumerate() {
+            let tag = hex(&hmac_sha256(key, data));
+            assert_eq!(&tag[..expect.len()], *expect, "case {}", i + 1);
+            // Key once; every clone of the untouched state must produce
+            // the tag, whole or streamed, however many came before it.
+            let keyed = HmacSha256::new(key);
+            for split in [0, 1, data.len() / 2, data.len()] {
+                let mut mac = keyed.clone();
+                mac.update(&data[..split]);
+                mac.update(&data[split..]);
+                let tag = hex(&mac.finalize());
+                assert_eq!(
+                    &tag[..expect.len()],
+                    *expect,
+                    "case {} split {split}",
+                    i + 1
+                );
+            }
+            // A clone taken mid-message carries the absorbed prefix.
+            let mut prefix = keyed.clone();
+            prefix.update(&data[..data.len() / 2]);
+            let mut rest = prefix.clone();
+            rest.update(&data[data.len() / 2..]);
+            assert_eq!(&hex(&rest.finalize())[..expect.len()], *expect);
+        }
     }
 
     #[test]

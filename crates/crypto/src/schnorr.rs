@@ -11,13 +11,27 @@ use crate::group::Group;
 use crate::hmac::HmacSha256;
 use crate::modmath::{mod_add, mod_mul, mod_sub};
 use crate::sha256::Sha256;
+use crate::zeroize::Zeroizing;
 
 /// A Schnorr signing (private) key.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct SigningKey {
     secret: U256,
     public: VerifyingKey,
+    /// HMAC state keyed with the secret scalar, cloned per signature to
+    /// derive the deterministic nonce. Redacts and scrubs itself.
+    nonce_mac: HmacSha256,
 }
+
+impl PartialEq for SigningKey {
+    fn eq(&self, other: &Self) -> bool {
+        // `public = g^secret` with `secret` in `[1, q)` and `g` of order
+        // `q`, so equal public keys mean equal secrets.
+        self.public == other.public
+    }
+}
+
+impl Eq for SigningKey {}
 
 impl std::fmt::Debug for SigningKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -102,7 +116,13 @@ impl SigningKey {
         let secret = secret.rem(&grp.q);
         assert!(!secret.is_zero(), "secret key must be nonzero mod q");
         let public = VerifyingKey(grp.pow_g(&secret));
-        SigningKey { secret, public }
+        let sk_bytes = Zeroizing::new(secret.to_be_bytes());
+        let nonce_mac = HmacSha256::new(&sk_bytes[..]);
+        SigningKey {
+            secret,
+            public,
+            nonce_mac,
+        }
     }
 
     /// Returns the corresponding verifying key.
@@ -115,12 +135,11 @@ impl SigningKey {
         let grp = Group::default_group();
         // Deterministic nonce: k = HMAC(sk, message) mod q, retried with a
         // counter in the (cryptographically negligible) zero case.
-        let sk_bytes = self.secret.to_be_bytes();
         let mut counter = 0u8;
         let k = loop {
             // Streamed as HMAC(sk, message || counter): same tag as the
             // concatenated form, no per-signature buffer.
-            let mut mac = HmacSha256::new(&sk_bytes);
+            let mut mac = self.nonce_mac.clone();
             mac.update(message);
             mac.update(&[counter]);
             let k = U256::from_be_bytes(&mac.finalize()).rem(&grp.q);
@@ -260,6 +279,28 @@ mod tests {
         let sk = keypair(7);
         assert_eq!(sk.sign(b"m"), sk.sign(b"m"));
         assert_ne!(sk.sign(b"m"), sk.sign(b"n"));
+    }
+
+    #[test]
+    fn nonce_is_hmac_of_the_secret_over_message_and_counter() {
+        // The keyed state inside the key must derive the nonce the
+        // definition gives: k = HMAC(sk, message || 0) mod q.
+        let grp = Group::default_group();
+        let secret = U256::from_hex("1234567890abcdef1234567890abcdef").unwrap();
+        let sk = SigningKey::from_secret(secret);
+        let message = b"attestation report";
+        let mut keyed_message = message.to_vec();
+        keyed_message.push(0);
+        let tag = crate::hmac::hmac_sha256(&secret.to_be_bytes(), &keyed_message);
+        let k = U256::from_be_bytes(&tag).rem(&grp.q);
+        let sig = sk.sign(message);
+        assert_eq!(sig.r, grp.pow_g(&k));
+        // Clones carry the same keyed state, use after use.
+        let clone = sk.clone();
+        assert_eq!(clone.sign(message), sig);
+        assert_eq!(sk.sign(message), sig);
+        assert_eq!(clone, sk);
+        assert_ne!(sk, keypair(7));
     }
 
     #[test]

@@ -104,6 +104,13 @@ impl Sha256 {
         out
     }
 
+    /// Scrubs the chaining state and the block buffer. For hashers that
+    /// have absorbed key material (the HMAC pad blocks).
+    pub(crate) fn zeroize(&mut self) {
+        crate::zeroize::zeroize_u32s(&mut self.state);
+        crate::zeroize::zeroize_bytes(&mut self.buffer);
+    }
+
     fn update_padding(&mut self) {
         // Append 0x80 then zero-fill; if fewer than 8 bytes remain in this
         // block for the length field, compress and start a fresh block.

@@ -2,9 +2,9 @@
 //!
 //! These are the runtime counterparts of the `monatt-lint` rules: the
 //! `secret_hygiene` rule requires every key-material type to route its
-//! `Drop` through [`zeroize_bytes`]/[`zeroize_u64s`], and the
-//! `const_time` rule requires tag/digest comparisons to go through
-//! [`ct_eq`].
+//! `Drop` through [`zeroize_bytes`]/[`zeroize_u32s`]/[`zeroize_u64s`],
+//! and the `const_time` rule requires tag/digest comparisons to go
+//! through [`ct_eq`].
 //!
 //! Zeroization is *best effort*: the buffer is overwritten with zeros and
 //! the write is pinned with [`std::hint::black_box`] plus a compiler
@@ -19,6 +19,13 @@ use std::sync::atomic::{compiler_fence, Ordering};
 pub fn zeroize_bytes(bytes: &mut [u8]) {
     bytes.fill(0);
     std::hint::black_box(&*bytes);
+    compiler_fence(Ordering::SeqCst);
+}
+
+/// Overwrites `words` with zeros in a way the optimizer must not elide.
+pub fn zeroize_u32s(words: &mut [u32]) {
+    words.fill(0);
+    std::hint::black_box(&*words);
     compiler_fence(Ordering::SeqCst);
 }
 
@@ -106,6 +113,9 @@ mod tests {
         let mut words = [u64::MAX; 8];
         zeroize_u64s(&mut words);
         assert_eq!(words, [0u64; 8]);
+        let mut words = [u32::MAX; 8];
+        zeroize_u32s(&mut words);
+        assert_eq!(words, [0u32; 8]);
     }
 
     #[test]

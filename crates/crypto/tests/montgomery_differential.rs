@@ -1,18 +1,23 @@
 //! Differential tests for the crypto fast paths.
 //!
 //! The seed implementation reduced everything through bit-by-bit binary
-//! long division; that path is retained as `mod_mul_ref` / `mod_exp_ref`
-//! / `U512::rem_binary` precisely so these tests can check the Montgomery
-//! pipeline and the word-level (Knuth Algorithm D) division against a
-//! simple oracle, bit for bit, on random 256-bit inputs and on the edge
-//! moduli where the fast paths have special cases (even moduli, 2^256-1,
-//! small primes).
+//! long division; that path lives on in `support::bignum_ref`
+//! (`mod_mul_ref` / `mod_exp_ref` / `rem_binary`) precisely so these
+//! tests can check the Montgomery kernels (the fused multiply-reduce, the
+//! dedicated squaring, windowed exponentiation) and the word-level (Knuth
+//! Algorithm D) division against a simple oracle, bit for bit, on random
+//! 256-bit inputs and on the edge moduli where the fast paths have
+//! special cases (even moduli, moduli just below 2^256, small primes).
 
-use monatt_crypto::bigint::U256;
+mod support;
+
+use monatt_crypto::bigint::{U256, U512};
 use monatt_crypto::group::Group;
-use monatt_crypto::modmath::{mod_exp, mod_exp_ref, mod_mul, mod_mul_ref};
+use monatt_crypto::modmath::{mod_exp, mod_mul};
 use monatt_crypto::montgomery::MontgomeryCtx;
 use proptest::prelude::*;
+use support::bignum_ref::{mod_exp_ref, mod_mul_ref, rem_binary};
+use support::SplitMix64;
 
 fn arb_u256() -> impl Strategy<Value = U256> {
     any::<[u64; 4]>().prop_map(U256::from_limbs)
@@ -61,7 +66,18 @@ proptest! {
     fn knuth_division_matches_binary(a in arb_u256(), b in arb_u256(), m in arb_u256()) {
         prop_assume!(!m.is_zero());
         let wide = a.full_mul(&b);
-        prop_assert_eq!(wide.rem(&m), wide.rem_binary(&m));
+        prop_assert_eq!(wide.rem(&m), rem_binary(&wide, &m));
+    }
+
+    #[test]
+    fn fused_mont_mul_and_sqr_match_reference(
+        a in arb_u256(),
+        b in arb_u256(),
+        m in arb_odd_modulus(),
+    ) {
+        prop_assume!(m > U256::ONE);
+        let ctx = MontgomeryCtx::new(&m).expect("odd modulus > 1");
+        check_mont_kernels(&ctx, &a.rem(&m), &b);
     }
 
     #[test]
@@ -95,6 +111,26 @@ proptest! {
     }
 }
 
+/// Checks `mont_mul(a, b)` and `mont_sqr(a)` against their definition,
+/// for `a < m` and any `b`: the result is fully reduced, and multiplying
+/// it back by `R mod m` gives the plain product.
+fn check_mont_kernels(ctx: &MontgomeryCtx, a: &U256, b: &U256) {
+    let m = ctx.modulus();
+    let r = ctx.one_mont();
+    for (x, y) in [(a, b), (b, a)] {
+        let prod = ctx.mont_mul(x, y);
+        assert!(prod < *m, "mont_mul not reduced: m={m:?} x={x:?} y={y:?}");
+        assert_eq!(
+            mod_mul_ref(&prod, &r, m),
+            mod_mul_ref(x, y, m),
+            "mont_mul m={m:?} x={x:?} y={y:?}"
+        );
+    }
+    let sq = ctx.mont_sqr(a);
+    assert_eq!(sq, ctx.mont_mul(a, a), "mont_sqr m={m:?} a={a:?}");
+    assert_eq!(mod_mul_ref(&sq, &r, m), mod_mul_ref(a, a, m));
+}
+
 /// Moduli where the fast paths have corner cases: the largest odd value
 /// (forces the 513-bit REDC intermediate), small primes (single-limb
 /// divisor path), the default group primes, and a power of two plus the
@@ -105,6 +141,10 @@ const EDGE_MODULI_HEX: &[&str] = &[
     "5",
     "61", // 97
     "fffffffb",
+    "fffffffa",
+    "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff43", // 2^256 - 189
+    "8000000000000000000000000000000000000000000000000000000000000001", // 2^255 + 1
+    "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff", // top limb nearly full
     "b7e9f735f74bf461eb409d67747a627534f17ded4ba95a60790f978549c8c24f", // default p
     "5bf4fb9afba5fa30f5a04eb3ba3d313a9a78bef6a5d4ad303c87cbc2a4e46127", // default q
     "8000000000000000000000000000000000000000000000000000000000000000", // 2^255
@@ -119,6 +159,7 @@ fn edge_moduli_differential() {
         U256::from_u64(2),
         U256::from_u64(0xdead_beef),
         U256::from_hex("123456789abcdef0fedcba9876543210").unwrap(),
+        U256::MAX.wrapping_sub(&U256::from_u64(9)),
         U256::MAX.wrapping_sub(&U256::ONE),
         U256::MAX,
     ];
@@ -141,6 +182,66 @@ fn edge_moduli_differential() {
                 "mod_exp m={m:?} a={a:?}"
             );
         }
+    }
+}
+
+#[test]
+fn fused_kernels_on_edge_moduli_and_operands() {
+    let mut rng = SplitMix64(0x4d4f_4e54);
+    for hex in EDGE_MODULI_HEX {
+        let m = U256::from_hex(hex).unwrap();
+        let Some(ctx) = MontgomeryCtx::new(&m) else {
+            continue; // even: not Montgomery-eligible
+        };
+        let m_minus_1 = m.wrapping_sub(&U256::ONE);
+        let mut operands = vec![
+            U256::ZERO,
+            U256::ONE,
+            m_minus_1,
+            m_minus_1.wrapping_sub(&U256::ONE),
+            ctx.one_mont(),
+        ];
+        for _ in 0..8 {
+            operands.push(U256::from_limbs(std::array::from_fn(|_| rng.next_u64())));
+        }
+        for a in &operands {
+            for b in &operands {
+                // `b` may exceed m (one unreduced operand is allowed).
+                check_mont_kernels(&ctx, &a.rem(&m), b);
+            }
+        }
+    }
+}
+
+#[test]
+fn knuth_division_across_divisor_widths() {
+    let mut rng = SplitMix64(0x6b6e_7574);
+    let mut limb = || rng.next_u64();
+    for t in 0..200usize {
+        let a = U256::from_limbs(std::array::from_fn(|_| limb()));
+        let b = U256::from_limbs(std::array::from_fn(|_| limb()));
+        let prod = a.full_mul(&b);
+        // Vary the divisor width from one limb up to four.
+        let width = t % 4 + 1;
+        let mut limbs = [0u64; 4];
+        for l in limbs.iter_mut().take(width) {
+            *l = limb() | 1;
+        }
+        let m = U256::from_limbs(limbs);
+        assert_eq!(prod.rem(&m), rem_binary(&prod, &m), "t={t} m={m:?}");
+    }
+    // Divisors that stress the normalization shift: one limb with the
+    // high bit set, the maximal divisor, trailing zero limbs.
+    let prod = U256::MAX.full_mul(&U256::MAX);
+    for m in [
+        U256::from_u64(1 << 63),
+        U256::MAX,
+        U256::from_limbs([0, 0, 0, 1]),
+        U256::from_limbs([0, 0, 1 << 63, 0]),
+    ] {
+        assert_eq!(prod.rem(&m), rem_binary(&prod, &m), "m={m:?}");
+        let narrow = U512::from_u256(&U256::MAX);
+        assert_eq!(narrow.rem(&m), rem_binary(&narrow, &m), "m={m:?}");
     }
 }
 

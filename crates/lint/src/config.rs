@@ -96,9 +96,10 @@ impl Default for Config {
                 "TrustModule",
                 "AttestationSession",
             ]),
+            // `SealKey` is not here: it holds no raw key bytes, only an
+            // `Aes128` and a keyed `HmacSha256`, which scrub themselves.
             zeroize_types: strings(&[
                 "SigningKey",
-                "SealKey",
                 "EphemeralSecret",
                 "Drbg",
                 "Aes128",
@@ -107,6 +108,8 @@ impl Default for Config {
             secret_idents: strings(&[
                 "secret",
                 "mac_key",
+                "keyed_mac",
+                "nonce_mac",
                 "enc_key",
                 "opad_key",
                 "ipad",

@@ -2,8 +2,8 @@
 // Not compiled; scanned by crates/lint/tests/fixture_tests.rs.
 
 #[derive(Clone, Debug)]
-pub struct SealKey {
-    mac_key: [u8; 32],
+pub struct Aes128 {
+    round_keys: [u32; 44],
 }
 
 pub struct Drbg {

@@ -81,8 +81,7 @@ impl Wire for Hello {
         let share_bytes: [u8; 32] = r.get_fixed()?;
         let sig_bytes: [u8; 64] = r.get_fixed()?;
         Ok(Hello {
-            share: PublicShare::from_bytes(&share_bytes)
-                .map_err(|_| WireError::InvalidDiscriminant(0))?,
+            share: PublicShare::from_bytes(&share_bytes).map_err(|_| WireError::InvalidKey)?,
             signature: Signature::from_bytes(&sig_bytes),
         })
     }
@@ -106,8 +105,7 @@ impl Wire for HelloReply {
         let share_bytes: [u8; 32] = r.get_fixed()?;
         let sig_bytes: [u8; 64] = r.get_fixed()?;
         Ok(HelloReply {
-            share: PublicShare::from_bytes(&share_bytes)
-                .map_err(|_| WireError::InvalidDiscriminant(0))?,
+            share: PublicShare::from_bytes(&share_bytes).map_err(|_| WireError::InvalidKey)?,
             signature: Signature::from_bytes(&sig_bytes),
         })
     }

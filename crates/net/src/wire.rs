@@ -21,6 +21,8 @@ pub enum WireError {
     InvalidUtf8,
     /// An enum discriminant was out of range.
     InvalidDiscriminant(u8),
+    /// A public key or DH share was not an element of the group.
+    InvalidKey,
 }
 
 impl fmt::Display for WireError {
@@ -31,6 +33,7 @@ impl fmt::Display for WireError {
             WireError::LengthOverflow => write!(f, "length prefix exceeds limit"),
             WireError::InvalidUtf8 => write!(f, "invalid UTF-8 in string field"),
             WireError::InvalidDiscriminant(d) => write!(f, "invalid discriminant {d}"),
+            WireError::InvalidKey => write!(f, "public key is not a group element"),
         }
     }
 }
