@@ -5,34 +5,76 @@
 //! The engine is single-threaded and fully deterministic: identical inputs
 //! produce identical schedules, which keeps the paper's figures
 //! reproducible run-to-run.
+//!
+//! State is dense. `VmId` is a per-server counter and a vCPU's index is
+//! below its VM's vCPU count, so VMs and vCPUs live in flat tables and
+//! the event path names a vCPU by its row in [`ServerSim::vcpus`]; a
+//! [`VcpuId`] is translated once, at the public surface. Timers are
+//! [`TimerSlots`]: every timer the server can have is a slot that is
+//! re-armed in place and disarmed the moment it stops meaning anything,
+//! so no handler ever has to ask whether the timer it was handed is
+//! stale.
 
 use crate::driver::{VcpuAction, VcpuView, WakeReason, WorkloadDriver};
 use crate::ids::{PcpuId, VcpuId, VmId};
 use crate::pmu::Pmu;
 use crate::profile::{DescheduleReason, ProfileTool, RunSegment};
-use crate::queue::EventQueue;
-use crate::scheduler::{RunState, SchedParams, SchedVcpu};
+use crate::scheduler::{RunState, RunStateKind, SchedParams, SchedVcpu};
 use crate::time::SimTime;
+use crate::timers::TimerSlots;
 use crate::vm::{Vm, VmConfig, VmState};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Maximum zero-time driver actions (IPIs, zero computes) per interaction
 /// before the engine declares a livelock.
 const DRIVER_ACTION_BUDGET: usize = 64;
 
+/// What a timer slot means; pCPUs and vCPUs are named by table row.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum EventKind {
-    Tick(PcpuId),
+enum Timer {
+    /// One for the whole server: per-pCPU ticks would share a due time
+    /// and consecutive stamps for ever, so they would pop back to back
+    /// in pCPU order anyway.
+    Tick,
     Accounting,
-    ComputeDone { vcpu: VcpuId, generation: u64 },
-    SliceExpired { vcpu: VcpuId, generation: u64 },
-    Wake { vcpu: VcpuId, generation: u64 },
+    /// Armed only while the pCPU runs a vCPU with compute pending.
+    ComputeDone(usize),
+    /// Armed only while the pCPU runs a vCPU.
+    SliceExpired(usize),
+    /// Armed only while the vCPU is `Blocked` on a timed sleep.
+    Wake(usize),
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Pcpu {
-    current: Option<VcpuId>,
-    queue: VecDeque<VcpuId>,
+    current: Option<usize>,
+    queue: VecDeque<usize>,
+    /// The vCPUs pinned here whose VM has not terminated: what
+    /// accounting, the leap and the contention count walk.
+    members: Vec<usize>,
+    compute: usize,
+    slice: usize,
+}
+
+struct Vcpu {
+    id: VcpuId,
+    sched: SchedVcpu,
+    /// Away while the driver is being asked (it may re-enter the engine
+    /// through an IPI), gone once the VM has terminated.
+    driver: Option<Box<dyn WorkloadDriver>>,
+    /// Timer slot of the timed-sleep wake; released at termination.
+    wake: usize,
+}
+
+impl Vcpu {
+    fn cpu_time_us(&self, now: SimTime) -> u64 {
+        match self.sched.state {
+            RunState::Running { since } => {
+                self.sched.cpu_time_us + now.saturating_duration_since(since)
+            }
+            _ => self.sched.cpu_time_us,
+        }
+    }
 }
 
 /// A simulated cloud server: pCPUs, scheduler, VMs, and monitoring.
@@ -55,24 +97,19 @@ struct Pcpu {
 pub struct ServerSim {
     params: SchedParams,
     now: SimTime,
-    // Shared substrate with monatt-core's cloud engine; this simulator
-    // only schedules into the future (see `crate::queue` on the two
-    // engines' intentionally different past-scheduling policies).
-    events: EventQueue<SimTime, EventKind>,
+    timers: TimerSlots<Timer>,
+    tick: usize,
+    accounting: usize,
     pcpus: Vec<Pcpu>,
-    vms: BTreeMap<VmId, Vm>,
-    vcpus: BTreeMap<VcpuId, SchedVcpu>,
-    drivers: BTreeMap<VcpuId, Box<dyn WorkloadDriver>>,
+    /// Indexed by `VmId`; terminated VMs keep their row.
+    vms: Vec<Vm>,
+    /// `VmId` → the VM's first row in `vcpus`; one more entry closes the
+    /// last VM.
+    vcpu_base: Vec<usize>,
+    vcpus: Vec<Vcpu>,
     profile: ProfileTool,
     pmu: Pmu,
-    next_vm: u32,
     next_pin: usize,
-    /// Reusable drain buffer for [`Self::try_leap`] (kept across calls
-    /// so quiescent fast-forwards do not touch the allocator).
-    leap_buf: Vec<(SimTime, EventKind)>,
-    /// Reusable rebase buffer for [`Self::try_leap`]: `(previous-firing
-    /// key, rebased due, event)`.
-    leap_periodic: Vec<(u64, SimTime, EventKind)>,
 }
 
 impl std::fmt::Debug for ServerSim {
@@ -81,6 +118,7 @@ impl std::fmt::Debug for ServerSim {
             .field("now", &self.now)
             .field("pcpus", &self.pcpus.len())
             .field("vms", &self.vms.len())
+            .field("live_timers", &self.timers.live())
             .finish_non_exhaustive()
     }
 }
@@ -93,32 +131,34 @@ impl ServerSim {
     /// Panics if `pcpu_count` is zero.
     pub fn new(pcpu_count: usize, params: SchedParams) -> Self {
         assert!(pcpu_count > 0, "need at least one pCPU");
-        let mut sim = ServerSim {
+        let mut timers = TimerSlots::new();
+        let tick = timers.add(Timer::Tick);
+        timers.arm(tick, SimTime::from_micros(params.tick_us));
+        let accounting = timers.add(Timer::Accounting);
+        timers.arm(accounting, SimTime::from_micros(params.acct_period_us));
+        let pcpus = (0..pcpu_count)
+            .map(|p| Pcpu {
+                current: None,
+                queue: VecDeque::new(),
+                members: Vec::new(),
+                compute: timers.add(Timer::ComputeDone(p)),
+                slice: timers.add(Timer::SliceExpired(p)),
+            })
+            .collect();
+        ServerSim {
             params,
             now: SimTime::ZERO,
-            events: EventQueue::new(),
-            pcpus: (0..pcpu_count).map(|_| Pcpu::default()).collect(),
-            vms: BTreeMap::new(),
-            vcpus: BTreeMap::new(),
-            drivers: BTreeMap::new(),
+            timers,
+            tick,
+            accounting,
+            pcpus,
+            vms: Vec::new(),
+            vcpu_base: vec![0],
+            vcpus: Vec::new(),
             profile: ProfileTool::new(),
             pmu: Pmu::new(),
-            next_vm: 0,
             next_pin: 0,
-            leap_buf: Vec::new(),
-            leap_periodic: Vec::new(),
-        };
-        for i in 0..pcpu_count {
-            sim.push_event(
-                SimTime::from_micros(params.tick_us),
-                EventKind::Tick(PcpuId(i)),
-            );
         }
-        sim.push_event(
-            SimTime::from_micros(params.acct_period_us),
-            EventKind::Accounting,
-        );
-        sim
     }
 
     /// Current simulation time.
@@ -154,44 +194,46 @@ impl ServerSim {
 
     /// Looks up a VM.
     pub fn vm(&self, vm: VmId) -> Option<&Vm> {
-        self.vms.get(&vm)
+        self.vms.get(vm.0 as usize)
     }
 
     /// Mutable VM access (e.g. for guest OS manipulation by attacks).
     pub fn vm_mut(&mut self, vm: VmId) -> Option<&mut Vm> {
-        self.vms.get_mut(&vm)
+        self.vms.get_mut(vm.0 as usize)
     }
 
     /// All VM ids, in creation order.
+    #[cold]
     pub fn vm_ids(&self) -> Vec<VmId> {
-        self.vms.keys().copied().collect()
+        (0..self.vms.len() as u32).map(VmId).collect()
     }
 
     /// Total on-CPU time a vCPU has consumed.
     pub fn vcpu_cpu_time_us(&self, vcpu: VcpuId) -> u64 {
-        let Some(vs) = self.vcpus.get(&vcpu) else {
-            return 0;
-        };
-        let mut t = vs.cpu_time_us;
-        if let RunState::Running { since } = vs.state {
-            t += self.now.saturating_duration_since(since);
-        }
-        t
+        self.vcpu(vcpu).map_or(0, |vc| vc.cpu_time_us(self.now))
+    }
+
+    /// A vCPU's credit balance (what `xl sched-credit` would show), if the
+    /// vCPU exists.
+    pub fn vcpu_credits(&self, vcpu: VcpuId) -> Option<i64> {
+        self.vcpu(vcpu).map(|vc| vc.sched.credits)
     }
 
     /// The pCPU a vCPU is pinned to, if the vCPU exists.
     pub fn vcpu_pcpu(&self, vcpu: VcpuId) -> Option<PcpuId> {
-        self.vcpus.get(&vcpu).map(|vs| vs.pcpu)
+        self.vcpu(vcpu).map(|vc| vc.sched.pcpu)
     }
 
     /// Number of schedulable (not halted/paused) vCPUs pinned to `p` —
     /// the contention the VMM profile tool reports alongside CPU-time
     /// measurements.
     pub fn schedulable_vcpus_on(&self, p: PcpuId) -> usize {
-        self.vcpus
-            .values()
-            .filter(|vs| vs.pcpu == p && vs.is_schedulable())
-            .count()
+        self.pcpus.get(p.0).map_or(0, |pc| {
+            pc.members
+                .iter()
+                .filter(|&&v| self.vcpus[v].sched.is_schedulable())
+                .count()
+        })
     }
 
     /// Creates a VM and makes its vCPUs runnable immediately.
@@ -200,6 +242,7 @@ impl ServerSim {
     ///
     /// Panics if the config has no drivers, or the pinning length does not
     /// match the driver count, or a pin is out of range.
+    #[cold]
     pub fn create_vm(&mut self, config: VmConfig) -> VmId {
         assert!(!config.drivers.is_empty(), "VM needs at least one vCPU");
         if let Some(pins) = &config.pinning {
@@ -212,20 +255,19 @@ impl ServerSim {
                 assert!(pin.0 < self.pcpus.len(), "pin out of range");
             }
         }
-        let vm_id = VmId(self.next_vm);
-        self.next_vm += 1;
-        let vcpu_count = config.drivers.len();
-        self.vms.insert(
-            vm_id,
-            Vm {
-                name: config.name,
-                weight: config.weight,
-                state: VmState::Running,
-                guest: config.guest,
-                vcpu_count,
-            },
-        );
-        let mut touched = Vec::new();
+        let vm_id = VmId(self.vms.len() as u32);
+        let rows = self.vcpus.len()..self.vcpus.len() + config.drivers.len();
+        self.vms.push(Vm {
+            name: config.name,
+            weight: config.weight,
+            state: VmState::Running,
+            guest: config.guest,
+            vcpu_count: rows.len(),
+        });
+        self.vcpu_base.push(rows.end);
+        // Size the per-VM tables now, so no event ever grows them.
+        self.pmu.counters_mut(vm_id);
+        self.profile.track(vm_id);
         for (index, driver) in config.drivers.into_iter().enumerate() {
             let pcpu = match &config.pinning {
                 Some(pins) => pins[index],
@@ -235,14 +277,20 @@ impl ServerSim {
                     p
                 }
             };
-            let id = VcpuId { vm: vm_id, index };
-            self.vcpus.insert(id, SchedVcpu::new(pcpu, config.weight));
-            self.drivers.insert(id, driver);
-            self.enqueue(id);
-            touched.push(pcpu);
+            let v = self.vcpus.len();
+            self.vcpus.push(Vcpu {
+                id: VcpuId { vm: vm_id, index },
+                sched: SchedVcpu::new(pcpu, config.weight),
+                driver: Some(driver),
+                wake: self.timers.add(Timer::Wake(v)),
+            });
+            self.pcpus[pcpu.0].members.push(v);
+            self.enqueue(v);
         }
-        for p in touched {
-            self.preempt_check(p);
+        // One check per vCPU, in index order, duplicates included: a set
+        // of touched pCPUs would stamp their timers in another order.
+        for v in rows {
+            self.preempt_check(self.vcpus[v].sched.pcpu.0);
         }
         vm_id
     }
@@ -250,35 +298,31 @@ impl ServerSim {
     /// Suspends a VM: its vCPUs stop being scheduled until
     /// [`Self::resume_vm`]. No-op for unknown or terminated VMs.
     pub fn suspend_vm(&mut self, vm: VmId) {
-        if !matches!(self.vms.get(&vm).map(|v| v.state), Some(VmState::Running)) {
+        if !matches!(self.vm(vm).map(|v| v.state), Some(VmState::Running)) {
             return;
         }
-        self.vms.get_mut(&vm).expect("checked").state = VmState::Suspended;
-        let ids: Vec<VcpuId> = self.vm_vcpu_ids(vm);
-        for id in ids {
-            let state = self.vcpus[&id].state;
-            match state {
+        self.vms[vm.0 as usize].state = VmState::Suspended;
+        for v in self.vcpu_rows(vm) {
+            let before = match self.vcpus[v].sched.state {
                 RunState::Running { .. } => {
-                    let p = self.vcpus[&id].pcpu;
-                    self.deschedule(id, DescheduleReason::Stopped, RunState::Paused);
-                    self.vcpus.get_mut(&id).unwrap().state_before_pause =
-                        Some(crate::scheduler::RunStateKind::Runnable);
+                    let p = self.vcpus[v].sched.pcpu.0;
+                    self.deschedule(v, DescheduleReason::Stopped, RunState::Paused);
                     self.dispatch(p);
+                    RunStateKind::Runnable
                 }
                 RunState::Runnable => {
-                    self.remove_from_queue(id);
-                    let vs = self.vcpus.get_mut(&id).unwrap();
-                    vs.state = RunState::Paused;
-                    vs.state_before_pause = Some(crate::scheduler::RunStateKind::Runnable);
+                    self.remove_from_queue(v);
+                    RunStateKind::Runnable
                 }
                 RunState::Blocked => {
-                    let vs = self.vcpus.get_mut(&id).unwrap();
-                    vs.state = RunState::Paused;
-                    vs.generation += 1; // cancel pending timer wakes
-                    vs.state_before_pause = Some(crate::scheduler::RunStateKind::Blocked);
+                    self.timers.disarm(self.vcpus[v].wake);
+                    RunStateKind::Blocked
                 }
-                RunState::Paused | RunState::Halted => {}
-            }
+                RunState::Paused | RunState::Halted => continue,
+            };
+            let vs = &mut self.vcpus[v].sched;
+            vs.state = RunState::Paused;
+            vs.state_before_pause = Some(before);
         }
     }
 
@@ -286,71 +330,69 @@ impl ServerSim {
     /// conservatively (their sleep timers were cancelled by suspension).
     /// No-op unless the VM is suspended.
     pub fn resume_vm(&mut self, vm: VmId) {
-        if !matches!(self.vms.get(&vm).map(|v| v.state), Some(VmState::Suspended)) {
+        if !matches!(self.vm(vm).map(|v| v.state), Some(VmState::Suspended)) {
             return;
         }
-        self.vms.get_mut(&vm).expect("checked").state = VmState::Running;
-        let ids = self.vm_vcpu_ids(vm);
-        let mut touched = Vec::new();
-        for id in ids {
-            let vs = self.vcpus.get_mut(&id).unwrap();
-            if vs.state == RunState::Paused {
-                vs.state = RunState::Runnable;
-                vs.state_before_pause = None;
-                touched.push(vs.pcpu);
-                self.enqueue(id);
+        self.vms[vm.0 as usize].state = VmState::Running;
+        for v in self.vcpu_rows(vm) {
+            if self.vcpus[v].sched.state == RunState::Paused {
+                self.vcpus[v].sched.state = RunState::Runnable;
+                self.enqueue(v);
             }
         }
-        for p in touched {
-            self.preempt_check(p);
+        // Then one check per resumed vCPU, as in `create_vm`. The first
+        // check may already run (even halt) a later sibling, so "was
+        // paused" is read from the suspension record, not the run state.
+        for v in self.vcpu_rows(vm) {
+            if self.vcpus[v].sched.state_before_pause.take().is_some() {
+                self.preempt_check(self.vcpus[v].sched.pcpu.0);
+            }
         }
     }
 
     /// Terminates a VM permanently: all vCPUs halt and never run again.
+    /// Its drivers are dropped and its vCPUs leave the per-pCPU member
+    /// lists and the timer table, so a dead VM costs the event path
+    /// nothing; its row keeps answering [`Self::vm`],
+    /// [`Self::vcpu_cpu_time_us`] and the PMU.
+    #[cold]
     pub fn terminate_vm(&mut self, vm: VmId) {
-        let Some(v) = self.vms.get_mut(&vm) else {
-            return;
-        };
-        if v.state == VmState::Terminated {
+        if !matches!(self.vm(vm).map(|v| v.state), Some(s) if s != VmState::Terminated) {
             return;
         }
-        v.state = VmState::Terminated;
-        let ids = self.vm_vcpu_ids(vm);
-        for id in ids {
-            let state = self.vcpus[&id].state;
-            match state {
+        self.vms[vm.0 as usize].state = VmState::Terminated;
+        for v in self.vcpu_rows(vm) {
+            let p = self.vcpus[v].sched.pcpu.0;
+            match self.vcpus[v].sched.state {
                 RunState::Running { .. } => {
-                    let p = self.vcpus[&id].pcpu;
-                    self.deschedule(id, DescheduleReason::Stopped, RunState::Halted);
+                    self.deschedule(v, DescheduleReason::Stopped, RunState::Halted);
                     self.dispatch(p);
                 }
-                RunState::Runnable => {
-                    self.remove_from_queue(id);
-                    self.vcpus.get_mut(&id).unwrap().state = RunState::Halted;
-                }
-                RunState::Blocked | RunState::Paused => {
-                    let vs = self.vcpus.get_mut(&id).unwrap();
-                    vs.state = RunState::Halted;
-                    vs.generation += 1;
-                }
-                RunState::Halted => {}
+                RunState::Runnable => self.remove_from_queue(v),
+                RunState::Blocked | RunState::Paused | RunState::Halted => {}
             }
+            let vc = &mut self.vcpus[v];
+            vc.sched.state = RunState::Halted;
+            vc.driver = None;
+            self.timers
+                .release(std::mem::replace(&mut vc.wake, usize::MAX));
+            self.pcpus[p].members.retain(|&m| m != v);
         }
     }
 
     /// Runs the simulation until `deadline`, processing all events due by
     /// then. Time never moves backwards; a past deadline is a no-op.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some((time, _)) = self.events.peek() {
-            if time > deadline {
-                break;
-            }
-            let Some((time, kind)) = self.events.pop() else {
-                break;
-            };
+        while let Some((time, timer)) = self.timers.pop_due(deadline) {
             debug_assert!(time >= self.now, "event from the past");
             self.now = time;
-            self.handle(kind);
+            match timer {
+                Timer::Tick => self.on_tick(),
+                Timer::Accounting => self.on_accounting(),
+                Timer::ComputeDone(p) => self.on_compute_done(p),
+                Timer::SliceExpired(p) => self.on_slice_expired(p),
+                Timer::Wake(v) => self.wake_vcpu(v, WakeReason::Timer),
+            }
         }
         if deadline > self.now {
             self.now = deadline;
@@ -364,8 +406,8 @@ impl ServerSim {
     }
 
     /// Like [`Self::run_until`], but a *quiescent* server — nothing
-    /// running, nothing runnable, and no live timer wake due within the
-    /// window — is fast-forwarded in O(pending events) instead of
+    /// running, nothing runnable, and no timer wake due within the
+    /// window — is fast-forwarded in O(pCPUs + live vCPUs) instead of
     /// O(elapsed ticks). The fast path is exactly equivalent to eager
     /// processing: periodic tick/accounting events are no-ops on an idle
     /// machine except for the credit refill of blocked vCPUs, which is
@@ -386,145 +428,83 @@ impl ServerSim {
     /// (with all state untouched) when the server is not provably idle for
     /// the whole window.
     ///
-    /// Event-order preservation: the queue is drained in pop order and
-    /// rebuilt so that the *pop order* of every surviving pair of events
-    /// matches what eager processing would have produced. Events left
-    /// untouched by the window (due > deadline) are reinserted first, in
-    /// drain order — in the eager world their pushes all predate the
-    /// window. Periodic events that would have fired inside the window are
-    /// rebased to their first occurrence strictly after `deadline` and
-    /// reinserted ordered by their *previous* firing instant (that is when
-    /// the eager world would have pushed them), ties broken by drain
-    /// order. Stale generation-mismatched timers are dropped — the vCPU
-    /// generation only ever increments, so they can never become valid.
+    /// Slot liveness makes the precondition cheap: with nothing running,
+    /// no compute or slice timer is armed, and a wake slot is armed only
+    /// while its vCPU is `Blocked` (an IPI, suspension or termination
+    /// disarms it), so the only timers a leap can meet are the periodic
+    /// ones and wakes that would really fire.
+    ///
+    /// Event-order preservation: timers the window does not reach are
+    /// not touched and keep their stamp — under eager processing they
+    /// were all armed before the window. A periodic timer that would
+    /// have fired inside the window is moved to its *last* firing there,
+    /// stamp kept, and those last firings are then replayed as what they
+    /// are on an idle machine, bare re-arms: earliest last firing first,
+    /// ties in pop order (timers of one period that tie share one due
+    /// time, so their stamps are their pop order). That is the order in
+    /// which eager processing would have re-armed them.
     fn try_leap(&mut self, deadline: SimTime) -> bool {
         let params = self.params;
         if params.tick_us == 0 || params.acct_period_us == 0 || params.credits_per_acct < 0 {
             return false;
         }
-        if self.pcpus.iter().any(|p| p.current.is_some()) {
-            return false;
-        }
         if self
-            .vcpus
-            .values()
-            .any(|vs| matches!(vs.state, RunState::Running { .. } | RunState::Runnable))
+            .pcpus
+            .iter()
+            .any(|pc| pc.current.is_some() || !pc.queue.is_empty())
         {
             return false;
         }
-        // Drain everything; abort (restoring pop order exactly) if any
-        // live wake would fire inside the window. A generation-matched
-        // Wake implies the vCPU is still Blocked: every state transition
-        // bumps the generation.
-        let mut buf = std::mem::take(&mut self.leap_buf);
-        buf.clear();
-        while let Some((t, kind)) = self.events.pop() {
-            buf.push((t, kind));
-        }
-        let wake_blocks_leap = buf.iter().any(|&(t, kind)| match kind {
-            EventKind::Wake { vcpu, generation } => {
-                t <= deadline
-                    && self
-                        .vcpus
-                        .get(&vcpu)
-                        .is_some_and(|vs| vs.generation == generation)
-            }
-            _ => false,
-        });
-        if wake_blocks_leap {
-            for &(t, kind) in &buf {
-                self.events.schedule(t, kind);
-            }
-            buf.clear();
-            self.leap_buf = buf;
+        let wake_in_window = |&v: &usize| {
+            self.timers
+                .due(self.vcpus[v].wake)
+                .is_some_and(|due| due <= deadline)
+        };
+        if self
+            .pcpus
+            .iter()
+            .any(|pc| pc.members.iter().any(wake_in_window))
+        {
             return false;
         }
-        let mut periodic = std::mem::take(&mut self.leap_periodic);
-        periodic.clear();
-        let mut acct_firings: u64 = 0;
-        for &(t, kind) in &buf {
-            match kind {
-                EventKind::Tick(_) | EventKind::Accounting => {
-                    let period = if matches!(kind, EventKind::Accounting) {
-                        params.acct_period_us
-                    } else {
-                        params.tick_us
-                    };
-                    if t <= deadline {
-                        let skipped = deadline.duration_since(t) / period;
-                        let last_firing = t + skipped * period;
-                        if matches!(kind, EventKind::Accounting) {
-                            acct_firings = skipped + 1;
-                        }
-                        periodic.push((last_firing.as_micros(), last_firing + period, kind));
-                    } else {
-                        self.events.schedule(t, kind);
-                    }
-                }
-                EventKind::Wake { vcpu, generation } => {
-                    let live = self
-                        .vcpus
-                        .get(&vcpu)
-                        .is_some_and(|vs| vs.generation == generation);
-                    if live {
-                        // Checked above: a live wake here is due after the
-                        // deadline; keep it.
-                        self.events.schedule(t, kind);
-                    }
-                }
-                EventKind::ComputeDone { .. } | EventKind::SliceExpired { .. } => {
-                    // Valid only while the vCPU is Running; nothing is.
-                }
+        // Moves a periodic timer to its last firing inside the window and
+        // returns how many firings the window holds.
+        let mut skip_to_last = |slot: usize, period: u64| -> u64 {
+            let Some(due) = self.timers.due(slot).filter(|&due| due <= deadline) else {
+                return 0;
+            };
+            let skipped = deadline.duration_since(due) / period;
+            self.timers.postpone(slot, due + skipped * period);
+            skipped + 1
+        };
+        skip_to_last(self.tick, params.tick_us);
+        let acct_firings = skip_to_last(self.accounting, params.acct_period_us);
+        while let Some((fired, timer)) = self.timers.pop_due(deadline) {
+            match timer {
+                Timer::Tick => self.timers.arm(self.tick, fired + params.tick_us),
+                Timer::Accounting => self
+                    .timers
+                    .arm(self.accounting, fired + params.acct_period_us),
+                _ => unreachable!("{timer:?} armed on a quiescent server"),
             }
-        }
-        // Stable in-place insertion sort by previous-firing key (at most
-        // one entry per pCPU plus accounting — tiny, and allocation-free).
-        for i in 1..periodic.len() {
-            let mut j = i;
-            while j > 0 && periodic[j - 1].0 > periodic[j].0 {
-                periodic.swap(j - 1, j);
-                j -= 1;
-            }
-        }
-        for &(_, due, kind) in &periodic {
-            self.events.schedule(due, kind);
         }
         // Closed-form credit refill for the skipped accounting firings.
         // Schedulable here means Blocked (preconditions exclude the rest),
         // and blocked vCPUs do receive refills under eager processing.
         if acct_firings > 0 {
             let firings = i64::try_from(acct_firings).unwrap_or(i64::MAX);
-            for p in 0..self.pcpus.len() {
-                let total_weight: u64 = self
-                    .vcpus
-                    .values()
-                    .filter(|vs| vs.pcpu == PcpuId(p) && vs.is_schedulable())
-                    .map(|vs| vs.weight as u64)
-                    .sum();
-                if total_weight == 0 {
-                    continue;
-                }
-                for vs in self
-                    .vcpus
-                    .values_mut()
-                    .filter(|vs| vs.pcpu == PcpuId(p) && vs.is_schedulable())
-                {
-                    let share = (params.credits_per_acct as i128 * vs.weight as i128
-                        / total_weight as i128) as i64;
+            for pc in &self.pcpus {
+                for_each_share(pc, &mut self.vcpus, &params, |vs, share| {
                     // share >= 0, so the floor clamp can never bind and n
                     // clamped steps collapse to a single min().
                     vs.credits = vs
                         .credits
                         .saturating_add(share.saturating_mul(firings))
                         .min(params.credit_cap);
-                }
+                });
             }
         }
         self.now = deadline;
-        buf.clear();
-        self.leap_buf = buf;
-        periodic.clear();
-        self.leap_periodic = periodic;
         true
     }
 
@@ -532,47 +512,33 @@ impl ServerSim {
     // Internals
     // ------------------------------------------------------------------
 
-    fn vm_vcpu_ids(&self, vm: VmId) -> Vec<VcpuId> {
-        self.vcpus
-            .keys()
-            .copied()
-            .filter(|id| id.vm == vm)
-            .collect()
+    fn vcpu(&self, id: VcpuId) -> Option<&Vcpu> {
+        let rows = self.vcpu_rows(id.vm);
+        (id.index < rows.len()).then(|| &self.vcpus[rows.start + id.index])
     }
 
-    fn push_event(&mut self, time: SimTime, kind: EventKind) {
-        self.events.schedule(time, kind);
+    /// The rows of `vm`'s vCPUs in `vcpus`, in index order; empty for an
+    /// unknown VM.
+    fn vcpu_rows(&self, vm: VmId) -> std::ops::Range<usize> {
+        match self.vcpu_base.get(vm.0 as usize..vm.0 as usize + 2) {
+            Some(&[start, end]) => start..end,
+            _ => 0..0,
+        }
     }
 
-    fn view(&self, vcpu: VcpuId) -> VcpuView {
+    fn view(&self, v: usize) -> VcpuView {
+        let vc = &self.vcpus[v];
         VcpuView {
-            id: vcpu,
+            id: vc.id,
             now: self.now,
-            cpu_time_us: self.vcpu_cpu_time_us(vcpu),
+            cpu_time_us: vc.cpu_time_us(self.now),
         }
     }
 
-    fn handle(&mut self, kind: EventKind) {
-        match kind {
-            EventKind::Tick(p) => self.on_tick(p),
-            EventKind::Accounting => self.on_accounting(),
-            EventKind::ComputeDone { vcpu, generation } => self.on_compute_done(vcpu, generation),
-            EventKind::SliceExpired { vcpu, generation } => self.on_slice_expired(vcpu, generation),
-            EventKind::Wake { vcpu, generation } => {
-                let Some(vs) = self.vcpus.get(&vcpu) else {
-                    return;
-                };
-                if vs.generation == generation && vs.state == RunState::Blocked {
-                    self.wake_vcpu(vcpu, WakeReason::Timer);
-                }
-            }
-        }
-    }
-
-    fn on_tick(&mut self, p: PcpuId) {
-        if let Some(cur) = self.pcpus[p.0].current {
-            let params = self.params;
-            let vs = self.vcpus.get_mut(&cur).expect("current exists");
+    fn on_tick(&mut self) {
+        let params = self.params;
+        for cur in self.pcpus.iter().filter_map(|pc| pc.current) {
+            let vs = &mut self.vcpus[cur].sched;
             // Sampled debiting (the exploitable Xen behaviour) unless
             // precise accounting charges actual runtime at deschedule.
             if !params.precise_accounting {
@@ -585,238 +551,177 @@ impl ServerSim {
         // Preemption happens on wake tickling, blocking, or slice expiry —
         // this is what gives benign CPU-bound VMs their 30 ms usage
         // intervals (the paper's single benign histogram peak).
-        self.push_event(self.now + self.params.tick_us, EventKind::Tick(p));
+        self.timers.arm(self.tick, self.now + params.tick_us);
     }
 
     fn on_accounting(&mut self) {
         let params = self.params;
-        // Weight-proportional refill, computed per pCPU over schedulable
-        // vCPUs pinned there.
-        for p in 0..self.pcpus.len() {
-            let on_p: Vec<VcpuId> = self
-                .vcpus
-                .iter()
-                .filter(|(_, vs)| vs.pcpu == PcpuId(p) && vs.is_schedulable())
-                .map(|(id, _)| *id)
-                .collect();
-            let total_weight: u64 = on_p.iter().map(|id| self.vcpus[id].weight as u64).sum();
-            if total_weight == 0 {
-                continue;
-            }
-            for id in on_p {
-                let weight = self.vcpus[&id].weight as u64;
-                let share = (params.credits_per_acct as i128 * weight as i128
-                    / total_weight as i128) as i64;
-                self.vcpus
-                    .get_mut(&id)
-                    .expect("exists")
-                    .adjust_credits(share, &params);
-            }
-        }
-        // Re-sort run queues by (possibly changed) priorities, stably.
-        for p in 0..self.pcpus.len() {
-            let mut q: Vec<VcpuId> = self.pcpus[p].queue.drain(..).collect();
-            q.sort_by_key(|id| self.vcpus[id].effective_priority());
-            self.pcpus[p].queue = q.into();
+        for pc in &mut self.pcpus {
+            // Weight-proportional refill over the schedulable vCPUs
+            // pinned here, then the run queue re-sorted by the (possibly
+            // changed) priorities, stably and in place.
+            for_each_share(pc, &mut self.vcpus, &params, |vs, share| {
+                vs.adjust_credits(share, &params)
+            });
+            let vcpus = &self.vcpus;
+            pc.queue
+                .make_contiguous()
+                .sort_by_key(|&v| vcpus[v].sched.effective_priority());
         }
         // Like the tick, accounting does not force a reschedule; the new
         // priorities take effect at the next natural scheduling point.
-        self.push_event(self.now + params.acct_period_us, EventKind::Accounting);
+        self.timers
+            .arm(self.accounting, self.now + params.acct_period_us);
         // A pCPU left idle with newly runnable work should still dispatch.
         for p in 0..self.pcpus.len() {
-            if self.pcpus[p].current.is_none() {
-                self.dispatch(PcpuId(p));
-            }
+            self.dispatch(p);
         }
     }
 
-    fn on_compute_done(&mut self, vcpu: VcpuId, generation: u64) {
-        let Some(vs) = self.vcpus.get_mut(&vcpu) else {
-            return;
-        };
-        if vs.generation != generation || !matches!(vs.state, RunState::Running { .. }) {
-            return;
-        }
+    fn on_compute_done(&mut self, p: usize) {
+        let v = self.pcpus[p]
+            .current
+            .expect("compute timer on an idle pCPU");
+        let vs = &mut self.vcpus[v].sched;
         vs.pending_compute_us = 0;
-        let p = vs.pcpu;
         if vs.yield_pending {
             // The yield quantum elapsed: requeue at the back of the class.
             vs.yield_pending = false;
-            self.deschedule(vcpu, DescheduleReason::Yielded, RunState::Runnable);
-            self.enqueue(vcpu);
+            self.deschedule(v, DescheduleReason::Yielded, RunState::Runnable);
+            self.enqueue(v);
             self.dispatch(p);
-            return;
-        }
-        if self.ask_driver(vcpu) {
-            let vs = &self.vcpus[&vcpu];
-            let gen = vs.generation;
-            let deadline = self.now + vs.pending_compute_us;
-            self.push_event(
-                deadline,
-                EventKind::ComputeDone {
-                    vcpu,
-                    generation: gen,
-                },
-            );
+        } else if self.ask_driver(v) {
+            let due = self.now + self.vcpus[v].sched.pending_compute_us;
+            self.timers.arm(self.pcpus[p].compute, due);
         } else {
             self.dispatch(p);
         }
     }
 
-    fn on_slice_expired(&mut self, vcpu: VcpuId, generation: u64) {
-        let Some(vs) = self.vcpus.get(&vcpu) else {
-            return;
-        };
-        if vs.generation != generation || !matches!(vs.state, RunState::Running { .. }) {
-            return;
-        }
-        let p = vs.pcpu;
-        self.deschedule(vcpu, DescheduleReason::SliceExpired, RunState::Runnable);
-        self.enqueue(vcpu);
+    fn on_slice_expired(&mut self, p: usize) {
+        let v = self.pcpus[p].current.expect("slice timer on an idle pCPU");
+        self.deschedule(v, DescheduleReason::SliceExpired, RunState::Runnable);
+        self.enqueue(v);
         self.dispatch(p);
     }
 
     /// Removes a runnable vCPU from its pCPU queue.
-    fn remove_from_queue(&mut self, vcpu: VcpuId) {
-        let p = self.vcpus[&vcpu].pcpu;
-        self.pcpus[p.0].queue.retain(|&id| id != vcpu);
+    fn remove_from_queue(&mut self, v: usize) {
+        let p = self.vcpus[v].sched.pcpu.0;
+        self.pcpus[p].queue.retain(|&o| o != v);
     }
 
     /// Inserts a runnable vCPU into its queue, FIFO within priority class.
-    fn enqueue(&mut self, vcpu: VcpuId) {
-        let prio = self.vcpus[&vcpu].effective_priority();
-        let p = self.vcpus[&vcpu].pcpu;
-        let pos = self.pcpus[p.0]
-            .queue
+    fn enqueue(&mut self, v: usize) {
+        let vs = &self.vcpus[v].sched;
+        let prio = vs.effective_priority();
+        let queue = &mut self.pcpus[vs.pcpu.0].queue;
+        let pos = queue
             .iter()
-            .position(|id| self.vcpus[id].effective_priority() > prio)
-            .unwrap_or(self.pcpus[p.0].queue.len());
-        self.pcpus[p.0].queue.insert(pos, vcpu);
+            .position(|&o| self.vcpus[o].sched.effective_priority() > prio)
+            .unwrap_or(queue.len());
+        queue.insert(pos, v);
     }
 
     /// If the queue head outranks the running vCPU (or the pCPU is idle),
     /// switch.
-    fn preempt_check(&mut self, p: PcpuId) {
-        match self.pcpus[p.0].current {
-            None => self.dispatch(p),
-            Some(cur) => {
-                let cur_prio = self.vcpus[&cur].effective_priority();
-                let head_prio = self.pcpus[p.0]
-                    .queue
-                    .front()
-                    .map(|id| self.vcpus[id].effective_priority());
-                if let Some(head_prio) = head_prio {
-                    if head_prio < cur_prio {
-                        self.deschedule(cur, DescheduleReason::Preempted, RunState::Runnable);
-                        self.pmu.counters_mut(cur.vm).preemptions += 1;
-                        self.enqueue(cur);
-                        self.dispatch(p);
-                    }
-                }
+    fn preempt_check(&mut self, p: usize) {
+        let pc = &self.pcpus[p];
+        if let (Some(cur), Some(&head)) = (pc.current, pc.queue.front()) {
+            let prio = |v: usize| self.vcpus[v].sched.effective_priority();
+            if prio(head) >= prio(cur) {
+                return;
             }
+            self.deschedule(cur, DescheduleReason::Preempted, RunState::Runnable);
+            self.pmu.counters_mut(self.vcpus[cur].id.vm).preemptions += 1;
+            self.enqueue(cur);
         }
+        self.dispatch(p);
     }
 
     /// Fills an idle pCPU from its run queue.
-    fn dispatch(&mut self, p: PcpuId) {
-        while self.pcpus[p.0].current.is_none() {
-            let Some(next) = self.pcpus[p.0].queue.pop_front() else {
+    fn dispatch(&mut self, p: usize) {
+        while self.pcpus[p].current.is_none() {
+            let Some(next) = self.pcpus[p].queue.pop_front() else {
                 return;
             };
             self.schedule_in(p, next);
         }
     }
 
-    fn schedule_in(&mut self, p: PcpuId, vcpu: VcpuId) {
-        debug_assert!(self.pcpus[p.0].current.is_none());
-        {
-            let now = self.now;
-            let vs = self.vcpus.get_mut(&vcpu).expect("vcpu exists");
-            debug_assert_eq!(vs.state, RunState::Runnable);
-            vs.state = RunState::Running { since: now };
-            vs.generation += 1;
-            vs.compute_started = now;
+    fn schedule_in(&mut self, p: usize, v: usize) {
+        debug_assert!(self.pcpus[p].current.is_none());
+        let now = self.now;
+        let vc = &mut self.vcpus[v];
+        debug_assert_eq!(vc.sched.state, RunState::Runnable);
+        vc.sched.state = RunState::Running { since: now };
+        vc.sched.compute_started = now;
+        self.pcpus[p].current = Some(v);
+        self.pmu.counters_mut(vc.id.vm).schedules += 1;
+        if vc.sched.pending_compute_us == 0 {
+            if vc.driver.is_none() {
+                // `v` is inside its own `ask_driver` further up the stack:
+                // it sent an IPI, the woken sibling took this pCPU and gave
+                // it straight back. That interaction carries on and arms
+                // the compute timer; the new stint only needs its slice.
+                self.timers
+                    .arm(self.pcpus[p].slice, now + self.params.slice_us);
+                return;
+            }
+            if !self.ask_driver(v) {
+                // The driver immediately gave up the CPU; the caller's
+                // dispatch loop will pick the next vCPU.
+                return;
+            }
         }
-        self.pcpus[p.0].current = Some(vcpu);
-        self.pmu.counters_mut(vcpu.vm).schedules += 1;
-        if self.vcpus[&vcpu].pending_compute_us == 0 && !self.ask_driver(vcpu) {
-            // The driver immediately gave up the CPU; the caller's dispatch
-            // loop will pick the next vCPU.
-            return;
-        }
-        let vs = &self.vcpus[&vcpu];
-        if !matches!(vs.state, RunState::Running { .. }) {
-            return;
-        }
-        let gen = vs.generation;
-        let compute_deadline = self.now + vs.pending_compute_us;
-        self.push_event(
-            compute_deadline,
-            EventKind::ComputeDone {
-                vcpu,
-                generation: gen,
-            },
-        );
-        self.push_event(
-            self.now + self.params.slice_us,
-            EventKind::SliceExpired {
-                vcpu,
-                generation: gen,
-            },
-        );
+        let pc = &self.pcpus[p];
+        let compute_due = now + self.vcpus[v].sched.pending_compute_us;
+        self.timers.arm(pc.compute, compute_due);
+        self.timers.arm(pc.slice, now + self.params.slice_us);
     }
 
     /// Interacts with the vCPU's driver until it commits to an action that
     /// consumes time. Returns `true` if the vCPU is still running with
     /// `pending_compute_us > 0`.
-    fn ask_driver(&mut self, vcpu: VcpuId) -> bool {
-        let mut driver = self.drivers.remove(&vcpu).expect("driver exists");
+    fn ask_driver(&mut self, v: usize) -> bool {
+        let mut driver = self.vcpus[v].driver.take().expect("driver is home");
+        let id = self.vcpus[v].id;
         let mut still_running = false;
         let mut budget = DRIVER_ACTION_BUDGET;
         loop {
             if budget == 0 {
-                self.drivers.insert(vcpu, driver);
-                panic!("driver livelock: {vcpu} issued too many zero-time actions");
+                self.vcpus[v].driver = Some(driver);
+                panic!("driver livelock: {id} issued too many zero-time actions");
             }
             budget -= 1;
-            let view = self.view(vcpu);
+            let view = self.view(v);
             match driver.next_action(&view) {
                 VcpuAction::Compute { duration_us } => {
                     if duration_us == 0 {
                         continue;
                     }
-                    let now = self.now;
-                    let vs = self.vcpus.get_mut(&vcpu).expect("exists");
+                    let vs = &mut self.vcpus[v].sched;
                     vs.pending_compute_us = duration_us;
-                    vs.compute_started = now;
+                    vs.compute_started = self.now;
                     still_running = true;
                     break;
                 }
                 VcpuAction::SendIpi { target_index } => {
-                    self.pmu.counters_mut(vcpu.vm).ipis_sent += 1;
-                    let target = VcpuId {
-                        vm: vcpu.vm,
-                        index: target_index,
-                    };
-                    if target != vcpu && self.vcpus.contains_key(&target) {
-                        self.wake_vcpu(target, WakeReason::Ipi);
+                    self.pmu.counters_mut(id.vm).ipis_sent += 1;
+                    let rows = self.vcpu_rows(id.vm);
+                    if target_index != id.index && target_index < rows.len() {
+                        self.wake_vcpu(rows.start + target_index, WakeReason::Ipi);
                     }
                     // The wake may have preempted us.
-                    if !matches!(self.vcpus[&vcpu].state, RunState::Running { .. }) {
+                    if !matches!(self.vcpus[v].sched.state, RunState::Running { .. }) {
                         break;
                     }
                 }
                 VcpuAction::Block { duration_us } => {
-                    let gen = self.deschedule(vcpu, DescheduleReason::Blocked, RunState::Blocked);
-                    self.pmu.counters_mut(vcpu.vm).blocks += 1;
+                    self.deschedule(v, DescheduleReason::Blocked, RunState::Blocked);
+                    self.pmu.counters_mut(id.vm).blocks += 1;
                     if let Some(d) = duration_us {
-                        self.push_event(
-                            self.now + d,
-                            EventKind::Wake {
-                                vcpu,
-                                generation: gen,
-                            },
-                        );
+                        self.timers.arm(self.vcpus[v].wake, self.now + d);
                     }
                     break;
                 }
@@ -824,100 +729,120 @@ impl ServerSim {
                     // A yield costs a minimal quantum (1 us): even a
                     // driver that yields in a tight loop makes time
                     // progress instead of livelocking the dispatcher.
-                    let now = self.now;
-                    let vs = self.vcpus.get_mut(&vcpu).expect("exists");
+                    let vs = &mut self.vcpus[v].sched;
                     vs.pending_compute_us = 1;
-                    vs.compute_started = now;
+                    vs.compute_started = self.now;
                     vs.yield_pending = true;
                     still_running = true;
                     break;
                 }
                 VcpuAction::Halt => {
-                    self.deschedule(vcpu, DescheduleReason::Halted, RunState::Halted);
+                    self.deschedule(v, DescheduleReason::Halted, RunState::Halted);
                     break;
                 }
             }
         }
-        self.drivers.insert(vcpu, driver);
+        self.vcpus[v].driver = Some(driver);
         still_running
     }
 
-    /// Takes the running vCPU off its pCPU, records the run segment, and
-    /// moves it to `new_state`. Returns the vCPU's new generation.
-    fn deschedule(&mut self, vcpu: VcpuId, reason: DescheduleReason, new_state: RunState) -> u64 {
-        let now = self.now;
-        let (segment, gen, p) = {
-            let vs = self.vcpus.get_mut(&vcpu).expect("vcpu exists");
-            let RunState::Running { since } = vs.state else {
-                panic!("deschedule of non-running vcpu {vcpu}");
-            };
-            let ran = now.duration_since(since);
-            vs.cpu_time_us += ran;
-            if self.params.precise_accounting {
-                let debit = (ran as i128 * self.params.credits_per_tick as i128
-                    / self.params.tick_us as i128) as i64;
-                vs.adjust_credits(-debit, &self.params);
-            }
-            if vs.pending_compute_us > 0 {
-                let batch_ran = now.duration_since(vs.compute_started);
-                vs.pending_compute_us = vs.pending_compute_us.saturating_sub(batch_ran);
-            }
-            vs.state = new_state;
-            vs.generation += 1;
-            // Boost survives preemption/suspension; any voluntary or
-            // scheduler-forced deschedule clears it.
-            if !matches!(
-                reason,
-                DescheduleReason::Preempted | DescheduleReason::Stopped
-            ) {
-                vs.boosted = false;
-            }
-            let segment = (ran > 0).then_some(RunSegment {
-                vcpu,
+    /// Takes the running vCPU off its pCPU, records the run segment,
+    /// moves it to `new_state` and disarms the pCPU's two run timers.
+    fn deschedule(&mut self, v: usize, reason: DescheduleReason, new_state: RunState) {
+        let (now, params) = (self.now, self.params);
+        let vc = &mut self.vcpus[v];
+        let vs = &mut vc.sched;
+        let RunState::Running { since } = vs.state else {
+            panic!("deschedule of non-running vcpu {}", vc.id);
+        };
+        let ran = now.duration_since(since);
+        vs.cpu_time_us += ran;
+        if params.precise_accounting {
+            let debit =
+                (ran as i128 * params.credits_per_tick as i128 / params.tick_us as i128) as i64;
+            vs.adjust_credits(-debit, &params);
+        }
+        if vs.pending_compute_us > 0 {
+            let batch_ran = now.duration_since(vs.compute_started);
+            vs.pending_compute_us = vs.pending_compute_us.saturating_sub(batch_ran);
+        }
+        vs.state = new_state;
+        // Boost survives preemption/suspension; any voluntary or
+        // scheduler-forced deschedule clears it.
+        if !matches!(
+            reason,
+            DescheduleReason::Preempted | DescheduleReason::Stopped
+        ) {
+            vs.boosted = false;
+        }
+        if ran > 0 {
+            self.profile.record(RunSegment {
+                vcpu: vc.id,
                 pcpu: vs.pcpu,
                 start: since,
                 end: now,
                 reason,
             });
-            (segment, vs.generation, vs.pcpu)
-        };
-        if let Some(seg) = segment {
-            self.profile.record(seg);
         }
-        debug_assert_eq!(self.pcpus[p.0].current, Some(vcpu));
-        self.pcpus[p.0].current = None;
-        gen
+        let pc = &mut self.pcpus[vs.pcpu.0];
+        debug_assert_eq!(pc.current, Some(v));
+        pc.current = None;
+        self.timers.disarm(pc.compute);
+        self.timers.disarm(pc.slice);
     }
 
     /// Wakes a blocked vCPU, applying the BOOST rule, and preempts if it
     /// now outranks the running vCPU on its pCPU.
-    fn wake_vcpu(&mut self, vcpu: VcpuId, reason: WakeReason) {
-        {
-            let params = self.params;
-            let Some(vs) = self.vcpus.get_mut(&vcpu) else {
-                return;
-            };
-            if vs.state != RunState::Blocked {
-                return;
-            }
-            vs.state = RunState::Runnable;
-            let boosted = params.boost_enabled && vs.credits >= 0;
-            vs.boosted = boosted;
-            let counters = self.pmu.counters_mut(vcpu.vm);
-            counters.wakeups += 1;
-            if boosted {
-                counters.boosts += 1;
-            }
+    fn wake_vcpu(&mut self, v: usize, reason: WakeReason) {
+        let vc = &mut self.vcpus[v];
+        if vc.sched.state != RunState::Blocked {
+            return;
+        }
+        // An IPI beat the sleep timer to it (a no-op for the timer itself).
+        self.timers.disarm(vc.wake);
+        vc.sched.state = RunState::Runnable;
+        vc.sched.boosted = self.params.boost_enabled && vc.sched.credits >= 0;
+        let counters = self.pmu.counters_mut(vc.id.vm);
+        counters.wakeups += 1;
+        if vc.sched.boosted {
+            counters.boosts += 1;
         }
         // Notify the driver (its next_action will be asked when scheduled).
-        let view = self.view(vcpu);
-        if let Some(mut driver) = self.drivers.remove(&vcpu) {
+        let view = self.view(v);
+        if let Some(mut driver) = self.vcpus[v].driver.take() {
             driver.on_wake(&view, reason);
-            self.drivers.insert(vcpu, driver);
+            self.vcpus[v].driver = Some(driver);
         }
-        let p = self.vcpus[&vcpu].pcpu;
-        self.enqueue(vcpu);
-        self.preempt_check(p);
+        self.enqueue(v);
+        self.preempt_check(self.vcpus[v].sched.pcpu.0);
+    }
+}
+
+/// Calls `credit(vcpu, share)` for every schedulable vCPU pinned to `pc`
+/// with its weight-proportional share of one accounting period's credits.
+fn for_each_share(
+    pc: &Pcpu,
+    vcpus: &mut [Vcpu],
+    params: &SchedParams,
+    mut credit: impl FnMut(&mut SchedVcpu, i64),
+) {
+    let schedulable = |vcpus: &[Vcpu], v: usize| vcpus[v].sched.is_schedulable();
+    let total_weight: u64 = pc
+        .members
+        .iter()
+        .filter(|&&v| schedulable(vcpus, v))
+        .map(|&v| vcpus[v].sched.weight as u64)
+        .sum();
+    if total_weight == 0 {
+        return;
+    }
+    for &v in &pc.members {
+        if schedulable(vcpus, v) {
+            let vs = &mut vcpus[v].sched;
+            let share =
+                (params.credits_per_acct as i128 * vs.weight as i128 / total_weight as i128) as i64;
+            credit(vs, share);
+        }
     }
 }
 
@@ -1184,6 +1109,91 @@ mod tests {
     }
 
     #[test]
+    fn ipi_bounce_resumes_the_sender() {
+        // Regression: the sender is preempted inside its own driver
+        // interaction by the sibling its IPI woke, and the sibling hands
+        // the pCPU straight back. The sender must carry on with its next
+        // action (this used to panic with "driver exists").
+        let mut sim = ServerSim::new(1, SchedParams::default());
+        let vm = sim.create_vm(
+            VmConfig::new(
+                "pair",
+                vec![
+                    // The sleep lets the receiver block first; the long
+                    // compute crosses a tick, which debits the sender
+                    // into OVER so that the boosted receiver outranks it.
+                    Box::new(ScriptedDriver::new([
+                        VcpuAction::Block {
+                            duration_us: Some(100),
+                        },
+                        VcpuAction::Compute {
+                            duration_us: 15_000,
+                        },
+                        VcpuAction::SendIpi { target_index: 1 },
+                        VcpuAction::Compute { duration_us: 1_000 },
+                    ])),
+                    Box::new(IdleDriver),
+                ],
+            )
+            .pin(vec![PcpuId(0), PcpuId(0)]),
+        );
+        sim.run_until(SimTime::from_millis(50));
+        assert_eq!(sim.vcpu_cpu_time_us(VcpuId { vm, index: 0 }), 16_000);
+        let counters = sim.pmu().counters(vm);
+        assert_eq!(counters.ipis_sent, 1);
+        assert_eq!(counters.preemptions, 1);
+        assert_eq!(counters.boosts, 2, "the sender's wake, then the receiver's");
+    }
+
+    #[test]
+    fn terminated_vm_leaves_the_event_path() {
+        struct Sleeper(Shared<u64>);
+        impl WorkloadDriver for Sleeper {
+            fn next_action(&mut self, _view: &VcpuView) -> VcpuAction {
+                *self.0.borrow_mut() += 1;
+                VcpuAction::Block {
+                    duration_us: Some(5 * MS),
+                }
+            }
+        }
+        let mut sim = ServerSim::new(1, SchedParams::default());
+        let asked = shared(0);
+        let vm = sim.create_vm(VmConfig::new(
+            "sleeper",
+            vec![Box::new(Sleeper(asked.clone()))],
+        ));
+        let id = VcpuId { vm, index: 0 };
+        sim.run_until(SimTime::from_millis(1));
+        assert_eq!(sim.schedulable_vcpus_on(PcpuId(0)), 1);
+        assert!(format!("{sim:?}").contains("live_timers: 3"), "{sim:?}");
+
+        sim.terminate_vm(vm);
+        // The driver is dropped, the wake is disarmed, contention no
+        // longer counts the vCPU, and the server is quiescent.
+        assert_eq!(std::rc::Rc::strong_count(&asked), 1);
+        assert!(format!("{sim:?}").contains("live_timers: 2"), "{sim:?}");
+        assert_eq!(sim.schedulable_vcpus_on(PcpuId(0)), 0);
+        assert!(sim.try_leap(SimTime::from_secs(1)));
+        assert_eq!(*asked.borrow(), 1);
+        // The row still answers.
+        assert_eq!(sim.vm(vm).unwrap().state, VmState::Terminated);
+        assert_eq!(sim.vm_ids(), vec![vm]);
+        assert_eq!(sim.vcpu_cpu_time_us(id), 0);
+        assert_eq!(sim.vcpu_pcpu(id), Some(PcpuId(0)));
+        assert_eq!(sim.pmu().counters(vm).blocks, 1);
+
+        // A later VM reuses the released wake slot: the table is as
+        // long as the live timer set, not as the server's history.
+        let next = sim.create_vm(VmConfig::new("next", vec![Box::new(IdleDriver)]));
+        assert_eq!(
+            sim.vcpus[1].wake, 4,
+            "tick, accounting, compute, slice, wake"
+        );
+        assert_eq!(sim.vcpus[0].wake, usize::MAX);
+        assert_eq!(next, VmId(1));
+    }
+
+    #[test]
     fn halt_stops_consuming() {
         let mut sim = ServerSim::new(1, SchedParams::default());
         let vm = sim.create_vm(VmConfig::new(
@@ -1351,8 +1361,8 @@ mod tests {
             } else {
                 sim.run_until_lazy(SimTime::from_millis(100));
             }
-            let credits = |vm| sim.vcpus[&VcpuId { vm, index: 0 }].credits;
-            (credits(a), credits(b), sim.now(), sim.events.len())
+            let credits = |vm| sim.vcpu_credits(VcpuId { vm, index: 0 }).unwrap();
+            (credits(a), credits(b), sim.now(), sim.timers.live())
         };
         let eager = build(true);
         let lazy = build(false);

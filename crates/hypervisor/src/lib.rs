@@ -53,6 +53,7 @@ pub mod profile;
 pub mod queue;
 pub mod scheduler;
 pub mod time;
+mod timers;
 pub mod vm;
 pub mod vmi;
 pub mod wheel;

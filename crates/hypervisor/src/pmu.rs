@@ -3,7 +3,6 @@
 //! sources (Section 3.2.4); the engine feeds it scheduling events.
 
 use crate::ids::VmId;
-use std::collections::BTreeMap;
 
 /// Event counters for one VM.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -22,10 +21,11 @@ pub struct VmCounters {
     pub blocks: u64,
 }
 
-/// A bank of per-VM counters.
+/// A bank of per-VM counters, indexed by `VmId` (a dense per-server
+/// counter).
 #[derive(Clone, Debug, Default)]
 pub struct Pmu {
-    counters: BTreeMap<VmId, VmCounters>,
+    counters: Vec<VmCounters>,
 }
 
 impl Pmu {
@@ -36,12 +36,19 @@ impl Pmu {
 
     /// Mutable counters for `vm`, created on first touch.
     pub fn counters_mut(&mut self, vm: VmId) -> &mut VmCounters {
-        self.counters.entry(vm).or_default()
+        let row = vm.0 as usize;
+        if row >= self.counters.len() {
+            self.counters.resize(row + 1, VmCounters::default());
+        }
+        &mut self.counters[row]
     }
 
     /// Read-only counters for `vm` (zeroes if never touched).
     pub fn counters(&self, vm: VmId) -> VmCounters {
-        self.counters.get(&vm).copied().unwrap_or_default()
+        self.counters
+            .get(vm.0 as usize)
+            .copied()
+            .unwrap_or_default()
     }
 
     /// Clears all counters.

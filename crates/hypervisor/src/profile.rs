@@ -5,7 +5,6 @@
 
 use crate::ids::{PcpuId, VcpuId, VmId};
 use crate::time::SimTime;
-use std::collections::BTreeMap;
 
 /// Why a run segment ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,7 +50,8 @@ impl RunSegment {
 #[derive(Clone, Debug, Default)]
 pub struct ProfileTool {
     segments: Vec<RunSegment>,
-    vm_cpu_time_us: BTreeMap<VmId, u64>,
+    /// Indexed by `VmId` (a dense per-server counter).
+    vm_cpu_time_us: Vec<u64>,
     window_start: SimTime,
 }
 
@@ -64,8 +64,18 @@ impl ProfileTool {
     /// Records a completed run segment (called by the engine on every
     /// deschedule).
     pub fn record(&mut self, segment: RunSegment) {
-        *self.vm_cpu_time_us.entry(segment.vcpu.vm).or_insert(0) += segment.duration_us();
+        self.track(segment.vcpu.vm);
+        self.vm_cpu_time_us[segment.vcpu.vm.0 as usize] += segment.duration_us();
         self.segments.push(segment);
+    }
+
+    /// Makes room for `vm`'s total. The engine calls this when a VM is
+    /// created, so recording never grows the table.
+    pub(crate) fn track(&mut self, vm: VmId) {
+        let row = vm.0 as usize;
+        if row >= self.vm_cpu_time_us.len() {
+            self.vm_cpu_time_us.resize(row + 1, 0);
+        }
     }
 
     /// All recorded segments since the last [`Self::reset_window`].
@@ -81,7 +91,7 @@ impl ProfileTool {
     /// Total virtual running time of `vm` in the current window
     /// (`CPU_measure` in the paper).
     pub fn vm_cpu_time_us(&self, vm: VmId) -> u64 {
-        self.vm_cpu_time_us.get(&vm).copied().unwrap_or(0)
+        self.vm_cpu_time_us.get(vm.0 as usize).copied().unwrap_or(0)
     }
 
     /// Relative CPU usage of `vm`: virtual running time divided by the
@@ -101,10 +111,10 @@ impl ProfileTool {
     }
 
     /// Starts a new measurement window at `now`: clears segments and
-    /// per-VM counters.
+    /// per-VM counters (both keep their capacity).
     pub fn reset_window(&mut self, now: SimTime) {
         self.segments.clear();
-        self.vm_cpu_time_us.clear();
+        self.vm_cpu_time_us.fill(0);
         self.window_start = now;
     }
 

@@ -1,12 +1,16 @@
-//! The shared virtual-time event queue under both discrete-event engines.
+//! The reference virtual-time event queue: a `BinaryHeap` keyed
+//! `(key, seq)`.
 //!
-//! Two simulators in this workspace pop timestamped events off a heap:
-//! the per-server hypervisor simulator ([`crate::engine::ServerSim`],
-//! keyed by [`crate::time::SimTime`]) and the cloud-level protocol
-//! engine in `monatt-core` (keyed by a `u64` microsecond wall clock).
-//! They used to carry two structurally identical heaps with subtly
-//! different tie-break plumbing; this module is the one well-specified
-//! substrate both build on.
+//! Both discrete-event engines in this workspace started on this heap
+//! and both have since moved to a structure shaped for their own queue:
+//! the cloud-level protocol engine in `monatt-core` pops a sharded
+//! [`crate::wheel::TimerWheel`] (10⁵ pending timers, tombstone cancel),
+//! and the per-server hypervisor simulator ([`crate::engine::ServerSim`])
+//! re-arms a fixed table of timer slots (about twenty live timers,
+//! cancel = overwrite). The heap stays as what both are checked
+//! against: it is the differential oracle of the wheel's and the slot
+//! table's proptests, and the `hypervisor.queue.*` leaves of the
+//! benchmark keep timing it beside the wheel.
 //!
 //! ## Ordering contract
 //!
@@ -14,18 +18,19 @@
 //! within one instant, insertion order (`seq` is assigned at
 //! [`EventQueue::schedule`] time and never reused). Because `seq` is
 //! unique the order is total — replaying the same schedule pops the
-//! same events in the same order every time, which is what keeps both
-//! simulators deterministic without per-entity clocks.
+//! same events in the same order every time. The wheel and the slot
+//! table promise the same order, which is what let each engine change
+//! structure without perturbing a single event.
 //!
-//! ## Intentional divergence between the two engines
+//! ## Past scheduling
 //!
 //! The queue itself allows scheduling at any key, including one earlier
 //! than the last pop. What the engines do with that differs, on
 //! purpose:
 //!
 //! * `ServerSim::run_until` asserts monotonicity (`debug_assert!` that
-//!   no popped event predates `now`): the hypervisor only ever
-//!   schedules into the future, so a past event there is a bug.
+//!   no popped timer predates `now`): the hypervisor only ever arms
+//!   into the future, so a past timer there is a bug.
 //! * The cloud engine *permits* past scheduling — a remediation
 //!   response can advance the wall clock past instants scheduled
 //!   before it ran, and such events simply fire "now" (see

@@ -126,10 +126,6 @@ pub struct SchedVcpu {
     /// When the current compute batch started consuming CPU (valid while
     /// running with `pending_compute_us > 0`).
     pub compute_started: SimTime,
-    /// Monotonic counter bumped on every schedule-in/out; stale timer
-    /// events carry the generation they were scheduled under and are
-    /// dropped on mismatch.
-    pub generation: u64,
     /// Set while the vCPU is consuming the minimal quantum a `Yield`
     /// costs; when the quantum completes, the vCPU is requeued instead of
     /// asking its driver again. (Guarantees time progress even for a
@@ -163,7 +159,6 @@ impl SchedVcpu {
             boosted: false,
             pending_compute_us: 0,
             compute_started: SimTime::ZERO,
-            generation: 0,
             yield_pending: false,
             cpu_time_us: 0,
             state_before_pause: None,

@@ -62,8 +62,9 @@ pub struct Config {
     /// else in `det_crates` must derive randomness from a seeded DRBG.
     pub entropy_fns: Vec<String>,
     /// Files enrolled in the `alloc_freedom` rule: the zero-allocation
-    /// warm Msg1–Msg6 path. Functions here may not call allocating APIs
-    /// unless marked cold/setup.
+    /// warm Msg1–Msg6 path and the hypervisor simulator's event path.
+    /// Functions here may not call allocating APIs unless marked
+    /// cold/setup.
     pub warm_path_files: Vec<String>,
     /// Function names treated as cold/setup in warm-path files (besides
     /// any fn carrying a `#[cold]` attribute): constructors and
@@ -141,6 +142,7 @@ impl Default for Config {
             // is ever narrowed.
             panic_files: strings(&[
                 "crates/hypervisor/src/wheel.rs",
+                "crates/hypervisor/src/timers.rs",
                 "crates/core/src/controlplane.rs",
             ]),
             kernel_index_crates: strings(&["crypto"]),
@@ -154,6 +156,8 @@ impl Default for Config {
                 "crates/core/src/protocol/run.rs",
                 "crates/core/src/arena.rs",
                 "crates/hypervisor/src/wheel.rs",
+                "crates/hypervisor/src/engine.rs",
+                "crates/hypervisor/src/timers.rs",
             ]),
             alloc_cold_fns: strings(&["new", "default", "with_capacity", "fmt"]),
             taint_sink_fns: strings(&["serialize", "to_json", "to_string", "to_hex", "hex_string"]),

@@ -2,7 +2,8 @@
 //! allocation-free.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator and
-//! tallies every `alloc`/`realloc` call in this test binary. The test
+//! tallies every `alloc`/`realloc` call per thread (the harness runs
+//! the tests of this binary in parallel, one thread each). The test
 //! builds a one-server cloud, launches a VM, disables network
 //! transcript logging, and warms the session/arena/wheel buffers with a
 //! batch of direct attestations. After warm-up, every further
@@ -14,20 +15,27 @@
 //!
 //! This pins the perf claim structurally: it is impossible for a later
 //! change to quietly reintroduce per-round heap traffic without this
-//! test failing.
+//! test failing. `busy_server_steady_state_does_not_allocate` makes the
+//! same proof for the hypervisor simulator's event path.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 use cloudmonatt::core::{CloudBuilder, Flavor, Image, SecurityProperty, VmRequest, WorkloadSpec};
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 static TRACE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
 thread_local! {
+    static ALLOC_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     static IN_TRACE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+fn count_call() {
+    // `try_with`: the allocator is still called while a thread's locals
+    // are being torn down.
+    let _ = ALLOC_CALLS.try_with(|calls| calls.set(calls.get() + 1));
 }
 
 fn maybe_trace() {
@@ -45,7 +53,7 @@ fn maybe_trace() {
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         maybe_trace();
         System.alloc(layout)
     }
@@ -55,7 +63,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         maybe_trace();
         System.realloc(ptr, layout, new_size)
     }
@@ -64,8 +72,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Allocator calls made by the calling thread so far.
 fn alloc_count() -> u64 {
-    ALLOC_CALLS.load(Ordering::Relaxed)
+    ALLOC_CALLS.with(|calls| calls.get())
 }
 
 #[test]
@@ -168,6 +177,51 @@ fn warm_rounds_of_the_compiled_figure3_program_do_not_allocate() {
          warm rounds ({:.2} allocs/round); protocols-as-data must not cost heap \
          traffic on the warm path",
         delta as f64 / rounds as f64
+    );
+}
+
+#[test]
+fn busy_server_steady_state_does_not_allocate() {
+    // The simulator's half of the claim: a busy server replays its
+    // credit-scheduler dynamics — some 1 800 timer pops, as many driver
+    // calls, ~700 run segments and 33 accounting passes per virtual
+    // second — without touching the allocator. The guests are the eight kinds every
+    // `busy_window` server hosts, two vCPUs per pCPU.
+    use cloudmonatt::hypervisor::driver::{BusyLoop, WorkloadDriver};
+    use cloudmonatt::hypervisor::engine::ServerSim;
+    use cloudmonatt::hypervisor::scheduler::SchedParams;
+    use cloudmonatt::hypervisor::vm::VmConfig;
+    use cloudmonatt::workloads::{CloudService, SpecProgram};
+
+    let mut sim = ServerSim::new(4, SchedParams::default());
+    let mut guests: Vec<Box<dyn WorkloadDriver>> = vec![Box::new(BusyLoop::default())];
+    for (i, service) in CloudService::ALL.into_iter().enumerate() {
+        guests.push(Box::new(service.driver(i as u64 + 1)));
+    }
+    guests.push(Box::new(SpecProgram::Bzip2.driver()));
+    for (i, guest) in guests.into_iter().enumerate() {
+        sim.create_vm(VmConfig::new(&format!("vm-{i}"), vec![guest]));
+    }
+
+    // One warm window, twice as long as the measured one: run queues and
+    // the segment log reach a capacity the jittered second stays inside.
+    sim.run_for(2_000_000);
+    let now = sim.now();
+    sim.profile_mut().reset_window(now);
+
+    let before = alloc_count();
+    sim.run_for(1_000_000);
+    let delta = alloc_count() - before;
+
+    let segments = sim.profile().segments().len();
+    assert!(
+        segments > 500,
+        "only {segments} segments: the server was not busy"
+    );
+    assert_eq!(
+        delta, 0,
+        "a busy server allocated {delta} times in one virtual second \
+         ({segments} run segments); the event path must be allocation-free"
     );
 }
 
