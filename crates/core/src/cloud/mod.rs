@@ -232,9 +232,16 @@ impl Cloud {
 
     /// Per-hop protocol delivery counters (retries, drops seen,
     /// duplicates rejected, timeouts) and session gauges accumulated
-    /// since the last reset.
+    /// since the last reset. `max_queue_depth` is filled here, from
+    /// the engine's own high-water mark — the one place it is recorded.
+    /// Read straight after [`Cloud::reset_protocol_stats`] it therefore
+    /// equals the events pending at the reset (the sum of
+    /// [`Cloud::shard_queue_depths`]), not zero.
     pub fn protocol_stats(&self) -> ProtocolStats {
-        self.stats
+        ProtocolStats {
+            max_queue_depth: self.engine.max_depth() as u64,
+            ..self.stats
+        }
     }
 
     /// Zeroes the protocol counters (e.g. between experiment phases).
@@ -330,10 +337,10 @@ impl Cloud {
         }
     }
 
-    /// Schedules an event and maintains the queue-depth gauge. The
-    /// shard key routes the entry to one of the K wheels — session and
-    /// outage traffic by server, subscription firings by subscription
-    /// id — but never affects the pop order (see `crate::engine`).
+    /// Schedules an event. The shard key routes the entry to one of the
+    /// K wheels — session and outage traffic by server, subscription
+    /// firings by subscription id — but never affects the pop order
+    /// (see `crate::engine`).
     pub(crate) fn schedule_cloud_event(&mut self, due_us: u64, event: CloudEvent) {
         let shard_key = match &event {
             CloudEvent::Session { sid, .. } => self
@@ -350,10 +357,6 @@ impl Cloud {
             CloudEvent::Msg4Flush => 0,
         };
         self.engine.schedule(due_us, shard_key, event);
-        self.stats.max_queue_depth = self
-            .stats
-            .max_queue_depth
-            .max(self.engine.max_depth() as u64);
     }
 
     /// Per-shard high-water marks of the event-queue depth. With K=1

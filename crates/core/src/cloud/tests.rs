@@ -433,6 +433,12 @@ fn reset_protocol_stats_restarts_the_queue_depth_gauges() {
 
     c.reset_protocol_stats();
     assert!(c.shard_queue_depths().iter().all(|&d| d == 0));
+    // Read straight after a reset, the merged gauge is the events
+    // pending now — what the shard breakdown says (nothing, here).
+    assert_eq!(
+        c.protocol_stats().max_queue_depth as usize,
+        c.shard_queue_depths().iter().sum::<usize>()
+    );
     c.runtime_attest_current(vids[0], prop).unwrap();
     let merged = c.protocol_stats().max_queue_depth as usize;
     assert_eq!(
@@ -979,6 +985,21 @@ fn multi_attest_fans_out_and_combines() {
     assert_eq!(after.sessions_completed - before.sessions_completed, 3);
     // Parent: 1, 2, 5, 6; each child: 3, 4.
     assert_eq!(after.messages_sent - before.messages_sent, 8);
+    // The cost is linear in the fan-out: K = 4 is 1 + 4 sessions and
+    // 4 + 2·4 messages, and (more hops) slower than flat Figure 3.
+    let four = [
+        SecurityProperty::RuntimeIntegrity,
+        SecurityProperty::StartupIntegrity,
+        SecurityProperty::CovertChannelFreedom,
+        SecurityProperty::SchedulerFairness,
+    ];
+    let wide = c.multi_attest(vid, &four).unwrap();
+    let wider = c.protocol_stats();
+    assert_eq!(wider.sessions_started - after.sessions_started, 5);
+    assert_eq!(wider.sessions_completed - after.sessions_completed, 5);
+    assert_eq!(wider.messages_sent - after.messages_sent, 12);
+    let flat = c.runtime_attest_current(vid, four[0]).unwrap();
+    assert!(wide.elapsed_us > flat.elapsed_us);
     // A violated property poisons the combined report, naming the
     // branch that found it.
     c.infect_vm(vid, "cryptominer").unwrap();

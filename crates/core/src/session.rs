@@ -638,7 +638,7 @@ impl Cloud {
             send.seal_into(b"", &session.wire, &mut session.sealed);
         }
         stats.messages_sent += 1;
-        let delivery = network.send_at_into(
+        let delivery = network.transmit_into(
             recv.peer(),
             send.peer(),
             &session.sealed,
@@ -739,7 +739,6 @@ impl Cloud {
                 }
             },
         }
-        stats.max_queue_depth = stats.max_queue_depth.max(engine.max_depth() as u64);
         Ok(())
     }
 

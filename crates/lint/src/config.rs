@@ -146,7 +146,7 @@ impl Default for Config {
                 "crates/core/src/controlplane.rs",
             ]),
             kernel_index_crates: strings(&["crypto"]),
-            skip_crates: strings(&["rand-shim", "proptest-shim", "criterion-shim", "lint"]),
+            skip_crates: strings(&["rand-shim", "proptest-shim", "lint"]),
             det_crates: strings(&["core", "net", "hypervisor", "crypto", "tpm"]),
             entropy_fns: strings(&["from_entropy"]),
             warm_path_files: strings(&[

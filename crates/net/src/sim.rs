@@ -95,24 +95,8 @@ pub struct Delivery {
     pub duplicated: bool,
 }
 
-/// The outcome of one transmission, resolved against an absolute
-/// virtual-time axis (see [`SimNetwork::send_at`]).
-#[derive(Clone, Debug)]
-pub struct ScheduledDelivery {
-    /// Delivered bytes, or `None` if the attacker or a fault dropped
-    /// the message.
-    pub payload: Option<Vec<u8>>,
-    /// Absolute virtual time at which the record reaches the receiver.
-    /// Meaningful only when `payload` is `Some`.
-    pub deliver_at_us: u64,
-    /// Simulated transmission latency (including fault-injected delay).
-    pub latency_us: u64,
-    /// The network delivered a second, identical copy of the payload.
-    pub duplicated: bool,
-}
-
-/// Outcome of a buffer-reusing transmit ([`SimNetwork::transmit_into`],
-/// [`SimNetwork::send_at_into`]): the delivered bytes live in the
+/// Outcome of the buffer-reusing transmit
+/// ([`SimNetwork::transmit_into`]): the delivered bytes live in the
 /// caller's buffer, so the outcome itself is `Copy` and allocation-free.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TransmitOutcome {
@@ -120,8 +104,7 @@ pub struct TransmitOutcome {
     /// caller's output buffer is left empty.
     pub delivered: bool,
     /// Absolute virtual time at which the record reaches the receiver
-    /// (`now_us + latency_us`; for [`SimNetwork::transmit_into`] the
-    /// caller's `now_us` is taken as 0).
+    /// (`now_us + latency_us`).
     pub deliver_at_us: u64,
     /// Simulated transmission latency (including fault-injected delay).
     pub latency_us: u64,
@@ -365,11 +348,15 @@ impl SimNetwork {
         }
     }
 
-    /// [`SimNetwork::transmit`] with the delivered bytes written into
-    /// `out` (cleared first; left empty when the message is lost). This
-    /// is the one implementation of the transmit pipeline — the
-    /// allocating forms delegate here, so adversary order, fault RNG
-    /// draws and latency charging cannot diverge between them. With
+    /// Transmits `payload` at virtual time `now_us` with the delivered
+    /// bytes written into `out` (cleared first; left empty when the
+    /// message is lost). This is the one implementation of the transmit
+    /// pipeline — [`SimNetwork::transmit`] delegates here with
+    /// `now_us = 0`, so adversary order, fault RNG draws and latency
+    /// charging cannot diverge between them. The simulator knows a
+    /// message's fate the moment it is sent, so a discrete-event caller
+    /// schedules exactly one follow-up from the outcome: the arrival at
+    /// `deliver_at_us`, or the sender's loss-detection timeout. With
     /// logging off and no adversary in play this path allocates nothing
     /// beyond what `out` already holds.
     pub fn transmit_into(
@@ -390,13 +377,7 @@ impl SimNetwork {
             self.blackholed += 1;
             let latency_us = self.latency.latency_for(payload.len());
             if self.logging {
-                self.log.push(TransmitRecord {
-                    from: from.to_owned(),
-                    to: to.to_owned(),
-                    sent: payload.to_vec(),
-                    delivered: None,
-                    latency_us,
-                });
+                self.record(from, to, payload, None, latency_us);
             }
             return TransmitOutcome {
                 delivered: false,
@@ -429,13 +410,13 @@ impl SimNetwork {
         // delivered.
         let latency_us = self.latency.latency_for(payload.len()) + extra_delay_us;
         if self.logging {
-            self.log.push(TransmitRecord {
-                from: from.to_owned(),
-                to: to.to_owned(),
-                sent: payload.to_vec(),
-                delivered: delivered.then(|| out.clone()),
+            self.record(
+                from,
+                to,
+                payload,
+                delivered.then_some(out.as_slice()),
                 latency_us,
-            });
+            );
         }
         if !delivered {
             out.clear();
@@ -448,46 +429,24 @@ impl SimNetwork {
         }
     }
 
-    /// Transmits `payload` at virtual time `now_us`, returning the
-    /// delivery resolved into an absolute arrival instant for an event
-    /// queue to schedule. The simulator knows a message's fate the
-    /// moment it is sent (there is no concurrent receiver), so
-    /// discrete-event callers learn everything here and schedule exactly
-    /// one follow-up: the arrival of a delivered record, or — for a
-    /// lost or rejected one — the sender's loss-detection timeout.
-    ///
-    /// Adversary, fault model, serialization charging and the
-    /// transmission log are all identical to [`SimNetwork::transmit`].
-    pub fn send_at(
+    /// Appends one entry to the transmission log — the only
+    /// allocations of a transmit, kept off the logging-off warm path.
+    #[cold]
+    fn record(
         &mut self,
         from: &str,
         to: &str,
-        payload: &[u8],
-        now_us: u64,
-    ) -> ScheduledDelivery {
-        let mut out = Vec::new();
-        let outcome = self.transmit_into(from, to, payload, now_us, &mut out);
-        ScheduledDelivery {
-            deliver_at_us: outcome.deliver_at_us,
-            payload: outcome.delivered.then_some(out),
-            latency_us: outcome.latency_us,
-            duplicated: outcome.duplicated,
-        }
-    }
-
-    /// [`SimNetwork::send_at`] with the delivered bytes written into
-    /// `out` (cleared first; left empty when the message is lost) — the
-    /// steady-state form for discrete-event callers that own a receive
-    /// buffer.
-    pub fn send_at_into(
-        &mut self,
-        from: &str,
-        to: &str,
-        payload: &[u8],
-        now_us: u64,
-        out: &mut Vec<u8>,
-    ) -> TransmitOutcome {
-        self.transmit_into(from, to, payload, now_us, out)
+        sent: &[u8],
+        delivered: Option<&[u8]>,
+        latency_us: u64,
+    ) {
+        self.log.push(TransmitRecord {
+            from: from.to_owned(),
+            to: to.to_owned(),
+            sent: sent.to_vec(),
+            delivered: delivered.map(<[u8]>::to_vec),
+            latency_us,
+        });
     }
 
     /// The full transmission log.

@@ -184,6 +184,36 @@ fn fail_fast_policy_restores_old_behaviour() {
 }
 
 #[test]
+fn clean_network_is_identical_across_retry_policies() {
+    // With no loss the retransmit layer must add nothing: the default
+    // and the fail-fast policy give the same reports and zero retries.
+    let run = |retry: RetryPolicy| {
+        let mut cloud = CloudBuilder::new()
+            .servers(3)
+            .seed(508)
+            .retry(retry)
+            .build();
+        let vid = cloud
+            .request_vm(
+                VmRequest::new(Flavor::Small, Image::Cirros)
+                    .require(SecurityProperty::RuntimeIntegrity),
+            )
+            .unwrap();
+        let reports: Vec<_> = (0..5)
+            .map(|_| {
+                cloud
+                    .runtime_attest_current(vid, SecurityProperty::RuntimeIntegrity)
+                    .unwrap()
+            })
+            .collect();
+        (reports, cloud.protocol_stats())
+    };
+    let (retrying, stats) = run(RetryPolicy::default());
+    assert_eq!((retrying, stats), run(RetryPolicy::disabled()));
+    assert_eq!(stats.retries, 0);
+}
+
+#[test]
 fn unreachable_response_policy_is_migration() {
     use cloudmonatt::core::CloudController;
     use cloudmonatt::crypto::drbg::Drbg;
