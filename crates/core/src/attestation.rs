@@ -21,23 +21,37 @@ use monatt_net::wire::EncodeScratch;
 /// their error strings aligned check for check.
 #[cold]
 fn vid_mismatch(expected: Vid, got: Vid) -> CloudError {
-    CloudError::ProtocolFailure {
-        reason: format!("vid mismatch: expected {expected}, got {got}"),
+    CloudError::protocol(format!("vid mismatch: expected {expected}, got {got}"))
+}
+
+/// The vid / spec / nonce-N3 echo checks every msg-4 validation opens
+/// with — one function, so the serial and batch paths cannot drift.
+fn check_echoes(
+    response: &MeasureResponse,
+    expected_vid: Vid,
+    expected_spec: MeasurementSpec,
+    expected_nonce3: [u8; 32],
+) -> Result<(), CloudError> {
+    if response.vid != expected_vid {
+        return Err(vid_mismatch(expected_vid, response.vid));
     }
+    if response.spec != expected_spec {
+        return Err(CloudError::protocol("measurement spec mismatch"));
+    }
+    if response.nonce3 != expected_nonce3 {
+        return Err(CloudError::protocol("nonce N3 mismatch (possible replay)"));
+    }
+    Ok(())
 }
 
 #[cold]
 fn certification_failure(e: impl std::fmt::Display) -> CloudError {
-    CloudError::ProtocolFailure {
-        reason: format!("attestation key certification failed: {e}"),
-    }
+    CloudError::protocol(format!("attestation key certification failed: {e}"))
 }
 
 #[cold]
 fn quote_failure(which: &str, e: impl std::fmt::Display) -> CloudError {
-    CloudError::ProtocolFailure {
-        reason: format!("quote {which} verification failed: {e}"),
-    }
+    CloudError::protocol(format!("quote {which} verification failed: {e}"))
 }
 use monatt_tpm::quote::{Quote, QuoteError};
 use std::collections::BTreeMap;
@@ -199,11 +213,6 @@ impl AttestationServer {
         (self.evidence_hits, self.evidence_misses)
     }
 
-    /// The reference database used by the interpretation module.
-    pub fn references(&self) -> &ReferenceDb {
-        &self.references
-    }
-
     /// Builds the measurement request for a property (the P → rM mapping).
     pub fn build_measure_request(
         &self,
@@ -220,29 +229,8 @@ impl AttestationServer {
 
     /// Validates a cloud server's response: certifies the session key via
     /// the pCA, then checks the quote digest and signature and the nonce
-    /// and vid echoes.
-    ///
-    /// # Errors
-    ///
-    /// [`CloudError::ProtocolFailure`] naming the failed check.
-    pub fn validate_response(
-        &mut self,
-        response: &MeasureResponse,
-        expected_vid: Vid,
-        expected_spec: MeasurementSpec,
-        expected_nonce3: [u8; 32],
-    ) -> Result<(), CloudError> {
-        self.validate_response_with(
-            response,
-            expected_vid,
-            expected_spec,
-            expected_nonce3,
-            &mut EncodeScratch::new(),
-        )
-    }
-
-    /// [`Self::validate_response`] with a caller-provided encode scratch,
-    /// so the warm attestation path rebuilds the quote fields without
+    /// and vid echoes. The caller provides the encode scratch, so the
+    /// warm attestation path rebuilds the quote fields without
     /// allocating.
     ///
     /// # Errors
@@ -256,19 +244,7 @@ impl AttestationServer {
         expected_nonce3: [u8; 32],
         scratch: &mut EncodeScratch,
     ) -> Result<(), CloudError> {
-        if response.vid != expected_vid {
-            return Err(vid_mismatch(expected_vid, response.vid));
-        }
-        if response.spec != expected_spec {
-            return Err(CloudError::ProtocolFailure {
-                reason: "measurement spec mismatch".into(),
-            });
-        }
-        if response.nonce3 != expected_nonce3 {
-            return Err(CloudError::ProtocolFailure {
-                reason: "nonce N3 mismatch (possible replay)".into(),
-            });
-        }
+        check_echoes(response, expected_vid, expected_spec, expected_nonce3)?;
         let cert = self
             .pca
             .certify(&response.cert_request)
@@ -295,19 +271,12 @@ impl AttestationServer {
         scratch: &mut EncodeScratch,
     ) -> Result<bool, CloudError> {
         let response = item.response;
-        if response.vid != item.expected_vid {
-            return Err(vid_mismatch(item.expected_vid, response.vid));
-        }
-        if response.spec != item.expected_spec {
-            return Err(CloudError::ProtocolFailure {
-                reason: "measurement spec mismatch".into(),
-            });
-        }
-        if response.nonce3 != item.expected_nonce3 {
-            return Err(CloudError::ProtocolFailure {
-                reason: "nonce N3 mismatch (possible replay)".into(),
-            });
-        }
+        check_echoes(
+            response,
+            item.expected_vid,
+            item.expected_spec,
+            item.expected_nonce3,
+        )?;
         if !self.pca.is_registered(&response.cert_request.identity_key) {
             return Err(certification_failure(PcaError::UnregisteredServer));
         }
@@ -480,25 +449,8 @@ impl AttestationServer {
         }
     }
 
-    /// Verifies a message-5 report (used by the controller).
-    ///
-    /// # Errors
-    ///
-    /// [`CloudError::ProtocolFailure`] if the quote or nonce fails.
-    pub fn verify_report_msg(
-        msg: &AttestationReportMsg,
-        attserver_key: &VerifyingKey,
-        expected_nonce2: [u8; 32],
-    ) -> Result<(), CloudError> {
-        Self::verify_report_msg_with(
-            msg,
-            attserver_key,
-            expected_nonce2,
-            &mut EncodeScratch::new(),
-        )
-    }
-
-    /// [`Self::verify_report_msg`] with a caller-provided encode scratch.
+    /// Verifies a message-5 report (used by the controller), rebuilding
+    /// the quoted fields in a caller-provided encode scratch.
     ///
     /// # Errors
     ///
@@ -510,9 +462,7 @@ impl AttestationServer {
         scratch: &mut EncodeScratch,
     ) -> Result<(), CloudError> {
         if msg.nonce2 != expected_nonce2 {
-            return Err(CloudError::ProtocolFailure {
-                reason: "nonce N2 mismatch (possible replay)".into(),
-            });
+            return Err(CloudError::protocol("nonce N2 mismatch (possible replay)"));
         }
         let vid_bytes = msg.vid.0.to_be_bytes();
         let server_bytes = msg.server.0.to_be_bytes();
@@ -571,7 +521,7 @@ mod tests {
         let resp: crate::messages::MeasureResponse =
             node.attest(req.vid, req.spec, req.nonce3).unwrap().into();
         attserver
-            .validate_response(&resp, Vid(1), req.spec, nonce3)
+            .validate_response_with(&resp, Vid(1), req.spec, nonce3, &mut EncodeScratch::new())
             .unwrap();
         let status =
             attserver.interpret_response(SecurityProperty::StartupIntegrity, &resp, Image::Cirros);
@@ -592,7 +542,7 @@ mod tests {
             image_hash: [0; 32],
         };
         let err = attserver
-            .validate_response(&resp, Vid(1), req.spec, nonce3)
+            .validate_response_with(&resp, Vid(1), req.spec, nonce3, &mut EncodeScratch::new())
             .unwrap_err();
         assert!(matches!(err, CloudError::ProtocolFailure { .. }));
     }
@@ -605,7 +555,13 @@ mod tests {
         let resp: crate::messages::MeasureResponse =
             node.attest(req.vid, req.spec, req.nonce3).unwrap().into();
         let err = attserver
-            .validate_response(&resp, Vid(1), req.spec, [4u8; 32])
+            .validate_response_with(
+                &resp,
+                Vid(1),
+                req.spec,
+                [4u8; 32],
+                &mut EncodeScratch::new(),
+            )
             .unwrap_err();
         let CloudError::ProtocolFailure { reason } = err else {
             panic!("wrong error");
@@ -638,7 +594,13 @@ mod tests {
             .unwrap()
             .into();
         let err = attserver
-            .validate_response(&resp, Vid(1), MeasurementSpec::BootIntegrity, [0u8; 32])
+            .validate_response_with(
+                &resp,
+                Vid(1),
+                MeasurementSpec::BootIntegrity,
+                [0u8; 32],
+                &mut EncodeScratch::new(),
+            )
             .unwrap_err();
         let CloudError::ProtocolFailure { reason } = err else {
             panic!("wrong error");
@@ -657,23 +619,24 @@ mod tests {
             HealthStatus::Healthy,
             [8u8; 32],
         );
-        AttestationServer::verify_report_msg(&msg, &attserver.identity_key(), [8u8; 32]).unwrap();
+        let verify = |msg: &AttestationReportMsg, nonce2: [u8; 32]| {
+            let scratch = &mut EncodeScratch::new();
+            AttestationServer::verify_report_msg_with(
+                msg,
+                &attserver.identity_key(),
+                nonce2,
+                scratch,
+            )
+        };
+        verify(&msg, [8u8; 32]).unwrap();
         // Tampering with the status breaks the quote.
         let mut forged = msg.clone();
         forged.status = HealthStatus::Compromised {
             reason: "flip".into(),
         };
-        assert!(AttestationServer::verify_report_msg(
-            &forged,
-            &attserver.identity_key(),
-            [8u8; 32]
-        )
-        .is_err());
+        assert!(verify(&forged, [8u8; 32]).is_err());
         // Wrong nonce is a replay.
-        assert!(
-            AttestationServer::verify_report_msg(&msg, &attserver.identity_key(), [9u8; 32])
-                .is_err()
-        );
+        assert!(verify(&msg, [9u8; 32]).is_err());
     }
     /// Builds `n` independent valid measurement responses from the
     /// setup node (fresh nonce per item, fresh AVK per attest).
@@ -723,7 +686,8 @@ mod tests {
         let mut scratch = EncodeScratch::new();
         let batch = attserver.validate_response_batch(&items, &mut scratch);
         for (i, (resp, spec, nonce3)) in fixture.iter().enumerate() {
-            let serial = attserver.validate_response(resp, Vid(1), *spec, *nonce3);
+            let serial =
+                attserver.validate_response_with(resp, Vid(1), *spec, *nonce3, &mut scratch);
             match (&batch[i], &serial) {
                 (Ok(()), Ok(())) => assert_ne!(i, 2, "forged item must fail"),
                 (Err(b), Err(s)) => {
@@ -750,7 +714,7 @@ mod tests {
         let mut scratch = EncodeScratch::new();
         assert!(attserver.validate_response_batch(&items, &mut scratch)[0].is_ok());
         attserver
-            .validate_response(resp, Vid(1), *spec, *nonce3)
+            .validate_response_with(resp, Vid(1), *spec, *nonce3, &mut scratch)
             .unwrap();
         // And a cheap-check failure (wrong nonce echo) short-circuits
         // before any Schnorr work, with the serial error string.

@@ -3,16 +3,17 @@
 //! (Section 7.1.1's Scheduling → Networking → Block-device-mapping →
 //! Spawning → Attestation stages).
 
-use super::Cloud;
+use super::{Appraisers, Cloud, Events, Fleet};
 use crate::attestation::AttestationServer;
 use crate::controller::{CloudController, ServerInfo, VmLifecycle, VmRecord};
 use crate::controlplane::ControlPlaneTopology;
-use crate::engine::ShardedEngine;
 use crate::error::CloudError;
 use crate::interpret::ReferenceDb;
 use crate::latency::{LatencyParams, RetryPolicy};
 use crate::links::{LinkKey, Links};
+use crate::outage::{AdmissionControl, Outages};
 use crate::server::CloudServerNode;
+use crate::session::{SessionOrigin, SessionOutcome};
 use crate::types::{
     Flavor, HealthStatus, Image, NodeId, ProtocolStats, SecurityProperty, ServerId, Vid,
 };
@@ -64,12 +65,9 @@ impl WorkloadSpec {
     ) -> (Vec<Box<dyn WorkloadDriver>>, WorkloadHandles) {
         let mut drivers: Vec<Box<dyn WorkloadDriver>> = Vec::with_capacity(vcpus);
         let mut handles = WorkloadHandles::default();
+        // The spec's own drivers first; every remaining vCPU idles.
         match self {
-            WorkloadSpec::Idle => {
-                for _ in 0..vcpus {
-                    drivers.push(Box::new(IdleDriver));
-                }
-            }
+            WorkloadSpec::Idle => {}
             WorkloadSpec::Busy => {
                 for _ in 0..vcpus {
                     drivers.push(Box::new(BusyLoop::default()));
@@ -79,34 +77,18 @@ impl WorkloadSpec {
                 let driver = svc.driver(seed);
                 handles.service = Some(driver.stats());
                 drivers.push(Box::new(driver));
-                for _ in 1..vcpus {
-                    drivers.push(Box::new(IdleDriver));
-                }
             }
             WorkloadSpec::Program(prog) => {
                 let driver = prog.driver();
                 handles.program = Some(driver.stats());
                 drivers.push(Box::new(driver));
-                for _ in 1..vcpus {
-                    drivers.push(Box::new(IdleDriver));
-                }
             }
-            WorkloadSpec::CovertSender => {
-                drivers.push(Box::new(CovertSender::new(b"\xA5")));
-                for _ in 1..vcpus {
-                    drivers.push(Box::new(IdleDriver));
-                }
-            }
-            WorkloadSpec::BoostAttack => {
-                if vcpus >= 2 {
-                    drivers.extend(boost_attack_drivers());
-                    for _ in 2..vcpus {
-                        drivers.push(Box::new(IdleDriver));
-                    }
-                } else {
-                    drivers.push(Box::new(BoostAttackVcpu::new(0)));
-                }
-            }
+            WorkloadSpec::CovertSender => drivers.push(Box::new(CovertSender::new(b"\xA5"))),
+            WorkloadSpec::BoostAttack if vcpus >= 2 => drivers.extend(boost_attack_drivers()),
+            WorkloadSpec::BoostAttack => drivers.push(Box::new(BoostAttackVcpu::new(0))),
+        }
+        for _ in drivers.len()..vcpus {
+            drivers.push(Box::new(IdleDriver));
         }
         (drivers, handles)
     }
@@ -450,9 +432,7 @@ impl CloudBuilder {
                 &components,
                 &all_properties,
             );
-            if self.reuse_avk {
-                node.set_avk_reuse(true);
-            }
+            node.set_avk_reuse(self.reuse_avk);
             controller.register_server(ServerInfo {
                 id,
                 free_vcpus: node.free_vcpus(),
@@ -518,58 +498,30 @@ impl CloudBuilder {
         }
         Ok(Cloud {
             rng,
-            controller,
-            attservers,
+            events: Events::new(self.shards, self.session_deadline_us),
+            fleet: Fleet::new(controller, servers, self.seed, self.auto_response),
+            appraisers: Appraisers::new(
+                attservers,
+                self.admission
+                    .map(|(high, low)| AdmissionControl::new(high, low)),
+                self.as_batch.unwrap_or((0, 1)),
+                self.evidence_ttl_us,
+            ),
+            outage: Outages::default(),
             topology: ControlPlaneTopology::new(k, n),
-            servers,
             network: SimNetwork::default(),
             links,
             latency: self.latency,
             retry: self.retry,
-            escalation_threshold: self.escalation_threshold.max(1),
             stats: ProtocolStats::default(),
-            wall_clock_us: 0,
-            last_launch: None,
             subscriptions: BTreeMap::new(),
             next_subscription: 1,
-            auto_response: self.auto_response,
-            vm_meta: BTreeMap::new(),
-            seed: self.seed,
-            engine: ShardedEngine::new(self.shards),
-            sessions: crate::session::SessionArena::new(),
-            window_free_at: BTreeMap::new(),
-            run_horizon: None,
-            auto_response_failures: 0,
-            outages: None,
-            outage_stats: crate::outage::OutageStats::default(),
-            down: std::collections::BTreeSet::new(),
-            admission: self
-                .admission
-                .map(|(high, low)| crate::outage::AdmissionControl::new(high, low)),
-            session_deadline_us: self.session_deadline_us,
-            record_scratch: Vec::new(),
-            inbox_scratch: Vec::new(),
-            quote_scratch: monatt_net::wire::EncodeScratch::new(),
-            as_batch_window_us: self.as_batch.map_or(0, |(w, _)| w),
-            as_batch_max: self.as_batch.map_or(1, |(_, m)| m.max(1)),
-            pending_msg4: Vec::new(),
-            batch_meta: Vec::new(),
-            evidence_ttl_us: self.evidence_ttl_us,
+            escalation_threshold: self.escalation_threshold.max(1),
             programs: crate::protocol::ProgramRegistry::standard().map_err(|e| {
-                CloudError::ProtocolFailure {
-                    reason: format!("standard protocols did not compile: {e}"),
-                }
+                CloudError::protocol(format!("standard protocols did not compile: {e}"))
             })?,
         })
     }
-}
-
-#[derive(Clone, Debug)]
-pub(crate) struct VmMeta {
-    pub(crate) workload: WorkloadSpec,
-    pub(crate) tampered: bool,
-    pub(crate) pin_pcpu: Option<usize>,
-    pub(crate) handles: WorkloadHandles,
 }
 
 impl Cloud {
@@ -583,20 +535,21 @@ impl Cloud {
     /// [`CloudError::NoQualifiedServer`] or
     /// [`CloudError::LaunchRejected`].
     pub fn request_vm(&mut self, request: VmRequest) -> Result<Vid, CloudError> {
-        let vid = self.controller.allocate_vid();
+        let vid = self.fleet.controller.allocate_vid();
         let wants_attestation = !request.properties.is_empty();
         let mut timing = LaunchTiming::default();
         // Crashed servers are never placement candidates; servers that
         // fail platform attestation join the exclusion set per attempt.
-        let mut excluded = self.down_servers();
+        let mut excluded = self.outage.down_servers();
+        let servers = self.server_count();
         // Try servers until one passes platform attestation.
-        for _attempt in 0..self.servers.len().max(1) {
+        for _attempt in 0..servers.max(1) {
             // Scheduling.
             let server_id = match request.on_server {
                 Some(forced) if !excluded.contains(&forced) => forced,
-                Some(forced) if self.down.contains(&crate::types::NodeId::Server(forced)) => {
+                Some(forced) if self.node_is_down(NodeId::Server(forced)) => {
                     return Err(CloudError::NodeDown {
-                        node: crate::types::NodeId::Server(forced),
+                        node: NodeId::Server(forced),
                     })
                 }
                 Some(_) => {
@@ -604,106 +557,87 @@ impl Cloud {
                         reason: "forced server failed platform attestation".into(),
                     })
                 }
-                None => self.controller.select_server_excluding(
+                None => self.fleet.controller.select_server_excluding(
                     request.flavor,
                     &request.properties,
                     &excluded,
                 )?,
             };
-            timing.scheduling_us += self
-                .latency
-                .scheduling_us(self.servers.len(), wants_attestation);
+            timing.scheduling_us += self.latency.scheduling_us(servers, wants_attestation);
             // Networking, block device mapping, spawning.
             timing.networking_us += self.latency.networking_us();
             timing.block_device_us += self.latency.block_device_us(request.image);
             timing.spawning_us += self.latency.spawning_us(request.image, request.flavor);
-            let mut image_bytes = request.image.pristine_bytes();
-            if request.tampered_image {
-                image_bytes[0] ^= 0xff;
-            }
-            let (drivers, handles) = request
-                .workload
-                .drivers(request.flavor.vcpus(), self.seed ^ vid.0);
-            let node = self
-                .touch_server(server_id)
-                .ok_or(CloudError::UnknownServer(server_id))?;
-            node.launch_vm_pinned(
-                vid,
-                request.image,
-                image_bytes,
-                drivers,
-                256,
-                request.pin_pcpu,
-            );
-            // Attestation stage (messages 2-5, as an event-driven
-            // session pumped to completion).
-            if wants_attestation {
-                let sid = self.begin_internal_session(
-                    vid,
-                    server_id,
-                    SecurityProperty::StartupIntegrity,
-                    request.image,
-                )?;
-                let outcome = self.pump_session(sid)?;
-                timing.attestation_us += outcome.elapsed_us;
-                match outcome.status {
-                    HealthStatus::Healthy => {}
-                    HealthStatus::Compromised { reason } if reason.contains("platform") => {
-                        // Try another server for this VM.
-                        if let Some(node) = self.touch_server(server_id) {
-                            node.remove_vm(vid);
-                        }
-                        excluded.insert(server_id);
-                        continue;
-                    }
-                    HealthStatus::Compromised { reason } => {
-                        if let Some(node) = self.touch_server(server_id) {
-                            node.remove_vm(vid);
-                        }
-                        self.last_launch = Some(timing);
-                        return Err(CloudError::LaunchRejected { reason });
-                    }
-                    HealthStatus::Unreachable { .. } => {
-                        // Delivery failures surface as Err(Unreachable)
-                        // from the session, so a report never carries
-                        // this status here; reject defensively — the
-                        // launch policy requires a verdict.
-                        if let Some(node) = self.touch_server(server_id) {
-                            node.remove_vm(vid);
-                        }
-                        self.last_launch = Some(timing);
-                        return Err(CloudError::LaunchRejected {
-                            reason: "no attestation verdict: server unreachable".into(),
-                        });
-                    }
-                }
-            }
-            self.controller.record_deployment(VmRecord {
+            self.fleet.controller.record_deployment(VmRecord {
                 vid,
                 flavor: request.flavor,
                 image: request.image,
                 properties: request.properties.clone(),
                 server: server_id,
                 state: VmLifecycle::Active,
+                workload: request.workload,
+                tampered: request.tampered_image,
+                pin_pcpu: request.pin_pcpu,
+                handles: WorkloadHandles::default(),
             });
-            self.vm_meta.insert(
-                vid,
-                VmMeta {
-                    workload: request.workload,
-                    tampered: request.tampered_image,
-                    pin_pcpu: request.pin_pcpu,
-                    handles,
-                },
-            );
-            // The attestation stage already advanced time inside the
-            // session; advance the management stages now.
-            self.advance(timing.total_us().saturating_sub(timing.attestation_us));
-            self.last_launch = Some(timing);
-            return Ok(vid);
+            let placed = self.fleet.place(vid, server_id, self.events.now());
+            // A forced server that does not exist leaves no row behind.
+            placed.inspect_err(|_| self.fleet.controller.forget_vm(vid))?;
+            // Attestation stage: a controller-internal startup-integrity
+            // session (messages 2-5) against the just-placed VM, pumped
+            // to completion.
+            let verdict = if wants_attestation {
+                self.launch_attestation(vid).map(|outcome| {
+                    timing.attestation_us += outcome.elapsed_us;
+                    outcome.status
+                })
+            } else {
+                Ok(HealthStatus::Healthy)
+            };
+            let rejection = match verdict {
+                Ok(HealthStatus::Healthy) => {
+                    // The attestation stage already advanced time inside
+                    // the session; advance the management stages now.
+                    self.advance(timing.total_us().saturating_sub(timing.attestation_us));
+                    self.fleet.last_launch = Some(timing);
+                    return Ok(vid);
+                }
+                Ok(HealthStatus::Compromised { reason }) => Ok(reason),
+                // Delivery failures surface as Err(Unreachable) from
+                // the session, so a report never carries this status
+                // here; reject defensively — the launch policy requires
+                // a verdict.
+                Ok(HealthStatus::Unreachable { .. }) => {
+                    Ok("no attestation verdict: server unreachable".into())
+                }
+                Err(e) => Err(e),
+            };
+            // Anything but a healthy verdict takes the VM off the server
+            // again and drops its row.
+            self.fleet.unplace(vid, self.events.now());
+            self.fleet.controller.forget_vm(vid);
+            match rejection? {
+                // Try another server for this VM.
+                reason if reason.contains("platform") => excluded.insert(server_id),
+                reason => {
+                    self.fleet.last_launch = Some(timing);
+                    return Err(CloudError::LaunchRejected { reason });
+                }
+            };
         }
-        self.last_launch = Some(timing);
+        self.fleet.last_launch = Some(timing);
         Err(CloudError::NoQualifiedServer {
             requested: request.properties,
         })
+    }
+
+    /// The launch pipeline's Attestation stage, as an ordinary session.
+    fn launch_attestation(&mut self, vid: Vid) -> SessionOutcome {
+        let (property, program) = (
+            SecurityProperty::StartupIntegrity,
+            self.programs.fig3_internal,
+        );
+        let sid = self.begin_session(vid, None, property, program, SessionOrigin::Api)?;
+        self.pump_session(sid)
     }
 }

@@ -4,26 +4,38 @@
 //! launch pipeline (Section 7.1.1), periodic attestation (Section 3.2.1)
 //! and remediation responses (Section 5).
 //!
-//! The facade is split by concern:
+//! [`Cloud`] is an interpreter over a few owned planes, each the single
+//! owner of an operation (DESIGN.md §10):
 //!
-//! * `mod.rs` — the [`Cloud`] state, its accessors, the virtual clock
-//!   and the event dispatcher, plus the synchronous Table-1 attestation
-//!   wrappers that pump the event loop to completion.
-//! * [`build`] — [`CloudBuilder`], [`VmRequest`] and the launch
+//! * `events` — clock, event queue, session arena: one `schedule`, one
+//!   `pop`, and `Cloud::pump`, the one pop→dispatch loop.
+//! * `fleet` — servers, the per-VM row, capacity: one `place`/`unplace`
+//!   pair, one lifecycle `set_state`, one `live` gate.
+//! * `appraisers` — the Attestation-Server replicas behind their
+//!   admission gate, msg-4 coalescing buffer and evidence window.
+//! * [`crate::outage`]'s `Outages` — schedule, down-set, counters.
+//! * `crate::links` — every secure channel and its re-key state.
+//!
+//! The files of this module are the facade over them:
+//!
+//! * `mod.rs` — the [`Cloud`] state, its accessors, the event
+//!   dispatcher and crash/recovery handler (the one place that touches
+//!   every plane), plus the synchronous Table-1 attestation wrappers.
+//! * `build` — [`CloudBuilder`], [`VmRequest`] and the launch
 //!   pipeline.
-//! * [`subscriptions`] — periodic attestation ([`Frequency`],
-//!   [`SubscriptionHealth`]) and [`Cloud::run`]'s event loop.
-//! * [`response`] — the Response Module's remediation actions.
+//! * `subscriptions` — periodic attestation ([`Frequency`],
+//!   [`SubscriptionHealth`]) and [`Cloud::run`].
+//! * `response` — the Response Module's remediation actions.
 //!
-//! The protocol state machines themselves live in [`crate::session`],
-//! driven by the [`crate::engine`] event queue; this module only owns
-//! the shared state they operate on. Cloud nodes are named by
-//! [`NodeId`] throughout — controller instance `i`, Attestation-Server
-//! replica `r` (an element of `Cloud::attservers`), or a server — and
-//! the secure links between them, with their identities and re-key
-//! state, are owned by [`crate::links`].
+//! The protocol state machines themselves live in `crate::session` and
+//! [`crate::protocol`]; this module only owns the state they operate
+//! on. Cloud nodes are named by [`NodeId`] throughout — controller
+//! instance `i`, Attestation-Server replica `r`, or a server.
 
+mod appraisers;
 mod build;
+mod events;
+mod fleet;
 mod response;
 mod subscriptions;
 #[cfg(test)]
@@ -34,23 +46,22 @@ pub use response::ResponseTiming;
 pub use subscriptions::{Frequency, SubscriptionHealth};
 
 use crate::attestation::AttestationServer;
-use crate::controller::{CloudController, ResponseAction, VmLifecycle};
+use crate::controller::{ResponseAction, VmLifecycle};
 use crate::controlplane::{ControlPlaneStats, ControlPlaneTopology};
-use crate::engine::ShardedEngine;
 use crate::error::CloudError;
 use crate::latency::{LatencyParams, RetryPolicy};
 use crate::links::Links;
-use crate::outage::{AdmissionControl, OutageModel, OutageStats};
+use crate::outage::{OutageModel, OutageStats, Outages};
 use crate::protocol::{CompileError, ProgramId, ProgramRegistry, Protocol};
 use crate::server::CloudServerNode;
-use crate::session::{
-    CloudEvent, Msg4Meta, PendingMsg4, SessionArena, SessionEvent, SessionId, SessionOrigin,
-};
+use crate::session::{CloudEvent, SessionId, SessionOrigin};
 use crate::types::{HealthStatus, NodeId, ProtocolStats, SecurityProperty, ServerId, Vid};
-use build::VmMeta;
+use appraisers::Appraisers;
+use events::Events;
+use fleet::Fleet;
 use monatt_crypto::drbg::Drbg;
 use monatt_net::sim::SimNetwork;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use subscriptions::Subscription;
 
 /// The customer-facing attestation result.
@@ -77,94 +88,33 @@ impl AttestationReport {
 
 /// Maps a protocol-compile error into the cloud's error type.
 fn compile_failure(e: CompileError) -> CloudError {
-    CloudError::ProtocolFailure {
-        reason: format!("protocol did not compile: {e}"),
-    }
+    CloudError::protocol(format!("protocol did not compile: {e}"))
 }
 
 /// The assembled CloudMonatt cloud.
 pub struct Cloud {
     pub(crate) rng: Drbg,
-    pub(crate) controller: CloudController,
-    /// The Attestation-Server replicas, indexed by replica. Each is a
-    /// fully independent appraiser: own signing identity, own privacy
-    /// CA, own evidence/AVK caches. One element in the dormant topology.
-    pub(crate) attservers: Vec<AttestationServer>,
+    /// Clock, event queue, in-flight sessions.
+    pub(crate) events: Events,
+    /// Servers, the controller's VM rows and capacity, lifecycle.
+    pub(crate) fleet: Fleet,
+    /// The Attestation-Server replica pool and its front door.
+    pub(crate) appraisers: Appraisers,
+    /// The outage schedule, the nodes currently down, the counters.
+    pub(crate) outage: Outages,
     /// The replicated control-plane topology: shard ownership, replica
     /// health, and the per-session routing decisions.
     pub(crate) topology: ControlPlaneTopology,
-    pub(crate) servers: BTreeMap<ServerId, CloudServerNode>,
     pub(crate) network: SimNetwork,
     /// Every secure channel, the identities behind them and the lazy
     /// re-key state (see [`crate::links`]).
     pub(crate) links: Links,
     pub(crate) latency: LatencyParams,
     pub(crate) retry: RetryPolicy,
-    pub(crate) escalation_threshold: u32,
     pub(crate) stats: ProtocolStats,
-    pub(crate) wall_clock_us: u64,
-    pub(crate) last_launch: Option<LaunchTiming>,
     pub(crate) subscriptions: BTreeMap<u64, Subscription>,
     pub(crate) next_subscription: u64,
-    pub(crate) auto_response: bool,
-    pub(crate) vm_meta: BTreeMap<Vid, VmMeta>,
-    pub(crate) seed: u64,
-    /// The discrete-event queue every time-driven step goes through: a
-    /// K-sharded timer wheel whose merged pop order is independent of K
-    /// (see `crate::engine`).
-    pub(crate) engine: ShardedEngine<CloudEvent>,
-    /// In-flight attestation sessions: a slab arena whose slots retain
-    /// their buffers across sessions (see [`crate::arena`]).
-    pub(crate) sessions: SessionArena,
-    /// Per-server instant until which the measurement window is owned by
-    /// some session (windows are server-global; see `crate::session`).
-    pub(crate) window_free_at: BTreeMap<ServerId, u64>,
-    /// While [`Cloud::run`] drains the queue, the horizon past which no
-    /// new subscription firings are scheduled.
-    pub(crate) run_horizon: Option<u64>,
-    /// Automatic remediation responses that themselves failed (the error
-    /// used to be silently discarded).
-    pub(crate) auto_response_failures: u64,
-    /// The installed node-outage schedule, if any.
-    pub(crate) outages: Option<OutageModel>,
-    /// Node-failure activity counters.
-    pub(crate) outage_stats: OutageStats,
-    /// Nodes currently crashed.
-    pub(crate) down: BTreeSet<NodeId>,
-    /// The Attestation Server's admission gate, if configured.
-    pub(crate) admission: Option<AdmissionControl>,
-    /// End-to-end deadline budget applied to every new session, if any.
-    pub(crate) session_deadline_us: Option<u64>,
-    /// Reusable buffer for the record a transmit delivers (the wire
-    /// bytes between seal and open). One message is in flight per
-    /// transmit resolution, so a single cloud-wide buffer suffices.
-    pub(crate) record_scratch: Vec<u8>,
-    /// Reusable buffer ping-ponged with a session's `inbox` while the
-    /// delivered plaintext is dispatched (see `Cloud::step_arrival`).
-    pub(crate) inbox_scratch: Vec<u8>,
-    /// Reusable encode buffers for rebuilding quote fields (measurement
-    /// spec/measurement, property/status) during validation and
-    /// certification.
-    pub(crate) quote_scratch: monatt_net::wire::EncodeScratch,
-    /// Msg-4 coalescing window at the Attestation Server, microseconds.
-    /// 0 (the default) disables coalescing: message 4 validates inline
-    /// on arrival, the pre-batching path.
-    pub(crate) as_batch_window_us: u64,
-    /// Maximum responses per coalesced batch; reaching it flushes
-    /// immediately (inline, before the window timer).
-    pub(crate) as_batch_max: usize,
-    /// Measurement responses parked at the Attestation Server awaiting
-    /// the next batched validation pass.
-    pub(crate) pending_msg4: Vec<PendingMsg4>,
-    /// Reusable per-flush scratch for re-read session expectations;
-    /// cleared each batch, capacity retained so steady-state flushes do
-    /// not reallocate.
-    pub(crate) batch_meta: Vec<Option<Msg4Meta>>,
-    /// Evidence-cache validity window: `Some(ttl)` serves repeat
-    /// attestation requests for the same `(Vid, property)` from the AS
-    /// cache for `ttl` microseconds. `None` (the default) disables the
-    /// cache entirely.
-    pub(crate) evidence_ttl_us: Option<u64>,
+    pub(crate) escalation_threshold: u32,
     /// Compiled attestation-protocol programs: the standard Figure-3
     /// customer/internal exchanges, layered attestation, cached fan-out
     /// variants, and anything registered through
@@ -175,9 +125,9 @@ pub struct Cloud {
 impl std::fmt::Debug for Cloud {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cloud")
-            .field("servers", &self.servers.len())
-            .field("wall_clock_us", &self.wall_clock_us)
-            .field("sessions_in_flight", &self.sessions.len())
+            .field("servers", &self.server_count())
+            .field("wall_clock_us", &self.wall_clock_us())
+            .field("sessions_in_flight", &self.sessions_in_flight())
             .finish_non_exhaustive()
     }
 }
@@ -185,35 +135,35 @@ impl std::fmt::Debug for Cloud {
 impl Cloud {
     /// Current cloud wall-clock time in microseconds.
     pub fn wall_clock_us(&self) -> u64 {
-        self.wall_clock_us
+        self.events.now()
     }
 
     /// Number of cloud servers.
     pub fn server_count(&self) -> usize {
-        self.servers.len()
+        self.fleet.nodes().len()
     }
 
     /// The server currently hosting `vid`.
     pub fn server_of(&self, vid: Vid) -> Option<ServerId> {
-        self.controller.vm(vid).map(|r| r.server)
+        self.fleet.controller.vm(vid).map(|r| r.server)
     }
 
     /// Lifecycle state of `vid`.
     pub fn vm_state(&self, vid: Vid) -> Option<VmLifecycle> {
-        self.controller.vm(vid).map(|r| r.state)
+        self.fleet.controller.vm(vid).map(|r| r.state)
     }
 
     /// Read access to a server node (monitor tools, experiment checks).
     /// State is as of the node's last catch-up; call [`Cloud::advance`]
     /// or [`Cloud::sync_servers`] first for current values.
     pub fn server(&self, id: ServerId) -> Option<&CloudServerNode> {
-        self.servers.get(&id)
+        self.fleet.nodes().get(&id)
     }
 
     /// Mutable server access — used by attack injection in experiments.
     /// The node is caught up to the wall clock first.
     pub fn server_mut(&mut self, id: ServerId) -> Option<&mut CloudServerNode> {
-        self.touch_server(id)
+        self.fleet.touch(id, self.events.now())
     }
 
     /// The network, for installing Dolev-Yao adversaries and fault
@@ -239,7 +189,7 @@ impl Cloud {
     /// [`Cloud::shard_queue_depths`]), not zero.
     pub fn protocol_stats(&self) -> ProtocolStats {
         ProtocolStats {
-            max_queue_depth: self.engine.max_depth() as u64,
+            max_queue_depth: self.events.queue().max_depth() as u64,
             ..self.stats
         }
     }
@@ -250,7 +200,7 @@ impl Cloud {
     /// the lifetime peak.
     pub fn reset_protocol_stats(&mut self) {
         self.stats = ProtocolStats::default();
-        self.engine.reset_peaks();
+        self.events.reset_peaks();
     }
 
     /// The per-hop retransmission policy in force.
@@ -260,7 +210,7 @@ impl Cloud {
 
     /// Attestation sessions currently in flight.
     pub fn sessions_in_flight(&self) -> usize {
-        self.sessions.len()
+        self.events.sessions.len()
     }
 
     /// Automatic remediation responses that themselves failed. A failed
@@ -268,7 +218,7 @@ impl Cloud {
     /// [`SubscriptionHealth::failed_responses`]) instead of being
     /// silently discarded.
     pub fn auto_response_failures(&self) -> u64 {
-        self.auto_response_failures
+        self.fleet.auto_response_failures
     }
 
     /// Diagnostic: draws and returns one value from the cloud's DRBG.
@@ -283,7 +233,7 @@ impl Cloud {
 
     /// The stage breakdown of the most recent launch (Figure 9).
     pub fn last_launch_timing(&self) -> Option<LaunchTiming> {
-        self.last_launch
+        self.fleet.last_launch
     }
 
     /// Advances the wall clock by `duration_us` and catches every server
@@ -291,7 +241,7 @@ impl Cloud {
     /// which observed server state (workload progress, CPU time) is
     /// current.
     pub fn advance(&mut self, duration_us: u64) {
-        self.wall_clock_us += duration_us;
+        self.events.advance(duration_us);
         self.sync_servers();
     }
 
@@ -300,63 +250,27 @@ impl Cloud {
     /// fleet size); each node pays its elapsed time when next touched,
     /// or here in bulk.
     pub fn sync_servers(&mut self) {
-        let wall = self.wall_clock_us;
-        for node in self.servers.values_mut() {
-            node.catch_up(wall);
+        self.fleet.sync(self.events.now());
+    }
+
+    /// The one event loop: pops the next event (which moves the clock),
+    /// routes it to its handler, and repeats until the queue drains —
+    /// or, when `until` names a session, until that session has parked
+    /// its outcome. Outside [`Cloud::run`] the queue only ever holds
+    /// that session's events (and those of any fork children it
+    /// spawned).
+    pub(crate) fn pump(&mut self, until: Option<SessionId>) {
+        while !until.is_some_and(|sid| self.events.settled(sid)) {
+            let Some(event) = self.events.pop() else {
+                return;
+            };
+            match event {
+                CloudEvent::Session { sid, event } => self.step_session(sid, event),
+                CloudEvent::SubscriptionDue { id } => self.start_subscription_sample(id),
+                CloudEvent::Outage { node, down, chain } => self.apply_outage(node, down, chain),
+                CloudEvent::Msg4Flush => self.flush_msg4_batch(),
+            }
         }
-    }
-
-    /// Advances the clock to the absolute instant `due_us` (no-op if the
-    /// clock is already there or past — events scheduled "in the past"
-    /// fire at the current time). Only the wall clock moves; server
-    /// simulators catch up lazily at their next touch point, so
-    /// dispatching an event costs O(1) in fleet size.
-    pub(crate) fn advance_to(&mut self, due_us: u64) {
-        if due_us > self.wall_clock_us {
-            self.wall_clock_us = due_us;
-        }
-    }
-
-    /// The server node, caught up to the wall clock — the one mutable
-    /// access path for protocol and lifecycle code, so a lazily lagging
-    /// simulator is never observed or mutated at a stale instant.
-    pub(crate) fn touch_server(&mut self, id: ServerId) -> Option<&mut CloudServerNode> {
-        let wall = self.wall_clock_us;
-        let node = self.servers.get_mut(&id)?;
-        node.catch_up(wall);
-        Some(node)
-    }
-
-    /// Routes one popped event to its handler.
-    pub(crate) fn dispatch_event(&mut self, event: CloudEvent) {
-        match event {
-            CloudEvent::Session { sid, event } => self.step_session(sid, event),
-            CloudEvent::SubscriptionDue { id } => self.start_subscription_sample(id),
-            CloudEvent::Outage { node, down, chain } => self.apply_outage(node, down, chain),
-            CloudEvent::Msg4Flush => self.flush_msg4_batch(),
-        }
-    }
-
-    /// Schedules an event. The shard key routes the entry to one of the
-    /// K wheels — session and outage traffic by server, subscription
-    /// firings by subscription id — but never affects the pop order
-    /// (see `crate::engine`).
-    pub(crate) fn schedule_cloud_event(&mut self, due_us: u64, event: CloudEvent) {
-        let shard_key = match &event {
-            CloudEvent::Session { sid, .. } => self
-                .sessions
-                .get(*sid)
-                .map(|s| s.server.0 as u64)
-                .unwrap_or(0),
-            CloudEvent::SubscriptionDue { id } => *id,
-            CloudEvent::Outage { node, .. } => match node {
-                NodeId::Server(s) => s.0 as u64,
-                NodeId::Controller(_) | NodeId::AttestationServer(_) => 0,
-            },
-            // The coalescing buffer is Attestation-Server state.
-            CloudEvent::Msg4Flush => 0,
-        };
-        self.engine.schedule(due_us, shard_key, event);
     }
 
     /// Per-shard high-water marks of the event-queue depth. With K=1
@@ -364,31 +278,17 @@ impl Cloud {
     /// [`ProtocolStats::max_queue_depth`]; at K>1 the merged total stays
     /// in the stats and the breakdown lives here.
     pub fn shard_queue_depths(&self) -> &[usize] {
-        self.engine.shard_depths()
-    }
-
-    /// Schedules a session-step event.
-    pub(crate) fn schedule_session_event(
-        &mut self,
-        due_us: u64,
-        sid: SessionId,
-        event: SessionEvent,
-    ) {
-        self.schedule_cloud_event(due_us, CloudEvent::Session { sid, event });
-    }
-
-    pub(crate) fn fresh_nonce(&mut self) -> [u8; 32] {
-        self.rng.next_bytes32()
+        self.events.queue().shard_depths()
     }
 
     /// Executes an automatic remediation response, recording (instead of
-    /// discarding) a failure. Returns whether the response succeeded.
-    pub(crate) fn auto_respond(&mut self, vid: Vid, action: ResponseAction) -> bool {
-        match self.respond(vid, action) {
-            Ok(_) => true,
-            Err(_) => {
-                self.auto_response_failures += 1;
-                false
+    /// discarding) a failure — cloud-wide and, when a periodic sample
+    /// triggered it, on the owning subscription.
+    pub(crate) fn auto_respond(&mut self, vid: Vid, action: ResponseAction, sub: Option<u64>) {
+        if self.respond(vid, action).is_err() {
+            self.fleet.auto_response_failures += 1;
+            if let Some(s) = sub.and_then(|id| self.subscriptions.get_mut(&id)) {
+                s.health.failed_responses += 1;
             }
         }
     }
@@ -398,13 +298,13 @@ impl Cloud {
     /// Installs (or replaces) a node-outage schedule. Transitions fire
     /// as engine events during [`Cloud::run`].
     pub fn set_outage_model(&mut self, model: OutageModel) {
-        self.outages = Some(model);
+        self.outage.model = Some(model);
     }
 
     /// Removes the outage schedule (nodes currently down stay down
     /// until recovered via [`Cloud::recover_node`]).
     pub fn clear_outage_model(&mut self) {
-        self.outages = None;
+        self.outage.model = None;
     }
 
     /// Sets (or clears) the end-to-end deadline budget applied to every
@@ -412,28 +312,28 @@ impl Cloud {
     /// they were spawned with. `None` (the default) leaves sessions
     /// unbounded.
     pub fn set_session_deadline(&mut self, budget_us: Option<u64>) {
-        self.session_deadline_us = budget_us;
+        self.events.deadline_us = budget_us;
     }
 
     /// Node-failure activity counters.
     pub fn outage_stats(&self) -> OutageStats {
-        self.outage_stats
+        self.outage.stats
     }
 
     /// Whether `node` is currently crashed.
     pub fn node_is_down(&self, node: NodeId) -> bool {
-        self.down.contains(&node)
+        self.outage.down.contains(&node)
     }
 
     /// The nodes currently crashed.
     pub fn down_nodes(&self) -> Vec<NodeId> {
-        self.down.iter().copied().collect()
+        self.outage.down.iter().copied().collect()
     }
 
     /// Whether the Attestation Server's admission gate is currently
     /// refusing new sessions.
     pub fn is_shedding(&self) -> bool {
-        self.admission.is_some_and(|g| g.is_shedding())
+        self.appraisers.is_shedding()
     }
 
     /// Experiment hook: crashes `node` immediately (the event-driven
@@ -442,7 +342,44 @@ impl Cloud {
     /// touching it fail fast with [`CloudError::NodeDown`], and a cloud
     /// server's resident VMs are evacuated to live servers.
     pub fn crash_node(&mut self, node: NodeId) {
-        self.apply_crash(node);
+        if !self.outage.down.insert(node) {
+            return;
+        }
+        self.outage.stats.crashes += 1;
+        self.network.set_endpoint_down(&node.endpoint());
+        // A crashed controller instance hands its shards to the next
+        // live instance on the ring; a crashed AS replica drops out of
+        // selection. New sessions route around the hole — the in-flight
+        // ones pinned to it fail fast below and re-admit.
+        self.topology.on_crash(node);
+        // Fail in-flight sessions whose current hop depends on the
+        // node. Sessions already holding a verdict or a parked outcome
+        // keep it — their network work is done.
+        let victims: Vec<SessionId> = self
+            .events
+            .sessions
+            .iter()
+            .filter(|(_, s)| !s.is_terminal() && s.touches(node))
+            .map(|(sid, _)| sid)
+            .collect();
+        for sid in victims {
+            self.finish_session(sid, Err(CloudError::NodeDown { node }));
+        }
+        // Cached trust does not survive the platform that produced it.
+        // Replica state is independent: a crashed replica loses *its*
+        // evidence/AVK caches, the other replicas keep theirs.
+        match node {
+            NodeId::Server(id) => {
+                self.appraisers
+                    .each(None, |a| a.invalidate_evidence_for_server(id));
+                self.fleet.on_server_crash(id);
+                self.evacuate_server(id);
+            }
+            NodeId::AttestationServer(r) => self
+                .appraisers
+                .each(Some(r), AttestationServer::invalidate_all_evidence),
+            NodeId::Controller(_) => {}
+        }
     }
 
     /// Experiment hook: recovers `node` immediately. Idempotent. Every
@@ -451,7 +388,31 @@ impl Cloud {
     /// never resume, without a synchronized handshake burst at
     /// recovery.
     pub fn recover_node(&mut self, node: NodeId) {
-        self.apply_recovery(node);
+        if !self.outage.down.remove(&node) {
+            return;
+        }
+        self.outage.stats.recoveries += 1;
+        self.network.set_endpoint_up(&node.endpoint());
+        self.topology.on_recover(node);
+        // Channel re-keying is deferred to first use (a mass recovery
+        // must not burst handshakes), but the *trust boundary* advances
+        // now: the pCA epoch of every replica whose links went stale
+        // bumps (staling issued AVK certificates and dropping the
+        // certified-AVK cache), and servers reusing an attestation
+        // session start a fresh one.
+        self.links.mark_stale(node, &mut self.outage.stats);
+        let rekey = AttestationServer::on_rekey;
+        match node {
+            NodeId::Server(id) => {
+                self.appraisers.each(None, rekey);
+                self.fleet.reset_avk_sessions(Some(id));
+            }
+            NodeId::AttestationServer(r) => {
+                self.appraisers.each(Some(r), rekey);
+                self.fleet.reset_avk_sessions(None);
+            }
+            NodeId::Controller(_) => self.appraisers.each(None, rekey),
+        }
     }
 
     /// The replicated control-plane topology: shard ownership, replica
@@ -466,174 +427,34 @@ impl Cloud {
         self.topology.stats()
     }
 
-    /// Servers currently crashed (the exclusion set for placement).
-    pub(crate) fn down_servers(&self) -> BTreeSet<ServerId> {
-        self.down
-            .iter()
-            .filter_map(|n| match n {
-                NodeId::Server(id) => Some(*id),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// The Attestation Server's admission decision for one new session.
-    pub(crate) fn admit_session(&mut self) -> Result<(), CloudError> {
-        let Some(gate) = self.admission.as_mut() else {
-            return Ok(());
+    /// Turns the outage model's transitions due inside the current run
+    /// into engine events; later ones stay pending in the model and
+    /// seed the next run (the `[start, end)` horizon, like subscription
+    /// firings). A no-op outside [`Cloud::run`].
+    pub(crate) fn schedule_due_outages(&mut self) {
+        let (Some(end), Some(model)) = (self.events.horizon, self.outage.model.as_mut()) else {
+            return;
         };
-        let in_flight = self.sessions.len();
-        if !gate.admit(in_flight) {
-            self.stats.sessions_shed += 1;
-            return Err(CloudError::Overloaded { in_flight });
+        for t in model.drain_due(end) {
+            let at = t.at_us.max(self.events.now());
+            let (node, down, chain) = (t.node, t.down, t.stochastic);
+            self.events
+                .schedule(at, CloudEvent::Outage { node, down, chain });
         }
-        Ok(())
     }
 
     /// One outage-schedule transition fired; `chain` asks the renewal
     /// process for the follow-up transition.
     pub(crate) fn apply_outage(&mut self, node: NodeId, down: bool, chain: bool) {
         if down {
-            self.apply_crash(node);
+            self.crash_node(node);
         } else {
-            self.apply_recovery(node);
+            self.recover_node(node);
         }
-        if !chain {
-            return;
+        if let (true, Some(model)) = (chain, self.outage.model.as_mut()) {
+            model.chain(node, down, self.events.now());
+            self.schedule_due_outages();
         }
-        let chained = match self.outages.as_mut() {
-            Some(model) => {
-                model.chain(node, down, self.wall_clock_us);
-                match self.run_horizon {
-                    // Only chain-schedule within the current run's
-                    // horizon; later transitions stay pending in the
-                    // model and seed the next run.
-                    Some(end) => model.drain_due(end),
-                    None => Vec::new(),
-                }
-            }
-            None => Vec::new(),
-        };
-        for t in chained {
-            let at = t.at_us.max(self.wall_clock_us);
-            self.schedule_cloud_event(
-                at,
-                CloudEvent::Outage {
-                    node: t.node,
-                    down: t.down,
-                    chain: t.stochastic,
-                },
-            );
-        }
-    }
-
-    pub(crate) fn apply_crash(&mut self, node: NodeId) {
-        if !self.down.insert(node) {
-            return;
-        }
-        self.outage_stats.crashes += 1;
-        self.network.set_endpoint_down(&node.endpoint());
-        // A crashed controller instance hands its shards to the next
-        // live instance on the ring; a crashed AS replica drops out of
-        // selection. New sessions route around the hole — the in-flight
-        // ones pinned to it fail fast below and re-admit.
-        self.topology.on_crash(node);
-        // Fail in-flight sessions whose current hop depends on the
-        // node. Sessions already holding a verdict or a parked outcome
-        // keep it — their network work is done.
-        let victims: Vec<SessionId> = self
-            .sessions
-            .iter()
-            .filter(|(_, s)| !s.is_terminal() && s.touches(node))
-            .map(|(sid, _)| sid)
-            .collect();
-        for sid in victims {
-            self.finish_session_node_down(sid, node);
-        }
-        // Cached trust does not survive the platform that produced it.
-        // Replica state is independent: a crashed replica loses *its*
-        // evidence/AVK caches, the other replicas keep theirs.
-        match node {
-            NodeId::Server(id) => {
-                for replica in &mut self.attservers {
-                    replica.invalidate_evidence_for_server(id);
-                }
-                // The server's volatile attestation session dies with
-                // it, and so does its measurement window.
-                if let Some(n) = self.servers.get_mut(&id) {
-                    n.reset_avk_session();
-                }
-                self.window_free_at.remove(&id);
-                self.evacuate_server(id);
-            }
-            NodeId::AttestationServer(r) => {
-                if let Some(replica) = self.attservers.get_mut(r as usize) {
-                    replica.invalidate_all_evidence();
-                }
-            }
-            NodeId::Controller(_) => {}
-        }
-    }
-
-    pub(crate) fn apply_recovery(&mut self, node: NodeId) {
-        if !self.down.remove(&node) {
-            return;
-        }
-        self.outage_stats.recoveries += 1;
-        self.network.set_endpoint_up(&node.endpoint());
-        self.topology.on_recover(node);
-        // Channel re-keying is deferred to first use (a mass recovery
-        // must not burst handshakes), but the *trust boundary* advances
-        // now: the pCA epoch of every replica whose links went stale
-        // bumps (staling issued AVK certificates and dropping the
-        // certified-AVK cache), and servers reusing an attestation
-        // session start a fresh one.
-        self.links.mark_stale(node, &mut self.outage_stats);
-        match node {
-            NodeId::Server(id) => {
-                for replica in &mut self.attservers {
-                    replica.on_rekey();
-                }
-                if let Some(n) = self.servers.get_mut(&id) {
-                    n.reset_avk_session();
-                }
-            }
-            NodeId::AttestationServer(r) => {
-                if let Some(replica) = self.attservers.get_mut(r as usize) {
-                    replica.on_rekey();
-                }
-                for n in self.servers.values_mut() {
-                    n.reset_avk_session();
-                }
-            }
-            NodeId::Controller(_) => {
-                for replica in &mut self.attservers {
-                    replica.on_rekey();
-                }
-            }
-        }
-    }
-
-    /// The full customer-facing attestation (all six messages of Figure
-    /// 3), shared by the Table 1 APIs: starts a session and pumps the
-    /// event loop until it completes.
-    fn customer_attest(
-        &mut self,
-        vid: Vid,
-        property: SecurityProperty,
-    ) -> Result<AttestationReport, CloudError> {
-        if let Some(report) = self.evidence_probe(vid, property) {
-            return Ok(report);
-        }
-        let sid = self.begin_customer_session(vid, property, SessionOrigin::Api)?;
-        let outcome = self.pump_session(sid)?;
-        Ok(AttestationReport {
-            vid,
-            property,
-            status: outcome.status,
-            elapsed_us: outcome.elapsed_us,
-            issued_at_us: self.wall_clock_us,
-        })
     }
 
     /// Serves an attestation from the Attestation Server's evidence
@@ -650,20 +471,14 @@ impl Cloud {
         vid: Vid,
         property: SecurityProperty,
     ) -> Option<AttestationReport> {
-        self.evidence_ttl_us?;
-        let record = self.controller.vm(vid)?;
-        if record.state == VmLifecycle::Terminated {
-            return None;
-        }
-        let now = self.wall_clock_us;
+        self.fleet.live(vid).ok()?;
         // Probe the replica this VM is currently served by; replica
         // caches are warmed independently, so a rerouted VM pays the
         // full protocol until its new replica has evidence.
         let replica = self.topology.serving_replica(vid);
         let cached = self
-            .attservers
-            .get_mut(replica as usize)?
-            .evidence_lookup(vid, property, now)?;
+            .appraisers
+            .evidence_lookup(replica, vid, property, self.events.now())?;
         let elapsed_us = self.latency.post_hop_us(1)
             + self.latency.post_hop_us(2)
             + self.latency.post_hop_us(5)
@@ -674,22 +489,15 @@ impl Cloud {
             property,
             status: cached.status,
             elapsed_us,
-            issued_at_us: self.wall_clock_us,
+            issued_at_us: self.events.now(),
         })
-    }
-
-    /// Sums one `(hits, misses)` counter pair over every AS replica.
-    fn sum_over_replicas(&self, stats: fn(&AttestationServer) -> (u64, u64)) -> (u64, u64) {
-        self.attservers
-            .iter()
-            .map(stats)
-            .fold((0, 0), |(h, m), (dh, dm)| (h + dh, m + dm))
     }
 
     /// Evidence-cache hits and misses, summed over every Attestation
     /// Server replica (each keeps its own cache).
     pub fn evidence_cache_stats(&self) -> (u64, u64) {
-        self.sum_over_replicas(AttestationServer::evidence_cache_stats)
+        self.appraisers
+            .cache_stats(None, AttestationServer::evidence_cache_stats)
     }
 
     /// Evidence-cache hits and misses for one AS replica; `(0, 0)` for
@@ -697,19 +505,22 @@ impl Cloud {
     /// cache *independence*: a crashed replica loses its evidence, the
     /// others keep theirs.
     pub fn replica_evidence_cache_stats(&self, replica: u32) -> (u64, u64) {
-        self.attservers
-            .get(replica as usize)
-            .map_or((0, 0), AttestationServer::evidence_cache_stats)
+        self.appraisers
+            .cache_stats(Some(replica), AttestationServer::evidence_cache_stats)
     }
 
     /// Certified-AVK cache hits and misses, summed over every
     /// replica's privacy CA.
     pub fn avk_cert_cache_stats(&self) -> (u64, u64) {
-        self.sum_over_replicas(AttestationServer::avk_cert_cache_stats)
+        self.appraisers
+            .cache_stats(None, AttestationServer::avk_cert_cache_stats)
     }
 
     /// Table 1: `startup_attest_current(Vid, P, N)` — attestation before
-    /// / at launch time.
+    /// / at launch time. The full customer-facing attestation (all six
+    /// messages of Figure 3), shared by the Table 1 APIs: served from
+    /// fresh evidence when there is some, otherwise a session pumped to
+    /// completion.
     ///
     /// # Errors
     ///
@@ -719,7 +530,10 @@ impl Cloud {
         vid: Vid,
         property: SecurityProperty,
     ) -> Result<AttestationReport, CloudError> {
-        self.customer_attest(vid, property)
+        if let Some(report) = self.evidence_probe(vid, property) {
+            return Ok(report);
+        }
+        self.attest_with_program(vid, property, self.programs.fig3_customer)
     }
 
     /// Table 1: `runtime_attest_current(Vid, P, N)` — an immediate
@@ -733,10 +547,10 @@ impl Cloud {
         vid: Vid,
         property: SecurityProperty,
     ) -> Result<AttestationReport, CloudError> {
-        let report = self.customer_attest(vid, property)?;
-        if !report.healthy() && self.auto_response {
-            let action = self.controller.choose_response(property);
-            self.auto_respond(vid, action);
+        let report = self.startup_attest_current(vid, property)?;
+        if !report.healthy() && self.fleet.auto_response {
+            let action = self.fleet.controller.choose_response(property);
+            self.auto_respond(vid, action, None);
         }
         Ok(report)
     }
@@ -777,9 +591,7 @@ impl Cloud {
         properties: &[SecurityProperty],
     ) -> Result<AttestationReport, CloudError> {
         let Some(&first) = properties.first() else {
-            return Err(CloudError::ProtocolFailure {
-                reason: "fan-out needs at least one property".into(),
-            });
+            return Err(CloudError::protocol("fan-out needs at least one property"));
         };
         let program = self
             .programs
@@ -813,22 +625,23 @@ impl Cloud {
         property: SecurityProperty,
         program: ProgramId,
     ) -> Result<AttestationReport, CloudError> {
-        let sid = self.begin_program_session(vid, property, program, SessionOrigin::Api)?;
+        let sid = self.begin_session(vid, None, property, program, SessionOrigin::Api)?;
         let outcome = self.pump_session(sid)?;
         Ok(AttestationReport {
             vid,
             property,
             status: outcome.status,
             elapsed_us: outcome.elapsed_us,
-            issued_at_us: self.wall_clock_us,
+            issued_at_us: self.events.now(),
         })
     }
 
     /// Completed service requests of a [`WorkloadSpec::Service`] VM
     /// (throughput measurements, Figure 10).
     pub fn service_requests(&self, vid: Vid) -> Option<u64> {
-        self.vm_meta
-            .get(&vid)?
+        self.fleet
+            .controller
+            .vm(vid)?
             .handles
             .service
             .as_ref()
@@ -837,8 +650,9 @@ impl Cloud {
 
     /// Completion time of a [`WorkloadSpec::Program`] VM, if finished.
     pub fn program_elapsed_us(&self, vid: Vid) -> Option<u64> {
-        self.vm_meta
-            .get(&vid)?
+        self.fleet
+            .controller
+            .vm(vid)?
             .handles
             .program
             .as_ref()
@@ -854,7 +668,7 @@ impl Cloud {
     pub fn infect_vm(&mut self, vid: Vid, service_name: &str) -> Result<u32, CloudError> {
         let server = self.server_of(vid).ok_or(CloudError::UnknownVm(vid))?;
         let node = self
-            .touch_server(server)
+            .server_mut(server)
             .ok_or(CloudError::UnknownServer(server))?;
         let local = node.local_vm(vid).ok_or(CloudError::UnknownVm(vid))?;
         let pid = monatt_attacks::rootkit::infect_with_rootkit(node.sim_mut(), local, service_name)

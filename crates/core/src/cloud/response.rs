@@ -1,9 +1,9 @@
 //! The Response Module (Section 5.2): remediation actions —
 //! termination, suspension, migration — their Figure-11 timings, and
-//! the suspension-recheck policy.
+//! the suspension-recheck policy. Every action passes the fleet's
+//! lifecycle gate: a terminated VM is [`CloudError::UnknownVm`].
 
-use super::build::VmMeta;
-use super::{AttestationReport, Cloud, WorkloadHandles, WorkloadSpec};
+use super::{AttestationReport, Cloud};
 use crate::controller::{ResponseAction, VmLifecycle};
 use crate::error::CloudError;
 use crate::types::{SecurityProperty, ServerId, Vid};
@@ -23,84 +23,38 @@ impl Cloud {
     ///
     /// # Errors
     ///
-    /// [`CloudError::UnknownVm`] or [`CloudError::MigrationFailed`].
+    /// [`CloudError::UnknownVm`] (also for a terminated VM) or
+    /// [`CloudError::MigrationFailed`].
     pub fn respond(
         &mut self,
         vid: Vid,
         action: ResponseAction,
     ) -> Result<ResponseTiming, CloudError> {
-        let record = self
-            .controller
-            .vm(vid)
-            .ok_or(CloudError::UnknownVm(vid))?
-            .clone();
+        let now = self.events.now();
+        let flavor = self.fleet.live(vid)?.flavor;
         let response_us = match action {
             ResponseAction::Termination => {
-                if let Some(node) = self.touch_server(record.server) {
-                    node.remove_vm(vid);
-                }
-                self.controller.release_capacity(vid);
-                if let Some(r) = self.controller.vm_mut(vid) {
-                    r.state = VmLifecycle::Terminated;
-                }
-                self.latency.terminate_us(record.flavor)
+                self.fleet.set_state(vid, VmLifecycle::Terminated, now)?;
+                self.latency.terminate_us(flavor)
             }
             ResponseAction::Suspension => {
-                if let Some(node) = self.touch_server(record.server) {
-                    node.suspend_vm(vid);
-                }
-                if let Some(r) = self.controller.vm_mut(vid) {
-                    r.state = VmLifecycle::Suspended;
-                }
-                self.latency.suspend_us(record.flavor)
+                self.fleet.set_state(vid, VmLifecycle::Suspended, now)?;
+                self.latency.suspend_us(flavor)
             }
             ResponseAction::Migration => {
                 // Re-run Policy Validation excluding the source and any
                 // crashed server.
-                let mut excluded = self.down_servers();
-                excluded.insert(record.server);
-                let destination = self
-                    .controller
-                    .select_server_excluding(record.flavor, &record.properties, &excluded)
+                let mut excluded = self.outage.down_servers();
+                self.fleet
+                    .relocate(vid, &mut excluded, now)
                     .map_err(|_| CloudError::MigrationFailed { vid })?;
-                let meta = self.vm_meta.get(&vid).cloned().unwrap_or(VmMeta {
-                    workload: WorkloadSpec::Idle,
-                    tampered: false,
-                    pin_pcpu: None,
-                    handles: WorkloadHandles::default(),
-                });
-                if let Some(node) = self.touch_server(record.server) {
-                    node.remove_vm(vid);
-                }
-                self.controller.release_capacity(vid);
-                let mut image_bytes = record.image.pristine_bytes();
-                if meta.tampered {
-                    image_bytes[0] ^= 0xff;
-                }
-                let (drivers, handles) = meta
-                    .workload
-                    .drivers(record.flavor.vcpus(), self.seed ^ vid.0);
-                if let Some(m) = self.vm_meta.get_mut(&vid) {
-                    m.handles = handles;
-                }
-                let node = self
-                    .touch_server(destination)
-                    .ok_or(CloudError::UnknownServer(destination))?;
-                node.launch_vm_pinned(vid, record.image, image_bytes, drivers, 256, meta.pin_pcpu);
-                if let Some(r) = self.controller.vm_mut(vid) {
-                    r.server = destination;
-                    r.state = VmLifecycle::Active;
-                }
-                self.controller.take_capacity(destination, record.flavor);
-                self.latency.migrate_us(record.flavor)
+                self.latency.migrate_us(flavor)
             }
         };
         // Any remediation changes the VM's trust context (new host,
         // suspended state, or gone): cached evidence about it is stale
         // on every replica, not just the one that served it.
-        for replica in &mut self.attservers {
-            replica.invalidate_evidence_for_vid(vid);
-        }
+        self.appraisers.invalidate_vid(vid);
         self.advance(response_us);
         Ok(ResponseTiming {
             action,
@@ -115,74 +69,19 @@ impl Cloud {
     /// No wall-clock charge — this is crash fallout, not a managed
     /// migration.
     pub(crate) fn evacuate_server(&mut self, crashed: ServerId) {
-        let vids: Vec<Vid> = self
-            .controller
-            .vms()
-            .filter(|r| r.server == crashed && r.state != VmLifecycle::Terminated)
-            .map(|r| r.vid)
-            .collect();
-        let mut excluded = self.down_servers();
-        excluded.insert(crashed);
-        for vid in vids {
-            let Some(record) = self.controller.vm(vid).cloned() else {
-                continue;
-            };
+        let now = self.events.now();
+        let mut excluded = self.outage.down_servers();
+        for vid in self.fleet.residents(crashed) {
             // Evidence gathered on the crashed host is void for this VM
             // wherever it lands — on every replica.
-            for replica in &mut self.attservers {
-                replica.invalidate_evidence_for_vid(vid);
-            }
-            // The crashed host's simulator state for this VM is gone
-            // either way.
-            if let Some(node) = self.touch_server(crashed) {
-                node.remove_vm(vid);
-            }
-            self.controller.release_capacity(vid);
-            match self.controller.select_server_excluding(
-                record.flavor,
-                &record.properties,
-                &excluded,
-            ) {
-                Ok(destination) => {
-                    let meta = self.vm_meta.get(&vid).cloned().unwrap_or(VmMeta {
-                        workload: WorkloadSpec::Idle,
-                        tampered: false,
-                        pin_pcpu: None,
-                        handles: WorkloadHandles::default(),
-                    });
-                    let mut image_bytes = record.image.pristine_bytes();
-                    if meta.tampered {
-                        image_bytes[0] ^= 0xff;
-                    }
-                    let (drivers, handles) = meta
-                        .workload
-                        .drivers(record.flavor.vcpus(), self.seed ^ vid.0);
-                    if let Some(m) = self.vm_meta.get_mut(&vid) {
-                        m.handles = handles;
-                    }
-                    if let Some(node) = self.touch_server(destination) {
-                        node.launch_vm_pinned(
-                            vid,
-                            record.image,
-                            image_bytes,
-                            drivers,
-                            256,
-                            meta.pin_pcpu,
-                        );
-                    }
-                    if let Some(r) = self.controller.vm_mut(vid) {
-                        r.server = destination;
-                        r.state = VmLifecycle::Active;
-                    }
-                    self.controller.take_capacity(destination, record.flavor);
-                    self.outage_stats.evacuations += 1;
-                }
-                Err(_) => {
-                    if let Some(r) = self.controller.vm_mut(vid) {
-                        r.state = VmLifecycle::Terminated;
-                    }
-                    self.outage_stats.evacuation_failures += 1;
-                }
+            self.appraisers.invalidate_vid(vid);
+            if self.fleet.relocate(vid, &mut excluded, now).is_ok() {
+                self.outage.stats.evacuations += 1;
+            } else {
+                // Nowhere to go: terminated, which also drops the crashed
+                // host's simulator state for it.
+                let _ = self.fleet.set_state(vid, VmLifecycle::Terminated, now);
+                self.outage.stats.evacuation_failures += 1;
             }
         }
     }
@@ -206,17 +105,8 @@ impl Cloud {
         self.resume(vid)?;
         let report = self.startup_attest_current(vid, property)?;
         if !report.healthy() {
-            let record = self
-                .controller
-                .vm(vid)
-                .ok_or(CloudError::UnknownVm(vid))?
-                .clone();
-            if let Some(node) = self.touch_server(record.server) {
-                node.suspend_vm(vid);
-            }
-            if let Some(r) = self.controller.vm_mut(vid) {
-                r.state = VmLifecycle::Suspended;
-            }
+            self.fleet
+                .set_state(vid, VmLifecycle::Suspended, self.events.now())?;
         }
         Ok(report)
     }
@@ -225,19 +115,10 @@ impl Cloud {
     ///
     /// # Errors
     ///
-    /// [`CloudError::UnknownVm`] if the VM does not exist.
+    /// [`CloudError::UnknownVm`] if the VM does not exist or is
+    /// terminated.
     pub fn resume(&mut self, vid: Vid) -> Result<(), CloudError> {
-        let record = self
-            .controller
-            .vm(vid)
-            .ok_or(CloudError::UnknownVm(vid))?
-            .clone();
-        if let Some(node) = self.touch_server(record.server) {
-            node.resume_vm(vid);
-        }
-        if let Some(r) = self.controller.vm_mut(vid) {
-            r.state = VmLifecycle::Active;
-        }
-        Ok(())
+        self.fleet
+            .set_state(vid, VmLifecycle::Active, self.events.now())
     }
 }

@@ -13,7 +13,7 @@
 use super::{AttestationReport, Cloud};
 use crate::error::CloudError;
 use crate::session::{CloudEvent, SessionOrigin};
-use crate::types::{HealthStatus, SecurityProperty, ServerId, Vid};
+use crate::types::{HealthStatus, SecurityProperty, Vid};
 use monatt_crypto::drbg::Drbg;
 
 /// The cadence of a periodic attestation (Table 1: "at the frequency of
@@ -63,16 +63,9 @@ pub(crate) struct Subscription {
     pub(crate) frequency: Frequency,
     pub(crate) next_due_us: u64,
     pub(crate) reports: Vec<AttestationReport>,
-    /// Samples that came due but failed (protocol error or unreachable).
-    pub(crate) missed: u64,
-    /// Failures since the last successful sample.
-    pub(crate) consecutive_failures: u32,
-    /// How often the consecutive-failure threshold was crossed and the
-    /// Response Module notified.
-    pub(crate) escalations: u32,
-    /// Automatic remediation responses for this subscription that
-    /// themselves failed (previously discarded silently).
-    pub(crate) failed_responses: u64,
+    /// The degradation counters, kept in their reporting form
+    /// (`delivered` is counted from `reports` on read).
+    pub(crate) health: SubscriptionHealth,
 }
 
 /// Degradation counters of one periodic subscription — missed samples
@@ -123,7 +116,7 @@ impl Cloud {
         property: SecurityProperty,
         frequency: Frequency,
     ) -> Result<u64, CloudError> {
-        if self.controller.vm(vid).is_none() {
+        if self.fleet.controller.vm(vid).is_none() {
             return Err(CloudError::UnknownVm(vid));
         }
         let id = self.next_subscription;
@@ -135,12 +128,9 @@ impl Cloud {
                 vid,
                 property,
                 frequency,
-                next_due_us: self.wall_clock_us + first,
+                next_due_us: self.events.now() + first,
                 reports: Vec::new(),
-                missed: 0,
-                consecutive_failures: 0,
-                escalations: 0,
-                failed_responses: 0,
+                health: SubscriptionHealth::default(),
             },
         );
         Ok(id)
@@ -152,20 +142,15 @@ impl Cloud {
     ///
     /// [`CloudError::UnknownSubscription`] for an unknown id.
     pub fn subscription_health(&self, subscription: u64) -> Result<SubscriptionHealth, CloudError> {
-        self.subscriptions
+        let sub = self
+            .subscriptions
             .get(&subscription)
-            .map(|s| SubscriptionHealth {
-                delivered: s
-                    .reports
-                    .iter()
-                    .filter(|r| !r.status.is_unreachable())
-                    .count() as u64,
-                missed: s.missed,
-                consecutive_failures: s.consecutive_failures,
-                escalations: s.escalations,
-                failed_responses: s.failed_responses,
-            })
-            .ok_or(CloudError::UnknownSubscription(subscription))
+            .ok_or(CloudError::UnknownSubscription(subscription))?;
+        let delivered = sub.reports.iter().filter(|r| !r.status.is_unreachable());
+        Ok(SubscriptionHealth {
+            delivered: delivered.count() as u64,
+            ..sub.health
+        })
     }
 
     /// Table 1: `stop_attest_periodic(Vid, P, N)` — ends a subscription
@@ -209,22 +194,19 @@ impl Cloud {
     /// report and, under auto-response, invokes the Response Module's
     /// unreachable policy.
     pub fn run(&mut self, duration_us: u64) {
-        let end = self.wall_clock_us + duration_us;
-        self.run_horizon = Some(end);
+        let now = self.events.now();
+        let end = now + duration_us;
+        self.events.horizon = Some(end);
         // Seed the queue with every subscription's next firing. A due
         // time already in the past fires immediately, in subscription-id
         // order (the queue breaks ties by schedule order). Strictly
         // `< end`: a firing due exactly at the horizon belongs to the
         // next run (see the doc comment's horizon semantics).
-        let initial: Vec<(u64, u64)> = self
-            .subscriptions
-            .iter()
-            .map(|(id, s)| (*id, s.next_due_us))
-            .collect();
-        for (id, due) in initial {
-            if due < end {
-                let due = due.max(self.wall_clock_us);
-                self.schedule_cloud_event(due, CloudEvent::SubscriptionDue { id });
+        for (&id, sub) in &self.subscriptions {
+            if sub.next_due_us < end {
+                let due = sub.next_due_us.max(now);
+                self.events
+                    .schedule(due, CloudEvent::SubscriptionDue { id });
             }
         }
         // Seed the outage model's transitions due inside this run. The
@@ -232,49 +214,22 @@ impl Cloud {
         // cloud's stream; chained follow-ups are scheduled as each
         // transition fires (see `apply_outage`), horizon-gated the same
         // way subscription firings are.
-        if self.outages.is_some() {
-            let server_ids: Vec<ServerId> = self.servers.keys().copied().collect();
-            let now = self.wall_clock_us;
-            let control_nodes = self.topology.control_nodes();
-            let batch = match self.outages.as_mut() {
-                Some(model) => {
-                    model.prime(server_ids, now);
-                    // Control-plane churn draws strictly after the
-                    // server draws (and only when its MTBF knob is set),
-                    // so existing seeded schedules are unchanged.
-                    model.prime_control_plane(control_nodes, now);
-                    model.drain_due(end)
-                }
-                None => Vec::new(),
-            };
-            for t in batch {
-                self.schedule_cloud_event(
-                    t.at_us.max(now),
-                    CloudEvent::Outage {
-                        node: t.node,
-                        down: t.down,
-                        chain: t.stochastic,
-                    },
-                );
-            }
+        if let Some(model) = self.outage.model.as_mut() {
+            model.prime(self.fleet.nodes().keys().copied(), now);
+            // Control-plane churn draws strictly after the server draws
+            // (and only when its MTBF knob is set), so existing seeded
+            // schedules are unchanged.
+            model.prime_control_plane(self.topology.control_nodes(), now);
         }
-        while let Some((due, event)) = self.engine.pop() {
-            self.advance_to(due);
-            self.dispatch_event(event);
-        }
-        self.run_horizon = None;
+        self.schedule_due_outages();
+        self.pump(None);
+        self.events.horizon = None;
         // Attestation work may already have advanced the clock past
         // `end`; saturate so the final advance never overshoots the
-        // requested horizon.
-        let remaining = end.saturating_sub(self.wall_clock_us);
-        if remaining > 0 {
-            self.advance(remaining);
-        } else {
-            // Event dispatch moved only the wall clock (lazy pull);
-            // settle every server before handing control back so
-            // callers observe post-run state.
-            self.sync_servers();
-        }
+        // requested horizon. Event dispatch moved only the wall clock
+        // (lazy pull), so even a zero advance settles every server
+        // before handing control back: callers observe post-run state.
+        self.advance(end.saturating_sub(self.events.now()));
     }
 
     /// A subscription came due: start its attestation session. An error
@@ -295,8 +250,8 @@ impl Cloud {
             self.complete_subscription_sample(id, vid, property, Ok(report));
             return;
         }
-        if let Err(e) = self.begin_customer_session(vid, property, SessionOrigin::Subscription(id))
-        {
+        let (program, origin) = (self.programs.fig3_customer, SessionOrigin::Subscription(id));
+        if let Err(e) = self.begin_session(vid, None, property, program, origin) {
             self.complete_subscription_sample(id, vid, property, Err(e));
         }
     }
@@ -311,87 +266,68 @@ impl Cloud {
         property: SecurityProperty,
         result: Result<AttestationReport, CloudError>,
     ) {
-        let Some(sub) = self.subscriptions.get(&id) else {
+        let Some(frequency) = self.subscriptions.get(&id).map(|s| s.frequency) else {
             return;
         };
-        let frequency = sub.frequency;
+        let auto = self.fleet.auto_response;
+        // A failed attestation is remediated *before* the next firing is
+        // drawn: the response's own duration pushes the schedule out.
+        if let (Ok(report), true) = (&result, auto) {
+            if !report.healthy() {
+                let action = self.fleet.controller.choose_response(property);
+                self.auto_respond(vid, action, Some(id));
+            }
+        }
+        let now = self.events.now();
+        let next_due = now + frequency.next_interval(&mut self.rng);
         let threshold = self.escalation_threshold;
+        let Some(sub) = self.subscriptions.get_mut(&id) else {
+            return;
+        };
+        sub.next_due_us = next_due;
+        let health = &mut sub.health;
+        let mut escalated = false;
         match result {
             Ok(report) => {
-                if !report.healthy() && self.auto_response {
-                    let action = self.controller.choose_response(property);
-                    if !self.auto_respond(vid, action) {
-                        if let Some(s) = self.subscriptions.get_mut(&id) {
-                            s.failed_responses += 1;
-                        }
-                    }
-                }
-                let interval = frequency.next_interval(&mut self.rng);
-                let next_due = self.wall_clock_us + interval;
-                if let Some(s) = self.subscriptions.get_mut(&id) {
-                    s.next_due_us = next_due;
-                    s.consecutive_failures = 0;
-                    s.reports.push(report);
-                }
-                self.schedule_subscription_due(id, next_due);
+                health.consecutive_failures = 0;
+                sub.reports.push(report);
             }
             Err(e) => {
+                health.missed += 1;
                 // An admission-shed sample is the attestation server's
                 // own load decision, not evidence the monitored node is
                 // failing: it counts as missed but does not feed the
                 // unreachable-escalation streak.
-                let shed = matches!(e, CloudError::Overloaded { .. });
-                let interval = frequency.next_interval(&mut self.rng);
-                let next_due = self.wall_clock_us + interval;
-                let mut escalated_misses = None;
-                if let Some(s) = self.subscriptions.get_mut(&id) {
-                    s.next_due_us = next_due;
-                    s.missed += 1;
-                    if !shed {
-                        s.consecutive_failures += 1;
-                        if s.consecutive_failures >= threshold {
-                            s.escalations += 1;
-                            escalated_misses = Some(s.consecutive_failures);
-                            s.consecutive_failures = 0;
-                        }
-                    }
+                if !matches!(e, CloudError::Overloaded { .. }) {
+                    health.consecutive_failures += 1;
+                    escalated = health.consecutive_failures >= threshold;
                 }
-                if let Some(missed) = escalated_misses {
-                    let issued_at = self.wall_clock_us;
-                    if let Some(s) = self.subscriptions.get_mut(&id) {
-                        // File the degradation as a first-class report so
-                        // the customer sees the monitoring gap.
-                        s.reports.push(AttestationReport {
-                            vid,
-                            property,
-                            status: HealthStatus::Unreachable { missed },
-                            elapsed_us: 0,
-                            issued_at_us: issued_at,
-                        });
-                    }
-                    if self.auto_response {
-                        let action = self.controller.choose_unreachable_response();
-                        if !self.auto_respond(vid, action) {
-                            if let Some(s) = self.subscriptions.get_mut(&id) {
-                                s.failed_responses += 1;
-                            }
-                        }
-                    }
+                if escalated {
+                    health.escalations += 1;
+                    // File the degradation as a first-class report so
+                    // the customer sees the monitoring gap.
+                    let missed = std::mem::take(&mut health.consecutive_failures);
+                    sub.reports.push(AttestationReport {
+                        vid,
+                        property,
+                        status: HealthStatus::Unreachable { missed },
+                        elapsed_us: 0,
+                        issued_at_us: now,
+                    });
                 }
-                self.schedule_subscription_due(id, next_due);
             }
         }
-    }
-
-    /// Schedules the subscription's next firing, but only while inside
-    /// [`Cloud::run`] and only if it falls strictly before the run's
-    /// horizon (the `[start, end)` convention) — otherwise `next_due_us`
-    /// on the subscription carries it into the next run.
-    fn schedule_subscription_due(&mut self, id: u64, due_us: u64) {
-        if let Some(end) = self.run_horizon {
-            if due_us < end {
-                self.schedule_cloud_event(due_us, CloudEvent::SubscriptionDue { id });
-            }
+        if escalated && auto {
+            let action = self.fleet.controller.choose_unreachable_response();
+            self.auto_respond(vid, action, Some(id));
+        }
+        // Schedule the next firing if it falls inside the current run
+        // (strictly before its horizon, the `[start, end)` convention) —
+        // otherwise `next_due_us` on the subscription carries it into
+        // the next run.
+        if self.events.horizon.is_some_and(|end| next_due < end) {
+            self.events
+                .schedule(next_due, CloudEvent::SubscriptionDue { id });
         }
     }
 }

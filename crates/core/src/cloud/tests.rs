@@ -49,6 +49,19 @@ fn tampered_image_rejected_at_launch() {
         panic!("expected rejection, got {err:?}");
     };
     assert!(reason.contains("image"), "{reason}");
+    // A rejected launch leaves nothing behind: no VM on any server, no
+    // row — neither does a launch forced onto a server that is not there.
+    let nowhere = VmRequest::new(Flavor::Small, Image::Ubuntu).on_server(ServerId(99));
+    let err = c.request_vm(nowhere).unwrap_err();
+    assert!(
+        matches!(err, CloudError::UnknownServer(ServerId(99))),
+        "{err:?}"
+    );
+    let hosted: usize = (0..3)
+        .map(|i| c.server(ServerId(i)).unwrap().vm_count())
+        .sum();
+    assert_eq!(hosted, 0);
+    assert!(c.fleet.controller.vms().next().is_none());
 }
 
 #[test]
@@ -128,6 +141,72 @@ fn responses_change_lifecycle() {
     assert!(c
         .runtime_attest_current(vid, SecurityProperty::RuntimeIntegrity)
         .is_err());
+}
+
+#[test]
+fn repeated_termination_releases_capacity_once() {
+    /// How many more `Small` VMs a one-server, 4-pCPU cloud places
+    /// after `terminations` Termination responses on its first VM.
+    fn placeable_after(terminations: usize) -> usize {
+        let mut c = CloudBuilder::new()
+            .servers(1)
+            .pcpus_per_server(4)
+            .seed(5)
+            .build();
+        let small = || VmRequest::new(Flavor::Small, Image::Cirros);
+        let vid = c.request_vm(small()).unwrap();
+        for _ in 0..terminations {
+            let _ = c.respond(vid, ResponseAction::Termination);
+        }
+        std::iter::from_fn(|| c.request_vm(small()).ok()).count()
+    }
+    // The second and third response used to release the VM's vCPUs
+    // again, inflating the server's free capacity past what it has.
+    assert_eq!(placeable_after(3), placeable_after(1));
+}
+
+#[test]
+fn unreachable_escalation_does_not_resurrect_a_terminated_vm() {
+    let prop = SecurityProperty::RuntimeIntegrity;
+    let mut c = CloudBuilder::new()
+        .servers(2)
+        .seed(6)
+        .auto_response(true)
+        .escalation_threshold(2)
+        .build();
+    let vid = c
+        .request_vm(VmRequest::new(Flavor::Small, Image::Cirros).require(prop))
+        .unwrap();
+    let home = c.server_of(vid);
+    let sub = c.runtime_attest_periodic(vid, prop, 5_000_000).unwrap();
+    c.respond(vid, ResponseAction::Termination).unwrap();
+    // Every sample now misses; each escalation's migration response is
+    // refused by the lifecycle gate (it used to relaunch the VM `Active`
+    // on the other server) and counted as a failed response.
+    c.run(60_000_000);
+    assert_eq!(c.vm_state(vid), Some(VmLifecycle::Terminated));
+    assert_eq!(c.server_of(vid), home);
+    let health = c.subscription_health(sub).unwrap();
+    assert!(health.escalations >= 1, "{health:?}");
+    assert_eq!(health.failed_responses, u64::from(health.escalations));
+    assert_eq!(c.auto_response_failures(), health.failed_responses);
+}
+
+#[test]
+fn lifecycle_operations_refuse_a_terminated_vm() {
+    let mut c = cloud();
+    let vid = c
+        .request_vm(VmRequest::new(Flavor::Small, Image::Cirros))
+        .unwrap();
+    c.respond(vid, ResponseAction::Termination).unwrap();
+    let gone = |r: Result<(), CloudError>| matches!(r, Err(CloudError::UnknownVm(v)) if v == vid);
+    assert!(gone(c.resume(vid)));
+    for action in [ResponseAction::Termination, ResponseAction::Suspension] {
+        assert!(gone(c.respond(vid, action).map(drop)), "{action}");
+    }
+    let recheck = c.recheck_and_resume(vid, SecurityProperty::RuntimeIntegrity);
+    assert!(gone(recheck.map(drop)));
+    assert_eq!(c.vm_state(vid), Some(VmLifecycle::Terminated));
 }
 
 #[test]

@@ -3,6 +3,7 @@
 //! Module (`property_filter`), the Deployment Module, and the Response
 //! Module that executes remediation (Section 5.2).
 
+use crate::cloud::{WorkloadHandles, WorkloadSpec};
 use crate::error::CloudError;
 use crate::messages::CustomerReportMsg;
 use crate::types::{Flavor, HealthStatus, Image, SecurityProperty, ServerId, Vid};
@@ -16,9 +17,7 @@ use std::collections::BTreeMap;
 /// session warm loop calls into allocates nothing when the quote holds.
 #[cold]
 fn quote_q1_failure(e: impl std::fmt::Display) -> CloudError {
-    CloudError::ProtocolFailure {
-        reason: format!("quote Q1 verification failed: {e}"),
-    }
+    CloudError::protocol(format!("quote Q1 verification failed: {e}"))
 }
 
 /// Lifecycle state of a VM as tracked in the nova database.
@@ -32,7 +31,9 @@ pub enum VmLifecycle {
     Terminated,
 }
 
-/// A VM record in the nova database.
+/// A VM record in the nova database — the one row per VM: what the
+/// customer asked for, where it runs, its lifecycle state, and what a
+/// re-placement (migration, evacuation) needs to re-instantiate it.
 #[derive(Clone, Debug)]
 pub struct VmRecord {
     /// The VM id.
@@ -47,6 +48,15 @@ pub struct VmRecord {
     pub server: ServerId,
     /// Lifecycle state.
     pub state: VmLifecycle,
+    /// The guest workload, kept declarative so every placement can
+    /// re-instantiate it on the destination server.
+    pub(crate) workload: WorkloadSpec,
+    /// Experiment hook: the image is corrupted in storage.
+    pub(crate) tampered: bool,
+    /// Experiment hook: all vCPUs pinned to one pCPU.
+    pub(crate) pin_pcpu: Option<usize>,
+    /// Observation handles of the workload's current instantiation.
+    pub(crate) handles: WorkloadHandles,
 }
 
 /// A server record: capacity and monitoring capabilities.
@@ -203,12 +213,15 @@ impl CloudController {
             })
     }
 
-    /// Records a successful deployment.
+    /// Records a VM row. Capacity is taken when the VM is placed on its
+    /// server ([`Self::take_capacity`]) and released when it leaves.
     pub fn record_deployment(&mut self, record: VmRecord) {
-        if let Some(server) = self.servers.get_mut(&record.server) {
-            server.free_vcpus = server.free_vcpus.saturating_sub(record.flavor.vcpus());
-        }
         self.vms.insert(record.vid, record);
+    }
+
+    /// Drops the row of a VM whose launch was rejected.
+    pub(crate) fn forget_vm(&mut self, vid: Vid) {
+        self.vms.remove(&vid);
     }
 
     /// Looks up a VM record.
@@ -226,8 +239,7 @@ impl CloudController {
         self.vms.values()
     }
 
-    /// Takes `flavor`'s capacity on `server` (used when a VM arrives by
-    /// migration rather than deployment).
+    /// Takes `flavor`'s capacity on `server` (a VM was placed there).
     pub fn take_capacity(&mut self, server: ServerId, flavor: Flavor) {
         if let Some(info) = self.servers.get_mut(&server) {
             info.free_vcpus = info.free_vcpus.saturating_sub(flavor.vcpus());
@@ -319,26 +331,8 @@ impl CloudController {
         }
     }
 
-    /// Customer-side verification of message 6.
-    ///
-    /// # Errors
-    ///
-    /// [`CloudError::ProtocolFailure`] naming the failed check.
-    pub fn verify_customer_report(
-        msg: &CustomerReportMsg,
-        controller_key: &VerifyingKey,
-        expected_nonce1: [u8; 32],
-    ) -> Result<(), CloudError> {
-        Self::verify_customer_report_with(
-            msg,
-            controller_key,
-            expected_nonce1,
-            &mut EncodeScratch::new(),
-        )
-    }
-
-    /// [`Self::verify_customer_report`] with a caller-provided encode
-    /// scratch.
+    /// Customer-side verification of message 6, rebuilding the quoted
+    /// fields in a caller-provided encode scratch.
     ///
     /// # Errors
     ///
@@ -350,9 +344,7 @@ impl CloudController {
         scratch: &mut EncodeScratch,
     ) -> Result<(), CloudError> {
         if msg.nonce1 != expected_nonce1 {
-            return Err(CloudError::ProtocolFailure {
-                reason: "nonce N1 mismatch (possible replay)".into(),
-            });
+            return Err(CloudError::protocol("nonce N1 mismatch (possible replay)"));
         }
         let vid_bytes = msg.vid.0.to_be_bytes();
         let (prop_bytes, status_bytes) = scratch.encode_pair(&msg.property, &msg.status);
@@ -449,7 +441,12 @@ mod tests {
             properties: vec![],
             server: ServerId(1),
             state: VmLifecycle::Active,
+            workload: WorkloadSpec::Idle,
+            tampered: false,
+            pin_pcpu: None,
+            handles: WorkloadHandles::default(),
         });
+        c.take_capacity(ServerId(1), Flavor::Large);
         assert_eq!(c.servers[&ServerId(1)].free_vcpus, 12);
         c.release_capacity(vid);
         assert_eq!(c.servers[&ServerId(1)].free_vcpus, 16);
@@ -485,18 +482,18 @@ mod tests {
             HealthStatus::Healthy,
             [1u8; 32],
         );
-        CloudController::verify_customer_report(&msg, &c.identity_key(), [1u8; 32]).unwrap();
+        let verify = |msg: &CustomerReportMsg, nonce1: [u8; 32]| {
+            let scratch = &mut EncodeScratch::new();
+            CloudController::verify_customer_report_with(msg, &c.identity_key(), nonce1, scratch)
+        };
+        verify(&msg, [1u8; 32]).unwrap();
         // Forged status fails.
         let mut forged = msg.clone();
         forged.status = HealthStatus::Compromised {
             reason: "fake".into(),
         };
-        assert!(
-            CloudController::verify_customer_report(&forged, &c.identity_key(), [1u8; 32]).is_err()
-        );
+        assert!(verify(&forged, [1u8; 32]).is_err());
         // Stale nonce fails.
-        assert!(
-            CloudController::verify_customer_report(&msg, &c.identity_key(), [2u8; 32]).is_err()
-        );
+        assert!(verify(&msg, [2u8; 32]).is_err());
     }
 }

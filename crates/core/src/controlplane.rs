@@ -37,7 +37,7 @@
 //! [`NodeId::Controller`]`(i)` and [`NodeId::AttestationServer`]`(r)` —
 //! and index 0 is an ordinary member of each ring. Which secure link a
 //! protocol hop crosses, and which nodes terminate it, is resolved from
-//! the route in [`crate::links`].
+//! the route in `crate::links`.
 //!
 //! The K=1/N=1 topology is *dormant*: every route is the zero tag, no
 //! extra key material or channels exist, and the wire format is
@@ -58,6 +58,15 @@ fn splitmix64(seed: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// The first live member of a ring of `up` flags, scanning from
+/// `start` — the one failover rule controllers and AS replicas share.
+fn first_live(up: &[bool], start: u32) -> Option<u32> {
+    let n = up.len() as u32;
+    (0..n)
+        .map(|step| (start + step) % n.max(1))
+        .find(|&i| up.get(i as usize).copied().unwrap_or(false))
 }
 
 /// The customer's secure-channel peer name. The customer endpoint is
@@ -242,16 +251,7 @@ impl ControlPlaneTopology {
 
     /// First live replica on the ring starting at `preferred`.
     fn live_replica_from(&self, preferred: u32) -> Option<u32> {
-        (0..self.replicas)
-            .map(|step| (preferred + step) % self.replicas.max(1))
-            .find(|&r| self.replica_is_live(r))
-    }
-
-    /// First live controller instance on the ring starting at `home`.
-    fn ring_owner(&self, home: u32) -> Option<u32> {
-        (0..self.shards)
-            .map(|step| (home + step) % self.shards.max(1))
-            .find(|&i| self.controller_is_live(i))
+        first_live(&self.replica_up, preferred)
     }
 
     /// Recomputes every shard's owner from the up-set; returns how many
@@ -259,7 +259,8 @@ impl ControlPlaneTopology {
     fn recompute_owners(&mut self) -> u64 {
         let mut moved = 0u64;
         for shard in 0..self.shards {
-            let new = self.ring_owner(shard);
+            // First live controller instance on the ring from home.
+            let new = first_live(&self.controller_up, shard);
             if let Some(slot) = self.owner.get_mut(shard as usize) {
                 if *slot != new {
                     *slot = new;

@@ -105,17 +105,20 @@ impl<T> ShardedEngine<T> {
         self.max_depth = self.max_depth.max(self.len);
     }
 
+    /// The shard holding the globally least `(due_us, seq)` entry.
+    /// (`&mut` because the wheels settle tombstones and cascades
+    /// lazily.)
+    fn head_shard(&mut self) -> Option<usize> {
+        let heads = self.shards.iter_mut().enumerate();
+        heads
+            .filter_map(|(i, wheel)| wheel.peek().map(|key| (key, i)))
+            .min()
+            .map(|(_, shard)| shard)
+    }
+
     /// Pops the globally least `(due_us, seq)` entry across all shards.
     pub(crate) fn pop(&mut self) -> Option<(u64, T)> {
-        let mut best: Option<(u64, u64, usize)> = None;
-        for (i, wheel) in self.shards.iter_mut().enumerate() {
-            if let Some((due, seq)) = wheel.peek() {
-                if best.is_none_or(|(bd, bs, _)| (due, seq) < (bd, bs)) {
-                    best = Some((due, seq, i));
-                }
-            }
-        }
-        let (_, _, shard) = best?;
+        let shard = self.head_shard()?;
         let popped = self.shards.get_mut(shard)?.pop();
         if popped.is_some() {
             self.len -= 1;
@@ -123,19 +126,10 @@ impl<T> ShardedEngine<T> {
         popped.map(|(due, _, payload)| (due, payload))
     }
 
-    /// The least `(due_us, seq)` entry without consuming it. (`&mut`
-    /// because the wheels settle tombstones and cascades lazily.)
+    /// The least `(due_us, seq)` entry without consuming it.
     #[cfg(test)]
     pub(crate) fn peek(&mut self) -> Option<(u64, &T)> {
-        let mut best: Option<(u64, u64, usize)> = None;
-        for (i, wheel) in self.shards.iter_mut().enumerate() {
-            if let Some((due, seq)) = wheel.peek() {
-                if best.is_none_or(|(bd, bs, _)| (due, seq) < (bd, bs)) {
-                    best = Some((due, seq, i));
-                }
-            }
-        }
-        let (_, _, shard) = best?;
+        let shard = self.head_shard()?;
         self.shards.get_mut(shard)?.peek_payload()
     }
 
@@ -146,6 +140,7 @@ impl<T> ShardedEngine<T> {
     }
 
     /// Whether no entries are pending.
+    #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }

@@ -88,6 +88,15 @@ pub enum CloudError {
     },
 }
 
+impl CloudError {
+    /// A [`CloudError::ProtocolFailure`] naming the failed check.
+    pub(crate) fn protocol(reason: impl Into<String>) -> Self {
+        CloudError::ProtocolFailure {
+            reason: reason.into(),
+        }
+    }
+}
+
 impl fmt::Display for CloudError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

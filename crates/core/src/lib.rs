@@ -24,7 +24,11 @@
 //!   including the covert-channel two-peak detector and the CPU
 //!   availability check (Section 4).
 //! * [`latency`] — the management-plane cost model behind Figures 9-11.
-//! * [`cloud`] — the [`Cloud`] facade tying everything together, with
+//! * [`outage`] — whole-node crash/recovery schedules and the
+//!   Attestation Server's admission gate.
+//! * [`cloud`] — the [`Cloud`] facade tying everything together: an
+//!   interpreter over a few owned planes (event side, fleet side,
+//!   appraiser pool, outage side, secure links — DESIGN.md §10), with
 //!   the Table 1 APIs: [`Cloud::startup_attest_current`],
 //!   [`Cloud::runtime_attest_current`],
 //!   [`Cloud::runtime_attest_periodic`] and

@@ -362,7 +362,8 @@ mod tests {
                 for &node in &nodes {
                     // Park a session on this hop, then crash `node`
                     // through the real crash path.
-                    let (sid, session) = c.sessions.alloc_with(AttestSession::vacant).unwrap();
+                    let (sid, session) =
+                        c.events.sessions.alloc_with(AttestSession::vacant).unwrap();
                     session.reset(
                         Vid(1),
                         SERVER,
@@ -374,7 +375,7 @@ mod tests {
                     );
                     session.msg = msg;
                     c.crash_node(node);
-                    let outcome = c.sessions.get_mut(sid).unwrap().pending.take();
+                    let outcome = c.events.sessions.get_mut(sid).unwrap().pending.take();
                     match outcome {
                         Some(Err(CloudError::NodeDown { node: down })) => {
                             assert_eq!(down, node);
@@ -383,7 +384,7 @@ mod tests {
                         None => assert!(!expected.contains(&node), "{msg} {route:?} {node}"),
                         other => panic!("unexpected outcome {other:?}"),
                     }
-                    c.sessions.remove(sid);
+                    c.events.sessions.remove(sid);
                     c.recover_node(node);
                 }
             }
@@ -424,20 +425,20 @@ mod tests {
         // K customer links, the K×N mesh, N×S server links.
         assert_eq!(links.len(), 3 + 3 * 2 + 2 * 2);
         for node in all_nodes(&c) {
-            let deferred = c.outage_stats.deferred_rekeys;
-            c.links.mark_stale(node, &mut c.outage_stats);
+            let deferred = c.outage.stats.deferred_rekeys;
+            c.links.mark_stale(node, &mut c.outage.stats);
             let terminated = |link: &LinkKey| link.ends().contains(&Some(node));
             assert_eq!(
-                c.outage_stats.deferred_rekeys - deferred,
+                c.outage.stats.deferred_rekeys - deferred,
                 links.iter().filter(|l| terminated(l)).count() as u64
             );
             // A link re-handshakes on first use iff it was marked — and
             // never a second time.
             for (pass, &link) in links.iter().chain(&links).enumerate() {
-                let rekeys = c.outage_stats.rehandshakes;
+                let rekeys = c.outage.stats.rehandshakes;
                 c.links
-                    .refresh_if_stale(link, &mut c.rng, &mut c.outage_stats);
-                let rekeyed = c.outage_stats.rehandshakes - rekeys == 1;
+                    .refresh_if_stale(link, &mut c.rng, &mut c.outage.stats);
+                let rekeyed = c.outage.stats.rehandshakes - rekeys == 1;
                 let first_use = pass < links.len();
                 assert_eq!(rekeyed, first_use && terminated(&link), "{link:?} {node}");
             }

@@ -12,9 +12,9 @@
 //! transitions plus, optionally, a seeded MTBF/MTTR renewal process over
 //! the cloud servers. The model itself never touches the cloud — the
 //! cloud's event loop drains due transitions out of it
-//! ([`OutageModel::drain_due`]) into ordinary engine events, applies
+//! (`OutageModel::drain_due`) into ordinary engine events, applies
 //! them, and asks the model to chain the follow-up transition
-//! ([`OutageModel::chain`]). All stochastic draws come from the model's
+//! (`OutageModel::chain`). All stochastic draws come from the model's
 //! own [`Drbg`] stream, so installing an outage model never perturbs
 //! the cloud's main RNG: a run with no outage model is bit-identical to
 //! one before this module existed.
@@ -25,6 +25,7 @@
 
 use crate::types::{NodeId, ServerId};
 use monatt_crypto::drbg::Drbg;
+use std::collections::BTreeSet;
 
 /// One node state transition the schedule wants to happen.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -145,21 +146,12 @@ impl OutageModel {
     /// for a stable draw sequence). Called once, on the first `run`
     /// after installation; later calls are no-ops.
     pub(crate) fn prime<I: IntoIterator<Item = ServerId>>(&mut self, servers: I, now_us: u64) {
-        if self.primed {
-            return;
-        }
-        self.primed = true;
-        let Some(mtbf) = self.mtbf_us else {
-            return;
-        };
-        for server in servers {
-            let at_us = now_us.saturating_add(self.lifetime(mtbf));
-            self.pending.push(Transition {
-                at_us,
-                node: NodeId::Server(server),
-                down: true,
-                stochastic: true,
-            });
+        if !std::mem::replace(&mut self.primed, true) {
+            self.draw_first_crashes(
+                self.mtbf_us,
+                servers.into_iter().map(NodeId::Server),
+                now_us,
+            );
         }
     }
 
@@ -175,11 +167,20 @@ impl OutageModel {
         nodes: I,
         now_us: u64,
     ) {
-        if self.cp_primed {
-            return;
+        if !std::mem::replace(&mut self.cp_primed, true) {
+            self.draw_first_crashes(self.cp_mtbf_us, nodes, now_us);
         }
-        self.cp_primed = true;
-        let Some(mtbf) = self.cp_mtbf_us else {
+    }
+
+    /// Queues one stochastic crash per node, an up-time of mean `mtbf`
+    /// from now; nothing when the renewal process is not configured.
+    fn draw_first_crashes(
+        &mut self,
+        mtbf: Option<u64>,
+        nodes: impl IntoIterator<Item = NodeId>,
+        now_us: u64,
+    ) {
+        let Some(mtbf) = mtbf else {
             return;
         };
         for node in nodes {
@@ -276,6 +277,33 @@ pub struct OutageStats {
     pub evacuation_failures: u64,
 }
 
+/// The outage side of the cloud: the installed schedule, the nodes
+/// currently crashed and the failure counters. What a crash *does* to
+/// the other planes is [`crate::Cloud`]'s crash/recovery handler; this
+/// is the one owner of "which nodes are down".
+#[derive(Debug, Default)]
+pub(crate) struct Outages {
+    /// The installed node-outage schedule, if any.
+    pub(crate) model: Option<OutageModel>,
+    /// Nodes currently crashed.
+    pub(crate) down: BTreeSet<NodeId>,
+    /// Node-failure activity counters.
+    pub(crate) stats: OutageStats,
+}
+
+impl Outages {
+    /// Servers currently crashed (the exclusion set for placement).
+    pub(crate) fn down_servers(&self) -> BTreeSet<ServerId> {
+        self.down
+            .iter()
+            .filter_map(|n| match n {
+                NodeId::Server(id) => Some(*id),
+                _ => None,
+            })
+            .collect()
+    }
+}
+
 /// The Attestation Server's bounded admission gate.
 ///
 /// Beyond `high` sessions in flight, new sessions are *shed* — refused
@@ -318,16 +346,6 @@ impl AdmissionControl {
     /// Whether the gate is currently refusing admissions.
     pub fn is_shedding(&self) -> bool {
         self.shedding
-    }
-
-    /// The high-water mark (shedding onset).
-    pub fn high_water(&self) -> usize {
-        self.high
-    }
-
-    /// The low-water mark (re-admission).
-    pub fn low_water(&self) -> usize {
-        self.low
     }
 }
 
@@ -445,8 +463,7 @@ mod tests {
     fn admission_gate_clamps_degenerate_marks() {
         // low > high clamps to high: a plain threshold.
         let gate = AdmissionControl::new(2, 9);
-        assert_eq!(gate.low_water(), 2);
-        assert_eq!(gate.high_water(), 2);
+        assert_eq!((gate.low, gate.high), (2, 2));
         let mut gate = AdmissionControl::new(0, 0); // high clamps to 1
         assert!(gate.admit(0));
         assert!(!gate.admit(1));

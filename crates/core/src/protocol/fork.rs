@@ -22,7 +22,7 @@
 
 use crate::cloud::Cloud;
 use crate::error::CloudError;
-use crate::session::{lost_session, AttestSession, SessionId, SessionOrigin};
+use crate::session::{lost_session, SessionId, SessionOrigin};
 use crate::types::HealthStatus;
 
 impl Cloud {
@@ -36,22 +36,16 @@ impl Cloud {
         n_branches: u16,
         charge_us: u64,
     ) -> Result<(), CloudError> {
-        let now = self.wall_clock_us;
-        let (vid, server, image, parent_property, program) = {
-            let session = self.sessions.get_mut(sid).ok_or_else(lost_session)?;
-            session.elapsed_us += charge_us;
-            session.fork_started_us = now;
-            session.fork_outstanding = 0;
-            session.fork_slots.clear();
-            session.fork_slots.resize(n_branches as usize, None);
-            (
-                session.vid,
-                session.server,
-                session.expected_image,
-                session.property,
-                session.program,
-            )
-        };
+        let now = self.events.now();
+        let session = self.events.session_mut(sid)?;
+        session.elapsed_us += charge_us;
+        session.fork_started_us = now;
+        session.fork_outstanding = 0;
+        session.fork_slots.clear();
+        session.fork_slots.resize(n_branches as usize, None);
+        let (vid, parent_property, program) = (session.vid, session.property, session.program);
+        // Branches measure where the parent does.
+        let placement = Some((session.server, session.expected_image));
         for slot in 0..n_branches {
             let spec = self
                 .programs
@@ -60,16 +54,9 @@ impl Cloud {
                 .copied()
                 .ok_or_else(lost_session)?;
             let property = spec.property.unwrap_or(parent_property);
-            let spawned = self.begin_child_session(crate::session::ChildSpawn {
-                vid,
-                server,
-                property,
-                image,
-                program: spec.program,
-                parent: sid,
-                slot,
-            });
-            let session = self.sessions.get_mut(sid).ok_or_else(lost_session)?;
+            let origin = SessionOrigin::Child { parent: sid, slot };
+            let spawned = self.begin_session(vid, placement, property, spec.program, origin);
+            let session = self.events.session_mut(sid)?;
             match spawned {
                 Ok(_) => session.fork_outstanding += 1,
                 // A branch that cannot even spawn (admission, node
@@ -82,12 +69,7 @@ impl Cloud {
                 }
             }
         }
-        let outstanding = self
-            .sessions
-            .get(sid)
-            .map(|s| s.fork_outstanding)
-            .unwrap_or(0);
-        if outstanding == 0 {
+        if self.events.session(sid)?.fork_outstanding == 0 {
             self.join_fork(sid);
         }
         Ok(())
@@ -103,20 +85,15 @@ impl Cloud {
         slot: u16,
         outcome: Result<HealthStatus, CloudError>,
     ) {
-        let join = {
-            let Some(session) = self.sessions.get_mut(parent) else {
-                return;
-            };
-            if session.pending.is_some() {
-                return;
-            }
-            if let Some(entry) = session.fork_slots.get_mut(slot as usize) {
-                *entry = Some(outcome);
-            }
-            session.fork_outstanding = session.fork_outstanding.saturating_sub(1);
-            session.fork_outstanding == 0
+        let live = self.events.sessions.get_mut(parent);
+        let Some(session) = live.filter(|s| s.pending.is_none()) else {
+            return;
         };
-        if join {
+        if let Some(entry) = session.fork_slots.get_mut(slot as usize) {
+            *entry = Some(outcome);
+        }
+        session.fork_outstanding = session.fork_outstanding.saturating_sub(1);
+        if session.fork_outstanding == 0 {
             self.join_fork(parent);
         }
     }
@@ -127,23 +104,15 @@ impl Cloud {
     /// healthy-iff-all-healthy, with a single-branch fork (a
     /// delegation) passing the child's verdict through untouched.
     fn join_fork(&mut self, sid: SessionId) {
-        let combined = {
-            let Some(session) = self.sessions.get_mut(sid) else {
-                return;
-            };
-            session.elapsed_us += self.wall_clock_us - session.fork_started_us;
-            combine_slots(&mut session.fork_slots)
+        let now = self.events.now();
+        let Some(session) = self.events.sessions.get_mut(sid) else {
+            return;
         };
-        match combined {
-            Err(e) => self.finish_session(sid, Err(e)),
-            Ok(status) => {
-                if let Some(session) = self.sessions.get_mut(sid) {
-                    session.status = Some(status);
-                }
-                if let Err(e) = self.advance_session(sid, 0) {
-                    self.finish_session(sid, Err(e));
-                }
-            }
+        session.elapsed_us += now - session.fork_started_us;
+        let combined = combine_slots(&mut session.fork_slots);
+        let resumed = combined.map(|status| session.status = Some(status));
+        if let Err(e) = resumed.and_then(|()| self.advance_session(sid, 0)) {
+            self.finish_session(sid, Err(e));
         }
     }
 
@@ -153,13 +122,13 @@ impl Cloud {
     /// status register and the counter jumps to the certification tail,
     /// so the negative verdict is still certified and reported.
     pub(crate) fn enter_gate(&mut self, sid: SessionId, fail_pc: u16) -> Result<(), CloudError> {
-        let session = self.sessions.get_mut(sid).ok_or_else(lost_session)?;
+        let session = self.events.session_mut(sid)?;
         let healthy = match &session.status {
             Some(status) => status.is_healthy(),
             None => {
-                return Err(CloudError::ProtocolFailure {
-                    reason: "gate reached without a delegated verdict".into(),
-                })
+                return Err(CloudError::protocol(
+                    "gate reached without a delegated verdict",
+                ))
             }
         };
         if healthy {
@@ -187,9 +156,9 @@ fn combine_slots(
             Some(Ok(status)) => verdicts.push(status),
             Some(Err(e)) => return Err(e),
             None => {
-                return Err(CloudError::ProtocolFailure {
-                    reason: "fork joined with an unfilled branch slot".into(),
-                })
+                return Err(CloudError::protocol(
+                    "fork joined with an unfilled branch slot",
+                ))
             }
         }
     }
@@ -223,38 +192,4 @@ fn combine_slots(
         .max()
         .unwrap_or(1);
     Ok(HealthStatus::Unreachable { missed })
-}
-
-impl Cloud {
-    /// Spawns one fork branch as a child session against the parent's
-    /// placement. Mirrors the internal-session spawn: the child runs an
-    /// appraiser-side program and reports into the parent's slot
-    /// instead of an API pump.
-    fn begin_child_session(
-        &mut self,
-        spawn: crate::session::ChildSpawn,
-    ) -> Result<SessionId, CloudError> {
-        self.admit_session()?;
-        // Children route independently of the parent: the route is
-        // re-resolved at spawn time so a child admitted after a
-        // control-plane failover lands on the live owner.
-        let route = self.topology.route_for(spawn.vid);
-        let (sid, session) = self
-            .sessions
-            .alloc_with(AttestSession::vacant)
-            .ok_or_else(lost_session)?;
-        session.reset(
-            spawn.vid,
-            spawn.server,
-            route,
-            spawn.property,
-            spawn.image,
-            spawn.program,
-            SessionOrigin::Child {
-                parent: spawn.parent,
-                slot: spawn.slot,
-            },
-        );
-        self.spawn_prepared(sid)
-    }
 }

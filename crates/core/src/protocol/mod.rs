@@ -4,7 +4,7 @@
 //! CloudMonatt's Figure-3 message flow used to be hard-wired as a
 //! per-stage state machine. This module turns it into a term language
 //! ([`Protocol`]) compiled ([`compile`]) to flat op schedules that the
-//! session interpreter ([`run`], [`fork`]) executes on the engine's
+//! session interpreter (`run`, `fork`) executes on the engine's
 //! event queue. Figure 3 ships as the default program — byte-identical
 //! to the hand-written machine, pinned by the golden trace — and new
 //! scenarios (layered platform-then-VM attestation, multi-property

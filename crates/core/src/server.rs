@@ -87,6 +87,10 @@ pub struct CloudServerNode {
     /// The cached attestation session when `reuse_avk` is on. Dropped on
     /// channel re-key or crash recovery (see [`Self::reset_avk_session`]).
     avk_session: Option<monatt_tpm::module::AttestationSession>,
+    /// Instant until which the measurement window is owned by some
+    /// session (the profiling window is server-global, so windowed
+    /// sessions serialize per server; see `Cloud::step_window_open`).
+    pub(crate) window_free_at: u64,
 }
 
 impl std::fmt::Debug for CloudServerNode {
@@ -132,6 +136,7 @@ impl CloudServerNode {
             quote_scratch: monatt_net::wire::EncodeScratch::new(),
             reuse_avk: false,
             avk_session: None,
+            window_free_at: 0,
         }
     }
 

@@ -126,32 +126,33 @@ pub(crate) enum CloudEvent {
 }
 
 /// A message-4 measurement response parked at the Attestation Server,
-/// awaiting the coalescing flush. The session's expectations (vid, spec,
-/// nonce N3) are re-read from the live session at flush time; an entry
-/// whose session died in between (node crash, deadline) is skipped.
+/// awaiting the coalescing flush, with the session's expectations as of
+/// parking (they cannot change while the hop waits). The flush skips an
+/// entry whose session died in between (node crash, deadline).
 #[derive(Debug)]
 pub(crate) struct PendingMsg4 {
     pub(crate) sid: SessionId,
     pub(crate) msg4: MeasureResponse,
+    pub(crate) meta: Msg4Meta,
     /// Wall-clock instant the response reached the AS; the flush charges
     /// `flush_time - arrived_at_us` as coalescing wait.
     pub(crate) arrived_at_us: u64,
 }
 
-/// A batch entry's expectations, re-read from its live session at flush
-/// time: (vid, server, property, image, spec, nonce2, nonce3, replica).
-/// The replica index partitions the flush — each AS replica validates
-/// only its own sessions' responses.
-pub(crate) type Msg4Meta = (
-    Vid,
-    ServerId,
-    SecurityProperty,
-    Image,
-    MeasurementSpec,
-    [u8; 32],
-    [u8; 32],
-    u32,
-);
+/// What the Attestation Server expects of a session's message 4, read
+/// from the session when the response arrives. The replica index
+/// partitions a flush — each AS replica validates only its own
+/// sessions' responses.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Msg4Meta {
+    pub(crate) vid: Vid,
+    pub(crate) server: ServerId,
+    pub(crate) property: SecurityProperty,
+    pub(crate) image: Image,
+    pub(crate) spec: MeasurementSpec,
+    pub(crate) nonce3: [u8; 32],
+    pub(crate) replica: u32,
+}
 
 /// Who consumes the session's outcome.
 #[derive(Clone, Copy, Debug)]
@@ -182,19 +183,6 @@ pub(crate) struct SessionYield {
 }
 
 pub(crate) type SessionOutcome = Result<SessionYield, CloudError>;
-
-/// Parameters for spawning a fork-branch child session (see
-/// [`crate::protocol::fork`]): the parent's placement plus the branch's
-/// program, property and report-back slot.
-pub(crate) struct ChildSpawn {
-    pub(crate) vid: Vid,
-    pub(crate) server: ServerId,
-    pub(crate) property: SecurityProperty,
-    pub(crate) image: Image,
-    pub(crate) program: ProgramId,
-    pub(crate) parent: SessionId,
-    pub(crate) slot: u16,
-}
 
 /// One in-flight attestation exchange: the program counter plus the
 /// typed register file of a compiled protocol program, and the
@@ -408,6 +396,34 @@ impl AttestSession {
         Hop::of(self.msg, self.route, self.server)
     }
 
+    /// Whether the end-to-end deadline still holds at instant `at_us`.
+    /// Sessions without a deadline (the default) always pass.
+    pub(crate) fn deadline_holds(&self, at_us: u64) -> Result<(), CloudError> {
+        match self.deadline {
+            Some((budget_us, expires_at)) if at_us > expires_at => {
+                Err(CloudError::DeadlineExceeded {
+                    budget_us,
+                    elapsed_us: self.elapsed_us,
+                })
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// The message-4 expectations of this session, once it has issued
+    /// its measurement request.
+    pub(crate) fn msg4_meta(&self) -> Option<Msg4Meta> {
+        Some(Msg4Meta {
+            vid: self.vid,
+            server: self.server,
+            property: self.property,
+            image: self.expected_image,
+            spec: self.spec?,
+            nonce3: self.nonce3,
+            replica: self.route.replica,
+        })
+    }
+
     /// Whether the session's current protocol hop depends on `node`. A
     /// parent parked on a fork depends on nothing itself — its fate
     /// rides entirely on its children, which fail (and resume it) on
@@ -418,113 +434,69 @@ impl AttestSession {
 }
 
 pub(crate) fn lost_session() -> CloudError {
-    CloudError::ProtocolFailure {
-        reason: "attestation session state lost".into(),
-    }
+    CloudError::protocol("attestation session state lost")
 }
 
 #[cold]
 pub(crate) fn malformed(what: &str, e: impl std::fmt::Display) -> CloudError {
-    CloudError::ProtocolFailure {
-        reason: format!("malformed {what}: {e}"),
-    }
+    CloudError::protocol(format!("malformed {what}: {e}"))
 }
 
 #[cold]
 fn duplicate_not_rejected(peer: &str, outcome: Result<(), ChannelError>) -> CloudError {
-    CloudError::ProtocolFailure {
-        reason: format!("duplicate record from {peer} not rejected: {outcome:?}"),
-    }
+    CloudError::protocol(format!(
+        "duplicate record from {peer} not rejected: {outcome:?}"
+    ))
 }
 
 impl Cloud {
-    /// Starts a full customer session running the default Figure-3
-    /// program (messages 1–6); the rest happens in event handlers.
-    pub(crate) fn begin_customer_session(
+    /// Starts a session running the compiled `program` against `vid`:
+    /// admission, placement, route, arena slot, deadline — then the
+    /// program's first op, which builds and transmits the opening hop
+    /// (retiring the slot again if that fails). `placement` is `None`
+    /// for a session addressed to the VM's current host (its live row);
+    /// a fork branch passes its parent's placement instead, so a branch
+    /// measures where its parent does.
+    pub(crate) fn begin_session(
         &mut self,
         vid: Vid,
-        property: SecurityProperty,
-        origin: SessionOrigin,
-    ) -> Result<SessionId, CloudError> {
-        let program = self.programs.fig3_customer;
-        self.begin_program_session(vid, property, program, origin)
-    }
-
-    /// Starts a customer-shaped session running an arbitrary compiled
-    /// program against `vid`'s current placement.
-    pub(crate) fn begin_program_session(
-        &mut self,
-        vid: Vid,
+        placement: Option<(ServerId, Image)>,
         property: SecurityProperty,
         program: ProgramId,
         origin: SessionOrigin,
     ) -> Result<SessionId, CloudError> {
-        use crate::controller::VmLifecycle;
-        self.admit_session()?;
-        let record = self.controller.vm(vid).ok_or(CloudError::UnknownVm(vid))?;
-        if record.state == VmLifecycle::Terminated {
-            return Err(CloudError::UnknownVm(vid));
+        // The Attestation Server's admission decision comes first: a
+        // shed session does no work and makes no RNG draw.
+        let in_flight = self.events.sessions.len();
+        if !self.appraisers.admit(in_flight) {
+            self.stats.sessions_shed += 1;
+            return Err(CloudError::Overloaded { in_flight });
         }
-        // Copy the two placement fields instead of cloning the record:
-        // the session only needs them.
-        let server = record.server;
-        let image = record.image;
+        let (server, image) = match placement {
+            Some(placement) => placement,
+            None => {
+                let row = self.fleet.live(vid)?;
+                (row.server, row.image)
+            }
+        };
         // Pin the control-plane route while `self` is still whole: the
         // session keeps it for life (a mid-session crash fails fast and
-        // re-admits on a fresh route — state never migrates).
+        // re-admits on a fresh route — state never migrates; a fork
+        // branch admitted after a failover lands on the live owner).
         let route = self.topology.route_for(vid);
+        let now = self.events.now();
+        let deadline = (self.events.deadline_us).map(|budget| (budget, now.saturating_add(budget)));
         let (sid, session) = self
+            .events
             .sessions
             .alloc_with(AttestSession::vacant)
             .ok_or_else(lost_session)?;
         session.reset(vid, server, route, property, image, program, origin);
-        self.spawn_prepared(sid)
-    }
-
-    /// Starts a controller-internal session (messages 2–5), used by the
-    /// launch pipeline's attestation stage (the VM may not be in the
-    /// controller's registry yet, so placement is passed explicitly).
-    pub(crate) fn begin_internal_session(
-        &mut self,
-        vid: Vid,
-        server: ServerId,
-        property: SecurityProperty,
-        expected_image: Image,
-    ) -> Result<SessionId, CloudError> {
-        self.admit_session()?;
-        let program = self.programs.fig3_internal;
-        let route = self.topology.route_for(vid);
-        let (sid, session) = self
-            .sessions
-            .alloc_with(AttestSession::vacant)
-            .ok_or_else(lost_session)?;
-        session.reset(
-            vid,
-            server,
-            route,
-            property,
-            expected_image,
-            program,
-            SessionOrigin::Api,
-        );
-        self.spawn_prepared(sid)
-    }
-
-    /// Arms and launches a session already reset into its arena slot:
-    /// stamps the deadline, bumps the spawn stats and enters the
-    /// program's first op — which builds and transmits the opening hop
-    /// (retiring the slot again if that fails).
-    pub(crate) fn spawn_prepared(&mut self, sid: SessionId) -> Result<SessionId, CloudError> {
-        let deadline = self
-            .session_deadline_us
-            .map(|budget| (budget, self.wall_clock_us.saturating_add(budget)));
-        if let Some(session) = self.sessions.get_mut(sid) {
-            session.deadline = deadline;
-        }
+        session.deadline = deadline;
         self.stats.sessions_started += 1;
-        self.stats.max_in_flight = self.stats.max_in_flight.max(self.sessions.len() as u64);
+        self.stats.max_in_flight = self.stats.max_in_flight.max(in_flight as u64 + 1);
         if let Err(e) = self.enter_current_op(sid, 0) {
-            self.sessions.remove(sid);
+            self.events.sessions.remove(sid);
             self.stats.sessions_failed += 1;
             self.classify_failure(&e);
             return Err(e);
@@ -537,42 +509,22 @@ impl Cloud {
     /// covered by the per-hop counters.
     pub(crate) fn classify_failure(&mut self, e: &CloudError) {
         match e {
-            CloudError::NodeDown { .. } => self.outage_stats.node_down_failures += 1,
+            CloudError::NodeDown { .. } => self.outage.stats.node_down_failures += 1,
             CloudError::DeadlineExceeded { .. } => self.stats.deadlines_exceeded += 1,
             _ => {}
         }
     }
 
     /// Drives the event loop until `sid` reaches a terminal state — the
-    /// synchronous facade behind the Table-1 APIs. Outside [`Cloud::run`]
-    /// the queue only ever holds this session's events (and those of
-    /// any fork children it spawned).
+    /// synchronous facade behind the Table-1 APIs.
     pub(crate) fn pump_session(&mut self, sid: SessionId) -> SessionOutcome {
-        loop {
-            let parked = match self.sessions.get_mut(sid) {
-                None => {
-                    return Err(CloudError::ProtocolFailure {
-                        reason: "attestation session vanished".into(),
-                    })
-                }
-                Some(s) => s.pending.take(),
-            };
-            if let Some(outcome) = parked {
-                self.sessions.remove(sid);
-                return outcome;
-            }
-            if self.engine.is_empty() {
-                self.sessions.remove(sid);
-                return Err(CloudError::ProtocolFailure {
-                    reason: "event queue stalled mid-session".into(),
-                });
-            }
-            let Some((due, event)) = self.engine.pop() else {
-                // Unreachable: emptiness was checked above.
-                continue;
-            };
-            self.advance_to(due);
-            self.dispatch_event(event);
+        self.pump(Some(sid));
+        let parked = self.events.sessions.get_mut(sid).map(|s| s.pending.take());
+        self.events.sessions.remove(sid);
+        match parked {
+            Some(Some(outcome)) => outcome,
+            Some(None) => Err(CloudError::protocol("event queue stalled mid-session")),
+            None => Err(CloudError::protocol("attestation session vanished")),
         }
     }
 
@@ -588,38 +540,31 @@ impl Cloud {
         pre_delay_us: u64,
     ) -> Result<(), CloudError> {
         let Cloud {
-            sessions,
+            events,
             network,
             rng,
             stats,
             retry,
             links,
-            outage_stats,
-            engine,
-            wall_clock_us,
-            down,
-            record_scratch,
+            outage,
             ..
         } = self;
-        let now = *wall_clock_us;
-        let session = sessions.get_mut(sid).ok_or_else(lost_session)?;
+        let now = events.now();
+        let session = events.sessions.get_mut(sid).ok_or_else(lost_session)?;
         let hop = session.hop();
         // Fail fast when a node this hop depends on is crashed (the
         // customer end is assumed reliable) — checked before any RNG
         // draw or transmission, so the session does not burn the
         // retransmission ladder against a black hole.
         let mut ends = hop.link.ends().into_iter().flatten();
-        if let Some(node) = ends.find(|n| down.contains(n)) {
+        if let Some(node) = ends.find(|n| outage.down.contains(n)) {
             return Err(CloudError::NodeDown { node });
         }
         // Lazy re-keying: a link marked stale by a node recovery is
         // re-handshaken here, at its first post-recovery use, instead
         // of in a synchronized burst at the recovery instant.
-        links.refresh_if_stale(hop.link, rng, outage_stats);
+        links.refresh_if_stale(hop.link, rng, &mut outage.stats);
         let policy = *retry;
-        // Session events shard by target server (routing only — never
-        // affects pop order; see `crate::engine`).
-        let shard_key = session.server.0 as u64;
         let mut offset = pre_delay_us;
         session.attempt += 1;
         if session.attempt > 1 {
@@ -638,28 +583,26 @@ impl Cloud {
             send.seal_into(b"", &session.wire, &mut session.sealed);
         }
         stats.messages_sent += 1;
+        let record = &mut events.record_scratch;
         let delivery = network.transmit_into(
             recv.peer(),
             send.peer(),
             &session.sealed,
             now + offset,
-            record_scratch,
+            record,
         );
-        match delivery.delivered {
+        // The follow-ups of this attempt, in schedule order.
+        let timeout_at = now + offset + policy.timeout_us;
+        let retry = SessionEvent::Retry { generation };
+        let late = SessionEvent::LateArrival { generation };
+        let follow_ups: [Option<(u64, SessionEvent)>; 3] = match delivery.delivered {
             false => {
                 // Nothing arrived: the sender learns of the loss only by
                 // timing out.
                 stats.drops_seen += 1;
                 stats.timeouts += 1;
                 session.elapsed_us += policy.timeout_us;
-                engine.schedule(
-                    now + offset + policy.timeout_us,
-                    shard_key,
-                    CloudEvent::Session {
-                        sid,
-                        event: SessionEvent::Retry { generation },
-                    },
-                );
+                [Some((timeout_at, retry)), None, None]
             }
             true if delivery.latency_us > policy.timeout_us && policy.max_attempts > 1 => {
                 // Delivered, but past the sender's loss-detection
@@ -670,30 +613,14 @@ impl Cloud {
                 // was lost too does it save the hop.
                 stats.timeouts += 1;
                 session.elapsed_us += policy.timeout_us;
-                let copies = if delivery.duplicated { 2 } else { 1 };
-                for _ in 0..copies {
-                    session
-                        .late
-                        .push((session.msg, generation, record_scratch.clone()));
-                    engine.schedule(
-                        delivery.deliver_at_us,
-                        shard_key,
-                        CloudEvent::Session {
-                            sid,
-                            event: SessionEvent::LateArrival { generation },
-                        },
-                    );
+                let copy = (delivery.deliver_at_us, late);
+                let second = delivery.duplicated.then_some(copy);
+                for _ in 0..1 + usize::from(delivery.duplicated) {
+                    session.late.push((session.msg, generation, record.clone()));
                 }
-                engine.schedule(
-                    now + offset + policy.timeout_us,
-                    shard_key,
-                    CloudEvent::Session {
-                        sid,
-                        event: SessionEvent::Retry { generation },
-                    },
-                );
+                [Some(copy), second, Some((timeout_at, retry))]
             }
-            true => match recv.open_into(b"", record_scratch, &mut session.inbox) {
+            true => match recv.open_into(b"", record, &mut session.inbox) {
                 Ok(()) => {
                     session.inbox_full = true;
                     session.elapsed_us += delivery.latency_us;
@@ -704,21 +631,18 @@ impl Cloud {
                         // happens before the output buffer is touched,
                         // so an empty throwaway Vec never allocates.
                         // #[allow(monatt::alloc_freedom)]
-                        match recv.open_into(b"", record_scratch, &mut Vec::new()) {
+                        match recv.open_into(b"", record, &mut Vec::new()) {
                             Err(ChannelError::DuplicateRecord) => {
                                 stats.duplicates_rejected += 1;
                             }
                             other => return Err(duplicate_not_rejected(recv.peer(), other)),
                         }
                     }
-                    engine.schedule(
-                        delivery.deliver_at_us,
-                        shard_key,
-                        CloudEvent::Session {
-                            sid,
-                            event: SessionEvent::Arrival,
-                        },
-                    );
+                    [
+                        Some((delivery.deliver_at_us, SessionEvent::Arrival)),
+                        None,
+                        None,
+                    ]
                 }
                 Err(e) => {
                     // Corrupted, tampered or replayed: the record is
@@ -728,16 +652,14 @@ impl Cloud {
                     stats.timeouts += 1;
                     session.elapsed_us += delivery.latency_us + policy.timeout_us;
                     session.last_auth_failure = Some(e);
-                    engine.schedule(
-                        now + offset + delivery.latency_us + policy.timeout_us,
-                        shard_key,
-                        CloudEvent::Session {
-                            sid,
-                            event: SessionEvent::Retry { generation },
-                        },
-                    );
+                    [Some((timeout_at + delivery.latency_us, retry)), None, None]
                 }
             },
+        };
+        // Session events shard by target server (routing only — never
+        // affects pop order; see `crate::engine`).
+        for (due_us, event) in follow_ups.into_iter().flatten() {
+            events.schedule_session(due_us, sid, event);
         }
         Ok(())
     }
@@ -749,10 +671,7 @@ impl Cloud {
         // that already terminated (failed fast on a node crash, or its
         // outcome is parked for an API pump) — are discarded here, so a
         // terminal outcome is recorded exactly once.
-        let Some(session) = self.sessions.get(sid) else {
-            return;
-        };
-        if session.pending.is_some() {
+        if self.events.settled(sid) {
             return;
         }
         let result = match event {
@@ -769,19 +688,8 @@ impl Cloud {
     }
 
     /// Terminates the session if its end-to-end deadline has passed.
-    /// Sessions without a deadline (the default) never check.
     pub(crate) fn check_deadline(&mut self, sid: SessionId) -> Result<(), CloudError> {
-        let now = self.wall_clock_us;
-        let session = self.sessions.get(sid).ok_or_else(lost_session)?;
-        if let Some((budget_us, expires_at)) = session.deadline {
-            if now > expires_at {
-                return Err(CloudError::DeadlineExceeded {
-                    budget_us,
-                    elapsed_us: session.elapsed_us,
-                });
-            }
-        }
-        Ok(())
+        self.events.session(sid)?.deadline_holds(self.events.now())
     }
 
     /// The current hop's record reached its receiver: close out the
@@ -789,50 +697,42 @@ impl Cloud {
     /// interpreter's receive dispatch.
     pub(crate) fn step_arrival(&mut self, sid: SessionId) -> Result<(), CloudError> {
         self.check_deadline(sid)?;
-        let msg = {
-            let Cloud {
-                sessions,
-                inbox_scratch,
-                ..
-            } = &mut *self;
-            let session = sessions.get_mut(sid).ok_or_else(lost_session)?;
-            if !session.inbox_full {
-                return Err(CloudError::ProtocolFailure {
-                    reason: "arrival event without a delivered record".into(),
-                });
-            }
-            session.inbox_full = false;
-            // Ping-pong the delivered plaintext into the cloud-level
-            // scratch: the session's inbox must keep a capacity-bearing
-            // buffer during dispatch, because the next hop's open lands
-            // in it before this function returns.
-            std::mem::swap(&mut session.inbox, inbox_scratch);
-            // The hop completed; the next one starts a fresh attempt
-            // budget, a fresh sealed record, and a new generation (any
-            // still-pending Retry timer of this hop is now stale).
-            session.attempt = 0;
-            session.last_auth_failure = None;
-            session.sealed.clear();
-            session.retry_deferred = false;
-            session.generation = session.generation.wrapping_add(1);
-            session.msg
-        };
+        let events = &mut self.events;
+        let session = events.sessions.get_mut(sid).ok_or_else(lost_session)?;
+        if !std::mem::take(&mut session.inbox_full) {
+            return Err(CloudError::protocol(
+                "arrival event without a delivered record",
+            ));
+        }
+        // Ping-pong the delivered plaintext into the cloud-level
+        // scratch: the session's inbox must keep a capacity-bearing
+        // buffer during dispatch, because the next hop's open lands
+        // in it before this function returns.
+        std::mem::swap(&mut session.inbox, &mut events.inbox_scratch);
+        // The hop completed; the next one starts a fresh attempt
+        // budget, a fresh sealed record, and a new generation (any
+        // still-pending Retry timer of this hop is now stale).
+        session.attempt = 0;
+        session.last_auth_failure = None;
+        session.sealed.clear();
+        session.retry_deferred = false;
+        session.generation = session.generation.wrapping_add(1);
+        let msg = session.msg;
         // Moving a Vec out of `self` for the dispatch neither allocates
         // nor frees; it is put back afterwards so both ping-pong
         // buffers keep their capacity.
-        let bytes = std::mem::take(&mut self.inbox_scratch);
+        let bytes = std::mem::take(&mut self.events.inbox_scratch);
         let result = self.dispatch_receive(sid, msg, &bytes);
-        self.inbox_scratch = bytes;
+        self.events.inbox_scratch = bytes;
         result
     }
 
     /// A loss-detection timeout fired: retry within budget, otherwise
     /// fail with the blocking implementation's exact classification.
     fn step_retry(&mut self, sid: SessionId, generation: u32) -> Result<(), CloudError> {
-        let (max_attempts, exhausted) = {
-            let session = self.sessions.get(sid).ok_or_else(lost_session)?;
+        let exhausted = {
+            let session = self.events.session(sid)?;
             let policy = self.retry;
-            let max_attempts = policy.max_attempts.max(1);
             if session.generation != generation {
                 // The hop this timer belonged to already completed (a
                 // late arrival saved it): nothing to retransmit.
@@ -841,15 +741,9 @@ impl Cloud {
             // Deadline lookahead: when the remaining budget cannot
             // cover even the next loss-detection timeout, abort now
             // instead of burning the rest of the retry ladder.
-            if let Some((budget_us, expires_at)) = session.deadline {
-                if self.wall_clock_us.saturating_add(policy.timeout_us) > expires_at {
-                    return Err(CloudError::DeadlineExceeded {
-                        budget_us,
-                        elapsed_us: session.elapsed_us,
-                    });
-                }
-            }
-            (max_attempts, session.attempt >= max_attempts)
+            let next_timeout = self.events.now().saturating_add(policy.timeout_us);
+            session.deadline_holds(next_timeout)?;
+            session.attempt >= policy.max_attempts.max(1)
         };
         if !exhausted {
             return self.transmit_attempt(sid, 0);
@@ -857,13 +751,13 @@ impl Cloud {
         // Budget exhausted — but copies delayed past the timeout may
         // still be in flight for this hop, and one of them opening
         // cleanly saves it. Defer the verdict to the last of them.
-        if let Some(session) = self.sessions.get_mut(sid) {
+        if let Some(session) = self.events.sessions.get_mut(sid) {
             if session.late.iter().any(|(_, g, _)| *g == generation) {
                 session.retry_deferred = true;
                 return Ok(());
             }
         }
-        self.exhaustion_error(sid, max_attempts)
+        self.exhaustion_error(sid)
     }
 
     /// The classification an out-of-budget hop fails with: "every
@@ -872,20 +766,17 @@ impl Cloud {
     /// (the peer is unreachable). Reached only when a hop's whole retry
     /// budget burns down — never on the clean warm path.
     #[cold]
-    fn exhaustion_error(&mut self, sid: SessionId, max_attempts: u32) -> Result<(), CloudError> {
-        let Cloud {
-            sessions, links, ..
-        } = self;
-        let session = sessions.get(sid).ok_or_else(lost_session)?;
+    fn exhaustion_error(&mut self, sid: SessionId) -> Result<(), CloudError> {
+        let max_attempts = self.retry.max_attempts.max(1);
+        let session = self.events.sessions.get(sid).ok_or_else(lost_session)?;
+        let links = &mut self.links;
         let (send, recv) = links.channels(session.hop())?;
         Err(match &session.last_auth_failure {
-            Some(e) => CloudError::ProtocolFailure {
-                reason: format!(
-                    "secure channel {}->{}: {e} ({max_attempts} attempts)",
-                    recv.peer(),
-                    send.peer()
-                ),
-            },
+            Some(e) => CloudError::protocol(format!(
+                "secure channel {}->{}: {e} ({max_attempts} attempts)",
+                recv.peer(),
+                send.peer()
+            )),
             None => CloudError::Unreachable {
                 peer: send.peer().to_owned(),
                 attempts: max_attempts,
@@ -902,12 +793,12 @@ impl Cloud {
     fn step_late_arrival(&mut self, sid: SessionId, generation: u32) -> Result<(), CloudError> {
         let advanced = {
             let Cloud {
-                sessions,
+                events,
                 stats,
                 links,
                 ..
             } = self;
-            let session = sessions.get_mut(sid).ok_or_else(lost_session)?;
+            let session = events.session_mut(sid)?;
             let Some(pos) = session.late.iter().position(|(_, g, _)| *g == generation) else {
                 // Already consumed (defensive; one event is scheduled
                 // per parked copy).
@@ -961,21 +852,15 @@ impl Cloud {
         // and this was the last one in flight, the hop is out of
         // chances.
         let out_of_chances = {
-            let session = self.sessions.get(sid).ok_or_else(lost_session)?;
+            let session = self.events.session(sid)?;
             session.retry_deferred
                 && session.generation == generation
                 && !session.late.iter().any(|(_, g, _)| *g == generation)
         };
         if out_of_chances {
-            return self.exhaustion_error(sid, self.retry.max_attempts.max(1));
+            return self.exhaustion_error(sid);
         }
         Ok(())
-    }
-
-    /// Fails an in-flight session fast because a node its current hop
-    /// depends on crashed (called from the crash handler).
-    pub(crate) fn finish_session_node_down(&mut self, sid: SessionId, node: NodeId) {
-        self.finish_session(sid, Err(CloudError::NodeDown { node }));
     }
 
     /// Terminates `sid` and routes the outcome to its consumer: parked
@@ -984,7 +869,7 @@ impl Cloud {
     pub(crate) fn finish_session(&mut self, sid: SessionId, outcome: SessionOutcome) {
         // Guard first: a session that already terminated must not be
         // double-counted by a straggler event.
-        if !self.sessions.contains(sid) {
+        if !self.events.sessions.contains(sid) {
             return;
         }
         match &outcome {
@@ -994,25 +879,25 @@ impl Cloud {
                 self.classify_failure(e);
             }
         }
-        let Some(session) = self.sessions.get_mut(sid) else {
+        let Some(session) = self.events.sessions.get_mut(sid) else {
             return;
         };
         match session.origin {
             SessionOrigin::Api => session.pending = Some(outcome),
             SessionOrigin::Subscription(subscription) => {
                 let (vid, property) = (session.vid, session.property);
-                self.sessions.remove(sid);
+                self.events.sessions.remove(sid);
                 let result = outcome.map(|y| crate::cloud::AttestationReport {
                     vid,
                     property,
                     status: y.status,
                     elapsed_us: y.elapsed_us,
-                    issued_at_us: self.wall_clock_us,
+                    issued_at_us: self.events.now(),
                 });
                 self.complete_subscription_sample(subscription, vid, property, result);
             }
             SessionOrigin::Child { parent, slot } => {
-                self.sessions.remove(sid);
+                self.events.sessions.remove(sid);
                 self.route_child_outcome(parent, slot, outcome.map(|y| y.status));
             }
         }

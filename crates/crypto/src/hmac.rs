@@ -1,5 +1,5 @@
 //! HMAC-SHA256 (RFC 2104) and HKDF (RFC 5869), implemented from scratch on
-//! top of [`crate::sha256`].
+//! top of [`mod@crate::sha256`].
 
 use crate::sha256::{sha256, Sha256, DIGEST_LEN};
 use crate::zeroize::Zeroizing;

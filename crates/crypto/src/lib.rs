@@ -13,7 +13,7 @@
 //! * [`montgomery`] — Montgomery-form multiplication and windowed
 //!   exponentiation for odd moduli (the hot-path kernels).
 //! * [`group`] — a 256-bit safe-prime Schnorr group.
-//! * [`sha256`] — SHA-256 (FIPS 180-4).
+//! * [`mod@sha256`] — SHA-256 (FIPS 180-4).
 //! * [`hmac`] — HMAC-SHA256 and HKDF (RFCs 2104/5869).
 //! * [`drbg`] — a ChaCha20-based deterministic random bit generator.
 //! * [`aes`] — AES-128 with CTR mode (FIPS 197).

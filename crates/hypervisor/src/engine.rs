@@ -8,9 +8,9 @@
 //!
 //! State is dense. `VmId` is a per-server counter and a vCPU's index is
 //! below its VM's vCPU count, so VMs and vCPUs live in flat tables and
-//! the event path names a vCPU by its row in [`ServerSim::vcpus`]; a
+//! the event path names a vCPU by its row in `ServerSim::vcpus`; a
 //! [`VcpuId`] is translated once, at the public surface. Timers are
-//! [`TimerSlots`]: every timer the server can have is a slot that is
+//! `TimerSlots`: every timer the server can have is a slot that is
 //! re-armed in place and disarmed the moment it stops meaning anything,
 //! so no handler ever has to ask whether the timer it was handed is
 //! stale.

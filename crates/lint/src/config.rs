@@ -155,6 +155,8 @@ impl Default for Config {
                 "crates/core/src/session.rs",
                 "crates/core/src/protocol/run.rs",
                 "crates/core/src/arena.rs",
+                "crates/core/src/cloud/events.rs",
+                "crates/core/src/cloud/appraisers.rs",
                 "crates/hypervisor/src/wheel.rs",
                 "crates/hypervisor/src/engine.rs",
                 "crates/hypervisor/src/timers.rs",

@@ -1,7 +1,7 @@
 //! Rule: sim-deterministic crates must replay bit-identically under a
 //! fixed seed.
 //!
-//! The golden-trace fixture (DESIGN.md §10–12) pins the clean path, but
+//! The golden-trace fixture (DESIGN.md §11) pins the clean path, but
 //! only the paths it executes. This rule makes the three classic
 //! sources of silent divergence statically impossible in the
 //! deterministic crate set (`core`, `net`, `hypervisor`, `crypto`,

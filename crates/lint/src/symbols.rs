@@ -101,7 +101,7 @@ impl SymbolTable {
     /// Resolves a call site to its unique workspace definition, or
     /// `None` when the name is undefined, ambiguous, or a method call
     /// whose name collides with a std collection/iterator API (see
-    /// [`STD_METHOD_NAMES`]).
+    /// `STD_METHOD_NAMES`).
     pub fn resolve_call(&self, call: &CallSite) -> Option<FnKey> {
         if call.method && STD_METHOD_NAMES.contains(&call.callee.as_str()) {
             return None;

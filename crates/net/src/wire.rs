@@ -200,7 +200,7 @@ impl<'a> Reader<'a> {
     /// Reads length-prefixed bytes.
     ///
     /// Allocating convenience: returns an owned copy. Warm-path decoders
-    /// borrow the payload in place via [`Self::take`] instead.
+    /// borrow the payload in place via `Self::take` instead.
     #[cold]
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, WireError> {
         let len = self.get_u32()? as usize;

@@ -28,7 +28,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use std::ops::{Range, RangeInclusive};
 
-    /// A size specification for [`vec`]: an exact length or a range.
+    /// A size specification for [`fn@vec`]: an exact length or a range.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         lo: usize,
@@ -73,7 +73,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`fn@vec`].
     #[derive(Clone, Debug)]
     pub struct VecStrategy<S> {
         element: S,
