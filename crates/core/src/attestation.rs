@@ -12,7 +12,7 @@ use crate::pca::{PcaError, PrivacyCa};
 use crate::types::{HealthStatus, Image, SecurityProperty, ServerId, Vid};
 use monatt_crypto::batch::{batch_verify_each, BatchItem};
 use monatt_crypto::drbg::Drbg;
-use monatt_crypto::schnorr::{SigningKey, VerifyingKey};
+use monatt_crypto::schnorr::{SigningKey, Verifier, VerifyingKey};
 use monatt_net::wire::EncodeScratch;
 
 /// Cold error constructors, outlined so the validation paths the
@@ -449,15 +449,16 @@ impl AttestationServer {
         }
     }
 
-    /// Verifies a message-5 report (used by the controller), rebuilding
-    /// the quoted fields in a caller-provided encode scratch.
+    /// Verifies a message-5 report (used by the controller, which holds
+    /// each replica's key bound), rebuilding the quoted fields in a
+    /// caller-provided encode scratch.
     ///
     /// # Errors
     ///
     /// [`CloudError::ProtocolFailure`] if the quote or nonce fails.
     pub fn verify_report_msg_with(
         msg: &AttestationReportMsg,
-        attserver_key: &VerifyingKey,
+        attserver_key: &impl Verifier,
         expected_nonce2: [u8; 32],
         scratch: &mut EncodeScratch,
     ) -> Result<(), CloudError> {

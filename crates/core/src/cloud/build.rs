@@ -20,7 +20,7 @@ use crate::types::{
 use monatt_attacks::boost::{boost_attack_drivers, BoostAttackVcpu};
 use monatt_attacks::covert::CovertSender;
 use monatt_crypto::drbg::Drbg;
-use monatt_crypto::schnorr::SigningKey;
+use monatt_crypto::schnorr::{BoundKey, SigningKey};
 use monatt_hypervisor::driver::{BusyLoop, IdleDriver, WorkloadDriver};
 use monatt_hypervisor::scheduler::SchedParams;
 use monatt_net::sim::SimNetwork;
@@ -496,8 +496,19 @@ impl CloudBuilder {
                 links.establish(&mut rng, LinkKey::AsServer(r, *id))?;
             }
         }
+        // Trust anchors, installed once every key exists (binding draws
+        // nothing): each verifier holds the keys it will check reports
+        // against for the life of the deployment.
+        for replica in &attservers {
+            controller.trust_attserver(replica.identity_key());
+        }
+        let customer_anchors = (0..k)
+            .filter_map(|i| controller.instance_key(i))
+            .map(|key| BoundKey::new(key.verifying_key()))
+            .collect();
         Ok(Cloud {
             rng,
+            customer_anchors,
             events: Events::new(self.shards, self.session_deadline_us),
             fleet: Fleet::new(controller, servers, self.seed, self.auto_response),
             appraisers: Appraisers::new(

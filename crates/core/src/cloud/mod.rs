@@ -60,6 +60,7 @@ use appraisers::Appraisers;
 use events::Events;
 use fleet::Fleet;
 use monatt_crypto::drbg::Drbg;
+use monatt_crypto::schnorr::BoundKey;
 use monatt_net::sim::SimNetwork;
 use std::collections::BTreeMap;
 use subscriptions::Subscription;
@@ -100,6 +101,11 @@ pub struct Cloud {
     pub(crate) fleet: Fleet,
     /// The Attestation-Server replica pool and its front door.
     pub(crate) appraisers: Appraisers,
+    /// What the customer holds: the identity key (VKc) of every
+    /// controller instance, indexed by instance and bound once at
+    /// deployment. Message 6 is verified against the instance that
+    /// served the session.
+    pub(crate) customer_anchors: Vec<BoundKey>,
     /// The outage schedule, the nodes currently down, the counters.
     pub(crate) outage: Outages,
     /// The replicated control-plane topology: shard ownership, replica

@@ -1224,3 +1224,85 @@ fn deferred_retransmits_during_batch_flushes_are_counted_once() {
     assert!(saw_flush, "no seed exercised a coalesced msg-4 flush");
     assert!(saw_duplicate, "no seed delivered a straggler duplicate");
 }
+
+#[test]
+fn reports_verify_only_against_the_anchor_of_the_node_that_signed_them() {
+    use crate::attestation::AttestationServer;
+    use crate::controller::CloudController;
+    use crate::types::Vid;
+    use monatt_net::wire::EncodeScratch;
+
+    let mut c = CloudBuilder::new()
+        .servers(2)
+        .seed(1207)
+        .control_plane(3, 2)
+        .build();
+    let (vid, property, nonce) = (Vid(1), SecurityProperty::RuntimeIntegrity, [7u8; 32]);
+    let scratch = &mut EncodeScratch::new();
+    // Message 5, signed by replica `signer`, against the key the
+    // controller holds for replica `held` — every pairing.
+    for (signer, held) in (0..2).flat_map(|s| (0..2).map(move |h| (s, h))) {
+        let (attserver, _) = c.appraisers.routed(signer).unwrap();
+        let msg5 =
+            attserver.certify_report(vid, ServerId(0), property, HealthStatus::Healthy, nonce);
+        let anchor = c.fleet.controller.attserver_key(held).unwrap();
+        let verdict = AttestationServer::verify_report_msg_with(&msg5, anchor, nonce, scratch);
+        assert_eq!(verdict.is_ok(), signer == held, "msg 5: {signer} vs {held}");
+        // The bound anchor and the bare key it was built from agree.
+        let bare = AttestationServer::verify_report_msg_with(&msg5, &anchor.key(), nonce, scratch);
+        assert_eq!(verdict, bare, "msg 5: {signer} vs {held}");
+    }
+    // Message 6 likewise, across the three controller instances and the
+    // keys the customer holds for them.
+    for (signer, held) in (0..3).flat_map(|s| (0..3).map(move |h| (s, h))) {
+        let key = c.fleet.controller.instance_key(signer).unwrap();
+        let msg6 = CloudController::certify_customer_report_keyed(
+            key,
+            vid,
+            property,
+            HealthStatus::Healthy,
+            nonce,
+            scratch,
+        );
+        let anchor = &c.customer_anchors[held as usize];
+        let verdict = CloudController::verify_customer_report_with(&msg6, anchor, nonce, scratch);
+        assert_eq!(verdict.is_ok(), signer == held, "msg 6: {signer} vs {held}");
+        let bare =
+            CloudController::verify_customer_report_with(&msg6, &anchor.key(), nonce, scratch);
+        assert_eq!(verdict, bare, "msg 6: {signer} vs {held}");
+    }
+    // One anchor per node, none beyond the topology.
+    assert!(c.fleet.controller.attserver_key(2).is_none());
+    assert_eq!(c.customer_anchors.len(), 3);
+}
+
+#[test]
+fn anchors_outlive_a_crash_of_the_node_they_name() {
+    let mut c = CloudBuilder::new()
+        .servers(2)
+        .seed(1208)
+        .control_plane(3, 2)
+        .build();
+    let property = SecurityProperty::RuntimeIntegrity;
+    let vid = c
+        .request_vm(VmRequest::new(Flavor::Small, Image::Cirros).require(property))
+        .unwrap();
+    let replica = c.control_plane().preferred_replica(vid);
+    let instance = c.control_plane().shard_of(vid);
+    let server = c.server_of(vid).unwrap();
+    // A recovery re-keys channels, never long-term identities: the same
+    // bound keys verify the next session, through the same nodes.
+    for node in [
+        NodeId::AttestationServer(replica),
+        NodeId::Controller(instance),
+        NodeId::Server(server),
+    ] {
+        c.crash_node(node);
+        c.recover_node(node);
+        let report = c.runtime_attest_current(vid, property).unwrap();
+        assert!(report.healthy(), "after {node}");
+    }
+    let stats = c.protocol_stats();
+    assert_eq!(stats.sessions_failed, 0, "{stats:?}");
+    assert!(c.outage_stats().rehandshakes >= 3);
+}

@@ -8,7 +8,7 @@ use crate::error::CloudError;
 use crate::messages::CustomerReportMsg;
 use crate::types::{Flavor, HealthStatus, Image, SecurityProperty, ServerId, Vid};
 use monatt_crypto::drbg::Drbg;
-use monatt_crypto::schnorr::{SigningKey, VerifyingKey};
+use monatt_crypto::schnorr::{BoundKey, SigningKey, Verifier, VerifyingKey};
 use monatt_net::wire::EncodeScratch;
 use monatt_tpm::quote::Quote;
 use std::collections::BTreeMap;
@@ -104,6 +104,10 @@ pub struct CloudController {
     /// indexed by instance. `new` provisions instance 0, so the list is
     /// never empty.
     instance_keys: Vec<SigningKey>,
+    /// The identity key (VKa) of every Attestation-Server replica,
+    /// indexed by replica and bound once at deployment: what message 5
+    /// is verified against.
+    attserver_keys: Vec<BoundKey>,
     vms: BTreeMap<Vid, VmRecord>,
     servers: BTreeMap<ServerId, ServerInfo>,
     next_vid: u64,
@@ -123,6 +127,7 @@ impl CloudController {
     pub fn new(rng: &mut Drbg) -> Self {
         CloudController {
             instance_keys: vec![SigningKey::generate(rng)],
+            attserver_keys: Vec::new(),
             vms: BTreeMap::new(),
             servers: BTreeMap::new(),
             next_vid: 1,
@@ -148,9 +153,19 @@ impl CloudController {
     }
 
     /// The long-term signing key of controller instance `instance`, for
-    /// the session layer's message-6 certification and verification.
+    /// the session layer's message-6 certification.
     pub(crate) fn instance_key(&self, instance: u32) -> Option<&SigningKey> {
         self.instance_keys.get(instance as usize)
+    }
+
+    /// Installs the identity key of the next Attestation-Server replica.
+    pub(crate) fn trust_attserver(&mut self, identity: VerifyingKey) {
+        self.attserver_keys.push(BoundKey::new(identity));
+    }
+
+    /// The key message 5 from AS replica `replica` must verify against.
+    pub(crate) fn attserver_key(&self, replica: u32) -> Option<&BoundKey> {
+        self.attserver_keys.get(replica as usize)
     }
 
     /// Registers a server in the capability table.
@@ -331,15 +346,16 @@ impl CloudController {
         }
     }
 
-    /// Customer-side verification of message 6, rebuilding the quoted
-    /// fields in a caller-provided encode scratch.
+    /// Customer-side verification of message 6 (the customer holds each
+    /// controller instance's key bound), rebuilding the quoted fields in
+    /// a caller-provided encode scratch.
     ///
     /// # Errors
     ///
     /// [`CloudError::ProtocolFailure`] naming the failed check.
     pub fn verify_customer_report_with(
         msg: &CustomerReportMsg,
-        controller_key: &VerifyingKey,
+        controller_key: &impl Verifier,
         expected_nonce1: [u8; 32],
         scratch: &mut EncodeScratch,
     ) -> Result<(), CloudError> {

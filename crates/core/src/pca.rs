@@ -9,10 +9,10 @@
 //! co-location probing (Section 3.4.2).
 
 use monatt_crypto::drbg::Drbg;
-use monatt_crypto::schnorr::{Signature, SigningKey, VerifyingKey};
+use monatt_crypto::schnorr::{BoundKey, Signature, SigningKey, VerifyingKey};
 use monatt_crypto::sha256::Sha256;
 use monatt_tpm::module::CertificationRequest;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Domain-separation tag mixed into every certificate signature, so a pCA
 /// signature over an attestation key can never be confused with any other
@@ -60,7 +60,10 @@ impl std::error::Error for PcaError {}
 /// The privacy CA.
 pub struct PrivacyCa {
     key: SigningKey,
-    registered: BTreeSet<[u8; 32]>,
+    /// The registered identity keys VKs, by encoding. Each is bound at
+    /// registration: these are the keys every session's binding is
+    /// verified against for as long as the server is deployed.
+    registered: BTreeMap<[u8; 32], BoundKey>,
     /// Current key epoch; bumped on channel re-key, invalidating every
     /// certificate issued before the bump.
     epoch: u64,
@@ -93,7 +96,7 @@ impl PrivacyCa {
     pub fn new(rng: &mut Drbg) -> Self {
         PrivacyCa {
             key: SigningKey::generate(rng),
-            registered: BTreeSet::new(),
+            registered: BTreeMap::new(),
             epoch: 0,
             cache_enabled: false,
             cert_cache: BTreeMap::new(),
@@ -132,9 +135,13 @@ impl PrivacyCa {
         (self.cache_hits, self.cache_misses)
     }
 
-    /// Registers a cloud server's identity key at deployment time.
+    /// Registers a cloud server's identity key at deployment time,
+    /// binding it for the verifications to come. Registering a key again
+    /// changes nothing.
     pub fn register_server(&mut self, identity: VerifyingKey) {
-        self.registered.insert(identity.to_bytes());
+        self.registered
+            .entry(identity.to_bytes())
+            .or_insert_with(|| BoundKey::new(identity));
     }
 
     /// Certifies a session attestation key.
@@ -148,9 +155,9 @@ impl PrivacyCa {
     /// [`PcaError::UnregisteredServer`] if the identity key is unknown,
     /// [`PcaError::BadBinding`] if the identity signature is invalid.
     pub fn certify(&mut self, request: &CertificationRequest) -> Result<AvkCertificate, PcaError> {
-        if !self.registered.contains(&request.identity_key.to_bytes()) {
+        let Some(identity) = self.registered.get(&request.identity_key.to_bytes()) else {
             return Err(PcaError::UnregisteredServer);
-        }
+        };
         if self.cache_enabled {
             if let Some(cert) = self.cert_cache.get(&Self::request_digest(request)) {
                 self.cache_hits += 1;
@@ -158,7 +165,7 @@ impl PrivacyCa {
             }
             self.cache_misses += 1;
         }
-        if !request.verify() {
+        if !request.verify_with(identity) {
             return Err(PcaError::BadBinding);
         }
         Ok(self.issue(request))
@@ -166,7 +173,7 @@ impl PrivacyCa {
 
     /// True when `identity` was registered at deployment time.
     pub(crate) fn is_registered(&self, identity: &VerifyingKey) -> bool {
-        self.registered.contains(&identity.to_bytes())
+        self.registered.contains_key(&identity.to_bytes())
     }
 
     /// Issues (and, when the cache is on, caches) a certificate for a
@@ -254,6 +261,9 @@ mod tests {
         let mut pca = PrivacyCa::new(&mut rng);
         let mut tm = TrustModule::provision(Drbg::from_seed(31));
         pca.register_server(tm.identity_key());
+        // Registering the same identity again is a no-op.
+        pca.register_server(tm.identity_key());
+        assert_eq!(pca.registered.len(), 1);
         let session = tm.begin_attestation();
         let cert = pca.certify(session.certification_request()).unwrap();
         assert!(cert.verify(&pca.public_key(), pca.epoch()));

@@ -305,15 +305,19 @@ impl Cloud {
                 let report_msg =
                     AttestationReportMsg::from_wire(bytes).map_err(|e| malformed("report", e))?;
                 let session = self.events.session_mut(sid)?;
-                // Verified against the *routed* replica's identity
-                // (per-replica pCA certification — no shared key).
-                let (attserver, scratch) = self.appraisers.routed(session.route.replica)?;
-                let replica_key = attserver.identity_key();
+                // Verified against the key the controller holds for the
+                // *routed* replica (per-replica identities — no shared
+                // key).
+                let replica_key = self
+                    .fleet
+                    .controller
+                    .attserver_key(session.route.replica)
+                    .ok_or_else(lost_session)?;
                 AttestationServer::verify_report_msg_with(
                     &report_msg,
-                    &replica_key,
+                    replica_key,
                     session.nonce2,
-                    scratch,
+                    &mut self.appraisers.quote_scratch,
                 )?;
                 session.status = Some(report_msg.status);
             }
@@ -324,14 +328,12 @@ impl Cloud {
                     .map_err(|e| malformed("customer report", e))?;
                 let session = self.events.session_mut(sid)?;
                 let instance_key = self
-                    .fleet
-                    .controller
-                    .instance_key(session.route.controller)
-                    .ok_or_else(lost_session)?
-                    .verifying_key();
+                    .customer_anchors
+                    .get(session.route.controller as usize)
+                    .ok_or_else(lost_session)?;
                 CloudController::verify_customer_report_with(
                     &report_msg,
-                    &instance_key,
+                    instance_key,
                     session.nonce1,
                     &mut self.appraisers.quote_scratch,
                 )?;

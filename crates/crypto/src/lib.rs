@@ -12,12 +12,15 @@
 //! * [`modmath`] — modular add/sub/mul/exp/inverse.
 //! * [`montgomery`] — Montgomery-form multiplication and windowed
 //!   exponentiation for odd moduli (the hot-path kernels).
+//! * [`comb`] — fixed-base exponentiation tables for long-lived bases
+//!   (the generator, trust-anchor keys).
 //! * [`group`] — a 256-bit safe-prime Schnorr group.
 //! * [`mod@sha256`] — SHA-256 (FIPS 180-4).
 //! * [`hmac`] — HMAC-SHA256 and HKDF (RFCs 2104/5869).
 //! * [`drbg`] — a ChaCha20-based deterministic random bit generator.
 //! * [`aes`] — AES-128 with CTR mode (FIPS 197).
-//! * [`schnorr`] — Schnorr signatures with deterministic nonces.
+//! * [`schnorr`] — Schnorr signatures with deterministic nonces, verified
+//!   against a bare key or a key bound to its table.
 //! * [`batch`] — random-linear-combination batch verification.
 //! * [`dh`] — Diffie-Hellman key agreement.
 //! * [`authenc`] — encrypt-then-MAC authenticated encryption.
@@ -50,6 +53,7 @@ pub mod aes;
 pub mod authenc;
 pub mod batch;
 pub mod bigint;
+pub mod comb;
 pub mod dh;
 pub mod drbg;
 pub mod error;
@@ -67,6 +71,6 @@ pub use bigint::U256;
 pub use dh::{EphemeralSecret, PublicShare};
 pub use drbg::Drbg;
 pub use error::CryptoError;
-pub use schnorr::{Signature, SigningKey, VerifyingKey};
+pub use schnorr::{BoundKey, Signature, SigningKey, Verifier, VerifyingKey};
 pub use sha256::{sha256, sha256_concat, Sha256};
 pub use zeroize::{ct_eq, zeroize_bytes, Zeroizing};

@@ -310,28 +310,6 @@ impl MontgomeryCtx {
         acc
     }
 
-    /// Computes `a^x · b^y mod m` with a single shared squaring chain
-    /// (Straus/Shamir double-scalar exponentiation). The combined product
-    /// `a·b` is precomputed so each bit position costs one squaring plus at
-    /// most one multiply, instead of the two full chains separate
-    /// exponentiations would pay.
-    pub fn pow_double(&self, a: &U256, x: &U256, b: &U256, y: &U256) -> U256 {
-        let am = self.to_mont(a);
-        let bm = self.to_mont(b);
-        let abm = self.mont_mul(&am, &bm);
-        let mut acc = self.one;
-        for i in (0..x.bits().max(y.bits())).rev() {
-            acc = self.mont_sqr(&acc);
-            match (x.bit(i), y.bit(i)) {
-                (true, true) => acc = self.mont_mul(&acc, &abm),
-                (true, false) => acc = self.mont_mul(&acc, &am),
-                (false, true) => acc = self.mont_mul(&acc, &bm),
-                (false, false) => {}
-            }
-        }
-        self.from_mont(&acc)
-    }
-
     /// Builds the window table `[1, b, b^2, ..., b^15]` (Montgomery form).
     fn window_table(&self, base_m: &U256) -> [U256; WINDOW_TABLE] {
         let mut table = [self.one; WINDOW_TABLE];
@@ -434,20 +412,5 @@ mod tests {
             ctx.multi_pow_mont(&bases_m[..2], &exps),
             ctx.multi_pow_mont(&bases_m[..2], &exps[..2])
         );
-    }
-
-    #[test]
-    fn pow_double_matches_separate_exponentiations() {
-        let p = U256::from_hex(crate::group::DEFAULT_P_HEX).unwrap();
-        let ctx = MontgomeryCtx::new(&p).unwrap();
-        let a = u(7);
-        let b = u(11);
-        let x = U256::from_hex("deadbeefcafef00d1234").unwrap();
-        let y = U256::from_hex("0123456789abcdef").unwrap();
-        let separate = ctx.mul(&ctx.pow(&a, &x), &ctx.pow(&b, &y));
-        assert_eq!(ctx.pow_double(&a, &x, &b, &y), separate);
-        // Degenerate exponents.
-        assert_eq!(ctx.pow_double(&a, &U256::ZERO, &b, &U256::ZERO), U256::ONE);
-        assert_eq!(ctx.pow_double(&a, &U256::ONE, &b, &U256::ZERO), a);
     }
 }

@@ -128,6 +128,7 @@ impl Default for Config {
             hot_path_files: strings(&[
                 "crates/crypto/src/montgomery.rs",
                 "crates/crypto/src/modmath.rs",
+                "crates/crypto/src/comb.rs",
                 "crates/crypto/src/group.rs",
                 "crates/crypto/src/schnorr.rs",
                 "crates/crypto/src/batch.rs",

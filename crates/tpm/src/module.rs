@@ -16,7 +16,7 @@ use crate::pcr::PcrBank;
 use crate::quote::Quote;
 use crate::registers::{RegisterLayout, TrustEvidenceRegisters};
 use monatt_crypto::drbg::Drbg;
-use monatt_crypto::schnorr::{Signature, SigningKey, VerifyingKey};
+use monatt_crypto::schnorr::{Signature, SigningKey, Verifier, VerifyingKey};
 
 /// A certification request: the new session attestation public key, signed
 /// by the server's long-term identity key. Sent to the privacy CA.
@@ -33,9 +33,16 @@ pub struct CertificationRequest {
 
 impl CertificationRequest {
     /// Verifies the identity signature binding the attestation key to the
-    /// identity key. Performed by the privacy CA.
+    /// identity key the request names.
     pub fn verify(&self) -> bool {
-        self.identity_key
+        self.verify_with(&self.identity_key)
+    }
+
+    /// Verifies the identity signature against `identity`, the form of
+    /// [`Self::identity_key`] the caller holds: the privacy CA passes the
+    /// key it bound when the server registered.
+    pub fn verify_with(&self, identity: &impl Verifier) -> bool {
+        identity
             .verify(&self.attestation_key.to_bytes(), &self.identity_signature)
             .is_ok()
     }

@@ -6,7 +6,7 @@
 //! (Figure 3). This module provides the generic hash-then-sign and
 //! verify-hash-and-signature operations over caller-supplied fields.
 
-use monatt_crypto::schnorr::{Signature, SigningKey, VerifyingKey};
+use monatt_crypto::schnorr::{Signature, SigningKey, Verifier};
 use monatt_crypto::sha256::{Sha256, DIGEST_LEN};
 use monatt_crypto::zeroize::ct_eq;
 
@@ -61,13 +61,14 @@ impl Quote {
     }
 
     /// Verifies that this quote covers exactly `fields` and carries a valid
-    /// signature by `key`.
+    /// signature by `key` — a bare `VerifyingKey`, or the `BoundKey` a
+    /// verifier holds for a trust anchor.
     ///
     /// # Errors
     ///
     /// [`QuoteError::DigestMismatch`] if the fields were altered,
     /// [`QuoteError::BadSignature`] if the signature is invalid.
-    pub fn verify(&self, key: &VerifyingKey, fields: &[&[u8]]) -> Result<(), QuoteError> {
+    pub fn verify(&self, key: &impl Verifier, fields: &[&[u8]]) -> Result<(), QuoteError> {
         self.check_fields(fields)?;
         key.verify(&self.digest, &self.signature)
             .map_err(|_| QuoteError::BadSignature)
