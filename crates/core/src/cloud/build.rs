@@ -191,8 +191,6 @@ pub struct CloudBuilder {
     servers: usize,
     pcpus_per_server: usize,
     seed: u64,
-    latency: LatencyParams,
-    sched: SchedParams,
     retry: RetryPolicy,
     escalation_threshold: u32,
     auto_response: bool,
@@ -221,8 +219,6 @@ impl CloudBuilder {
             servers: 3,
             pcpus_per_server: 4,
             seed: 0,
-            latency: LatencyParams::default(),
-            sched: SchedParams::default(),
             retry: RetryPolicy::default(),
             escalation_threshold: 3,
             auto_response: false,
@@ -314,18 +310,6 @@ impl CloudBuilder {
     /// Seeds all randomness (key generation, nonces, workload jitter).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Overrides the latency model.
-    pub fn latency(mut self, latency: LatencyParams) -> Self {
-        self.latency = latency;
-        self
-    }
-
-    /// Overrides the hypervisor scheduler parameters.
-    pub fn sched(mut self, sched: SchedParams) -> Self {
-        self.sched = sched;
         self
     }
 
@@ -427,7 +411,7 @@ impl CloudBuilder {
             let mut node = CloudServerNode::boot(
                 id,
                 self.pcpus_per_server,
-                self.sched,
+                SchedParams::default(),
                 Drbg::from_seed(self.seed ^ (0xABCD + i as u64)),
                 &components,
                 &all_properties,
@@ -522,7 +506,7 @@ impl CloudBuilder {
             topology: ControlPlaneTopology::new(k, n),
             network: SimNetwork::default(),
             links,
-            latency: self.latency,
+            latency: LatencyParams::default(),
             retry: self.retry,
             stats: ProtocolStats::default(),
             subscriptions: BTreeMap::new(),

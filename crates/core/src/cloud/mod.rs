@@ -178,10 +178,12 @@ impl Cloud {
         &mut self.network
     }
 
-    /// Turns the simulated network's transmission log on or off (on by
-    /// default). Large-fleet sweeps turn it off: per-message log
-    /// entries are the only allocations a warm attestation round makes.
-    /// Message fates, latencies and RNG draws are unaffected.
+    /// Turns the simulated network's transmission log on or off (off
+    /// by default). A caller that reads `network_mut().log()` turns it
+    /// on first; every transmit then copies its endpoint names and
+    /// payloads into an unbounded log — the only allocations a warm
+    /// attestation round would make. Message fates, latencies and RNG
+    /// draws are unaffected.
     pub fn set_network_logging(&mut self, on: bool) {
         self.network.set_logging(on);
     }

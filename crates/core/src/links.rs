@@ -362,8 +362,11 @@ mod tests {
                 for &node in &nodes {
                     // Park a session on this hop, then crash `node`
                     // through the real crash path.
-                    let (sid, session) =
-                        c.events.sessions.alloc_with(AttestSession::vacant).unwrap();
+                    let (sid, session) = c
+                        .events
+                        .sessions
+                        .alloc_with(|| AttestSession::VACANT)
+                        .unwrap();
                     session.reset(
                         Vid(1),
                         SERVER,

@@ -283,54 +283,58 @@ pub(crate) struct AttestSession {
 }
 
 impl AttestSession {
-    /// The seed value for a never-used arena slot: every field is
-    /// overwritten by [`AttestSession::reset`] before use. Runs once
-    /// per slot when the arena grows; steady state reuses slots.
-    #[cold]
-    pub(crate) fn vacant() -> Self {
-        AttestSession {
-            vid: Vid(0),
-            server: ServerId(0),
-            route: RouteTag::default(),
-            property: SecurityProperty::StartupIntegrity,
-            expected_image: Image::Cirros,
-            origin: SessionOrigin::Api,
-            program: ProgramId(0),
-            pc: 0,
-            msg: MsgKind::Msg2,
-            attempt: 0,
-            elapsed_us: 0,
-            wire: Vec::new(),
-            sealed: Vec::new(),
-            generation: 0,
-            late: Vec::new(),
-            retry_deferred: false,
-            deadline: None,
-            inbox: Vec::new(),
-            inbox_full: false,
-            last_auth_failure: None,
-            nonce1: [0; 32],
-            nonce2: [0; 32],
-            nonce3: [0; 32],
-            req_vid: Vid(0),
-            req_property: SecurityProperty::StartupIntegrity,
-            spec: None,
-            measure: None,
-            status: None,
-            in_batch: false,
-            fork_outstanding: 0,
-            fork_started_us: 0,
-            fork_slots: Vec::new(),
-            verdict: None,
-            pending: None,
-        }
-    }
+    /// The resting state of a slot, and the one place the field list is
+    /// written: a never-used arena slot is seeded with it, and
+    /// [`AttestSession::reset`] rebuilds a recycled slot from it. A
+    /// constant cannot allocate, so neither use does.
+    pub(crate) const VACANT: AttestSession = AttestSession {
+        vid: Vid(0),
+        server: ServerId(0),
+        route: RouteTag {
+            shard: 0,
+            controller: 0,
+            replica: 0,
+        },
+        property: SecurityProperty::StartupIntegrity,
+        expected_image: Image::Cirros,
+        origin: SessionOrigin::Api,
+        program: ProgramId(0),
+        pc: 0,
+        // Placeholder until the first `Hop` op is entered; nothing
+        // reads it before then.
+        msg: MsgKind::Msg2,
+        attempt: 0,
+        elapsed_us: 0,
+        wire: Vec::new(),
+        sealed: Vec::new(),
+        generation: 0,
+        late: Vec::new(),
+        retry_deferred: false,
+        deadline: None,
+        inbox: Vec::new(),
+        inbox_full: false,
+        last_auth_failure: None,
+        nonce1: [0; 32],
+        nonce2: [0; 32],
+        nonce3: [0; 32],
+        req_vid: Vid(0),
+        req_property: SecurityProperty::StartupIntegrity,
+        spec: None,
+        measure: None,
+        status: None,
+        in_batch: false,
+        fork_outstanding: 0,
+        fork_started_us: 0,
+        fork_slots: Vec::new(),
+        verdict: None,
+        pending: None,
+    };
 
     /// Re-initializes a (possibly recycled) arena slot for a new
-    /// exchange. Every field is reset; `Vec`-backed fields are cleared
-    /// in place so a recycled slot's buffer capacity survives. The
-    /// caller then enters the program's first op, which encodes the
-    /// opening hop into `wire`.
+    /// exchange: [`AttestSession::VACANT`] plus the arguments, with the
+    /// five `Vec`-backed fields carried across cleared so a recycled
+    /// slot's buffer capacity survives. The caller then enters the
+    /// program's first op, which encodes the opening hop into `wire`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn reset(
         &mut self,
@@ -342,42 +346,27 @@ impl AttestSession {
         program: ProgramId,
         origin: SessionOrigin,
     ) {
-        self.vid = vid;
-        self.server = server;
-        self.route = route;
-        self.property = property;
-        self.expected_image = expected_image;
-        self.origin = origin;
-        self.program = program;
-        self.pc = 0;
-        // Placeholder until the first `Hop` op is entered; nothing
-        // reads it before then.
-        self.msg = MsgKind::Msg2;
-        self.attempt = 0;
-        self.elapsed_us = 0;
-        self.wire.clear();
-        self.sealed.clear();
-        self.generation = 0;
-        self.late.clear();
-        self.retry_deferred = false;
-        self.deadline = None;
-        self.inbox.clear();
-        self.inbox_full = false;
-        self.last_auth_failure = None;
-        self.nonce1 = [0; 32];
-        self.nonce2 = [0; 32];
-        self.nonce3 = [0; 32];
-        self.req_vid = vid;
-        self.req_property = property;
-        self.spec = None;
-        self.measure = None;
-        self.status = None;
-        self.in_batch = false;
-        self.fork_outstanding = 0;
-        self.fork_started_us = 0;
-        self.fork_slots.clear();
-        self.verdict = None;
-        self.pending = None;
+        fn cleared<T>(buf: &mut Vec<T>) -> Vec<T> {
+            buf.clear();
+            std::mem::take(buf)
+        }
+        *self = AttestSession {
+            vid,
+            server,
+            route,
+            property,
+            expected_image,
+            origin,
+            program,
+            req_vid: vid,
+            req_property: property,
+            wire: cleared(&mut self.wire),
+            sealed: cleared(&mut self.sealed),
+            late: cleared(&mut self.late),
+            inbox: cleared(&mut self.inbox),
+            fork_slots: cleared(&mut self.fork_slots),
+            ..Self::VACANT
+        };
     }
 }
 
@@ -489,7 +478,7 @@ impl Cloud {
         let (sid, session) = self
             .events
             .sessions
-            .alloc_with(AttestSession::vacant)
+            .alloc_with(|| AttestSession::VACANT)
             .ok_or_else(lost_session)?;
         session.reset(vid, server, route, property, image, program, origin);
         session.deadline = deadline;

@@ -19,6 +19,8 @@
 //! signature, and the `g` factor comes from the fixed-base comb. At batch
 //! 64 this verifies quotes several times faster than a serial loop.
 //!
+//! [`MontgomeryCtx::multi_pow_mont`]: crate::montgomery::MontgomeryCtx::multi_pow_mont
+//!
 //! ## Weight determinism
 //!
 //! The weights come from a dedicated [`Drbg`] seeded by hashing the entire
@@ -38,8 +40,6 @@ use crate::bigint::U256;
 use crate::drbg::Drbg;
 use crate::error::CryptoError;
 use crate::group::Group;
-use crate::modmath::{mod_add, mod_mul, mod_sub};
-use crate::montgomery::MontgomeryCtx;
 use crate::schnorr::{challenge, Signature, VerifyingKey};
 use crate::sha256::Sha256;
 
@@ -76,15 +76,6 @@ pub fn batch_verify(items: &[BatchItem<'_>]) -> Result<(), CryptoError> {
         }
     }
     let weights = batch_weights(items);
-    // Scalar arithmetic mod q runs through its own Montgomery context: the
-    // per-item products z_i·s_i and z_i·e_i would otherwise pay a slow
-    // division-based reduction each. q is an odd prime, so the context
-    // always exists; the modmath fallback keeps this panic-free anyway.
-    let qctx = MontgomeryCtx::new(&grp.q);
-    let mul_q = |a: &U256, b: &U256| match &qctx {
-        Some(ctx) => ctx.mul(a, b),
-        None => mod_mul(a, b, &grp.q),
-    };
     let mctx = grp.mont_ctx();
     let mut zs_sum = U256::ZERO;
     let mut pk_bases = Vec::with_capacity(items.len());
@@ -99,13 +90,13 @@ pub fn batch_verify(items: &[BatchItem<'_>]) -> Result<(), CryptoError> {
     let mut seen: Vec<(U256, usize)> = Vec::with_capacity(items.len());
     for ((key, msg, sig), z) in items.iter().zip(weights.iter()) {
         let e = challenge(&sig.r, msg, &grp.q);
-        zs_sum = mod_add(&zs_sum, &mul_q(z, &sig.s), &grp.q);
+        zs_sum = grp.scalar_add(&zs_sum, &grp.scalar_mul(z, &sig.s));
         // pk_i^(−z_i·e_i) = pk_i^(q − z_i·e_i): the key has order q.
-        let exp = mod_sub(&grp.q, &mul_q(z, &e), &grp.q);
+        let exp = grp.scalar_neg(&grp.scalar_mul(z, &e));
         let element = key.element();
         match seen.iter().find(|(el, _)| *el == element) {
             Some((_, slot)) => {
-                pk_exps[*slot] = mod_add(&pk_exps[*slot], &exp, &grp.q);
+                pk_exps[*slot] = grp.scalar_add(&pk_exps[*slot], &exp);
             }
             None => {
                 seen.push((element, pk_bases.len()));
@@ -202,7 +193,7 @@ mod tests {
     fn rejects_batch_with_one_forgery() {
         let (keys, msgs) = batch_of(8);
         let mut batch = items(&keys, &msgs);
-        batch[3].2.s = mod_add(&batch[3].2.s, &U256::ONE, &Group::default_group().q);
+        batch[3].2.s = Group::default_group().scalar_add(&batch[3].2.s, &U256::ONE);
         assert_eq!(batch_verify(&batch), Err(CryptoError::InvalidSignature));
     }
 
@@ -242,8 +233,8 @@ mod tests {
     fn fallback_identifies_exact_culprits() {
         let (keys, msgs) = batch_of(8);
         let mut batch = items(&keys, &msgs);
-        batch[1].2.s = mod_add(&batch[1].2.s, &U256::ONE, &Group::default_group().q);
-        batch[6].2.s = mod_add(&batch[6].2.s, &U256::ONE, &Group::default_group().q);
+        batch[1].2.s = Group::default_group().scalar_add(&batch[1].2.s, &U256::ONE);
+        batch[6].2.s = Group::default_group().scalar_add(&batch[6].2.s, &U256::ONE);
         let verdicts = batch_verify_each(&batch);
         for (i, v) in verdicts.iter().enumerate() {
             if i == 1 || i == 6 {

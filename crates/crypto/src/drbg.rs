@@ -1,6 +1,6 @@
 //! A deterministic random bit generator built on the ChaCha20 block
-//! function (RFC 8439), with convenience constructors for OS-entropy and
-//! fixed-seed (reproducible simulation) instantiation.
+//! function (RFC 8439). Every instance starts from a caller-supplied seed:
+//! the whole system replays from its seeds, so there is no entropy source.
 
 use crate::bigint::U256;
 use crate::sha256::sha256;
@@ -62,10 +62,6 @@ fn quarter_round(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
 
 /// A ChaCha20-based DRBG.
 ///
-/// Two construction paths exist: [`Drbg::from_entropy`] pulls a seed from
-/// the operating system for live use, while [`Drbg::from_seed`] gives the
-/// reproducible streams that simulations and tests need.
-///
 /// # Examples
 ///
 /// ```
@@ -121,13 +117,6 @@ impl Drbg {
         material[..8].copy_from_slice(&seed.to_le_bytes());
         material[8..].copy_from_slice(b"monattdb");
         Self::from_seed_bytes(sha256(&material))
-    }
-
-    /// Creates a DRBG seeded from operating-system entropy.
-    pub fn from_entropy() -> Self {
-        let mut seed = [0u8; 32];
-        rand::RngCore::fill_bytes(&mut rand::rngs::OsRng, &mut seed);
-        Self::from_seed_bytes(seed)
     }
 
     fn refill(&mut self) {
@@ -269,14 +258,6 @@ mod tests {
             assert!(!v.is_zero());
             assert!(v < q);
         }
-    }
-
-    #[test]
-    fn entropy_streams_differ() {
-        let mut a = Drbg::from_entropy();
-        let mut b = Drbg::from_entropy();
-        // 2^-64 false-failure probability.
-        assert_ne!(a.next_u64(), b.next_u64());
     }
 
     #[test]

@@ -9,12 +9,12 @@
 //! cryptography dependencies:
 //!
 //! * [`bigint`] — fixed-width 256/512-bit unsigned integers.
-//! * [`modmath`] — modular add/sub/mul/exp/inverse.
 //! * [`montgomery`] — Montgomery-form multiplication and windowed
 //!   exponentiation for odd moduli (the hot-path kernels).
 //! * [`comb`] — fixed-base exponentiation tables for long-lived bases
 //!   (the generator, trust-anchor keys).
-//! * [`group`] — a 256-bit safe-prime Schnorr group.
+//! * [`group`] — a 256-bit safe-prime Schnorr group: its element field
+//!   mod `p` and its scalar field mod `q`.
 //! * [`mod@sha256`] — SHA-256 (FIPS 180-4).
 //! * [`hmac`] — HMAC-SHA256 and HKDF (RFCs 2104/5869).
 //! * [`drbg`] — a ChaCha20-based deterministic random bit generator.
@@ -59,7 +59,6 @@ pub mod drbg;
 pub mod error;
 pub mod group;
 pub mod hmac;
-pub mod modmath;
 pub mod montgomery;
 pub mod schnorr;
 pub mod sha256;

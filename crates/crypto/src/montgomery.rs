@@ -13,7 +13,8 @@
 //!
 //! Montgomery reduction requires `gcd(m, R) = 1`, i.e. an odd modulus.
 //! [`MontgomeryCtx::new`] returns `None` for even (or trivial) moduli;
-//! callers fall back to plain division-based arithmetic there.
+//! the only shipped caller, [`Group::new`](crate::group::Group::new),
+//! rejects such parameters.
 //!
 //! Like the rest of the crate this is not constant-time: window lookups
 //! and the skipped multiplies of zero exponent digits are data-dependent.

@@ -17,7 +17,6 @@ use crate::drbg::Drbg;
 use crate::error::CryptoError;
 use crate::group::Group;
 use crate::hmac::HmacSha256;
-use crate::modmath::{mod_add, mod_mul, mod_sub};
 use crate::sha256::Sha256;
 use crate::zeroize::Zeroizing;
 
@@ -159,7 +158,7 @@ impl SigningKey {
         let r = grp.pow_g(&k);
         let e = challenge(&r, message, &grp.q);
         // s = k + e * sk mod q
-        let s = mod_add(&k, &mod_mul(&e, &self.secret, &grp.q), &grp.q);
+        let s = grp.scalar_add(&k, &grp.scalar_mul(&e, &self.secret));
         Signature { r, s }
     }
 }
@@ -298,7 +297,7 @@ fn verify_equation(
     // generator factor comes from its comb; only the key factor's cost
     // depends on the caller.
     let e = challenge(&signature.r, message, &grp.q);
-    let neg_e = mod_sub(&grp.q, &e, &grp.q);
+    let neg_e = grp.scalar_neg(&e);
     let mont = grp.mont_ctx();
     let product = mont.mont_mul(&grp.pow_g_mont(&signature.s), &key_pow(&neg_e));
     if mont.from_mont(&product) == signature.r {
@@ -356,7 +355,7 @@ mod tests {
     fn rejects_tampered_signature() {
         let sk = keypair(5);
         let mut sig = sk.sign(b"msg");
-        sig.s = mod_add(&sig.s, &U256::ONE, &Group::default_group().q);
+        sig.s = Group::default_group().scalar_add(&sig.s, &U256::ONE);
         assert!(sk.verifying_key().verify(b"msg", &sig).is_err());
     }
 

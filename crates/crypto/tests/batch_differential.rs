@@ -8,7 +8,6 @@ use monatt_crypto::batch::{batch_verify, batch_verify_each, BatchItem};
 use monatt_crypto::bigint::U256;
 use monatt_crypto::drbg::Drbg;
 use monatt_crypto::group::Group;
-use monatt_crypto::modmath::mod_add;
 use monatt_crypto::schnorr::SigningKey;
 use proptest::prelude::*;
 
@@ -48,7 +47,7 @@ proptest! {
         dup_keys in any::<bool>(),
     ) {
         let (keys, msgs, valid) = build_case(n, seed, forged_mask, dup_keys);
-        let q = &Group::default_group().q;
+        let grp = Group::default_group();
         let items: Vec<BatchItem<'_>> = keys
             .iter()
             .zip(&msgs)
@@ -58,7 +57,7 @@ proptest! {
                 if !ok {
                     // A response nudged off by one fails the Schnorr
                     // relation with overwhelming probability.
-                    sig.s = mod_add(&sig.s, &U256::ONE, q);
+                    sig.s = grp.scalar_add(&sig.s, &U256::ONE);
                 }
                 (k.verifying_key(), m.as_slice(), sig)
             })

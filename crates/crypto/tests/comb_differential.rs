@@ -16,7 +16,6 @@ use monatt_crypto::comb::Comb;
 use monatt_crypto::drbg::Drbg;
 use monatt_crypto::error::CryptoError;
 use monatt_crypto::group::Group;
-use monatt_crypto::modmath::mod_add;
 use monatt_crypto::montgomery::MontgomeryCtx;
 use monatt_crypto::schnorr::{BoundKey, Signature, SigningKey};
 use support::bignum_ref::mod_exp_ref;
@@ -174,7 +173,7 @@ fn bound_and_bare_keys_return_the_same_verdict() {
             Case::Genuine => {}
             Case::WrongKey => verifier = (signer + 1) % signers.len(),
             Case::TamperedMessage => message[0] ^= 1,
-            Case::TamperedS => s = mod_add(&s, &U256::ONE, &grp.q),
+            Case::TamperedS => s = grp.scalar_add(&s, &U256::ONE),
             Case::TamperedR => r = grp.mul(&r, &grp.g),
             Case::SAtOrder => s = grp.q,
             // s + q names the same exponent of g, but is out of range.

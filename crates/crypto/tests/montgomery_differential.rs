@@ -7,16 +7,22 @@
 //! dedicated squaring, windowed exponentiation) and the word-level (Knuth
 //! Algorithm D) division against a simple oracle, bit for bit, on random
 //! 256-bit inputs and on the edge moduli where the fast paths have
-//! special cases (even moduli, moduli just below 2^256, small primes).
+//! special cases (moduli just below 2^256, small primes; even moduli
+//! reach only the division). The group's scalar field — the context for
+//! `q` plus its add and negate — is checked the same way, and the bytes
+//! `sign` produces through it are pinned.
 
 mod support;
 
+use monatt_crypto::batch::{batch_verify, batch_verify_each, BatchItem};
 use monatt_crypto::bigint::{U256, U512};
+use monatt_crypto::drbg::Drbg;
 use monatt_crypto::group::Group;
-use monatt_crypto::modmath::{mod_exp, mod_mul};
 use monatt_crypto::montgomery::MontgomeryCtx;
+use monatt_crypto::schnorr::SigningKey;
+use monatt_crypto::sha256::Sha256;
 use proptest::prelude::*;
-use support::bignum_ref::{mod_exp_ref, mod_mul_ref, rem_binary};
+use support::bignum_ref::{mod_add_ref, mod_exp_ref, mod_mul_ref, rem_binary};
 use support::SplitMix64;
 
 fn arb_u256() -> impl Strategy<Value = U256> {
@@ -51,18 +57,6 @@ proptest! {
     }
 
     #[test]
-    fn mod_mul_dispatch_matches_reference(
-        a in arb_u256(),
-        b in arb_u256(),
-        m in arb_u256(),
-    ) {
-        // Covers both dispatch arms: odd m (Montgomery) and even m
-        // (word-level division).
-        prop_assume!(!m.is_zero());
-        prop_assert_eq!(mod_mul(&a, &b, &m), mod_mul_ref(&a, &b, &m));
-    }
-
-    #[test]
     fn knuth_division_matches_binary(a in arb_u256(), b in arb_u256(), m in arb_u256()) {
         prop_assume!(!m.is_zero());
         let wide = a.full_mul(&b);
@@ -92,9 +86,14 @@ proptest! {
     // case, so keep the case count moderate.
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
-    fn mod_exp_matches_reference(base in arb_u256(), exp in arb_u256(), m in arb_u256()) {
-        prop_assume!(!m.is_zero());
-        prop_assert_eq!(mod_exp(&base, &exp, &m), mod_exp_ref(&base, &exp, &m));
+    fn montgomery_pow_matches_reference(
+        base in arb_u256(),
+        exp in arb_u256(),
+        m in arb_odd_modulus(),
+    ) {
+        prop_assume!(m > U256::ONE);
+        let ctx = MontgomeryCtx::new(&m).expect("odd modulus > 1");
+        prop_assert_eq!(ctx.pow(&base, &exp), mod_exp_ref(&base, &exp, &m));
     }
 
     #[test]
@@ -135,7 +134,7 @@ fn check_mont_kernels(ctx: &MontgomeryCtx, a: &U256, b: &U256) {
 /// Moduli where the fast paths have corner cases: the largest odd value
 /// (forces the 513-bit REDC intermediate), small primes (single-limb
 /// divisor path), the default group primes, and a power of two plus the
-/// all-even-limb pattern (division fallback).
+/// all-even-limb pattern (no context: the division alone).
 const EDGE_MODULI_HEX: &[&str] = &[
     "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff", // 2^256 - 1
     "3",
@@ -166,22 +165,29 @@ fn edge_moduli_differential() {
     ];
     for hex in EDGE_MODULI_HEX {
         let m = U256::from_hex(hex).unwrap();
+        let ctx = MontgomeryCtx::new(&m);
         for a in &values {
             for b in &values {
+                let expect = mod_mul_ref(a, b, &m);
                 assert_eq!(
-                    mod_mul(a, b, &m),
-                    mod_mul_ref(a, b, &m),
-                    "mod_mul m={m:?} a={a:?} b={b:?}"
+                    a.full_mul(b).rem(&m),
+                    expect,
+                    "division m={m:?} a={a:?} b={b:?}"
                 );
+                if let Some(ctx) = &ctx {
+                    assert_eq!(ctx.mul(a, b), expect, "mul m={m:?} a={a:?} b={b:?}");
+                }
             }
             // One exponentiation per (modulus, value) keeps the reference
             // ladder affordable.
             let e = U256::from_u64(0xf0f1_f2f3);
-            assert_eq!(
-                mod_exp(a, &e, &m),
-                mod_exp_ref(a, &e, &m),
-                "mod_exp m={m:?} a={a:?}"
-            );
+            if let Some(ctx) = &ctx {
+                assert_eq!(
+                    ctx.pow(a, &e),
+                    mod_exp_ref(a, &e, &m),
+                    "pow m={m:?} a={a:?}"
+                );
+            }
         }
     }
 }
@@ -255,10 +261,108 @@ fn montgomery_eligibility() {
     assert!(MontgomeryCtx::new(&U256::MAX.wrapping_sub(&U256::ONE)).is_none());
     assert!(MontgomeryCtx::new(&U256::from_u64(3)).is_some());
     assert!(MontgomeryCtx::new(&U256::MAX).is_some());
-    // The dispatching entry points still serve even moduli correctly.
-    let m = U256::from_u64(2);
-    assert_eq!(
-        mod_exp(&U256::from_u64(3), &U256::from_u64(8), &m),
-        U256::ONE
-    );
+}
+
+#[test]
+fn scalar_field_matches_reference() {
+    let grp = Group::default_group();
+    let q = &grp.q;
+    let mut rng = SplitMix64(0x7363_616c);
+    let mut operands = vec![U256::ZERO, U256::ONE, q.wrapping_sub(&U256::ONE)];
+    for _ in 0..24 {
+        operands.push(U256::from_limbs(std::array::from_fn(|_| rng.next_u64())).rem(q));
+    }
+    // -1 mod q, so the negate oracle is a reference multiplication.
+    let minus_one = q.wrapping_sub(&U256::ONE);
+    for a in &operands {
+        assert_eq!(
+            grp.scalar_neg(a),
+            mod_mul_ref(a, &minus_one, q),
+            "neg a={a:?}"
+        );
+        for b in &operands {
+            assert_eq!(
+                grp.scalar_add(a, b),
+                mod_add_ref(a, b, q),
+                "add a={a:?} b={b:?}"
+            );
+            assert_eq!(
+                grp.scalar_mul(a, b),
+                mod_mul_ref(a, b, q),
+                "mul a={a:?} b={b:?}"
+            );
+        }
+    }
+}
+
+/// The `i`-th seeded (key, message) pair of the signature pins: message
+/// lengths run from empty past two SHA-256 blocks.
+fn seeded_pair(i: u64) -> (SigningKey, Vec<u8>) {
+    let mut rng = Drbg::from_seed(0x7369_676e_0000 + i);
+    let key = SigningKey::generate(&mut rng);
+    let mut message = vec![0u8; (i as usize * 7) % 150];
+    rng.fill_bytes(&mut message);
+    (key, message)
+}
+
+#[test]
+fn sign_bytes_are_pinned() {
+    // SHA-256 over the 64 signatures' `r || s`, recorded at the commit
+    // before `Group` owned the scalar field. A changed nonce, challenge
+    // or `s = k + e·sk mod q` shows here, where the golden trace would
+    // only show a different session.
+    const PINNED: &str = "737d5477e7c9f3cbffb60f5a2e5a430f1d3e0deca7081b9fb7a9d00a85d592ec";
+    let mut h = Sha256::new();
+    for i in 0..64 {
+        let (key, message) = seeded_pair(i);
+        h.update(&key.sign(&message).to_bytes());
+    }
+    let digest: String = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(digest, PINNED);
+}
+
+#[test]
+fn mixed_batch_verdicts_equal_serial_verify() {
+    let grp = Group::default_group();
+    // Four signers over sixteen items, so every key repeats; three
+    // items are spoiled, each a different way.
+    let pairs: Vec<(SigningKey, Vec<u8>)> = (0..16).map(|i| seeded_pair(i % 4)).collect();
+    let items: Vec<BatchItem<'_>> = pairs
+        .iter()
+        .enumerate()
+        .map(|(i, (key, message))| {
+            let mut sig = key.sign(message);
+            let mut verifier = key.verifying_key();
+            match i {
+                2 => sig.s = grp.scalar_add(&sig.s, &U256::ONE),
+                6 => sig.s = grp.q,
+                10 => verifier = pairs[(i + 1) % 4].0.verifying_key(),
+                _ => {}
+            }
+            (verifier, message.as_slice(), sig)
+        })
+        .collect();
+    let serial: Vec<bool> = items
+        .iter()
+        .map(|(key, message, sig)| key.verify(message, sig).is_ok())
+        .collect();
+    let expect: Vec<bool> = (0..16).map(|i| ![2, 6, 10].contains(&i)).collect();
+    assert_eq!(serial, expect);
+    let each: Vec<bool> = batch_verify_each(&items)
+        .iter()
+        .map(|v| v.is_ok())
+        .collect();
+    assert_eq!(each, serial);
+    assert!(batch_verify(&items).is_err());
+    // Without the spoiled items the one-shot equation holds, repeated
+    // keys folded into shared exponents.
+    let genuine: Vec<BatchItem<'_>> = items
+        .iter()
+        .zip(&serial)
+        .filter_map(|(item, ok)| ok.then_some(*item))
+        .collect();
+    assert!(batch_verify(&genuine).is_ok());
+    // The out-of-range response is rejected before the algebra, however
+    // the rest of the batch looks.
+    assert!(batch_verify(&[genuine[0], items[6]]).is_err());
 }

@@ -4,7 +4,6 @@ use monatt_crypto::bigint::U256;
 use monatt_crypto::drbg::Drbg;
 use monatt_crypto::group::Group;
 use monatt_crypto::hmac::{hkdf, hmac_sha256};
-use monatt_crypto::modmath::{mod_add, mod_exp, mod_inv_prime, mod_mul, mod_sub};
 use monatt_crypto::schnorr::SigningKey;
 use monatt_crypto::sha256::sha256;
 use monatt_crypto::SealKey;
@@ -69,25 +68,6 @@ proptest! {
     }
 
     #[test]
-    fn mod_ops_match_u128(pair in arb_small(), m in 2u64..=u64::MAX) {
-        let (a, b) = pair;
-        let m256 = U256::from_u64(m);
-        prop_assert_eq!(
-            mod_add(&U256::from_u64(a), &U256::from_u64(b), &m256),
-            U256::from_u64(((a as u128 + b as u128) % m as u128) as u64)
-        );
-        prop_assert_eq!(
-            mod_mul(&U256::from_u64(a), &U256::from_u64(b), &m256),
-            U256::from_u64(((a as u128 * b as u128) % m as u128) as u64)
-        );
-        let expected_sub = ((a as i128 - b as i128).rem_euclid(m as i128)) as u64;
-        prop_assert_eq!(
-            mod_sub(&U256::from_u64(a), &U256::from_u64(b), &m256),
-            U256::from_u64(expected_sub)
-        );
-    }
-
-    #[test]
     fn mod_exp_addition_law(a in any::<u64>(), b in any::<u64>()) {
         // g^a * g^b == g^(a+b) in the default group.
         let grp = Group::default_group();
@@ -98,20 +78,11 @@ proptest! {
     }
 
     #[test]
-    fn mod_inv_is_inverse(a in 1u64..u64::MAX) {
-        // q is prime; every nonzero element has an inverse.
-        let grp = Group::default_group();
-        let a = U256::from_u64(a);
-        let inv = mod_inv_prime(&a, &grp.q).unwrap();
-        prop_assert_eq!(mod_mul(&a, &inv, &grp.q), U256::ONE);
-    }
-
-    #[test]
     fn fermat_in_group(x in 2u64..u64::MAX) {
         // x^(p-1) == 1 mod p for prime p.
         let grp = Group::default_group();
         let exp = grp.p.wrapping_sub(&U256::ONE);
-        prop_assert_eq!(mod_exp(&U256::from_u64(x), &exp, &grp.p), U256::ONE);
+        prop_assert_eq!(grp.pow(&U256::from_u64(x), &exp), U256::ONE);
     }
 
     #[test]

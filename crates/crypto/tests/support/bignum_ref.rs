@@ -30,6 +30,17 @@ pub fn rem_binary(wide: &U512, m: &U256) -> U256 {
     rem
 }
 
+/// `a + b mod m` by [`rem_binary`], for a sum that fits 256 bits (any two
+/// residues of a modulus below `2^255`).
+///
+/// # Panics
+///
+/// Panics if `a + b` overflows.
+pub fn mod_add_ref(a: &U256, b: &U256, m: &U256) -> U256 {
+    let sum = a.checked_add(b).expect("sum fits 256 bits");
+    rem_binary(&U512::from_u256(&sum), m)
+}
+
 /// `a · b mod m` as a full product followed by [`rem_binary`].
 pub fn mod_mul_ref(a: &U256, b: &U256, m: &U256) -> U256 {
     rem_binary(&a.full_mul(b), m)

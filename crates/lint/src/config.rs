@@ -54,13 +54,9 @@ pub struct Config {
     pub skip_crates: Vec<String>,
     /// Crate directory names whose code must replay bit-identically
     /// under a fixed seed (the `determinism` rule scope): no
-    /// iteration-order-dependent containers, wall clocks, or ambient
-    /// randomness outside `#[cfg(test)]`.
+    /// iteration-order-dependent containers, wall clocks, ambient
+    /// randomness or ambient state outside `#[cfg(test)]`.
     pub det_crates: Vec<String>,
-    /// Function names allowed to touch OS entropy: the sanctioned
-    /// seed-acquisition boundary (`Drbg::from_entropy`). Everything
-    /// else in `det_crates` must derive randomness from a seeded DRBG.
-    pub entropy_fns: Vec<String>,
     /// Files enrolled in the `alloc_freedom` rule: the zero-allocation
     /// warm Msg1–Msg6 path and the hypervisor simulator's event path.
     /// Functions here may not call allocating APIs unless marked
@@ -127,7 +123,6 @@ impl Default for Config {
             ct_exempt_fns: strings(&["verify_tag", "ct_eq", "ct_eq_opt"]),
             hot_path_files: strings(&[
                 "crates/crypto/src/montgomery.rs",
-                "crates/crypto/src/modmath.rs",
                 "crates/crypto/src/comb.rs",
                 "crates/crypto/src/group.rs",
                 "crates/crypto/src/schnorr.rs",
@@ -149,7 +144,6 @@ impl Default for Config {
             kernel_index_crates: strings(&["crypto"]),
             skip_crates: strings(&["rand-shim", "proptest-shim", "lint"]),
             det_crates: strings(&["core", "net", "hypervisor", "crypto", "tpm"]),
-            entropy_fns: strings(&["from_entropy"]),
             warm_path_files: strings(&[
                 "crates/net/src/wire.rs",
                 "crates/net/src/channel.rs",

@@ -32,8 +32,6 @@ OPTIONS:
     --panic-file <FILE> Add a workspace-relative file to the panic_freedom
                         scope (repeatable)
     --det-crate <C>     Add a crate to the determinism scope (repeatable)
-    --entropy-fn <F>    Add a function exempt from the ambient-randomness
-                        ban (the sanctioned entropy boundary; repeatable)
     --warm-file <FILE>  Add a workspace-relative file to the alloc_freedom
                         warm-path set (repeatable)
     --cold-fn <F>       Add a function name treated as cold/setup by
@@ -86,7 +84,6 @@ fn parse_args() -> Result<Option<Options>, String> {
             "--panic-crate" => opts.cfg.panic_crates.push(value("--panic-crate")?),
             "--panic-file" => opts.cfg.panic_files.push(value("--panic-file")?),
             "--det-crate" => opts.cfg.det_crates.push(value("--det-crate")?),
-            "--entropy-fn" => opts.cfg.entropy_fns.push(value("--entropy-fn")?),
             "--warm-file" => opts.cfg.warm_path_files.push(value("--warm-file")?),
             "--cold-fn" => opts.cfg.alloc_cold_fns.push(value("--cold-fn")?),
             "--taint-sink" => opts.cfg.taint_sink_fns.push(value("--taint-sink")?),

@@ -13,14 +13,17 @@
 //!   convention becomes an enforced invariant.
 //! * `Instant`/`SystemTime` — wall clocks desynchronize replays; all
 //!   sim time flows from the engine's virtual clock.
-//! * Ambient randomness (`OsRng`, `thread_rng`, `random`, and calls to
-//!   `from_entropy`) — every random draw must come from a seeded DRBG
-//!   so the draw stream is part of the replayable state. The DRBG's own
-//!   `from_entropy` constructor is the one sanctioned entropy boundary,
-//!   exempted via [`Config::entropy_fns`]; *calling* it from sim code
-//!   is still flagged.
+//! * Ambient randomness (`OsRng`, `thread_rng`, `from_entropy`) — every
+//!   random draw must come from a seeded DRBG so the draw stream is
+//!   part of the replayable state. No function is exempt: the system
+//!   has no OS-entropy constructor.
+//! * Ambient state (`thread_local!`, `static mut`) — a value that
+//!   outlives the object that uses it carries history from one run
+//!   into the next on the same thread, and differs across threads;
+//!   state lives in a field of its owner. (An immutable `static`,
+//!   `OnceLock` included, holds one value for the whole process and is
+//!   fine.)
 
-use crate::config::Config;
 use crate::context::FileContext;
 use crate::diag::Diagnostic;
 use crate::lexer::TokenKind;
@@ -32,14 +35,10 @@ const RULE: &str = "determinism";
 /// Identifiers that name an ambient (non-seeded) randomness source.
 const AMBIENT_RNG: [&str; 3] = ["OsRng", "thread_rng", "from_entropy"];
 
-pub(crate) fn check(ctx: &FileContext, cfg: &Config, out: &mut Vec<Diagnostic>) {
+pub(crate) fn check(ctx: &FileContext, out: &mut Vec<Diagnostic>) {
     let toks = &ctx.tokens;
     for (i, t) in toks.iter().enumerate() {
         if ctx.in_test[i] || t.kind != TokenKind::Ident {
-            continue;
-        }
-        // A definition (`fn from_entropy`) is not a use of the name.
-        if i > 0 && toks[i - 1].is_ident("fn") {
             continue;
         }
         match t.text.as_str() {
@@ -73,12 +72,6 @@ pub(crate) fn check(ctx: &FileContext, cfg: &Config, out: &mut Vec<Diagnostic>) 
                 ));
             }
             name if AMBIENT_RNG.contains(&name) => {
-                // The sanctioned entropy boundary (`Drbg::from_entropy`
-                // itself) may touch the OS; everything else must draw
-                // from a seeded DRBG.
-                if cfg.entropy_fns.contains(&ctx.enclosing_fn[i]) {
-                    continue;
-                }
                 out.push(diag_tok(
                     RULE,
                     ctx,
@@ -88,6 +81,24 @@ pub(crate) fn check(ctx: &FileContext, cfg: &Config, out: &mut Vec<Diagnostic>) 
                          sim code must thread a seeded `Drbg` so draws replay"
                     ),
                 ));
+            }
+            "thread_local" | "static" => {
+                let (next, what) = if t.text == "static" {
+                    ("mut", "static mut")
+                } else {
+                    ("!", "thread_local!")
+                };
+                if toks.get(i + 1).is_some_and(|n| n.text == next) {
+                    out.push(diag_tok(
+                        RULE,
+                        ctx,
+                        i,
+                        format!(
+                            "`{what}` is ambient state: it outlives its user and carries \
+                             history across runs; keep the value in a field of its owner"
+                        ),
+                    ));
+                }
             }
             _ => {}
         }

@@ -73,7 +73,7 @@ pub fn run_all(ws: &Workspace, file: usize, cfg: &Config) -> Vec<Diagnostic> {
         panic_freedom::check(ctx, cfg, &mut out);
     }
     if cfg.det_scope(&ctx.crate_name) {
-        determinism::check(ctx, cfg, &mut out);
+        determinism::check(ctx, &mut out);
     }
     if cfg.is_warm_path(&ctx.path) {
         alloc_freedom::check(ws, file, cfg, &mut out);
@@ -140,11 +140,13 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              `hypervisor`, `crypto`, `tpm` (outside tests) this rule bans:\n\
              std HashMap/HashSet (iteration order varies per process — use\n\
              BTreeMap/BTreeSet), Instant/SystemTime (wall clock — use the sim\n\
-             clock), and ambient randomness (OsRng, thread_rng, from_entropy —\n\
-             use a seeded Drbg; `Drbg::from_entropy` itself is the one sanctioned\n\
-             entropy boundary and is exempt via the entropy-fn list).\n\
+             clock), ambient randomness (OsRng, thread_rng, from_entropy — use a\n\
+             seeded Drbg; no function is exempt), and ambient state\n\
+             (`thread_local!`, `static mut` — it outlives its user and differs\n\
+             per thread; an immutable `static` or `OnceLock` is fine).\n\
              \n\
-             Fix: BTreeMap/BTreeSet, the engine's virtual clock, seeded DRBGs.\n\
+             Fix: BTreeMap/BTreeSet, the engine's virtual clock, seeded DRBGs,\n\
+             state held in a field of the object that uses it.\n\
              Suppress (justified): `// #[allow(monatt::determinism)]`."
         }
         "alloc_freedom" => {

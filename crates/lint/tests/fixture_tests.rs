@@ -198,13 +198,15 @@ fn determinism_fires_on_bad_fixture() {
         "only determinism should fire: {diags:?}"
     );
     // Two HashMap mentions, three clock mentions (use + return type +
-    // two `now()` sites), one ambient RNG; the test-module HashSet is
-    // exempt.
-    assert_eq!(diags.len(), 7, "{diags:?}");
+    // two `now()` sites), one ambient RNG, a `thread_local!` and a
+    // `static mut` (the plain `static` inside the macro is not one); the
+    // test-module HashSet is exempt.
+    assert_eq!(diags.len(), 9, "{diags:?}");
     let count = |needle: &str| diags.iter().filter(|d| d.message.contains(needle)).count();
     assert_eq!(count("iteration order"), 2, "{diags:?}");
     assert_eq!(count("wall clock"), 4, "{diags:?}");
     assert_eq!(count("ambient randomness"), 1, "{diags:?}");
+    assert_eq!(count("ambient state"), 2, "{diags:?}");
 }
 
 #[test]

@@ -25,11 +25,19 @@ pub fn epoch_millis() -> u64 {
     0
 }
 
-/// Ambient randomness outside the sanctioned entropy boundary.
+/// Ambient randomness: no seed, no replay.
 pub fn roll() -> u64 {
     let mut rng = OsRng;
     rng.next_u64()
 }
+
+thread_local! {
+    /// Per-thread cache: what a call finds depends on the calls before it.
+    static CTX_CACHE: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Process-wide mutable state, same problem without the thread boundary.
+static mut CALLS: u64 = 0;
 
 #[cfg(test)]
 mod tests {

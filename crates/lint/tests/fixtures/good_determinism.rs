@@ -1,6 +1,6 @@
 //! Fixture: the deterministic counterparts to `bad_determinism.rs` —
-//! ordered containers, virtual time, and a seeded DRBG, plus the one
-//! sanctioned entropy boundary. Linted as
+//! ordered containers, virtual time, a seeded DRBG, and state owned by
+//! the object that uses it. Linted as
 //! `crates/core/src/good_determinism.rs`.
 
 use std::collections::BTreeMap;
@@ -24,9 +24,25 @@ pub fn roll(rng: &mut Drbg) -> u64 {
     rng.next_u64()
 }
 
-/// The sanctioned entropy boundary: `Config::entropy_fns` exempts this
-/// function name, so touching the OS RNG here is allowed.
-pub fn from_entropy() -> u64 {
-    let mut rng = OsRng;
-    rng.next_u64()
+/// A precomputed context is a field of its owner, built once with it.
+pub struct Field {
+    modulus: u64,
+    ctx: u64,
+}
+
+impl Field {
+    pub fn new(modulus: u64) -> Field {
+        Field {
+            modulus,
+            ctx: modulus.wrapping_neg(),
+        }
+    }
+}
+
+/// One process-wide value, never mutated after initialization; and a
+/// `'static mut` borrow is a lifetime, not a `static mut` item.
+pub fn default_field(scratch: &'static mut u64) -> &'static Field {
+    static FIELD: OnceLock<Field> = OnceLock::new();
+    *scratch = 0;
+    FIELD.get_or_init(|| Field::new(97))
 }

@@ -245,8 +245,9 @@ pub struct SimNetwork {
     down_endpoints: BTreeSet<String>,
     blackholed: u64,
     // Per-message log entries allocate (owned endpoint names and byte
-    // copies), so large-fleet sweeps turn the log off; fates, latencies
-    // and RNG draws are identical either way.
+    // copies) and the log is unbounded, so it is recorded only for a
+    // caller that asks to read it; fates, latencies and RNG draws are
+    // identical either way.
     logging: bool,
     log: Vec<TransmitRecord>,
 }
@@ -277,14 +278,15 @@ impl SimNetwork {
             faults: None,
             down_endpoints: BTreeSet::new(),
             blackholed: 0,
-            logging: true,
+            logging: false,
             log: Vec::new(),
         }
     }
 
-    /// Turns the transmission log on or off (on by default). With the
-    /// log off nothing is recorded and the per-message bookkeeping
-    /// allocations disappear; message fates are unaffected.
+    /// Turns the transmission log on or off (off by default). With the
+    /// log on every transmit is recorded, two endpoint names and both
+    /// payloads copied, for [`SimNetwork::log`] to return; message
+    /// fates are unaffected.
     pub fn set_logging(&mut self, on: bool) {
         self.logging = on;
     }
@@ -449,7 +451,8 @@ impl SimNetwork {
         });
     }
 
-    /// The full transmission log.
+    /// Every transmission made while logging was on (see
+    /// [`SimNetwork::set_logging`]).
     pub fn log(&self) -> &[TransmitRecord] {
         &self.log
     }
@@ -569,6 +572,7 @@ mod tests {
     #[test]
     fn benign_delivery() {
         let mut net = SimNetwork::default();
+        net.set_logging(true);
         let d = net.transmit("customer", "controller", b"hello");
         assert_eq!(d.payload.as_deref(), Some(b"hello".as_slice()));
         assert!(d.latency_us >= 300);
@@ -626,6 +630,7 @@ mod tests {
             }
         }
         let mut net = SimNetwork::default();
+        net.set_logging(true);
         net.set_attacker(Box::new(Dropper));
         let d = net.transmit("a", "b", b"gone");
         assert_eq!(d.payload, None);
@@ -782,6 +787,7 @@ mod tests {
         let mut clean = SimNetwork::default();
         let baseline = clean.transmit("a", "b", b"msg").latency_us;
         let mut net = SimNetwork::default();
+        net.set_logging(true);
         net.set_endpoint_down("b");
         let d = net.transmit("a", "b", b"msg");
         assert_eq!(d.latency_us, baseline);

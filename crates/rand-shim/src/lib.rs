@@ -1,8 +1,8 @@
 //! Offline stand-in for the subset of the `rand` crate this workspace
 //! uses. The build environment has no registry access, so the workspace
 //! vendors the few APIs it needs: [`RngCore`], [`SeedableRng`],
-//! [`Rng::gen_range`], a deterministic [`rngs::StdRng`] and an
-//! OS-entropy-backed [`rngs::OsRng`].
+//! [`Rng::gen_range`] and a deterministic [`rngs::StdRng`]. There is no
+//! OS-entropy source: every stream in the workspace replays from a seed.
 //!
 //! `StdRng` here is splitmix64 — statistically fine for workload jitter
 //! and test-input generation, and deliberately *not* a cryptographic
@@ -113,64 +113,11 @@ pub mod rngs {
             splitmix64(&mut self.state)
         }
     }
-
-    /// An operating-system entropy source (`/dev/urandom`).
-    ///
-    /// If `/dev/urandom` is unavailable this panics rather than
-    /// silently degrading: a clock-derived seed is predictable, and a
-    /// quiet fallback was exactly the kind of hidden nondeterminism
-    /// the workspace lint exists to catch. Builds for platforms
-    /// without `/dev/urandom` can opt back in with the
-    /// `clock-fallback` feature, which makes the degradation an
-    /// explicit build-time decision.
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct OsRng;
-
-    impl RngCore for OsRng {
-        fn next_u64(&mut self) -> u64 {
-            let mut buf = [0u8; 8];
-            self.fill_bytes(&mut buf);
-            u64::from_le_bytes(buf)
-        }
-
-        fn fill_bytes(&mut self, dest: &mut [u8]) {
-            use std::io::Read;
-            if let Ok(mut f) = std::fs::File::open("/dev/urandom") {
-                if f.read_exact(dest).is_ok() {
-                    return;
-                }
-            }
-            fallback_fill(dest);
-        }
-    }
-
-    /// Explicit, feature-gated degradation path: hash the wall clock
-    /// and process id through splitmix64.
-    #[cfg(feature = "clock-fallback")]
-    pub(crate) fn fallback_fill(dest: &mut [u8]) {
-        let mut state = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0x1234_5678)
-            ^ (std::process::id() as u64).rotate_left(32);
-        for byte in dest {
-            *byte = splitmix64(&mut state) as u8;
-        }
-    }
-
-    #[cfg(not(feature = "clock-fallback"))]
-    pub(crate) fn fallback_fill(_dest: &mut [u8]) {
-        panic!(
-            "OsRng: /dev/urandom unavailable; refusing to seed from the clock. \
-             Enable the `clock-fallback` feature of the rand shim to opt into \
-             predictable clock-based seeding on platforms without /dev/urandom."
-        );
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::rngs::{OsRng, StdRng};
+    use super::rngs::StdRng;
     use super::{Rng, RngCore, SeedableRng};
 
     #[test]
@@ -198,31 +145,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut buf = [0u8; 13];
         rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
-    }
-
-    #[test]
-    fn os_rng_produces_entropy() {
-        let mut a = [0u8; 16];
-        let mut b = [0u8; 16];
-        OsRng.fill_bytes(&mut a);
-        OsRng.fill_bytes(&mut b);
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    #[cfg(not(feature = "clock-fallback"))]
-    #[should_panic(expected = "refusing to seed from the clock")]
-    fn fallback_panics_without_clock_feature() {
-        let mut buf = [0u8; 8];
-        super::rngs::fallback_fill(&mut buf);
-    }
-
-    #[test]
-    #[cfg(feature = "clock-fallback")]
-    fn fallback_fills_with_clock_feature() {
-        let mut buf = [0u8; 16];
-        super::rngs::fallback_fill(&mut buf);
         assert!(buf.iter().any(|&b| b != 0));
     }
 }

@@ -38,6 +38,7 @@ fn print_trace(cloud: &mut Cloud, from: usize) {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Layered attestation on a healthy platform -------------------
     let mut cloud = CloudBuilder::new().servers(2).seed(5).build();
+    cloud.set_network_logging(true);
     let vid = cloud.request_vm(
         VmRequest::new(Flavor::Small, Image::Cirros)
             .require(SecurityProperty::RuntimeIntegrity)
@@ -66,6 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .seed(6)
         .corrupt_platform(0)
         .build();
+    bad.set_network_logging(true);
     let victim = bad.request_vm(VmRequest::new(Flavor::Small, Image::Cirros))?;
     let mark = bad.network_mut().log().len();
     let report = bad.layered_attest(victim, SecurityProperty::RuntimeIntegrity)?;

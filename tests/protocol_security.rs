@@ -104,6 +104,7 @@ fn persistent_loss_reports_unreachable_and_recovery_works() {
 #[test]
 fn eavesdropper_sees_no_plaintext() {
     let (mut cloud, vid) = cloud_with_vm();
+    cloud.set_network_logging(true);
     cloud
         .network_mut()
         .set_attacker(Box::new(Eavesdropper::default()));

@@ -4,10 +4,10 @@
 //! A counting `#[global_allocator]` wraps the system allocator and
 //! tallies every `alloc`/`realloc` call per thread (the harness runs
 //! the tests of this binary in parallel, one thread each). The test
-//! builds a one-server cloud, launches a VM, disables network
-//! transcript logging, and warms the session/arena/wheel buffers with a
-//! batch of direct attestations. After warm-up, every further
-//! attestation round must perform **zero** heap allocations: the slab
+//! builds a one-server cloud, launches a VM (the network transcript
+//! log stays off, its default), and warms the session/arena/wheel
+//! buffers with a batch of direct attestations. After warm-up, every
+//! further attestation round must perform **zero** heap allocations: the slab
 //! arena recycles the session slot, `Wire::encode_into` reuses the
 //! session's wire buffer, the channel seals and opens into retained
 //! scratch buffers, and the timer wheel's slot `VecDeque`s have reached
@@ -91,11 +91,6 @@ fn warm_attestation_rounds_do_not_allocate() {
         )
         .expect("launch");
 
-    // The network transcript is a per-message Vec push (debugging aid);
-    // the zero-alloc claim is about the protocol path, so turn it off
-    // exactly as the large-fleet sweeps do.
-    cloud.set_network_logging(false);
-
     // Warm-up: let every reusable buffer (session wire/sealed/inbox,
     // cloud scratch, wheel slots, channel replay windows) reach its
     // steady-state capacity.
@@ -149,7 +144,6 @@ fn warm_rounds_of_the_compiled_figure3_program_do_not_allocate() {
                 .workload(WorkloadSpec::Idle),
         )
         .expect("launch");
-    cloud.set_network_logging(false);
     let program = cloud
         .register_protocol(&Protocol::figure3_customer())
         .expect("compile figure 3");
