@@ -289,9 +289,8 @@ mod tests {
     fn benign_coresident_shows_single_peak() {
         use monatt_hypervisor::driver::BusyLoop;
         let mut sim = ServerSim::new(1, SchedParams::default());
-        let benign = sim.create_vm(
-            VmConfig::new("benign", vec![Box::new(BusyLoop::default())]).pin(vec![PcpuId(0)]),
-        );
+        let benign =
+            sim.create_vm(VmConfig::new("benign", vec![Box::new(BusyLoop)]).pin(vec![PcpuId(0)]));
         let receiver = CovertReceiver::new();
         sim.create_vm(VmConfig::new("other", vec![Box::new(receiver)]).pin(vec![PcpuId(0)]));
         sim.run_until(SimTime::from_secs(3));

@@ -42,10 +42,9 @@ pub fn run(seconds: u64, bins: usize) -> IntervalDistributions {
 
     // Benign scenario: two CPU-bound VMs sharing pCPU 0.
     let mut sim = ServerSim::new(1, SchedParams::default());
-    let benign_vm = sim.create_vm(
-        VmConfig::new("benign", vec![Box::new(BusyLoop::default())]).pin(vec![PcpuId(0)]),
-    );
-    sim.create_vm(VmConfig::new("other", vec![Box::new(BusyLoop::default())]).pin(vec![PcpuId(0)]));
+    let benign_vm =
+        sim.create_vm(VmConfig::new("benign", vec![Box::new(BusyLoop)]).pin(vec![PcpuId(0)]));
+    sim.create_vm(VmConfig::new("other", vec![Box::new(BusyLoop)]).pin(vec![PcpuId(0)]));
     sim.run_until(SimTime::from_secs(seconds));
     let benign_hist = sim.profile().interval_histogram(benign_vm, bins, 1_000);
 

@@ -35,7 +35,7 @@ pub fn run(seconds: u64) -> Vec<UsageRow> {
 pub fn run_row(attacker: AttackerKind, seconds: u64) -> UsageRow {
     let mut sim = ServerSim::new(1, SchedParams::default());
     let victim = sim.create_vm(
-        monatt_hypervisor::vm::VmConfig::new("victim", vec![Box::new(BusyLoop::default())])
+        monatt_hypervisor::vm::VmConfig::new("victim", vec![Box::new(BusyLoop)])
             .pin(vec![PcpuId(0)]),
     );
     let attacker_vm = match attacker {

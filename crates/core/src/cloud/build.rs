@@ -70,7 +70,7 @@ impl WorkloadSpec {
             WorkloadSpec::Idle => {}
             WorkloadSpec::Busy => {
                 for _ in 0..vcpus {
-                    drivers.push(Box::new(BusyLoop::default()));
+                    drivers.push(Box::new(BusyLoop));
                 }
             }
             WorkloadSpec::Service(svc) => {

@@ -575,7 +575,7 @@ mod tests {
             Vid(1),
             Image::Cirros,
             Image::Cirros.pristine_bytes(),
-            vec![Box::new(BusyLoop::default())],
+            vec![Box::new(BusyLoop)],
             256,
         );
         let spec = MeasurementSpec::CpuTime {

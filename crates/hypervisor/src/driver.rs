@@ -6,6 +6,26 @@
 //! code could observe: the current (wall-clock) simulation time and their
 //! own accumulated CPU time — which is exactly what the paper's covert
 //! channel receiver exploits to infer co-resident activity.
+//!
+//! ## The asking contract
+//!
+//! Every ask is an event: a `Compute` that completes is a timer the
+//! engine pops, and the driver's next answer is decided there. So a
+//! driver asks only as often as its answer can change.
+//!
+//! - A driver whose answer can never change asks once: [`BusyLoop`]
+//!   answers `Compute { duration_us: u64::MAX }` at first schedule, the
+//!   engine arms no deadline for it, and nothing re-asks it until the VM
+//!   dies. Chunking such a driver would only add pops: a completed chunk
+//!   answered by the same chunk again changes no run state, credit, boost,
+//!   counter, segment or other timer, so the schedule is bit-identical
+//!   either way (DESIGN §12.1).
+//! - A compute that ends in an observable action (`Halt`, `Block`) keeps
+//!   its chunking. The stamp drawn when its last chunk is armed decides
+//!   which of two timers due at the same instant fires first — a tick
+//!   debiting whichever vCPU is current, or another pCPU's burst end in
+//!   the segment log — so coalescing the chunks is not provably exact
+//!   (see `CpuProgram` in `monatt-workloads`).
 
 use crate::ids::VcpuId;
 use crate::time::SimTime;
@@ -17,8 +37,13 @@ use std::rc::Rc;
 pub enum VcpuAction {
     /// Occupy the CPU for this much *virtual* (on-CPU) time, then ask the
     /// driver again. Preemption transparently pauses and resumes the work.
+    ///
+    /// `u64::MAX` is a commitment: compute until descheduled, for ever.
+    /// The engine arms no deadline for it and never asks the driver
+    /// again. Answer it when no later answer could differ; a finite
+    /// request is an event when it completes (see the module docs).
     Compute {
-        /// On-CPU microseconds to consume.
+        /// On-CPU microseconds to consume; `u64::MAX` for ever.
         duration_us: u64,
     },
     /// Block (sleep). `Some(d)` sets a timer wake after `d` microseconds;
@@ -75,36 +100,19 @@ pub trait WorkloadDriver {
     fn on_wake(&mut self, _view: &VcpuView, _reason: WakeReason) {}
 }
 
-/// A driver that computes forever in fixed-size chunks — the busiest
-/// possible guest. A benign CPU-bound VM under the credit scheduler shows
-/// the paper's single 30 ms peak in its usage-interval histogram.
-#[derive(Clone, Debug)]
-pub struct BusyLoop {
-    chunk_us: u64,
-}
-
-impl BusyLoop {
-    /// Creates a busy loop that requests compute in `chunk_us` chunks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_us` is zero.
-    pub fn new(chunk_us: u64) -> Self {
-        assert!(chunk_us > 0, "chunk must be positive");
-        BusyLoop { chunk_us }
-    }
-}
-
-impl Default for BusyLoop {
-    fn default() -> Self {
-        BusyLoop::new(1_000)
-    }
-}
+/// A driver that computes for ever — the busiest possible guest. A
+/// benign CPU-bound VM under the credit scheduler shows the paper's
+/// single 30 ms peak in its usage-interval histogram.
+///
+/// It commits once: its first answer is `Compute { duration_us:
+/// u64::MAX }`, and the engine never asks it again.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct BusyLoop;
 
 impl WorkloadDriver for BusyLoop {
     fn next_action(&mut self, _view: &VcpuView) -> VcpuAction {
         VcpuAction::Compute {
-            duration_us: self.chunk_us,
+            duration_us: u64::MAX,
         }
     }
 }
@@ -157,7 +165,9 @@ impl WorkloadDriver for ScriptedDriver {
 /// is sufficient.
 pub type Shared<T> = Rc<RefCell<T>>;
 
-/// Convenience constructor for [`Shared`] state.
+/// Convenience constructor for [`Shared`] state. Setup only: it
+/// allocates, so a driver calls it when it is built, never when asked.
+#[cold]
 pub fn shared<T>(value: T) -> Shared<T> {
     Rc::new(RefCell::new(value))
 }
@@ -179,11 +189,12 @@ mod tests {
     }
 
     #[test]
-    fn busy_loop_requests_compute() {
-        let mut d = BusyLoop::new(500);
+    fn busy_loop_commits_for_ever() {
         assert_eq!(
-            d.next_action(&view()),
-            VcpuAction::Compute { duration_us: 500 }
+            BusyLoop.next_action(&view()),
+            VcpuAction::Compute {
+                duration_us: u64::MAX
+            }
         );
     }
 
@@ -207,12 +218,6 @@ mod tests {
         assert_eq!(d.next_action(&view()), VcpuAction::Yield);
         assert_eq!(d.next_action(&view()), VcpuAction::Halt);
         assert_eq!(d.next_action(&view()), VcpuAction::Halt);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk must be positive")]
-    fn busy_loop_rejects_zero() {
-        let _ = BusyLoop::new(0);
     }
 
     #[test]

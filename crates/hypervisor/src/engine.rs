@@ -37,7 +37,8 @@ enum Timer {
     /// in pCPU order anyway.
     Tick,
     Accounting,
-    /// Armed only while the pCPU runs a vCPU with compute pending.
+    /// Armed only while the pCPU runs a vCPU with a finite compute
+    /// pending.
     ComputeDone(usize),
     /// Armed only while the pCPU runs a vCPU.
     SliceExpired(usize),
@@ -89,7 +90,7 @@ impl Vcpu {
 /// use monatt_hypervisor::vm::VmConfig;
 ///
 /// let mut sim = ServerSim::new(1, SchedParams::default());
-/// let vm = sim.create_vm(VmConfig::new("busy", vec![Box::new(BusyLoop::default())]));
+/// let vm = sim.create_vm(VmConfig::new("busy", vec![Box::new(BusyLoop)]));
 /// sim.run_until(SimTime::from_millis(300));
 /// let usage = sim.profile().relative_cpu_usage(vm, sim.now());
 /// assert!(usage > 0.99);
@@ -591,8 +592,7 @@ impl ServerSim {
             self.enqueue(v);
             self.dispatch(p);
         } else if self.ask_driver(v) {
-            let due = self.now + self.vcpus[v].sched.pending_compute_us;
-            self.timers.arm(self.pcpus[p].compute, due);
+            self.arm_compute(p, v);
         } else {
             self.dispatch(p);
         }
@@ -674,10 +674,28 @@ impl ServerSim {
                 return;
             }
         }
-        let pc = &self.pcpus[p];
-        let compute_due = now + self.vcpus[v].sched.pending_compute_us;
-        self.timers.arm(pc.compute, compute_due);
-        self.timers.arm(pc.slice, now + self.params.slice_us);
+        self.arm_compute(p, v);
+        self.timers
+            .arm(self.pcpus[p].slice, now + self.params.slice_us);
+    }
+
+    /// Arms `p`'s compute deadline for the request `v` runs. A request
+    /// that outlasts the clock — `Compute { duration_us: u64::MAX }`, a
+    /// commitment to compute until descheduled, for ever — arms nothing:
+    /// it can never complete, so its driver is never asked again.
+    /// `deschedule` only ever subtracts run time from it, so neither can
+    /// the remainder it resumes with.
+    fn arm_compute(&mut self, p: usize, v: usize) {
+        let pending = self.vcpus[v].sched.pending_compute_us;
+        if let Some(due) = self
+            .now
+            .as_micros()
+            .checked_add(pending)
+            .filter(|&due| due < u64::MAX)
+        {
+            self.timers
+                .arm(self.pcpus[p].compute, SimTime::from_micros(due));
+        }
     }
 
     /// Interacts with the vCPU's driver until it commits to an action that
@@ -853,9 +871,7 @@ mod tests {
     use crate::time::{MS, SEC};
 
     fn busy_vm(sim: &mut ServerSim, name: &str, pcpu: usize) -> VmId {
-        sim.create_vm(
-            VmConfig::new(name, vec![Box::new(BusyLoop::new(1_000))]).pin(vec![PcpuId(pcpu)]),
-        )
+        sim.create_vm(VmConfig::new(name, vec![Box::new(BusyLoop)]).pin(vec![PcpuId(pcpu)]))
     }
 
     #[test]
@@ -885,12 +901,12 @@ mod tests {
     fn weights_bias_the_share() {
         let mut sim = ServerSim::new(1, SchedParams::default());
         let heavy = sim.create_vm(
-            VmConfig::new("heavy", vec![Box::new(BusyLoop::new(1_000))])
+            VmConfig::new("heavy", vec![Box::new(BusyLoop)])
                 .weight(512)
                 .pin(vec![PcpuId(0)]),
         );
         let light = sim.create_vm(
-            VmConfig::new("light", vec![Box::new(BusyLoop::new(1_000))])
+            VmConfig::new("light", vec![Box::new(BusyLoop)])
                 .weight(256)
                 .pin(vec![PcpuId(0)]),
         );
@@ -1316,9 +1332,7 @@ mod tests {
     #[should_panic(expected = "pin out of range")]
     fn bad_pin_rejected() {
         let mut sim = ServerSim::new(1, SchedParams::default());
-        let _ = sim.create_vm(
-            VmConfig::new("x", vec![Box::new(BusyLoop::default())]).pin(vec![PcpuId(5)]),
-        );
+        let _ = sim.create_vm(VmConfig::new("x", vec![Box::new(BusyLoop)]).pin(vec![PcpuId(5)]));
     }
 
     #[test]

@@ -34,8 +34,8 @@
 //! use monatt_hypervisor::vm::VmConfig;
 //!
 //! let mut sim = ServerSim::new(1, SchedParams::default());
-//! let a = sim.create_vm(VmConfig::new("a", vec![Box::new(BusyLoop::default())]).pin(vec![PcpuId(0)]));
-//! let b = sim.create_vm(VmConfig::new("b", vec![Box::new(BusyLoop::default())]).pin(vec![PcpuId(0)]));
+//! let a = sim.create_vm(VmConfig::new("a", vec![Box::new(BusyLoop)]).pin(vec![PcpuId(0)]));
+//! let b = sim.create_vm(VmConfig::new("b", vec![Box::new(BusyLoop)]).pin(vec![PcpuId(0)]));
 //! sim.run_until(SimTime::from_secs(3));
 //! let share_a = sim.profile().relative_cpu_usage(a, sim.now());
 //! assert!((share_a - 0.5).abs() < 0.05);

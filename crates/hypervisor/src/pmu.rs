@@ -50,11 +50,6 @@ impl Pmu {
             .copied()
             .unwrap_or_default()
     }
-
-    /// Clears all counters.
-    pub fn reset(&mut self) {
-        self.counters.clear();
-    }
 }
 
 #[cfg(test)]
@@ -68,13 +63,5 @@ mod tests {
         pmu.counters_mut(VmId(1)).ipis_sent += 1;
         assert_eq!(pmu.counters(VmId(1)).ipis_sent, 3);
         assert_eq!(pmu.counters(VmId(2)), VmCounters::default());
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut pmu = Pmu::new();
-        pmu.counters_mut(VmId(1)).boosts = 5;
-        pmu.reset();
-        assert_eq!(pmu.counters(VmId(1)).boosts, 0);
     }
 }

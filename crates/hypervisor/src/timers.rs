@@ -2,14 +2,15 @@
 //! [`crate::engine::ServerSim`].
 //!
 //! A server's live timers are a small, *bounded* set with fixed
-//! identities — one tick per pCPU, one accounting timer, at most one
-//! compute deadline and one slice deadline per pCPU (a pCPU runs one
-//! vCPU), at most one wake per vCPU. Neither general queue in this
-//! crate fits that shape: a [`crate::queue::EventQueue`] cannot cancel,
-//! so every deschedule left its two run timers behind to be popped and
-//! discarded later (28 % of all pops on a busy server), and the
-//! [`crate::wheel::TimerWheel`] pays a cascade per pop that only
-//! amortises over queues thousands deep, not twenty.
+//! identities — one tick for the whole server, one accounting timer, at
+//! most one compute deadline and one slice deadline per pCPU (a pCPU runs
+//! one vCPU; a compute that never ends arms no deadline), at most one
+//! wake per vCPU. Neither general queue in this crate fits that shape:
+//! a [`crate::queue::EventQueue`] cannot cancel, so every deschedule
+//! left its two run timers behind to be popped and discarded later (28 %
+//! of all pops on a busy server), and the [`crate::wheel::TimerWheel`]
+//! pays a cascade per pop that only amortises over queues thousands
+//! deep, not twenty.
 //!
 //! Here every timer *is* a slot. [`TimerSlots::arm`] overwrites the
 //! slot's due time, so re-arming and cancelling are one store and
@@ -32,8 +33,8 @@ use crate::time::SimTime;
 /// `(due µs, stamp)`: tuple order is pop order.
 type Key = (u64, u64);
 
-/// A disarmed slot. No timer can be due at `u64::MAX` µs — the clock
-/// addition that would produce it overflows first.
+/// A disarmed slot. No timer is due at `u64::MAX` µs: the engine arms no
+/// deadline that would reach it (a compute for ever is not a timer).
 const OFF: Key = (u64::MAX, u64::MAX);
 
 /// A table of timer slots, each tagged with what it means to its owner.

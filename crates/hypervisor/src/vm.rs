@@ -106,7 +106,7 @@ mod tests {
 
     #[test]
     fn config_builder() {
-        let cfg = VmConfig::new("victim", vec![Box::new(BusyLoop::default())])
+        let cfg = VmConfig::new("victim", vec![Box::new(BusyLoop)])
             .weight(512)
             .pin(vec![PcpuId(0)]);
         assert_eq!(cfg.name, "victim");
@@ -117,7 +117,7 @@ mod tests {
 
     #[test]
     fn debug_shows_summary() {
-        let cfg = VmConfig::new("x", vec![Box::new(BusyLoop::default())]);
+        let cfg = VmConfig::new("x", vec![Box::new(BusyLoop)]);
         let repr = format!("{:?}", cfg);
         assert!(repr.contains("\"x\""));
         assert!(repr.contains("vcpus: 1"));

@@ -17,8 +17,7 @@ fn three_way_contention_shares_thirds() {
     let vms: Vec<_> = (0..3)
         .map(|i| {
             sim.create_vm(
-                VmConfig::new(&format!("vm{i}"), vec![Box::new(BusyLoop::default())])
-                    .pin(vec![PcpuId(0)]),
+                VmConfig::new(&format!("vm{i}"), vec![Box::new(BusyLoop)]).pin(vec![PcpuId(0)]),
             )
         })
         .collect();
@@ -39,8 +38,7 @@ fn io_service_fits_between_cpu_hogs() {
     sim.create_vm(VmConfig::new("mail", vec![Box::new(svc)]).pin(vec![PcpuId(0)]));
     for i in 0..2 {
         sim.create_vm(
-            VmConfig::new(&format!("hog{i}"), vec![Box::new(BusyLoop::default())])
-                .pin(vec![PcpuId(0)]),
+            VmConfig::new(&format!("hog{i}"), vec![Box::new(BusyLoop)]).pin(vec![PcpuId(0)]),
         );
     }
     sim.run_until(SimTime::from_secs(10));
@@ -63,9 +61,8 @@ fn io_service_fits_between_cpu_hogs() {
 #[test]
 fn slice_expiry_reason_is_recorded() {
     let mut sim = ServerSim::new(1, SchedParams::default());
-    let a =
-        sim.create_vm(VmConfig::new("a", vec![Box::new(BusyLoop::default())]).pin(vec![PcpuId(0)]));
-    sim.create_vm(VmConfig::new("b", vec![Box::new(BusyLoop::default())]).pin(vec![PcpuId(0)]));
+    let a = sim.create_vm(VmConfig::new("a", vec![Box::new(BusyLoop)]).pin(vec![PcpuId(0)]));
+    sim.create_vm(VmConfig::new("b", vec![Box::new(BusyLoop)]).pin(vec![PcpuId(0)]));
     sim.run_until(SimTime::from_secs(1));
     let reasons: Vec<DescheduleReason> = sim.profile().vm_segments(a).map(|s| s.reason).collect();
     assert!(!reasons.is_empty());
@@ -83,7 +80,7 @@ fn multi_vcpu_vm_uses_multiple_pcpus() {
     let mut sim = ServerSim::new(2, SchedParams::default());
     let vm = sim.create_vm(VmConfig::new(
         "wide",
-        vec![Box::new(BusyLoop::default()), Box::new(BusyLoop::default())],
+        vec![Box::new(BusyLoop), Box::new(BusyLoop)],
     ));
     sim.run_until(SimTime::from_secs(1));
     let t0 = sim.vcpu_cpu_time_us(VcpuId { vm, index: 0 });
@@ -102,7 +99,7 @@ fn halted_vm_releases_the_pcpu() {
             duration_us: 10_000,
         }]))],
     ));
-    let beneficiary = sim.create_vm(VmConfig::new("long", vec![Box::new(BusyLoop::default())]));
+    let beneficiary = sim.create_vm(VmConfig::new("long", vec![Box::new(BusyLoop)]));
     sim.run_until(SimTime::from_secs(1));
     let share = sim.profile().relative_cpu_usage(beneficiary, sim.now());
     assert!(share > 0.95, "beneficiary should inherit the CPU: {share}");
@@ -173,7 +170,7 @@ fn idle_vcpus_cost_nothing() {
         "idle",
         vec![Box::new(IdleDriver), Box::new(IdleDriver)],
     ));
-    let busy = sim.create_vm(VmConfig::new("busy", vec![Box::new(BusyLoop::default())]));
+    let busy = sim.create_vm(VmConfig::new("busy", vec![Box::new(BusyLoop)]));
     sim.run_until(SimTime::from_secs(2));
     assert_eq!(sim.profile().vm_cpu_time_us(idle), 0);
     assert!(sim.profile().relative_cpu_usage(busy, sim.now()) > 0.95);

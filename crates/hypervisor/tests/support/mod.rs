@@ -1,15 +1,168 @@
 //! Shared by the `trace_pins` suites of this crate and of
-//! `monatt-workloads`: folds everything a caller can observe about a
-//! [`ServerSim`] into one FNV-1a digest, so a rewrite of the engine's
-//! insides either reproduces the schedule exactly or fails by name.
+//! `monatt-workloads` and by `busy_commitment`: folds everything a
+//! caller can observe about a [`ServerSim`] into one FNV-1a digest, so a
+//! rewrite of the engine's insides either reproduces the schedule exactly
+//! or fails by name; the seeded pattern drivers and deadlines the
+//! scenarios draw; and `ChunkedBusy`, the oracle for `BusyLoop`.
 
 // Each suite uses its own subset.
 #![allow(dead_code)]
 
+use monatt_hypervisor::driver::{VcpuAction, VcpuView, WakeReason, WorkloadDriver};
 use monatt_hypervisor::engine::ServerSim;
 use monatt_hypervisor::ids::{PcpuId, VcpuId};
 use monatt_hypervisor::profile::{DescheduleReason, RunSegment};
+use monatt_hypervisor::time::SimTime;
 use monatt_hypervisor::vm::VmState;
+
+/// splitmix64: the scenarios must not move when the vendored `rand`
+/// shim does.
+pub struct Rng(pub u64);
+
+impl Rng {
+    pub fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
+        lo + self.below(hi - lo + 1)
+    }
+}
+
+/// A scripted pattern, cyclic or one-shot (then `Halt`), whose
+/// durations also depend on what the engine shows the driver — a wrong
+/// `VcpuView` or a missed `on_wake` moves the trace.
+pub struct PatternDriver {
+    actions: Vec<VcpuAction>,
+    pos: usize,
+    cyclic: bool,
+    salt: u64,
+}
+
+impl WorkloadDriver for PatternDriver {
+    fn next_action(&mut self, view: &VcpuView) -> VcpuAction {
+        if self.pos == self.actions.len() {
+            if !self.cyclic {
+                return VcpuAction::Halt;
+            }
+            self.pos = 0;
+        }
+        let action = self.actions[self.pos];
+        self.pos += 1;
+        let wobble = (view.cpu_time_us + view.now.as_micros()).wrapping_add(self.salt);
+        match action {
+            VcpuAction::Compute { duration_us } if duration_us > 0 => VcpuAction::Compute {
+                duration_us: duration_us + wobble % 97,
+            },
+            VcpuAction::Block {
+                duration_us: Some(d),
+            } => VcpuAction::Block {
+                duration_us: Some(d + wobble % 13),
+            },
+            other => other,
+        }
+    }
+
+    fn on_wake(&mut self, view: &VcpuView, reason: WakeReason) {
+        let r = match reason {
+            WakeReason::Timer => 1,
+            WakeReason::Ipi => 2,
+        };
+        self.salt = self
+            .salt
+            .wrapping_mul(31)
+            .wrapping_add(r + view.now.as_micros() % 7);
+    }
+}
+
+/// A pattern for one vCPU of a `vcpus`-vCPU VM. Scenario-wide tempo:
+/// `sleepy` scenarios block long and compute short, so the server goes
+/// quiescent and `run_until_lazy` leaps.
+pub fn pattern(rng: &mut Rng, vcpus: usize, sleepy: bool) -> PatternDriver {
+    let len = rng.range(1, 10) as usize;
+    let (compute_hi, block_lo, block_hi) = if sleepy {
+        (600, 15_000, 250_000)
+    } else {
+        (9_000, 50, 12_000)
+    };
+    // The first action always consumes time, so no cyclic pattern can
+    // exhaust the engine's zero-time action budget.
+    let mut actions = vec![VcpuAction::Compute {
+        duration_us: rng.range(50, compute_hi),
+    }];
+    while actions.len() < len {
+        let action = match rng.below(16) {
+            0..=5 => VcpuAction::Compute {
+                duration_us: rng.range(50, compute_hi),
+            },
+            6..=9 => VcpuAction::Block {
+                duration_us: Some(rng.range(block_lo, block_hi)),
+            },
+            10 => VcpuAction::Block { duration_us: None },
+            // One past the end: an IPI to a vCPU that does not exist.
+            11..=13 => VcpuAction::SendIpi {
+                target_index: rng.below(vcpus as u64 + 1) as usize,
+            },
+            14 => VcpuAction::Yield,
+            _ => VcpuAction::Compute { duration_us: 0 },
+        };
+        actions.push(action);
+        // A woken vCPU always computes before it gives the pCPU up
+        // again. The engine the hypervisor's pins were generated on
+        // panicked ("driver exists") when an IPI's target took the
+        // sender's pCPU and handed it straight back;
+        // `ipi_bounce_resumes_the_sender` in the engine's unit tests
+        // covers that path instead.
+        if matches!(action, VcpuAction::Block { .. }) {
+            actions.push(VcpuAction::Compute {
+                duration_us: rng.range(50, compute_hi),
+            });
+        }
+    }
+    PatternDriver {
+        actions,
+        pos: 0,
+        cyclic: rng.below(4) != 0,
+        salt: rng.next(),
+    }
+}
+
+/// A deadline for the next run, at most `reach` µs ahead: random,
+/// tick-aligned (equal to the due time of the tick timer, and of the
+/// accounting timer every third tick), exactly `now`, or in the past.
+pub fn deadline(sim: &ServerSim, rng: &mut Rng, reach: u64) -> SimTime {
+    let now = sim.now().as_micros();
+    let tick = sim.params().tick_us;
+    SimTime::from_micros(match rng.below(8) {
+        0 | 1 => (now / tick + rng.range(1, 4)) * tick,
+        2 => now,
+        3 => now.saturating_sub(rng.below(5_000)),
+        _ => now + rng.below(reach),
+    })
+}
+
+/// The busy loop before it committed: the same `Compute { chunk }`
+/// answered again every `chunk` µs of CPU, each answer an event. The
+/// oracle `busy_commitment` holds `BusyLoop` to.
+pub struct ChunkedBusy {
+    pub chunk: u64,
+}
+
+impl WorkloadDriver for ChunkedBusy {
+    fn next_action(&mut self, _view: &VcpuView) -> VcpuAction {
+        VcpuAction::Compute {
+            duration_us: self.chunk,
+        }
+    }
+}
 
 /// FNV-1a over a stream of `u64`s.
 pub struct Fold(u64);

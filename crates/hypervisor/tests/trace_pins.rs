@@ -24,7 +24,7 @@
 
 mod support;
 
-use monatt_hypervisor::driver::{VcpuAction, VcpuView, WakeReason, WorkloadDriver};
+use monatt_hypervisor::driver::WorkloadDriver;
 use monatt_hypervisor::engine::ServerSim;
 use monatt_hypervisor::ids::{PcpuId, VmId};
 use monatt_hypervisor::profile::RunSegment;
@@ -32,129 +32,11 @@ use monatt_hypervisor::scheduler::SchedParams;
 use monatt_hypervisor::time::SimTime;
 use monatt_hypervisor::vm::VmConfig;
 use std::fmt::Write as _;
-use support::{fold_segment, fold_state, segment_fingerprint, Fold};
+use support::{deadline, fold_segment, fold_state, pattern, segment_fingerprint, Fold, Rng};
 
 const PINS: &str = include_str!("pins/trace_pins.txt");
 const PINS_PATH: &str = "tests/pins/trace_pins.txt";
 const SCENARIOS: u64 = 64;
-
-/// splitmix64: the scenarios must not move when the vendored `rand`
-/// shim does.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.below(hi - lo + 1)
-    }
-}
-
-/// A scripted pattern, cyclic or one-shot (then `Halt`), whose
-/// durations also depend on what the engine shows the driver — a wrong
-/// `VcpuView` or a missed `on_wake` moves the trace.
-struct PatternDriver {
-    actions: Vec<VcpuAction>,
-    pos: usize,
-    cyclic: bool,
-    salt: u64,
-}
-
-impl WorkloadDriver for PatternDriver {
-    fn next_action(&mut self, view: &VcpuView) -> VcpuAction {
-        if self.pos == self.actions.len() {
-            if !self.cyclic {
-                return VcpuAction::Halt;
-            }
-            self.pos = 0;
-        }
-        let action = self.actions[self.pos];
-        self.pos += 1;
-        let wobble = (view.cpu_time_us + view.now.as_micros()).wrapping_add(self.salt);
-        match action {
-            VcpuAction::Compute { duration_us } if duration_us > 0 => VcpuAction::Compute {
-                duration_us: duration_us + wobble % 97,
-            },
-            VcpuAction::Block {
-                duration_us: Some(d),
-            } => VcpuAction::Block {
-                duration_us: Some(d + wobble % 13),
-            },
-            other => other,
-        }
-    }
-
-    fn on_wake(&mut self, view: &VcpuView, reason: WakeReason) {
-        let r = match reason {
-            WakeReason::Timer => 1,
-            WakeReason::Ipi => 2,
-        };
-        self.salt = self
-            .salt
-            .wrapping_mul(31)
-            .wrapping_add(r + view.now.as_micros() % 7);
-    }
-}
-
-/// Scenario-wide tempo: `sleepy` scenarios block long and compute
-/// short, so the server goes quiescent and `run_until_lazy` leaps.
-fn pattern(rng: &mut Rng, vcpus: usize, sleepy: bool) -> PatternDriver {
-    let len = rng.range(1, 10) as usize;
-    let (compute_hi, block_lo, block_hi) = if sleepy {
-        (600, 15_000, 250_000)
-    } else {
-        (9_000, 50, 12_000)
-    };
-    // The first action always consumes time, so no cyclic pattern can
-    // exhaust the engine's zero-time action budget.
-    let mut actions = vec![VcpuAction::Compute {
-        duration_us: rng.range(50, compute_hi),
-    }];
-    while actions.len() < len {
-        let action = match rng.below(16) {
-            0..=5 => VcpuAction::Compute {
-                duration_us: rng.range(50, compute_hi),
-            },
-            6..=9 => VcpuAction::Block {
-                duration_us: Some(rng.range(block_lo, block_hi)),
-            },
-            10 => VcpuAction::Block { duration_us: None },
-            // One past the end: an IPI to a vCPU that does not exist.
-            11..=13 => VcpuAction::SendIpi {
-                target_index: rng.below(vcpus as u64 + 1) as usize,
-            },
-            14 => VcpuAction::Yield,
-            _ => VcpuAction::Compute { duration_us: 0 },
-        };
-        actions.push(action);
-        // A woken vCPU always computes before it gives the pCPU up
-        // again. The engine these pins were generated on panicked
-        // ("driver exists") when an IPI's target took the sender's pCPU
-        // and handed it straight back; `ipi_bounce_resumes_the_sender`
-        // in the engine's unit tests covers that path instead.
-        if matches!(action, VcpuAction::Block { .. }) {
-            actions.push(VcpuAction::Compute {
-                duration_us: rng.range(50, compute_hi),
-            });
-        }
-    }
-    PatternDriver {
-        actions,
-        pos: 0,
-        cyclic: rng.below(4) != 0,
-        salt: rng.next(),
-    }
-}
 
 fn create(sim: &mut ServerSim, rng: &mut Rng, sleepy: bool) -> VmId {
     let vcpus = rng.range(1, 3) as usize;
@@ -174,21 +56,6 @@ fn create(sim: &mut ServerSim, rng: &mut Rng, sleepy: bool) -> VmId {
     sim.create_vm(config)
 }
 
-/// A deadline for the next run: random, tick-aligned (equal to the due
-/// time of every tick timer, and of the accounting timer every third
-/// tick), exactly `now`, or in the past.
-fn deadline(sim: &ServerSim, rng: &mut Rng, sleepy: bool) -> SimTime {
-    let now = sim.now().as_micros();
-    let tick = sim.params().tick_us;
-    let reach = if sleepy { 400_000 } else { 60_000 };
-    SimTime::from_micros(match rng.below(8) {
-        0 | 1 => (now / tick + rng.range(1, 4)) * tick,
-        2 => now,
-        3 => now.saturating_sub(rng.below(5_000)),
-        _ => now + rng.below(reach),
-    })
-}
-
 /// Runs scenario `seed`; returns its digest and the full segment log.
 fn run_scenario(seed: u64) -> (u64, Vec<RunSegment>) {
     let mut rng = Rng(seed.wrapping_mul(0x2545_f491_4f6c_dd1d) ^ 0x5eed);
@@ -198,6 +65,7 @@ fn run_scenario(seed: u64) -> (u64, Vec<RunSegment>) {
         _ => SchedParams::with_precise_accounting(),
     };
     let sleepy = seed % 4 == 3;
+    let reach = if sleepy { 400_000 } else { 60_000 };
     let mut sim = ServerSim::new(rng.range(1, 4) as usize, params);
     let mut fold = Fold::new();
     let mut log: Vec<RunSegment> = Vec::new();
@@ -219,11 +87,11 @@ fn run_scenario(seed: u64) -> (u64, Vec<RunSegment>) {
             4 => sim.terminate_vm(vm),
             5 | 6 => vms.push(create(&mut sim, &mut rng, sleepy)),
             7..=12 => {
-                let d = deadline(&sim, &mut rng, sleepy);
+                let d = deadline(&sim, &mut rng, reach);
                 sim.run_until_lazy(d);
             }
             _ => {
-                let d = deadline(&sim, &mut rng, sleepy);
+                let d = deadline(&sim, &mut rng, reach);
                 sim.run_until(d);
             }
         }

@@ -143,7 +143,9 @@ impl Default for Config {
             ]),
             kernel_index_crates: strings(&["crypto"]),
             skip_crates: strings(&["rand-shim", "proptest-shim", "lint"]),
-            det_crates: strings(&["core", "net", "hypervisor", "crypto", "tpm"]),
+            det_crates: strings(&["core", "net", "hypervisor", "crypto", "tpm", "workloads"]),
+            // The drivers run inside every `ServerSim` pop, behind the
+            // `dyn WorkloadDriver` call the rule cannot follow.
             warm_path_files: strings(&[
                 "crates/net/src/wire.rs",
                 "crates/net/src/channel.rs",
@@ -155,6 +157,9 @@ impl Default for Config {
                 "crates/hypervisor/src/wheel.rs",
                 "crates/hypervisor/src/engine.rs",
                 "crates/hypervisor/src/timers.rs",
+                "crates/hypervisor/src/driver.rs",
+                "crates/workloads/src/services.rs",
+                "crates/workloads/src/programs.rs",
             ]),
             alloc_cold_fns: strings(&["new", "default", "with_capacity", "fmt"]),
             taint_sink_fns: strings(&["serialize", "to_json", "to_string", "to_hex", "hex_string"]),

@@ -37,7 +37,9 @@ const ALLOC_METHODS: [&str; 4] = ["to_vec", "to_string", "to_owned", "collect"];
 
 /// `Type::ctor` pairs that allocate (or exist only to front an
 /// allocation, like `Vec::new` ahead of growth).
-const ALLOC_TYPES: [&str; 6] = ["Vec", "String", "Box", "VecDeque", "BTreeMap", "BTreeSet"];
+const ALLOC_TYPES: [&str; 8] = [
+    "Vec", "String", "Box", "VecDeque", "BTreeMap", "BTreeSet", "Rc", "Arc",
+];
 const ALLOC_CTORS: [&str; 3] = ["new", "with_capacity", "from"];
 
 /// One direct allocation site inside a function body.

@@ -155,9 +155,11 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              tests/zero_alloc.rs proves 64 warm rounds allocate zero times, but\n\
              only on the paths it executes. This rule is the static twin: in the\n\
              enrolled warm-path files (wire encode_into, channel seal/open, the\n\
-             timer wheel, session state machine, session arena), functions may not\n\
+             timer wheel, session state machine, session arena, the simulator's\n\
+             engine, timer slots and workload drivers), functions may not\n\
              call allocating APIs (Vec::new, vec!, to_vec, collect, format!,\n\
-             Box::new, String::from/new, to_string, to_owned, with_capacity)\n\
+             Box::new, Rc/Arc::new, String::from/new, to_string, to_owned,\n\
+             with_capacity)\n\
              unless marked cold/setup (a `#[cold]` attribute or the cold-fn list).\n\
              One level of call-graph propagation also flags a warm call into a\n\
              workspace helper that allocates directly (resolved by unique name).\n\

@@ -242,7 +242,7 @@ fn alloc_freedom_fires_on_bad_fixture() {
         rules_of(&diags).iter().all(|r| *r == "alloc_freedom"),
         "only alloc_freedom should fire: {diags:?}"
     );
-    assert_eq!(diags.len(), 4, "{diags:?}");
+    assert_eq!(diags.len(), 5, "{diags:?}");
     let expect = |needle: &str| {
         assert!(
             diags.iter().any(|d| d.message.contains(needle)),
@@ -253,6 +253,7 @@ fn alloc_freedom_fires_on_bad_fixture() {
     expect("`format!`");
     expect("`.collect()`");
     expect("`Vec::with_capacity`");
+    expect("`Rc::new`");
 }
 
 #[test]
@@ -391,6 +392,24 @@ fn static_rules_cover_files_runtime_tests_skip() {
         diags.iter().any(|d| d.rule == "alloc_freedom"),
         "alloc_freedom covers wheel.rs: {diags:?}"
     );
+
+    // A workload driver runs inside every simulator pop, behind a
+    // `dyn WorkloadDriver` call no propagation can follow: the driver
+    // files are enrolled themselves, and their crate is deterministic.
+    let services = std::fs::read_to_string(root.join("crates/workloads/src/services.rs")).unwrap();
+    let clean = lint_file("crates/workloads/src/services.rs", &services, &cfg);
+    assert!(clean.is_empty(), "services.rs should be clean: {clean:?}");
+    let seeded = format!(
+        "{services}\npub fn label(n: u64) -> String {{\n    let _t = std::time::Instant::now();\n    \
+         format!(\"req-{{n}}\")\n}}\n"
+    );
+    let diags = lint_file("crates/workloads/src/services.rs", &seeded, &cfg);
+    for rule in ["alloc_freedom", "determinism"] {
+        assert!(
+            diags.iter().any(|d| d.rule == rule),
+            "{rule} covers services.rs: {diags:?}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -27,6 +27,15 @@ impl ProgramStats {
 
 /// A CPU-bound program: computes `total_work_us` of CPU time in fixed
 /// chunks, then halts and records its completion time.
+///
+/// Unlike `BusyLoop`, it does not commit to its work in one request,
+/// although only the last answer (`Halt`) differs. Where the last chunk
+/// ends is a timer, and the stamp it draws when armed decides which of
+/// two timers due at the same instant fires first: a tick that debits
+/// whichever vCPU is current, or another pCPU's burst end in the segment
+/// log. One request would arm that deadline at a different point in the
+/// stamp sequence, so coalescing the chunks is not provably the same
+/// schedule (the asking contract in `monatt_hypervisor::driver`).
 #[derive(Debug)]
 pub struct CpuProgram {
     remaining_us: u64,
@@ -149,9 +158,7 @@ mod tests {
         let prog = CpuProgram::new(500_000, 1_000);
         let stats = prog.stats();
         sim.create_vm(VmConfig::new("p", vec![Box::new(prog)]).pin(vec![PcpuId(0)]));
-        sim.create_vm(
-            VmConfig::new("hog", vec![Box::new(BusyLoop::default())]).pin(vec![PcpuId(0)]),
-        );
+        sim.create_vm(VmConfig::new("hog", vec![Box::new(BusyLoop)]).pin(vec![PcpuId(0)]));
         sim.run_until(SimTime::from_secs(5));
         let elapsed = stats.borrow().elapsed_us().expect("finished") as f64;
         let slowdown = elapsed / 500_000.0;

@@ -37,7 +37,7 @@ fn services_and_programs_reproduce_the_pinned_schedule() {
     // Four pCPUs, round-robin placement, three vCPUs per pCPU: one busy
     // loop, the six services, the three programs, and a two-vCPU VM.
     let mut sim = ServerSim::new(4, SchedParams::default());
-    sim.create_vm(VmConfig::new("busy", vec![Box::new(BusyLoop::default())]));
+    sim.create_vm(VmConfig::new("busy", vec![Box::new(BusyLoop)]));
     for (i, service) in CloudService::ALL.into_iter().enumerate() {
         sim.create_vm(VmConfig::new(
             service.name(),
