@@ -8,6 +8,7 @@ use monatt_core::interpret::{analyze_intervals, IntervalAnalysis};
 use monatt_hypervisor::driver::BusyLoop;
 use monatt_hypervisor::engine::ServerSim;
 use monatt_hypervisor::ids::PcpuId;
+use monatt_hypervisor::profile::{INTERVAL_BINS, INTERVAL_BIN_WIDTH_US};
 use monatt_hypervisor::scheduler::SchedParams;
 use monatt_hypervisor::time::SimTime;
 use monatt_hypervisor::vm::VmConfig;
@@ -29,7 +30,24 @@ pub struct IntervalDistributions {
 
 /// Runs both scenarios for `seconds`, with a configurable bin count (the
 /// paper uses 30; the bin-count sweep is the ablation of DESIGN.md).
+/// Fewer than 30 bins of 1 ms sum the registers' tail into the last bin.
+///
+/// # Panics
+///
+/// Panics unless `1 <= bins <= 30`.
 pub fn run(seconds: u64, bins: usize) -> IntervalDistributions {
+    assert!(
+        (1..=INTERVAL_BINS).contains(&bins),
+        "between 1 and {INTERVAL_BINS} bins"
+    );
+    let histogram = |registers: &[u64; INTERVAL_BINS]| {
+        let mut hist = vec![0u64; bins];
+        for (bin, &count) in registers.iter().enumerate() {
+            hist[bin.min(bins - 1)] += count;
+        }
+        hist
+    };
+
     // Covert scenario: sender + receiver sharing pCPU 0.
     let mut sim = ServerSim::new(1, SchedParams::default());
     let sender = CovertSender::new(b"\xA5");
@@ -38,7 +56,7 @@ pub fn run(seconds: u64, bins: usize) -> IntervalDistributions {
         sim.create_vm(VmConfig::new("sender", vec![Box::new(sender)]).pin(vec![PcpuId(0)]));
     sim.create_vm(VmConfig::new("receiver", vec![Box::new(receiver)]).pin(vec![PcpuId(0)]));
     sim.run_until(SimTime::from_secs(seconds));
-    let covert_hist = sim.profile().interval_histogram(sender_vm, bins, 1_000);
+    let covert_hist = histogram(sim.profile().interval_registers(sender_vm));
 
     // Benign scenario: two CPU-bound VMs sharing pCPU 0.
     let mut sim = ServerSim::new(1, SchedParams::default());
@@ -46,7 +64,7 @@ pub fn run(seconds: u64, bins: usize) -> IntervalDistributions {
         sim.create_vm(VmConfig::new("benign", vec![Box::new(BusyLoop)]).pin(vec![PcpuId(0)]));
     sim.create_vm(VmConfig::new("other", vec![Box::new(BusyLoop)]).pin(vec![PcpuId(0)]));
     sim.run_until(SimTime::from_secs(seconds));
-    let benign_hist = sim.profile().interval_histogram(benign_vm, bins, 1_000);
+    let benign_hist = histogram(sim.profile().interval_registers(benign_vm));
 
     let normalize = |hist: &[u64]| {
         let total: u64 = hist.iter().sum();
@@ -63,8 +81,8 @@ pub fn run(seconds: u64, bins: usize) -> IntervalDistributions {
     IntervalDistributions {
         covert: normalize(&covert_hist),
         benign: normalize(&benign_hist),
-        covert_analysis: analyze_intervals(&covert_hist, 1_000),
-        benign_analysis: analyze_intervals(&benign_hist, 1_000),
+        covert_analysis: analyze_intervals(&covert_hist, INTERVAL_BIN_WIDTH_US),
+        benign_analysis: analyze_intervals(&benign_hist, INTERVAL_BIN_WIDTH_US),
         bins,
     }
 }

@@ -19,11 +19,9 @@ use monatt_tpm::quote::Quote;
 use monatt_tpm::registers::RegisterLayout;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Histogram geometry of the covert-channel Trust Evidence Registers:
-/// 30 bins of 1 ms (Section 4.4.2).
-pub const INTERVAL_BINS: usize = 30;
-/// Width of each interval bin in microseconds.
-pub const INTERVAL_BIN_WIDTH_US: u64 = 1_000;
+/// Histogram geometry of the covert-channel Trust Evidence Registers,
+/// 30 bins of 1 ms (Section 4.4.2): the VMM profile tool's interval bank.
+pub use monatt_hypervisor::profile::{INTERVAL_BINS, INTERVAL_BIN_WIDTH_US};
 
 /// The signed response of the Attestation Client: measurements plus the
 /// quote `Q3 = H(Vid || rM || M || N3)` signed with the session key ASKs
@@ -251,13 +249,16 @@ impl CloudServerNode {
         local
     }
 
-    /// Removes a VM (terminate or migrate-away).
+    /// Removes a VM (terminate or migrate-away), with its window
+    /// baselines.
     pub fn remove_vm(&mut self, vid: Vid) {
         if let Some(slot) = self.vms.remove(&vid) {
             let vcpus = self.sim.vm(slot.local).map(|v| v.vcpu_count).unwrap_or(0);
             self.sim.terminate_vm(slot.local);
             self.used_vcpus = self.used_vcpus.saturating_sub(vcpus);
         }
+        self.window_start_cpu.remove(&vid);
+        self.window_start_pmu.remove(&vid);
     }
 
     /// Suspends a hosted VM.
@@ -375,20 +376,15 @@ impl CloudServerNode {
                 })
             }
             MeasurementSpec::UsageIntervals { window_us } => {
-                // Feed the profile tool's segments into the registers, as
-                // the Monitor Kernel does, then read them out.
-                let hist = self.sim.profile().interval_histogram(
-                    local,
-                    INTERVAL_BINS,
-                    INTERVAL_BIN_WIDTH_US,
-                );
+                // Copy the profile tool's interval bank into the
+                // registers, one write per bin, as the Monitor Kernel
+                // does, then read them out.
+                let bank = self.sim.profile().interval_registers(local);
                 let regs = self.trust.registers_mut()?;
                 let token = regs.unlock();
                 regs.clear(&token);
-                for (bin, count) in hist.iter().enumerate() {
-                    for _ in 0..*count {
-                        regs.record_interval(&token, (bin as u64) * INTERVAL_BIN_WIDTH_US + 1);
-                    }
+                for (bin, &count) in (0..).zip(bank) {
+                    regs.record_interval(&token, bin * INTERVAL_BIN_WIDTH_US + 1, count);
                 }
                 Some(Measurement::UsageIntervals {
                     bins: regs.snapshot(),
@@ -566,6 +562,62 @@ mod tests {
         n.remove_vm(Vid(1));
         assert_eq!(n.free_vcpus(), 16);
         assert!(!n.hosts(Vid(1)));
+    }
+
+    #[test]
+    fn remove_vm_drops_its_window_baselines() {
+        let mut n = node();
+        n.launch_vm(
+            Vid(1),
+            Image::Cirros,
+            Image::Cirros.pristine_bytes(),
+            vec![Box::new(BusyLoop)],
+            256,
+        );
+        n.begin_window(MeasurementSpec::CpuTime { window_us: 1_000 }, Vid(1));
+        n.begin_window(
+            MeasurementSpec::SchedulerEvents { window_us: 1_000 },
+            Vid(1),
+        );
+        assert_eq!(n.window_start_cpu.len(), 1);
+        assert_eq!(n.window_start_pmu.len(), 1);
+        n.remove_vm(Vid(1));
+        assert!(n.window_start_cpu.is_empty());
+        assert!(n.window_start_pmu.is_empty());
+    }
+
+    #[test]
+    fn usage_intervals_copy_the_interval_bank() {
+        let mut n = node();
+        n.launch_vm_pinned(
+            Vid(1),
+            Image::Cirros,
+            Image::Cirros.pristine_bytes(),
+            vec![Box::new(BusyLoop)],
+            256,
+            Some(0),
+        );
+        n.launch_vm_pinned(
+            Vid(2),
+            Image::Cirros,
+            Image::Cirros.pristine_bytes(),
+            vec![Box::new(BusyLoop)],
+            256,
+            Some(0),
+        );
+        let spec = MeasurementSpec::UsageIntervals {
+            window_us: 1_000_000,
+        };
+        n.begin_window(spec, Vid(1));
+        n.advance(1_000_000);
+        let local = n.local_vm(Vid(1)).unwrap();
+        let bank = *n.sim().profile().interval_registers(local);
+        let Measurement::UsageIntervals { bins, .. } = n.collect(spec, Vid(1)).unwrap() else {
+            panic!("wrong measurement");
+        };
+        assert_eq!(bins, bank);
+        // Two busy loops on one pCPU run out 30 ms slices.
+        assert!(bins[INTERVAL_BINS - 1] > 10, "{bins:?}");
     }
 
     #[test]

@@ -925,7 +925,7 @@ mod tests {
         let a = busy_vm(&mut sim, "a", 0);
         let _b = busy_vm(&mut sim, "b", 0);
         sim.run_until(SimTime::from_secs(5));
-        let hist = sim.profile().interval_histogram(a, 30, MS);
+        let hist = sim.profile().interval_registers(a);
         let total: u64 = hist.iter().sum();
         assert!(total > 0);
         assert!(
@@ -1290,6 +1290,7 @@ mod tests {
     fn determinism() {
         let run = || {
             let mut sim = ServerSim::new(2, SchedParams::default());
+            sim.profile_mut().set_logging(true);
             let a = busy_vm(&mut sim, "a", 0);
             let _b = busy_vm(&mut sim, "b", 0);
             let _c = busy_vm(&mut sim, "c", 1);
@@ -1471,6 +1472,7 @@ mod tests {
         // Lazy chunked driving of a busy server must match one eager run.
         let run = |lazy: bool| {
             let mut sim = ServerSim::new(1, SchedParams::default());
+            sim.profile_mut().set_logging(true);
             let a = busy_vm(&mut sim, "a", 0);
             let _b = busy_vm(&mut sim, "b", 0);
             if lazy {

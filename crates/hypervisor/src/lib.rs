@@ -18,7 +18,8 @@
 //! * [`guest`] — simulated guest OS state: kernel vs. guest-visible task
 //!   lists (rootkits hide tasks), VM images.
 //! * [`profile`] — the VMM Profile Tool: per-VM virtual running time and
-//!   the run-segment log feeding usage-interval histograms.
+//!   30 × 1 ms usage-interval registers, updated as each run segment
+//!   closes, plus an opt-in run-segment log (off by default).
 //! * [`pmu`] — per-VM performance counters.
 //! * [`vmi`] — the VM introspection tool reading kernel state from outside
 //!   the VM.

@@ -1,10 +1,23 @@
 //! The VMM Profile Tool (Section 4.5.2): observes vCPU transitions on each
-//! physical core and records the virtual running time of each VM, plus the
-//! run-segment log that feeds the covert-channel interval histogram
-//! (Section 4.4.2).
+//! physical core and keeps, per VM and per measurement window, its
+//! virtual running time and a bank of [`INTERVAL_BINS`] usage-interval
+//! counters — the values the covert-channel detector's Trust Evidence
+//! Registers hold (Section 4.4.2). Both are updated as each run segment
+//! closes, so a server's profile is a fixed-size row per VM however long
+//! it runs unattested.
+//!
+//! The segments themselves are kept only by an opt-in log
+//! ([`ProfileTool::set_logging`], off by default) for tests and traces.
 
 use crate::ids::{PcpuId, VcpuId, VmId};
 use crate::time::SimTime;
+
+/// Number of usage-interval registers: 30 bins of [`INTERVAL_BIN_WIDTH_US`],
+/// `(0,1], (1,2], …, (29,30]` ms, the last one also catching longer
+/// stints (Section 4.4.2).
+pub const INTERVAL_BINS: usize = 30;
+/// Width of each usage-interval bin in microseconds.
+pub const INTERVAL_BIN_WIDTH_US: u64 = 1_000;
 
 /// Why a run segment ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,52 +59,101 @@ impl RunSegment {
     }
 }
 
-/// The profile tool: per-VM virtual running time plus the segment log.
+/// One VM's window: running time and interval registers side by side,
+/// so closing a segment touches one row.
+#[derive(Clone, Copy, Debug, Default)]
+struct VmRow {
+    cpu_time_us: u64,
+    intervals: [u64; INTERVAL_BINS],
+}
+
+/// The profile tool: per-VM virtual running time and usage-interval
+/// registers, plus the opt-in segment log.
 #[derive(Clone, Debug, Default)]
 pub struct ProfileTool {
-    segments: Vec<RunSegment>,
     /// Indexed by `VmId` (a dense per-server counter).
-    vm_cpu_time_us: Vec<u64>,
+    rows: Vec<VmRow>,
     window_start: SimTime,
+    /// The segment log; `None` while logging is off.
+    log: Option<Vec<RunSegment>>,
 }
 
 impl ProfileTool {
-    /// Creates an empty profile.
+    /// Creates an empty profile, segment log off.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Records a completed run segment (called by the engine on every
-    /// deschedule).
-    pub fn record(&mut self, segment: RunSegment) {
-        self.track(segment.vcpu.vm);
-        self.vm_cpu_time_us[segment.vcpu.vm.0 as usize] += segment.duration_us();
-        self.segments.push(segment);
+    /// Turns the segment log on or off (off by default). While on, every
+    /// recorded segment is also kept until the next
+    /// [`Self::reset_window`], for [`Self::segments`] to return; the
+    /// running times and interval registers are the same either way.
+    /// Turning it off drops the log.
+    pub fn set_logging(&mut self, on: bool) {
+        self.log = on.then(|| self.log.take().unwrap_or_default());
     }
 
-    /// Makes room for `vm`'s total. The engine calls this when a VM is
+    /// Records a completed run segment (called by the engine on every
+    /// deschedule): adds its duration to the VM's running time and
+    /// counts it in the interval register of its bin. A zero-length
+    /// segment counts in no bin.
+    pub fn record(&mut self, segment: RunSegment) {
+        let d = segment.duration_us();
+        self.track(segment.vcpu.vm);
+        let row = &mut self.rows[segment.vcpu.vm.0 as usize];
+        row.cpu_time_us += d;
+        if d > 0 {
+            // (0, w] -> bin 0, (w, 2w] -> bin 1, …, longer -> the last.
+            let bin = (((d - 1) / INTERVAL_BIN_WIDTH_US) as usize).min(INTERVAL_BINS - 1);
+            row.intervals[bin] = row.intervals[bin].saturating_add(1);
+        }
+        if let Some(log) = &mut self.log {
+            log_segment(log, segment);
+        }
+    }
+
+    /// Makes room for `vm`'s row. The engine calls this when a VM is
     /// created, so recording never grows the table.
     pub(crate) fn track(&mut self, vm: VmId) {
         let row = vm.0 as usize;
-        if row >= self.vm_cpu_time_us.len() {
-            self.vm_cpu_time_us.resize(row + 1, 0);
+        if row >= self.rows.len() {
+            self.rows.resize(row + 1, VmRow::default());
         }
     }
 
     /// All recorded segments since the last [`Self::reset_window`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the segment log is off ([`Self::set_logging`]): an
+    /// empty answer would let a check over the log pass on nothing.
     pub fn segments(&self) -> &[RunSegment] {
-        &self.segments
+        self.log.as_deref().expect("segment log is off")
     }
 
     /// Segments belonging to one VM.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the segment log is off, as [`Self::segments`].
     pub fn vm_segments(&self, vm: VmId) -> impl Iterator<Item = &RunSegment> {
-        self.segments.iter().filter(move |s| s.vcpu.vm == vm)
+        self.segments().iter().filter(move |s| s.vcpu.vm == vm)
     }
 
     /// Total virtual running time of `vm` in the current window
     /// (`CPU_measure` in the paper).
     pub fn vm_cpu_time_us(&self, vm: VmId) -> u64 {
-        self.vm_cpu_time_us.get(vm.0 as usize).copied().unwrap_or(0)
+        self.rows.get(vm.0 as usize).map_or(0, |r| r.cpu_time_us)
+    }
+
+    /// `vm`'s usage-interval registers for the current window: register
+    /// `i` counts the segments whose duration `d` fell in
+    /// `(i·w, (i+1)·w]` for `w` = [`INTERVAL_BIN_WIDTH_US`], the last
+    /// register also those longer. All zero for an unknown VM.
+    pub fn interval_registers(&self, vm: VmId) -> &[u64; INTERVAL_BINS] {
+        self.rows
+            .get(vm.0 as usize)
+            .map_or(&[0; INTERVAL_BINS], |r| &r.intervals)
     }
 
     /// Relative CPU usage of `vm`: virtual running time divided by the
@@ -110,35 +172,22 @@ impl ProfileTool {
         self.window_start
     }
 
-    /// Starts a new measurement window at `now`: clears segments and
-    /// per-VM counters (both keep their capacity).
+    /// Starts a new measurement window at `now`: zeroes every VM's
+    /// running time and interval registers and clears the segment log
+    /// (which keeps its capacity).
     pub fn reset_window(&mut self, now: SimTime) {
-        self.segments.clear();
-        self.vm_cpu_time_us.fill(0);
+        self.rows.fill(VmRow::default());
+        if let Some(log) = &mut self.log {
+            log.clear();
+        }
         self.window_start = now;
     }
+}
 
-    /// Builds a usage-interval histogram for `vm`: counts of segment
-    /// durations falling in `(0, w], (w, 2w], …` with `bins` bins, the
-    /// last bin clamping longer segments — mirroring the Trust Evidence
-    /// Register programming of Section 4.4.2.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `bin_width_us == 0`.
-    pub fn interval_histogram(&self, vm: VmId, bins: usize, bin_width_us: u64) -> Vec<u64> {
-        assert!(bins > 0 && bin_width_us > 0, "invalid histogram shape");
-        let mut hist = vec![0u64; bins];
-        for seg in self.vm_segments(vm) {
-            let d = seg.duration_us();
-            if d == 0 {
-                continue;
-            }
-            let bin = (((d - 1) / bin_width_us) as usize).min(bins - 1);
-            hist[bin] += 1;
-        }
-        hist
-    }
+/// The opt-in log's push, kept off the event path's inlined body.
+#[cold]
+fn log_segment(log: &mut Vec<RunSegment>, segment: RunSegment) {
+    log.push(segment);
 }
 
 #[cfg(test)]
@@ -181,9 +230,11 @@ mod tests {
     #[test]
     fn window_reset() {
         let mut p = ProfileTool::new();
+        p.set_logging(true);
         p.record(seg(1, 0, 10_000));
         p.reset_window(SimTime::from_micros(10_000));
         assert_eq!(p.vm_cpu_time_us(VmId(1)), 0);
+        assert_eq!(p.interval_registers(VmId(1)), &[0; INTERVAL_BINS]);
         assert!(p.segments().is_empty());
         p.record(seg(1, 10_000, 40_000));
         let usage = p.relative_cpu_usage(VmId(1), SimTime::from_micros(40_000));
@@ -195,20 +246,52 @@ mod tests {
         let mut p = ProfileTool::new();
         p.record(seg(1, 0, 4_600)); // 4.6 ms -> bin 4
         p.record(seg(1, 10_000, 11_000)); // 1.0 ms -> bin 0
+        p.record(seg(1, 12_000, 12_001)); // 1 us -> bin 0
+        p.record(seg(1, 13_000, 14_001)); // 1.001 ms -> bin 1
         p.record(seg(1, 20_000, 80_000)); // 60 ms -> clamped to bin 29
+        p.record(seg(1, 90_000, 90_000)); // zero-length: no bin
         p.record(seg(2, 0, 1_000)); // other VM, excluded
-        let h = p.interval_histogram(VmId(1), 30, 1_000);
+        let h = p.interval_registers(VmId(1));
+        assert_eq!(h[0], 2);
+        assert_eq!(h[1], 1);
         assert_eq!(h[4], 1);
-        assert_eq!(h[0], 1);
         assert_eq!(h[29], 1);
-        assert_eq!(h.iter().sum::<u64>(), 3);
+        assert_eq!(h.iter().sum::<u64>(), 5);
+        assert_eq!(p.interval_registers(VmId(7)), &[0; INTERVAL_BINS]);
+    }
+
+    #[test]
+    fn logging_is_opt_in_and_changes_no_count() {
+        let mut on = ProfileTool::new();
+        on.set_logging(true);
+        let mut off = ProfileTool::new();
+        for p in [&mut on, &mut off] {
+            p.record(seg(1, 0, 1));
+            p.record(seg(2, 1, 2_500));
+        }
+        assert_eq!(on.segments().len(), 2);
+        for vm in [VmId(1), VmId(2)] {
+            assert_eq!(on.vm_cpu_time_us(vm), off.vm_cpu_time_us(vm));
+            assert_eq!(on.interval_registers(vm), off.interval_registers(vm));
+        }
+        on.set_logging(false);
+        assert!(on.log.is_none());
     }
 
     #[test]
     fn vm_segments_filter() {
         let mut p = ProfileTool::new();
+        p.set_logging(true);
         p.record(seg(1, 0, 1));
         p.record(seg(2, 1, 2));
         assert_eq!(p.vm_segments(VmId(1)).count(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "segment log is off")]
+    fn reading_a_log_that_is_off_panics() {
+        let mut p = ProfileTool::new();
+        p.record(seg(1, 0, 1));
+        let _ = p.segments();
     }
 }

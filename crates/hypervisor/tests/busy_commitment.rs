@@ -80,6 +80,7 @@ fn run_scenario(seed: u64, busy: Busy) -> (Vec<u64>, [usize; 6]) {
     // microsecond of the oracle is an event.
     let reach = if sleepy { 50_000 } else { 25_000 };
     let mut sim = ServerSim::new(rng.range(1, 4) as usize, params);
+    sim.profile_mut().set_logging(true);
     let mut fold = Fold::new();
     let mut digests = Vec::new();
     let mut reasons = [0_usize; 6];
@@ -212,6 +213,7 @@ impl WorkloadDriver for Waker {
 fn ten_seconds(driver: impl WorkloadDriver + 'static) -> (u64, u64, u64, usize) {
     let asked = shared(0);
     let mut sim = ServerSim::new(1, SchedParams::default());
+    sim.profile_mut().set_logging(true);
     let counted = sim.create_vm(
         VmConfig::new(
             "counted",

@@ -57,6 +57,7 @@ proptest! {
         pcpus in 1usize..3,
     ) {
         let mut sim = ServerSim::new(pcpus, SchedParams::default());
+        sim.profile_mut().set_logging(true);
         for (i, pattern) in patterns.iter().enumerate() {
             sim.create_vm(
                 VmConfig::new(&format!("fuzz{i}"), vec![Box::new(FuzzDriver::new(pattern.clone()))])
@@ -92,6 +93,7 @@ proptest! {
     #[test]
     fn cpu_time_accounting_is_consistent(pattern in arb_pattern()) {
         let mut sim = ServerSim::new(1, SchedParams::default());
+        sim.profile_mut().set_logging(true);
         let vm = sim.create_vm(VmConfig::new(
             "fuzz",
             vec![Box::new(FuzzDriver::new(pattern))],
@@ -115,6 +117,7 @@ proptest! {
     ) {
         let run = || {
             let mut sim = ServerSim::new(2, SchedParams::default());
+            sim.profile_mut().set_logging(true);
             for (i, pattern) in patterns.iter().enumerate() {
                 sim.create_vm(VmConfig::new(
                     &format!("vm{i}"),

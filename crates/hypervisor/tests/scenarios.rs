@@ -61,6 +61,7 @@ fn io_service_fits_between_cpu_hogs() {
 #[test]
 fn slice_expiry_reason_is_recorded() {
     let mut sim = ServerSim::new(1, SchedParams::default());
+    sim.profile_mut().set_logging(true);
     let a = sim.create_vm(VmConfig::new("a", vec![Box::new(BusyLoop)]).pin(vec![PcpuId(0)]));
     sim.create_vm(VmConfig::new("b", vec![Box::new(BusyLoop)]).pin(vec![PcpuId(0)]));
     sim.run_until(SimTime::from_secs(1));

@@ -3,7 +3,8 @@
 //! caller can observe about a [`ServerSim`] into one FNV-1a digest, so a
 //! rewrite of the engine's insides either reproduces the schedule exactly
 //! or fails by name; the seeded pattern drivers and deadlines the
-//! scenarios draw; and `ChunkedBusy`, the oracle for `BusyLoop`.
+//! scenarios draw; `ChunkedBusy`, the oracle for `BusyLoop`; and
+//! `histogram_of`, the oracle for the profile tool's interval registers.
 
 // Each suite uses its own subset.
 #![allow(dead_code)]
@@ -11,7 +12,9 @@
 use monatt_hypervisor::driver::{VcpuAction, VcpuView, WakeReason, WorkloadDriver};
 use monatt_hypervisor::engine::ServerSim;
 use monatt_hypervisor::ids::{PcpuId, VcpuId};
-use monatt_hypervisor::profile::{DescheduleReason, RunSegment};
+use monatt_hypervisor::profile::{
+    DescheduleReason, RunSegment, INTERVAL_BINS, INTERVAL_BIN_WIDTH_US,
+};
 use monatt_hypervisor::time::SimTime;
 use monatt_hypervisor::vm::VmState;
 
@@ -245,4 +248,44 @@ pub fn fold_state(f: &mut Fold, sim: &ServerSim) {
     for p in 0..sim.pcpu_count() {
         f.u64(sim.schedulable_vcpus_on(PcpuId(p)) as u64);
     }
+}
+
+/// The usage-interval histogram the profile tool used to rebuild from its
+/// segment log at window close (`interval_histogram(vm, 30, 1 ms)`):
+/// `(d − 1) / 1 ms`, clamped to the last bin, zero-length skipped.
+pub fn histogram_of<'a>(segments: impl Iterator<Item = &'a RunSegment>) -> [u64; INTERVAL_BINS] {
+    let mut hist = [0; INTERVAL_BINS];
+    for seg in segments {
+        let d = seg.duration_us();
+        if d > 0 {
+            hist[(((d - 1) / INTERVAL_BIN_WIDTH_US) as usize).min(INTERVAL_BINS - 1)] += 1;
+        }
+    }
+    hist
+}
+
+/// Holds every VM's interval registers to [`histogram_of`] its logged
+/// segments. Both cover the window since the last `reset_window`.
+pub fn check_registers_against_log(sim: &ServerSim, context: &str) {
+    for vm in sim.vm_ids() {
+        let want = histogram_of(sim.profile().vm_segments(vm));
+        assert_eq!(
+            sim.profile().interval_registers(vm),
+            &want,
+            "{context}: {vm}'s interval registers differ from its segment log"
+        );
+    }
+}
+
+/// Clock and state as [`fold_state`], plus every VM's interval
+/// registers: all a run without the segment log can observe.
+pub fn fold_observable(sim: &ServerSim) -> u64 {
+    let mut f = Fold::new();
+    fold_state(&mut f, sim);
+    for vm in sim.vm_ids() {
+        for &n in sim.profile().interval_registers(vm) {
+            f.u64(n);
+        }
+    }
+    f.finish()
 }

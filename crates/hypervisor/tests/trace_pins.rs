@@ -16,6 +16,11 @@
 //! at random deadlines, at tick-aligned deadlines (a deadline equal to
 //! a timer's due time), at `now` and in the past.
 //!
+//! The same checkpoints hold the profile tool's interval registers to
+//! the histogram of the step's logged segments, and
+//! `the_segment_log_changes_nothing` re-runs every scenario with the
+//! log off: state and registers must be equal at every checkpoint.
+//!
 //! To regenerate after an *intended* change of schedule:
 //!
 //! ```text
@@ -32,7 +37,10 @@ use monatt_hypervisor::scheduler::SchedParams;
 use monatt_hypervisor::time::SimTime;
 use monatt_hypervisor::vm::VmConfig;
 use std::fmt::Write as _;
-use support::{deadline, fold_segment, fold_state, pattern, segment_fingerprint, Fold, Rng};
+use support::{
+    check_registers_against_log, deadline, fold_observable, fold_segment, fold_state, pattern,
+    segment_fingerprint, Fold, Rng,
+};
 
 const PINS: &str = include_str!("pins/trace_pins.txt");
 const PINS_PATH: &str = "tests/pins/trace_pins.txt";
@@ -56,8 +64,10 @@ fn create(sim: &mut ServerSim, rng: &mut Rng, sleepy: bool) -> VmId {
     sim.create_vm(config)
 }
 
-/// Runs scenario `seed`; returns its digest and the full segment log.
-fn run_scenario(seed: u64) -> (u64, Vec<RunSegment>) {
+/// Runs scenario `seed` with the segment log on or off. Returns the
+/// digest of segments and state, the full segment log (both only
+/// meaningful with the log on), and per checkpoint [`fold_observable`].
+fn run_scenario(seed: u64, logging: bool) -> (u64, Vec<RunSegment>, Vec<u64>) {
     let mut rng = Rng(seed.wrapping_mul(0x2545_f491_4f6c_dd1d) ^ 0x5eed);
     let params = match seed % 3 {
         0 => SchedParams::default(),
@@ -67,8 +77,10 @@ fn run_scenario(seed: u64) -> (u64, Vec<RunSegment>) {
     let sleepy = seed % 4 == 3;
     let reach = if sleepy { 400_000 } else { 60_000 };
     let mut sim = ServerSim::new(rng.range(1, 4) as usize, params);
+    sim.profile_mut().set_logging(logging);
     let mut fold = Fold::new();
     let mut log: Vec<RunSegment> = Vec::new();
+    let mut observed = Vec::new();
     let mut vms: Vec<VmId> = Vec::new();
 
     // Half the scenarios start on a server that has already idled.
@@ -95,17 +107,22 @@ fn run_scenario(seed: u64) -> (u64, Vec<RunSegment>) {
                 sim.run_until(d);
             }
         }
-        // Checkpoint: harvest the segments of this step, fold the whole
-        // observable state, and sometimes open a new profile window.
-        for seg in sim.profile().segments() {
-            fold_segment(&mut fold, seg);
-            log.push(*seg);
+        // Checkpoint: harvest the segments of this step, check the
+        // registers against them, fold the whole observable state, and
+        // open a new profile window.
+        if logging {
+            check_registers_against_log(&sim, &format!("scenario seed {seed}"));
+            for seg in sim.profile().segments() {
+                fold_segment(&mut fold, seg);
+                log.push(*seg);
+            }
         }
         fold_state(&mut fold, &sim);
+        observed.push(fold_observable(&sim));
         let now = sim.now();
         sim.profile_mut().reset_window(now);
     }
-    (fold.finish(), log)
+    (fold.finish(), log, observed)
 }
 
 fn fingerprints(log: &[RunSegment]) -> String {
@@ -121,7 +138,7 @@ fn scenarios_reproduce_the_pinned_schedule() {
     let mut rendered = String::new();
     let runs: Vec<(u64, u64, Vec<RunSegment>)> = (0..SCENARIOS)
         .map(|seed| {
-            let (digest, log) = run_scenario(seed);
+            let (digest, log, _) = run_scenario(seed, true);
             writeln!(rendered, "{seed} {digest:016x} {}", fingerprints(&log)).expect("write");
             (seed, digest, log)
         })
@@ -171,4 +188,20 @@ fn scenarios_reproduce_the_pinned_schedule() {
     }
     assert!(seen.iter().all(|&n| n >= 10), "reasons seen: {seen:?}");
     assert!(seen.iter().sum::<usize>() > 5_000, "only {seen:?} segments");
+}
+
+#[test]
+fn the_segment_log_changes_nothing() {
+    for seed in 0..SCENARIOS {
+        let (_, _, logged) = run_scenario(seed, true);
+        let (_, _, quiet) = run_scenario(seed, false);
+        assert_eq!(logged.len(), quiet.len(), "seed {seed}: checkpoints");
+        if let Some(i) = logged.iter().zip(&quiet).position(|(a, b)| a != b) {
+            panic!(
+                "scenario seed {seed}: with the segment log off, state or interval registers \
+                 differ from checkpoint {i} of {}",
+                logged.len()
+            );
+        }
+    }
 }

@@ -157,6 +157,7 @@ impl Default for Config {
                 "crates/hypervisor/src/wheel.rs",
                 "crates/hypervisor/src/engine.rs",
                 "crates/hypervisor/src/timers.rs",
+                "crates/hypervisor/src/profile.rs",
                 "crates/hypervisor/src/driver.rs",
                 "crates/workloads/src/services.rs",
                 "crates/workloads/src/programs.rs",

@@ -48,7 +48,7 @@ pub struct AccessToken(());
 ///     bin_width_us: 1_000,
 /// });
 /// let token = regs.unlock();
-/// regs.record_interval(&token, 4_600); // 4.6 ms -> bin (4,5]
+/// regs.record_interval(&token, 4_600, 1); // 4.6 ms -> bin (4,5]
 /// assert_eq!(regs.snapshot()[4], 1);
 /// ```
 #[derive(Clone, PartialEq, Eq)]
@@ -101,14 +101,15 @@ impl TrustEvidenceRegisters {
         AccessToken(())
     }
 
-    /// Records a duration sample into the histogram. Durations beyond the
-    /// last bin are clamped into it (the paper's (29,30] bin also catches
-    /// full 30 ms scheduler slices); zero-length samples land in bin 0.
+    /// Records `count` samples of one duration into the histogram (one
+    /// saturating add). Durations beyond the last bin are clamped into
+    /// it (the paper's (29,30] bin also catches full 30 ms scheduler
+    /// slices); zero-length samples land in bin 0.
     ///
     /// # Panics
     ///
     /// Panics if the bank is not in histogram layout.
-    pub fn record_interval(&mut self, _token: &AccessToken, duration_us: u64) {
+    pub fn record_interval(&mut self, _token: &AccessToken, duration_us: u64, count: u64) {
         let RegisterLayout::Histogram { bins, bin_width_us } = &self.layout else {
             // Layout misuse is a caller bug, not adversarial input; the
             // panic is the documented API contract.
@@ -121,7 +122,7 @@ impl TrustEvidenceRegisters {
             (((duration_us - 1) / bin_width_us) as usize).min(bins - 1)
         };
         // `bin` is clamped to `bins - 1` above.
-        self.values[bin] = self.values[bin].saturating_add(1); // #[allow(monatt::panic_freedom)]
+        self.values[bin] = self.values[bin].saturating_add(count); // #[allow(monatt::panic_freedom)]
     }
 
     /// Adds `amount` to accumulator `index`.
@@ -189,7 +190,7 @@ mod tests {
         // Evidence Register (4,5] will be incremented by 1."
         let mut regs = histogram30();
         let token = regs.unlock();
-        regs.record_interval(&token, 4_600);
+        regs.record_interval(&token, 4_600, 1);
         assert_eq!(regs.snapshot()[4], 1);
     }
 
@@ -197,12 +198,12 @@ mod tests {
     fn bin_edges() {
         let mut regs = histogram30();
         let token = regs.unlock();
-        regs.record_interval(&token, 1); // (0,1] -> bin 0
-        regs.record_interval(&token, 1_000); // exactly 1 ms -> bin 0
-        regs.record_interval(&token, 1_001); // (1,2] -> bin 1
-        regs.record_interval(&token, 30_000); // 30 ms -> bin 29
-        regs.record_interval(&token, 99_000); // clamped to bin 29
-        regs.record_interval(&token, 0); // zero-length -> bin 0
+        regs.record_interval(&token, 1, 1); // (0,1] -> bin 0
+        regs.record_interval(&token, 1_000, 1); // exactly 1 ms -> bin 0
+        regs.record_interval(&token, 1_001, 1); // (1,2] -> bin 1
+        regs.record_interval(&token, 30_000, 1); // 30 ms -> bin 29
+        regs.record_interval(&token, 99_000, 1); // clamped to bin 29
+        regs.record_interval(&token, 0, 1); // zero-length -> bin 0
         let snap = regs.snapshot();
         assert_eq!(snap[0], 3);
         assert_eq!(snap[1], 1);
@@ -211,11 +212,24 @@ mod tests {
     }
 
     #[test]
+    fn counted_samples_add_once_and_saturate() {
+        let mut regs = histogram30();
+        let token = regs.unlock();
+        regs.record_interval(&token, 4_600, 3);
+        regs.record_interval(&token, 4_001, 2);
+        regs.record_interval(&token, 4_001, 0);
+        assert_eq!(regs.snapshot()[4], 5);
+        regs.record_interval(&token, 99_000, u64::MAX);
+        regs.record_interval(&token, 30_000, 1);
+        assert_eq!(regs.snapshot()[29], u64::MAX);
+    }
+
+    #[test]
     fn distribution_sums_to_one() {
         let mut regs = histogram30();
         let token = regs.unlock();
         for us in [500, 1_500, 1_700, 29_500] {
-            regs.record_interval(&token, us);
+            regs.record_interval(&token, us, 1);
         }
         let dist = regs.distribution();
         let sum: f64 = dist.iter().sum();
@@ -243,7 +257,7 @@ mod tests {
     fn clear_zeroes_everything() {
         let mut regs = histogram30();
         let token = regs.unlock();
-        regs.record_interval(&token, 5_000);
+        regs.record_interval(&token, 5_000, 1);
         regs.clear(&token);
         assert_eq!(regs.total(), 0);
     }
@@ -253,7 +267,7 @@ mod tests {
     fn record_on_accumulator_panics() {
         let mut regs = TrustEvidenceRegisters::new(RegisterLayout::Accumulators { count: 1 });
         let token = regs.unlock();
-        regs.record_interval(&token, 5);
+        regs.record_interval(&token, 5, 1);
     }
 
     #[test]

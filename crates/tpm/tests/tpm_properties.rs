@@ -55,7 +55,7 @@ proptest! {
         });
         let token = regs.unlock();
         for s in &samples {
-            regs.record_interval(&token, *s);
+            regs.record_interval(&token, *s, 1);
         }
         prop_assert_eq!(regs.total(), samples.len() as u64);
         let dist = regs.distribution();

@@ -6,6 +6,11 @@
 //! draw ±20 % jitter per burst from a seeded RNG, so any reordering of
 //! driver calls moves every later duration.
 //!
+//! Each window also holds the profile tool's interval registers to the
+//! histogram of the window's logged segments, and the run is repeated
+//! with the segment log off: state and registers must be equal window
+//! by window.
+//!
 //! On a mismatch, regenerate only if the schedule was *meant* to move:
 //! the failure message prints the digests to paste.
 
@@ -18,7 +23,7 @@ use monatt_hypervisor::scheduler::SchedParams;
 use monatt_hypervisor::vm::VmConfig;
 use monatt_workloads::programs::SpecProgram;
 use monatt_workloads::services::CloudService;
-use support::{fold_segment, fold_state, Fold};
+use support::{check_registers_against_log, fold_observable, fold_segment, fold_state, Fold};
 
 /// Digest after each 250 ms window.
 const PINNED: [u64; 8] = [
@@ -32,11 +37,14 @@ const PINNED: [u64; 8] = [
     0x3d19_b8c3_1688_f016,
 ];
 
-#[test]
-fn services_and_programs_reproduce_the_pinned_schedule() {
+/// Runs the eight windows with the segment log on or off. Returns the
+/// digest of segments and state after each window (only meaningful with
+/// the log on) and each window's [`fold_observable`].
+fn run(logging: bool) -> ([u64; 8], [u64; 8]) {
     // Four pCPUs, round-robin placement, three vCPUs per pCPU: one busy
     // loop, the six services, the three programs, and a two-vCPU VM.
     let mut sim = ServerSim::new(4, SchedParams::default());
+    sim.profile_mut().set_logging(logging);
     sim.create_vm(VmConfig::new("busy", vec![Box::new(BusyLoop)]));
     for (i, service) in CloudService::ALL.into_iter().enumerate() {
         sim.create_vm(VmConfig::new(
@@ -57,21 +65,37 @@ fn services_and_programs_reproduce_the_pinned_schedule() {
     sim.create_vm(VmConfig::new("pair", pair).weight(512));
 
     let mut fold = Fold::new();
-    let mut got = [0_u64; 8];
-    for slot in &mut got {
+    let mut digests = [0_u64; 8];
+    let mut observed = [0_u64; 8];
+    for (window, (digest, seen)) in digests.iter_mut().zip(&mut observed).enumerate() {
         sim.run_for(250_000);
-        for seg in sim.profile().segments() {
-            fold_segment(&mut fold, seg);
+        if logging {
+            check_registers_against_log(&sim, &format!("window {window}"));
+            for seg in sim.profile().segments() {
+                fold_segment(&mut fold, seg);
+            }
         }
         fold_state(&mut fold, &sim);
+        *seen = fold_observable(&sim);
         let now = sim.now();
         sim.profile_mut().reset_window(now);
-        *slot = fold.finish();
+        *digest = fold.finish();
     }
+    (digests, observed)
+}
+
+#[test]
+fn services_and_programs_reproduce_the_pinned_schedule() {
+    let (got, logged) = run(true);
     let first = got.iter().zip(&PINNED).position(|(a, b)| a != b);
     assert!(
         first.is_none(),
         "schedule diverged in window {} (250 ms each); got {got:#018x?}",
         first.unwrap_or(0)
+    );
+    let (_, quiet) = run(false);
+    assert_eq!(
+        quiet, logged,
+        "with the segment log off, state or interval registers differ"
     );
 }

@@ -16,7 +16,9 @@
 //! This pins the perf claim structurally: it is impossible for a later
 //! change to quietly reintroduce per-round heap traffic without this
 //! test failing. `busy_server_steady_state_does_not_allocate` makes the
-//! same proof for the hypervisor simulator's event path.
+//! same proof for the hypervisor simulator's event path, and
+//! `unattested_busy_server_does_not_allocate` for a busy server whose
+//! profile window is never reset.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::Ordering;
@@ -174,14 +176,12 @@ fn warm_rounds_of_the_compiled_figure3_program_do_not_allocate() {
     );
 }
 
-#[test]
-fn busy_server_steady_state_does_not_allocate() {
-    // The simulator's half of the claim: a busy server replays its
-    // credit-scheduler dynamics — in the measured second some 1 630
-    // timer pops, 1 470 driver calls (none of them the busy loop's, which
-    // committed once at creation), 675 run segments and 34 accounting
-    // passes — without touching the allocator. The guests are the eight
-    // kinds every `busy_window` server hosts, two vCPUs per pCPU.
+/// The eight guest kinds every `busy_window` server hosts, two vCPUs per
+/// pCPU, on a four-pCPU server with the segment log off (its default).
+fn busy_server() -> (
+    cloudmonatt::hypervisor::engine::ServerSim,
+    Vec<cloudmonatt::hypervisor::ids::VmId>,
+) {
     use cloudmonatt::hypervisor::driver::{BusyLoop, WorkloadDriver};
     use cloudmonatt::hypervisor::engine::ServerSim;
     use cloudmonatt::hypervisor::scheduler::SchedParams;
@@ -194,12 +194,26 @@ fn busy_server_steady_state_does_not_allocate() {
         guests.push(Box::new(service.driver(i as u64 + 1)));
     }
     guests.push(Box::new(SpecProgram::Bzip2.driver()));
-    for (i, guest) in guests.into_iter().enumerate() {
-        sim.create_vm(VmConfig::new(&format!("vm-{i}"), vec![guest]));
-    }
+    let vms = guests
+        .into_iter()
+        .enumerate()
+        .map(|(i, guest)| sim.create_vm(VmConfig::new(&format!("vm-{i}"), vec![guest])))
+        .collect();
+    (sim, vms)
+}
 
-    // One warm window, twice as long as the measured one: run queues and
-    // the segment log reach a capacity the jittered second stays inside.
+#[test]
+fn busy_server_steady_state_does_not_allocate() {
+    // The simulator's half of the claim: a busy server replays its
+    // credit-scheduler dynamics — in the measured second some 1 630
+    // timer pops, 1 470 driver calls (none of them the busy loop's, which
+    // committed once at creation), 675 run segments counted into the
+    // interval registers and 34 accounting passes — without touching the
+    // allocator.
+    let (mut sim, vms) = busy_server();
+
+    // One warm window, twice as long as the measured one: the run queues
+    // reach a capacity the jittered second stays inside.
     sim.run_for(2_000_000);
     let now = sim.now();
     sim.profile_mut().reset_window(now);
@@ -208,7 +222,10 @@ fn busy_server_steady_state_does_not_allocate() {
     sim.run_for(1_000_000);
     let delta = alloc_count() - before;
 
-    let segments = sim.profile().segments().len();
+    let segments: u64 = vms
+        .iter()
+        .flat_map(|&vm| sim.profile().interval_registers(vm))
+        .sum();
     assert!(
         segments > 500,
         "only {segments} segments: the server was not busy"
@@ -217,6 +234,29 @@ fn busy_server_steady_state_does_not_allocate() {
         delta, 0,
         "a busy server allocated {delta} times in one virtual second \
          ({segments} run segments); the event path must be allocation-free"
+    );
+}
+
+#[test]
+fn unattested_busy_server_does_not_allocate() {
+    // Nobody opens a window on this server, so nothing ever resets its
+    // profile: what it keeps per VM must not grow with the run.
+    let (mut sim, vms) = busy_server();
+    sim.run_for(2_000_000);
+
+    let before = alloc_count();
+    sim.run_for(100_000_000);
+    let delta = alloc_count() - before;
+
+    let cpu_us: u64 = vms.iter().map(|&vm| sim.profile().vm_cpu_time_us(vm)).sum();
+    assert!(
+        cpu_us > 200_000_000,
+        "only {cpu_us} µs of CPU, under half of four pCPUs for 102 s: the server was not busy"
+    );
+    assert_eq!(
+        delta, 0,
+        "an unattested busy server allocated {delta} times in 100 virtual seconds; \
+         its profile must be a fixed-size row per VM"
     );
 }
 
