@@ -45,7 +45,6 @@ pub struct CovertSender {
     zero_us: u64,
     bursting: bool,
     last_burst_us: u64,
-    sent: Shared<u64>,
 }
 
 impl CovertSender {
@@ -73,13 +72,7 @@ impl CovertSender {
             zero_us,
             bursting: false,
             last_burst_us: 0,
-            sent: shared(0),
         }
-    }
-
-    /// Handle to the count of bits transmitted so far.
-    pub fn bits_sent(&self) -> Shared<u64> {
-        self.sent.clone()
     }
 
     /// The bit slot length in microseconds.
@@ -94,7 +87,6 @@ impl WorkloadDriver for CovertSender {
         if self.bursting {
             let bit = self.bits[self.pos];
             self.pos = (self.pos + 1) % self.bits.len();
-            *self.sent.borrow_mut() += 1;
             self.last_burst_us = if bit { self.one_us } else { self.zero_us };
             VcpuAction::Compute {
                 duration_us: self.last_burst_us,

@@ -92,7 +92,9 @@ pub struct ChaosRow {
     pub retries: u64,
     /// Records the fault model dropped.
     pub dropped: u64,
-    /// Records black-holed at a down node.
+    /// Records the network black-holed. Always 0: a hop that needs a
+    /// crashed node fails before it transmits. Kept for the committed
+    /// JSON schema.
     pub blackholed: u64,
     /// VMs still running at the end (on live servers — verified).
     pub vms_alive: usize,
@@ -199,7 +201,7 @@ fn measure(fleet: usize, mtbf_us: u64, loss: f64) -> ChaosRow {
         "session ledger out of balance: {stats:?}"
     );
     // Invariant 3: every sender-side drop is accounted for by a fault
-    // injection or a black hole.
+    // injection (or a network black hole, which the cloud never uses).
     assert_eq!(
         stats.drops_seen,
         dropped + blackholed,

@@ -309,12 +309,6 @@ impl Cloud {
         self.outage.model = Some(model);
     }
 
-    /// Removes the outage schedule (nodes currently down stay down
-    /// until recovered via [`Cloud::recover_node`]).
-    pub fn clear_outage_model(&mut self) {
-        self.outage.model = None;
-    }
-
     /// Sets (or clears) the end-to-end deadline budget applied to every
     /// session started from now on; in-flight sessions keep the budget
     /// they were spawned with. `None` (the default) leaves sessions
@@ -346,15 +340,15 @@ impl Cloud {
 
     /// Experiment hook: crashes `node` immediately (the event-driven
     /// path is a scripted or stochastic [`OutageModel`]). Idempotent.
-    /// Deliveries to and from the node black-hole, in-flight sessions
-    /// touching it fail fast with [`CloudError::NodeDown`], and a cloud
-    /// server's resident VMs are evacuated to live servers.
+    /// In-flight sessions touching the node fail fast with
+    /// [`CloudError::NodeDown`], as does every later hop that needs it
+    /// (checked before anything is transmitted), and a cloud server's
+    /// resident VMs are evacuated to live servers.
     pub fn crash_node(&mut self, node: NodeId) {
         if !self.outage.down.insert(node) {
             return;
         }
         self.outage.stats.crashes += 1;
-        self.network.set_endpoint_down(&node.endpoint());
         // A crashed controller instance hands its shards to the next
         // live instance on the ring; a crashed AS replica drops out of
         // selection. New sessions route around the hole — the in-flight
@@ -400,7 +394,6 @@ impl Cloud {
             return;
         }
         self.outage.stats.recoveries += 1;
-        self.network.set_endpoint_up(&node.endpoint());
         self.topology.on_recover(node);
         // Channel re-keying is deferred to first use (a mass recovery
         // must not burst handshakes), but the *trust boundary* advances

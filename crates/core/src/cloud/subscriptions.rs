@@ -33,11 +33,6 @@ pub enum Frequency {
 }
 
 impl Frequency {
-    /// Convenience constructor for a fixed period in seconds.
-    pub fn secs(s: u64) -> Self {
-        Frequency::Fixed(s * 1_000_000)
-    }
-
     pub(crate) fn next_interval(&self, rng: &mut Drbg) -> u64 {
         match *self {
             Frequency::Fixed(us) => us,

@@ -348,16 +348,6 @@ pub fn split_route_tag(payload: &[u8]) -> Option<(&[u8], RouteTag)> {
     Some((body, tag))
 }
 
-/// The fields covered by quote Q1, in protocol order.
-pub fn q1_fields<'a>(
-    vid_bytes: &'a [u8],
-    property_bytes: &'a [u8],
-    status_bytes: &'a [u8],
-    nonce1: &'a [u8],
-) -> [&'a [u8]; 4] {
-    [vid_bytes, property_bytes, status_bytes, nonce1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

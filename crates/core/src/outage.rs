@@ -19,9 +19,10 @@
 //! the cloud's main RNG: a run with no outage model is bit-identical to
 //! one before this module existed.
 //!
-//! What a crash *means* (black-holed deliveries, fail-fast sessions,
-//! VM evacuation, forced re-handshake on recovery) is implemented in
-//! the cloud facade; the counters live in [`OutageStats`].
+//! What a crash *means* (fail-fast sessions and hops, VM evacuation,
+//! forced re-handshake on recovery) is implemented in the cloud facade;
+//! the down-set and the counters live in `Outages`, the one record of
+//! which nodes are down.
 
 use crate::types::{NodeId, ServerId};
 use monatt_crypto::drbg::Drbg;

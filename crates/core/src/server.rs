@@ -60,7 +60,6 @@ impl From<AttestationResponse> for crate::messages::MeasureResponse {
 #[derive(Debug)]
 struct VmSlot {
     local: VmId,
-    image: Image,
     /// Image hash measured at launch time (before any runtime tampering).
     measured_image_hash: [u8; 32],
 }
@@ -242,7 +241,6 @@ impl CloudServerNode {
             vid,
             VmSlot {
                 local,
-                image,
                 measured_image_hash,
             },
         );
@@ -278,11 +276,6 @@ impl CloudServerNode {
     /// The local simulator id of a hosted VM.
     pub fn local_vm(&self, vid: Vid) -> Option<VmId> {
         self.vms.get(&vid).map(|s| s.local)
-    }
-
-    /// The image a hosted VM was launched from.
-    pub fn vm_image(&self, vid: Vid) -> Option<Image> {
-        self.vms.get(&vid).map(|s| s.image)
     }
 
     /// Runs the hypervisor for `duration_us` of simulated time.

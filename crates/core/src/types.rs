@@ -33,8 +33,7 @@ impl fmt::Display for ServerId {
 /// simply index 0 of each.
 ///
 /// The `Display` form matches the secure-channel peer names used on the
-/// simulated network, so a crashed node and its black-holed network
-/// endpoint share one name. Index 0 prints bare ("controller",
+/// simulated network. Index 0 prints bare ("controller",
 /// "attserver"), index `i ≥ 1` as "controller-i" / "attserver-i", a
 /// server as "server-N".
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -251,15 +250,6 @@ impl Flavor {
             Flavor::Small => 2,
             Flavor::Medium => 4,
             Flavor::Large => 8,
-        }
-    }
-
-    /// Disk in gigabytes.
-    pub fn disk_gb(&self) -> u64 {
-        match self {
-            Flavor::Small => 10,
-            Flavor::Medium => 20,
-            Flavor::Large => 40,
         }
     }
 

@@ -10,7 +10,7 @@
 //! attributes (`#[cold]`, `#[inline]`, `#[cfg(test)]`, …) annotate each
 //! function.
 //!
-//! Known limits (see DESIGN.md §14): generic arguments are skipped by
+//! Known limits (see DESIGN.md §9): generic arguments are skipped by
 //! angle-bracket counting (with `>>` split as two closers), parameter
 //! *patterns* are reduced to their last identifier (`mut buf: &mut Vec`
 //! → `buf`; destructuring patterns keep only the final binding), and

@@ -10,7 +10,7 @@
 //! directly. Propagated findings carry a related-location note pointing
 //! at the allocation inside the callee.
 //!
-//! Known limits (DESIGN.md §14): detection is name-based (a local type
+//! Known limits (DESIGN.md §9): detection is name-based (a local type
 //! with a method named `to_vec` would false-positive; none exists),
 //! propagation follows only uniquely-named non-test symbols, and only
 //! one level deep — a warm → A → B chain where only B allocates is not

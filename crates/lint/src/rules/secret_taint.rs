@@ -14,7 +14,7 @@
 //!   hot-path `const_time` checks own that ground).
 //!
 //! Resolution is name-based and only unique non-test symbols are
-//! followed (DESIGN.md §14), so every finding names a concrete sink,
+//! followed (DESIGN.md §9), so every finding names a concrete sink,
 //! attached as a related-location note. Callees on the `ct_exempt_fns`
 //! list (the constant-time primitives themselves) and zeroize helpers
 //! are never sinks.

@@ -7,7 +7,7 @@
 //! functions ([`SymbolTable::resolve_unique`]). Ambiguous names
 //! (`new`, `len`, …) are deliberately skipped: a missed finding is
 //! recoverable, a false positive erodes trust in `--deny`. The trade-off
-//! is documented in DESIGN.md §14.
+//! is documented in DESIGN.md §9.
 
 use std::collections::BTreeMap;
 

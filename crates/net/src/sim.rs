@@ -456,11 +456,6 @@ impl SimNetwork {
     pub fn log(&self) -> &[TransmitRecord] {
         &self.log
     }
-
-    /// The latency model in use.
-    pub fn latency_model(&self) -> LatencyModel {
-        self.latency
-    }
 }
 
 /// A passive eavesdropper: records copies of everything, passes all
