@@ -14,6 +14,7 @@
 //! CI. Host-time numbers live behind `monatt-perf` / `BENCHMARK.json`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod chaos;
 pub mod fig04;

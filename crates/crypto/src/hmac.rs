@@ -113,18 +113,19 @@ pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
 pub fn hkdf_expand(prk: &[u8; DIGEST_LEN], info: &[u8], len: usize) -> Vec<u8> {
     assert!(len <= 255 * DIGEST_LEN, "hkdf output too long");
     let mut okm = Vec::with_capacity(len);
-    let mut prev: Vec<u8> = Vec::new();
+    // T(0) is empty; T(i) is the previous block, always whole.
+    let (mut prev, mut prev_len) = ([0u8; DIGEST_LEN], 0);
     let mut counter = 1u8;
     let keyed = HmacSha256::new(prk);
     while okm.len() < len {
         let mut mac = keyed.clone();
-        mac.update(&prev);
+        mac.update(&prev[..prev_len]);
         mac.update(info);
         mac.update(&[counter]);
-        let block = mac.finalize();
+        prev = mac.finalize();
+        prev_len = DIGEST_LEN;
         let take = (len - okm.len()).min(DIGEST_LEN);
-        okm.extend_from_slice(&block[..take]);
-        prev = block.to_vec();
+        okm.extend_from_slice(&prev[..take]);
         counter = counter.wrapping_add(1);
     }
     okm
@@ -247,6 +248,26 @@ mod tests {
         assert_eq!(
             hex(&okm),
             "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865"
+        );
+    }
+
+    /// Case 2 chains three output blocks, each keyed on the one before;
+    /// case 3 has an empty salt and info.
+    #[test]
+    fn rfc5869_cases_2_and_3() {
+        let ikm: Vec<u8> = (0x00..=0x4f).collect();
+        let salt: Vec<u8> = (0x60..=0xaf).collect();
+        let info: Vec<u8> = (0xb0..=0xff).collect();
+        assert_eq!(
+            hex(&hkdf(&salt, &ikm, &info, 82)),
+            "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c\
+             59045a99cac7827271cb41c65e590e09da3275600c2f09b8367793a9aca3db71\
+             cc30c58179ec3e87c14c01d5c1f3434f1d87"
+        );
+        assert_eq!(
+            hex(&hkdf(&[], &[0x0b; 22], &[], 42)),
+            "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d\
+             9d201395faa4b61a96c8"
         );
     }
 

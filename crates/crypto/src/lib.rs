@@ -15,10 +15,12 @@
 //!   (the generator, trust-anchor keys).
 //! * [`group`] — a 256-bit safe-prime Schnorr group: its element field
 //!   mod `p` and its scalar field mod `q`.
-//! * [`mod@sha256`] — SHA-256 (FIPS 180-4).
+//! * [`mod@sha256`] — SHA-256 (FIPS 180-4), compressing on the CPU's SHA
+//!   extensions where it has them.
 //! * [`hmac`] — HMAC-SHA256 and HKDF (RFCs 2104/5869).
 //! * [`drbg`] — a ChaCha20-based deterministic random bit generator.
-//! * [`aes`] — AES-128 with CTR mode (FIPS 197).
+//! * [`aes`] — AES-128 with CTR mode (FIPS 197), CTR on AES-NI where the
+//!   CPU has it.
 //! * [`schnorr`] — Schnorr signatures with deterministic nonces, verified
 //!   against a bare key or a key bound to its table.
 //! * [`batch`] — random-linear-combination batch verification.
@@ -48,6 +50,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// `unsafe` lives in the two hardware modules below and nowhere else.
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod aes;
 pub mod authenc;
@@ -63,6 +68,15 @@ pub mod montgomery;
 pub mod schnorr;
 pub mod sha256;
 pub mod zeroize;
+
+// The CPU's own instructions for the two symmetric primitives, reached
+// through `aes` and `sha256` after run-time detection.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod aes_ni;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod sha_ni;
 
 pub use authenc::SealKey;
 pub use batch::{batch_verify, batch_verify_each, BatchItem};

@@ -2,11 +2,17 @@
 //!
 //! Provides both a streaming [`Sha256`] hasher and the one-shot
 //! [`sha256`] convenience function.
+//!
+//! The compression function runs on the CPU's SHA extensions where it
+//! has them (x86-64 with SHA and SSE4.1, detected at run time) and on
+//! the portable rounds below everywhere else. Both compute the same
+//! function; the portable rounds are the reference the tests hold the
+//! hardware path to.
 
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 32;
 
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -72,20 +78,18 @@ impl Sha256 {
             self.buffer_len += take;
             data = &data[take..];
             if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
+                compress_blocks(&mut self.state, std::slice::from_ref(&self.buffer));
                 self.buffer_len = 0;
             }
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
+        // Whole blocks are compressed where they lie, in one call.
+        let (blocks, rest) = data.as_chunks::<64>();
+        if !blocks.is_empty() {
+            compress_blocks(&mut self.state, blocks);
         }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffer_len = data.len();
+        if !rest.is_empty() {
+            self.buffer[..rest.len()].copy_from_slice(rest);
+            self.buffer_len = rest.len();
         }
     }
 
@@ -95,8 +99,7 @@ impl Sha256 {
         self.update_padding();
         // update_padding leaves exactly 8 bytes of space for the length.
         self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        self.compress(&block);
+        compress_blocks(&mut self.state, std::slice::from_ref(&self.buffer));
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..(i + 1) * 4].copy_from_slice(&word.to_be_bytes());
@@ -121,58 +124,75 @@ impl Sha256 {
             for b in &mut self.buffer[idx..] {
                 *b = 0;
             }
-            let block = self.buffer;
-            self.compress(&block);
+            compress_blocks(&mut self.state, std::slice::from_ref(&self.buffer));
             idx = 0;
         }
         for b in &mut self.buffer[idx..56] {
             *b = 0;
         }
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// Runs the compression function over `blocks` in order: on the SHA
+/// extensions when the CPU has them, on the portable rounds otherwise.
+#[inline]
+fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(ni) = crate::sha_ni::ShaNi::detect() {
+        return ni.compress_blocks(state, blocks);
     }
+    compress_portable(state, blocks);
+}
+
+/// The FIPS 180-4 rounds, one block at a time.
+fn compress_portable(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    for block in blocks {
+        compress_block(state, block);
+    }
+}
+
+fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
+    state[5] = state[5].wrapping_add(f);
+    state[6] = state[6].wrapping_add(g);
+    state[7] = state[7].wrapping_add(h);
 }
 
 /// One-shot SHA-256 of `data`.
@@ -204,9 +224,87 @@ pub fn sha256_concat(parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drbg::Drbg;
+    use std::io::Write;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{:02x}", b)).collect()
+    }
+
+    /// On a CPU without the SHA extensions `compress_blocks` is the
+    /// portable path, so a differential test runs that side alone: it
+    /// says so rather than pass silently.
+    fn say_if_portable_only(test: &str) {
+        #[cfg(target_arch = "x86_64")]
+        let hardware = crate::sha_ni::ShaNi::detect().is_some();
+        #[cfg(not(target_arch = "x86_64"))]
+        let hardware = false;
+        if !hardware {
+            // Straight to stderr: the harness captures `eprintln!`, and
+            // a passing test would then say nothing.
+            let _ = writeln!(
+                std::io::stderr(),
+                "{test}: this CPU has no SHA extensions; ran the portable path alone"
+            );
+        }
+    }
+
+    /// SHA-256 of `data` on the portable rounds alone.
+    fn portable_sha256(data: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        compress_portable(&mut state, padded.as_chunks::<64>().0);
+        let mut out = [0u8; DIGEST_LEN];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn compression_matches_portable_on_seeded_states_and_blocks() {
+        say_if_portable_only("compression_matches_portable_on_seeded_states_and_blocks");
+        let mut rng = Drbg::from_seed(0x5a256);
+        for pair in 0..2_000 {
+            let state: [u32; 8] = std::array::from_fn(|_| rng.next_u64() as u32);
+            // Runs of one to four blocks carry the state between blocks
+            // inside one call.
+            let mut blocks = vec![[0u8; 64]; 1 + pair % 4];
+            for block in &mut blocks {
+                rng.fill_bytes(block);
+            }
+            let mut expect = state;
+            compress_portable(&mut expect, &blocks);
+            let mut got = state;
+            compress_blocks(&mut got, &blocks);
+            assert_eq!(got, expect, "pair {pair}");
+        }
+    }
+
+    #[test]
+    fn update_split_at_every_offset_matches_portable() {
+        say_if_portable_only("update_split_at_every_offset_matches_portable");
+        assert_eq!(
+            hex(&portable_sha256(b"abc")),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        );
+        let mut rng = Drbg::from_seed(0x5a257);
+        for len in (1..=5).flat_map(|blocks| [64 * blocks - 9, 64 * blocks, 64 * blocks + 31]) {
+            let mut data = vec![0u8; len];
+            rng.fill_bytes(&mut data);
+            let expect = portable_sha256(&data);
+            for split in 0..=len {
+                let mut h = Sha256::new();
+                h.update(&data[..split]);
+                h.update(&data[split..]);
+                assert_eq!(h.finalize(), expect, "len {len} split {split}");
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! The shipped AES-128 runs on round tables. These tests hold it to the
-//! NIST CTR known answers and, on random keys and blocks, to the
+//! The shipped AES-128 runs on round tables, and its CTR mode on AES-NI
+//! where the CPU has it. These tests hold it, through the public API,
+//! to the NIST CTR known answers and, on random keys and blocks, to the
 //! byte-wise FIPS-197 rounds in `support::aes_ref` (whose S-box is
 //! derived, not tabulated). The FIPS-197 Appendix B / C.1 block vectors
-//! are unit tests in `src/aes.rs`.
+//! and the AES-NI-against-tables test are unit tests in `src/aes.rs`.
 
 mod support;
 

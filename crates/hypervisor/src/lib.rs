@@ -44,6 +44,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod driver;
 pub mod engine;

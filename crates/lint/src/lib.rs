@@ -38,6 +38,8 @@
 //! self-contained, so the tool builds in the offline container and runs
 //! in CI as a plain cargo binary.
 
+#![forbid(unsafe_code)]
+
 pub mod callgraph;
 pub mod config;
 pub mod context;

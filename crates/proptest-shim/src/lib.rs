@@ -16,6 +16,8 @@
 //! - Default case count is 64 (raise with `PROPTEST_CASES` or
 //!   `ProptestConfig::with_cases`).
 
+#![forbid(unsafe_code)]
+
 pub mod strategy;
 
 pub mod test_runner;

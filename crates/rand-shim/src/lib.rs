@@ -8,6 +8,8 @@
 //! and test-input generation, and deliberately *not* a cryptographic
 //! generator (the workspace's `monatt-crypto` DRBG covers that need).
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Core random-number-generation methods.

@@ -31,6 +31,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod module;
 pub mod pcr;

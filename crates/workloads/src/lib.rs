@@ -31,6 +31,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod programs;
 pub mod services;

@@ -46,6 +46,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use monatt_attacks as attacks;
 pub use monatt_core as core;
