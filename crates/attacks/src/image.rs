@@ -54,4 +54,19 @@ mod tests {
         implant_payload(&mut guest, b"evil");
         assert_ne!(guest.image_hash(), clean);
     }
+
+    #[test]
+    fn tampering_a_borrowed_image_leaves_the_shared_bytes_pristine() {
+        static SHARED: [u8; 16] = [0x5a; 16];
+        let mut flipped = GuestOs::boot(&SHARED[..], &["init"]);
+        let mut implanted = GuestOs::boot(&SHARED[..], &["init"]);
+        let clean = flipped.image_hash();
+        assert!(tamper_image(&mut flipped, 3));
+        implant_payload(&mut implanted, b"evil");
+        assert_ne!(flipped.image_hash(), clean);
+        assert_ne!(implanted.image_hash(), clean);
+        assert_eq!(flipped.image()[3], 0xa5);
+        assert_eq!(implanted.image().len(), 20);
+        assert_eq!(SHARED, [0x5a; 16]);
+    }
 }

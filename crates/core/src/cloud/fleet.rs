@@ -19,6 +19,7 @@ use crate::controller::{CloudController, VmLifecycle, VmRecord};
 use crate::error::CloudError;
 use crate::server::CloudServerNode;
 use crate::types::{ServerId, Vid};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Servers, VM rows, capacity, and the Response Module's own policy
@@ -139,10 +140,15 @@ impl Fleet {
             .get_mut(&server)
             .ok_or(CloudError::UnknownServer(server))?;
         node.catch_up(now_us);
-        let mut image_bytes = row.image.pristine_bytes();
-        if row.tampered {
-            image_bytes[0] ^= 0xff;
-        }
+        // Every pristine guest borrows its image's one shared copy; only a
+        // tampered row owns bytes of its own.
+        let image_bytes = if row.tampered {
+            let mut bytes = row.image.pristine_bytes();
+            bytes[0] ^= 0xff;
+            Cow::Owned(bytes)
+        } else {
+            Cow::Borrowed(row.image.pristine())
+        };
         let (drivers, handles) = row.workload.drivers(row.flavor.vcpus(), self.seed ^ vid.0);
         node.launch_vm_pinned(vid, row.image, image_bytes, drivers, 256, row.pin_pcpu);
         row.handles = handles;

@@ -65,6 +65,51 @@ fn tampered_image_rejected_at_launch() {
 }
 
 #[test]
+fn a_tampered_guest_does_not_touch_its_co_residents_shared_image() {
+    use crate::interpret::ReferenceDb;
+    use crate::measurements::{Measurement, MeasurementSpec};
+
+    let mut c = cloud();
+    let on_zero = || VmRequest::new(Flavor::Small, Image::Fedora).on_server(ServerId(0));
+    let before = c.request_vm(on_zero()).unwrap();
+    // No property at launch, so the tampered VM is placed rather than
+    // rejected.
+    let tampered = c.request_vm(on_zero().with_tampered_image()).unwrap();
+    let after = c.request_vm(on_zero()).unwrap();
+
+    let report = c
+        .startup_attest_current(tampered, SecurityProperty::StartupIntegrity)
+        .unwrap();
+    assert!(!report.healthy(), "{report:?}");
+
+    let expected = ReferenceDb::new().expected_image_hash(Image::Fedora);
+    let node = c.server_mut(ServerId(0)).unwrap();
+    for vid in [before, after] {
+        let Some(Measurement::BootIntegrity { image_hash, .. }) =
+            node.collect(MeasurementSpec::BootIntegrity, vid)
+        else {
+            panic!("{vid} is not on server 0");
+        };
+        assert_eq!(image_hash, expected, "{vid}");
+        let guest = &node.sim().vm(node.local_vm(vid).unwrap()).unwrap().guest;
+        assert!(
+            std::ptr::eq(guest.image(), Image::Fedora.pristine()),
+            "{vid}"
+        );
+    }
+    let guest = &node
+        .sim()
+        .vm(node.local_vm(tampered).unwrap())
+        .unwrap()
+        .guest;
+    assert!(!std::ptr::eq(guest.image(), Image::Fedora.pristine()));
+    assert_eq!(
+        monatt_crypto::sha256::sha256(Image::Fedora.pristine()),
+        expected
+    );
+}
+
+#[test]
 fn corrupted_platform_is_avoided() {
     let mut c = CloudBuilder::new()
         .servers(3)

@@ -41,7 +41,7 @@ impl ReferenceDb {
             .collect();
         ReferenceDb {
             platform_pcr: PcrBank::replay(&digests),
-            image_hashes: Image::ALL.map(|image| sha256(&image.pristine_bytes())),
+            image_hashes: Image::ALL.map(|image| sha256(image.pristine())),
             platform_components,
         }
     }

@@ -17,6 +17,7 @@ use monatt_hypervisor::vmi::VmiTool;
 use monatt_tpm::module::{CertificationRequest, TrustModule};
 use monatt_tpm::quote::Quote;
 use monatt_tpm::registers::RegisterLayout;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Histogram geometry of the covert-channel Trust Evidence Registers,
@@ -193,7 +194,9 @@ impl CloudServerNode {
     }
 
     /// Launches a VM: boots the guest from `image_bytes` (possibly
-    /// tampered), measures the image hash, and starts the vCPUs.
+    /// tampered; a `&'static` image such as [`Image::pristine`] is
+    /// borrowed, not copied), measures the image hash, and starts the
+    /// vCPUs.
     ///
     /// # Panics
     ///
@@ -202,7 +205,7 @@ impl CloudServerNode {
         &mut self,
         vid: Vid,
         image: Image,
-        image_bytes: Vec<u8>,
+        image_bytes: impl Into<Cow<'static, [u8]>>,
         drivers: Vec<Box<dyn WorkloadDriver>>,
         weight: u32,
     ) -> VmId {
@@ -220,7 +223,7 @@ impl CloudServerNode {
         &mut self,
         vid: Vid,
         image: Image,
-        image_bytes: Vec<u8>,
+        image_bytes: impl Into<Cow<'static, [u8]>>,
         drivers: Vec<Box<dyn WorkloadDriver>>,
         weight: u32,
         pin_pcpu: Option<usize>,
@@ -229,13 +232,13 @@ impl CloudServerNode {
         let vcpus = drivers.len();
         let guest = GuestOs::boot(image_bytes, image.initial_tasks());
         let measured_image_hash = guest.image_hash();
-        let mut config = VmConfig::new(&format!("{vid}"), drivers)
-            .weight(weight)
-            .guest(guest);
-        if let Some(p) = pin_pcpu {
-            config = config.pin(vec![monatt_hypervisor::ids::PcpuId(p); vcpus]);
-        }
-        let local = self.sim.create_vm(config);
+        let local = self.sim.create_vm(VmConfig {
+            name: vid.to_string(),
+            weight,
+            drivers,
+            pinning: pin_pcpu.map(|p| vec![monatt_hypervisor::ids::PcpuId(p); vcpus]),
+            guest,
+        });
         self.used_vcpus += vcpus;
         self.vms.insert(
             vid,

@@ -285,7 +285,7 @@ impl Image {
     pub const ALL: [Image; 3] = [Image::Cirros, Image::Fedora, Image::Ubuntu];
 
     /// Image size in megabytes (drives copy and hash costs).
-    pub fn size_mb(&self) -> u64 {
+    pub const fn size_mb(&self) -> u64 {
         match self {
             Image::Cirros => 13,
             Image::Fedora => 200,
@@ -294,7 +294,7 @@ impl Image {
     }
 
     /// Display name.
-    pub fn name(&self) -> &'static str {
+    pub const fn name(&self) -> &'static str {
         match self {
             Image::Cirros => "cirros",
             Image::Fedora => "fedora",
@@ -302,18 +302,23 @@ impl Image {
         }
     }
 
-    /// The canonical (pristine) image bytes. Only the hash matters; the
-    /// content is a deterministic function of the image name and size.
-    pub fn pristine_bytes(&self) -> Vec<u8> {
-        // A small representative blob: hashing cost is modelled by the
-        // latency model, not by actually hashing hundreds of megabytes.
-        let mut out = Vec::with_capacity(4096);
-        while out.len() < 4096 {
-            out.extend_from_slice(self.name().as_bytes());
-            out.extend_from_slice(&self.size_mb().to_be_bytes());
+    /// The canonical (pristine) image bytes, one copy per image for the
+    /// whole process. Only the hash matters; the content is a
+    /// deterministic function of the image name and size.
+    pub fn pristine(&self) -> &'static [u8] {
+        static CIRROS: [u8; IMAGE_BYTES] = pristine_image(Image::Cirros);
+        static FEDORA: [u8; IMAGE_BYTES] = pristine_image(Image::Fedora);
+        static UBUNTU: [u8; IMAGE_BYTES] = pristine_image(Image::Ubuntu);
+        match self {
+            Image::Cirros => &CIRROS,
+            Image::Fedora => &FEDORA,
+            Image::Ubuntu => &UBUNTU,
         }
-        out.truncate(4096);
-        out
+    }
+
+    /// An owned copy of [`Image::pristine`].
+    pub fn pristine_bytes(&self) -> Vec<u8> {
+        self.pristine().to_vec()
     }
 
     /// The initial guest task list booted from this image.
@@ -324,6 +329,37 @@ impl Image {
             Image::Ubuntu => &["systemd", "sshd", "cron", "rsyslogd"],
         }
     }
+}
+
+/// Length of every pristine image: a small representative blob, since
+/// hashing cost is modelled by the latency model, not by actually
+/// hashing hundreds of megabytes.
+const IMAGE_BYTES: usize = 4096;
+
+/// The image's name followed by its size in megabytes as big-endian
+/// bytes, repeated and cut at [`IMAGE_BYTES`].
+const fn pristine_image(image: Image) -> [u8; IMAGE_BYTES] {
+    /// Copies as much of `bytes` as fits to the front of `dst` and
+    /// returns the rest of `dst`.
+    const fn fill<'a>(dst: &'a mut [u8], bytes: &[u8]) -> &'a mut [u8] {
+        let n = if bytes.len() < dst.len() {
+            bytes.len()
+        } else {
+            dst.len()
+        };
+        let (head, rest) = dst.split_at_mut(n);
+        head.copy_from_slice(bytes.split_at(n).0);
+        rest
+    }
+    let name = image.name().as_bytes();
+    let size = image.size_mb().to_be_bytes();
+    let mut out = [0; IMAGE_BYTES];
+    let mut rest: &mut [u8] = &mut out;
+    while !rest.is_empty() {
+        rest = fill(rest, name);
+        rest = fill(rest, &size);
+    }
+    out
 }
 
 impl fmt::Display for Image {
@@ -380,6 +416,27 @@ mod tests {
             Image::Fedora.pristine_bytes()
         );
         assert_eq!(Image::Cirros.pristine_bytes().len(), 4096);
+    }
+
+    #[test]
+    fn pristine_images_keep_their_pattern() {
+        for image in Image::ALL {
+            let mut pattern = Vec::new();
+            while pattern.len() < 4096 {
+                pattern.extend_from_slice(image.name().as_bytes());
+                pattern.extend_from_slice(&image.size_mb().to_be_bytes());
+            }
+            pattern.truncate(4096);
+            assert_eq!(image.pristine(), &pattern[..], "{image}");
+        }
+    }
+
+    #[test]
+    fn pristine_bytes_is_one_exact_copy() {
+        for image in Image::ALL {
+            let bytes = image.pristine_bytes();
+            assert_eq!((bytes.capacity(), bytes.len()), (4096, 4096), "{image}");
+        }
     }
 
     #[test]

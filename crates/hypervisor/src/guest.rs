@@ -8,6 +8,7 @@
 //! guest memory) against what the possibly-compromised guest OS reports.
 
 use monatt_crypto::sha256::sha256;
+use std::borrow::Cow;
 
 /// One process in the guest kernel's task list.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -26,18 +27,20 @@ pub struct GuestTask {
 pub struct GuestOs {
     tasks: Vec<GuestTask>,
     next_pid: u32,
-    image: Vec<u8>,
+    /// Borrowed from a shared pristine image until something writes to
+    /// it through [`GuestOs::image_mut`].
+    image: Cow<'static, [u8]>,
 }
 
 impl GuestOs {
     /// Boots a guest from a VM image (arbitrary bytes; only its hash
     /// matters to the integrity machinery), with an initial set of system
-    /// tasks.
-    pub fn boot(image: Vec<u8>, initial_tasks: &[&str]) -> Self {
+    /// tasks. A `&'static` image is borrowed, not copied.
+    pub fn boot(image: impl Into<Cow<'static, [u8]>>, initial_tasks: &[&str]) -> Self {
         let mut os = GuestOs {
             tasks: Vec::new(),
             next_pid: 1,
-            image,
+            image: image.into(),
         };
         for name in initial_tasks {
             os.spawn_task(name, false);
@@ -82,10 +85,16 @@ impl GuestOs {
         sha256(&self.image)
     }
 
+    /// The raw image bytes.
+    pub fn image(&self) -> &[u8] {
+        &self.image
+    }
+
     /// Mutable access to the raw image bytes (used by image-tampering
-    /// attack models before boot-time measurement).
+    /// attack models before boot-time measurement). Copies a borrowed
+    /// image first, so the shared bytes stay pristine.
     pub fn image_mut(&mut self) -> &mut Vec<u8> {
-        &mut self.image
+        self.image.to_mut()
     }
 }
 
@@ -138,5 +147,23 @@ mod tests {
         let clean = os.image_hash();
         os.image_mut()[0] ^= 0xff;
         assert_ne!(os.image_hash(), clean);
+    }
+
+    #[test]
+    fn guests_share_a_static_image_until_one_is_tampered() {
+        static IMAGE: [u8; 64] = [7; 64];
+        let mut a = GuestOs::boot(&IMAGE[..], &["init"]);
+        let b = GuestOs::boot(&IMAGE[..], &["init"]);
+        assert!(std::ptr::eq(a.image(), b.image()));
+        assert!(std::ptr::eq(a.image(), &IMAGE[..]));
+        let clean = b.image_hash();
+        assert_eq!(a.image_hash(), clean);
+
+        a.image_mut()[0] ^= 0xff;
+        assert_ne!(a.image_hash(), clean);
+        assert_eq!(b.image_hash(), clean);
+        assert!(std::ptr::eq(b.image(), &IMAGE[..]));
+        assert!(!std::ptr::eq(a.image(), &IMAGE[..]));
+        assert_eq!(IMAGE, [7; 64]);
     }
 }

@@ -2,8 +2,9 @@
 //! allocation-free.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator and
-//! tallies every `alloc`/`realloc` call per thread (the harness runs
-//! the tests of this binary in parallel, one thread each). The test
+//! tallies every `alloc`/`realloc` call and the bytes it asked for per
+//! thread (the harness runs the tests of this binary in parallel, one
+//! thread each). The test
 //! builds a one-server cloud, launches a VM (the network transcript
 //! log stays off, its default), and warms the session/arena/wheel
 //! buffers with a batch of direct attestations. After warm-up, every
@@ -18,12 +19,16 @@
 //! test failing. `busy_server_steady_state_does_not_allocate` makes the
 //! same proof for the hypervisor simulator's event path, and
 //! `unattested_busy_server_does_not_allocate` for a busy server whose
-//! profile window is never reset.
+//! profile window is never reset. `pristine_launch_copies_no_image`
+//! bounds the other side, the launch path: a guest booted from an
+//! untampered image borrows the image's one shared copy.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::Ordering;
 
-use cloudmonatt::core::{CloudBuilder, Flavor, Image, SecurityProperty, VmRequest, WorkloadSpec};
+use cloudmonatt::core::{
+    CloudBuilder, Flavor, Image, ResponseAction, SecurityProperty, VmRequest, WorkloadSpec,
+};
 
 struct CountingAlloc;
 
@@ -31,13 +36,15 @@ static TRACE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new
 
 thread_local! {
     static ALLOC_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static ALLOC_BYTES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     static IN_TRACE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-fn count_call() {
+fn count_call(bytes: usize) {
     // `try_with`: the allocator is still called while a thread's locals
     // are being torn down.
     let _ = ALLOC_CALLS.try_with(|calls| calls.set(calls.get() + 1));
+    let _ = ALLOC_BYTES.try_with(|total| total.set(total.get() + bytes as u64));
 }
 
 fn maybe_trace() {
@@ -55,7 +62,7 @@ fn maybe_trace() {
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_call();
+        count_call(layout.size());
         maybe_trace();
         System.alloc(layout)
     }
@@ -65,7 +72,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_call();
+        count_call(new_size);
         maybe_trace();
         System.realloc(ptr, layout, new_size)
     }
@@ -77,6 +84,12 @@ static COUNTER: CountingAlloc = CountingAlloc;
 /// Allocator calls made by the calling thread so far.
 fn alloc_count() -> u64 {
     ALLOC_CALLS.with(|calls| calls.get())
+}
+
+/// Bytes the calling thread has asked the allocator for so far (a
+/// `realloc` counts its new size).
+fn alloc_bytes() -> u64 {
+    ALLOC_BYTES.with(|total| total.get())
 }
 
 #[test]
@@ -257,6 +270,40 @@ fn unattested_busy_server_does_not_allocate() {
         delta, 0,
         "an unattested busy server allocated {delta} times in 100 virtual seconds; \
          its profile must be a fixed-size row per VM"
+    );
+}
+
+#[test]
+fn pristine_launch_copies_no_image() {
+    // Every untampered guest borrows its image's one shared copy of the
+    // 4 KiB pristine bytes, so a launch costs less heap than one image.
+    // Each VM is terminated again, untimed, so the fleet never fills.
+    fn launch(cloud: &mut cloudmonatt::core::Cloud) -> (u64, u64) {
+        let before = (alloc_count(), alloc_bytes());
+        let vid = cloud
+            .request_vm(VmRequest::new(Flavor::Small, Image::Cirros).workload(WorkloadSpec::Idle))
+            .expect("launch");
+        let cost = (alloc_count() - before.0, alloc_bytes() - before.1);
+        cloud
+            .respond(vid, ResponseAction::Termination)
+            .expect("terminate");
+        cost
+    }
+
+    let mut cloud = CloudBuilder::new().servers(16).seed(79).build();
+    for _ in 0..256 {
+        launch(&mut cloud);
+    }
+
+    let launches = 256u64;
+    let (calls, bytes) = (0..launches)
+        .map(|_| launch(&mut cloud))
+        .fold((0, 0), |(c, b), (dc, db)| (c + dc, b + db));
+    let (calls, bytes) = (calls / launches, bytes / launches);
+    assert!(
+        bytes < 4096 && calls <= 8,
+        "a pristine launch asked for {bytes} B in {calls} allocator calls; \
+         its guest must borrow the shared image, not copy it"
     );
 }
 
