@@ -3,8 +3,8 @@
 //! with the bounded Dolev-Yao verifier (the paper used ProVerif), and
 //! demonstrates attack-finding on weakened variants.
 
-use monatt_verifier::cloudmonatt::{verify_cloudmonatt, ModelConfig};
-use monatt_verifier::search::VerifyOutcome;
+use monatt_core::Protocol;
+use monatt_verifier::{verify_program, ModelConfig, SearchConfig, VerifyOutcome};
 
 /// One verification scenario.
 #[derive(Clone, Debug)]
@@ -72,29 +72,47 @@ pub fn scenarios() -> Vec<Scenario> {
     ]
 }
 
+/// Verifies Figure 3 as core compiles it (one path: it has no gate)
+/// under the scenario's model configuration.
+pub fn verify(scenario: &Scenario, search: SearchConfig) -> VerifyOutcome {
+    verify_program(&Protocol::figure3_customer(), &scenario.config, search)
+        .expect("Figure 3 compiles")
+        .remove(0)
+}
+
 /// Runs all scenarios.
 pub fn run() -> Vec<(Scenario, VerifyOutcome)> {
     scenarios()
         .into_iter()
         .map(|s| {
-            let outcome = verify_cloudmonatt(&s.config);
+            let outcome = verify(&s, SearchConfig::default());
             (s, outcome)
         })
         .collect()
+}
+
+/// The verdict a run prints: a search that ran out of branches proves
+/// nothing either way.
+pub fn verdict(outcome: &VerifyOutcome) -> &'static str {
+    if outcome.truncated {
+        "TRUNCATED"
+    } else if outcome.violations.is_empty() {
+        "VERIFIED"
+    } else {
+        "ATTACK FOUND"
+    }
 }
 
 /// Prints the verification report.
 pub fn print(results: &[(Scenario, VerifyOutcome)]) {
     println!("Section 7.2.2: Protocol Verification (bounded Dolev-Yao)");
     for (scenario, outcome) in results {
-        let verdict = if outcome.verified() {
-            "VERIFIED"
-        } else {
-            "ATTACK FOUND"
-        };
         println!(
-            "\n[{verdict}] {} — {} ({} branches)",
-            scenario.name, scenario.expectation, outcome.branches
+            "\n[{}] {} — {} ({} branches)",
+            verdict(outcome),
+            scenario.name,
+            scenario.expectation,
+            outcome.branches
         );
         for v in &outcome.violations {
             println!("  - {}: {}", v.property, v.detail);
@@ -109,6 +127,7 @@ mod tests {
     #[test]
     fn all_scenarios_match_expectations() {
         for (scenario, outcome) in run() {
+            assert!(!outcome.truncated, "{}: search truncated", scenario.name);
             assert_eq!(
                 outcome.verified(),
                 scenario.expect_verified,
@@ -118,5 +137,17 @@ mod tests {
                 outcome.violations
             );
         }
+    }
+
+    #[test]
+    fn a_truncated_search_is_not_reported_as_an_attack() {
+        let scenario = &scenarios()[0];
+        let search = SearchConfig {
+            max_branches: 10,
+            ..SearchConfig::default()
+        };
+        let outcome = verify(scenario, search);
+        assert!(outcome.truncated && outcome.violations.is_empty());
+        assert_eq!(verdict(&outcome), "TRUNCATED");
     }
 }

@@ -17,7 +17,7 @@
 use crate::controlplane::{RouteTag, CUSTOMER_ENDPOINT};
 use crate::error::CloudError;
 use crate::outage::OutageStats;
-use crate::protocol::MsgKind;
+use crate::protocol::{Channel, MsgKind};
 use crate::session::lost_session;
 use crate::types::{NodeId, ServerId};
 use monatt_crypto::drbg::Drbg;
@@ -98,20 +98,15 @@ pub(crate) struct Hop {
 
 impl Hop {
     /// The hop a Figure-3 message makes for a session routed by `route`
-    /// and placed on `server`: Kx carries messages 1/6, Ky 2/5, Kz 3/4.
+    /// and placed on `server` ([`MsgKind::channel`] names the channel).
     /// The single source of endpoint resolution — protocol code never
     /// names a link by string.
     pub(crate) fn of(msg: MsgKind, route: RouteTag, server: ServerId) -> Hop {
-        let cust_ctrl = LinkKey::CustCtrl(route.controller);
-        let ctrl_as = LinkKey::CtrlAs(route.controller, route.replica);
-        let as_server = LinkKey::AsServer(route.replica, server);
-        let (link, reply) = match msg {
-            MsgKind::Msg1 => (cust_ctrl, false),
-            MsgKind::Msg2 => (ctrl_as, false),
-            MsgKind::Msg3 => (as_server, false),
-            MsgKind::Msg4 => (as_server, true),
-            MsgKind::Msg5 => (ctrl_as, true),
-            MsgKind::Msg6 => (cust_ctrl, true),
+        let (channel, reply) = msg.channel();
+        let link = match channel {
+            Channel::Kx => LinkKey::CustCtrl(route.controller),
+            Channel::Ky => LinkKey::CtrlAs(route.controller, route.replica),
+            Channel::Kz => LinkKey::AsServer(route.replica, server),
         };
         Hop { link, reply }
     }

@@ -10,9 +10,10 @@
 //!   order of the hand-written Figure-3 state machine.
 //! * `CheckNonce`/`VerifyQuote` after a `Hop` are *claims*: the wire
 //!   format fixes which quote and nonce echo each message kind
-//!   carries, and the interpreter always enforces them on receive.
-//!   The compiler validates the claims against the hop's message kind
-//!   and rejects a program that declares the wrong obligation.
+//!   carries ([`MsgKind::obligations`]), and the interpreter always
+//!   enforces them on receive. The compiler validates the claims
+//!   against that table and rejects a program that declares the wrong
+//!   obligation.
 //! * Every op carries its *pre-charge* — the processing latency paid
 //!   before it runs: the first op charges nothing, an op after
 //!   `Hop(msgN)` charges `post_hop_us(N)`, and the op after `Window`
@@ -32,7 +33,7 @@
 //! them, so the interpreter's register file never traps on the clean
 //! path.
 
-use super::ir::{Branch, MsgKind, NonceSlot, Protocol, QuoteKind};
+use super::ir::{Branch, MsgKind, NonceSlot, Protocol};
 use crate::types::SecurityProperty;
 
 /// Why a [`Protocol`] term failed to compile.
@@ -60,9 +61,16 @@ impl std::error::Error for CompileError {}
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ProgramId(pub(crate) u16);
 
+impl ProgramId {
+    /// The program's index in the store [`compile_into`] filled.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// Processing latency paid before an op runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Charge {
+pub enum Charge {
     /// Nothing: the program's first op.
     None,
     /// `post_hop_us(N)`: receive processing of message N.
@@ -76,7 +84,7 @@ pub(crate) enum Charge {
 /// events (retries, late arrivals, window timers) happen *within* an
 /// op and never move the counter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Op {
+pub enum Op {
     /// Build and transmit one Figure-3 record (drawing `issue` first
     /// if set), then wait for its receive processing.
     Hop {
@@ -119,18 +127,20 @@ pub(crate) enum Op {
 /// One compiled fork branch: which child program to run, under which
 /// property.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct BranchSpec {
+pub struct BranchSpec {
     /// Property override; `None` inherits the parent session's.
-    pub(crate) property: Option<SecurityProperty>,
+    pub property: Option<SecurityProperty>,
     /// The child program.
-    pub(crate) program: ProgramId,
+    pub program: ProgramId,
 }
 
 /// A compiled protocol: the op schedule plus its fork branches.
 #[derive(Clone, Debug)]
-pub(crate) struct CompiledProgram {
-    pub(crate) ops: Vec<Op>,
-    pub(crate) branches: Vec<BranchSpec>,
+pub struct CompiledProgram {
+    /// The ops the program counter walks.
+    pub ops: Vec<Op>,
+    /// The branches the `Fork` ops spawn.
+    pub branches: Vec<BranchSpec>,
 }
 
 impl CompiledProgram {
@@ -143,19 +153,6 @@ fn err(at: usize, reason: impl Into<String>) -> CompileError {
     CompileError {
         at,
         reason: reason.into(),
-    }
-}
-
-/// The receive obligations the wire format fixes per message kind:
-/// which quote the record carries and which nonce it must echo.
-/// `CheckNonce`/`VerifyQuote` claims are validated against this table
-/// (re-derived from the message structs in [`crate::messages`]).
-fn obligations(msg: MsgKind) -> (Option<QuoteKind>, Option<NonceSlot>) {
-    match msg {
-        MsgKind::Msg1 | MsgKind::Msg2 | MsgKind::Msg3 => (None, None),
-        MsgKind::Msg4 => (Some(QuoteKind::Q3), Some(NonceSlot::N3)),
-        MsgKind::Msg5 => (Some(QuoteKind::Q2), Some(NonceSlot::N2)),
-        MsgKind::Msg6 => (Some(QuoteKind::Q1), Some(NonceSlot::N1)),
     }
 }
 
@@ -193,9 +190,9 @@ fn check_branch_shape(body: &Protocol, at: usize) -> Result<(), CompileError> {
 }
 
 /// Compiles `p` into `store`, registering any fork-branch child
-/// programs first, and returns the parent's id. `top_level` programs
-/// may open with customer hops; branch bodies may not.
-pub(crate) fn compile_into(
+/// programs first, and returns the parent's id. The cloud's registry
+/// and the symbolic verifier both compile through here.
+pub fn compile_into(
     p: &Protocol,
     store: &mut Vec<CompiledProgram>,
 ) -> Result<ProgramId, CompileError> {
@@ -233,7 +230,7 @@ pub(crate) fn compile_into(
                 let Some(msg) = last_hop else {
                     return Err(err(at, "nonce check before any hop"));
                 };
-                if obligations(msg).1 != Some(*slot) {
+                if msg.obligations().1 != Some(*slot) {
                     return Err(err(at, format!("{msg} does not echo {slot:?}")));
                 }
             }
@@ -241,7 +238,7 @@ pub(crate) fn compile_into(
                 let Some(msg) = last_hop else {
                     return Err(err(at, "quote verify before any hop"));
                 };
-                if obligations(msg).0 != Some(*quote) {
+                if msg.obligations().0 != Some(*quote) {
                     return Err(err(at, format!("{msg} does not carry {quote:?}")));
                 }
             }

@@ -51,6 +51,43 @@ impl MsgKind {
             MsgKind::Msg6 => 6,
         }
     }
+
+    /// The channel the message crosses, and whether it is the reply
+    /// travelling back from the responder (messages 4, 5, 6).
+    pub fn channel(self) -> (Channel, bool) {
+        match self {
+            MsgKind::Msg1 => (Channel::Kx, false),
+            MsgKind::Msg2 => (Channel::Ky, false),
+            MsgKind::Msg3 => (Channel::Kz, false),
+            MsgKind::Msg4 => (Channel::Kz, true),
+            MsgKind::Msg5 => (Channel::Ky, true),
+            MsgKind::Msg6 => (Channel::Kx, true),
+        }
+    }
+
+    /// The receive obligations the wire format fixes: which quote the
+    /// record carries and which nonce it must echo (re-derived from the
+    /// message structs in [`crate::messages`]).
+    pub fn obligations(self) -> (Option<QuoteKind>, Option<NonceSlot>) {
+        match self {
+            MsgKind::Msg1 | MsgKind::Msg2 | MsgKind::Msg3 => (None, None),
+            MsgKind::Msg4 => (Some(QuoteKind::Q3), Some(NonceSlot::N3)),
+            MsgKind::Msg5 => (Some(QuoteKind::Q2), Some(NonceSlot::N2)),
+            MsgKind::Msg6 => (Some(QuoteKind::Q1), Some(NonceSlot::N1)),
+        }
+    }
+}
+
+/// Figure 3's three secure channels, named by their session keys. The
+/// initiator sends the requests, the responder the replies.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Channel {
+    /// Customer → controller.
+    Kx,
+    /// Controller → Attestation Server.
+    Ky,
+    /// Attestation Server → cloud server.
+    Kz,
 }
 
 impl std::fmt::Display for MsgKind {

@@ -16,7 +16,7 @@ pub mod ir;
 pub(crate) mod run;
 
 pub use compile::{CompileError, ProgramId};
-pub use ir::{Branch, MsgKind, NonceSlot, Protocol, QuoteKind};
+pub use ir::{Branch, Channel, MsgKind, NonceSlot, Protocol, QuoteKind};
 
 use crate::types::SecurityProperty;
 use compile::{compile_into, CompiledProgram};
@@ -81,6 +81,6 @@ impl ProgramRegistry {
 
     /// The compiled form behind `id`.
     pub(crate) fn get(&self, id: ProgramId) -> Option<&CompiledProgram> {
-        self.programs.get(id.0 as usize)
+        self.programs.get(id.index())
     }
 }

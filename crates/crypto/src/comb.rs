@@ -97,7 +97,7 @@ impl<const SUBTABLES: usize> Comb<SUBTABLES> {
             for (j, table) in self.tables.iter().enumerate() {
                 // Exponent-indexed lookup: a documented simulation
                 // tradeoff, as in `MontgomeryCtx::pow_mont`.
-                let entry = &table[column(exp, j * Self::BLOCK + k)]; // #[allow(monatt::const_time)]
+                let entry = &table[column(exp, j * Self::BLOCK + k)];
                 acc = self.ctx.mont_mul(&acc, entry);
             }
         }

@@ -253,7 +253,7 @@ impl MontgomeryCtx {
         let top = (nbits - 1) / WINDOW_BITS;
         // Secret-indexed window lookup: a documented simulation tradeoff —
         // the crate is explicit that nothing here is constant-time.
-        let mut acc = table[Self::window(exp, top)]; // #[allow(monatt::const_time)]
+        let mut acc = table[Self::window(exp, top)];
         for w in (0..top).rev() {
             for _ in 0..WINDOW_BITS {
                 acc = self.mont_sqr(&acc);

@@ -1,9 +1,9 @@
 //! Lint configuration: the secret-type list, constant-time trigger
 //! identifiers, crate scopes, and file-set policies.
 //!
-//! Defaults are baked in (the container is offline, so no config-crate
-//! dependency) and every list is overridable from the command line, so the
-//! tool stays usable as the workspace grows new key types.
+//! [`Config::default`] is the one policy: the lists below name this
+//! workspace's types, files and crates, and a new key type or warm-path
+//! file is added here, next to the claim it enforces (DESIGN.md §9).
 
 /// Which slice-index policy a crate gets under the `panic_freedom` rule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -13,8 +13,7 @@ pub enum IndexPolicy {
     /// lengths are adversarial.
     Strict,
     /// Indexing is not flagged: fixed-width arithmetic kernels index with
-    /// compile-time-bounded loop counters, and the secret-dependent cases
-    /// are covered by the `const_time` rule instead.
+    /// compile-time-bounded loop counters.
     Kernel,
 }
 
@@ -36,11 +35,6 @@ pub struct Config {
     /// Function names exempt from the comparison rule (the constant-time
     /// primitives themselves).
     pub ct_exempt_fns: Vec<String>,
-    /// Files whose `if`/index expressions are checked for secret-dependent
-    /// control flow (the crypto hot paths).
-    pub hot_path_files: Vec<String>,
-    /// Identifiers treated as secret-derived in hot-path files.
-    pub secret_flow_idents: Vec<String>,
     /// Crate directory names under `crates/` subject to `panic_freedom`.
     pub panic_crates: Vec<String>,
     /// Individual workspace-relative files subject to `panic_freedom`
@@ -121,16 +115,6 @@ impl Default for Config {
             ]),
             ct_ident_parts: strings(&["tag", "mac", "hmac", "digest", "pcr", "hash", "secret"]),
             ct_exempt_fns: strings(&["verify_tag", "ct_eq", "ct_eq_opt"]),
-            hot_path_files: strings(&[
-                "crates/crypto/src/montgomery.rs",
-                "crates/crypto/src/comb.rs",
-                "crates/crypto/src/group.rs",
-                "crates/crypto/src/schnorr.rs",
-                "crates/crypto/src/batch.rs",
-                "crates/crypto/src/dh.rs",
-                "crates/crypto/src/aes.rs",
-            ]),
-            secret_flow_idents: strings(&["exp", "exponent", "secret", "scalar", "state"]),
             panic_crates: strings(&["core", "net", "crypto", "tpm"]),
             // `controlplane.rs` is already inside the `core` scope; it
             // is pinned here explicitly as well so the failover routing
@@ -187,11 +171,6 @@ impl Config {
     /// its crate's scope.
     pub fn panic_scope_file(&self, path: &str) -> bool {
         self.panic_files.iter().any(|f| f == path)
-    }
-
-    /// Whether a file is a crypto hot path for the secret-flow checks.
-    pub fn is_hot_path(&self, path: &str) -> bool {
-        self.hot_path_files.iter().any(|f| f == path)
     }
 
     /// Whether the `determinism` rule applies to a crate directory name.

@@ -12,8 +12,7 @@
 //!   `Debug`, must carry a redacting manual impl, must zeroize in `Drop`,
 //!   and secret identifiers must not reach format-like macros.
 //! * **`const_time`** — `==`/`!=` on tag/MAC/digest material is a timing
-//!   oracle (use `ct_eq`), and crypto hot paths must not branch or index
-//!   on secret-derived values.
+//!   oracle (use `ct_eq`).
 //! * **`panic_freedom`** — protocol crates (`core`, `net`, `crypto`,
 //!   `tpm`) plus enrolled files must not `unwrap`/`expect`/`panic!` or
 //!   slice-index outside test code.

@@ -21,25 +21,10 @@ OPTIONS:
     --root <PATH>       Workspace root (default: nearest ancestor with a
                         [workspace] Cargo.toml)
     --allowlist <PATH>  Ratchet file (default: <root>/monatt-lint.allow)
-    --secret-type <T>   Add a type to the secret list (repeatable)
-    --zeroize-type <T>  Add a type to the must-zeroize list (repeatable)
-    --secret-ident <I>  Add an identifier to the format-leak list (repeatable)
-    --ct-part <P>       Add a snake_case part to the tag/digest comparison
-                        trigger list (repeatable)
-    --hot-path <FILE>   Add a workspace-relative file to the crypto
-                        hot-path set (repeatable)
-    --panic-crate <C>   Add a crate to the panic_freedom scope (repeatable)
-    --panic-file <FILE> Add a workspace-relative file to the panic_freedom
-                        scope (repeatable)
-    --det-crate <C>     Add a crate to the determinism scope (repeatable)
-    --warm-file <FILE>  Add a workspace-relative file to the alloc_freedom
-                        warm-path set (repeatable)
-    --cold-fn <F>       Add a function name treated as cold/setup by
-                        alloc_freedom (repeatable)
-    --taint-sink <F>    Add a serialization sink function for secret_taint
-                        (repeatable)
-    --skip-crate <C>    Exclude a crate directory from scanning (repeatable)
     -h, --help          Show this help
+
+The rule scopes (secret types, warm-path files, checked crates, ...) are
+fixed in the tool's default configuration; --explain names each one.
 
 EXIT CODES:
     0  clean (or findings within budget without --deny)
@@ -52,7 +37,6 @@ struct Options {
     explain: Option<String>,
     root: Option<PathBuf>,
     allowlist: Option<PathBuf>,
-    cfg: Config,
 }
 
 fn parse_args() -> Result<Option<Options>, String> {
@@ -62,7 +46,6 @@ fn parse_args() -> Result<Option<Options>, String> {
         explain: None,
         root: None,
         allowlist: None,
-        cfg: Config::default(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -76,18 +59,6 @@ fn parse_args() -> Result<Option<Options>, String> {
             "--explain" => opts.explain = Some(value("--explain")?),
             "--root" => opts.root = Some(PathBuf::from(value("--root")?)),
             "--allowlist" => opts.allowlist = Some(PathBuf::from(value("--allowlist")?)),
-            "--secret-type" => opts.cfg.secret_types.push(value("--secret-type")?),
-            "--zeroize-type" => opts.cfg.zeroize_types.push(value("--zeroize-type")?),
-            "--secret-ident" => opts.cfg.secret_idents.push(value("--secret-ident")?),
-            "--ct-part" => opts.cfg.ct_ident_parts.push(value("--ct-part")?),
-            "--hot-path" => opts.cfg.hot_path_files.push(value("--hot-path")?),
-            "--panic-crate" => opts.cfg.panic_crates.push(value("--panic-crate")?),
-            "--panic-file" => opts.cfg.panic_files.push(value("--panic-file")?),
-            "--det-crate" => opts.cfg.det_crates.push(value("--det-crate")?),
-            "--warm-file" => opts.cfg.warm_path_files.push(value("--warm-file")?),
-            "--cold-fn" => opts.cfg.alloc_cold_fns.push(value("--cold-fn")?),
-            "--taint-sink" => opts.cfg.taint_sink_fns.push(value("--taint-sink")?),
-            "--skip-crate" => opts.cfg.skip_crates.push(value("--skip-crate")?),
             "-h" | "--help" => return Ok(None),
             other => return Err(format!("unknown option `{other}` (see --help)")),
         }
@@ -116,8 +87,8 @@ fn run(opts: Options) -> Result<bool, String> {
     };
     let allow_path = opts.allowlist.unwrap_or_else(|| root.join(ALLOWLIST_FILE));
     let allow = Allowlist::load(&allow_path)?;
-    let report =
-        scan(&root, &opts.cfg, &allow).map_err(|e| format!("scanning {}: {e}", root.display()))?;
+    let report = scan(&root, &Config::default(), &allow)
+        .map_err(|e| format!("scanning {}: {e}", root.display()))?;
 
     if opts.json {
         let violations: Vec<String> = report

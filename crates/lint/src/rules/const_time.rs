@@ -1,13 +1,14 @@
 //! Rule: authentication tags, MACs, and digests must be compared with
-//! `ct_eq`, and crypto hot paths must not branch or index on
-//! secret-derived values.
+//! `ct_eq`. That comparison is the one constant-time claim the design
+//! makes (DESIGN.md §7.4): the arithmetic kernels are not constant-time,
+//! by design, so their branches and table indexes are not checked.
 
 use crate::config::Config;
-use crate::context::{match_delim, FileContext};
+use crate::context::FileContext;
 use crate::diag::Diagnostic;
 use crate::lexer::{Token, TokenKind};
 
-use super::{diag_tok, is_index_base};
+use super::diag_tok;
 
 const RULE: &str = "const_time";
 
@@ -38,62 +39,6 @@ pub(crate) fn check(ctx: &FileContext, cfg: &Config, out: &mut Vec<Diagnostic>) 
                 ),
             ));
         }
-    }
-
-    if !cfg.is_hot_path(&ctx.path) {
-        return;
-    }
-    let mut i = 0usize;
-    while i < toks.len() {
-        let t = &toks[i];
-        if t.is_ident("if") && !ctx.in_test[i] {
-            // Condition tokens run until the body `{` at bracket depth 0;
-            // parenthesized sub-expressions are scanned, not skipped.
-            let mut j = i + 1;
-            let mut depth = 0i32;
-            while j < toks.len() && !(depth == 0 && toks[j].is_punct("{")) {
-                match toks[j].text.as_str() {
-                    "(" | "[" if toks[j].kind == TokenKind::Punct => depth += 1,
-                    ")" | "]" if toks[j].kind == TokenKind::Punct => depth -= 1,
-                    _ => {}
-                }
-                if let Some(name) = secret_flow_ident(&toks[j], cfg) {
-                    let name = name.to_string();
-                    out.push(diag_tok(
-                        RULE,
-                        ctx,
-                        j,
-                        format!("secret-dependent branch on `{name}` in crypto hot path"),
-                    ));
-                }
-                j += 1;
-            }
-            i = j + 1;
-            continue;
-        }
-        if t.is_punct("[") && i > 0 && is_index_base(&toks[i - 1]) && !ctx.in_test[i] {
-            let close = match_delim(toks, i);
-            for (j, tok) in toks.iter().enumerate().take(close).skip(i + 1) {
-                if let Some(name) = secret_flow_ident(tok, cfg) {
-                    let name = name.to_string();
-                    out.push(diag_tok(
-                        RULE,
-                        ctx,
-                        j,
-                        format!("secret-dependent table index `{name}` in crypto hot path"),
-                    ));
-                }
-            }
-        }
-        i += 1;
-    }
-}
-
-fn secret_flow_ident<'a>(t: &'a Token, cfg: &Config) -> Option<&'a str> {
-    if t.kind == TokenKind::Ident && cfg.secret_flow_idents.iter().any(|s| s == &t.text) {
-        Some(&t.text)
-    } else {
-        None
     }
 }
 

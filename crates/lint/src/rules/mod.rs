@@ -103,17 +103,16 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              Suppress (justified): `// #[allow(monatt::secret_hygiene)]`."
         }
         "const_time" => {
-            "const_time — comparisons and control flow over secrets must be\n\
-             constant-time.\n\
+            "const_time — tag, MAC and digest comparisons must be constant-time.\n\
              \n\
-             `==`/`!=` on tag/MAC/digest/PCR material is a timing oracle: early-exit\n\
-             comparison reveals the first differing byte. In the crypto hot-path\n\
-             file set, `if` conditions and table indexes must not depend on\n\
-             secret-derived identifiers (exp, scalar, secret, …).\n\
+             `==`/`!=` on tag/MAC/digest/PCR/hash material is a timing oracle:\n\
+             an early-exit comparison reveals the first differing byte, which\n\
+             lets an attacker forge a record MAC or a quote digest byte by byte.\n\
+             Comparing through `ct_eq` is the one constant-time claim the design\n\
+             makes (DESIGN.md §7.4); the arithmetic kernels are not constant-time\n\
+             by design, so their branches and table indexes are not checked.\n\
              \n\
-             Fix: compare with `monatt_crypto::zeroize::ct_eq`; restructure kernels\n\
-             to fixed-shape loops (e.g. Montgomery ladders, windowed tables with\n\
-             constant scan order).\n\
+             Fix: compare with `monatt_crypto::zeroize::ct_eq`.\n\
              Suppress (justified): `// #[allow(monatt::const_time)]`."
         }
         "panic_freedom" => {

@@ -10,8 +10,7 @@
 //! * or, for arguments whose name carries a tag/MAC/digest part, a
 //!   variable-time `==`/`!=` comparison (the same trigger-part list the
 //!   `const_time` rule uses — plain secrets like exponents are excluded
-//!   here because fixed-shape kernels legitimately consume them; the
-//!   hot-path `const_time` checks own that ground).
+//!   here because the arithmetic kernels legitimately consume them).
 //!
 //! Resolution is name-based and only unique non-test symbols are
 //! followed (DESIGN.md §9), so every finding names a concrete sink,

@@ -1,6 +1,6 @@
 // Fixture: const_time findings — variable-time comparisons on tag and
-// digest material, plus secret-dependent control flow when this file is
-// presented under a hot-path label.
+// digest material. The exponent-indexed lookup below is not a finding:
+// the arithmetic kernels are not constant-time by design.
 
 pub fn check_tag(tag: &[u8; 32], expected_tag: &[u8; 32]) -> bool {
     tag == expected_tag

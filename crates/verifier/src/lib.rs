@@ -11,8 +11,9 @@
 //!   matching models the receiver's cryptographic checks).
 //! * [`search`] — bounded exploration of attacker deliveries, checking
 //!   secrecy and correspondence (authentication/integrity) assertions.
-//! * [`cloudmonatt`] — the Figure-3 attestation protocol model plus
-//!   weakened variants demonstrating that every ingredient (signatures,
+//! * [`mod@lower`] — the attestation programs `monatt-core` compiles
+//!   (Figure 3 and every other `Protocol` term), lowered to roles, plus
+//!   weakened configurations showing that every ingredient (signatures,
 //!   encryption, nonces, per-session attestation keys) is load-bearing.
 //!
 //! The search is *typed* (protocol variables only unify with terms of
@@ -25,26 +26,29 @@
 //! ## Example
 //!
 //! ```
-//! use monatt_verifier::cloudmonatt::{verify_cloudmonatt, ModelConfig};
+//! use monatt_core::Protocol;
+//! use monatt_verifier::{verify_program, ModelConfig, SearchConfig};
 //!
-//! let outcome = verify_cloudmonatt(&ModelConfig::full());
-//! assert!(outcome.verified());
+//! let figure3 = Protocol::figure3_customer();
+//! let outcomes = verify_program(&figure3, &ModelConfig::full(), SearchConfig::default()).unwrap();
+//! assert!(outcomes[0].verified());
 //!
 //! let weakened = ModelConfig { sign_quotes: false, leak_kz: true, ..ModelConfig::full() };
-//! assert!(!verify_cloudmonatt(&weakened).verified());
+//! let outcomes = verify_program(&figure3, &weakened, SearchConfig::default()).unwrap();
+//! assert!(!outcomes[0].verified());
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cloudmonatt;
 pub mod knowledge;
+pub mod lower;
 pub mod protocol;
 pub mod search;
 pub mod term;
 
-pub use cloudmonatt::{build, verify_cloudmonatt, ModelConfig};
 pub use knowledge::Knowledge;
+pub use lower::{lower, verify_program, Model, ModelConfig};
 pub use protocol::{Bindings, EventRecord, Pat, Protocol, Role, Step};
 pub use search::{verify, Correspondence, Properties, SearchConfig, VerifyOutcome, Violation};
 pub use term::{Kind, Term};

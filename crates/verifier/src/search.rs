@@ -85,21 +85,17 @@ impl VerifyOutcome {
     }
 }
 
-struct SearchState {
+/// The search in progress: the fixed inputs, the current branch's
+/// delivery trace, and what has been found.
+struct Search<'a> {
+    protocol: &'a Protocol,
+    properties: &'a Properties,
+    config: SearchConfig,
+    trace: Vec<String>,
     violations: Vec<Violation>,
     seen: std::collections::BTreeSet<String>,
     branches: u64,
     truncated: bool,
-}
-
-impl SearchState {
-    /// Records a violation if it is novel (property + detail).
-    fn push(&mut self, violation: Violation) {
-        let key = format!("{}::{}", violation.property, violation.detail);
-        if self.seen.insert(key) {
-            self.violations.push(violation);
-        }
-    }
 }
 
 /// Verifies `protocol` against `properties`, starting the attacker with
@@ -119,183 +115,133 @@ pub fn verify(
     knowledge.learn(Term::atom("attacker_data", Kind::Data));
     let bindings: Vec<Bindings> = protocol.roles.iter().map(|r| r.initial.clone()).collect();
     let pcs = vec![0usize; protocol.roles.len()];
-    let mut state = SearchState {
+    let mut search = Search {
+        protocol,
+        properties,
+        config,
+        trace: Vec::new(),
         violations: Vec::new(),
         seen: std::collections::BTreeSet::new(),
         branches: 0,
         truncated: false,
     };
-    let mut trace = Vec::new();
-    explore(
-        protocol,
-        properties,
-        &config,
-        0,
-        pcs,
-        bindings,
-        knowledge,
-        Vec::new(),
-        &mut trace,
-        &mut state,
-    );
+    search.explore(0, pcs, bindings, knowledge, Vec::new());
     VerifyOutcome {
-        violations: state.violations,
-        branches: state.branches,
-        truncated: state.truncated,
+        violations: search.violations,
+        branches: search.branches,
+        truncated: search.truncated,
     }
 }
 
-fn check_secrets(
-    properties: &Properties,
-    knowledge: &Knowledge,
-    trace: &[String],
-    state: &mut SearchState,
-) {
-    for secret in &properties.secrets {
-        if knowledge.can_derive(secret) {
-            state.push(Violation {
-                property: "secrecy".into(),
-                // `secret` is a symbolic term name in the protocol model
-                // (e.g. "k_session"), not actual key material.
-                detail: format!("attacker derives {secret}"), // #[allow(monatt::secret_hygiene)]
-                trace: trace.to_vec(),
+impl Search<'_> {
+    /// Records a violation if it is novel (property + detail).
+    fn push(&mut self, property: &str, detail: String) {
+        if self.seen.insert(format!("{property}::{detail}")) {
+            self.violations.push(Violation {
+                property: property.into(),
+                detail,
+                trace: self.trace.clone(),
             });
         }
     }
-}
 
-fn check_correspondences(
-    properties: &Properties,
-    events: &[EventRecord],
-    trace: &[String],
-    state: &mut SearchState,
-) {
-    for corr in &properties.correspondences {
-        for (i, ev) in events.iter().enumerate() {
-            if ev.label != corr.commit {
-                continue;
+    fn stopped(&self) -> bool {
+        self.truncated || self.violations.len() >= self.config.max_violations
+    }
+
+    fn check_secrets(&mut self, knowledge: &Knowledge) {
+        for secret in &self.properties.secrets {
+            if knowledge.can_derive(secret) {
+                // `secret` is a symbolic term name in the protocol model
+                // (e.g. "k_session"), not actual key material.
+                self.push("secrecy", format!("attacker derives {secret}")); // #[allow(monatt::secret_hygiene)]
             }
-            let matched = events[..i]
-                .iter()
-                .any(|prior| prior.label == corr.running && prior.args == ev.args);
-            if !matched {
-                let args: Vec<String> = ev.args.iter().map(|t| t.to_string()).collect();
-                state.push(Violation {
-                    property: "correspondence".into(),
-                    detail: format!(
+        }
+    }
+
+    fn check_correspondences(&mut self, events: &[EventRecord]) {
+        for corr in &self.properties.correspondences {
+            for (i, ev) in events.iter().enumerate() {
+                if ev.label != corr.commit {
+                    continue;
+                }
+                let matched = events[..i]
+                    .iter()
+                    .any(|prior| prior.label == corr.running && prior.args == ev.args);
+                if !matched {
+                    let args: Vec<String> = ev.args.iter().map(|t| t.to_string()).collect();
+                    let detail = format!(
                         "{}({}) committed without matching {}",
                         corr.commit,
                         args.join(", "),
                         corr.running
-                    ),
-                    trace: trace.to_vec(),
-                });
+                    );
+                    self.push("correspondence", detail);
+                }
             }
         }
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn explore(
-    protocol: &Protocol,
-    properties: &Properties,
-    config: &SearchConfig,
-    schedule_pos: usize,
-    pcs: Vec<usize>,
-    bindings: Vec<Bindings>,
-    knowledge: Knowledge,
-    events: Vec<EventRecord>,
-    trace: &mut Vec<String>,
-    state: &mut SearchState,
-) {
-    if state.violations.len() >= config.max_violations || state.truncated {
-        return;
-    }
-    state.branches += 1;
-    if state.branches > config.max_branches {
-        state.truncated = true;
-        return;
-    }
-    if schedule_pos == protocol.schedule.len() {
-        // Branch complete: check end-to-end properties.
-        check_secrets(properties, &knowledge, trace, state);
-        check_correspondences(properties, &events, trace, state);
-        return;
-    }
-    let role_idx = protocol.schedule[schedule_pos];
-    let role = &protocol.roles[role_idx];
-    let pc = pcs[role_idx];
-    match &role.steps[pc] {
-        Step::Send(template) => {
-            let term = template.instantiate(&bindings[role_idx]);
-            let mut knowledge = knowledge;
-            knowledge.learn(term);
-            // Secrecy can break as soon as knowledge grows.
-            check_secrets(properties, &knowledge, trace, state);
-            let mut pcs = pcs;
-            pcs[role_idx] += 1;
-            explore(
-                protocol,
-                properties,
-                config,
-                schedule_pos + 1,
-                pcs,
-                bindings,
-                knowledge,
-                events,
-                trace,
-                state,
-            );
+    /// Takes the step at `schedule_pos`, then explores every branch after
+    /// it.
+    fn explore(
+        &mut self,
+        schedule_pos: usize,
+        mut pcs: Vec<usize>,
+        bindings: Vec<Bindings>,
+        mut knowledge: Knowledge,
+        mut events: Vec<EventRecord>,
+    ) {
+        if self.stopped() {
+            return;
         }
-        Step::Event(label, arg_templates) => {
-            let args: Vec<Term> = arg_templates
-                .iter()
-                .map(|p| p.instantiate(&bindings[role_idx]))
-                .collect();
-            let mut events = events;
-            events.push(EventRecord {
-                role: role.name.clone(),
-                label: label.clone(),
-                args,
-            });
-            let mut pcs = pcs;
-            pcs[role_idx] += 1;
-            explore(
-                protocol,
-                properties,
-                config,
-                schedule_pos + 1,
-                pcs,
-                bindings,
-                knowledge,
-                events,
-                trace,
-                state,
-            );
+        self.branches += 1;
+        if self.branches > self.config.max_branches {
+            self.truncated = true;
+            return;
         }
-        Step::Recv(pattern) => {
-            let candidates = candidate_deliveries(pattern, &bindings[role_idx], &knowledge);
-            for (term, new_bindings) in candidates {
-                let mut pcs = pcs.clone();
-                pcs[role_idx] += 1;
-                let mut bindings = bindings.clone();
-                bindings[role_idx] = new_bindings;
-                trace.push(format!("deliver to {}: {}", role.name, term));
-                explore(
-                    protocol,
-                    properties,
-                    config,
-                    schedule_pos + 1,
-                    pcs,
-                    bindings.clone(),
-                    knowledge.clone(),
-                    events.clone(),
-                    trace,
-                    state,
-                );
-                trace.pop();
-                if state.truncated || state.violations.len() >= config.max_violations {
-                    return;
+        let protocol = self.protocol;
+        let Some(&role_idx) = protocol.schedule.get(schedule_pos) else {
+            // Branch complete: check end-to-end properties.
+            self.check_secrets(&knowledge);
+            return self.check_correspondences(&events);
+        };
+        let role = &protocol.roles[role_idx];
+        let step = &role.steps[pcs[role_idx]];
+        pcs[role_idx] += 1;
+        match step {
+            Step::Send(template) => {
+                knowledge.learn(template.instantiate(&bindings[role_idx]));
+                // Secrecy can break as soon as knowledge grows.
+                self.check_secrets(&knowledge);
+                self.explore(schedule_pos + 1, pcs, bindings, knowledge, events);
+            }
+            Step::Event(label, arg_templates) => {
+                let args = arg_templates
+                    .iter()
+                    .map(|p| p.instantiate(&bindings[role_idx]))
+                    .collect();
+                events.push(EventRecord {
+                    role: role.name.clone(),
+                    label: label.clone(),
+                    args,
+                });
+                self.explore(schedule_pos + 1, pcs, bindings, knowledge, events);
+            }
+            Step::Recv(pattern) => {
+                for (term, new_bindings) in
+                    candidate_deliveries(pattern, &bindings[role_idx], &knowledge)
+                {
+                    let mut bindings = bindings.clone();
+                    bindings[role_idx] = new_bindings;
+                    self.trace
+                        .push(format!("deliver to {}: {}", role.name, term));
+                    let (pcs, knowledge, events) = (pcs.clone(), knowledge.clone(), events.clone());
+                    self.explore(schedule_pos + 1, pcs, bindings, knowledge, events);
+                    self.trace.pop();
+                    if self.stopped() {
+                        return;
+                    }
                 }
             }
         }

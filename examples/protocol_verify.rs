@@ -1,16 +1,26 @@
 //! Section 7.2.2: formal verification of the attestation protocol with
 //! the bounded Dolev-Yao verifier, plus attack-finding on the weakened
-//! variants that drop each protocol ingredient.
+//! variants that drop each protocol ingredient. The model is Figure 3 as
+//! `monatt-core` compiles it, lowered by `monatt_verifier::lower`.
 //!
 //! ```sh
 //! cargo run --example protocol_verify
 //! ```
 
-use cloudmonatt::verifier::cloudmonatt::{verify_cloudmonatt, ModelConfig};
+use cloudmonatt::core::Protocol;
+use cloudmonatt::verifier::{verify_program, ModelConfig, SearchConfig};
 
 fn check(name: &str, config: &ModelConfig) {
-    let outcome = verify_cloudmonatt(config);
-    if outcome.verified() {
+    let figure3 = Protocol::figure3_customer();
+    let outcome = verify_program(&figure3, config, SearchConfig::default())
+        .expect("Figure 3 compiles")
+        .remove(0);
+    if outcome.truncated {
+        println!(
+            "[TRUNCATED]    {name} (search stopped after {} branches)",
+            outcome.branches
+        );
+    } else if outcome.verified() {
         println!(
             "[VERIFIED]     {name} ({} branches explored)",
             outcome.branches

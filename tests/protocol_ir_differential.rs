@@ -13,13 +13,16 @@
 //!    (same verdict, same virtual latency, same DRBG draw count), and
 //! 3. terminate under a 30% message-drop fault model — a `Done` verdict
 //!    or a typed error, never a hang (the synchronous pump returning at
-//!    all is the liveness proof in a discrete-event engine).
+//!    all is the liveness proof in a discrete-event engine), and
+//! 4. verify symbolically: lowered by `monatt_verifier::lower`, the full
+//!    protocol holds on every gate path without truncating the search.
 
 use cloudmonatt::core::{
     AttestationReport, Branch, CloudBuilder, Flavor, Image, MsgKind, NonceSlot, Protocol,
     QuoteKind, SecurityProperty, VmRequest, WorkloadSpec,
 };
 use cloudmonatt::net::sim::FaultModel;
+use cloudmonatt::verifier::{verify_program, ModelConfig, SearchConfig};
 use proptest::prelude::*;
 
 fn arb_property() -> impl Strategy<Value = SecurityProperty> {
@@ -211,6 +214,27 @@ proptest! {
         match outcome {
             Ok(report) => prop_assert!(report.elapsed_us > 0),
             Err(reason) => prop_assert!(!reason.is_empty()),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every well-formed program, lowered, verifies under the full
+    /// protocol on every gate path, and no search is truncated.
+    #[test]
+    fn programs_verify_symbolically(
+        customer in arb_bool(),
+        body in arb_body(),
+        claims in arb_bool(),
+    ) {
+        let program = build_program(customer, &body, claims);
+        let outcomes = verify_program(&program, &ModelConfig::full(), SearchConfig::default())
+            .expect("well-formed programs compile");
+        for outcome in outcomes {
+            prop_assert!(!outcome.truncated, "truncated: {:?}", program);
+            prop_assert!(outcome.verified(), "{:?}: {:#?}", program, outcome.violations);
         }
     }
 }

@@ -137,12 +137,16 @@ fn symbolic_model_agrees_with_implementation() {
     // adversaries above fail against the implementation. Cross-check the
     // verifier's weakened variants find attacks (i.e. the verifier is
     // not vacuously passing).
-    use cloudmonatt::verifier::cloudmonatt::{verify_cloudmonatt, ModelConfig};
-    assert!(verify_cloudmonatt(&ModelConfig::full()).verified());
+    use cloudmonatt::core::Protocol;
+    use cloudmonatt::verifier::{verify_program, ModelConfig, SearchConfig};
+    let verify = |cfg: &ModelConfig| {
+        verify_program(&Protocol::figure3_customer(), cfg, SearchConfig::default()).unwrap()
+    };
+    assert!(verify(&ModelConfig::full())[0].verified());
     let weakened = ModelConfig {
         sign_quotes: false,
         leak_kz: true,
         ..ModelConfig::full()
     };
-    assert!(!verify_cloudmonatt(&weakened).verified());
+    assert!(!verify(&weakened)[0].verified());
 }
