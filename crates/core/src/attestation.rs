@@ -138,6 +138,13 @@ impl AttestationServer {
         self.pca.cache_stats()
     }
 
+    /// Certificates in the pCA's certified-AVK cache, and how many of
+    /// their keys are bound.
+    #[cfg(test)]
+    pub(crate) fn cached_avks(&self) -> (usize, usize) {
+        self.pca.cached_avks()
+    }
+
     /// Reacts to a channel re-key: the pCA epoch advances (staling every
     /// issued certificate and dropping the certified-AVK cache) and all
     /// cached evidence is invalidated — trust gathered over the old
@@ -245,19 +252,20 @@ impl AttestationServer {
         scratch: &mut EncodeScratch,
     ) -> Result<(), CloudError> {
         check_echoes(response, expected_vid, expected_spec, expected_nonce3)?;
-        let cert = self
+        let (cert, bound) = self
             .pca
-            .certify(&response.cert_request)
+            .certify_bound(&response.cert_request)
             .map_err(certification_failure)?;
         let vid_bytes = response.vid.0.to_be_bytes();
         let (spec_bytes, meas_bytes) = scratch.encode_pair(&response.spec, &response.measurement);
-        response
-            .quote
-            .verify(
-                &cert.attestation_key,
-                &[&vid_bytes, spec_bytes, meas_bytes, &response.nonce3],
-            )
-            .map_err(|e| quote_failure("Q3", e))
+        let fields: [&[u8]; 4] = [&vid_bytes, spec_bytes, meas_bytes, &response.nonce3];
+        // A reused AVK the pCA has bound verifies through its table; the
+        // checks are the same either way (`verify_equation`).
+        let verdict = match bound {
+            Some(key) => response.quote.verify(key, &fields),
+            None => response.quote.verify(&cert.attestation_key, &fields),
+        };
+        verdict.map_err(|e| quote_failure("Q3", e))
     }
 
     /// The cheap per-item checks of the batch path — vid/spec/nonce
@@ -286,7 +294,7 @@ impl AttestationServer {
             .quote
             .check_fields(&[&vid_bytes, spec_bytes, meas_bytes, &response.nonce3])
             .map_err(|e| quote_failure("Q3", e))?;
-        Ok(self.pca.cached(&response.cert_request).is_none())
+        Ok(!self.pca.is_cached(&response.cert_request))
     }
 
     /// Validates a coalesced batch of measurement responses, returning one

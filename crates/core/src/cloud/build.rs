@@ -270,8 +270,10 @@ impl CloudBuilder {
 
     /// Turns on the privacy CA's certified-AVK cache: an identical
     /// certification request seen again is answered without re-verifying
-    /// the identity binding. Only effective when servers also reuse
-    /// their attestation key ([`Self::reuse_avk`]). Default: off.
+    /// the identity binding, and its quote verifies through the key bound
+    /// on that second sight (8 KiB per server, per AS replica). Only
+    /// effective when servers also reuse their attestation key
+    /// ([`Self::reuse_avk`]). Default: off.
     pub fn avk_cert_cache(mut self, on: bool) -> Self {
         self.avk_cert_cache = on;
         self
@@ -525,6 +527,10 @@ impl Cloud {
     /// Attestation. If startup attestation finds a compromised platform,
     /// another server is tried; a compromised image rejects the launch.
     ///
+    /// The management stages' time moves only the wall clock: every
+    /// server, the chosen one included, shows its state as of its last
+    /// touch (see [`Cloud::server`]).
+    ///
     /// # Errors
     ///
     /// [`CloudError::NoQualifiedServer`] or
@@ -592,8 +598,10 @@ impl Cloud {
             let rejection = match verdict {
                 Ok(HealthStatus::Healthy) => {
                     // The attestation stage already advanced time inside
-                    // the session; advance the management stages now.
-                    self.advance(timing.total_us().saturating_sub(timing.attestation_us));
+                    // the session; charge the management stages now (the
+                    // clock only — servers catch up when next touched).
+                    self.events
+                        .advance(timing.total_us().saturating_sub(timing.attestation_us));
                     self.fleet.last_launch = Some(timing);
                     return Ok(vid);
                 }

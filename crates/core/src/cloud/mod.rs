@@ -160,8 +160,10 @@ impl Cloud {
     }
 
     /// Read access to a server node (monitor tools, experiment checks).
-    /// State is as of the node's last catch-up; call [`Cloud::advance`]
-    /// or [`Cloud::sync_servers`] first for current values.
+    /// State is as of the node's last touch: sessions, launches, responses
+    /// and evidence-cache hits move only the wall clock and catch up just
+    /// the nodes they act on, so call [`Cloud::advance`] or
+    /// [`Cloud::sync_servers`] first for current values.
     pub fn server(&self, id: ServerId) -> Option<&CloudServerNode> {
         self.fleet.nodes().get(&id)
     }
@@ -254,8 +256,9 @@ impl Cloud {
     }
 
     /// Catches every server simulator up to the wall clock. Internal
-    /// event dispatch moves only the wall clock (lazy pull — O(1) in
-    /// fleet size); each node pays its elapsed time when next touched,
+    /// event dispatch and charged management time (launch, responses,
+    /// evidence-cache hits) move only the wall clock (lazy pull — O(1)
+    /// in fleet size); each node pays its elapsed time when next touched,
     /// or here in bulk.
     pub fn sync_servers(&mut self) {
         self.fleet.sync(self.events.now());
@@ -484,7 +487,7 @@ impl Cloud {
             + self.latency.post_hop_us(2)
             + self.latency.post_hop_us(5)
             + self.latency.post_hop_us(6);
-        self.advance(elapsed_us);
+        self.events.advance(elapsed_us);
         Some(AttestationReport {
             vid,
             property,

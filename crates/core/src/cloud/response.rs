@@ -21,6 +21,10 @@ impl Cloud {
     /// Executes a remediation response (Section 5.2) and reports its
     /// timing (Figure 11).
     ///
+    /// The response's time moves only the wall clock: every server,
+    /// the ones it acted on included, shows its state as of its last
+    /// touch (see [`Cloud::server`]).
+    ///
     /// # Errors
     ///
     /// [`CloudError::UnknownVm`] (also for a terminated VM) or
@@ -55,7 +59,7 @@ impl Cloud {
         // suspended state, or gone): cached evidence about it is stale
         // on every replica, not just the one that served it.
         self.appraisers.invalidate_vid(vid);
-        self.advance(response_us);
+        self.events.advance(response_us);
         Ok(ResponseTiming {
             action,
             response_us,

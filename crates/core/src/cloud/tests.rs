@@ -1351,3 +1351,254 @@ fn anchors_outlive_a_crash_of_the_node_they_name() {
     assert_eq!(stats.sessions_failed, 0, "{stats:?}");
     assert!(c.outage_stats().rehandshakes >= 3);
 }
+
+#[test]
+fn a_bound_avk_rejects_exactly_what_the_bare_key_rejects() {
+    use crate::measurements::{Measurement, MeasurementSpec};
+    use crate::messages::MeasureResponse;
+
+    let property = SecurityProperty::StartupIntegrity;
+    // Twins that differ only in whether the pCA caches — and so, on a
+    // reused key's second sight, binds — certified AVKs.
+    let twin = |cache: bool| {
+        let mut c = CloudBuilder::new()
+            .servers(2)
+            .seed(1209)
+            .reuse_avk(true)
+            .avk_cert_cache(cache)
+            .build();
+        // Three sessions: the launch's and two attestations.
+        let vid = c
+            .request_vm(VmRequest::new(Flavor::Small, Image::Cirros).require(property))
+            .unwrap();
+        for _ in 0..2 {
+            assert!(c.startup_attest_current(vid, property).unwrap().healthy());
+        }
+        (c, vid)
+    };
+    // Validates `forge` applied to a genuine, reused-key message 4 at the
+    // cloud's one AS replica, returning the verdict as a string.
+    fn validate(c: &mut Cloud, vid: crate::types::Vid, forge: fn(&mut MeasureResponse)) -> String {
+        let (spec, nonce3) = (MeasurementSpec::BootIntegrity, [5u8; 32]);
+        let server = c.server_of(vid).unwrap();
+        let node = c.server_mut(server).unwrap();
+        let mut response: MeasureResponse = node.attest(vid, spec, nonce3).unwrap().into();
+        forge(&mut response);
+        let (attserver, scratch) = c.appraisers.routed(0).unwrap();
+        match attserver.validate_response_with(&response, vid, spec, nonce3, scratch) {
+            Ok(()) => "ok".into(),
+            Err(e) => e.to_string(),
+        }
+    }
+    let genuine: fn(&mut MeasureResponse) = |_| {};
+    let flipped_s: fn(&mut MeasureResponse) = |r| {
+        let mut s = r.quote.signature.s.to_be_bytes();
+        s[31] ^= 1;
+        r.quote.signature.s = monatt_crypto::bigint::U256::from_be_bytes(&s);
+    };
+    let tampered: fn(&mut MeasureResponse) = |r| {
+        r.measurement = Measurement::BootIntegrity {
+            platform_pcr: [0; 32],
+            image_hash: [0; 32],
+        };
+    };
+    let (mut bound, vid) = twin(true);
+    let (mut bare, bare_vid) = twin(false);
+    assert_eq!(bound.avk_cert_cache_stats(), (2, 1));
+    assert_eq!(bound.appraisers.routed(0).unwrap().0.cached_avks(), (1, 1));
+    assert_eq!(bare.appraisers.routed(0).unwrap().0.cached_avks(), (0, 0));
+    for (name, forge) in [
+        ("genuine", genuine),
+        ("flipped s", flipped_s),
+        ("tampered", tampered),
+    ] {
+        let verdict = validate(&mut bound, vid, forge);
+        assert_eq!(verdict, validate(&mut bare, bare_vid, forge), "{name}");
+        assert_eq!(verdict == "ok", name == "genuine", "{name}: {verdict}");
+    }
+    assert_eq!(bound.avk_cert_cache_stats(), (5, 1));
+    // A recovery re-keys: the slot empties, the next session is a miss
+    // verified bare, and the one after binds the key again.
+    let server = bound.server_of(vid).unwrap();
+    bound.crash_node(NodeId::Server(server));
+    bound.recover_node(NodeId::Server(server));
+    assert_eq!(bound.appraisers.routed(0).unwrap().0.cached_avks(), (0, 0));
+    for (stats, slots) in [((5, 2), (1, 0)), ((6, 2), (1, 1))] {
+        assert!(bound
+            .startup_attest_current(vid, property)
+            .unwrap()
+            .healthy());
+        assert_eq!(bound.avk_cert_cache_stats(), stats);
+        assert_eq!(bound.appraisers.routed(0).unwrap().0.cached_avks(), slots);
+    }
+}
+
+/// Every server's simulator clock, in id order.
+fn server_clocks(c: &Cloud) -> Vec<u64> {
+    c.fleet
+        .nodes()
+        .values()
+        .map(|node| node.sim().now().as_micros())
+        .collect()
+}
+
+#[test]
+fn management_charges_move_only_the_clock() {
+    let property = SecurityProperty::CpuAvailability { min_share_pct: 0 };
+    let mut c = CloudBuilder::new()
+        .servers(3)
+        .seed(1210)
+        .evidence_cache(2_000_000)
+        .build();
+    // Runs `call`, which names the servers it involved, then checks that
+    // every other server kept its simulator clock and that one of them
+    // now lags the wall clock.
+    fn lazily(c: &mut Cloud, call: impl FnOnce(&mut Cloud) -> Vec<ServerId>) {
+        let before = server_clocks(c);
+        let involved = call(c);
+        let after = server_clocks(c);
+        let mut lagging = 0;
+        for (i, (b, a)) in before.iter().zip(&after).enumerate() {
+            if !involved.contains(&ServerId(i as u32)) {
+                assert_eq!(a, b, "server {i} was caught up");
+                lagging += usize::from(*a < c.wall_clock_us());
+            }
+        }
+        assert!(lagging > 0, "no server lags the wall clock");
+    }
+    let request = VmRequest::new(Flavor::Small, Image::Cirros).require(property);
+    let vid = c
+        .request_vm(request.clone().on_server(ServerId(0)))
+        .unwrap();
+    lazily(&mut c, |c| {
+        c.request_vm(request.on_server(ServerId(1))).unwrap();
+        vec![ServerId(1)]
+    });
+    c.runtime_attest_current(vid, property).unwrap();
+    let (hits, _) = c.evidence_cache_stats();
+    // An evidence-cache hit touches no server at all.
+    lazily(&mut c, |c| {
+        c.runtime_attest_current(vid, property).unwrap();
+        vec![]
+    });
+    assert_eq!(c.evidence_cache_stats().0, hits + 1);
+    for action in [
+        ResponseAction::Migration,
+        ResponseAction::Suspension,
+        ResponseAction::Termination,
+    ] {
+        lazily(&mut c, |c| {
+            let from = c.server_of(vid).unwrap();
+            c.respond(vid, action).unwrap();
+            vec![from, c.server_of(vid).unwrap()]
+        });
+        if action == ResponseAction::Suspension {
+            c.resume(vid).unwrap();
+        }
+    }
+}
+
+#[test]
+fn lazy_management_charges_change_nothing() {
+    use super::ResponseTiming;
+    use crate::types::Vid;
+
+    let runtime = SecurityProperty::CpuAvailability { min_share_pct: 0 };
+    let fanout = [
+        SecurityProperty::RuntimeIntegrity,
+        SecurityProperty::StartupIntegrity,
+        SecurityProperty::CovertChannelFreedom,
+        SecurityProperty::SchedulerFairness,
+    ];
+    /// What a run shows: every report and response timing in call order,
+    /// the counters, the DRBG position, and each live VM's CPU time.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        reports: Vec<AttestationReport>,
+        responses: Vec<ResponseTiming>,
+        stats: ProtocolStats,
+        caches: [(u64, u64); 2],
+        drbg: u64,
+        cpu_us: Vec<(Vid, u64)>,
+    }
+    // `lifecycle_mix`'s round over a small busy fleet; `eager` settles
+    // every server after each call, as `Cloud::advance` used to.
+    let run = |eager: bool| {
+        let mut c = CloudBuilder::new()
+            .servers(4)
+            .seed(1211)
+            .evidence_cache(2_000_000)
+            .avk_cert_cache(true)
+            .reuse_avk(true)
+            .build();
+        for i in 0..6 {
+            let workload = [WorkloadSpec::Idle, WorkloadSpec::Busy][i % 2];
+            let request = VmRequest::new(Flavor::Small, Image::Cirros).workload(workload);
+            c.request_vm(request).unwrap();
+        }
+        let (mut reports, mut responses) = (Vec::new(), Vec::new());
+        let settle = |c: &mut Cloud| {
+            if eager {
+                c.sync_servers();
+            }
+        };
+        for round in 0..3 {
+            let request = VmRequest::new(Flavor::ALL[round % 3], Image::ALL[round % 3])
+                .require(SecurityProperty::StartupIntegrity);
+            let vid = c.request_vm(request).unwrap();
+            settle(&mut c);
+            let startup = SecurityProperty::StartupIntegrity;
+            reports.push(c.startup_attest_current(vid, startup).unwrap());
+            settle(&mut c);
+            reports.push(
+                c.layered_attest(vid, SecurityProperty::RuntimeIntegrity)
+                    .unwrap(),
+            );
+            settle(&mut c);
+            reports.push(c.multi_attest(vid, &fanout).unwrap());
+            settle(&mut c);
+            for _ in 0..2 {
+                reports.push(c.runtime_attest_current(vid, runtime).unwrap());
+                settle(&mut c);
+            }
+            responses.push(c.respond(vid, ResponseAction::Migration).unwrap());
+            settle(&mut c);
+            reports.push(c.runtime_attest_current(vid, runtime).unwrap());
+            settle(&mut c);
+            responses.push(c.respond(vid, ResponseAction::Suspension).unwrap());
+            settle(&mut c);
+            c.resume(vid).unwrap();
+            settle(&mut c);
+            responses.push(c.respond(vid, ResponseAction::Termination).unwrap());
+            settle(&mut c);
+        }
+        c.sync_servers();
+        let live: Vec<Vid> = c
+            .fleet
+            .controller
+            .vms()
+            .filter(|r| r.state != VmLifecycle::Terminated)
+            .map(|r| r.vid)
+            .collect();
+        let cpu_us = live
+            .into_iter()
+            .map(|vid| {
+                let node = c.server(c.server_of(vid).unwrap()).unwrap();
+                let local = node.local_vm(vid).unwrap();
+                (vid, node.sim().profile().vm_cpu_time_us(local))
+            })
+            .collect();
+        Outcome {
+            reports,
+            responses,
+            stats: c.protocol_stats(),
+            caches: [c.evidence_cache_stats(), c.avk_cert_cache_stats()],
+            drbg: c.drbg_probe(),
+            cpu_us,
+        }
+    };
+    let lazy = run(false);
+    assert_eq!(lazy.caches[0].0, 3, "one evidence hit per round");
+    assert!(lazy.cpu_us.iter().any(|&(_, us)| us > 0));
+    assert_eq!(lazy, run(true));
+}

@@ -11,6 +11,7 @@
 use monatt_crypto::drbg::Drbg;
 use monatt_crypto::schnorr::{BoundKey, Signature, SigningKey, VerifyingKey};
 use monatt_crypto::sha256::Sha256;
+use monatt_crypto::zeroize::ct_eq;
 use monatt_tpm::module::CertificationRequest;
 use std::collections::BTreeMap;
 
@@ -60,26 +61,42 @@ impl std::error::Error for PcaError {}
 /// The privacy CA.
 pub struct PrivacyCa {
     key: SigningKey,
-    /// The registered identity keys VKs, by encoding. Each is bound at
-    /// registration: these are the keys every session's binding is
-    /// verified against for as long as the server is deployed.
-    registered: BTreeMap<[u8; 32], BoundKey>,
+    /// The registered servers, by the encoding of their identity key.
+    registered: BTreeMap<[u8; 32], Registration>,
     /// Current key epoch; bumped on channel re-key, invalidating every
     /// certificate issued before the bump.
     epoch: u64,
     /// Whether the certified-AVK cache is on. Off by default: with fresh
-    /// per-session attestation keys the cache can never hit, and its
-    /// inserts would put allocations on the warm attestation path.
+    /// per-session attestation keys the cache can never hit.
     cache_enabled: bool,
-    /// Certified-AVK cache: request digest → certificate issued this
-    /// epoch. A cloud server re-submitting an identical identity binding
-    /// gets its certificate back without the pCA re-verifying the binding
-    /// signature. Keyed by a hash of the *entire* request (identity key,
-    /// attestation key, binding signature), so only byte-identical
-    /// requests can hit. Cleared on epoch bump.
-    cert_cache: BTreeMap<[u8; 32], AvkCertificate>,
     cache_hits: u64,
     cache_misses: u64,
+}
+
+/// What the pCA holds for one registered server.
+struct Registration {
+    /// The identity key VKs, bound at registration: every session's
+    /// binding is verified against it for as long as the server is
+    /// deployed.
+    identity: BoundKey,
+    /// The certified-AVK cache's one entry for this server: its last
+    /// certified request this epoch. A new request replaces it, and an
+    /// epoch bump empties it, so the cache never holds more than one
+    /// certificate per registered server.
+    slot: Option<AvkSlot>,
+}
+
+/// A cached certification, answered again without re-verifying the
+/// identity binding when the server presents a byte-identical request.
+struct AvkSlot {
+    /// Hash of the *entire* request (identity key, attestation key,
+    /// binding signature), so only a byte-identical request hits.
+    digest: [u8; 32],
+    cert: AvkCertificate,
+    /// The certified AVK bound to its table, built on the request's
+    /// second sight: a key presented once (fresh per-session AVKs) never
+    /// pays the build or its 8 KiB.
+    bound: Option<BoundKey>,
 }
 
 impl std::fmt::Debug for PrivacyCa {
@@ -99,7 +116,6 @@ impl PrivacyCa {
             registered: BTreeMap::new(),
             epoch: 0,
             cache_enabled: false,
-            cert_cache: BTreeMap::new(),
             cache_hits: 0,
             cache_misses: 0,
         }
@@ -107,7 +123,9 @@ impl PrivacyCa {
 
     /// Turns on the certified-AVK cache. Only worthwhile together with
     /// server-side attestation-key reuse — with fresh per-session keys
-    /// every lookup misses.
+    /// every lookup misses. It holds one certificate per registered
+    /// server at most, and binds a server's key (8 KiB) only once the
+    /// same request comes back.
     pub fn enable_cert_cache(&mut self) {
         self.cache_enabled = true;
     }
@@ -124,10 +142,12 @@ impl PrivacyCa {
 
     /// Advances to a new key epoch (called on channel re-key, e.g. after
     /// node recovery). Every previously issued certificate becomes stale
-    /// and the certified-AVK cache is dropped with them.
+    /// and every server's certified-AVK slot is emptied with them.
     pub fn bump_epoch(&mut self) {
         self.epoch += 1;
-        self.cert_cache.clear();
+        for server in self.registered.values_mut() {
+            server.slot = None;
+        }
     }
 
     /// Certified-AVK cache hits and misses since construction.
@@ -141,7 +161,10 @@ impl PrivacyCa {
     pub fn register_server(&mut self, identity: VerifyingKey) {
         self.registered
             .entry(identity.to_bytes())
-            .or_insert_with(|| BoundKey::new(identity));
+            .or_insert_with(|| Registration {
+                identity: BoundKey::new(identity),
+                slot: None,
+            });
     }
 
     /// Certifies a session attestation key.
@@ -155,20 +178,51 @@ impl PrivacyCa {
     /// [`PcaError::UnregisteredServer`] if the identity key is unknown,
     /// [`PcaError::BadBinding`] if the identity signature is invalid.
     pub fn certify(&mut self, request: &CertificationRequest) -> Result<AvkCertificate, PcaError> {
-        let Some(identity) = self.registered.get(&request.identity_key.to_bytes()) else {
+        self.certify_bound(request).map(|(cert, _)| cert)
+    }
+
+    /// [`Self::certify`], also handing back the certified AVK bound to its
+    /// table when the server's slot holds one — the key the quote under
+    /// this certificate verifies through. A cache hit binds the AVK if
+    /// its slot has not yet: the second sight of a request is the first
+    /// sign the server reuses its key.
+    pub(crate) fn certify_bound(
+        &mut self,
+        request: &CertificationRequest,
+    ) -> Result<(AvkCertificate, Option<&BoundKey>), PcaError> {
+        let Some(server) = self.registered.get_mut(&request.identity_key.to_bytes()) else {
             return Err(PcaError::UnregisteredServer);
         };
-        if self.cache_enabled {
-            if let Some(cert) = self.cert_cache.get(&Self::request_digest(request)) {
-                self.cache_hits += 1;
-                return Ok(cert.clone());
+        if !self.cache_enabled {
+            if !request.verify_with(&server.identity) {
+                return Err(PcaError::BadBinding);
             }
-            self.cache_misses += 1;
+            return Ok((sign_certificate(&self.key, self.epoch, request), None));
         }
-        if !request.verify_with(identity) {
-            return Err(PcaError::BadBinding);
-        }
-        Ok(self.issue(request))
+        let digest = Self::request_digest(request);
+        // A different request leaves the slot in place until its binding
+        // verifies, then replaces it.
+        let slot = match server.slot.take_if(|slot| ct_eq(&slot.digest, &digest)) {
+            Some(mut slot) => {
+                self.cache_hits += 1;
+                let avk = slot.cert.attestation_key;
+                slot.bound.get_or_insert_with(|| BoundKey::new(avk));
+                slot
+            }
+            None => {
+                self.cache_misses += 1;
+                if !request.verify_with(&server.identity) {
+                    return Err(PcaError::BadBinding);
+                }
+                AvkSlot {
+                    digest,
+                    cert: sign_certificate(&self.key, self.epoch, request),
+                    bound: None,
+                }
+            }
+        };
+        let slot = server.slot.insert(slot);
+        Ok((slot.cert.clone(), slot.bound.as_ref()))
     }
 
     /// True when `identity` was registered at deployment time.
@@ -176,48 +230,77 @@ impl PrivacyCa {
         self.registered.contains_key(&identity.to_bytes())
     }
 
-    /// Issues (and, when the cache is on, caches) a certificate for a
-    /// request whose identity binding has already been verified — the
-    /// batch-validation path checks bindings in bulk and then calls this
-    /// per survivor.
+    /// Issues (and, when the cache is on, caches in the server's slot) a
+    /// certificate for a request whose identity binding has already been
+    /// verified — the batch-validation path checks bindings in bulk and
+    /// then calls this per survivor.
     pub(crate) fn issue(&mut self, request: &CertificationRequest) -> AvkCertificate {
-        let cert = AvkCertificate {
-            attestation_key: request.attestation_key,
-            epoch: self.epoch,
-            signature: self.key.sign(&AvkCertificate::signed_payload(
-                &request.attestation_key,
-                self.epoch,
-            )),
-        };
-        if self.cache_enabled {
-            self.cert_cache
-                .insert(Self::request_digest(request), cert.clone());
+        let cert = sign_certificate(&self.key, self.epoch, request);
+        let server = self.registered.get_mut(&request.identity_key.to_bytes());
+        if let (true, Some(server)) = (self.cache_enabled, server) {
+            server.slot = Some(AvkSlot {
+                digest: Self::request_digest(request),
+                cert: cert.clone(),
+                bound: None,
+            });
         }
         cert
     }
 
-    /// Looks up a cached certificate for `request` without verifying
-    /// anything; callers must have checked registration already. Returns
-    /// `None` (and counts nothing) when the cache is off.
-    pub(crate) fn cached(&mut self, request: &CertificationRequest) -> Option<AvkCertificate> {
+    /// Whether `request` is its server's cached certification, counting a
+    /// hit or a miss; callers must have checked registration already.
+    /// Always `false` (and counts nothing) when the cache is off. Binds
+    /// nothing: the batch path verifies quotes under bare keys.
+    pub(crate) fn is_cached(&mut self, request: &CertificationRequest) -> bool {
         if !self.cache_enabled {
-            return None;
+            return false;
         }
-        let cert = self.cert_cache.get(&Self::request_digest(request)).cloned();
-        match cert.is_some() {
+        let digest = Self::request_digest(request);
+        let hit = self
+            .registered
+            .get(&request.identity_key.to_bytes())
+            .and_then(|server| server.slot.as_ref())
+            .is_some_and(|slot| ct_eq(&slot.digest, &digest));
+        match hit {
             true => self.cache_hits += 1,
             false => self.cache_misses += 1,
         }
-        cert
+        hit
+    }
+
+    /// Certificates in the certified-AVK cache, and how many of their
+    /// keys are bound.
+    #[cfg(test)]
+    pub(crate) fn cached_avks(&self) -> (usize, usize) {
+        let slots = self.registered.values().filter_map(|s| s.slot.as_ref());
+        slots.fold((0, 0), |(certs, bound), slot| {
+            (certs + 1, bound + usize::from(slot.bound.is_some()))
+        })
     }
 
     /// Hashes the full certification request for use as a cache key.
-    pub(crate) fn request_digest(request: &CertificationRequest) -> [u8; 32] {
+    fn request_digest(request: &CertificationRequest) -> [u8; 32] {
         let mut h = Sha256::new();
         h.update(&request.identity_key.to_bytes());
         h.update(&request.attestation_key.to_bytes());
         h.update(&request.identity_signature.to_bytes());
         h.finalize()
+    }
+}
+
+/// Signs a certificate for `request`'s attestation key under `epoch`.
+fn sign_certificate(
+    key: &SigningKey,
+    epoch: u64,
+    request: &CertificationRequest,
+) -> AvkCertificate {
+    AvkCertificate {
+        attestation_key: request.attestation_key,
+        epoch,
+        signature: key.sign(&AvkCertificate::signed_payload(
+            &request.attestation_key,
+            epoch,
+        )),
     }
 }
 
@@ -282,6 +365,80 @@ mod tests {
         let second = pca.certify(session.certification_request()).unwrap();
         assert_eq!(first, second);
         assert_eq!(pca.cache_stats(), (1, 1));
+    }
+
+    #[test]
+    fn second_sight_binds_the_reused_key() {
+        let mut pca = PrivacyCa::new(&mut Drbg::from_seed(56));
+        pca.enable_cert_cache();
+        let mut tm = TrustModule::provision(Drbg::from_seed(57));
+        pca.register_server(tm.identity_key());
+        let session = tm.begin_attestation();
+        let request = session.certification_request();
+        let (_, bound) = pca.certify_bound(request).unwrap();
+        assert!(bound.is_none(), "a key seen once stays bare");
+        let (cert, bound) = pca.certify_bound(request).unwrap();
+        assert_eq!(bound.map(BoundKey::key), Some(cert.attestation_key));
+        assert_eq!(pca.cached_avks(), (1, 1));
+        pca.bump_epoch();
+        assert_eq!(pca.cached_avks(), (0, 0));
+    }
+
+    #[test]
+    fn fresh_keys_hold_one_slot_and_bind_nothing() {
+        let mut pca = PrivacyCa::new(&mut Drbg::from_seed(58));
+        pca.enable_cert_cache();
+        let mut tm = TrustModule::provision(Drbg::from_seed(59));
+        pca.register_server(tm.identity_key());
+        for _ in 0..1_000 {
+            let session = tm.begin_attestation();
+            pca.certify(session.certification_request()).unwrap();
+        }
+        assert_eq!(pca.cache_stats(), (0, 1_000));
+        assert_eq!(pca.cached_avks(), (1, 0));
+    }
+
+    #[test]
+    fn a_new_binding_replaces_only_its_own_servers_slot() {
+        let mut pca = PrivacyCa::new(&mut Drbg::from_seed(60));
+        pca.enable_cert_cache();
+        let mut a = TrustModule::provision(Drbg::from_seed(61));
+        let mut b = TrustModule::provision(Drbg::from_seed(62));
+        pca.register_server(a.identity_key());
+        pca.register_server(b.identity_key());
+        let (a_old, b_session) = (a.begin_attestation(), b.begin_attestation());
+        for request in [
+            a_old.certification_request(),
+            b_session.certification_request(),
+        ] {
+            pca.certify(request).unwrap();
+            pca.certify(request).unwrap();
+        }
+        assert_eq!(pca.cached_avks(), (2, 2));
+        pca.certify(a.begin_attestation().certification_request())
+            .unwrap();
+        // A's old binding is gone, unbound with it; B's stays bound.
+        assert_eq!(pca.cached_avks(), (2, 1));
+        assert_eq!(pca.cache_stats(), (2, 3));
+        pca.certify(b_session.certification_request()).unwrap();
+        pca.certify(a_old.certification_request()).unwrap();
+        assert_eq!(pca.cache_stats(), (3, 4));
+    }
+
+    #[test]
+    fn a_bad_binding_leaves_the_slot_alone() {
+        let mut pca = PrivacyCa::new(&mut Drbg::from_seed(63));
+        pca.enable_cert_cache();
+        let mut tm = TrustModule::provision(Drbg::from_seed(64));
+        pca.register_server(tm.identity_key());
+        let session = tm.begin_attestation();
+        pca.certify(session.certification_request()).unwrap();
+        let mut forged = session.certification_request().clone();
+        forged.attestation_key = tm.begin_attestation().attestation_key();
+        assert_eq!(pca.certify(&forged), Err(PcaError::BadBinding));
+        pca.certify(session.certification_request()).unwrap();
+        assert_eq!(pca.cache_stats(), (1, 2));
+        assert_eq!(pca.cached_avks(), (1, 1));
     }
 
     #[test]
