@@ -52,7 +52,7 @@ pub enum WorkloadSpec {
 #[derive(Clone, Debug, Default)]
 pub struct WorkloadHandles {
     /// Request counter of a [`WorkloadSpec::Service`] workload.
-    pub service: Option<monatt_hypervisor::driver::Shared<monatt_workloads::ServiceStats>>,
+    pub service: Option<monatt_workloads::ServiceStatsHandle>,
     /// Completion record of a [`WorkloadSpec::Program`] workload.
     pub program: Option<monatt_hypervisor::driver::Shared<monatt_workloads::ProgramStats>>,
 }

@@ -12,15 +12,22 @@
 //!   VM passes: a terminated VM is [`CloudError::UnknownVm`] to all of
 //!   them;
 //! * **lazy time** — [`Fleet::touch`] is the one mutable path to a
-//!   node, catching its simulator up to the wall clock first.
+//!   node, catching its simulator up to the wall clock first. Idle
+//!   servers stay behind until touched; touching a busy one catches up
+//!   every lagging busy server, over the host's hardware threads
+//!   ([`Fleet::catch_up_busy`]).
 
 use super::LaunchTiming;
 use crate::controller::{CloudController, VmLifecycle, VmRecord};
 use crate::error::CloudError;
 use crate::server::CloudServerNode;
 use crate::types::{ServerId, Vid};
+use monatt_hypervisor::engine::ServerSim;
+use monatt_hypervisor::time::SimTime;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::num::NonZeroUsize;
+use std::sync::{Mutex, PoisonError};
 
 /// Servers, VM rows, capacity, and the Response Module's own policy
 /// state. See the module docs.
@@ -30,6 +37,9 @@ pub(crate) struct Fleet {
     nodes: BTreeMap<ServerId, CloudServerNode>,
     /// The cloud seed; workload drivers derive theirs from it per VM.
     seed: u64,
+    /// Threads that share a busy catch-up: the host's hardware threads,
+    /// read once at build. Changes how the work runs, never its result.
+    workers: usize,
     /// The stage breakdown of the most recent launch (Figure 9).
     pub(crate) last_launch: Option<LaunchTiming>,
     /// Whether failed attestations trigger remediation on their own.
@@ -50,6 +60,7 @@ impl Fleet {
             controller,
             nodes,
             seed,
+            workers: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
             last_launch: None,
             auto_response,
             auto_response_failures: 0,
@@ -64,18 +75,64 @@ impl Fleet {
 
     /// The server node, caught up to `now_us` — the one mutable access
     /// path for protocol and lifecycle code, so a lazily lagging
-    /// simulator is never observed or mutated at a stale instant.
+    /// simulator is never observed or mutated at a stale instant. A busy
+    /// node that lags brings every lagging busy node with it
+    /// ([`Self::catch_up_busy`]).
     pub(crate) fn touch(&mut self, id: ServerId, now_us: u64) -> Option<&mut CloudServerNode> {
+        if lags_busy(self.nodes.get(&id)?.sim(), SimTime::from_micros(now_us)) {
+            self.catch_up_busy(now_us);
+        }
         let node = self.nodes.get_mut(&id)?;
         node.catch_up(now_us);
         Some(node)
     }
 
-    /// Catches every server simulator up to `now_us`.
+    /// Catches every server simulator up to `now_us`: the busy ones
+    /// shared over the host's threads, then the idle ones' leaps here.
     pub(crate) fn sync(&mut self, now_us: u64) {
+        self.catch_up_busy(now_us);
         for node in self.nodes.values_mut() {
             node.catch_up(now_us);
         }
+    }
+
+    /// Catches up every busy server that lags `now_us`. The caller and
+    /// up to `workers − 1` scoped helpers pull servers from one queue
+    /// until it is empty — work-sharing, so a helper slowed by a busy
+    /// host core takes fewer servers rather than holding up the call. A
+    /// helper holds only the `&mut ServerSim` it pulled. With one
+    /// hardware thread, or one server to catch up, nothing is spawned.
+    ///
+    /// Exact whatever the thread or order: each `ServerSim` is a closed
+    /// value, and catching it up to `now_us` early, then on to a later
+    /// instant, is the schedule of catching it up once (the lazy/eager
+    /// interleavings of both `trace_pins` suites and
+    /// `busy_commitment.rs`). A panic on a helper resumes here.
+    fn catch_up_busy(&mut self, now_us: u64) {
+        let deadline = SimTime::from_micros(now_us);
+        let lagging: Vec<&mut ServerSim> = self
+            .nodes
+            .values_mut()
+            .map(CloudServerNode::sim_mut)
+            .filter(|sim| lags_busy(sim, deadline))
+            .collect();
+        let helpers = (self.workers - 1).min(lagging.len().saturating_sub(1));
+        let queue = Mutex::new(lagging.into_iter());
+        let drain = || {
+            while let Some(sim) = pull(&queue) {
+                sim.run_until_lazy(deadline);
+            }
+        };
+        if helpers == 0 {
+            drain();
+            return;
+        }
+        std::thread::scope(|scope| {
+            for _ in 0..helpers {
+                scope.spawn(drain);
+            }
+            drain();
+        });
     }
 
     /// `server` crashed: its volatile attestation session dies with it,
@@ -212,4 +269,14 @@ impl Fleet {
         }
         Ok(())
     }
+}
+
+/// Whether `sim` is behind `deadline` with work that cannot leap.
+fn lags_busy(sim: &ServerSim, deadline: SimTime) -> bool {
+    sim.now() < deadline && sim.is_busy()
+}
+
+/// The next item of a shared queue; the lock is released on return.
+fn pull<I: Iterator>(queue: &Mutex<I>) -> Option<I::Item> {
+    queue.lock().unwrap_or_else(PoisonError::into_inner).next()
 }

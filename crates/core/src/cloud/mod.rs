@@ -160,10 +160,12 @@ impl Cloud {
     }
 
     /// Read access to a server node (monitor tools, experiment checks).
-    /// State is as of the node's last touch: sessions, launches, responses
-    /// and evidence-cache hits move only the wall clock and catch up just
-    /// the nodes they act on, so call [`Cloud::advance`] or
-    /// [`Cloud::sync_servers`] first for current values.
+    /// State is as of the node's last catch-up: sessions, launches,
+    /// responses and evidence-cache hits move only the wall clock and
+    /// catch up just the nodes they act on — an idle node when touched, a
+    /// busy one whenever any busy node is touched — so call
+    /// [`Cloud::advance`] or [`Cloud::sync_servers`] first for current
+    /// values.
     pub fn server(&self, id: ServerId) -> Option<&CloudServerNode> {
         self.fleet.nodes().get(&id)
     }
@@ -259,7 +261,10 @@ impl Cloud {
     /// event dispatch and charged management time (launch, responses,
     /// evidence-cache hits) move only the wall clock (lazy pull — O(1)
     /// in fleet size); each node pays its elapsed time when next touched,
-    /// or here in bulk.
+    /// or here in bulk. Busy servers, which cannot fast-forward, are
+    /// caught up together and shared over the host's hardware threads
+    /// (here and whenever a busy server is touched); idle ones leap on
+    /// the calling thread. The result is the same on any host.
     pub fn sync_servers(&mut self) {
         self.fleet.sync(self.events.now());
     }
@@ -649,7 +654,7 @@ impl Cloud {
             .handles
             .service
             .as_ref()
-            .map(|s| s.borrow().requests)
+            .map(|s| s.get().requests)
     }
 
     /// Completion time of a [`WorkloadSpec::Program`] VM, if finished.

@@ -1602,3 +1602,130 @@ fn lazy_management_charges_change_nothing() {
     assert!(lazy.cpu_us.iter().any(|&(_, us)| us > 0));
     assert_eq!(lazy, run(true));
 }
+
+/// Four servers: 0 and 1 carry a busy loop and a service, 2 and 3 only
+/// idle guests. Returns the cloud and the VMs of servers 0 and 1.
+fn two_busy_two_idle(seed: u64) -> Result<(Cloud, Vec<crate::types::Vid>), CloudError> {
+    use monatt_workloads::services::CloudService;
+    let mut c = CloudBuilder::new().servers(4).seed(seed).build();
+    let mut busy = Vec::new();
+    for server in 0..4 {
+        let guests = match server {
+            0 => [WorkloadSpec::Busy, WorkloadSpec::Service(CloudService::Web)],
+            1 => [
+                WorkloadSpec::Service(CloudService::Mail),
+                WorkloadSpec::Busy,
+            ],
+            _ => [WorkloadSpec::Idle; 2],
+        };
+        for workload in guests {
+            let request = VmRequest::new(Flavor::Small, Image::Cirros)
+                .workload(workload)
+                .on_server(ServerId(server));
+            let vid = c.request_vm(request)?;
+            if server < 2 {
+                busy.push(vid);
+            }
+        }
+    }
+    Ok((c, busy))
+}
+
+#[test]
+fn touching_a_busy_server_catches_up_the_busy_fleet_and_nothing_else() {
+    let (mut c, busy) = two_busy_two_idle(1212).unwrap();
+    c.sync_servers();
+    let synced = c.wall_clock_us();
+    c.events.advance(300_000);
+    let now = c.wall_clock_us();
+    c.server_mut(ServerId(1)).unwrap();
+    assert_eq!(server_clocks(&c), [now, now, synced, synced]);
+    c.events.advance(300_000);
+    let before = server_clocks(&c);
+    // A windowed attestation touches server 0 at the window's open and
+    // close; each touch brings busy server 1 along.
+    let property = SecurityProperty::CpuAvailability { min_share_pct: 10 };
+    c.runtime_attest_current(busy[0], property).unwrap();
+    let after = server_clocks(&c);
+    assert!(after[0] > before[0] + 1_000_000, "{after:?}");
+    assert_eq!(after[1], after[0], "the other busy server was left behind");
+    assert_eq!(after[2..], before[2..], "an idle server was caught up");
+    assert!(after.iter().all(|&t| t < c.wall_clock_us()));
+    // Touching an idle server moves nothing else.
+    c.events.advance(300_000);
+    c.server_mut(ServerId(2)).unwrap();
+    let idle_touch = server_clocks(&c);
+    assert_eq!(idle_touch[2], c.wall_clock_us());
+    assert_eq!(
+        [idle_touch[0], idle_touch[1], idle_touch[3]],
+        [after[0], after[1], after[3]]
+    );
+}
+
+#[test]
+fn busy_catch_up_changes_nothing() {
+    use super::ResponseTiming;
+    use crate::types::Vid;
+
+    /// What a run shows: every report and response in call order, the
+    /// counters, the DRBG position, and each live VM's CPU time.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        reports: Vec<AttestationReport>,
+        responses: Vec<ResponseTiming>,
+        stats: ProtocolStats,
+        drbg: u64,
+        cpu_us: Vec<(Vid, u64)>,
+    }
+    let windowed = [
+        SecurityProperty::CpuAvailability { min_share_pct: 10 },
+        SecurityProperty::SchedulerFairness,
+        SecurityProperty::CovertChannelFreedom,
+    ];
+    // `busy_window`'s calls on a small fleet; `eager` settles every
+    // server after each call.
+    let run = |eager: bool| {
+        let (mut c, busy) = two_busy_two_idle(1213).unwrap();
+        let (mut reports, mut responses) = (Vec::new(), Vec::new());
+        let settle = |c: &mut Cloud| {
+            if eager {
+                c.sync_servers();
+            }
+        };
+        for (i, &vid) in busy.iter().enumerate() {
+            for property in windowed {
+                reports.push(c.runtime_attest_current(vid, property).unwrap());
+                settle(&mut c);
+            }
+            // A busy guest moved onto an idle server makes it busy.
+            let action = [ResponseAction::Migration, ResponseAction::Suspension][i % 2];
+            responses.push(c.respond(vid, action).unwrap());
+            settle(&mut c);
+            if action == ResponseAction::Suspension {
+                c.resume(vid).unwrap();
+                settle(&mut c);
+            }
+            reports.push(c.runtime_attest_current(vid, windowed[i % 3]).unwrap());
+            settle(&mut c);
+        }
+        c.sync_servers();
+        let cpu_us = busy
+            .iter()
+            .map(|&vid| {
+                let node = c.server(c.server_of(vid).unwrap()).unwrap();
+                let local = node.local_vm(vid).unwrap();
+                (vid, node.sim().profile().vm_cpu_time_us(local))
+            })
+            .collect();
+        Outcome {
+            reports,
+            responses,
+            stats: c.protocol_stats(),
+            drbg: c.drbg_probe(),
+            cpu_us,
+        }
+    };
+    let lazy = run(false);
+    assert!(lazy.cpu_us.iter().all(|&(_, us)| us > 0));
+    assert_eq!(lazy, run(true));
+}

@@ -26,11 +26,19 @@
 //!   debiting whichever vCPU is current, or another pCPU's burst end in
 //!   the segment log — so coalescing the chunks is not provably exact
 //!   (see `CpuProgram` in `monatt-workloads`).
+//!
+//! ## Threads
+//!
+//! A driver is `Send`, and so is the `ServerSim` that owns it: the cloud
+//! may catch a busy server up on a scoped helper thread. A driver that
+//! exports observations does so through a [`Shared`] handle, a lock the
+//! owner and the driver never hold at once. One that publishes on every
+//! ask, like a service's request count, uses a single-writer atomic
+//! instead, because a lock per ask shows in the pop cost.
 
 use crate::ids::VcpuId;
 use crate::time::SimTime;
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// What a vCPU does next, as decided by its workload driver.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,8 +96,9 @@ pub struct VcpuView {
 }
 
 /// A guest workload. Implementations decide the compute/block/IPI pattern
-/// of one vCPU.
-pub trait WorkloadDriver {
+/// of one vCPU. `Send`, because its server may be caught up on a helper
+/// thread (see the module docs).
+pub trait WorkloadDriver: Send {
     /// Called whenever the vCPU needs a new action: at first schedule, and
     /// after each completed `Compute`, `Block` wake, `Yield` re-schedule or
     /// `SendIpi`.
@@ -159,17 +168,54 @@ impl WorkloadDriver for ScriptedDriver {
     }
 }
 
-/// Shared handle type used by drivers that need to export observations
-/// (e.g. completion times, gap measurements) to the test or benchmark that
-/// owns the simulation. The simulator is single-threaded, so `Rc<RefCell>`
-/// is sufficient.
-pub type Shared<T> = Rc<RefCell<T>>;
+/// Shared handle used by drivers that need to export observations
+/// (e.g. completion times, gap measurements) to the test, benchmark or
+/// VM row that owns the simulation.
+///
+/// A server's simulator may be caught up on another thread than the one
+/// that reads its drivers' observations, so the handle is an
+/// `Arc<Mutex<T>>`, which keeps a driver, and so a `ServerSim`, `Send`.
+/// The two sides never hold it at once (the owner reads between
+/// catch-ups), so the lock is uncontended. A panic while it was held does
+/// not hide the value: every writer leaves it whole at each step, so the
+/// poison is recovered.
+pub struct Shared<T>(Arc<Mutex<T>>);
+
+impl<T> Shared<T> {
+    /// Read access. The guard must be dropped before the next borrow of
+    /// the same handle on this thread.
+    pub fn borrow(&self) -> MutexGuard<'_, T> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Write access; the same guard as [`Self::borrow`].
+    pub fn borrow_mut(&self) -> MutexGuard<'_, T> {
+        self.borrow()
+    }
+
+    /// How many handles to this value exist.
+    pub fn strong_count(this: &Self) -> usize {
+        Arc::strong_count(&this.0)
+    }
+}
+
+impl<T> Clone for Shared<T> {
+    fn clone(&self) -> Self {
+        Shared(Arc::clone(&self.0))
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for Shared<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Shared").field(&*self.borrow()).finish()
+    }
+}
 
 /// Convenience constructor for [`Shared`] state. Setup only: it
 /// allocates, so a driver calls it when it is built, never when asked.
 #[cold]
 pub fn shared<T>(value: T) -> Shared<T> {
-    Rc::new(RefCell::new(value))
+    Shared(Arc::new(Mutex::new(value)))
 }
 
 #[cfg(test)]

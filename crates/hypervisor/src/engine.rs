@@ -2,9 +2,12 @@
 //! physical CPUs, a Xen-style credit scheduler, VMs with driver-modelled
 //! guest workloads, and monitoring hooks (profile tool + PMU).
 //!
-//! The engine is single-threaded and fully deterministic: identical inputs
-//! produce identical schedules, which keeps the paper's figures
-//! reproducible run-to-run.
+//! A [`ServerSim`] is single-threaded, fully deterministic and `Send`:
+//! identical inputs produce identical schedules, which keeps the paper's
+//! figures reproducible run-to-run. It is a closed value — its drivers,
+//! their RNGs, its timers, profile rows and PMU — so one server may be
+//! caught up on another thread while a second server runs on this one,
+//! and the schedule of each is what it would have been alone.
 //!
 //! State is dense. `VmId` is a per-server counter and a vCPU's index is
 //! below its VM's vCPU count, so VMs and vCPUs live in flat tables and
@@ -112,6 +115,13 @@ pub struct ServerSim {
     pmu: Pmu,
     next_pin: usize,
 }
+
+// The cloud catches busy servers up on scoped helper threads.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<ServerSim>();
+    assert_send::<Box<dyn WorkloadDriver>>();
+};
 
 impl std::fmt::Debug for ServerSim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -425,6 +435,15 @@ impl ServerSim {
         self.run_until(deadline);
     }
 
+    /// Whether some pCPU runs or queues a vCPU: a busy server cannot leap
+    /// (see [`Self::run_until_lazy`]), so catching it up costs every pop
+    /// in between.
+    pub fn is_busy(&self) -> bool {
+        self.pcpus
+            .iter()
+            .any(|pc| pc.current.is_some() || !pc.queue.is_empty())
+    }
+
     /// Attempts the quiescent fast-forward to `deadline`. Returns `false`
     /// (with all state untouched) when the server is not provably idle for
     /// the whole window.
@@ -449,11 +468,7 @@ impl ServerSim {
         if params.tick_us == 0 || params.acct_period_us == 0 || params.credits_per_acct < 0 {
             return false;
         }
-        if self
-            .pcpus
-            .iter()
-            .any(|pc| pc.current.is_some() || !pc.queue.is_empty())
-        {
+        if self.is_busy() {
             return false;
         }
         let wake_in_window = |&v: &usize| {
@@ -1186,7 +1201,7 @@ mod tests {
         sim.terminate_vm(vm);
         // The driver is dropped, the wake is disarmed, contention no
         // longer counts the vCPU, and the server is quiescent.
-        assert_eq!(std::rc::Rc::strong_count(&asked), 1);
+        assert_eq!(Shared::strong_count(&asked), 1);
         assert!(format!("{sim:?}").contains("live_timers: 2"), "{sim:?}");
         assert_eq!(sim.schedulable_vcpus_on(PcpuId(0)), 0);
         assert!(sim.try_leap(SimTime::from_secs(1)));

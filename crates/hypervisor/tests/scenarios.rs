@@ -48,10 +48,9 @@ fn io_service_fits_between_cpu_hogs() {
         let stats = svc.stats();
         sim.create_vm(VmConfig::new("mail", vec![Box::new(svc)]));
         sim.run_until(SimTime::from_secs(10));
-        let r = stats.borrow().requests;
-        r
+        stats.get().requests
     };
-    let contended = stats.borrow().requests;
+    let contended = stats.get().requests;
     assert!(
         contended as f64 > solo as f64 * 0.65,
         "mail throughput under contention {contended} vs solo {solo}"

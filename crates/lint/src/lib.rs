@@ -18,7 +18,8 @@
 //!   slice-index outside test code.
 //! * **`determinism`** — sim-deterministic crates must not use
 //!   `HashMap`/`HashSet` (iteration order leaks into event order), wall
-//!   clocks, or ambient randomness outside the seeded DRBG.
+//!   clocks, ambient randomness outside the seeded DRBG, ambient state,
+//!   or detached threads (`std::thread::scope` is the allowed form).
 //! * **`alloc_freedom`** — warm-path files must not call allocating APIs
 //!   outside cold/setup functions; one level of call-graph propagation
 //!   flags warm calls into allocating workspace helpers.

@@ -2,10 +2,10 @@
 //! fixed seed.
 //!
 //! The golden-trace fixture (DESIGN.md §11) pins the clean path, but
-//! only the paths it executes. This rule makes the three classic
-//! sources of silent divergence statically impossible in the
-//! deterministic crate set (`core`, `net`, `hypervisor`, `crypto`,
-//! `tpm`, outside `#[cfg(test)]`):
+//! only the paths it executes. This rule makes the classic sources of
+//! silent divergence statically impossible in the deterministic crate
+//! set (`core`, `net`, `hypervisor`, `crypto`, `tpm`, `workloads`,
+//! outside `#[cfg(test)]`):
 //!
 //! * `std::collections::HashMap`/`HashSet` — `RandomState` seeds the
 //!   hasher per process, so iteration order differs run to run and
@@ -23,6 +23,12 @@
 //!   state lives in a field of its owner. (An immutable `static`,
 //!   `OnceLock` included, holds one value for the whole process and is
 //!   fine.)
+//! * Detached threads (`thread::spawn`, `thread::Builder`) — a thread
+//!   that outlives the call that started it can act on shared state at a
+//!   host-dependent time, after that call has returned. The one allowed
+//!   form is `std::thread::scope`, which joins every thread it spawned
+//!   before returning, so a call's effects are complete when it is (the
+//!   cloud's busy-server catch-up, DESIGN.md §10.2).
 
 use crate::context::FileContext;
 use crate::diag::Diagnostic;
@@ -79,6 +85,21 @@ pub(crate) fn check(ctx: &FileContext, out: &mut Vec<Diagnostic>) {
                     format!(
                         "`{name}` draws ambient randomness outside the seeded DRBG; \
                          sim code must thread a seeded `Drbg` so draws replay"
+                    ),
+                ));
+            }
+            "spawn" | "Builder"
+                if i >= 2 && toks[i - 1].is_punct("::") && toks[i - 2].text == "thread" =>
+            {
+                out.push(diag_tok(
+                    RULE,
+                    ctx,
+                    i,
+                    format!(
+                        "`thread::{}` starts a detached thread, which can act after its \
+                         caller returns, at a host-dependent time; use \
+                         `std::thread::scope`, which joins before returning",
+                        t.text
                     ),
                 ));
             }

@@ -136,16 +136,20 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              The golden-trace fixture pins event order, RNG draw order, and wall\n\
              clock of the clean path; anything order- or time-dependent that the\n\
              trace does not execute can still diverge silently. In `core`, `net`,\n\
-             `hypervisor`, `crypto`, `tpm` (outside tests) this rule bans:\n\
+             `hypervisor`, `crypto`, `tpm`, `workloads` (outside tests) this rule bans:\n\
              std HashMap/HashSet (iteration order varies per process — use\n\
              BTreeMap/BTreeSet), Instant/SystemTime (wall clock — use the sim\n\
              clock), ambient randomness (OsRng, thread_rng, from_entropy — use a\n\
-             seeded Drbg; no function is exempt), and ambient state\n\
+             seeded Drbg; no function is exempt), ambient state\n\
              (`thread_local!`, `static mut` — it outlives its user and differs\n\
-             per thread; an immutable `static` or `OnceLock` is fine).\n\
+             per thread; an immutable `static` or `OnceLock` is fine), and\n\
+             detached threads (`thread::spawn`, `thread::Builder` — the thread\n\
+             can act on shared state after the call that started it returned,\n\
+             at a host-dependent time).\n\
              \n\
              Fix: BTreeMap/BTreeSet, the engine's virtual clock, seeded DRBGs,\n\
-             state held in a field of the object that uses it.\n\
+             state held in a field of the object that uses it, and\n\
+             `std::thread::scope`, which joins every thread before returning.\n\
              Suppress (justified): `// #[allow(monatt::determinism)]`."
         }
         "alloc_freedom" => {

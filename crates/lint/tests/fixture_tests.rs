@@ -176,14 +176,16 @@ fn determinism_fires_on_bad_fixture() {
     );
     // Two HashMap mentions, three clock mentions (use + return type +
     // two `now()` sites), one ambient RNG, a `thread_local!` and a
-    // `static mut` (the plain `static` inside the macro is not one); the
-    // test-module HashSet is exempt.
-    assert_eq!(diags.len(), 9, "{diags:?}");
+    // `static mut` (the plain `static` inside the macro is not one), and
+    // `thread::spawn` and `thread::Builder` (not the builder's own
+    // `.spawn`); the test-module HashSet is exempt.
+    assert_eq!(diags.len(), 11, "{diags:?}");
     let count = |needle: &str| diags.iter().filter(|d| d.message.contains(needle)).count();
     assert_eq!(count("iteration order"), 2, "{diags:?}");
     assert_eq!(count("wall clock"), 4, "{diags:?}");
     assert_eq!(count("ambient randomness"), 1, "{diags:?}");
     assert_eq!(count("ambient state"), 2, "{diags:?}");
+    assert_eq!(count("detached thread"), 2, "{diags:?}");
 }
 
 #[test]

@@ -39,6 +39,16 @@ thread_local! {
 /// Process-wide mutable state, same problem without the thread boundary.
 static mut CALLS: u64 = 0;
 
+/// Detached threads: each may still be stepping its server after this
+/// call returns, at a moment the host decides.
+pub fn catch_up_all(servers: Vec<Server>, deadline: u64) {
+    for mut server in servers {
+        std::thread::spawn(move || server.run_until(deadline));
+    }
+    let named = thread::Builder::new().name("catch-up".into());
+    let _ = named.spawn(|| ());
+}
+
 #[cfg(test)]
 mod tests {
     use std::collections::HashSet;

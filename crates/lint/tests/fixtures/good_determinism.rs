@@ -39,6 +39,16 @@ impl Field {
     }
 }
 
+/// Scoped threads: every one is joined before `scope` returns, so the
+/// servers are caught up when the call is, whichever thread ran each.
+pub fn catch_up_all(servers: &mut [Server], deadline: u64) {
+    std::thread::scope(|scope| {
+        for server in servers.iter_mut() {
+            scope.spawn(move || server.run_until(deadline));
+        }
+    });
+}
+
 /// One process-wide value, never mutated after initialization; and a
 /// `'static mut` borrow is a lifetime, not a `static mut` item.
 pub fn default_field(scratch: &'static mut u64) -> &'static Field {

@@ -37,4 +37,4 @@ pub mod programs;
 pub mod services;
 
 pub use programs::{CpuProgram, ProgramStats, SpecProgram};
-pub use services::{CloudService, ServiceStats, ServiceWorkload};
+pub use services::{CloudService, ServiceStats, ServiceStatsHandle, ServiceWorkload};
