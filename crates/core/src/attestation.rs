@@ -10,9 +10,10 @@ use crate::measurements::MeasurementSpec;
 use crate::messages::{AttestationReportMsg, MeasureRequest, MeasureResponse};
 use crate::pca::{PcaError, PrivacyCa};
 use crate::types::{HealthStatus, Image, SecurityProperty, ServerId, Vid};
+use crate::verify_ring::{HopVouchers, Vouched, Voucher};
 use monatt_crypto::batch::{batch_verify_each, BatchItem};
 use monatt_crypto::drbg::Drbg;
-use monatt_crypto::schnorr::{SigningKey, Verifier, VerifyingKey};
+use monatt_crypto::schnorr::{BoundKey, SigningKey, Verifier, VerifyingKey};
 use monatt_net::wire::EncodeScratch;
 
 /// Cold error constructors, outlined so the validation paths the
@@ -84,6 +85,48 @@ pub struct BatchValidationItem<'a> {
     pub expected_nonce3: [u8; 32],
 }
 
+/// One message 4 of a batch as validation reads it: the item, and the
+/// vouchers its record came with (none outside a run's helper).
+pub(crate) trait Msg4Entry {
+    fn item(&self) -> &BatchValidationItem<'_>;
+    fn vouchers(&self) -> HopVouchers<'_>;
+}
+
+impl Msg4Entry for BatchValidationItem<'_> {
+    fn item(&self) -> &BatchValidationItem<'_> {
+        self
+    }
+
+    fn vouchers(&self) -> HopVouchers<'_> {
+        HopVouchers::default()
+    }
+}
+
+impl Msg4Entry for (BatchValidationItem<'_>, HopVouchers<'_>) {
+    fn item(&self) -> &BatchValidationItem<'_> {
+        &self.0
+    }
+
+    fn vouchers(&self) -> HopVouchers<'_> {
+        self.1
+    }
+}
+
+/// Takes the helper's verdict on `check` when its voucher covers exactly
+/// these bytes; otherwise queues `check` for the batch and returns `None`.
+fn vouch_or_batch<'b>(
+    voucher: Option<Voucher<'_>>,
+    check: BatchItem<'b>,
+    batch: &mut Vec<BatchItem<'b>>,
+) -> Option<bool> {
+    let (key, message, signature) = check;
+    let verdict = voucher.and_then(|v| v.verdict(key, message, &signature));
+    if verdict.is_none() {
+        batch.push(check);
+    }
+    verdict.map(|v| v.is_ok())
+}
+
 /// The Attestation Server.
 pub struct AttestationServer {
     identity: SigningKey,
@@ -136,6 +179,12 @@ impl AttestationServer {
     /// Certified-AVK cache hits and misses.
     pub fn avk_cert_cache_stats(&self) -> (u64, u64) {
         self.pca.cache_stats()
+    }
+
+    /// The bound key the pCA verifies `identity`'s bindings against, if
+    /// that server is registered.
+    pub(crate) fn identity_anchor(&self, identity: &VerifyingKey) -> Option<&BoundKey> {
+        self.pca.identity_anchor(identity)
     }
 
     /// Certificates in the pCA's certified-AVK cache, and how many of
@@ -251,19 +300,45 @@ impl AttestationServer {
         expected_nonce3: [u8; 32],
         scratch: &mut EncodeScratch,
     ) -> Result<(), CloudError> {
+        self.validate_response_vouched(
+            response,
+            expected_vid,
+            expected_spec,
+            expected_nonce3,
+            scratch,
+            HopVouchers::default(),
+        )
+    }
+
+    /// [`Self::validate_response_with`], taking the helper's verdicts on
+    /// the binding and on Q3 where they cover exactly these bytes.
+    pub(crate) fn validate_response_vouched(
+        &mut self,
+        response: &MeasureResponse,
+        expected_vid: Vid,
+        expected_spec: MeasurementSpec,
+        expected_nonce3: [u8; 32],
+        scratch: &mut EncodeScratch,
+        vouchers: HopVouchers<'_>,
+    ) -> Result<(), CloudError> {
         check_echoes(response, expected_vid, expected_spec, expected_nonce3)?;
         let (cert, bound) = self
             .pca
-            .certify_bound(&response.cert_request)
+            .certify_bound(&response.cert_request, vouchers.binding)
             .map_err(certification_failure)?;
         let vid_bytes = response.vid.0.to_be_bytes();
         let (spec_bytes, meas_bytes) = scratch.encode_pair(&response.spec, &response.measurement);
         let fields: [&[u8]; 4] = [&vid_bytes, spec_bytes, meas_bytes, &response.nonce3];
         // A reused AVK the pCA has bound verifies through its table; the
         // checks are the same either way (`verify_equation`).
+        let avk = cert.attestation_key;
         let verdict = match bound {
-            Some(key) => response.quote.verify(key, &fields),
-            None => response.quote.verify(&cert.attestation_key, &fields),
+            Some(key) => response
+                .quote
+                .verify(&Vouched::new(key, avk, vouchers.quote), &fields),
+            None => response
+                .quote
+                .verify(&Vouched::new(&avk, avk, vouchers.quote), &fields),
         };
         verdict.map_err(|e| quote_failure("Q3", e))
     }
@@ -314,7 +389,18 @@ impl AttestationServer {
         items: &[BatchValidationItem<'_>],
         scratch: &mut EncodeScratch,
     ) -> Vec<Result<(), CloudError>> {
-        let n = items.len();
+        self.validate_batch_vouched(items, scratch)
+    }
+
+    /// [`Self::validate_response_batch`] over entries that may carry the
+    /// helper's verdicts: a signature check a voucher covers byte for
+    /// byte takes that verdict, and only the rest are batched.
+    pub(crate) fn validate_batch_vouched<E: Msg4Entry>(
+        &mut self,
+        entries: &[E],
+        scratch: &mut EncodeScratch,
+    ) -> Vec<Result<(), CloudError>> {
+        let n = entries.len();
         // Per-item cheap-check verdicts and whether each item's
         // certification request missed the cert cache (and therefore
         // needs its identity binding verified), built in lockstep.
@@ -324,11 +410,12 @@ impl AttestationServer {
         // before the batch is assembled so the borrows below can live
         // across the whole call.
         let mut avk_bytes: Vec<[u8; 32]> = Vec::with_capacity(n);
-        for item in items {
-            avk_bytes.push(item.response.cert_request.attestation_key.to_bytes());
+        for entry in entries {
+            let request = &entry.item().response.cert_request;
+            avk_bytes.push(request.attestation_key.to_bytes());
         }
-        for item in items {
-            match self.precheck_item(item, scratch) {
+        for entry in entries {
+            match self.precheck_item(entry.item(), scratch) {
                 Ok(nb) => {
                     failures.push(None);
                     needs_binding.push(nb);
@@ -339,37 +426,50 @@ impl AttestationServer {
                 }
             }
         }
-        // Assemble the signature batch: uncached identity bindings first,
-        // then one quote signature per surviving item.
+        // The signature checks of each surviving item — its uncached
+        // identity binding, then its quote — as `(item, is_binding,
+        // verdict)`. A vouched check has its verdict already; the rest
+        // are assembled into one batch.
         let mut sig_batch: Vec<BatchItem<'_>> = Vec::with_capacity(2 * n);
-        let mut owners: Vec<(usize, bool)> = Vec::with_capacity(2 * n); // (item, is_binding)
-        let per_item = items
+        let mut checks: Vec<(usize, bool, Option<bool>)> = Vec::with_capacity(2 * n);
+        let per_item = entries
             .iter()
             .zip(failures.iter())
             .zip(needs_binding.iter())
             .zip(avk_bytes.iter());
-        for (i, (((item, failure), binding), avk)) in per_item.enumerate() {
+        for (i, (((entry, failure), binding), avk)) in per_item.enumerate() {
             if failure.is_some() {
                 continue;
             }
-            let request = &item.response.cert_request;
+            let (response, vouchers) = (entry.item().response, entry.vouchers());
+            let request = &response.cert_request;
             if *binding {
-                sig_batch.push((request.identity_key, avk, request.identity_signature));
-                owners.push((i, true));
+                let check = (
+                    request.identity_key,
+                    avk.as_slice(),
+                    request.identity_signature,
+                );
+                let verdict = vouch_or_batch(vouchers.binding, check, &mut sig_batch);
+                checks.push((i, true, verdict));
             }
-            sig_batch.push((
+            let quote = &response.quote;
+            let check = (
                 request.attestation_key,
-                &item.response.quote.digest,
-                item.response.quote.signature,
-            ));
-            owners.push((i, false));
+                quote.digest.as_slice(),
+                quote.signature,
+            );
+            let verdict = vouch_or_batch(vouchers.quote, check, &mut sig_batch);
+            checks.push((i, false, verdict));
         }
-        let verdicts = batch_verify_each(&sig_batch);
-        for ((i, is_binding), verdict) in owners.iter().zip(verdicts.iter()) {
-            let Some(slot) = failures.get_mut(*i) else {
+        let mut batched = batch_verify_each(&sig_batch).into_iter();
+        for (_, _, verdict) in checks.iter_mut().filter(|(_, _, v)| v.is_none()) {
+            *verdict = Some(batched.next().is_some_and(|v| v.is_ok()));
+        }
+        for &(i, is_binding, verdict) in &checks {
+            let Some(slot) = failures.get_mut(i) else {
                 continue;
             };
-            if verdict.is_ok() || slot.is_some() {
+            if verdict == Some(true) || slot.is_some() {
                 continue;
             }
             *slot = Some(match is_binding {
@@ -379,10 +479,10 @@ impl AttestationServer {
         }
         // Issue (and cache) certificates for the bindings that held, so
         // follow-up sessions presenting the same binding hit the cache.
-        for ((i, is_binding), verdict) in owners.iter().zip(verdicts.iter()) {
-            if *is_binding && verdict.is_ok() && failures.get(*i).is_some_and(|f| f.is_none()) {
-                if let Some(item) = items.get(*i) {
-                    self.pca.issue(&item.response.cert_request);
+        for &(i, is_binding, verdict) in &checks {
+            if is_binding && verdict == Some(true) && failures.get(i).is_some_and(|f| f.is_none()) {
+                if let Some(entry) = entries.get(i) {
+                    self.pca.issue(&entry.item().response.cert_request);
                 }
             }
         }

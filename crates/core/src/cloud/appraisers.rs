@@ -74,6 +74,11 @@ impl Appraisers {
         Ok((attserver, &mut self.quote_scratch))
     }
 
+    /// Read access to one replica.
+    pub(crate) fn replica(&self, replica: u32) -> Option<&AttestationServer> {
+        self.replicas.get(replica as usize)
+    }
+
     /// The admission decision for one new session; `false` sheds it.
     pub(crate) fn admit(&mut self, in_flight: usize) -> bool {
         self.admission

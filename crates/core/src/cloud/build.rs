@@ -17,6 +17,7 @@ use crate::session::{SessionOrigin, SessionOutcome};
 use crate::types::{
     Flavor, HealthStatus, Image, NodeId, ProtocolStats, SecurityProperty, ServerId, Vid,
 };
+use crate::verify_ring::Offload;
 use monatt_attacks::boost::{boost_attack_drivers, BoostAttackVcpu};
 use monatt_attacks::covert::CovertSender;
 use monatt_crypto::drbg::Drbg;
@@ -517,6 +518,9 @@ impl CloudBuilder {
             programs: crate::protocol::ProgramRegistry::standard().map_err(|e| {
                 CloudError::protocol(format!("standard protocols did not compile: {e}"))
             })?,
+            offload: Offload::default(),
+            #[cfg(test)]
+            failures: Vec::new(),
         })
     }
 }

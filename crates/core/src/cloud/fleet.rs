@@ -37,9 +37,12 @@ pub(crate) struct Fleet {
     nodes: BTreeMap<ServerId, CloudServerNode>,
     /// The cloud seed; workload drivers derive theirs from it per VM.
     seed: u64,
-    /// Threads that share a busy catch-up: the host's hardware threads,
+    /// Threads that share a busy catch-up, and whether [`Cloud::run`]
+    /// gets a verification helper (`> 1`): the host's hardware threads,
     /// read once at build. Changes how the work runs, never its result.
-    workers: usize,
+    ///
+    /// [`Cloud::run`]: super::Cloud::run
+    pub(crate) workers: usize,
     /// The stage breakdown of the most recent launch (Figure 9).
     pub(crate) last_launch: Option<LaunchTiming>,
     /// Whether failed attestations trigger remediation on their own.

@@ -56,6 +56,7 @@ use crate::protocol::{CompileError, ProgramId, ProgramRegistry, Protocol};
 use crate::server::CloudServerNode;
 use crate::session::{CloudEvent, SessionId, SessionOrigin};
 use crate::types::{HealthStatus, NodeId, ProtocolStats, SecurityProperty, ServerId, Vid};
+use crate::verify_ring::Offload;
 use appraisers::Appraisers;
 use events::Events;
 use fleet::Fleet;
@@ -126,6 +127,13 @@ pub struct Cloud {
     /// variants, and anything registered through
     /// [`Cloud::register_protocol`].
     pub(crate) programs: ProgramRegistry,
+    /// The event loop's end of the verification helper's ring (see
+    /// [`crate::verify_ring`]): idle outside [`Cloud::run`].
+    pub(crate) offload: Offload,
+    /// Every failed subscription sample's error, in order: what the
+    /// tests compare across helper modes.
+    #[cfg(test)]
+    pub(crate) failures: Vec<(Vid, CloudError)>,
 }
 
 impl std::fmt::Debug for Cloud {

@@ -14,6 +14,7 @@ use super::{AttestationReport, Cloud};
 use crate::error::CloudError;
 use crate::session::{CloudEvent, SessionOrigin};
 use crate::types::{HealthStatus, SecurityProperty, Vid};
+use crate::verify_ring::Closing;
 use monatt_crypto::drbg::Drbg;
 
 /// The cadence of a periodic attestation (Table 1: "at the frequency of
@@ -217,7 +218,7 @@ impl Cloud {
             model.prime_control_plane(self.topology.control_nodes(), now);
         }
         self.schedule_due_outages();
-        self.pump(None);
+        self.pump_with_helper();
         self.events.horizon = None;
         // Attestation work may already have advanced the clock past
         // `end`; saturate so the final advance never overshoots the
@@ -225,6 +226,28 @@ impl Cloud {
         // (lazy pull), so even a zero advance settles every server
         // before handing control back: callers observe post-run state.
         self.advance(end.saturating_sub(self.events.now()));
+    }
+
+    /// Drains the queue ([`Cloud::pump`]) with the verification helper
+    /// alongside (see [`crate::verify_ring`]): one scoped thread that
+    /// verifies each record's signatures while the event loop goes on,
+    /// so the receiver finds the verdict ready. Only on a host with a
+    /// second hardware thread; otherwise, and for every API call, the
+    /// receivers verify inline as before. The helper drains its queue
+    /// before the scope joins it.
+    fn pump_with_helper(&mut self) {
+        let Some(ring) = self.offload.ring(self.fleet.workers) else {
+            return self.pump(None);
+        };
+        std::thread::scope(|scope| {
+            let helper = scope.spawn(|| ring.serve());
+            // Closes the ring on the way out, a panic included, so the
+            // scope can join the helper.
+            let _closing = Closing::new(&ring, helper.thread());
+            self.offload.helper = Some(helper.thread().clone());
+            self.pump(None);
+            self.offload.helper = None;
+        });
     }
 
     /// A subscription came due: start its attestation session. An error

@@ -22,9 +22,11 @@
 //! pairs are unique and the per-shard wheels each pop in `(due, seq)`
 //! order, the merged pop sequence is the global `(due, seq)` order —
 //! for *any* K and *any* key routing. K is therefore a pure structural
-//! decomposition seam (per-shard depth accounting today, a parallelism
-//! boundary tomorrow) that cannot perturb a trace: the K=1 golden trace
-//! is byte-identical at K=4 by construction, and a test pins it.
+//! decomposition seam (per-shard depth accounting) that cannot perturb
+//! a trace: the K=1 golden trace is byte-identical at K=4 by
+//! construction, and a test pins it. The shards are popped by one
+//! thread; the cloud's other threads verify signatures and catch up
+//! busy servers, never dispatch events.
 //!
 //! ## Past scheduling
 //!

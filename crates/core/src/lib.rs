@@ -72,6 +72,7 @@ pub mod protocol;
 pub mod server;
 pub(crate) mod session;
 pub mod types;
+pub(crate) mod verify_ring;
 
 pub use attestation::AttestationServer;
 pub use cloud::{

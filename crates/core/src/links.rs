@@ -282,6 +282,20 @@ impl Links {
 }
 
 #[cfg(test)]
+impl Links {
+    /// Re-keys `link` from `seed` and hands back a twin of its new
+    /// `(initiator, responder)` ends — the session key leaked to a
+    /// network attacker, which can then open and re-seal the link's
+    /// records.
+    pub(crate) fn leak(&mut self, link: LinkKey, seed: u64) -> (SecureChannel, SecureChannel) {
+        let pair = |links: &Links| links.handshake(&mut Drbg::from_seed(seed), link).unwrap();
+        let twin = pair(self);
+        *self.pair_mut(link).unwrap() = pair(self);
+        (twin.initiator, twin.responder)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::cloud::{Cloud, CloudBuilder};

@@ -8,6 +8,7 @@
 //! from the key alone* — preserving the server anonymity that prevents
 //! co-location probing (Section 3.4.2).
 
+use crate::verify_ring::{Vouched, Voucher};
 use monatt_crypto::drbg::Drbg;
 use monatt_crypto::schnorr::{BoundKey, Signature, SigningKey, VerifyingKey};
 use monatt_crypto::sha256::Sha256;
@@ -178,23 +179,26 @@ impl PrivacyCa {
     /// [`PcaError::UnregisteredServer`] if the identity key is unknown,
     /// [`PcaError::BadBinding`] if the identity signature is invalid.
     pub fn certify(&mut self, request: &CertificationRequest) -> Result<AvkCertificate, PcaError> {
-        self.certify_bound(request).map(|(cert, _)| cert)
+        self.certify_bound(request, None).map(|(cert, _)| cert)
     }
 
     /// [`Self::certify`], also handing back the certified AVK bound to its
     /// table when the server's slot holds one — the key the quote under
     /// this certificate verifies through. A cache hit binds the AVK if
     /// its slot has not yet: the second sight of a request is the first
-    /// sign the server reuses its key.
+    /// sign the server reuses its key. The binding takes the helper's
+    /// verdict when `binding` vouches for exactly these bytes.
     pub(crate) fn certify_bound(
         &mut self,
         request: &CertificationRequest,
+        binding: Option<Voucher<'_>>,
     ) -> Result<(AvkCertificate, Option<&BoundKey>), PcaError> {
         let Some(server) = self.registered.get_mut(&request.identity_key.to_bytes()) else {
             return Err(PcaError::UnregisteredServer);
         };
+        let identity = Vouched::new(&server.identity, request.identity_key, binding);
         if !self.cache_enabled {
-            if !request.verify_with(&server.identity) {
+            if !request.verify_with(&identity) {
                 return Err(PcaError::BadBinding);
             }
             return Ok((sign_certificate(&self.key, self.epoch, request), None));
@@ -211,7 +215,7 @@ impl PrivacyCa {
             }
             None => {
                 self.cache_misses += 1;
-                if !request.verify_with(&server.identity) {
+                if !request.verify_with(&identity) {
                     return Err(PcaError::BadBinding);
                 }
                 AvkSlot {
@@ -228,6 +232,13 @@ impl PrivacyCa {
     /// True when `identity` was registered at deployment time.
     pub(crate) fn is_registered(&self, identity: &VerifyingKey) -> bool {
         self.registered.contains_key(&identity.to_bytes())
+    }
+
+    /// The key `identity`'s bindings verify against: the one bound at
+    /// registration.
+    pub(crate) fn identity_anchor(&self, identity: &VerifyingKey) -> Option<&BoundKey> {
+        let server = self.registered.get(&identity.to_bytes())?;
+        Some(&server.identity)
     }
 
     /// Issues (and, when the cache is on, caches in the server's slot) a
@@ -375,9 +386,9 @@ mod tests {
         pca.register_server(tm.identity_key());
         let session = tm.begin_attestation();
         let request = session.certification_request();
-        let (_, bound) = pca.certify_bound(request).unwrap();
+        let (_, bound) = pca.certify_bound(request, None).unwrap();
         assert!(bound.is_none(), "a key seen once stays bare");
-        let (cert, bound) = pca.certify_bound(request).unwrap();
+        let (cert, bound) = pca.certify_bound(request, None).unwrap();
         assert_eq!(bound.map(BoundKey::key), Some(cert.attestation_key));
         assert_eq!(pca.cached_avks(), (1, 1));
         pca.bump_epoch();

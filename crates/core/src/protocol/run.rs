@@ -43,7 +43,10 @@ use crate::session::{
     lost_session, malformed, CloudEvent, Msg4Meta, PendingMsg4, SessionEvent, SessionId,
     SessionYield,
 };
+use crate::verify_ring::{HopTickets, HopVouchers, JobKey, Offload, Ticket, Vouched};
+use monatt_crypto::schnorr::BoundKey;
 use monatt_net::wire::Wire;
+use monatt_tpm::quote::Quote;
 
 /// A program counter escaped its compiled schedule — impossible for a
 /// program the compiler accepted, but surfaced as a typed error rather
@@ -51,6 +54,42 @@ use monatt_net::wire::Wire;
 #[cold]
 fn program_error() -> CloudError {
     CloudError::protocol("program counter outside compiled schedule")
+}
+
+/// Hands message 4's two signature checks to the verification helper:
+/// the attestation key's binding, under the identity key the routed
+/// replica's pCA bound at registration, and Q3, under the attestation
+/// key itself — what the replica will verify on receipt.
+fn vouch_msg4(
+    offload: &mut Offload,
+    attserver: Option<&AttestationServer>,
+    response: &MeasureResponse,
+) -> HopTickets {
+    if !offload.serving() {
+        return HopTickets::NONE;
+    }
+    let request = &response.cert_request;
+    let anchor = attserver.and_then(|a| a.identity_anchor(&request.identity_key));
+    let avk = request.attestation_key;
+    let binding = anchor.and_then(|anchor| {
+        let key = JobKey::Bound(anchor.clone());
+        offload.submit(key, avk.to_bytes(), request.identity_signature)
+    });
+    let quote = &response.quote;
+    HopTickets {
+        binding,
+        quote: offload.submit(JobKey::Bare(avk), quote.digest, quote.signature),
+    }
+}
+
+/// Hands a report's quote to the verification helper, under `anchor`:
+/// the key its receiver holds for the signer.
+fn vouch_quote(offload: &mut Offload, anchor: Option<&BoundKey>, quote: &Quote) -> Option<Ticket> {
+    if !offload.serving() {
+        return None;
+    }
+    let key = JobKey::Bound(anchor?.clone());
+    offload.submit(key, quote.digest, quote.signature)
 }
 
 impl Cloud {
@@ -157,10 +196,13 @@ impl Cloud {
             fleet,
             latency,
             topology,
+            offload,
+            customer_anchors,
             ..
         } = self;
         let now = events.now();
         let session = events.session_mut(sid)?;
+        session.tickets = HopTickets::NONE;
         match msg {
             MsgKind::Msg1 => CustomerRequest {
                 vid: session.vid,
@@ -198,21 +240,25 @@ impl Cloud {
                     .ok_or(CloudError::UnknownServer(session.server))?
                     .attest(req.vid, req.spec, req.nonce3)
                     .ok_or(CloudError::UnknownVm(session.vid))?;
-                MeasureResponse::from(response).encode_into(&mut session.wire)
+                let response = MeasureResponse::from(response);
+                let attserver = appraisers.replica(session.route.replica);
+                session.tickets = vouch_msg4(offload, attserver, &response);
+                response.encode_into(&mut session.wire)
             }
             MsgKind::Msg5 => {
                 let status = session.status.take().ok_or_else(lost_session)?;
                 let (attserver, scratch) = appraisers.routed(session.route.replica)?;
-                attserver
-                    .certify_report_with(
-                        session.vid,
-                        session.server,
-                        session.property,
-                        status,
-                        session.nonce2,
-                        scratch,
-                    )
-                    .encode_into(&mut session.wire)
+                let report = attserver.certify_report_with(
+                    session.vid,
+                    session.server,
+                    session.property,
+                    status,
+                    session.nonce2,
+                    scratch,
+                );
+                let anchor = fleet.controller.attserver_key(session.route.replica);
+                session.tickets.quote = vouch_quote(offload, anchor, &report.quote);
+                report.encode_into(&mut session.wire)
             }
             MsgKind::Msg6 => {
                 let status = session.status.take().ok_or_else(lost_session)?;
@@ -221,15 +267,17 @@ impl Cloud {
                     .controller
                     .instance_key(session.route.controller)
                     .ok_or_else(lost_session)?;
-                CloudController::certify_customer_report_keyed(
+                let report = CloudController::certify_customer_report_keyed(
                     key,
                     session.vid,
                     session.property,
                     status,
                     session.nonce1,
                     &mut appraisers.quote_scratch,
-                )
-                .encode_into(&mut session.wire)
+                );
+                let anchor = customer_anchors.get(session.route.controller as usize);
+                session.tickets.quote = vouch_quote(offload, anchor, &report.quote);
+                report.encode_into(&mut session.wire)
             }
         }
         session.msg = msg;
@@ -313,9 +361,10 @@ impl Cloud {
                     .controller
                     .attserver_key(session.route.replica)
                     .ok_or_else(lost_session)?;
+                let voucher = self.offload.vouchers(session.tickets).quote;
                 AttestationServer::verify_report_msg_with(
                     &report_msg,
-                    replica_key,
+                    &Vouched::new(replica_key, replica_key.key(), voucher),
                     session.nonce2,
                     &mut self.appraisers.quote_scratch,
                 )?;
@@ -331,9 +380,10 @@ impl Cloud {
                     .customer_anchors
                     .get(session.route.controller as usize)
                     .ok_or_else(lost_session)?;
+                let voucher = self.offload.vouchers(session.tickets).quote;
                 CloudController::verify_customer_report_with(
                     &report_msg,
-                    instance_key,
+                    &Vouched::new(instance_key, instance_key.key(), voucher),
                     session.nonce1,
                     &mut self.appraisers.quote_scratch,
                 )?;
@@ -356,9 +406,12 @@ impl Cloud {
             MeasureResponse::from_wire(bytes).map_err(|e| malformed("measure response", e))?;
         let session = self.events.session_mut(sid)?;
         let meta = session.msg4_meta().ok_or_else(lost_session)?;
+        let tickets = session.tickets;
         if self.appraisers.batch_window_us == 0 {
+            let vouchers = self.offload.vouchers(tickets);
             let (attserver, scratch) = self.appraisers.routed(meta.replica)?;
-            attserver.validate_response_with(&msg4, meta.vid, meta.spec, meta.nonce3, scratch)?;
+            let (vid, spec, nonce3) = (meta.vid, meta.spec, meta.nonce3);
+            attserver.validate_response_vouched(&msg4, vid, spec, nonce3, scratch, vouchers)?;
             return self.accept_msg4(sid, &meta, &msg4, 0);
         }
         if session.in_batch {
@@ -377,6 +430,7 @@ impl Cloud {
             msg4,
             meta,
             arrived_at_us: now,
+            tickets,
         });
         if pool.pending_msg4.len() >= pool.batch_max.max(1) {
             self.flush_msg4_batch();
@@ -453,12 +507,18 @@ impl Cloud {
             // allocation per window flush, amortized across every Msg4 in
             // the batch. The zero-alloc harness pins the non-batched warm
             // configuration to exactly zero.
-            let items: Vec<BatchValidationItem<'_>> = mine()
-                .map(|p| BatchValidationItem {
-                    response: &p.msg4,
-                    expected_vid: p.meta.vid,
-                    expected_spec: p.meta.spec,
-                    expected_nonce3: p.meta.nonce3,
+            // Each item travels with the vouchers of its record, so the
+            // validation takes the helper's verdicts where it has them.
+            let offload = &self.offload;
+            let items: Vec<(BatchValidationItem<'_>, HopVouchers<'_>)> = mine()
+                .map(|p| {
+                    let item = BatchValidationItem {
+                        response: &p.msg4,
+                        expected_vid: p.meta.vid,
+                        expected_spec: p.meta.spec,
+                        expected_nonce3: p.meta.nonce3,
+                    };
+                    (item, offload.vouchers(p.tickets))
                 })
                 .collect(); // #[allow(monatt::alloc_freedom)] lifetime-bound, amortized per batch
                             // Routes come from the topology the pool was built for, so
@@ -469,7 +529,7 @@ impl Cloud {
             // Batch validation assembles lifetime-bound signature slices
             // internally; its allocations are likewise per flush, not
             // per message. #[allow(monatt::alloc_freedom)]
-            let verdicts = attserver.validate_response_batch(&items, scratch);
+            let verdicts = attserver.validate_batch_vouched(&items, scratch);
             for (p, verdict) in mine().zip(verdicts) {
                 // The session leaves the batch before its fate is decided:
                 // whatever happens next (advance, typed failure), a

@@ -55,6 +55,7 @@ use crate::messages::MeasureResponse;
 use crate::protocol::compile::ProgramId;
 use crate::protocol::MsgKind;
 use crate::types::{HealthStatus, Image, NodeId, SecurityProperty, ServerId, Vid};
+use crate::verify_ring::HopTickets;
 use monatt_net::channel::ChannelError;
 
 pub(crate) use crate::arena::SessionId;
@@ -137,6 +138,8 @@ pub(crate) struct PendingMsg4 {
     /// Wall-clock instant the response reached the AS; the flush charges
     /// `flush_time - arrived_at_us` as coalescing wait.
     pub(crate) arrived_at_us: u64,
+    /// The verification helper's jobs for this response, if any.
+    pub(crate) tickets: HopTickets,
 }
 
 /// What the Attestation Server expects of a session's message 4, read
@@ -266,6 +269,10 @@ pub(crate) struct AttestSession {
     /// second park of the same hop (a straggler duplicate) must be
     /// counted once, never processed.
     pub(crate) in_batch: bool,
+    /// The verification helper's jobs for the record of the current hop
+    /// (see [`crate::verify_ring`]): submitted when the record is built,
+    /// consulted when it is received.
+    pub(crate) tickets: HopTickets,
     // ---- Fork/join state (see `crate::protocol::fork`) -------------
     /// Child sessions still running for the current `Fork` op; the
     /// parent is parked (and invisible to per-hop fail-fast) until
@@ -323,6 +330,7 @@ impl AttestSession {
         measure: None,
         status: None,
         in_batch: false,
+        tickets: HopTickets::NONE,
         fork_outstanding: 0,
         fork_started_us: 0,
         fork_slots: Vec::new(),
@@ -876,6 +884,10 @@ impl Cloud {
             SessionOrigin::Subscription(subscription) => {
                 let (vid, property) = (session.vid, session.property);
                 self.events.sessions.remove(sid);
+                #[cfg(test)]
+                if let Err(e) = &outcome {
+                    self.failures.push((vid, e.clone()));
+                }
                 let result = outcome.map(|y| crate::cloud::AttestationReport {
                     vid,
                     property,

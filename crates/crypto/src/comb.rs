@@ -22,9 +22,14 @@
 //!
 //! Like the rest of the crate this is not constant-time: the table index
 //! is the exponent's column.
+//!
+//! The tables are immutable once built and shared behind an [`Arc`], so
+//! a clone — a verifier handing its key to another thread — bumps a
+//! reference count instead of copying kilobytes.
 
 use crate::bigint::U256;
 use crate::montgomery::MontgomeryCtx;
+use std::sync::Arc;
 
 /// Rows the exponent is cut into; a table index has one bit per row.
 const ROWS: usize = 8;
@@ -40,7 +45,7 @@ pub struct Comb<const SUBTABLES: usize> {
     ctx: MontgomeryCtx,
     /// `tables[j][u]` is the product over the rows `i` set in `u` of
     /// `base^(2^(ROW_BITS·i + BLOCK·j))`, in Montgomery form.
-    tables: Box<[[U256; ENTRIES]; SUBTABLES]>,
+    tables: Arc<[[U256; ENTRIES]; SUBTABLES]>,
 }
 
 impl<const SUBTABLES: usize> Comb<SUBTABLES> {
@@ -76,7 +81,7 @@ impl<const SUBTABLES: usize> Comb<SUBTABLES> {
         }
         Comb {
             ctx: ctx.clone(),
-            tables,
+            tables: Arc::from(tables),
         }
     }
 

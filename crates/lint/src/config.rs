@@ -138,6 +138,7 @@ impl Default for Config {
                 "crates/core/src/arena.rs",
                 "crates/core/src/cloud/events.rs",
                 "crates/core/src/cloud/appraisers.rs",
+                "crates/core/src/verify_ring.rs",
                 "crates/hypervisor/src/wheel.rs",
                 "crates/hypervisor/src/engine.rs",
                 "crates/hypervisor/src/timers.rs",
