@@ -1,7 +1,6 @@
 //! Runs the chaos sweep: periodic attestation fleets under seeded
 //! crash/recovery churn, message loss, admission shedding and session
-//! deadlines, verifying the liveness invariants in every cell. Every
-//! cell runs on the K=4 sharded event engine (see `chaos::SHARDS`).
+//! deadlines, verifying the liveness invariants in every cell.
 //!
 //! `--smoke` runs a reduced grid for CI; `--control-plane` runs only
 //! the replicated control-plane churn grid (sharded controllers + AS

@@ -43,12 +43,6 @@ pub const SMOKE_MTBFS: [u64; 1] = [4_000_000];
 /// Smoke-run loss axis.
 pub const SMOKE_LOSSES: [f64; 1] = [0.10];
 
-/// Event-engine shards every cell runs on. Shard ordering is
-/// K-invariant (least `(due_us, seq)` wins the merge), so the sweep
-/// doubles as a liveness check of the sharded configuration: the
-/// committed numbers are identical to the K=1 engine's.
-pub const SHARDS: usize = 4;
-
 /// Virtual time each cell runs for.
 const HORIZON_US: u64 = 30_000_000;
 /// The shared subscription period.
@@ -117,7 +111,6 @@ fn measure(fleet: usize, mtbf_us: u64, loss: f64) -> ChaosRow {
         .servers(servers)
         .pcpus_per_server(16)
         .seed(seed)
-        .shards(SHARDS)
         .session_deadline(DEADLINE_US)
         // Three quarters of a simultaneous round: the burst at each
         // shared period sheds its tail, then hysteresis re-admits.
@@ -214,16 +207,7 @@ fn measure(fleet: usize, mtbf_us: u64, loss: f64) -> ChaosRow {
         outages.recoveries + cloud.down_nodes().len() as u64,
         "outage ledger out of balance: {outages:?}"
     );
-    // Invariant 5: the per-shard queue peaks break down the merged
-    // high-water mark — no shard ever held more than the whole engine.
-    let depths = cloud.shard_queue_depths();
-    assert_eq!(depths.len(), SHARDS, "shard breakdown missing: {depths:?}");
-    assert!(
-        depths.iter().all(|&d| d as u64 <= stats.max_queue_depth),
-        "shard peak above merged peak: {depths:?} vs {}",
-        stats.max_queue_depth
-    );
-    // Invariant 6: no VM is stranded on a crashed server.
+    // Invariant 5: no VM is stranded on a crashed server.
     let mut vms_alive = 0;
     let mut vms_terminated = 0;
     for &vid in &vids {
@@ -329,7 +313,6 @@ fn measure_control_plane(fleet: usize, k: u32, n: u32, mtbf_us: u64) -> ControlP
         .servers(servers)
         .pcpus_per_server(16)
         .seed(seed)
-        .shards(SHARDS)
         .control_plane(k, n)
         .session_deadline(DEADLINE_US)
         .admission_control((fleet * 3 / 4).max(2), (fleet * 3 / 8).max(1))

@@ -198,7 +198,6 @@ pub struct CloudBuilder {
     corrupted_platforms: Vec<usize>,
     session_deadline_us: Option<u64>,
     admission: Option<(usize, usize)>,
-    shards: usize,
     as_batch: Option<(u64, usize)>,
     evidence_ttl_us: Option<u64>,
     avk_cert_cache: bool,
@@ -226,7 +225,6 @@ impl CloudBuilder {
             corrupted_platforms: Vec::new(),
             session_deadline_us: None,
             admission: None,
-            shards: 1,
             as_batch: None,
             evidence_ttl_us: None,
             avk_cert_cache: false,
@@ -289,12 +287,11 @@ impl CloudBuilder {
         self
     }
 
-    /// Splits the event engine into `k` timer-wheel shards routed by
-    /// server id. Purely structural: the merged pop order — and hence
-    /// every trace, latency and RNG draw — is identical for any `k`
-    /// (values below 1 are clamped to 1). Default: 1.
-    pub fn shards(mut self, k: usize) -> Self {
-        self.shards = k.max(1);
+    /// Accepted and ignored: the cloud has one event queue. This exists
+    /// only because `benchmark/src/workloads.rs` calls `.shards(4)`, and
+    /// it goes once ROADMAP item 0 (e) drops that call.
+    #[doc(hidden)]
+    pub fn shards(self, _k: usize) -> Self {
         self
     }
 
@@ -496,7 +493,7 @@ impl CloudBuilder {
         Ok(Cloud {
             rng,
             customer_anchors,
-            events: Events::new(self.shards, self.session_deadline_us),
+            events: Events::new(self.session_deadline_us),
             fleet: Fleet::new(controller, servers, self.seed, self.auto_response),
             appraisers: Appraisers::new(
                 attservers,

@@ -1,28 +1,34 @@
 //! The event side of [`Cloud`](super::Cloud): the wall clock, the
-//! sharded event queue, the in-flight session arena, the run horizon
-//! and the per-session deadline budget.
+//! event queue, the in-flight session arena, the run horizon and the
+//! per-session deadline budget.
 //!
-//! Nothing else schedules or pops. [`Events::schedule`] is the one place
-//! a shard key is derived, [`Events::schedule_session`] the one place a
-//! session event is built, and [`Events::pop`] the one place the queue
-//! is drained — it moves the clock to the popped instant, so "dispatch
-//! advances time only by popping" holds by construction.
+//! Everything time-driven in the cloud — message deliveries,
+//! retransmission timeouts, measurement-window closings, periodic
+//! subscription firings, node crashes and recoveries, msg-4 batch
+//! flushes — is one entry in one `(due_us, seq)`-ordered
+//! [`EventQueue`], popped by one thread. The cloud's other threads
+//! verify signatures and catch up busy servers; they never dispatch.
+//!
+//! Nothing else schedules or pops. [`Events::schedule_session`] is the
+//! one place a session event is built, and [`Events::pop`] the one
+//! place the queue is drained — it moves the clock to the popped
+//! instant, so "dispatch advances time only by popping" holds by
+//! construction.
 
-use crate::engine::ShardedEngine;
+use monatt_hypervisor::queue::EventQueue;
+
 use crate::error::CloudError;
 use crate::session::{
     lost_session, AttestSession, CloudEvent, SessionArena, SessionEvent, SessionId,
 };
-use crate::types::NodeId;
 
 /// Clock, queue and session table. See the module docs.
 pub(crate) struct Events {
     /// Cloud wall clock, microseconds.
     now_us: u64,
-    /// The discrete-event queue every time-driven step goes through: a
-    /// K-sharded timer wheel whose merged pop order is independent of K
-    /// (see `crate::engine`).
-    engine: ShardedEngine<CloudEvent>,
+    /// The discrete-event queue every time-driven step goes through.
+    /// Its high-water depth is `ProtocolStats::max_queue_depth`.
+    queue: EventQueue<u64, CloudEvent>,
     /// In-flight attestation sessions: a slab arena whose slots retain
     /// their buffers across sessions (see [`crate::arena`]).
     pub(crate) sessions: SessionArena,
@@ -42,10 +48,10 @@ pub(crate) struct Events {
 }
 
 impl Events {
-    pub(crate) fn new(shards: usize, deadline_us: Option<u64>) -> Self {
+    pub(crate) fn new(deadline_us: Option<u64>) -> Self {
         Events {
             now_us: 0,
-            engine: ShardedEngine::new(shards),
+            queue: EventQueue::new(),
             sessions: SessionArena::new(),
             horizon: None,
             deadline_us,
@@ -66,24 +72,10 @@ impl Events {
         self.now_us += duration_us;
     }
 
-    /// Schedules an event. The shard key routes the entry to one of the
-    /// K wheels — session and outage traffic by server, subscription
-    /// firings by subscription id — but never affects the pop order
-    /// (see `crate::engine`).
+    /// Schedules an event. An instant already past fires "now", after
+    /// anything already due (see [`Events::pop`]).
     pub(crate) fn schedule(&mut self, due_us: u64, event: CloudEvent) {
-        let shard_key = match &event {
-            CloudEvent::Session { sid, .. } => {
-                self.sessions.get(*sid).map_or(0, |s| s.server.0 as u64)
-            }
-            CloudEvent::SubscriptionDue { id } => *id,
-            CloudEvent::Outage { node, .. } => match node {
-                NodeId::Server(s) => s.0 as u64,
-                NodeId::Controller(_) | NodeId::AttestationServer(_) => 0,
-            },
-            // The coalescing buffer is Attestation-Server state.
-            CloudEvent::Msg4Flush => 0,
-        };
-        self.engine.schedule(due_us, shard_key, event);
+        self.queue.schedule(due_us, event);
     }
 
     /// Schedules a session-step event.
@@ -97,7 +89,7 @@ impl Events {
     /// moves; server simulators catch up lazily at their next touch
     /// point, so dispatching an event costs O(1) in fleet size.
     pub(crate) fn pop(&mut self) -> Option<CloudEvent> {
-        let (due_us, event) = self.engine.pop()?;
+        let (due_us, event) = self.queue.pop()?;
         self.now_us = self.now_us.max(due_us);
         Some(event)
     }
@@ -118,15 +110,15 @@ impl Events {
         self.sessions.get_mut(sid).ok_or_else(lost_session)
     }
 
-    /// Read access to the queue, for its depth gauges (popping needs
-    /// `&mut`, so this cannot drain it).
-    pub(crate) fn queue(&self) -> &ShardedEngine<CloudEvent> {
-        &self.engine
+    /// High-water mark of the events pending since construction or the
+    /// last [`Events::reset_max_depth`].
+    pub(crate) fn max_depth(&self) -> usize {
+        self.queue.max_depth()
     }
 
-    /// Restarts every queue-depth high-water mark from the events
-    /// pending now.
-    pub(crate) fn reset_peaks(&mut self) {
-        self.engine.reset_peaks();
+    /// Restarts the queue-depth high-water mark from the events pending
+    /// now.
+    pub(crate) fn reset_max_depth(&mut self) {
+        self.queue.reset_max_depth();
     }
 }

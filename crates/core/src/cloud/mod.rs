@@ -203,24 +203,23 @@ impl Cloud {
     /// Per-hop protocol delivery counters (retries, drops seen,
     /// duplicates rejected, timeouts) and session gauges accumulated
     /// since the last reset. `max_queue_depth` is filled here, from
-    /// the engine's own high-water mark — the one place it is recorded.
+    /// the event queue's own high-water mark — the one place it is recorded.
     /// Read straight after [`Cloud::reset_protocol_stats`] it therefore
-    /// equals the events pending at the reset (the sum of
-    /// [`Cloud::shard_queue_depths`]), not zero.
+    /// equals the events pending at the reset, not zero.
     pub fn protocol_stats(&self) -> ProtocolStats {
         ProtocolStats {
-            max_queue_depth: self.events.queue().max_depth() as u64,
+            max_queue_depth: self.events.max_depth() as u64,
             ..self.stats
         }
     }
 
     /// Zeroes the protocol counters (e.g. between experiment phases).
-    /// The queue-depth high-water marks restart from the events pending
+    /// The queue-depth high-water mark restarts from the events pending
     /// right now, so the gauges describe the phase that follows, not
     /// the lifetime peak.
     pub fn reset_protocol_stats(&mut self) {
         self.stats = ProtocolStats::default();
-        self.events.reset_peaks();
+        self.events.reset_max_depth();
     }
 
     /// The per-hop retransmission policy in force.
@@ -295,14 +294,6 @@ impl Cloud {
                 CloudEvent::Msg4Flush => self.flush_msg4_batch(),
             }
         }
-    }
-
-    /// Per-shard high-water marks of the event-queue depth. With K=1
-    /// this is a one-element slice equal to
-    /// [`ProtocolStats::max_queue_depth`]; at K>1 the merged total stays
-    /// in the stats and the breakdown lives here.
-    pub fn shard_queue_depths(&self) -> &[usize] {
-        self.events.queue().shard_depths()
     }
 
     /// Executes an automatic remediation response, recording (instead of

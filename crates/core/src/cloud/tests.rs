@@ -492,8 +492,8 @@ fn session_gauges_track_protocol_activity() {
 }
 
 #[test]
-fn sharded_queue_depths_break_down_the_merged_stat() {
-    let mut c = CloudBuilder::new().servers(4).seed(907).shards(4).build();
+fn periodic_rounds_record_the_queue_depth() {
+    let mut c = CloudBuilder::new().servers(4).seed(907).build();
     let mut vids = Vec::new();
     for _ in 0..4 {
         vids.push(
@@ -510,20 +510,7 @@ fn sharded_queue_depths_break_down_the_merged_stat() {
             .unwrap();
     }
     c.run(2_000_001);
-    let stats = c.protocol_stats();
-    let depths = c.shard_queue_depths();
-    assert_eq!(depths.len(), 4, "one high-water mark per shard");
-    // The controller-side shard (0) carries the subscription timers and
-    // the controller/attserver hops; the per-server shards carry their
-    // own VMs' events. Every shard must have seen traffic, and no
-    // single-shard peak can exceed the merged high-water mark.
-    assert!(depths.iter().all(|&d| d >= 1), "idle shard in {depths:?}");
-    let merged = stats.max_queue_depth as usize;
-    assert!(merged >= 1);
-    assert!(
-        depths.iter().all(|&d| d <= merged),
-        "shard peak exceeds merged mark: {depths:?} vs {merged}"
-    );
+    assert!(c.protocol_stats().max_queue_depth >= 1);
 }
 
 #[test]
@@ -535,7 +522,7 @@ fn reset_protocol_stats_restarts_the_queue_depth_gauges() {
     };
     // What one flat attestation does to the gauges on a cloud that
     // never ran anything deeper.
-    let mut fresh = CloudBuilder::new().servers(4).seed(911).shards(4).build();
+    let mut fresh = CloudBuilder::new().servers(4).seed(911).build();
     let vid = launch(&mut fresh);
     fresh.reset_protocol_stats();
     fresh.runtime_attest_current(vid, prop).unwrap();
@@ -543,7 +530,7 @@ fn reset_protocol_stats_restarts_the_queue_depth_gauges() {
     assert!(flat_depth >= 1);
 
     // Deep warm-up: eight concurrent subscriptions for a round.
-    let mut c = CloudBuilder::new().servers(4).seed(911).shards(4).build();
+    let mut c = CloudBuilder::new().servers(4).seed(911).build();
     let vids: Vec<_> = (0..8).map(|_| launch(&mut c)).collect();
     let subs: Vec<_> = vids
         .iter()
@@ -556,22 +543,31 @@ fn reset_protocol_stats_restarts_the_queue_depth_gauges() {
     assert!(c.protocol_stats().max_queue_depth >= 8);
 
     c.reset_protocol_stats();
-    assert!(c.shard_queue_depths().iter().all(|&d| d == 0));
-    // Read straight after a reset, the merged gauge is the events
-    // pending now — what the shard breakdown says (nothing, here).
-    assert_eq!(
-        c.protocol_stats().max_queue_depth as usize,
-        c.shard_queue_depths().iter().sum::<usize>()
-    );
+    // Read straight after a reset, the gauge is the events pending now
+    // (nothing, here).
+    assert_eq!(c.protocol_stats().max_queue_depth, 0);
     c.runtime_attest_current(vids[0], prop).unwrap();
-    let merged = c.protocol_stats().max_queue_depth as usize;
     assert_eq!(
-        merged, flat_depth as usize,
+        c.protocol_stats().max_queue_depth,
+        flat_depth,
         "the gauge is this session's depth, not the warm-up's"
     );
-    let depths = c.shard_queue_depths();
-    assert!(depths.iter().all(|&d| d <= merged), "{depths:?}");
-    assert!(merged <= depths.iter().sum(), "{depths:?} vs {merged}");
+}
+
+#[test]
+fn a_past_due_event_fires_now_and_never_moves_the_clock_back() {
+    use super::events::Events;
+    use crate::session::CloudEvent;
+
+    let mut events = Events::new(None);
+    events.advance(1_000);
+    events.schedule(2_000, CloudEvent::Msg4Flush);
+    events.schedule(400, CloudEvent::Msg4Flush);
+    assert!(events.pop().is_some());
+    assert_eq!(events.now(), 1_000, "a past-due pop keeps the clock");
+    assert!(events.pop().is_some());
+    assert_eq!(events.now(), 2_000);
+    assert!(events.pop().is_none());
 }
 
 #[test]
@@ -1164,13 +1160,9 @@ fn registered_protocols_run_like_builtins() {
 }
 
 #[test]
-fn layered_and_fanout_reports_are_deterministic_across_shards() {
-    fn run(shards: usize) -> (Vec<AttestationReport>, u64) {
-        let mut c = CloudBuilder::new()
-            .servers(3)
-            .seed(41)
-            .shards(shards)
-            .build();
+fn layered_and_fanout_reports_are_deterministic() {
+    fn run() -> (Vec<AttestationReport>, u64) {
+        let mut c = CloudBuilder::new().servers(3).seed(41).build();
         let vid = c
             .request_vm(
                 VmRequest::new(Flavor::Small, Image::Ubuntu)
@@ -1192,13 +1184,7 @@ fn layered_and_fanout_reports_are_deterministic_across_shards() {
         ];
         (reports, c.drbg_probe())
     }
-    let (r1, d1) = run(1);
-    let (r4, d4) = run(4);
-    let (r7, d7) = run(7);
-    assert_eq!(r1, r4);
-    assert_eq!(r1, r7);
-    assert_eq!(d1, d4);
-    assert_eq!(d1, d7);
+    assert_eq!(run(), run());
 }
 
 #[test]

@@ -59,7 +59,6 @@ pub mod attestation;
 pub mod cloud;
 pub mod controller;
 pub mod controlplane;
-pub(crate) mod engine;
 pub mod error;
 pub mod interpret;
 pub mod latency;

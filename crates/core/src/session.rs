@@ -1,7 +1,7 @@
 //! Per-session transport machinery for compiled attestation programs.
 //!
 //! A session owns one protocol exchange and advances purely by
-//! reacting to events popped from the [`crate::engine`] queue: record
+//! reacting to events popped from the cloud's event queue: record
 //! arrivals, retransmission timeouts, measurement-window
 //! openings/closings and the final completion tick. Nothing blocks, so
 //! N sessions interleave on the same virtual clock and one stalled hop
@@ -653,8 +653,6 @@ impl Cloud {
                 }
             },
         };
-        // Session events shard by target server (routing only — never
-        // affects pop order; see `crate::engine`).
         for (due_us, event) in follow_ups.into_iter().flatten() {
             events.schedule_session(due_us, sid, event);
         }

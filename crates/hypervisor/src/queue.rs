@@ -1,16 +1,16 @@
-//! The reference virtual-time event queue: a `BinaryHeap` keyed
-//! `(key, seq)`.
+//! The virtual-time event queue: a `BinaryHeap` keyed `(key, seq)`.
 //!
-//! Both discrete-event engines in this workspace started on this heap
-//! and both have since moved to a structure shaped for their own queue:
-//! the cloud-level protocol engine in `monatt-core` pops a sharded
-//! [`crate::wheel::TimerWheel`] (10⁵ pending timers, tombstone cancel),
-//! and the per-server hypervisor simulator ([`crate::engine::ServerSim`])
-//! re-arms a fixed table of timer slots (about twenty live timers,
-//! cancel = overwrite). The heap stays as what both are checked
-//! against: it is the differential oracle of the wheel's and the slot
-//! table's proptests, and the `hypervisor.queue.*` leaves of the
-//! benchmark keep timing it beside the wheel.
+//! This is the cloud's one event queue: `monatt-core`'s event side
+//! schedules every message delivery, retransmission timeout, window
+//! closing, subscription firing and outage transition into one
+//! `EventQueue<u64, CloudEvent>` and pops it in a single loop. It is
+//! also the differential oracle of the two other structures in this
+//! crate that promise its order: the per-server simulator's re-armable
+//! timer slots ([`crate::engine::ServerSim`], about twenty live timers,
+//! cancel = overwrite) and the [`crate::wheel::TimerWheel`], which
+//! nothing in the workspace schedules into any more and which stays
+//! only because the benchmark's `hypervisor.wheel.*` leaves time it
+//! beside this heap's `hypervisor.queue.*` leaves.
 //!
 //! ## Ordering contract
 //!
@@ -18,23 +18,25 @@
 //! within one instant, insertion order (`seq` is assigned at
 //! [`EventQueue::schedule`] time and never reused). Because `seq` is
 //! unique the order is total — replaying the same schedule pops the
-//! same events in the same order every time. The wheel and the slot
-//! table promise the same order, which is what let each engine change
-//! structure without perturbing a single event.
+//! same events in the same order every time. That tie-break rule is
+//! what makes N interleaved attestation sessions deterministic without
+//! any per-session clock. The slot table and the wheel promise the
+//! same order.
 //!
 //! ## Past scheduling
 //!
 //! The queue itself allows scheduling at any key, including one earlier
-//! than the last pop. What the engines do with that differs, on
-//! purpose:
+//! than the last pop: such an entry pops before anything later, in
+//! `(key, seq)` order among its peers. What the engines do with that
+//! differs, on purpose:
 //!
 //! * `ServerSim::run_until` asserts monotonicity (`debug_assert!` that
 //!   no popped timer predates `now`): the hypervisor only ever arms
 //!   into the future, so a past timer there is a bug.
-//! * The cloud engine *permits* past scheduling — a remediation
-//!   response can advance the wall clock past instants scheduled
-//!   before it ran, and such events simply fire "now" (see
-//!   `monatt-core`'s `engine` module).
+//! * The cloud *permits* past scheduling — a remediation response can
+//!   advance the wall clock past instants scheduled before it ran, and
+//!   such events simply fire "now": the cloud's pop moves its clock to
+//!   `max(now, key)`, never backwards.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -123,9 +125,16 @@ impl<K: Ord + Copy, T> EventQueue<K, T> {
         self.heap.is_empty()
     }
 
-    /// High-water mark of pending events since construction.
+    /// High-water mark of pending events since construction or the
+    /// last [`EventQueue::reset_max_depth`].
     pub fn max_depth(&self) -> usize {
         self.max_depth
+    }
+
+    /// Restarts the high-water mark from the events pending now, so
+    /// read straight after a reset it equals [`EventQueue::len`].
+    pub fn reset_max_depth(&mut self) {
+        self.max_depth = self.heap.len();
     }
 }
 
@@ -143,6 +152,19 @@ mod tests {
         assert_eq!(q.pop(), Some((20, "b")));
         assert_eq!(q.pop(), Some((30, "c")));
         assert_eq!(q.pop(), None);
+        // Keyed before the last pop: fires before anything later, and
+        // past-due peers keep `(key, seq)` order among themselves.
+        q.schedule(40, "late");
+        q.schedule(5, "x");
+        q.schedule(3, "y");
+        q.schedule(5, "z");
+        assert_eq!(q.pop(), Some((3, "y")));
+        assert_eq!(q.pop(), Some((5, "x")));
+        q.schedule(35, "w");
+        assert_eq!(q.pop(), Some((5, "z")));
+        assert_eq!(q.pop(), Some((35, "w")));
+        assert_eq!(q.pop(), Some((40, "late")));
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -178,5 +200,12 @@ mod tests {
         q.schedule(4, ());
         assert_eq!(q.max_depth(), 3);
         assert_eq!(q.len(), 2);
+        // A reset restarts the mark from the pending depth.
+        q.reset_max_depth();
+        assert_eq!(q.max_depth(), 2);
+        q.pop();
+        q.schedule(5, ());
+        q.schedule(6, ());
+        assert_eq!(q.max_depth(), 3);
     }
 }

@@ -6,9 +6,10 @@
 //! most one compute deadline and one slice deadline per pCPU (a pCPU runs
 //! one vCPU; a compute that never ends arms no deadline), at most one
 //! wake per vCPU. Neither general queue in this crate fits that shape:
-//! a [`crate::queue::EventQueue`] cannot cancel, so every deschedule
-//! left its two run timers behind to be popped and discarded later (28 %
-//! of all pops on a busy server), and the [`crate::wheel::TimerWheel`]
+//! the [`crate::queue::EventQueue`] (the cloud's event queue) cannot
+//! cancel, so every deschedule left its two run timers behind to be
+//! popped and discarded later (28 % of all pops on a busy server), and
+//! the [`crate::wheel::TimerWheel`] (kept only for a benchmark leaf)
 //! pays a cascade per pop that only amortises over queues thousands
 //! deep, not twenty.
 //!

@@ -1,24 +1,23 @@
 //! Hierarchical timing wheel: O(1) schedule/pop for virtual-time timers.
 //!
-//! The [`crate::queue::EventQueue`] BinaryHeap pays `O(log n)` per
-//! operation, which at the cloud engine's scale target (10⁵ concurrent
-//! attestation sessions, each holding a retry timer, a deadline and a
-//! window event) puts a comparison tree on the hottest path in the
-//! repo. This module is the replacement: a Varghese–Lauck hierarchical
-//! timing wheel sized for the full `u64` microsecond virtual clock —
-//! **11 levels × 64 slots** (6 bits per level; 11·6 = 66 ≥ 64, so the
-//! top level only ever uses 16 of its slots). There is no overflow
-//! list and no epoch migration: every future instant files into
-//! exactly one slot.
+//! A Varghese–Lauck hierarchical timing wheel sized for the full `u64`
+//! microsecond virtual clock — **11 levels × 64 slots** (6 bits per
+//! level; 11·6 = 66 ≥ 64, so the top level only ever uses 16 of its
+//! slots). There is no overflow list and no epoch migration: every
+//! future instant files into exactly one slot.
+//!
+//! No shipped code schedules into it. The cloud's events go through
+//! the [`crate::queue::EventQueue`] heap, which at the cloud's depths
+//! is no slower and retains one buffer instead of 704 slot buffers
+//! (DESIGN.md §12); the wheel stays only because the benchmark's
+//! `hypervisor.wheel.*` leaves time it beside the heap.
 //!
 //! ## Ordering contract
 //!
-//! The wheel pops in exactly the `(due, seq)` total order of the heap
-//! it replaces, where `seq` is a caller-supplied monotonically
-//! increasing insertion stamp. That equivalence is what lets the cloud
-//! engine swap data structures without perturbing a single event — the
-//! golden-trace fixture pins it, and the differential proptests in
-//! this module check it against the retained BinaryHeap oracle.
+//! The wheel pops in exactly the `(due, seq)` total order of the heap,
+//! where `seq` is a caller-supplied monotonically increasing insertion
+//! stamp. The differential proptests in this module check it against
+//! the heap.
 //!
 //! ## How filing works
 //!
@@ -53,9 +52,9 @@
 //! a strictly lower level, so each entry cascades at most 10 times
 //! over its lifetime and the amortized cost per operation is O(1).
 //! Entries due at exactly the cursor live in a `current` buffer
-//! (sorted by `seq`); entries scheduled in the past — permitted by the
-//! cloud engine, they fire "now" — live in a sorted `overdue` buffer
-//! in front of everything else.
+//! (sorted by `seq`); entries scheduled in the past — permitted, they
+//! fire "now" — live in a sorted `overdue` buffer in front of
+//! everything else.
 //!
 //! ## Cancellation
 //!
@@ -116,26 +115,17 @@ impl<T> Default for TimerWheel<T> {
 }
 
 impl<T> TimerWheel<T> {
-    /// Creates an empty wheel with no pre-reserved slot capacity.
+    /// Creates an empty wheel. Slot `Vec`s keep their capacity across
+    /// drains, so a warmed steady state schedules and pops without
+    /// touching the allocator.
     pub fn new() -> Self {
-        Self::with_slot_capacity(0)
-    }
-
-    /// Creates an empty wheel whose slot buckets and staging buffers
-    /// are pre-reserved to `cap` entries each, so a warmed steady
-    /// state schedules and pops without touching the allocator (slot
-    /// `Vec`s keep their capacity across drains).
-    #[cold]
-    pub fn with_slot_capacity(cap: usize) -> Self {
         TimerWheel {
             cursor: 0,
-            slots: (0..LEVELS * SLOTS_PER_LEVEL)
-                .map(|_| Vec::with_capacity(cap))
-                .collect(),
+            slots: (0..LEVELS * SLOTS_PER_LEVEL).map(|_| Vec::new()).collect(),
             occupancy: [0; LEVELS],
-            overdue: VecDeque::with_capacity(cap),
-            current: VecDeque::with_capacity(cap),
-            scratch: Vec::with_capacity(cap),
+            overdue: VecDeque::new(),
+            current: VecDeque::new(),
+            scratch: Vec::new(),
             cancelled: BTreeSet::new(),
             len: 0,
         }
@@ -184,18 +174,6 @@ impl<T> TimerWheel<T> {
         self.current.front().map(|e| (e.due, e.seq))
     }
 
-    /// The `(due, payload)` of the next live entry, without removing
-    /// it. Same settling caveat as [`Self::peek`].
-    pub fn peek_payload(&mut self) -> Option<(u64, &T)> {
-        if self.len == 0 || !self.settle() {
-            return None;
-        }
-        if let Some(e) = self.overdue.front() {
-            return Some((e.due, &e.payload));
-        }
-        self.current.front().map(|e| (e.due, &e.payload))
-    }
-
     /// Removes and returns the live entry with the smallest
     /// `(due, seq)` key.
     pub fn pop(&mut self) -> Option<(u64, u64, T)> {
@@ -215,8 +193,8 @@ impl<T> TimerWheel<T> {
     fn file(&mut self, e: Entry<T>) {
         if e.due < self.cursor {
             // Scheduled in the past: fires "now", ordered by (due, seq)
-            // among its overdue peers. Rare — the cloud engine's clock
-            // only moves on pops — so the O(n) ordered insert is fine.
+            // among its overdue peers. Rare, so the O(n) ordered insert
+            // is fine.
             let pos = self
                 .overdue
                 .partition_point(|x| (x.due, x.seq) < (e.due, e.seq));
@@ -317,8 +295,8 @@ mod tests {
     use crate::queue::EventQueue;
     use proptest::prelude::*;
 
-    /// Thin harness assigning monotone stamps, mirroring how the cloud
-    /// engine drives the wheel.
+    /// Thin harness assigning monotone stamps, as a caller drives the
+    /// wheel.
     struct Stamped {
         wheel: TimerWheel<u64>,
         next_seq: u64,

@@ -121,6 +121,7 @@ impl Default for Config {
             // kernel stays panic-checked even if the crate-level scope
             // is ever narrowed.
             panic_files: strings(&[
+                "crates/hypervisor/src/queue.rs",
                 "crates/hypervisor/src/wheel.rs",
                 "crates/hypervisor/src/timers.rs",
                 "crates/core/src/controlplane.rs",
@@ -139,6 +140,7 @@ impl Default for Config {
                 "crates/core/src/cloud/events.rs",
                 "crates/core/src/cloud/appraisers.rs",
                 "crates/core/src/verify_ring.rs",
+                "crates/hypervisor/src/queue.rs",
                 "crates/hypervisor/src/wheel.rs",
                 "crates/hypervisor/src/engine.rs",
                 "crates/hypervisor/src/timers.rs",

@@ -120,7 +120,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              aborts.\n\
              \n\
              In `core`, `net`, `crypto`, `tpm` (and enrolled files such as the\n\
-             hypervisor timer wheel), `.unwrap()`, `.expect()`, the panic! macro\n\
+             hypervisor event queue), `.unwrap()`, `.expect()`, the panic! macro\n\
              family, and unguarded slice indexing are banned outside tests: a\n\
              Dolev-Yao attacker controls wire bytes, so any reachable panic is a\n\
              remote crash. Kernel crates (`crypto`) keep loop-counter indexing;\n\
@@ -158,7 +158,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              tests/zero_alloc.rs proves 64 warm rounds allocate zero times, but\n\
              only on the paths it executes. This rule is the static twin: in the\n\
              enrolled warm-path files (wire encode_into, channel seal/open, the\n\
-             timer wheel, session state machine, session arena, the simulator's\n\
+             event queue, session state machine, session arena, the simulator's\n\
              engine, timer slots and workload drivers), functions may not\n\
              call allocating APIs (Vec::new, vec!, to_vec, collect, format!,\n\
              Box::new, Rc/Arc::new, String::from/new, to_string, to_owned,\n\

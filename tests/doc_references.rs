@@ -10,7 +10,7 @@
 //!   any module, and `monatt_perf` is the `benchmark/` package;
 //! * a backticked file path must exist. A path whose first component is
 //!   an entry of the repository root is repo-relative; any other (the
-//!   `core/src/engine.rs`, `cloud/events.rs` shorthand) must exist under
+//!   `core/src/session.rs`, `cloud/events.rs` shorthand) must exist under
 //!   `crates/` or under some `crates/<crate>/src/`.
 //!
 //! DESIGN.md also has a size budget: it states the current design once

@@ -35,10 +35,6 @@ fn push_report(lines: &mut Vec<String>, tag: &str, index: usize, r: &Attestation
     ));
 }
 
-fn scenario_trace_sharded(shards: usize) -> String {
-    scenario_trace_with(|b| b.shards(shards))
-}
-
 fn scenario_trace_with(tweak: impl FnOnce(CloudBuilder) -> CloudBuilder) -> String {
     let mut lines = Vec::new();
     let mut c = tweak(CloudBuilder::new().servers(3).seed(2025)).build();
@@ -126,7 +122,7 @@ fn scenario_trace_with(tweak: impl FnOnce(CloudBuilder) -> CloudBuilder) -> Stri
 }
 
 fn scenario_trace() -> String {
-    scenario_trace_sharded(1)
+    scenario_trace_with(|b| b)
 }
 
 #[test]
@@ -181,13 +177,4 @@ fn dormant_control_plane_trace_is_byte_identical() {
         FIXTURE,
         "K=1/N=1 control plane diverged"
     );
-}
-
-#[test]
-fn sharded_engine_trace_is_byte_identical() {
-    // Sharding the event engine is structural only: the global sequence
-    // counter and least-(due, seq) merge make the pop order — and hence
-    // latencies, RNG draw order and every report — independent of K.
-    assert_eq!(scenario_trace_sharded(4), FIXTURE, "K=4 trace diverged");
-    assert_eq!(scenario_trace_sharded(7), FIXTURE, "K=7 trace diverged");
 }

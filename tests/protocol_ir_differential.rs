@@ -8,13 +8,12 @@
 //! at random (they are wire-fixed validations, not behaviour). Each
 //! generated program must:
 //!
-//! 1. compile (`Cloud::register_protocol` accepts it),
-//! 2. run **identically** across `ShardedEngine` widths 1, 4 and 7
-//!    (same verdict, same virtual latency, same DRBG draw count), and
-//! 3. terminate under a 30% message-drop fault model — a `Done` verdict
+//! 1. compile (`Cloud::register_protocol` accepts it) and reach a
+//!    verdict on a clean network,
+//! 2. terminate under a 30% message-drop fault model — a `Done` verdict
 //!    or a typed error, never a hang (the synchronous pump returning at
 //!    all is the liveness proof in a discrete-event engine), and
-//! 4. verify symbolically: lowered by `monatt_verifier::lower`, the full
+//! 3. verify symbolically: lowered by `monatt_verifier::lower`, the full
 //!    protocol holds on every gate path without truncating the search.
 
 use cloudmonatt::core::{
@@ -135,20 +134,15 @@ fn build_program(customer: bool, body: &Body, claims: bool) -> Protocol {
     Protocol::Seq(steps)
 }
 
-/// Compiles and runs `program` on a fresh cloud at the given shard
-/// width, returning the report (or typed error) and the DRBG probe.
+/// Compiles and runs `program` on a fresh cloud, returning the report
+/// (or typed error).
 fn run_once(
     program: &Protocol,
     property: SecurityProperty,
-    shards: usize,
     seed: u64,
     drop: bool,
-) -> (Result<AttestationReport, String>, u64) {
-    let mut cloud = CloudBuilder::new()
-        .servers(2)
-        .seed(seed)
-        .shards(shards)
-        .build();
+) -> Result<AttestationReport, String> {
+    let mut cloud = CloudBuilder::new().servers(2).seed(seed).build();
     let vid = cloud
         .request_vm(
             VmRequest::new(Flavor::Small, Image::Cirros)
@@ -164,19 +158,17 @@ fn run_once(
             .network_mut()
             .set_fault_model(FaultModel::new(seed ^ 0xD0).drop_prob(0.30));
     }
-    let outcome = cloud
+    cloud
         .attest_with_program(vid, property, id)
-        .map_err(|e| e.to_string());
-    (outcome, cloud.drbg_probe())
+        .map_err(|e| e.to_string())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every well-formed program compiles and its run is bit-identical
-    /// across engine shard widths 1, 4 and 7.
+    /// Every well-formed program compiles and reaches a verdict.
     #[test]
-    fn programs_run_identically_across_shards(
+    fn programs_compile_and_reach_a_verdict(
         customer in arb_bool(),
         body in arb_body(),
         claims in arb_bool(),
@@ -184,16 +176,10 @@ proptest! {
         seed in 0u64..500,
     ) {
         let program = build_program(customer, &body, claims);
-        let (r1, d1) = run_once(&program, property, 1, seed, false);
-        let (r4, d4) = run_once(&program, property, 4, seed, false);
-        let (r7, d7) = run_once(&program, property, 7, seed, false);
-        prop_assert_eq!(&r1, &r4, "K=1 vs K=4 diverged for {:?}", program);
-        prop_assert_eq!(&r1, &r7, "K=1 vs K=7 diverged for {:?}", program);
-        prop_assert_eq!(d1, d4);
-        prop_assert_eq!(d1, d7);
         // A clean-network run of a well-formed program always reaches a
         // verdict (Gate may certify a negative one, never an error).
-        prop_assert!(r1.is_ok(), "clean run failed: {:?}", r1);
+        let outcome = run_once(&program, property, seed, false);
+        prop_assert!(outcome.is_ok(), "clean run failed: {:?}", outcome);
     }
 
     /// Under a 30% drop rate every program still terminates with a
@@ -210,7 +196,7 @@ proptest! {
         let program = build_program(customer, &body, claims);
         // Returning at all is the liveness property; both verdicts and
         // typed failures are acceptable outcomes on a lossy network.
-        let (outcome, _) = run_once(&program, property, 4, seed, true);
+        let outcome = run_once(&program, property, seed, true);
         match outcome {
             Ok(report) => prop_assert!(report.elapsed_us > 0),
             Err(reason) => prop_assert!(!reason.is_empty()),

@@ -6,13 +6,13 @@
 //! thread (the harness runs the tests of this binary in parallel, one
 //! thread each). The test
 //! builds a one-server cloud, launches a VM (the network transcript
-//! log stays off, its default), and warms the session/arena/wheel
+//! log stays off, its default), and warms the session/arena/queue
 //! buffers with a batch of direct attestations. After warm-up, every
 //! further attestation round must perform **zero** heap allocations: the slab
 //! arena recycles the session slot, `Wire::encode_into` reuses the
 //! session's wire buffer, the channel seals and opens into retained
-//! scratch buffers, and the timer wheel's slot `VecDeque`s have reached
-//! their steady-state capacity.
+//! scratch buffers, and the event queue's heap has reached its
+//! steady-state capacity.
 //!
 //! This pins the perf claim structurally: it is impossible for a later
 //! change to quietly reintroduce per-round heap traffic without this
@@ -107,7 +107,7 @@ fn warm_attestation_rounds_do_not_allocate() {
         .expect("launch");
 
     // Warm-up: let every reusable buffer (session wire/sealed/inbox,
-    // cloud scratch, wheel slots, channel replay windows) reach its
+    // cloud scratch, the event heap, channel replay windows) reach its
     // steady-state capacity.
     for _ in 0..32 {
         cloud
