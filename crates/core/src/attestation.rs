@@ -8,41 +8,22 @@ use crate::error::CloudError;
 use crate::interpret::{interpret, property_to_spec, ReferenceDb};
 use crate::measurements::MeasurementSpec;
 use crate::messages::{AttestationReportMsg, MeasureRequest, MeasureResponse};
-use crate::pca::{PcaError, PrivacyCa};
+use crate::pca::PrivacyCa;
 use crate::types::{HealthStatus, Image, SecurityProperty, ServerId, Vid};
-use crate::verify_ring::{HopVouchers, Vouched, Voucher};
+use crate::verify_ring::HopVouchers;
 use monatt_crypto::batch::{batch_verify_each, BatchItem};
 use monatt_crypto::drbg::Drbg;
+use monatt_crypto::error::CryptoError;
 use monatt_crypto::schnorr::{BoundKey, SigningKey, Verifier, VerifyingKey};
 use monatt_net::wire::EncodeScratch;
+use monatt_tpm::quote::{Quote, QuoteError};
+use std::collections::BTreeMap;
 
-/// Cold error constructors, outlined so the validation paths the
-/// session warm loop calls into allocate nothing when every check
-/// passes. The serial and batch paths share them, which also keeps
-/// their error strings aligned check for check.
+/// Cold error constructors, outlined so the validation path the session
+/// warm loop calls into allocates nothing when every check passes.
 #[cold]
 fn vid_mismatch(expected: Vid, got: Vid) -> CloudError {
     CloudError::protocol(format!("vid mismatch: expected {expected}, got {got}"))
-}
-
-/// The vid / spec / nonce-N3 echo checks every msg-4 validation opens
-/// with — one function, so the serial and batch paths cannot drift.
-fn check_echoes(
-    response: &MeasureResponse,
-    expected_vid: Vid,
-    expected_spec: MeasurementSpec,
-    expected_nonce3: [u8; 32],
-) -> Result<(), CloudError> {
-    if response.vid != expected_vid {
-        return Err(vid_mismatch(expected_vid, response.vid));
-    }
-    if response.spec != expected_spec {
-        return Err(CloudError::protocol("measurement spec mismatch"));
-    }
-    if response.nonce3 != expected_nonce3 {
-        return Err(CloudError::protocol("nonce N3 mismatch (possible replay)"));
-    }
-    Ok(())
 }
 
 #[cold]
@@ -54,8 +35,11 @@ fn certification_failure(e: impl std::fmt::Display) -> CloudError {
 fn quote_failure(which: &str, e: impl std::fmt::Display) -> CloudError {
     CloudError::protocol(format!("quote {which} verification failed: {e}"))
 }
-use monatt_tpm::quote::{Quote, QuoteError};
-use std::collections::BTreeMap;
+
+#[cold]
+fn bad_q3(_: CryptoError) -> CloudError {
+    quote_failure("Q3", QuoteError::BadSignature)
+}
 
 /// A property verdict held by the Property Certification Module for reuse
 /// inside its validity window (the sub-attestation-reuse idea from Ozga et
@@ -73,7 +57,8 @@ pub struct CachedEvidence {
     pub valid_until_us: u64,
 }
 
-/// One msg-4 of a coalesced batch awaiting AS validation.
+/// One message 4 and what its session expects of it: what the validator
+/// checks, alone or in a coalesced batch.
 pub struct BatchValidationItem<'a> {
     /// The decoded measurement response.
     pub response: &'a MeasureResponse,
@@ -83,48 +68,6 @@ pub struct BatchValidationItem<'a> {
     pub expected_spec: MeasurementSpec,
     /// The session's freshness nonce N3.
     pub expected_nonce3: [u8; 32],
-}
-
-/// One message 4 of a batch as validation reads it: the item, and the
-/// vouchers its record came with (none outside a run's helper).
-pub(crate) trait Msg4Entry {
-    fn item(&self) -> &BatchValidationItem<'_>;
-    fn vouchers(&self) -> HopVouchers<'_>;
-}
-
-impl Msg4Entry for BatchValidationItem<'_> {
-    fn item(&self) -> &BatchValidationItem<'_> {
-        self
-    }
-
-    fn vouchers(&self) -> HopVouchers<'_> {
-        HopVouchers::default()
-    }
-}
-
-impl Msg4Entry for (BatchValidationItem<'_>, HopVouchers<'_>) {
-    fn item(&self) -> &BatchValidationItem<'_> {
-        &self.0
-    }
-
-    fn vouchers(&self) -> HopVouchers<'_> {
-        self.1
-    }
-}
-
-/// Takes the helper's verdict on `check` when its voucher covers exactly
-/// these bytes; otherwise queues `check` for the batch and returns `None`.
-fn vouch_or_batch<'b>(
-    voucher: Option<Voucher<'_>>,
-    check: BatchItem<'b>,
-    batch: &mut Vec<BatchItem<'b>>,
-) -> Option<bool> {
-    let (key, message, signature) = check;
-    let verdict = voucher.and_then(|v| v.verdict(key, message, &signature));
-    if verdict.is_none() {
-        batch.push(check);
-    }
-    verdict.map(|v| v.is_ok())
 }
 
 /// The Attestation Server.
@@ -283,11 +226,10 @@ impl AttestationServer {
         }
     }
 
-    /// Validates a cloud server's response: certifies the session key via
-    /// the pCA, then checks the quote digest and signature and the nonce
-    /// and vid echoes. The caller provides the encode scratch, so the
-    /// warm attestation path rebuilds the quote fields without
-    /// allocating.
+    /// Validates a cloud server's response (message 4) on its own: runs
+    /// the one per-response check sequence and verifies a bare Q3 on the
+    /// spot. The caller provides the encode scratch, so the warm
+    /// attestation path rebuilds the quote fields without allocating.
     ///
     /// # Errors
     ///
@@ -300,199 +242,127 @@ impl AttestationServer {
         expected_nonce3: [u8; 32],
         scratch: &mut EncodeScratch,
     ) -> Result<(), CloudError> {
-        self.validate_response_vouched(
+        let item = BatchValidationItem {
             response,
             expected_vid,
             expected_spec,
             expected_nonce3,
-            scratch,
-            HopVouchers::default(),
-        )
+        };
+        self.validate_one(&item, HopVouchers::default(), scratch)
     }
 
     /// [`Self::validate_response_with`], taking the helper's verdicts on
     /// the binding and on Q3 where they cover exactly these bytes.
-    pub(crate) fn validate_response_vouched(
+    pub(crate) fn validate_one(
         &mut self,
-        response: &MeasureResponse,
-        expected_vid: Vid,
-        expected_spec: MeasurementSpec,
-        expected_nonce3: [u8; 32],
-        scratch: &mut EncodeScratch,
+        item: &BatchValidationItem<'_>,
         vouchers: HopVouchers<'_>,
+        scratch: &mut EncodeScratch,
     ) -> Result<(), CloudError> {
-        check_echoes(response, expected_vid, expected_spec, expected_nonce3)?;
+        match self.check_msg4(item, vouchers, scratch)? {
+            Some((avk, digest, signature)) => avk.verify(digest, &signature).map_err(bad_q3),
+            None => Ok(()),
+        }
+    }
+
+    /// Validates a coalesced batch of measurement responses, returning one
+    /// verdict per item in order.
+    ///
+    /// Each item runs the same check sequence as
+    /// [`Self::validate_response_with`], in item order, so an item sees
+    /// the certifications of the items before it. The bare Q3 signatures
+    /// that sequence leaves are verified together in one
+    /// random-linear-combination [`batch_verify_each`] call; a batch that
+    /// fails the combined equation falls back to serial verification
+    /// inside that call, so a forged quote is rejected exactly and never
+    /// poisons its batch-mates.
+    pub fn validate_response_batch(
+        &mut self,
+        items: &[BatchValidationItem<'_>],
+        scratch: &mut EncodeScratch,
+    ) -> Vec<Result<(), CloudError>> {
+        let vouchers = std::iter::repeat(HopVouchers::default());
+        self.validate_batch(items, vouchers, scratch)
+    }
+
+    /// [`Self::validate_response_batch`], each item taking the helper's
+    /// verdicts from the vouchers alongside it.
+    pub(crate) fn validate_batch<'v>(
+        &mut self,
+        items: &[BatchValidationItem<'_>],
+        vouchers: impl IntoIterator<Item = HopVouchers<'v>>,
+        scratch: &mut EncodeScratch,
+    ) -> Vec<Result<(), CloudError>> {
+        // Per flush, not per message: the verdicts, and the bare Q3s
+        // with the items they belong to.
+        let mut verdicts = Vec::with_capacity(items.len()); // #[allow(monatt::alloc_freedom)] one per flush
+        let mut bare = Vec::new(); // #[allow(monatt::alloc_freedom)] one per flush
+        let mut bare_at = Vec::new(); // #[allow(monatt::alloc_freedom)] one per flush
+        for (item, vouchers) in items.iter().zip(vouchers) {
+            let verdict = self.check_msg4(item, vouchers, scratch);
+            if let Ok(Some(q3)) = verdict {
+                bare.push(q3);
+                bare_at.push(verdicts.len());
+            }
+            verdicts.push(verdict.map(drop));
+        }
+        // #[allow(monatt::alloc_freedom)] one verdict list per flush
+        let batched = batch_verify_each(&bare);
+        for (i, verdict) in bare_at.into_iter().zip(batched) {
+            if let (Err(e), Some(slot)) = (verdict, verdicts.get_mut(i)) {
+                *slot = Err(bad_q3(e));
+            }
+        }
+        verdicts
+    }
+
+    /// The one per-response check sequence of message 4, in the paper's
+    /// order, whichever way the response arrives: the vid, spec and N3
+    /// echoes; the pCA's certification of AVKs
+    /// ([`PrivacyCa::certify_bound`]); the quote digest over the rebuilt
+    /// fields; Q3's signature, through the helper's verdict or else the
+    /// slot's bound AVK. A Q3 with neither is handed back unverified, as
+    /// the check its caller runs on the spot or joins to a batch.
+    fn check_msg4<'a>(
+        &mut self,
+        item: &BatchValidationItem<'a>,
+        vouchers: HopVouchers<'_>,
+        scratch: &mut EncodeScratch,
+    ) -> Result<Option<BatchItem<'a>>, CloudError> {
+        let response = item.response;
+        if response.vid != item.expected_vid {
+            return Err(vid_mismatch(item.expected_vid, response.vid));
+        }
+        if response.spec != item.expected_spec {
+            return Err(CloudError::protocol("measurement spec mismatch"));
+        }
+        if response.nonce3 != item.expected_nonce3 {
+            return Err(CloudError::protocol("nonce N3 mismatch (possible replay)"));
+        }
         let (cert, bound) = self
             .pca
             .certify_bound(&response.cert_request, vouchers.binding)
             .map_err(certification_failure)?;
         let vid_bytes = response.vid.0.to_be_bytes();
         let (spec_bytes, meas_bytes) = scratch.encode_pair(&response.spec, &response.measurement);
-        let fields: [&[u8]; 4] = [&vid_bytes, spec_bytes, meas_bytes, &response.nonce3];
-        // A reused AVK the pCA has bound verifies through its table; the
-        // checks are the same either way (`verify_equation`).
-        let avk = cert.attestation_key;
-        let verdict = match bound {
-            Some(key) => response
-                .quote
-                .verify(&Vouched::new(key, avk, vouchers.quote), &fields),
-            None => response
-                .quote
-                .verify(&Vouched::new(&avk, avk, vouchers.quote), &fields),
-        };
-        verdict.map_err(|e| quote_failure("Q3", e))
-    }
-
-    /// The cheap per-item checks of the batch path — vid/spec/nonce
-    /// echoes, server registration, quote digest — mirroring the serial
-    /// [`Self::validate_response_with`] order and error strings exactly.
-    /// Returns whether the item's certification request missed the cert
-    /// cache (so its identity binding still needs verification).
-    fn precheck_item(
-        &mut self,
-        item: &BatchValidationItem<'_>,
-        scratch: &mut EncodeScratch,
-    ) -> Result<bool, CloudError> {
-        let response = item.response;
-        check_echoes(
-            response,
-            item.expected_vid,
-            item.expected_spec,
-            item.expected_nonce3,
-        )?;
-        if !self.pca.is_registered(&response.cert_request.identity_key) {
-            return Err(certification_failure(PcaError::UnregisteredServer));
-        }
-        let vid_bytes = response.vid.0.to_be_bytes();
-        let (spec_bytes, meas_bytes) = scratch.encode_pair(&response.spec, &response.measurement);
-        response
-            .quote
+        let quote = &response.quote;
+        quote
             .check_fields(&[&vid_bytes, spec_bytes, meas_bytes, &response.nonce3])
             .map_err(|e| quote_failure("Q3", e))?;
-        Ok(!self.pca.is_cached(&response.cert_request))
-    }
-
-    /// Validates a coalesced batch of measurement responses, returning one
-    /// verdict per item in order.
-    ///
-    /// The cheap checks (vid/spec/nonce echoes, quote digests, cert-cache
-    /// lookups) run per item; every Schnorr verification the batch still
-    /// needs — identity bindings for uncached certification requests plus
-    /// one quote signature per item — is folded into a single
-    /// random-linear-combination [`batch_verify_each`] call. A batch that
-    /// fails the combined equation falls back to serial verification
-    /// inside that call, so a forged quote is rejected exactly and never
-    /// poisons its batch-mates. Verdicts and error strings match the
-    /// serial [`Self::validate_response_with`] path check for check.
-    pub fn validate_response_batch(
-        &mut self,
-        items: &[BatchValidationItem<'_>],
-        scratch: &mut EncodeScratch,
-    ) -> Vec<Result<(), CloudError>> {
-        self.validate_batch_vouched(items, scratch)
-    }
-
-    /// [`Self::validate_response_batch`] over entries that may carry the
-    /// helper's verdicts: a signature check a voucher covers byte for
-    /// byte takes that verdict, and only the rest are batched.
-    pub(crate) fn validate_batch_vouched<E: Msg4Entry>(
-        &mut self,
-        entries: &[E],
-        scratch: &mut EncodeScratch,
-    ) -> Vec<Result<(), CloudError>> {
-        let n = entries.len();
-        // Per-item cheap-check verdicts and whether each item's
-        // certification request missed the cert cache (and therefore
-        // needs its identity binding verified), built in lockstep.
-        let mut failures: Vec<Option<CloudError>> = Vec::with_capacity(n);
-        let mut needs_binding: Vec<bool> = Vec::with_capacity(n);
-        // Owned copies of each binding message (the AVK bytes), allocated
-        // before the batch is assembled so the borrows below can live
-        // across the whole call.
-        let mut avk_bytes: Vec<[u8; 32]> = Vec::with_capacity(n);
-        for entry in entries {
-            let request = &entry.item().response.cert_request;
-            avk_bytes.push(request.attestation_key.to_bytes());
-        }
-        for entry in entries {
-            match self.precheck_item(entry.item(), scratch) {
-                Ok(nb) => {
-                    failures.push(None);
-                    needs_binding.push(nb);
-                }
-                Err(e) => {
-                    failures.push(Some(e));
-                    needs_binding.push(false);
-                }
-            }
-        }
-        // The signature checks of each surviving item — its uncached
-        // identity binding, then its quote — as `(item, is_binding,
-        // verdict)`. A vouched check has its verdict already; the rest
-        // are assembled into one batch.
-        let mut sig_batch: Vec<BatchItem<'_>> = Vec::with_capacity(2 * n);
-        let mut checks: Vec<(usize, bool, Option<bool>)> = Vec::with_capacity(2 * n);
-        let per_item = entries
-            .iter()
-            .zip(failures.iter())
-            .zip(needs_binding.iter())
-            .zip(avk_bytes.iter());
-        for (i, (((entry, failure), binding), avk)) in per_item.enumerate() {
-            if failure.is_some() {
-                continue;
-            }
-            let (response, vouchers) = (entry.item().response, entry.vouchers());
-            let request = &response.cert_request;
-            if *binding {
-                let check = (
-                    request.identity_key,
-                    avk.as_slice(),
-                    request.identity_signature,
-                );
-                let verdict = vouch_or_batch(vouchers.binding, check, &mut sig_batch);
-                checks.push((i, true, verdict));
-            }
-            let quote = &response.quote;
-            let check = (
-                request.attestation_key,
-                quote.digest.as_slice(),
-                quote.signature,
-            );
-            let verdict = vouch_or_batch(vouchers.quote, check, &mut sig_batch);
-            checks.push((i, false, verdict));
-        }
-        let mut batched = batch_verify_each(&sig_batch).into_iter();
-        for (_, _, verdict) in checks.iter_mut().filter(|(_, _, v)| v.is_none()) {
-            *verdict = Some(batched.next().is_some_and(|v| v.is_ok()));
-        }
-        for &(i, is_binding, verdict) in &checks {
-            let Some(slot) = failures.get_mut(i) else {
-                continue;
-            };
-            if verdict == Some(true) || slot.is_some() {
-                continue;
-            }
-            *slot = Some(match is_binding {
-                true => certification_failure(PcaError::BadBinding),
-                false => quote_failure("Q3", QuoteError::BadSignature),
-            });
-        }
-        // Issue (and cache) certificates for the bindings that held, so
-        // follow-up sessions presenting the same binding hit the cache.
-        for &(i, is_binding, verdict) in &checks {
-            if is_binding && verdict == Some(true) && failures.get(i).is_some_and(|f| f.is_none()) {
-                if let Some(entry) = entries.get(i) {
-                    self.pca.issue(&entry.item().response.cert_request);
-                }
-            }
-        }
-        failures
-            .into_iter()
-            .map(|f| match f {
-                Some(e) => Err(e),
-                None => Ok(()),
-            })
-            .collect()
+        let (avk, digest, signature) = (
+            cert.attestation_key,
+            quote.digest.as_slice(),
+            quote.signature,
+        );
+        let vouched = vouchers
+            .quote
+            .and_then(|v| v.verdict(avk, digest, &signature));
+        let verdict = match (vouched, bound) {
+            (Some(verdict), _) => verdict,
+            (None, Some(key)) => key.verify(digest, &signature),
+            (None, None) => return Ok(Some((avk, digest, signature))),
+        };
+        verdict.map(|()| None).map_err(bad_q3)
     }
 
     /// Runs the Property Interpretation Module on a validated response.
@@ -769,6 +639,27 @@ mod tests {
             .collect()
     }
 
+    /// Flips the low bit of a signature's `s`, keeping it well-formed.
+    fn forge(sig: &mut monatt_crypto::schnorr::Signature) {
+        let mut s = sig.s.to_be_bytes();
+        s[31] ^= 1;
+        sig.s = monatt_crypto::bigint::U256::from_be_bytes(&s);
+    }
+
+    /// `resp` as a batch item expecting exactly what it answers.
+    fn item<'a>(
+        resp: &'a crate::messages::MeasureResponse,
+        spec: MeasurementSpec,
+        nonce3: [u8; 32],
+    ) -> BatchValidationItem<'a> {
+        BatchValidationItem {
+            response: resp,
+            expected_vid: Vid(1),
+            expected_spec: spec,
+            expected_nonce3: nonce3,
+        }
+    }
+
     #[test]
     fn batch_verdicts_match_serial_and_isolate_a_forged_quote() {
         let (mut attserver, mut node) = setup();
@@ -777,20 +668,10 @@ mod tests {
         // cheap per-item check passes), so rejection can only come from
         // the Schnorr layer: the combined batch equation fails and the
         // serial fallback pins the failure on this item alone.
-        {
-            let sig = &mut fixture[2].0.quote.signature;
-            let mut s = sig.s.to_be_bytes();
-            s[31] ^= 1;
-            sig.s = monatt_crypto::bigint::U256::from_be_bytes(&s);
-        }
+        forge(&mut fixture[2].0.quote.signature);
         let items: Vec<BatchValidationItem<'_>> = fixture
             .iter()
-            .map(|(resp, spec, nonce3)| BatchValidationItem {
-                response: resp,
-                expected_vid: Vid(1),
-                expected_spec: *spec,
-                expected_nonce3: *nonce3,
-            })
+            .map(|(resp, spec, nonce3)| item(resp, *spec, *nonce3))
             .collect();
         let mut scratch = EncodeScratch::new();
         let batch = attserver.validate_response_batch(&items, &mut scratch);
@@ -812,14 +693,9 @@ mod tests {
     #[test]
     fn singleton_batch_matches_serial_exactly() {
         let (mut attserver, mut node) = setup();
-        let fixture = batch_fixture(&mut attserver, &mut node, 1);
+        let fixture = batch_fixture(&mut attserver, &mut node, 2);
         let (resp, spec, nonce3) = &fixture[0];
-        let items = [BatchValidationItem {
-            response: resp,
-            expected_vid: Vid(1),
-            expected_spec: *spec,
-            expected_nonce3: *nonce3,
-        }];
+        let items = [item(resp, *spec, *nonce3)];
         let mut scratch = EncodeScratch::new();
         assert!(attserver.validate_response_batch(&items, &mut scratch)[0].is_ok());
         attserver
@@ -827,16 +703,59 @@ mod tests {
             .unwrap();
         // And a cheap-check failure (wrong nonce echo) short-circuits
         // before any Schnorr work, with the serial error string.
-        let items = [BatchValidationItem {
-            response: resp,
-            expected_vid: Vid(1),
-            expected_spec: *spec,
-            expected_nonce3: [0xaa; 32],
-        }];
+        let items = [item(resp, *spec, [0xaa; 32])];
         let err = attserver.validate_response_batch(&items, &mut scratch)[0]
             .as_ref()
             .unwrap_err()
             .to_string();
         assert!(err.contains("N3"), "{err}");
+        // A forged binding over an altered measurement fails the pCA's
+        // certification before the digest is looked at, alone and beside
+        // a genuine batch-mate alike.
+        let mut forged = resp.clone();
+        forge(&mut forged.cert_request.identity_signature);
+        forged.measurement = crate::measurements::Measurement::BootIntegrity {
+            platform_pcr: [0; 32],
+            image_hash: [0; 32],
+        };
+        let serial = attserver
+            .validate_response_with(&forged, Vid(1), *spec, *nonce3, &mut scratch)
+            .unwrap_err()
+            .to_string();
+        let (mate, mate_spec, mate_nonce3) = &fixture[1];
+        let items = [
+            item(mate, *mate_spec, *mate_nonce3),
+            item(&forged, *spec, *nonce3),
+        ];
+        let batch = attserver.validate_response_batch(&items, &mut scratch);
+        assert!(batch[0].is_ok(), "{:?}", batch[0]);
+        assert_eq!(batch[1].as_ref().unwrap_err().to_string(), serial);
+        assert!(serial.contains("certification failed"), "{serial}");
+    }
+
+    #[test]
+    fn a_forged_quote_leaves_the_same_pca_state_alone_or_batched() {
+        // Twin Attestation Servers with the certified-AVK cache on: a
+        // good binding with a forged Q3 is certified (and cached) before
+        // its quote fails, so the identical request presented again hits
+        // — whether each presentation comes alone or in a batch.
+        let (mut alone, mut node) = setup();
+        let mut batched = AttestationServer::new(&mut Drbg::from_seed(40));
+        batched.register_cloud_server(node.identity_key());
+        alone.enable_avk_cert_cache();
+        batched.enable_avk_cert_cache();
+        let mut fixture = batch_fixture(&mut alone, &mut node, 1);
+        let (resp, spec, nonce3) = &mut fixture[0];
+        forge(&mut resp.quote.signature);
+        let mut scratch = EncodeScratch::new();
+        for _ in 0..2 {
+            let serial = alone.validate_response_with(resp, Vid(1), *spec, *nonce3, &mut scratch);
+            let items = [item(resp, *spec, *nonce3)];
+            let batch = batched.validate_response_batch(&items, &mut scratch);
+            assert_eq!(batch, std::slice::from_ref(&serial));
+            assert!(serial.unwrap_err().to_string().contains("quote Q3"));
+        }
+        assert_eq!(alone.avk_cert_cache_stats(), (1, 1));
+        assert_eq!(batched.avk_cert_cache_stats(), alone.avk_cert_cache_stats());
     }
 }

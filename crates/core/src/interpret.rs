@@ -133,9 +133,16 @@ pub fn interpret(
                 boosts, window_us, ..
             },
         ) => interpret_scheduler_events(*boosts, *window_us),
-        _ => HealthStatus::Compromised {
-            reason: format!("measurement does not match property {property}"),
-        },
+        _ => mismatched(property),
+    }
+}
+
+/// The verdict on a measurement of the wrong kind for its property,
+/// outlined so that `interpret` itself allocates nothing.
+#[cold]
+fn mismatched(property: SecurityProperty) -> HealthStatus {
+    HealthStatus::Compromised {
+        reason: format!("measurement does not match property {property}"),
     }
 }
 

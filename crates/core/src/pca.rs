@@ -184,10 +184,13 @@ impl PrivacyCa {
 
     /// [`Self::certify`], also handing back the certified AVK bound to its
     /// table when the server's slot holds one — the key the quote under
-    /// this certificate verifies through. A cache hit binds the AVK if
-    /// its slot has not yet: the second sight of a request is the first
-    /// sign the server reuses its key. The binding takes the helper's
-    /// verdict when `binding` vouches for exactly these bytes.
+    /// this certificate verifies through. The pCA's one certification
+    /// path: every message 4 reaches it, inline or in a flush. A cache
+    /// hit binds the AVK if its slot has not yet: the second sight of a
+    /// request is the first sign the server reuses its key. A miss
+    /// verifies the binding through the registered identity anchor,
+    /// taking the helper's verdict when `binding` vouches for exactly
+    /// these bytes, then issues and caches the certificate.
     pub(crate) fn certify_bound(
         &mut self,
         request: &CertificationRequest,
@@ -229,54 +232,11 @@ impl PrivacyCa {
         Ok((slot.cert.clone(), slot.bound.as_ref()))
     }
 
-    /// True when `identity` was registered at deployment time.
-    pub(crate) fn is_registered(&self, identity: &VerifyingKey) -> bool {
-        self.registered.contains_key(&identity.to_bytes())
-    }
-
     /// The key `identity`'s bindings verify against: the one bound at
     /// registration.
     pub(crate) fn identity_anchor(&self, identity: &VerifyingKey) -> Option<&BoundKey> {
         let server = self.registered.get(&identity.to_bytes())?;
         Some(&server.identity)
-    }
-
-    /// Issues (and, when the cache is on, caches in the server's slot) a
-    /// certificate for a request whose identity binding has already been
-    /// verified — the batch-validation path checks bindings in bulk and
-    /// then calls this per survivor.
-    pub(crate) fn issue(&mut self, request: &CertificationRequest) -> AvkCertificate {
-        let cert = sign_certificate(&self.key, self.epoch, request);
-        let server = self.registered.get_mut(&request.identity_key.to_bytes());
-        if let (true, Some(server)) = (self.cache_enabled, server) {
-            server.slot = Some(AvkSlot {
-                digest: Self::request_digest(request),
-                cert: cert.clone(),
-                bound: None,
-            });
-        }
-        cert
-    }
-
-    /// Whether `request` is its server's cached certification, counting a
-    /// hit or a miss; callers must have checked registration already.
-    /// Always `false` (and counts nothing) when the cache is off. Binds
-    /// nothing: the batch path verifies quotes under bare keys.
-    pub(crate) fn is_cached(&mut self, request: &CertificationRequest) -> bool {
-        if !self.cache_enabled {
-            return false;
-        }
-        let digest = Self::request_digest(request);
-        let hit = self
-            .registered
-            .get(&request.identity_key.to_bytes())
-            .and_then(|server| server.slot.as_ref())
-            .is_some_and(|slot| ct_eq(&slot.digest, &digest));
-        match hit {
-            true => self.cache_hits += 1,
-            false => self.cache_misses += 1,
-        }
-        hit
     }
 
     /// Certificates in the certified-AVK cache, and how many of their

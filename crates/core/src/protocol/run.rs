@@ -29,7 +29,7 @@
 //! | `Gate` op | [`Cloud::enter_current_op`] | verdict-gated continuation (layered attestation) |
 
 use super::compile::{Charge, Op};
-use crate::attestation::{AttestationServer, BatchValidationItem};
+use crate::attestation::AttestationServer;
 use crate::cloud::Cloud;
 use crate::controller::CloudController;
 use crate::error::CloudError;
@@ -43,7 +43,7 @@ use crate::session::{
     lost_session, malformed, CloudEvent, Msg4Meta, PendingMsg4, SessionEvent, SessionId,
     SessionYield,
 };
-use crate::verify_ring::{HopTickets, HopVouchers, JobKey, Offload, Ticket, Vouched};
+use crate::verify_ring::{HopTickets, JobKey, Offload, Ticket, Vouched};
 use monatt_crypto::schnorr::BoundKey;
 use monatt_net::wire::Wire;
 use monatt_tpm::quote::Quote;
@@ -410,8 +410,7 @@ impl Cloud {
         if self.appraisers.batch_window_us == 0 {
             let vouchers = self.offload.vouchers(tickets);
             let (attserver, scratch) = self.appraisers.routed(meta.replica)?;
-            let (vid, spec, nonce3) = (meta.vid, meta.spec, meta.nonce3);
-            attserver.validate_response_vouched(&msg4, vid, spec, nonce3, scratch, vouchers)?;
+            attserver.validate_one(&meta.item(&msg4), vouchers, scratch)?;
             return self.accept_msg4(sid, &meta, &msg4, 0);
         }
         if session.in_batch {
@@ -507,29 +506,17 @@ impl Cloud {
             // allocation per window flush, amortized across every Msg4 in
             // the batch. The zero-alloc harness pins the non-batched warm
             // configuration to exactly zero.
-            // Each item travels with the vouchers of its record, so the
-            // validation takes the helper's verdicts where it has them.
-            let offload = &self.offload;
-            let items: Vec<(BatchValidationItem<'_>, HopVouchers<'_>)> = mine()
-                .map(|p| {
-                    let item = BatchValidationItem {
-                        response: &p.msg4,
-                        expected_vid: p.meta.vid,
-                        expected_spec: p.meta.spec,
-                        expected_nonce3: p.meta.nonce3,
-                    };
-                    (item, offload.vouchers(p.tickets))
-                })
-                .collect(); // #[allow(monatt::alloc_freedom)] lifetime-bound, amortized per batch
-                            // Routes come from the topology the pool was built for, so
-                            // every partition has its replica.
+            // #[allow(monatt::alloc_freedom)] lifetime-bound, amortized per batch
+            let items: Vec<_> = mine().map(|p| p.meta.item(&p.msg4)).collect();
+            // Routes come from the topology the pool was built for, so
+            // every partition has its replica.
             let Ok((attserver, scratch)) = self.appraisers.routed(replica) else {
                 continue;
             };
-            // Batch validation assembles lifetime-bound signature slices
-            // internally; its allocations are likewise per flush, not
-            // per message. #[allow(monatt::alloc_freedom)]
-            let verdicts = attserver.validate_batch_vouched(&items, scratch);
+            // Each item travels with the vouchers of its record, so the
+            // validation takes the helper's verdicts where it has them.
+            let vouchers = mine().map(|p| self.offload.vouchers(p.tickets));
+            let verdicts = attserver.validate_batch(&items, vouchers, scratch);
             for (p, verdict) in mine().zip(verdicts) {
                 // The session leaves the batch before its fate is decided:
                 // whatever happens next (advance, typed failure), a

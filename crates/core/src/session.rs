@@ -46,6 +46,7 @@
 //!
 //! [`RetryPolicy`]: crate::latency::RetryPolicy
 
+use crate::attestation::BatchValidationItem;
 use crate::cloud::Cloud;
 use crate::controlplane::RouteTag;
 use crate::error::CloudError;
@@ -155,6 +156,19 @@ pub(crate) struct Msg4Meta {
     pub(crate) spec: MeasurementSpec,
     pub(crate) nonce3: [u8; 32],
     pub(crate) replica: u32,
+}
+
+impl Msg4Meta {
+    /// `response` as the Attestation Server validates it against these
+    /// expectations.
+    pub(crate) fn item<'a>(&self, response: &'a MeasureResponse) -> BatchValidationItem<'a> {
+        BatchValidationItem {
+            response,
+            expected_vid: self.vid,
+            expected_spec: self.spec,
+            expected_nonce3: self.nonce3,
+        }
+    }
 }
 
 /// Who consumes the session's outcome.

@@ -140,6 +140,8 @@ impl Default for Config {
                 "crates/core/src/cloud/events.rs",
                 "crates/core/src/cloud/appraisers.rs",
                 "crates/core/src/verify_ring.rs",
+                "crates/core/src/attestation.rs",
+                "crates/core/src/pca.rs",
                 "crates/hypervisor/src/queue.rs",
                 "crates/hypervisor/src/wheel.rs",
                 "crates/hypervisor/src/engine.rs",

@@ -75,9 +75,11 @@ impl Quote {
     }
 
     /// Checks only that this quote's digest covers exactly `fields`,
-    /// without touching the signature. Batch verifiers use this for the
-    /// cheap hash comparison and hand the expensive signature check —
-    /// `key.verify(&quote.digest, &quote.signature)` — to a batched
+    /// without touching the signature. A verifier that picks how the
+    /// signature check — `key.verify(&quote.digest, &quote.signature)` —
+    /// runs uses this first: the message-4 validator takes a precomputed
+    /// verdict or a bound key where it has one, verifies a lone bare
+    /// quote on the spot and joins a flush's bare quotes into one batched
     /// multi-exponentiation.
     ///
     /// # Errors

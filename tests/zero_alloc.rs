@@ -94,51 +94,72 @@ fn alloc_bytes() -> u64 {
 
 #[test]
 fn warm_attestation_rounds_do_not_allocate() {
-    let mut cloud = CloudBuilder::new().servers(1).seed(77).build();
+    // Two configurations: the default, where every session certifies a
+    // fresh attestation key, and a server reusing its key with the pCA
+    // caching certificates, where Q3 verifies through the key the pCA
+    // bound on the request's second sight (a warm-up allocation). Each
+    // names the certified-AVK cache hits its measured rounds make.
+    for (name, builder, cache_hits) in [
+        ("fresh AVKs", CloudBuilder::new().servers(1).seed(77), 0),
+        (
+            "reused AVK",
+            CloudBuilder::new()
+                .servers(1)
+                .seed(77)
+                .reuse_avk(true)
+                .avk_cert_cache(true),
+            64,
+        ),
+    ] {
+        let mut cloud = builder.build();
 
-    // StartupIntegrity is the windowless Table-1 property: the whole
-    // Msg1–Msg6 exchange runs inline with no usage-window events.
-    let vid = cloud
-        .request_vm(
-            VmRequest::new(Flavor::Small, Image::Cirros)
-                .require(SecurityProperty::StartupIntegrity)
-                .workload(WorkloadSpec::Idle),
-        )
-        .expect("launch");
+        // StartupIntegrity is the windowless Table-1 property: the whole
+        // Msg1–Msg6 exchange runs inline with no usage-window events.
+        let vid = cloud
+            .request_vm(
+                VmRequest::new(Flavor::Small, Image::Cirros)
+                    .require(SecurityProperty::StartupIntegrity)
+                    .workload(WorkloadSpec::Idle),
+            )
+            .expect("launch");
 
-    // Warm-up: let every reusable buffer (session wire/sealed/inbox,
-    // cloud scratch, the event heap, channel replay windows) reach its
-    // steady-state capacity.
-    for _ in 0..32 {
-        cloud
-            .runtime_attest_current(vid, SecurityProperty::StartupIntegrity)
-            .expect("warm-up attestation");
+        // Warm-up: let every reusable buffer (session wire/sealed/inbox,
+        // cloud scratch, the event heap, channel replay windows) reach its
+        // steady-state capacity.
+        for _ in 0..32 {
+            cloud
+                .runtime_attest_current(vid, SecurityProperty::StartupIntegrity)
+                .expect("warm-up attestation");
+        }
+
+        if std::env::var_os("ZERO_ALLOC_TRACE").is_some() {
+            TRACE.store(true, Ordering::Relaxed);
+            let _ = cloud.runtime_attest_current(vid, SecurityProperty::StartupIntegrity);
+            TRACE.store(false, Ordering::Relaxed);
+        }
+
+        let (hits_before, _) = cloud.avk_cert_cache_stats();
+        let before = alloc_count();
+        let rounds = 64u64;
+        for _ in 0..rounds {
+            let report = cloud
+                .runtime_attest_current(vid, SecurityProperty::StartupIntegrity)
+                .expect("measured attestation");
+            // Touch the report so the round cannot be optimised away.
+            assert_eq!(report.vid, vid);
+        }
+        let delta = alloc_count() - before;
+        let (hits_after, _) = cloud.avk_cert_cache_stats();
+        assert_eq!(hits_after - hits_before, cache_hits, "{name}");
+
+        assert_eq!(
+            delta,
+            0,
+            "{name}: warm attestation path allocated {delta} times over {rounds} rounds \
+             ({:.2} allocs/round); the hot path must be allocation-free",
+            delta as f64 / rounds as f64
+        );
     }
-
-    if std::env::var_os("ZERO_ALLOC_TRACE").is_some() {
-        TRACE.store(true, Ordering::Relaxed);
-        let _ = cloud.runtime_attest_current(vid, SecurityProperty::StartupIntegrity);
-        TRACE.store(false, Ordering::Relaxed);
-    }
-
-    let before = alloc_count();
-    let rounds = 64u64;
-    for _ in 0..rounds {
-        let report = cloud
-            .runtime_attest_current(vid, SecurityProperty::StartupIntegrity)
-            .expect("measured attestation");
-        // Touch the report so the round cannot be optimised away.
-        assert_eq!(report.vid, vid);
-    }
-    let delta = alloc_count() - before;
-
-    assert_eq!(
-        delta,
-        0,
-        "warm attestation path allocated {delta} times over {rounds} rounds \
-         ({:.2} allocs/round); the hot path must be allocation-free",
-        delta as f64 / rounds as f64
-    );
 }
 
 #[test]
