@@ -10,11 +10,11 @@ use crate::measurements::MeasurementSpec;
 use crate::messages::{AttestationReportMsg, MeasureRequest, MeasureResponse};
 use crate::pca::PrivacyCa;
 use crate::types::{HealthStatus, Image, SecurityProperty, ServerId, Vid};
-use crate::verify_ring::HopVouchers;
+use crate::verify_ring::{HeldKey, HopVouchers};
 use monatt_crypto::batch::{batch_verify_each, BatchItem};
 use monatt_crypto::drbg::Drbg;
 use monatt_crypto::error::CryptoError;
-use monatt_crypto::schnorr::{BoundKey, SigningKey, Verifier, VerifyingKey};
+use monatt_crypto::schnorr::{SigningKey, Verifier, VerifyingKey};
 use monatt_net::wire::EncodeScratch;
 use monatt_tpm::quote::{Quote, QuoteError};
 use std::collections::BTreeMap;
@@ -124,10 +124,16 @@ impl AttestationServer {
         self.pca.cache_stats()
     }
 
-    /// The bound key the pCA verifies `identity`'s bindings against, if
-    /// that server is registered.
-    pub(crate) fn identity_anchor(&self, identity: &VerifyingKey) -> Option<&BoundKey> {
+    /// The key the pCA verifies `identity`'s bindings against, as the
+    /// pCA holds it, if that server is registered.
+    pub(crate) fn identity_anchor(&self, identity: &VerifyingKey) -> Option<&HeldKey> {
         self.pca.identity_anchor(identity)
+    }
+
+    /// Registered identity keys the pCA holds bound.
+    #[cfg(test)]
+    pub(crate) fn identity_tables(&self) -> usize {
+        self.pca.identity_tables()
     }
 
     /// Certificates in the pCA's certified-AVK cache, and how many of

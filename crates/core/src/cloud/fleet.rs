@@ -1,16 +1,16 @@
 //! The fleet side of [`Cloud`](super::Cloud): the cloud servers and the
-//! Cloud Controller's nova database (one [`VmRecord`] row per VM, the
-//! server capability table), with the Deployment and Response modules'
-//! three primitives written once each:
+//! Cloud Controller's nova database (one [`VmRecord`] row per live VM, a
+//! tombstone per terminated one, the server capability table), with the
+//! Deployment and Response modules' three primitives written once each:
 //!
 //! * **placement** — [`Fleet::place`] / [`Fleet::unplace`] are the only
 //!   code that puts a VM on a server or takes it off (launch, migration
 //!   and crash evacuation all go through them), so the simulator, the
 //!   row and the capacity table cannot disagree;
 //! * **lifecycle** — [`Fleet::set_state`] moves the node and the row
-//!   together, and [`Fleet::live`] is the one gate every operation on a
-//!   VM passes: a terminated VM is [`CloudError::UnknownVm`] to all of
-//!   them;
+//!   together (termination leaves neither a simulator row nor a record),
+//!   and [`Fleet::live`] is the one gate every operation on a VM passes:
+//!   a terminated VM is [`CloudError::UnknownVm`] to all of them;
 //! * **lazy time** — [`Fleet::touch`] is the one mutable path to a
 //!   node, catching its simulator up to the wall clock first. Idle
 //!   servers stay behind until touched; touching a busy one catches up
@@ -160,24 +160,21 @@ impl Fleet {
         }
     }
 
-    /// The lifecycle gate: the row of a VM that exists and is not
-    /// terminated.
+    /// The lifecycle gate: the record of a live VM (only live VMs have
+    /// one).
     ///
     /// # Errors
     ///
     /// [`CloudError::UnknownVm`] otherwise.
     pub(crate) fn live(&self, vid: Vid) -> Result<&VmRecord, CloudError> {
-        self.controller
-            .vm(vid)
-            .filter(|r| r.state != VmLifecycle::Terminated)
-            .ok_or(CloudError::UnknownVm(vid))
+        self.controller.vm(vid).ok_or(CloudError::UnknownVm(vid))
     }
 
     /// The live VMs resident on `server`.
     pub(crate) fn residents(&self, server: ServerId) -> Vec<Vid> {
         self.controller
             .vms()
-            .filter(|r| r.server == server && r.state != VmLifecycle::Terminated)
+            .filter(|r| r.server == server)
             .map(|r| r.vid)
             .collect()
     }
@@ -220,8 +217,8 @@ impl Fleet {
     }
 
     /// Takes `vid` off its server: the simulator state goes and the
-    /// capacity is released. The row stays (its `server` names the last
-    /// host).
+    /// capacity is released. The record stays (its `server` names the
+    /// last host) for the caller to re-place or retire.
     pub(crate) fn unplace(&mut self, vid: Vid, now_us: u64) {
         let Some(server) = self.controller.vm(vid).map(|r| r.server) else {
             return;
@@ -261,7 +258,10 @@ impl Fleet {
         let server = self.live(vid)?.server;
         if state == VmLifecycle::Terminated {
             self.unplace(vid, now_us);
-        } else if let Some(node) = self.touch(server, now_us) {
+            self.controller.retire_vm(vid);
+            return Ok(());
+        }
+        if let Some(node) = self.touch(server, now_us) {
             match state {
                 VmLifecycle::Suspended => node.suspend_vm(vid),
                 _ => node.resume_vm(vid),

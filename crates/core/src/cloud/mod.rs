@@ -157,14 +157,15 @@ impl Cloud {
         self.fleet.nodes().len()
     }
 
-    /// The server currently hosting `vid`.
+    /// The server currently hosting `vid`; `None` once it has
+    /// terminated.
     pub fn server_of(&self, vid: Vid) -> Option<ServerId> {
         self.fleet.controller.vm(vid).map(|r| r.server)
     }
 
     /// Lifecycle state of `vid`.
     pub fn vm_state(&self, vid: Vid) -> Option<VmLifecycle> {
-        self.fleet.controller.vm(vid).map(|r| r.state)
+        self.fleet.controller.lifecycle(vid)
     }
 
     /// Read access to a server node (monitor tools, experiment checks).

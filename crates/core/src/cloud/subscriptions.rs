@@ -112,9 +112,7 @@ impl Cloud {
         property: SecurityProperty,
         frequency: Frequency,
     ) -> Result<u64, CloudError> {
-        if self.fleet.controller.vm(vid).is_none() {
-            return Err(CloudError::UnknownVm(vid));
-        }
+        self.fleet.live(vid)?;
         let id = self.next_subscription;
         self.next_subscription += 1;
         let first = frequency.next_interval(&mut self.rng);

@@ -222,7 +222,6 @@ fn unreachable_escalation_does_not_resurrect_a_terminated_vm() {
     let vid = c
         .request_vm(VmRequest::new(Flavor::Small, Image::Cirros).require(prop))
         .unwrap();
-    let home = c.server_of(vid);
     let sub = c.runtime_attest_periodic(vid, prop, 5_000_000).unwrap();
     c.respond(vid, ResponseAction::Termination).unwrap();
     // Every sample now misses; each escalation's migration response is
@@ -230,7 +229,7 @@ fn unreachable_escalation_does_not_resurrect_a_terminated_vm() {
     // on the other server) and counted as a failed response.
     c.run(60_000_000);
     assert_eq!(c.vm_state(vid), Some(VmLifecycle::Terminated));
-    assert_eq!(c.server_of(vid), home);
+    assert_eq!(c.server_of(vid), None, "a tombstone names no host");
     let health = c.subscription_health(sub).unwrap();
     assert!(health.escalations >= 1, "{health:?}");
     assert_eq!(health.failed_responses, u64::from(health.escalations));
@@ -252,6 +251,79 @@ fn lifecycle_operations_refuse_a_terminated_vm() {
     let recheck = c.recheck_and_resume(vid, SecurityProperty::RuntimeIntegrity);
     assert!(gone(recheck.map(drop)));
     assert_eq!(c.vm_state(vid), Some(VmLifecycle::Terminated));
+}
+
+#[test]
+fn a_dead_vm_owns_nothing() {
+    use monatt_hypervisor::ids::{VcpuId, VmId};
+    use monatt_hypervisor::pmu::VmCounters;
+    use monatt_hypervisor::profile::INTERVAL_BINS;
+    // Nothing on `server`'s simulator for its former VM `local`: no row,
+    // vCPU, register row or PMU row, and no more VMs than the node hosts.
+    let holds_nothing_for = |c: &Cloud, server: ServerId, local: VmId| {
+        let node = c.server(server).unwrap();
+        let sim = node.sim();
+        assert!(sim.vm(local).is_none(), "{server}: {local} has a row");
+        assert!(!sim.vm_ids().contains(&local));
+        assert_eq!(sim.vm_ids().len(), node.vm_count(), "{sim:?}");
+        assert_eq!(
+            sim.vcpu_pcpu(VcpuId {
+                vm: local,
+                index: 0
+            }),
+            None
+        );
+        assert_eq!(sim.pmu().counters(local), VmCounters::default());
+        assert_eq!(sim.profile().interval_registers(local), &[0; INTERVAL_BINS]);
+    };
+    let mut c = cloud();
+    let idle = || VmRequest::new(Flavor::Small, Image::Cirros).workload(WorkloadSpec::Idle);
+    let vid = c.request_vm(idle()).unwrap();
+    let first = c.server_of(vid).unwrap();
+    let first_local = c.server(first).unwrap().local_vm(vid).unwrap();
+    c.respond(vid, ResponseAction::Migration).unwrap();
+    // The source side of a migration is a termination there.
+    holds_nothing_for(&c, first, first_local);
+    let last = c.server_of(vid).unwrap();
+    let last_local = c.server(last).unwrap().local_vm(vid).unwrap();
+    let neighbour = c.request_vm(idle().on_server(last)).unwrap();
+    c.respond(vid, ResponseAction::Termination).unwrap();
+    holds_nothing_for(&c, last, last_local);
+    assert_eq!(c.vm_state(vid), Some(VmLifecycle::Terminated));
+    assert_eq!(c.server_of(vid), None);
+
+    // Every operation refuses it, as the lifecycle gate always did.
+    let gone = |r: Result<(), CloudError>| matches!(r, Err(CloudError::UnknownVm(v)) if v == vid);
+    for action in [
+        ResponseAction::Termination,
+        ResponseAction::Suspension,
+        ResponseAction::Migration,
+    ] {
+        assert!(gone(c.respond(vid, action).map(drop)), "{action}");
+    }
+    assert!(gone(c.resume(vid)));
+    let prop = SecurityProperty::RuntimeIntegrity;
+    let startup = SecurityProperty::StartupIntegrity;
+    assert!(gone(c.startup_attest_current(vid, startup).map(drop)));
+    assert!(gone(c.runtime_attest_current(vid, prop).map(drop)));
+    assert!(gone(c.layered_attest(vid, prop).map(drop)));
+    assert!(gone(c.multi_attest(vid, &[prop, startup]).map(drop)));
+    let program = c
+        .register_protocol(&crate::Protocol::figure3_customer())
+        .unwrap();
+    assert!(gone(c.attest_with_program(vid, prop, program).map(drop)));
+    assert!(gone(
+        c.runtime_attest_periodic(vid, prop, 1_000_000).map(drop)
+    ));
+    assert!(gone(c.infect_vm(vid, "sshd").map(drop)));
+
+    // A crash of its last host evacuates the neighbour alone.
+    c.crash_node(NodeId::Server(last));
+    let stats = c.outage_stats();
+    assert_eq!((stats.evacuations, stats.evacuation_failures), (1, 0));
+    assert_ne!(c.server_of(neighbour), Some(last));
+    assert_eq!(c.vm_state(vid), Some(VmLifecycle::Terminated));
+    assert_eq!(c.server_of(vid), None);
 }
 
 #[test]
@@ -1476,12 +1548,44 @@ fn management_charges_move_only_the_clock() {
         lazily(&mut c, |c| {
             let from = c.server_of(vid).unwrap();
             c.respond(vid, action).unwrap();
-            vec![from, c.server_of(vid).unwrap()]
+            // A terminated VM has no host.
+            [Some(from), c.server_of(vid)]
+                .into_iter()
+                .flatten()
+                .collect()
         });
         if action == ResponseAction::Suspension {
             c.resume(vid).unwrap();
         }
     }
+}
+
+#[test]
+fn a_reused_avk_cloud_binds_no_identity_key() {
+    // Every server's one reused AVK is certified once and then answered
+    // from the cache, so no identity key is seen twice; a fresh-AVK
+    // cloud binds each key on its second session.
+    let tables = |reuse: bool| {
+        let mut c = CloudBuilder::new()
+            .servers(4)
+            .seed(12)
+            .avk_cert_cache(reuse)
+            .reuse_avk(reuse)
+            .build();
+        let property = SecurityProperty::StartupIntegrity;
+        for server in 0..4 {
+            let request = VmRequest::new(Flavor::Small, Image::Cirros)
+                .require(property)
+                .on_server(ServerId(server));
+            let vid = c.request_vm(request).unwrap();
+            for _ in 0..3 {
+                assert!(c.startup_attest_current(vid, property).unwrap().healthy());
+            }
+        }
+        c.appraisers.routed(0).unwrap().0.identity_tables()
+    };
+    assert_eq!(tables(true), 0);
+    assert_eq!(tables(false), 4);
 }
 
 #[test]

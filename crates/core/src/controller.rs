@@ -20,6 +20,11 @@ fn quote_q1_failure(e: impl std::fmt::Display) -> CloudError {
     CloudError::protocol(format!("quote Q1 verification failed: {e}"))
 }
 
+/// `vid`'s word in the tombstone bitmap, and its bit there.
+fn tombstone(vid: Vid) -> (usize, u64) {
+    ((vid.0 / 64) as usize, 1 << (vid.0 % 64))
+}
+
 /// Lifecycle state of a VM as tracked in the nova database.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VmLifecycle {
@@ -31,9 +36,11 @@ pub enum VmLifecycle {
     Terminated,
 }
 
-/// A VM record in the nova database — the one row per VM: what the
+/// A VM record in the nova database — the one row per live VM: what the
 /// customer asked for, where it runs, its lifecycle state, and what a
-/// re-placement (migration, evacuation) needs to re-instantiate it.
+/// re-placement (migration, evacuation) needs to re-instantiate it. A
+/// terminated VM keeps no record, only a tombstone
+/// ([`CloudController::lifecycle`]).
 #[derive(Clone, Debug)]
 pub struct VmRecord {
     /// The VM id.
@@ -46,7 +53,8 @@ pub struct VmRecord {
     pub properties: Vec<SecurityProperty>,
     /// Current host server.
     pub server: ServerId,
-    /// Lifecycle state.
+    /// Lifecycle state: [`VmLifecycle::Active`] or
+    /// [`VmLifecycle::Suspended`].
     pub state: VmLifecycle,
     /// The guest workload, kept declarative so every placement can
     /// re-instantiate it on the destination server.
@@ -108,7 +116,10 @@ pub struct CloudController {
     /// indexed by replica and bound once at deployment: what message 5
     /// is verified against.
     attserver_keys: Vec<BoundKey>,
+    /// The live VMs' records.
     vms: BTreeMap<Vid, VmRecord>,
+    /// The tombstones: bit `vid` is set once that VM has terminated.
+    terminated: Vec<u64>,
     servers: BTreeMap<ServerId, ServerInfo>,
     next_vid: u64,
 }
@@ -129,6 +140,7 @@ impl CloudController {
             instance_keys: vec![SigningKey::generate(rng)],
             attserver_keys: Vec::new(),
             vms: BTreeMap::new(),
+            terminated: Vec::new(),
             servers: BTreeMap::new(),
             next_vid: 1,
         }
@@ -239,17 +251,44 @@ impl CloudController {
         self.vms.remove(&vid);
     }
 
-    /// Looks up a VM record.
+    /// Replaces a terminated VM's record by its tombstone. Its capacity
+    /// must have been released first ([`Self::release_capacity`]).
+    pub(crate) fn retire_vm(&mut self, vid: Vid) {
+        if self.vms.remove(&vid).is_none() {
+            return;
+        }
+        let (word, bit) = tombstone(vid);
+        if word >= self.terminated.len() {
+            self.terminated.resize(word + 1, 0);
+        }
+        if let Some(tombstones) = self.terminated.get_mut(word) {
+            *tombstones |= bit;
+        }
+    }
+
+    /// Lifecycle state of `vid`: its record's while it lives,
+    /// [`VmLifecycle::Terminated`] once it has terminated, `None` for a
+    /// vid no VM was ever recorded under.
+    pub fn lifecycle(&self, vid: Vid) -> Option<VmLifecycle> {
+        if let Some(record) = self.vms.get(&vid) {
+            return Some(record.state);
+        }
+        let (word, bit) = tombstone(vid);
+        let dead = self.terminated.get(word).is_some_and(|w| w & bit != 0);
+        dead.then_some(VmLifecycle::Terminated)
+    }
+
+    /// Looks up a live VM's record.
     pub fn vm(&self, vid: Vid) -> Option<&VmRecord> {
         self.vms.get(&vid)
     }
 
-    /// Mutable VM record access.
+    /// Mutable access to a live VM's record.
     pub fn vm_mut(&mut self, vid: Vid) -> Option<&mut VmRecord> {
         self.vms.get_mut(&vid)
     }
 
-    /// All VM records.
+    /// The live VMs' records, in vid order.
     pub fn vms(&self) -> impl Iterator<Item = &VmRecord> {
         self.vms.values()
     }

@@ -8,7 +8,7 @@
 //! from the key alone* — preserving the server anonymity that prevents
 //! co-location probing (Section 3.4.2).
 
-use crate::verify_ring::{Vouched, Voucher};
+use crate::verify_ring::{HeldKey, Vouched, Voucher};
 use monatt_crypto::drbg::Drbg;
 use monatt_crypto::schnorr::{BoundKey, Signature, SigningKey, VerifyingKey};
 use monatt_crypto::sha256::Sha256;
@@ -76,15 +76,38 @@ pub struct PrivacyCa {
 
 /// What the pCA holds for one registered server.
 struct Registration {
-    /// The identity key VKs, bound at registration: every session's
-    /// binding is verified against it for as long as the server is
-    /// deployed.
-    identity: BoundKey,
+    /// The identity key VKs, which every session's binding is verified
+    /// against for as long as the server is deployed. It is held bare
+    /// until its second binding and bound (8 KiB) from then on, the rule
+    /// the AVK slot follows: a server whose reused AVK the cache answers
+    /// shows its identity key once per epoch and never pays the table.
+    identity: HeldKey,
+    /// Whether a binding has been verified under the bare key.
+    seen: bool,
     /// The certified-AVK cache's one entry for this server: its last
     /// certified request this epoch. A new request replaces it, and an
     /// epoch bump empties it, so the cache never holds more than one
     /// certificate per registered server.
     slot: Option<AvkSlot>,
+}
+
+impl Registration {
+    /// Verifies `request`'s binding under the identity key, through the
+    /// helper's verdict when `binding` vouches for exactly these bytes.
+    /// The second binding (good or forged) binds the key first.
+    fn verify_binding(
+        &mut self,
+        request: &CertificationRequest,
+        binding: Option<Voucher<'_>>,
+    ) -> bool {
+        if let HeldKey::Bare(key) = self.identity {
+            if self.seen {
+                self.identity = HeldKey::Bound(BoundKey::new(key));
+            }
+            self.seen = true;
+        }
+        request.verify_with(&Vouched::new(&self.identity, request.identity_key, binding))
+    }
 }
 
 /// A cached certification, answered again without re-verifying the
@@ -156,14 +179,15 @@ impl PrivacyCa {
         (self.cache_hits, self.cache_misses)
     }
 
-    /// Registers a cloud server's identity key at deployment time,
-    /// binding it for the verifications to come. Registering a key again
-    /// changes nothing.
+    /// Registers a cloud server's identity key at deployment time. The
+    /// key is bound on its second binding, not here. Registering a key
+    /// again changes nothing.
     pub fn register_server(&mut self, identity: VerifyingKey) {
         self.registered
             .entry(identity.to_bytes())
-            .or_insert_with(|| Registration {
-                identity: BoundKey::new(identity),
+            .or_insert(Registration {
+                identity: HeldKey::Bare(identity),
+                seen: false,
                 slot: None,
             });
     }
@@ -199,9 +223,8 @@ impl PrivacyCa {
         let Some(server) = self.registered.get_mut(&request.identity_key.to_bytes()) else {
             return Err(PcaError::UnregisteredServer);
         };
-        let identity = Vouched::new(&server.identity, request.identity_key, binding);
         if !self.cache_enabled {
-            if !request.verify_with(&identity) {
+            if !server.verify_binding(request, binding) {
                 return Err(PcaError::BadBinding);
             }
             return Ok((sign_certificate(&self.key, self.epoch, request), None));
@@ -218,7 +241,7 @@ impl PrivacyCa {
             }
             None => {
                 self.cache_misses += 1;
-                if !request.verify_with(&identity) {
+                if !server.verify_binding(request, binding) {
                     return Err(PcaError::BadBinding);
                 }
                 AvkSlot {
@@ -232,11 +255,20 @@ impl PrivacyCa {
         Ok((slot.cert.clone(), slot.bound.as_ref()))
     }
 
-    /// The key `identity`'s bindings verify against: the one bound at
-    /// registration.
-    pub(crate) fn identity_anchor(&self, identity: &VerifyingKey) -> Option<&BoundKey> {
+    /// The key `identity`'s bindings verify against, in the form the
+    /// pCA holds it.
+    pub(crate) fn identity_anchor(&self, identity: &VerifyingKey) -> Option<&HeldKey> {
         let server = self.registered.get(&identity.to_bytes())?;
         Some(&server.identity)
+    }
+
+    /// Registered identity keys the pCA holds bound.
+    #[cfg(test)]
+    pub(crate) fn identity_tables(&self) -> usize {
+        let servers = self.registered.values();
+        servers
+            .filter(|s| matches!(s.identity, HeldKey::Bound(_)))
+            .count()
     }
 
     /// Certificates in the certified-AVK cache, and how many of their
@@ -410,6 +442,64 @@ mod tests {
         pca.certify(session.certification_request()).unwrap();
         assert_eq!(pca.cache_stats(), (1, 2));
         assert_eq!(pca.cached_avks(), (1, 1));
+    }
+
+    #[test]
+    fn identity_keys_bind_on_second_sight() {
+        let mut pca = PrivacyCa::new(&mut Drbg::from_seed(65));
+        let mut tm = TrustModule::provision(Drbg::from_seed(66));
+        let identity = tm.identity_key();
+        pca.register_server(identity);
+        assert_eq!(pca.identity_tables(), 0, "registering builds no table");
+        let anchor = |pca: &PrivacyCa| match pca.identity_anchor(&identity) {
+            Some(HeldKey::Bare(key)) => (false, *key),
+            Some(HeldKey::Bound(bound)) => (true, bound.key()),
+            None => panic!("registered"),
+        };
+        assert_eq!(anchor(&pca), (false, identity));
+        for (sight, bound) in [(1, false), (2, true), (3, true)] {
+            let session = tm.begin_attestation();
+            let cert = pca.certify(session.certification_request()).unwrap();
+            assert!(cert.verify(&pca.public_key(), pca.epoch()), "sight {sight}");
+            assert_eq!(anchor(&pca), (bound, identity), "sight {sight}");
+        }
+        assert_eq!(pca.identity_tables(), 1);
+    }
+
+    #[test]
+    fn a_forged_binding_fails_alike_at_first_and_second_sight() {
+        let mut pca = PrivacyCa::new(&mut Drbg::from_seed(67));
+        let mut tm = TrustModule::provision(Drbg::from_seed(68));
+        pca.register_server(tm.identity_key());
+        let session = tm.begin_attestation();
+        let mut forged = session.certification_request().clone();
+        forged.attestation_key = tm.begin_attestation().attestation_key();
+        for tables in [0, 1] {
+            assert_eq!(pca.certify(&forged), Err(PcaError::BadBinding));
+            assert_eq!(pca.identity_tables(), tables);
+        }
+        // The key it bound verifies a genuine binding.
+        pca.certify(session.certification_request()).unwrap();
+    }
+
+    #[test]
+    fn a_cached_binding_shows_the_identity_key_once() {
+        // A reused AVK is verified under the identity key once per epoch;
+        // every later request is a cache hit and leaves the key bare.
+        let mut pca = PrivacyCa::new(&mut Drbg::from_seed(69));
+        pca.enable_cert_cache();
+        let mut tm = TrustModule::provision(Drbg::from_seed(70));
+        pca.register_server(tm.identity_key());
+        let session = tm.begin_attestation();
+        for _ in 0..5 {
+            pca.certify(session.certification_request()).unwrap();
+        }
+        assert_eq!(pca.cache_stats(), (4, 1));
+        assert_eq!(pca.identity_tables(), 0);
+        // A second epoch's miss is the key's second sight.
+        pca.bump_epoch();
+        pca.certify(session.certification_request()).unwrap();
+        assert_eq!(pca.identity_tables(), 1);
     }
 
     #[test]

@@ -43,7 +43,7 @@ use crate::session::{
     lost_session, malformed, CloudEvent, Msg4Meta, PendingMsg4, SessionEvent, SessionId,
     SessionYield,
 };
-use crate::verify_ring::{HopTickets, JobKey, Offload, Ticket, Vouched};
+use crate::verify_ring::{HeldKey, HopTickets, Offload, Ticket, Vouched};
 use monatt_crypto::schnorr::BoundKey;
 use monatt_net::wire::Wire;
 use monatt_tpm::quote::Quote;
@@ -57,9 +57,10 @@ fn program_error() -> CloudError {
 }
 
 /// Hands message 4's two signature checks to the verification helper:
-/// the attestation key's binding, under the identity key the routed
-/// replica's pCA bound at registration, and Q3, under the attestation
-/// key itself — what the replica will verify on receipt.
+/// the attestation key's binding, under the identity key as the routed
+/// replica's pCA holds it (bare, or bound from its second binding on),
+/// and Q3, under the attestation key itself — what the replica will
+/// verify on receipt.
 fn vouch_msg4(
     offload: &mut Offload,
     attserver: Option<&AttestationServer>,
@@ -72,13 +73,12 @@ fn vouch_msg4(
     let anchor = attserver.and_then(|a| a.identity_anchor(&request.identity_key));
     let avk = request.attestation_key;
     let binding = anchor.and_then(|anchor| {
-        let key = JobKey::Bound(anchor.clone());
-        offload.submit(key, avk.to_bytes(), request.identity_signature)
+        offload.submit(anchor.clone(), avk.to_bytes(), request.identity_signature)
     });
     let quote = &response.quote;
     HopTickets {
         binding,
-        quote: offload.submit(JobKey::Bare(avk), quote.digest, quote.signature),
+        quote: offload.submit(HeldKey::Bare(avk), quote.digest, quote.signature),
     }
 }
 
@@ -88,7 +88,7 @@ fn vouch_quote(offload: &mut Offload, anchor: Option<&BoundKey>, quote: &Quote) 
     if !offload.serving() {
         return None;
     }
-    let key = JobKey::Bound(anchor?.clone());
+    let key = HeldKey::Bound(anchor?.clone());
     offload.submit(key, quote.digest, quote.signature)
 }
 

@@ -87,34 +87,38 @@ pub(crate) struct HopVouchers<'a> {
     pub(crate) quote: Option<Voucher<'a>>,
 }
 
-/// The key a job verifies under: the form its receiver holds.
+/// A public key in the form its holder keeps it, which is the form a
+/// job verifies under: one function either way, the bound form faster.
 #[derive(Clone)]
-pub(crate) enum JobKey {
-    /// A key seen once (a fresh attestation key).
+pub(crate) enum HeldKey {
+    /// A key seen once: a fresh attestation key, or a pCA identity key
+    /// before its second binding.
     Bare(VerifyingKey),
-    /// A trust anchor; the clone shares the anchor's table.
+    /// A key bound to its table; the clone shares the table.
     Bound(BoundKey),
 }
 
-impl JobKey {
+impl HeldKey {
     fn key(&self) -> VerifyingKey {
         match self {
-            JobKey::Bare(key) => *key,
-            JobKey::Bound(bound) => bound.key(),
+            HeldKey::Bare(key) => *key,
+            HeldKey::Bound(bound) => bound.key(),
         }
     }
+}
 
+impl Verifier for HeldKey {
     fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), CryptoError> {
         match self {
-            JobKey::Bare(key) => key.verify(message, signature),
-            JobKey::Bound(bound) => bound.verify(message, signature),
+            HeldKey::Bare(key) => key.verify(message, signature),
+            HeldKey::Bound(bound) => bound.verify(message, signature),
         }
     }
 }
 
 /// One signature check and, once the helper has run it, its verdict.
 struct Job {
-    key: JobKey,
+    key: HeldKey,
     message: [u8; 32],
     signature: Signature,
     verdict: Option<Result<(), CryptoError>>,
@@ -333,7 +337,7 @@ impl Offload {
     /// or the ring is full.
     pub(crate) fn submit(
         &mut self,
-        key: JobKey,
+        key: HeldKey,
         message: [u8; 32],
         signature: Signature,
     ) -> Option<Ticket> {

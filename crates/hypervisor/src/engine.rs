@@ -9,9 +9,11 @@
 //! caught up on another thread while a second server runs on this one,
 //! and the schedule of each is what it would have been alone.
 //!
-//! State is dense. `VmId` is a per-server counter and a vCPU's index is
-//! below its VM's vCPU count, so VMs and vCPUs live in flat tables and
-//! the event path names a vCPU by its row in `ServerSim::vcpus`; a
+//! State is dense and holds only what is alive. The live VMs are rows of
+//! one table in creation order, their vCPUs rows of another, grouped by
+//! VM; a terminated VM's rows go, and the later rows move up, keeping
+//! their order. The event path names a vCPU and its VM by row and never
+//! looks an id up; a [`VmId`] (a per-server counter, never reused) or
 //! [`VcpuId`] is translated once, at the public surface. Timers are
 //! `TimerSlots`: every timer the server can have is a slot that is
 //! re-armed in place and disarmed the moment it stops meaning anything,
@@ -20,8 +22,8 @@
 
 use crate::driver::{VcpuAction, VcpuView, WakeReason, WorkloadDriver};
 use crate::ids::{PcpuId, VcpuId, VmId};
-use crate::pmu::Pmu;
-use crate::profile::{DescheduleReason, ProfileTool, RunSegment};
+use crate::pmu::{Pmu, VmCounters};
+use crate::profile::{DescheduleReason, ProfileTool, RunSegment, INTERVAL_BINS};
 use crate::scheduler::{RunState, RunStateKind, SchedParams, SchedVcpu};
 use crate::time::SimTime;
 use crate::timers::TimerSlots;
@@ -62,12 +64,54 @@ struct Pcpu {
 
 struct Vcpu {
     id: VcpuId,
+    /// Its VM's row in `ServerSim::vms`, the profile and the PMU.
+    vm_row: usize,
     sched: SchedVcpu,
     /// Away while the driver is being asked (it may re-enter the engine
-    /// through an IPI), gone once the VM has terminated.
+    /// through an IPI), and while its VM terminates.
     driver: Option<Box<dyn WorkloadDriver>>,
     /// Timer slot of the timed-sleep wake; released at termination.
     wake: usize,
+}
+
+/// One live VM.
+struct VmRow {
+    id: VmId,
+    /// Its vCPU 0's row in `ServerSim::vcpus`; the rest follow in index
+    /// order.
+    first_vcpu: usize,
+    vm: Vm,
+}
+
+impl VmRow {
+    fn vcpu_rows(&self) -> std::ops::Range<usize> {
+        self.first_vcpu..self.first_vcpu + self.vm.vcpu_count
+    }
+}
+
+/// What a terminated VM showed at the instant it terminated, handed back
+/// by [`ServerSim::retire_vm`]: the server itself keeps nothing of it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RetiredVm {
+    /// Its PMU counters.
+    pub counters: VmCounters,
+    /// Its virtual running time in the profile tool's current window.
+    pub window_cpu_time_us: u64,
+    /// Its usage-interval registers for the current window.
+    pub interval_registers: [u64; INTERVAL_BINS],
+    /// Its vCPUs, in index order.
+    pub vcpus: Vec<RetiredVcpu>,
+}
+
+/// One vCPU of a [`RetiredVm`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RetiredVcpu {
+    /// The pCPU it was pinned to.
+    pub pcpu: PcpuId,
+    /// Its total on-CPU time.
+    pub cpu_time_us: u64,
+    /// Its credit balance.
+    pub credits: i64,
 }
 
 impl Vcpu {
@@ -105,14 +149,16 @@ pub struct ServerSim {
     tick: usize,
     accounting: usize,
     pcpus: Vec<Pcpu>,
-    /// Indexed by `VmId`; terminated VMs keep their row.
-    vms: Vec<Vm>,
-    /// `VmId` → the VM's first row in `vcpus`; one more entry closes the
-    /// last VM.
-    vcpu_base: Vec<usize>,
+    /// The live VMs in creation order, which is ascending `VmId` order:
+    /// a `VmId` finds its row by binary search. A terminated VM's row is
+    /// removed; the profile and the PMU keep theirs in step.
+    vms: Vec<VmRow>,
+    /// The live VMs' vCPUs, grouped by VM in `vms` order.
     vcpus: Vec<Vcpu>,
     profile: ProfileTool,
     pmu: Pmu,
+    /// The next `VmId`: ids are never reused.
+    next_vm: u32,
     next_pin: usize,
 }
 
@@ -164,10 +210,10 @@ impl ServerSim {
             accounting,
             pcpus,
             vms: Vec::new(),
-            vcpu_base: vec![0],
             vcpus: Vec::new(),
             profile: ProfileTool::new(),
             pmu: Pmu::new(),
+            next_vm: 0,
             next_pin: 0,
         }
     }
@@ -203,20 +249,21 @@ impl ServerSim {
         &self.pmu
     }
 
-    /// Looks up a VM.
+    /// Looks up a live VM.
     pub fn vm(&self, vm: VmId) -> Option<&Vm> {
-        self.vms.get(vm.0 as usize)
+        Some(&self.vms[self.row_of(vm)?].vm)
     }
 
     /// Mutable VM access (e.g. for guest OS manipulation by attacks).
     pub fn vm_mut(&mut self, vm: VmId) -> Option<&mut Vm> {
-        self.vms.get_mut(vm.0 as usize)
+        let row = self.row_of(vm)?;
+        Some(&mut self.vms[row].vm)
     }
 
-    /// All VM ids, in creation order.
+    /// The live VMs' ids, in creation order.
     #[cold]
     pub fn vm_ids(&self) -> Vec<VmId> {
-        (0..self.vms.len() as u32).map(VmId).collect()
+        self.vms.iter().map(|row| row.id).collect()
     }
 
     /// Total on-CPU time a vCPU has consumed.
@@ -266,18 +313,23 @@ impl ServerSim {
                 assert!(pin.0 < self.pcpus.len(), "pin out of range");
             }
         }
-        let vm_id = VmId(self.vms.len() as u32);
+        let vm_id = VmId(self.next_vm);
+        self.next_vm += 1;
+        let vm_row = self.vms.len();
         let rows = self.vcpus.len()..self.vcpus.len() + config.drivers.len();
-        self.vms.push(Vm {
-            name: config.name,
-            weight: config.weight,
-            state: VmState::Running,
-            guest: config.guest,
-            vcpu_count: rows.len(),
+        self.vms.push(VmRow {
+            id: vm_id,
+            first_vcpu: rows.start,
+            vm: Vm {
+                name: config.name,
+                weight: config.weight,
+                state: VmState::Running,
+                guest: config.guest,
+                vcpu_count: rows.len(),
+            },
         });
-        self.vcpu_base.push(rows.end);
         // Size the per-VM tables now, so no event ever grows them.
-        self.pmu.counters_mut(vm_id);
+        self.pmu.track(vm_id);
         self.profile.track(vm_id);
         for (index, driver) in config.drivers.into_iter().enumerate() {
             let pcpu = match &config.pinning {
@@ -291,6 +343,7 @@ impl ServerSim {
             let v = self.vcpus.len();
             self.vcpus.push(Vcpu {
                 id: VcpuId { vm: vm_id, index },
+                vm_row,
                 sched: SchedVcpu::new(pcpu, config.weight),
                 driver: Some(driver),
                 wake: self.timers.add(Timer::Wake(v)),
@@ -309,11 +362,14 @@ impl ServerSim {
     /// Suspends a VM: its vCPUs stop being scheduled until
     /// [`Self::resume_vm`]. No-op for unknown or terminated VMs.
     pub fn suspend_vm(&mut self, vm: VmId) {
-        if !matches!(self.vm(vm).map(|v| v.state), Some(VmState::Running)) {
+        let Some(row) = self.row_of(vm) else {
+            return;
+        };
+        if self.vms[row].vm.state != VmState::Running {
             return;
         }
-        self.vms[vm.0 as usize].state = VmState::Suspended;
-        for v in self.vcpu_rows(vm) {
+        self.vms[row].vm.state = VmState::Suspended;
+        for v in self.vms[row].vcpu_rows() {
             let before = match self.vcpus[v].sched.state {
                 RunState::Running { .. } => {
                     let p = self.vcpus[v].sched.pcpu.0;
@@ -341,11 +397,15 @@ impl ServerSim {
     /// conservatively (their sleep timers were cancelled by suspension).
     /// No-op unless the VM is suspended.
     pub fn resume_vm(&mut self, vm: VmId) {
-        if !matches!(self.vm(vm).map(|v| v.state), Some(VmState::Suspended)) {
+        let Some(row) = self.row_of(vm) else {
+            return;
+        };
+        if self.vms[row].vm.state != VmState::Suspended {
             return;
         }
-        self.vms[vm.0 as usize].state = VmState::Running;
-        for v in self.vcpu_rows(vm) {
+        self.vms[row].vm.state = VmState::Running;
+        let rows = self.vms[row].vcpu_rows();
+        for v in rows.clone() {
             if self.vcpus[v].sched.state == RunState::Paused {
                 self.vcpus[v].sched.state = RunState::Runnable;
                 self.enqueue(v);
@@ -354,25 +414,33 @@ impl ServerSim {
         // Then one check per resumed vCPU, as in `create_vm`. The first
         // check may already run (even halt) a later sibling, so "was
         // paused" is read from the suspension record, not the run state.
-        for v in self.vcpu_rows(vm) {
+        for v in rows {
             if self.vcpus[v].sched.state_before_pause.take().is_some() {
                 self.preempt_check(self.vcpus[v].sched.pcpu.0);
             }
         }
     }
 
-    /// Terminates a VM permanently: all vCPUs halt and never run again.
-    /// Its drivers are dropped and its vCPUs leave the per-pCPU member
-    /// lists and the timer table, so a dead VM costs the event path
-    /// nothing; its row keeps answering [`Self::vm`],
-    /// [`Self::vcpu_cpu_time_us`] and the PMU.
+    /// Terminates a VM permanently: all vCPUs halt and never run again,
+    /// and the server forgets it (see [`Self::retire_vm`]). No-op for an
+    /// unknown or terminated VM.
     #[cold]
     pub fn terminate_vm(&mut self, vm: VmId) {
-        if !matches!(self.vm(vm).map(|v| v.state), Some(s) if s != VmState::Terminated) {
-            return;
-        }
-        self.vms[vm.0 as usize].state = VmState::Terminated;
-        for v in self.vcpu_rows(vm) {
+        self.retire_vm(vm);
+    }
+
+    /// [`Self::terminate_vm`], handing back what the VM showed as it
+    /// terminated; `None` for an unknown or terminated VM. Its running
+    /// vCPUs are descheduled first, as the hypervisor stops them. Then
+    /// its drivers, guest, timers, profile row and PMU row go, and every
+    /// later VM and vCPU row moves up one place in order: the event path
+    /// walks what is alive, in the order it was created. Its `VmId` is
+    /// never issued again.
+    #[cold]
+    pub fn retire_vm(&mut self, vm: VmId) -> Option<RetiredVm> {
+        let row = self.row_of(vm)?;
+        let rows = self.vms[row].vcpu_rows();
+        for v in rows.clone() {
             let p = self.vcpus[v].sched.pcpu.0;
             match self.vcpus[v].sched.state {
                 RunState::Running { .. } => {
@@ -389,6 +457,55 @@ impl ServerSim {
                 .release(std::mem::replace(&mut vc.wake, usize::MAX));
             self.pcpus[p].members.retain(|&m| m != v);
         }
+        let vcpus = self.vcpus[rows.clone()]
+            .iter()
+            .map(|vc| RetiredVcpu {
+                pcpu: vc.sched.pcpu,
+                cpu_time_us: vc.sched.cpu_time_us,
+                credits: vc.sched.credits,
+            })
+            .collect();
+        let (window_cpu_time_us, interval_registers) = self.profile.forget(row);
+        let retired = RetiredVm {
+            counters: self.pmu.forget(row),
+            window_cpu_time_us,
+            interval_registers,
+            vcpus,
+        };
+        self.vms.remove(row);
+        self.vcpus.drain(rows.clone());
+        self.close_gap(row, rows);
+        Some(retired)
+    }
+
+    /// Renumbers every reference to a row past the removed VM row `row`
+    /// and vCPU rows `gone`: each moves up by what was removed before
+    /// it, so every list keeps its order and every timer its stamp.
+    #[cold]
+    fn close_gap(&mut self, row: usize, gone: std::ops::Range<usize>) {
+        let shift = |v: &mut usize| {
+            if *v >= gone.end {
+                *v -= gone.len();
+            }
+        };
+        for later in &mut self.vms[row..] {
+            later.first_vcpu -= gone.len();
+        }
+        for vc in &mut self.vcpus[gone.start..] {
+            vc.vm_row -= 1;
+        }
+        for pc in &mut self.pcpus {
+            if let Some(v) = &mut pc.current {
+                shift(v);
+            }
+            pc.queue.iter_mut().for_each(shift);
+            pc.members.iter_mut().for_each(shift);
+        }
+        self.timers.retag(|timer| {
+            if let Timer::Wake(v) = timer {
+                shift(v);
+            }
+        });
     }
 
     /// Runs the simulation until `deadline`, processing all events due by
@@ -528,18 +645,14 @@ impl ServerSim {
     // Internals
     // ------------------------------------------------------------------
 
-    fn vcpu(&self, id: VcpuId) -> Option<&Vcpu> {
-        let rows = self.vcpu_rows(id.vm);
-        (id.index < rows.len()).then(|| &self.vcpus[rows.start + id.index])
+    /// The row of the live VM `vm`.
+    fn row_of(&self, vm: VmId) -> Option<usize> {
+        self.vms.binary_search_by_key(&vm, |row| row.id).ok()
     }
 
-    /// The rows of `vm`'s vCPUs in `vcpus`, in index order; empty for an
-    /// unknown VM.
-    fn vcpu_rows(&self, vm: VmId) -> std::ops::Range<usize> {
-        match self.vcpu_base.get(vm.0 as usize..vm.0 as usize + 2) {
-            Some(&[start, end]) => start..end,
-            _ => 0..0,
-        }
+    fn vcpu(&self, id: VcpuId) -> Option<&Vcpu> {
+        let rows = self.vms[self.row_of(id.vm)?].vcpu_rows();
+        (id.index < rows.len()).then(|| &self.vcpus[rows.start + id.index])
     }
 
     fn view(&self, v: usize) -> VcpuView {
@@ -648,7 +761,7 @@ impl ServerSim {
                 return;
             }
             self.deschedule(cur, DescheduleReason::Preempted, RunState::Runnable);
-            self.pmu.counters_mut(self.vcpus[cur].id.vm).preemptions += 1;
+            self.pmu.row_mut(self.vcpus[cur].vm_row).preemptions += 1;
             self.enqueue(cur);
         }
         self.dispatch(p);
@@ -672,7 +785,7 @@ impl ServerSim {
         vc.sched.state = RunState::Running { since: now };
         vc.sched.compute_started = now;
         self.pcpus[p].current = Some(v);
-        self.pmu.counters_mut(vc.id.vm).schedules += 1;
+        self.pmu.row_mut(vc.vm_row).schedules += 1;
         if vc.sched.pending_compute_us == 0 {
             if vc.driver.is_none() {
                 // `v` is inside its own `ask_driver` further up the stack:
@@ -718,7 +831,7 @@ impl ServerSim {
     /// `pending_compute_us > 0`.
     fn ask_driver(&mut self, v: usize) -> bool {
         let mut driver = self.vcpus[v].driver.take().expect("driver is home");
-        let id = self.vcpus[v].id;
+        let (id, vm_row) = (self.vcpus[v].id, self.vcpus[v].vm_row);
         let mut still_running = false;
         let mut budget = DRIVER_ACTION_BUDGET;
         loop {
@@ -740,10 +853,10 @@ impl ServerSim {
                     break;
                 }
                 VcpuAction::SendIpi { target_index } => {
-                    self.pmu.counters_mut(id.vm).ipis_sent += 1;
-                    let rows = self.vcpu_rows(id.vm);
-                    if target_index != id.index && target_index < rows.len() {
-                        self.wake_vcpu(rows.start + target_index, WakeReason::Ipi);
+                    self.pmu.row_mut(vm_row).ipis_sent += 1;
+                    let siblings = self.vms[vm_row].vcpu_rows();
+                    if target_index != id.index && target_index < siblings.len() {
+                        self.wake_vcpu(siblings.start + target_index, WakeReason::Ipi);
                     }
                     // The wake may have preempted us.
                     if !matches!(self.vcpus[v].sched.state, RunState::Running { .. }) {
@@ -752,7 +865,7 @@ impl ServerSim {
                 }
                 VcpuAction::Block { duration_us } => {
                     self.deschedule(v, DescheduleReason::Blocked, RunState::Blocked);
-                    self.pmu.counters_mut(id.vm).blocks += 1;
+                    self.pmu.row_mut(vm_row).blocks += 1;
                     if let Some(d) = duration_us {
                         self.timers.arm(self.vcpus[v].wake, self.now + d);
                     }
@@ -809,13 +922,16 @@ impl ServerSim {
             vs.boosted = false;
         }
         if ran > 0 {
-            self.profile.record(RunSegment {
-                vcpu: vc.id,
-                pcpu: vs.pcpu,
-                start: since,
-                end: now,
-                reason,
-            });
+            self.profile.record(
+                vc.vm_row,
+                RunSegment {
+                    vcpu: vc.id,
+                    pcpu: vs.pcpu,
+                    start: since,
+                    end: now,
+                    reason,
+                },
+            );
         }
         let pc = &mut self.pcpus[vs.pcpu.0];
         debug_assert_eq!(pc.current, Some(v));
@@ -835,7 +951,7 @@ impl ServerSim {
         self.timers.disarm(vc.wake);
         vc.sched.state = RunState::Runnable;
         vc.sched.boosted = self.params.boost_enabled && vc.sched.credits >= 0;
-        let counters = self.pmu.counters_mut(vc.id.vm);
+        let counters = self.pmu.row_mut(vc.vm_row);
         counters.wakeups += 1;
         if vc.sched.boosted {
             counters.boosts += 1;
@@ -1177,7 +1293,7 @@ mod tests {
     }
 
     #[test]
-    fn terminated_vm_leaves_the_event_path() {
+    fn terminated_vm_leaves_nothing_behind() {
         struct Sleeper(Shared<u64>);
         impl WorkloadDriver for Sleeper {
             fn next_action(&mut self, _view: &VcpuView) -> VcpuAction {
@@ -1198,7 +1314,7 @@ mod tests {
         assert_eq!(sim.schedulable_vcpus_on(PcpuId(0)), 1);
         assert!(format!("{sim:?}").contains("live_timers: 3"), "{sim:?}");
 
-        sim.terminate_vm(vm);
+        let retired = sim.retire_vm(vm).expect("a live VM");
         // The driver is dropped, the wake is disarmed, contention no
         // longer counts the vCPU, and the server is quiescent.
         assert_eq!(Shared::strong_count(&asked), 1);
@@ -1206,22 +1322,81 @@ mod tests {
         assert_eq!(sim.schedulable_vcpus_on(PcpuId(0)), 0);
         assert!(sim.try_leap(SimTime::from_secs(1)));
         assert_eq!(*asked.borrow(), 1);
-        // The row still answers.
-        assert_eq!(sim.vm(vm).unwrap().state, VmState::Terminated);
-        assert_eq!(sim.vm_ids(), vec![vm]);
-        assert_eq!(sim.vcpu_cpu_time_us(id), 0);
-        assert_eq!(sim.vcpu_pcpu(id), Some(PcpuId(0)));
-        assert_eq!(sim.pmu().counters(vm).blocks, 1);
-
-        // A later VM reuses the released wake slot: the table is as
-        // long as the live timer set, not as the server's history.
-        let next = sim.create_vm(VmConfig::new("next", vec![Box::new(IdleDriver)]));
+        // What it showed is handed back, and no row answers for it.
+        assert_eq!(retired.counters.blocks, 1);
         assert_eq!(
-            sim.vcpus[1].wake, 4,
+            retired.vcpus,
+            vec![RetiredVcpu {
+                pcpu: PcpuId(0),
+                cpu_time_us: 0,
+                credits: 0,
+            }]
+        );
+        assert!(sim.vm(vm).is_none());
+        assert!(sim.vm_ids().is_empty());
+        assert!(sim.vms.is_empty() && sim.vcpus.is_empty());
+        assert_eq!(sim.profile.vm_cpu_time_us(vm), 0);
+        assert_eq!(sim.pmu().counters(vm), VmCounters::default());
+        assert_eq!(sim.vcpu_pcpu(id), None);
+        assert!(sim.pcpus.iter().all(|pc| pc.members.is_empty()));
+        assert_eq!(sim.retire_vm(vm), None, "terminating twice is a no-op");
+
+        // A later VM takes a fresh id and reuses the released wake slot:
+        // the tables are as long as what is alive, not as the server's
+        // history.
+        let next = sim.create_vm(VmConfig::new("next", vec![Box::new(IdleDriver)]));
+        assert_eq!(next, VmId(1));
+        assert_eq!(
+            sim.vcpus[0].wake, 4,
             "tick, accounting, compute, slice, wake"
         );
-        assert_eq!(sim.vcpus[0].wake, usize::MAX);
-        assert_eq!(next, VmId(1));
+        assert_eq!(sim.vm_ids(), vec![next]);
+    }
+
+    #[test]
+    fn later_rows_move_up_in_order() {
+        // Three two-vCPU VMs on two pCPUs; the middle one terminates
+        // while the others run, sleep and queue. The survivors' rows move
+        // up, and every reference to them with it: they run on exactly
+        // as they would have beside a VM that merely stopped.
+        let run = |terminate: bool| {
+            let mut sim = ServerSim::new(2, SchedParams::default());
+            let sleeper = || -> Box<dyn WorkloadDriver> {
+                Box::new(ScriptedDriver::new([
+                    VcpuAction::Compute { duration_us: 3_000 },
+                    VcpuAction::Block {
+                        duration_us: Some(4_000),
+                    },
+                    VcpuAction::SendIpi { target_index: 1 },
+                    VcpuAction::Compute { duration_us: 2_000 },
+                    VcpuAction::Block {
+                        duration_us: Some(9_000),
+                    },
+                    VcpuAction::Compute { duration_us: 5_000 },
+                ]))
+            };
+            let vms: Vec<VmId> = (0..3)
+                .map(|i| {
+                    sim.create_vm(VmConfig::new(
+                        &format!("vm-{i}"),
+                        vec![Box::new(BusyLoop), sleeper()],
+                    ))
+                })
+                .collect();
+            sim.run_until(SimTime::from_millis(7));
+            if terminate {
+                sim.terminate_vm(vms[1]);
+            } else {
+                sim.suspend_vm(vms[1]);
+            }
+            sim.run_until(SimTime::from_millis(200));
+            [vms[0], vms[2]].map(|vm| {
+                let c = sim.pmu().counters(vm);
+                let cpu = |index| sim.vcpu_cpu_time_us(VcpuId { vm, index });
+                (cpu(0), cpu(1), c.schedules, c.wakeups, c.ipis_sent)
+            })
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]
@@ -1261,12 +1436,13 @@ mod tests {
         let mut sim = ServerSim::new(1, SchedParams::default());
         let vm = busy_vm(&mut sim, "v", 0);
         sim.run_until(SimTime::from_millis(50));
-        sim.terminate_vm(vm);
-        let t = sim.vcpu_cpu_time_us(VcpuId { vm, index: 0 });
+        let retired = sim.retire_vm(vm).expect("a live VM");
+        assert_eq!(retired.vcpus[0].cpu_time_us, 50_000);
         sim.resume_vm(vm); // must be a no-op
         sim.run_until(SimTime::from_millis(200));
-        assert_eq!(sim.vcpu_cpu_time_us(VcpuId { vm, index: 0 }), t);
-        assert_eq!(sim.vm(vm).unwrap().state, VmState::Terminated);
+        assert!(sim.vm(vm).is_none());
+        assert_eq!(sim.vcpu_cpu_time_us(VcpuId { vm, index: 0 }), 0);
+        assert!(!sim.is_busy());
     }
 
     #[test]

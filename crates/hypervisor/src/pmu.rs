@@ -21,11 +21,12 @@ pub struct VmCounters {
     pub blocks: u64,
 }
 
-/// A bank of per-VM counters, indexed by `VmId` (a dense per-server
-/// counter).
+/// A bank of per-VM counters: one row per live VM of the server, in
+/// ascending `VmId` order. The engine counts into a row by its index;
+/// readers name the VM.
 #[derive(Clone, Debug, Default)]
 pub struct Pmu {
-    counters: Vec<VmCounters>,
+    rows: Vec<(VmId, VmCounters)>,
 }
 
 impl Pmu {
@@ -34,21 +35,32 @@ impl Pmu {
         Self::default()
     }
 
-    /// Mutable counters for `vm`, created on first touch.
-    pub fn counters_mut(&mut self, vm: VmId) -> &mut VmCounters {
-        let row = vm.0 as usize;
-        if row >= self.counters.len() {
-            self.counters.resize(row + 1, VmCounters::default());
-        }
-        &mut self.counters[row]
+    /// Counters for `vm` (zeroes for a VM the PMU does not track: never
+    /// created, or terminated).
+    pub fn counters(&self, vm: VmId) -> VmCounters {
+        self.rows
+            .binary_search_by_key(&vm, |&(id, _)| id)
+            .map_or_else(|_| VmCounters::default(), |row| self.rows[row].1)
     }
 
-    /// Read-only counters for `vm` (zeroes if never touched).
-    pub fn counters(&self, vm: VmId) -> VmCounters {
-        self.counters
-            .get(vm.0 as usize)
-            .copied()
-            .unwrap_or_default()
+    /// Appends a zeroed row for `vm`, which must outnumber every tracked
+    /// VM: the engine calls this when it creates a VM, so counting never
+    /// grows the table.
+    pub(crate) fn track(&mut self, vm: VmId) {
+        debug_assert!(self.rows.last().is_none_or(|&(last, _)| last < vm));
+        self.rows.push((vm, VmCounters::default()));
+    }
+
+    /// The counters in row `row`.
+    pub(crate) fn row_mut(&mut self, row: usize) -> &mut VmCounters {
+        &mut self.rows[row].1
+    }
+
+    /// Removes row `row` (its VM terminated) and returns its counters;
+    /// later rows move up one.
+    #[cold]
+    pub(crate) fn forget(&mut self, row: usize) -> VmCounters {
+        self.rows.remove(row).1
     }
 }
 
@@ -57,11 +69,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counts_accumulate() {
+    fn counts_accumulate_per_tracked_vm() {
         let mut pmu = Pmu::new();
-        pmu.counters_mut(VmId(1)).ipis_sent += 2;
-        pmu.counters_mut(VmId(1)).ipis_sent += 1;
+        pmu.track(VmId(1));
+        pmu.track(VmId(4));
+        pmu.row_mut(0).ipis_sent += 2;
+        pmu.row_mut(0).ipis_sent += 1;
+        pmu.row_mut(1).blocks += 1;
         assert_eq!(pmu.counters(VmId(1)).ipis_sent, 3);
         assert_eq!(pmu.counters(VmId(2)), VmCounters::default());
+        assert_eq!(pmu.forget(0).ipis_sent, 3);
+        assert_eq!(pmu.counters(VmId(1)), VmCounters::default());
+        assert_eq!(pmu.counters(VmId(4)).blocks, 1);
+        assert_eq!(pmu.row_mut(0).blocks, 1, "the later row moved up");
     }
 }

@@ -61,8 +61,9 @@ impl RunSegment {
 
 /// One VM's window: running time and interval registers side by side,
 /// so closing a segment touches one row.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 struct VmRow {
+    vm: VmId,
     cpu_time_us: u64,
     intervals: [u64; INTERVAL_BINS],
 }
@@ -71,7 +72,7 @@ struct VmRow {
 /// registers, plus the opt-in segment log.
 #[derive(Clone, Debug, Default)]
 pub struct ProfileTool {
-    /// Indexed by `VmId` (a dense per-server counter).
+    /// One row per live VM of the server, in ascending `VmId` order.
     rows: Vec<VmRow>,
     window_start: SimTime,
     /// The segment log; `None` while logging is off.
@@ -93,14 +94,14 @@ impl ProfileTool {
         self.log = on.then(|| self.log.take().unwrap_or_default());
     }
 
-    /// Records a completed run segment (called by the engine on every
-    /// deschedule): adds its duration to the VM's running time and
-    /// counts it in the interval register of its bin. A zero-length
-    /// segment counts in no bin.
-    pub fn record(&mut self, segment: RunSegment) {
+    /// Records a completed run segment of the VM in row `row` (called by
+    /// the engine on every deschedule): adds its duration to the VM's
+    /// running time and counts it in the interval register of its bin.
+    /// A zero-length segment counts in no bin.
+    pub(crate) fn record(&mut self, row: usize, segment: RunSegment) {
         let d = segment.duration_us();
-        self.track(segment.vcpu.vm);
-        let row = &mut self.rows[segment.vcpu.vm.0 as usize];
+        let row = &mut self.rows[row];
+        debug_assert_eq!(row.vm, segment.vcpu.vm);
         row.cpu_time_us += d;
         if d > 0 {
             // (0, w] -> bin 0, (w, 2w] -> bin 1, …, longer -> the last.
@@ -112,13 +113,30 @@ impl ProfileTool {
         }
     }
 
-    /// Makes room for `vm`'s row. The engine calls this when a VM is
-    /// created, so recording never grows the table.
+    /// Appends a zeroed row for `vm`, which must outnumber every tracked
+    /// VM. The engine calls this when a VM is created, so recording
+    /// never grows the table.
     pub(crate) fn track(&mut self, vm: VmId) {
-        let row = vm.0 as usize;
-        if row >= self.rows.len() {
-            self.rows.resize(row + 1, VmRow::default());
-        }
+        debug_assert!(self.rows.last().is_none_or(|last| last.vm < vm));
+        self.rows.push(VmRow {
+            vm,
+            cpu_time_us: 0,
+            intervals: [0; INTERVAL_BINS],
+        });
+    }
+
+    /// Removes row `row` (its VM terminated) and returns its window's
+    /// running time and interval registers; later rows move up one.
+    #[cold]
+    pub(crate) fn forget(&mut self, row: usize) -> (u64, [u64; INTERVAL_BINS]) {
+        let row = self.rows.remove(row);
+        (row.cpu_time_us, row.intervals)
+    }
+
+    /// `vm`'s row, if the tool tracks it.
+    fn row(&self, vm: VmId) -> Option<&VmRow> {
+        let row = self.rows.binary_search_by_key(&vm, |r| r.vm).ok()?;
+        Some(&self.rows[row])
     }
 
     /// All recorded segments since the last [`Self::reset_window`].
@@ -141,19 +159,18 @@ impl ProfileTool {
     }
 
     /// Total virtual running time of `vm` in the current window
-    /// (`CPU_measure` in the paper).
+    /// (`CPU_measure` in the paper); 0 for a VM the tool does not track.
     pub fn vm_cpu_time_us(&self, vm: VmId) -> u64 {
-        self.rows.get(vm.0 as usize).map_or(0, |r| r.cpu_time_us)
+        self.row(vm).map_or(0, |r| r.cpu_time_us)
     }
 
     /// `vm`'s usage-interval registers for the current window: register
     /// `i` counts the segments whose duration `d` fell in
     /// `(i·w, (i+1)·w]` for `w` = [`INTERVAL_BIN_WIDTH_US`], the last
-    /// register also those longer. All zero for an unknown VM.
+    /// register also those longer. All zero for a VM the tool does not
+    /// track.
     pub fn interval_registers(&self, vm: VmId) -> &[u64; INTERVAL_BINS] {
-        self.rows
-            .get(vm.0 as usize)
-            .map_or(&[0; INTERVAL_BINS], |r| &r.intervals)
+        self.row(vm).map_or(&[0; INTERVAL_BINS], |r| &r.intervals)
     }
 
     /// Relative CPU usage of `vm`: virtual running time divided by the
@@ -176,7 +193,10 @@ impl ProfileTool {
     /// running time and interval registers and clears the segment log
     /// (which keeps its capacity).
     pub fn reset_window(&mut self, now: SimTime) {
-        self.rows.fill(VmRow::default());
+        for row in &mut self.rows {
+            row.cpu_time_us = 0;
+            row.intervals = [0; INTERVAL_BINS];
+        }
         if let Some(log) = &mut self.log {
             log.clear();
         }
@@ -194,6 +214,20 @@ fn log_segment(log: &mut Vec<RunSegment>, segment: RunSegment) {
 mod tests {
     use super::*;
 
+    /// A tool tracking VMs 1 and 2.
+    fn tool() -> ProfileTool {
+        let mut p = ProfileTool::new();
+        p.track(VmId(1));
+        p.track(VmId(2));
+        p
+    }
+
+    /// Records `segment` in its VM's row.
+    fn record(p: &mut ProfileTool, segment: RunSegment) {
+        let row = p.rows.iter().position(|r| r.vm == segment.vcpu.vm);
+        p.record(row.expect("tracked VM"), segment);
+    }
+
     fn seg(vm: u32, start_us: u64, end_us: u64) -> RunSegment {
         RunSegment {
             vcpu: VcpuId {
@@ -209,10 +243,10 @@ mod tests {
 
     #[test]
     fn accumulates_cpu_time_per_vm() {
-        let mut p = ProfileTool::new();
-        p.record(seg(1, 0, 5_000));
-        p.record(seg(1, 10_000, 12_000));
-        p.record(seg(2, 5_000, 10_000));
+        let mut p = tool();
+        record(&mut p, seg(1, 0, 5_000));
+        record(&mut p, seg(1, 10_000, 12_000));
+        record(&mut p, seg(2, 5_000, 10_000));
         assert_eq!(p.vm_cpu_time_us(VmId(1)), 7_000);
         assert_eq!(p.vm_cpu_time_us(VmId(2)), 5_000);
         assert_eq!(p.vm_cpu_time_us(VmId(3)), 0);
@@ -220,8 +254,8 @@ mod tests {
 
     #[test]
     fn relative_usage() {
-        let mut p = ProfileTool::new();
-        p.record(seg(1, 0, 30_000));
+        let mut p = tool();
+        record(&mut p, seg(1, 0, 30_000));
         let usage = p.relative_cpu_usage(VmId(1), SimTime::from_micros(60_000));
         assert!((usage - 0.5).abs() < 1e-9);
         assert_eq!(p.relative_cpu_usage(VmId(1), SimTime::ZERO), 0.0);
@@ -229,28 +263,28 @@ mod tests {
 
     #[test]
     fn window_reset() {
-        let mut p = ProfileTool::new();
+        let mut p = tool();
         p.set_logging(true);
-        p.record(seg(1, 0, 10_000));
+        record(&mut p, seg(1, 0, 10_000));
         p.reset_window(SimTime::from_micros(10_000));
         assert_eq!(p.vm_cpu_time_us(VmId(1)), 0);
         assert_eq!(p.interval_registers(VmId(1)), &[0; INTERVAL_BINS]);
         assert!(p.segments().is_empty());
-        p.record(seg(1, 10_000, 40_000));
+        record(&mut p, seg(1, 10_000, 40_000));
         let usage = p.relative_cpu_usage(VmId(1), SimTime::from_micros(40_000));
         assert!((usage - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn histogram_binning() {
-        let mut p = ProfileTool::new();
-        p.record(seg(1, 0, 4_600)); // 4.6 ms -> bin 4
-        p.record(seg(1, 10_000, 11_000)); // 1.0 ms -> bin 0
-        p.record(seg(1, 12_000, 12_001)); // 1 us -> bin 0
-        p.record(seg(1, 13_000, 14_001)); // 1.001 ms -> bin 1
-        p.record(seg(1, 20_000, 80_000)); // 60 ms -> clamped to bin 29
-        p.record(seg(1, 90_000, 90_000)); // zero-length: no bin
-        p.record(seg(2, 0, 1_000)); // other VM, excluded
+        let mut p = tool();
+        record(&mut p, seg(1, 0, 4_600)); // 4.6 ms -> bin 4
+        record(&mut p, seg(1, 10_000, 11_000)); // 1.0 ms -> bin 0
+        record(&mut p, seg(1, 12_000, 12_001)); // 1 us -> bin 0
+        record(&mut p, seg(1, 13_000, 14_001)); // 1.001 ms -> bin 1
+        record(&mut p, seg(1, 20_000, 80_000)); // 60 ms -> clamped to bin 29
+        record(&mut p, seg(1, 90_000, 90_000)); // zero-length: no bin
+        record(&mut p, seg(2, 0, 1_000)); // other VM, excluded
         let h = p.interval_registers(VmId(1));
         assert_eq!(h[0], 2);
         assert_eq!(h[1], 1);
@@ -262,12 +296,12 @@ mod tests {
 
     #[test]
     fn logging_is_opt_in_and_changes_no_count() {
-        let mut on = ProfileTool::new();
+        let mut on = tool();
         on.set_logging(true);
-        let mut off = ProfileTool::new();
+        let mut off = tool();
         for p in [&mut on, &mut off] {
-            p.record(seg(1, 0, 1));
-            p.record(seg(2, 1, 2_500));
+            record(p, seg(1, 0, 1));
+            record(p, seg(2, 1, 2_500));
         }
         assert_eq!(on.segments().len(), 2);
         for vm in [VmId(1), VmId(2)] {
@@ -280,18 +314,18 @@ mod tests {
 
     #[test]
     fn vm_segments_filter() {
-        let mut p = ProfileTool::new();
+        let mut p = tool();
         p.set_logging(true);
-        p.record(seg(1, 0, 1));
-        p.record(seg(2, 1, 2));
+        record(&mut p, seg(1, 0, 1));
+        record(&mut p, seg(2, 1, 2));
         assert_eq!(p.vm_segments(VmId(1)).count(), 1);
     }
 
     #[test]
     #[should_panic(expected = "segment log is off")]
     fn reading_a_log_that_is_off_panics() {
-        let mut p = ProfileTool::new();
-        p.record(seg(1, 0, 1));
+        let mut p = tool();
+        record(&mut p, seg(1, 0, 1));
         let _ = p.segments();
     }
 }

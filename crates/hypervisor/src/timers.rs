@@ -82,6 +82,13 @@ impl<T: Copy> TimerSlots<T> {
         }
     }
 
+    /// Rewrites every slot's tag in place, armed or not; due times and
+    /// stamps are untouched, so the pop order is too.
+    #[cold]
+    pub(crate) fn retag(&mut self, f: impl FnMut(&mut T)) {
+        self.tags.iter_mut().for_each(f);
+    }
+
     /// (Re-)arms `slot` to fire at `due`, stamped after every timer
     /// armed so far. An armed slot is simply overwritten: its earlier
     /// deadline is cancelled.

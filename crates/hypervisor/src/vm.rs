@@ -7,15 +7,14 @@ use crate::ids::PcpuId;
 /// The default credit-scheduler weight (Xen's default is 256).
 pub const DEFAULT_WEIGHT: u32 = 256;
 
-/// Lifecycle state of a VM on a server.
+/// Lifecycle state of a live VM on a server (a terminated VM is not on
+/// it at all).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VmState {
     /// Running normally (vCPUs participate in scheduling).
     Running,
     /// Suspended by the controller; vCPUs do not run.
     Suspended,
-    /// Terminated; cannot be resumed.
-    Terminated,
 }
 
 /// Configuration for creating a VM on a simulated server.

@@ -28,7 +28,9 @@ use monatt_hypervisor::scheduler::SchedParams;
 use monatt_hypervisor::time::{SimTime, MS, SEC};
 use monatt_hypervisor::vm::VmConfig;
 use std::ops::Range;
-use support::{deadline, fold_segment, fold_state, pattern, reason_code, ChunkedBusy, Fold, Rng};
+use support::{
+    deadline, fold_segment, fold_state, pattern, reason_code, ChunkedBusy, Fold, Retired, Rng,
+};
 
 const SCENARIOS: u64 = 64;
 
@@ -85,6 +87,7 @@ fn run_scenario(seed: u64, busy: Busy) -> (Vec<u64>, [usize; 6]) {
     let mut digests = Vec::new();
     let mut reasons = [0_usize; 6];
     let mut vms: Vec<VmId> = Vec::new();
+    let mut retired = Retired::default();
 
     if rng.below(2) == 0 {
         sim.run_until_lazy(SimTime::from_micros(rng.below(200_000)));
@@ -97,7 +100,7 @@ fn run_scenario(seed: u64, busy: Busy) -> (Vec<u64>, [usize; 6]) {
         match rng.below(20) {
             0 | 1 => sim.suspend_vm(vm),
             2 | 3 => sim.resume_vm(vm),
-            4 => sim.terminate_vm(vm),
+            4 => retired.terminate(&mut sim, vm),
             5 | 6 => vms.push(create(&mut sim, &mut rng, sleepy, busy)),
             7..=12 => {
                 let d = deadline(&sim, &mut rng, reach);
@@ -112,10 +115,11 @@ fn run_scenario(seed: u64, busy: Busy) -> (Vec<u64>, [usize; 6]) {
             fold_segment(&mut fold, seg);
             reasons[reason_code(seg.reason) as usize] += 1;
         }
-        fold_state(&mut fold, &sim);
+        fold_state(&mut fold, &sim, &retired);
         digests.push(fold.finish());
         let now = sim.now();
         sim.profile_mut().reset_window(now);
+        retired.reset_window();
     }
     (digests, reasons)
 }

@@ -2,7 +2,8 @@
 //! `monatt-workloads` and by `busy_commitment`: folds everything a
 //! caller can observe about a [`ServerSim`] into one FNV-1a digest, so a
 //! rewrite of the engine's insides either reproduces the schedule exactly
-//! or fails by name; the seeded pattern drivers and deadlines the
+//! or fails by name (a terminated VM is folded from what it showed as it
+//! terminated, [`Retired`]); the seeded pattern drivers and deadlines the
 //! scenarios draw; `ChunkedBusy`, the oracle for `BusyLoop`; and
 //! `histogram_of`, the oracle for the profile tool's interval registers.
 
@@ -10,13 +11,15 @@
 #![allow(dead_code)]
 
 use monatt_hypervisor::driver::{VcpuAction, VcpuView, WakeReason, WorkloadDriver};
-use monatt_hypervisor::engine::ServerSim;
-use monatt_hypervisor::ids::{PcpuId, VcpuId};
+use monatt_hypervisor::engine::{RetiredVm, ServerSim};
+use monatt_hypervisor::ids::{PcpuId, VcpuId, VmId};
+use monatt_hypervisor::pmu::VmCounters;
 use monatt_hypervisor::profile::{
     DescheduleReason, RunSegment, INTERVAL_BINS, INTERVAL_BIN_WIDTH_US,
 };
 use monatt_hypervisor::time::SimTime;
 use monatt_hypervisor::vm::VmState;
+use std::collections::BTreeMap;
 
 /// splitmix64: the scenarios must not move when the vendored `rand`
 /// shim does.
@@ -215,28 +218,77 @@ pub fn segment_fingerprint(seg: &RunSegment) -> u8 {
     (f.finish() >> 56) as u8
 }
 
+/// The VMs a scenario terminated, each as it stood when it terminated.
+/// The simulator keeps nothing of them; the folds take them from here,
+/// in the place the engine the pins were generated on kept their rows.
+#[derive(Default)]
+pub struct Retired(BTreeMap<VmId, RetiredVm>);
+
+impl Retired {
+    /// Terminates `vm` on `sim`, keeping what it showed.
+    pub fn terminate(&mut self, sim: &mut ServerSim, vm: VmId) {
+        if let Some(retired) = sim.retire_vm(vm) {
+            self.0.insert(vm, retired);
+        }
+    }
+
+    /// A new profile window starts: the terminated VMs' window readings
+    /// are zeroed with everyone's.
+    pub fn reset_window(&mut self) {
+        for retired in self.0.values_mut() {
+            retired.window_cpu_time_us = 0;
+            retired.interval_registers = [0; INTERVAL_BINS];
+        }
+    }
+}
+
+/// Every VM `sim` has created, in creation order: live, or terminated
+/// and kept in `retired`.
+fn every_vm<'a>(
+    sim: &ServerSim,
+    retired: &'a Retired,
+) -> impl Iterator<Item = (VmId, Option<&'a RetiredVm>)> {
+    let mut all: Vec<(VmId, Option<&RetiredVm>)> =
+        sim.vm_ids().into_iter().map(|vm| (vm, None)).collect();
+    all.extend(retired.0.iter().map(|(&vm, r)| (vm, Some(r))));
+    all.sort_by_key(|&(vm, _)| vm);
+    all.into_iter()
+}
+
+/// `vm`'s interval registers, live or retired.
+fn registers<'a>(
+    sim: &'a ServerSim,
+    vm: VmId,
+    retired: Option<&'a RetiredVm>,
+) -> &'a [u64; INTERVAL_BINS] {
+    retired.map_or_else(
+        || sim.profile().interval_registers(vm),
+        |r| &r.interval_registers,
+    )
+}
+
 /// Clock, per-VM state / PMU counters / window CPU time, per-vCPU
 /// placement / CPU time / credit balance, per-pCPU contention.
-pub fn fold_state(f: &mut Fold, sim: &ServerSim) {
+pub fn fold_state(f: &mut Fold, sim: &ServerSim, retired: &Retired) {
     f.u64(sim.now().as_micros());
-    for vm in sim.vm_ids() {
+    for (vm, gone) in every_vm(sim, retired) {
+        if let Some(r) = gone {
+            f.u64(2);
+            fold_counters(f, r.counters);
+            f.u64(r.window_cpu_time_us);
+            for vcpu in &r.vcpus {
+                f.u64(vcpu.pcpu.0 as u64);
+                f.u64(vcpu.cpu_time_us);
+                f.u64(vcpu.credits as u64);
+            }
+            continue;
+        }
         let v = sim.vm(vm).expect("listed VM exists");
         f.u64(match v.state {
             VmState::Running => 0,
             VmState::Suspended => 1,
-            VmState::Terminated => 2,
         });
-        let c = sim.pmu().counters(vm);
-        for x in [
-            c.schedules,
-            c.preemptions,
-            c.ipis_sent,
-            c.wakeups,
-            c.boosts,
-            c.blocks,
-        ] {
-            f.u64(x);
-        }
+        fold_counters(f, sim.pmu().counters(vm));
         f.u64(sim.profile().vm_cpu_time_us(vm));
         for index in 0..v.vcpu_count {
             let id = VcpuId { vm, index };
@@ -247,6 +299,19 @@ pub fn fold_state(f: &mut Fold, sim: &ServerSim) {
     }
     for p in 0..sim.pcpu_count() {
         f.u64(sim.schedulable_vcpus_on(PcpuId(p)) as u64);
+    }
+}
+
+fn fold_counters(f: &mut Fold, c: VmCounters) {
+    for x in [
+        c.schedules,
+        c.preemptions,
+        c.ipis_sent,
+        c.wakeups,
+        c.boosts,
+        c.blocks,
+    ] {
+        f.u64(x);
     }
 }
 
@@ -264,13 +329,14 @@ pub fn histogram_of<'a>(segments: impl Iterator<Item = &'a RunSegment>) -> [u64;
     hist
 }
 
-/// Holds every VM's interval registers to [`histogram_of`] its logged
-/// segments. Both cover the window since the last `reset_window`.
-pub fn check_registers_against_log(sim: &ServerSim, context: &str) {
-    for vm in sim.vm_ids() {
+/// Holds every VM's interval registers, a terminated VM's included, to
+/// [`histogram_of`] its logged segments. Both cover the window since the
+/// last `reset_window`.
+pub fn check_registers_against_log(sim: &ServerSim, retired: &Retired, context: &str) {
+    for (vm, gone) in every_vm(sim, retired) {
         let want = histogram_of(sim.profile().vm_segments(vm));
         assert_eq!(
-            sim.profile().interval_registers(vm),
+            registers(sim, vm, gone),
             &want,
             "{context}: {vm}'s interval registers differ from its segment log"
         );
@@ -279,11 +345,11 @@ pub fn check_registers_against_log(sim: &ServerSim, context: &str) {
 
 /// Clock and state as [`fold_state`], plus every VM's interval
 /// registers: all a run without the segment log can observe.
-pub fn fold_observable(sim: &ServerSim) -> u64 {
+pub fn fold_observable(sim: &ServerSim, retired: &Retired) -> u64 {
     let mut f = Fold::new();
-    fold_state(&mut f, sim);
-    for vm in sim.vm_ids() {
-        for &n in sim.profile().interval_registers(vm) {
+    fold_state(&mut f, sim, retired);
+    for (vm, gone) in every_vm(sim, retired) {
+        for &n in registers(sim, vm, gone) {
             f.u64(n);
         }
     }

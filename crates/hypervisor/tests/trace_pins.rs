@@ -39,7 +39,7 @@ use monatt_hypervisor::vm::VmConfig;
 use std::fmt::Write as _;
 use support::{
     check_registers_against_log, deadline, fold_observable, fold_segment, fold_state, pattern,
-    segment_fingerprint, Fold, Rng,
+    segment_fingerprint, Fold, Retired, Rng,
 };
 
 const PINS: &str = include_str!("pins/trace_pins.txt");
@@ -82,6 +82,7 @@ fn run_scenario(seed: u64, logging: bool) -> (u64, Vec<RunSegment>, Vec<u64>) {
     let mut log: Vec<RunSegment> = Vec::new();
     let mut observed = Vec::new();
     let mut vms: Vec<VmId> = Vec::new();
+    let mut retired = Retired::default();
 
     // Half the scenarios start on a server that has already idled.
     if rng.below(2) == 0 {
@@ -96,7 +97,7 @@ fn run_scenario(seed: u64, logging: bool) -> (u64, Vec<RunSegment>, Vec<u64>) {
         match rng.below(20) {
             0 | 1 => sim.suspend_vm(vm),
             2 | 3 => sim.resume_vm(vm),
-            4 => sim.terminate_vm(vm),
+            4 => retired.terminate(&mut sim, vm),
             5 | 6 => vms.push(create(&mut sim, &mut rng, sleepy)),
             7..=12 => {
                 let d = deadline(&sim, &mut rng, reach);
@@ -111,16 +112,17 @@ fn run_scenario(seed: u64, logging: bool) -> (u64, Vec<RunSegment>, Vec<u64>) {
         // registers against them, fold the whole observable state, and
         // open a new profile window.
         if logging {
-            check_registers_against_log(&sim, &format!("scenario seed {seed}"));
+            check_registers_against_log(&sim, &retired, &format!("scenario seed {seed}"));
             for seg in sim.profile().segments() {
                 fold_segment(&mut fold, seg);
                 log.push(*seg);
             }
         }
-        fold_state(&mut fold, &sim);
-        observed.push(fold_observable(&sim));
+        fold_state(&mut fold, &sim, &retired);
+        observed.push(fold_observable(&sim, &retired));
         let now = sim.now();
         sim.profile_mut().reset_window(now);
+        retired.reset_window();
     }
     (fold.finish(), log, observed)
 }

@@ -121,6 +121,8 @@ impl Default for Config {
             // kernel stays panic-checked even if the crate-level scope
             // is ever narrowed.
             panic_files: strings(&[
+                // The cloud's one event queue (DESIGN §12): every hop of
+                // every session, whatever bytes it carried, is one pop.
                 "crates/hypervisor/src/queue.rs",
                 "crates/hypervisor/src/wheel.rs",
                 "crates/hypervisor/src/timers.rs",
@@ -140,8 +142,13 @@ impl Default for Config {
                 "crates/core/src/cloud/events.rs",
                 "crates/core/src/cloud/appraisers.rs",
                 "crates/core/src/verify_ring.rs",
+                // Message 4's one validator and the pCA's one
+                // certification path (DESIGN §10.3) run in every warm
+                // round; with a reused AVK, through its bound key.
                 "crates/core/src/attestation.rs",
                 "crates/core/src/pca.rs",
+                // The cloud's one event queue (DESIGN §12): a warm round
+                // schedules and pops without growing it.
                 "crates/hypervisor/src/queue.rs",
                 "crates/hypervisor/src/wheel.rs",
                 "crates/hypervisor/src/engine.rs",

@@ -18,7 +18,7 @@ use monatt_hypervisor::vm::VmConfig;
 use monatt_workloads::programs::SpecProgram;
 use monatt_workloads::services::{CloudService, ServiceStatsHandle};
 use std::sync::{Barrier, Mutex};
-use support::{fold_observable, Rng};
+use support::{fold_observable, Retired, Rng};
 
 const SERVERS: u64 = 4;
 const CHECKPOINTS: usize = 24;
@@ -88,7 +88,7 @@ fn run(together: bool) -> Run {
         let mut seen = [0; SERVERS as usize];
         for (digest, sim) in seen.iter_mut().zip(&sims) {
             assert_eq!(sim.now(), deadline);
-            *digest = fold_observable(sim);
+            *digest = fold_observable(sim, &Retired::default());
         }
         observed.push(seen);
     }

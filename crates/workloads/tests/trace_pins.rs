@@ -23,7 +23,9 @@ use monatt_hypervisor::scheduler::SchedParams;
 use monatt_hypervisor::vm::VmConfig;
 use monatt_workloads::programs::SpecProgram;
 use monatt_workloads::services::CloudService;
-use support::{check_registers_against_log, fold_observable, fold_segment, fold_state, Fold};
+use support::{
+    check_registers_against_log, fold_observable, fold_segment, fold_state, Fold, Retired,
+};
 
 /// Digest after each 250 ms window.
 const PINNED: [u64; 8] = [
@@ -70,13 +72,13 @@ fn run(logging: bool) -> ([u64; 8], [u64; 8]) {
     for (window, (digest, seen)) in digests.iter_mut().zip(&mut observed).enumerate() {
         sim.run_for(250_000);
         if logging {
-            check_registers_against_log(&sim, &format!("window {window}"));
+            check_registers_against_log(&sim, &Retired::default(), &format!("window {window}"));
             for seg in sim.profile().segments() {
                 fold_segment(&mut fold, seg);
             }
         }
-        fold_state(&mut fold, &sim);
-        *seen = fold_observable(&sim);
+        fold_state(&mut fold, &sim, &Retired::default());
+        *seen = fold_observable(&sim, &Retired::default());
         let now = sim.now();
         sim.profile_mut().reset_window(now);
         *digest = fold.finish();

@@ -1,10 +1,11 @@
 //! Counting-allocator proof that the warm attestation path is
-//! allocation-free.
+//! allocation-free, and pins on what the cloud keeps resident.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator and
 //! tallies every `alloc`/`realloc` call and the bytes it asked for per
 //! thread (the harness runs the tests of this binary in parallel, one
-//! thread each). The test
+//! thread each), and the thread's live bytes: what it allocated less
+//! what it freed. The first test
 //! builds a one-server cloud, launches a VM (the network transcript
 //! log stays off, its default), and warms the session/arena/queue
 //! buffers with a batch of direct attestations. After warm-up, every
@@ -22,6 +23,13 @@
 //! profile window is never reset. `pristine_launch_copies_no_image`
 //! bounds the other side, the launch path: a guest booted from an
 //! untampered image borrows the image's one shared copy.
+//!
+//! The live-byte pins difference two states of one cloud, so everything
+//! the cloud holds once (keys, tables, link grids) cancels:
+//! `churn_leaves_nothing_resident` holds launch → migrate → terminate
+//! cycles to a constant live heap, and `bytes_per_resident_idle_vm` and
+//! `bytes_per_in_flight_session` cap what one more VM and one more
+//! concurrent session cost.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::Ordering;
@@ -37,6 +45,8 @@ static TRACE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new
 thread_local! {
     static ALLOC_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     static ALLOC_BYTES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static LIVE_BYTES: std::cell::Cell<i64> = const { std::cell::Cell::new(0) };
+    static LIVE_PEAK: std::cell::Cell<i64> = const { std::cell::Cell::new(0) };
     static IN_TRACE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -45,6 +55,16 @@ fn count_call(bytes: usize) {
     // are being torn down.
     let _ = ALLOC_CALLS.try_with(|calls| calls.set(calls.get() + 1));
     let _ = ALLOC_BYTES.try_with(|total| total.set(total.get() + bytes as u64));
+}
+
+/// Adds `bytes` (negative: frees them) to the calling thread's live
+/// bytes. Memory freed on another thread than the one that allocated it
+/// is subtracted there.
+fn count_live(bytes: i64) {
+    let _ = LIVE_BYTES.try_with(|live| {
+        live.set(live.get() + bytes);
+        let _ = LIVE_PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 fn maybe_trace() {
@@ -63,16 +83,19 @@ fn maybe_trace() {
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_call(layout.size());
+        count_live(layout.size() as i64);
         maybe_trace();
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_live(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_call(new_size);
+        count_live(new_size as i64 - layout.size() as i64);
         maybe_trace();
         System.realloc(ptr, layout, new_size)
     }
@@ -90,6 +113,20 @@ fn alloc_count() -> u64 {
 /// `realloc` counts its new size).
 fn alloc_bytes() -> u64 {
     ALLOC_BYTES.with(|total| total.get())
+}
+
+/// The calling thread's live heap bytes: allocated less freed.
+fn live_bytes() -> i64 {
+    LIVE_BYTES.with(|live| live.get())
+}
+
+/// The most [`live_bytes`] has read since [`reset_live_peak`].
+fn live_peak() -> i64 {
+    LIVE_PEAK.with(|peak| peak.get())
+}
+
+fn reset_live_peak() {
+    LIVE_PEAK.with(|peak| peak.set(live_bytes()));
 }
 
 #[test]
@@ -325,6 +362,109 @@ fn pristine_launch_copies_no_image() {
         bytes < 4096 && calls <= 8,
         "a pristine launch asked for {bytes} B in {calls} allocator calls; \
          its guest must borrow the shared image, not copy it"
+    );
+}
+
+/// A Small Cirros idle VM that asks for no property: its launch runs no
+/// protocol session.
+fn idle_vm() -> VmRequest {
+    VmRequest::new(Flavor::Small, Image::Cirros).workload(WorkloadSpec::Idle)
+}
+
+#[test]
+fn churn_leaves_nothing_resident() {
+    // Launch, migrate, terminate: the Deployment and Response modules'
+    // whole cycle. A terminated VM keeps a tombstone bit in the nova
+    // database and nothing else, on the controller or on either server.
+    const SLACK_PER_CYCLE: i64 = 64;
+    fn cycle(cloud: &mut cloudmonatt::core::Cloud) {
+        let vid = cloud.request_vm(idle_vm()).expect("launch");
+        cloud
+            .respond(vid, ResponseAction::Migration)
+            .expect("migrate");
+        cloud
+            .respond(vid, ResponseAction::Termination)
+            .expect("terminate");
+    }
+
+    let mut cloud = CloudBuilder::new().servers(16).seed(80).build();
+    for _ in 0..1_000 {
+        cycle(&mut cloud);
+    }
+    let after_1000 = live_bytes();
+    for _ in 0..3_000 {
+        cycle(&mut cloud);
+    }
+    let per_cycle = (live_bytes() - after_1000) / 3_000;
+    assert!(
+        per_cycle <= SLACK_PER_CYCLE,
+        "each launch/migrate/terminate cycle left {per_cycle} B live (at most \
+         {SLACK_PER_CYCLE}): a VM that is gone must leave nothing behind"
+    );
+}
+
+#[test]
+fn bytes_per_resident_idle_vm() {
+    // One more resident idle VM costs its controller record, its server's
+    // slot and simulator rows (VM, vCPU, profile registers, PMU) and its
+    // workload handles. Ceiling: 1,083 B, the cost measured before a
+    // terminated VM's rows were reclaimed, plus 10 %.
+    const CEILING: i64 = 1_191;
+    const N: i64 = 200;
+    let mut cloud = CloudBuilder::new().servers(16).seed(81).build();
+    let launch = |cloud: &mut cloudmonatt::core::Cloud| {
+        for _ in 0..N {
+            cloud.request_vm(idle_vm()).expect("launch");
+        }
+    };
+    launch(&mut cloud);
+    let with_n = live_bytes();
+    launch(&mut cloud);
+    let per_vm = (live_bytes() - with_n) / N;
+    assert!(
+        per_vm <= CEILING,
+        "a resident idle VM costs {per_vm} B live (ceiling {CEILING})"
+    );
+}
+
+#[test]
+fn bytes_per_in_flight_session() {
+    // Two clouds alike but for how many of their VMs subscribe to
+    // periodic attestation. Every subscription's first session comes due
+    // at one instant, so `Cloud::run` holds them all in flight at once;
+    // the run's peak live heap over its start is their cost. Ceiling:
+    // 2,102 B, the cost measured before a terminated VM's rows were
+    // reclaimed, plus 10 %.
+    const CEILING: i64 = 2_312;
+    const VMS: usize = 128;
+    let property = SecurityProperty::RuntimeIntegrity;
+    let peak_over_start = |subscribed: usize| {
+        let mut cloud = CloudBuilder::new().servers(16).seed(82).build();
+        let vids: Vec<_> = (0..VMS)
+            .map(|_| cloud.request_vm(idle_vm()).expect("launch"))
+            .collect();
+        for &vid in &vids[..subscribed] {
+            cloud
+                .runtime_attest_periodic(vid, property, 1_000_000)
+                .expect("subscribe");
+        }
+        let start = live_bytes();
+        reset_live_peak();
+        cloud.run(1_500_000);
+        let stats = cloud.protocol_stats();
+        assert_eq!(stats.sessions_completed, subscribed as u64);
+        assert_eq!(
+            stats.max_in_flight, subscribed as u64,
+            "all in flight at once"
+        );
+        live_peak() - start
+    };
+    let half = peak_over_start(VMS / 2);
+    let full = peak_over_start(VMS);
+    let per_session = (full - half) / (VMS / 2) as i64;
+    assert!(
+        per_session <= CEILING,
+        "an in-flight session costs {per_session} B live (ceiling {CEILING})"
     );
 }
 
