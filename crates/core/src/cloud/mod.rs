@@ -37,6 +37,8 @@ mod build;
 mod events;
 mod fleet;
 mod response;
+#[cfg(test)]
+mod same;
 mod subscriptions;
 #[cfg(test)]
 mod tests;

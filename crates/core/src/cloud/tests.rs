@@ -882,66 +882,6 @@ fn launch_timing_scales_with_image_and_flavor() {
 }
 
 #[test]
-fn coalesced_msg4_batches_match_serial_verdicts() {
-    // Two subscriptions due at the same instant reach AS-validate close
-    // together; with a coalescing window their msg 4s are verified in
-    // one combined Schnorr check. The verdicts must match the serial
-    // run exactly — batching is a throughput optimisation, never a
-    // behaviour change.
-    fn run(batched: bool) -> (Vec<Vec<AttestationReport>>, ProtocolStats) {
-        let mut b = CloudBuilder::new().servers(3).seed(21);
-        if batched {
-            b = b.as_batch(1_000_000, 8);
-        }
-        let mut c = b.build();
-        // Launch both VMs first (each launch advances the wall clock),
-        // then subscribe back-to-back so the two firings share a due
-        // time and their msg 4s land inside one coalescing window.
-        let vids: Vec<_> = [Image::Cirros, Image::Ubuntu]
-            .into_iter()
-            .map(|image| {
-                c.request_vm(
-                    VmRequest::new(Flavor::Small, image)
-                        .require(SecurityProperty::RuntimeIntegrity)
-                        .workload(WorkloadSpec::Busy),
-                )
-                .unwrap()
-            })
-            .collect();
-        let subs: Vec<_> = vids
-            .iter()
-            .map(|vid| {
-                c.runtime_attest_periodic(*vid, SecurityProperty::RuntimeIntegrity, 5_000_000)
-                    .unwrap()
-            })
-            .collect();
-        let reports = {
-            c.run(21_000_000);
-            subs.iter()
-                .map(|s| c.stop_attest_periodic(*s).unwrap())
-                .collect()
-        };
-        (reports, c.protocol_stats())
-    }
-    let (serial, serial_stats) = run(false);
-    let (batched, batched_stats) = run(true);
-    assert_eq!(serial_stats.msg4_flushes, 0, "serial run must stay inline");
-    assert!(
-        batched_stats.msg4_batched > batched_stats.msg4_flushes,
-        "no flush coalesced two sessions: batched={} flushes={}",
-        batched_stats.msg4_batched,
-        batched_stats.msg4_flushes
-    );
-    assert_eq!(serial.len(), batched.len());
-    for (s, b) in serial.iter().zip(&batched) {
-        assert_eq!(s.len(), b.len(), "delivered counts diverged");
-        for (sr, br) in s.iter().zip(b) {
-            assert_eq!(sr.status, br.status, "verdict diverged under batching");
-        }
-    }
-}
-
-#[test]
 fn evidence_cache_serves_fresh_verdicts_and_invalidates() {
     let ttl = 30_000_000;
     let mut c = CloudBuilder::new()
@@ -1229,34 +1169,6 @@ fn registered_protocols_run_like_builtins() {
         .register_protocol(&Protocol::Seq(vec![Protocol::Complete]))
         .unwrap_err();
     assert!(matches!(err, CloudError::ProtocolFailure { .. }));
-}
-
-#[test]
-fn layered_and_fanout_reports_are_deterministic() {
-    fn run() -> (Vec<AttestationReport>, u64) {
-        let mut c = CloudBuilder::new().servers(3).seed(41).build();
-        let vid = c
-            .request_vm(
-                VmRequest::new(Flavor::Small, Image::Ubuntu)
-                    .require(SecurityProperty::RuntimeIntegrity),
-            )
-            .unwrap();
-        let reports = vec![
-            c.layered_attest(vid, SecurityProperty::RuntimeIntegrity)
-                .unwrap(),
-            c.multi_attest(
-                vid,
-                &[
-                    SecurityProperty::StartupIntegrity,
-                    SecurityProperty::RuntimeIntegrity,
-                    SecurityProperty::CovertChannelFreedom,
-                ],
-            )
-            .unwrap(),
-        ];
-        (reports, c.drbg_probe())
-    }
-    assert_eq!(run(), run());
 }
 
 #[test]
@@ -1589,141 +1501,25 @@ fn a_reused_avk_cloud_binds_no_identity_key() {
 }
 
 #[test]
-fn lazy_management_charges_change_nothing() {
-    use super::ResponseTiming;
-    use crate::types::Vid;
-
-    let runtime = SecurityProperty::CpuAvailability { min_share_pct: 0 };
-    let fanout = [
-        SecurityProperty::RuntimeIntegrity,
-        SecurityProperty::StartupIntegrity,
-        SecurityProperty::CovertChannelFreedom,
-        SecurityProperty::SchedulerFairness,
-    ];
-    /// What a run shows: every report and response timing in call order,
-    /// the counters, the DRBG position, and each live VM's CPU time.
-    #[derive(Debug, PartialEq)]
-    struct Outcome {
-        reports: Vec<AttestationReport>,
-        responses: Vec<ResponseTiming>,
-        stats: ProtocolStats,
-        caches: [(u64, u64); 2],
-        drbg: u64,
-        cpu_us: Vec<(Vid, u64)>,
-    }
-    // `lifecycle_mix`'s round over a small busy fleet; `eager` settles
-    // every server after each call, as `Cloud::advance` used to.
-    let run = |eager: bool| {
-        let mut c = CloudBuilder::new()
-            .servers(4)
-            .seed(1211)
-            .evidence_cache(2_000_000)
-            .avk_cert_cache(true)
-            .reuse_avk(true)
-            .build();
-        for i in 0..6 {
-            let workload = [WorkloadSpec::Idle, WorkloadSpec::Busy][i % 2];
-            let request = VmRequest::new(Flavor::Small, Image::Cirros).workload(workload);
-            c.request_vm(request).unwrap();
-        }
-        let (mut reports, mut responses) = (Vec::new(), Vec::new());
-        let settle = |c: &mut Cloud| {
-            if eager {
-                c.sync_servers();
-            }
-        };
-        for round in 0..3 {
-            let request = VmRequest::new(Flavor::ALL[round % 3], Image::ALL[round % 3])
-                .require(SecurityProperty::StartupIntegrity);
-            let vid = c.request_vm(request).unwrap();
-            settle(&mut c);
-            let startup = SecurityProperty::StartupIntegrity;
-            reports.push(c.startup_attest_current(vid, startup).unwrap());
-            settle(&mut c);
-            reports.push(
-                c.layered_attest(vid, SecurityProperty::RuntimeIntegrity)
-                    .unwrap(),
-            );
-            settle(&mut c);
-            reports.push(c.multi_attest(vid, &fanout).unwrap());
-            settle(&mut c);
-            for _ in 0..2 {
-                reports.push(c.runtime_attest_current(vid, runtime).unwrap());
-                settle(&mut c);
-            }
-            responses.push(c.respond(vid, ResponseAction::Migration).unwrap());
-            settle(&mut c);
-            reports.push(c.runtime_attest_current(vid, runtime).unwrap());
-            settle(&mut c);
-            responses.push(c.respond(vid, ResponseAction::Suspension).unwrap());
-            settle(&mut c);
-            c.resume(vid).unwrap();
-            settle(&mut c);
-            responses.push(c.respond(vid, ResponseAction::Termination).unwrap());
-            settle(&mut c);
-        }
-        c.sync_servers();
-        let live: Vec<Vid> = c
-            .fleet
-            .controller
-            .vms()
-            .filter(|r| r.state != VmLifecycle::Terminated)
-            .map(|r| r.vid)
-            .collect();
-        let cpu_us = live
-            .into_iter()
-            .map(|vid| {
-                let node = c.server(c.server_of(vid).unwrap()).unwrap();
-                let local = node.local_vm(vid).unwrap();
-                (vid, node.sim().profile().vm_cpu_time_us(local))
-            })
-            .collect();
-        Outcome {
-            reports,
-            responses,
-            stats: c.protocol_stats(),
-            caches: [c.evidence_cache_stats(), c.avk_cert_cache_stats()],
-            drbg: c.drbg_probe(),
-            cpu_us,
-        }
-    };
-    let lazy = run(false);
-    assert_eq!(lazy.caches[0].0, 3, "one evidence hit per round");
-    assert!(lazy.cpu_us.iter().any(|&(_, us)| us > 0));
-    assert_eq!(lazy, run(true));
-}
-
-/// Four servers: 0 and 1 carry a busy loop and a service, 2 and 3 only
-/// idle guests. Returns the cloud and the VMs of servers 0 and 1.
-fn two_busy_two_idle(seed: u64) -> Result<(Cloud, Vec<crate::types::Vid>), CloudError> {
-    use monatt_workloads::services::CloudService;
-    let mut c = CloudBuilder::new().servers(4).seed(seed).build();
-    let mut busy = Vec::new();
-    for server in 0..4 {
-        let guests = match server {
-            0 => [WorkloadSpec::Busy, WorkloadSpec::Service(CloudService::Web)],
-            1 => [
-                WorkloadSpec::Service(CloudService::Mail),
-                WorkloadSpec::Busy,
-            ],
-            _ => [WorkloadSpec::Idle; 2],
-        };
-        for workload in guests {
-            let request = VmRequest::new(Flavor::Small, Image::Cirros)
-                .workload(workload)
-                .on_server(ServerId(server));
-            let vid = c.request_vm(request)?;
-            if server < 2 {
-                busy.push(vid);
-            }
-        }
-    }
-    Ok((c, busy))
-}
-
-#[test]
 fn touching_a_busy_server_catches_up_the_busy_fleet_and_nothing_else() {
-    let (mut c, busy) = two_busy_two_idle(1212).unwrap();
+    use monatt_workloads::services::CloudService;
+    // Servers 0 and 1 carry a busy loop and a service, 2 and 3 only
+    // idle guests.
+    let (busy, idle) = (WorkloadSpec::Busy, WorkloadSpec::Idle);
+    let guests = [
+        [busy, WorkloadSpec::Service(CloudService::Web)],
+        [WorkloadSpec::Service(CloudService::Mail), busy],
+        [idle, idle],
+        [idle, idle],
+    ];
+    let mut c = CloudBuilder::new().servers(4).seed(1212).build();
+    let mut vids = Vec::new();
+    for (server, guests) in (0..).zip(guests) {
+        for workload in guests {
+            let request = VmRequest::new(Flavor::Small, Image::Cirros).workload(workload);
+            vids.push(c.request_vm(request.on_server(ServerId(server))).unwrap());
+        }
+    }
     c.sync_servers();
     let synced = c.wall_clock_us();
     c.events.advance(300_000);
@@ -1735,7 +1531,7 @@ fn touching_a_busy_server_catches_up_the_busy_fleet_and_nothing_else() {
     // A windowed attestation touches server 0 at the window's open and
     // close; each touch brings busy server 1 along.
     let property = SecurityProperty::CpuAvailability { min_share_pct: 10 };
-    c.runtime_attest_current(busy[0], property).unwrap();
+    c.runtime_attest_current(vids[0], property).unwrap();
     let after = server_clocks(&c);
     assert!(after[0] > before[0] + 1_000_000, "{after:?}");
     assert_eq!(after[1], after[0], "the other busy server was left behind");
@@ -1753,393 +1549,58 @@ fn touching_a_busy_server_catches_up_the_busy_fleet_and_nothing_else() {
 }
 
 #[test]
-fn busy_catch_up_changes_nothing() {
-    use super::ResponseTiming;
-    use crate::types::Vid;
-
-    /// What a run shows: every report and response in call order, the
-    /// counters, the DRBG position, and each live VM's CPU time.
-    #[derive(Debug, PartialEq)]
-    struct Outcome {
-        reports: Vec<AttestationReport>,
-        responses: Vec<ResponseTiming>,
-        stats: ProtocolStats,
-        drbg: u64,
-        cpu_us: Vec<(Vid, u64)>,
-    }
-    let windowed = [
-        SecurityProperty::CpuAvailability { min_share_pct: 10 },
-        SecurityProperty::SchedulerFairness,
-        SecurityProperty::CovertChannelFreedom,
-    ];
-    // `busy_window`'s calls on a small fleet; `eager` settles every
-    // server after each call.
-    let run = |eager: bool| {
-        let (mut c, busy) = two_busy_two_idle(1213).unwrap();
-        let (mut reports, mut responses) = (Vec::new(), Vec::new());
-        let settle = |c: &mut Cloud| {
-            if eager {
-                c.sync_servers();
-            }
-        };
-        for (i, &vid) in busy.iter().enumerate() {
-            for property in windowed {
-                reports.push(c.runtime_attest_current(vid, property).unwrap());
-                settle(&mut c);
-            }
-            // A busy guest moved onto an idle server makes it busy.
-            let action = [ResponseAction::Migration, ResponseAction::Suspension][i % 2];
-            responses.push(c.respond(vid, action).unwrap());
-            settle(&mut c);
-            if action == ResponseAction::Suspension {
-                c.resume(vid).unwrap();
-                settle(&mut c);
-            }
-            reports.push(c.runtime_attest_current(vid, windowed[i % 3]).unwrap());
-            settle(&mut c);
-        }
-        c.sync_servers();
-        let cpu_us = busy
-            .iter()
-            .map(|&vid| {
-                let node = c.server(c.server_of(vid).unwrap()).unwrap();
-                let local = node.local_vm(vid).unwrap();
-                (vid, node.sim().profile().vm_cpu_time_us(local))
-            })
-            .collect();
-        Outcome {
-            reports,
-            responses,
-            stats: c.protocol_stats(),
-            drbg: c.drbg_probe(),
-            cpu_us,
-        }
-    };
-    let lazy = run(false);
-    assert!(lazy.cpu_us.iter().all(|&(_, us)| us > 0));
-    assert_eq!(lazy, run(true));
-}
-
-/// How a run verifies signatures: inline on the event loop; with the
-/// verification helper; with receivers that await even queued jobs, so
-/// every verdict is the helper's; or with a helper slowed until
-/// receivers await its running jobs, claim queued ones back and find
-/// the ring full.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Helper {
-    Inline,
-    Serving,
-    Patient,
-    Lagging,
-}
-
-fn with_helper(c: &mut Cloud, helper: Helper) {
-    c.fleet.workers = if helper == Helper::Inline { 1 } else { 2 };
-    c.offload.patient = helper == Helper::Patient;
-    if helper == Helper::Lagging {
-        c.offload.lag = std::time::Duration::from_micros(300);
-    }
-}
-
-#[test]
-fn the_verification_helper_changes_nothing() {
-    use crate::controlplane::ControlPlaneStats;
-    use crate::outage::{OutageModel, OutageStats};
-    use crate::types::Vid;
-    use monatt_net::sim::{FaultModel, FaultStats};
-
-    /// Everything a run shows: each subscription's reports, every failed
-    /// sample's typed error, the four counter sets and the DRBG position.
-    #[derive(Debug, PartialEq)]
-    struct Outcome {
-        reports: Vec<Vec<AttestationReport>>,
-        failures: Vec<(Vid, CloudError)>,
-        stats: ProtocolStats,
-        outages: OutageStats,
-        control_plane: ControlPlaneStats,
-        faults: Option<FaultStats>,
-        drbg: u64,
-    }
-    let property = SecurityProperty::RuntimeIntegrity;
-    // A replicated control plane under message faults and server and
-    // control-plane outages, over three runs; returns the outcome and
-    // the helper verdicts receivers took and claimed back.
-    let run = |batch: bool, reuse: bool, helper: Helper| {
-        let mut b = CloudBuilder::new()
-            .servers(4)
-            .seed(1214)
-            .control_plane(3, 2)
-            .reuse_avk(reuse)
-            .avk_cert_cache(reuse)
-            .session_deadline(2_000_000);
-        if batch {
-            b = b.as_batch(2_000, 4);
-        }
-        let mut c = b.build();
-        with_helper(&mut c, helper);
-        let subs: Vec<u64> = (0..12)
-            .map(|i| {
-                let request = VmRequest::new(Flavor::Small, Image::ALL[i % 3]);
-                let vid = c.request_vm(request).unwrap();
-                let id = c.runtime_attest_periodic(vid, property, 100_000).unwrap();
-                c.advance(10_000);
-                id
-            })
-            .collect();
-        let faults = FaultModel::new(1215)
-            .drop_prob(0.05)
-            .duplicate_prob(0.05)
-            .delay(0.05, 20_000);
-        c.network_mut().set_fault_model(faults);
-        let outages = OutageModel::new(1216)
-            .mtbf(3_000_000, 200_000)
-            .control_plane_mtbf(3_000_000, 200_000);
-        c.set_outage_model(outages);
-        for _ in 0..3 {
-            c.run(1_500_000);
-        }
-        let reports = subs
-            .iter()
-            .map(|&id| c.stop_attest_periodic(id).unwrap())
-            .collect();
-        let outcome = Outcome {
-            reports,
-            failures: std::mem::take(&mut c.failures),
-            stats: c.protocol_stats(),
-            outages: c.outage_stats(),
-            control_plane: c.control_plane_stats(),
-            faults: c.network_mut().fault_stats(),
-            drbg: c.drbg_probe(),
-        };
-        (outcome, c.offload.taken())
-    };
-    for (batch, reuse) in [(false, false), (true, false), (false, true), (true, true)] {
-        let case = format!("as_batch {batch}, reuse_avk {reuse}");
-        let (inline, untouched) = run(batch, reuse, Helper::Inline);
-        assert_eq!(untouched, (0, 0), "{case}: one worker built a ring");
-        let stats = inline.stats;
-        assert!(
-            stats.sessions_completed > 2 * stats.sessions_failed,
-            "{case}: {stats:?}"
-        );
-        assert!(!inline.failures.is_empty(), "{case}: nothing failed");
-        assert!(inline.outages.crashes > 0, "{case}: no outage");
-        assert!(inline.control_plane.failovers > 0, "{case}: no failover");
-        assert!(stats.retries > 0, "{case}: no message fault");
-        assert_eq!(stats.msg4_flushes > 0, batch, "{case}");
-        let (serving, (taken, claimed)) = run(batch, reuse, Helper::Serving);
-        assert!(taken + claimed > 0, "{case}: no job was submitted");
-        assert_eq!(serving, inline, "{case}: the helper changed the run");
-        let (patient, (taken, _)) = run(batch, reuse, Helper::Patient);
-        assert!(taken > 0, "{case}: no verdict came from the helper");
-        assert_eq!(
-            patient, inline,
-            "{case}: the helper's verdicts changed the run"
-        );
-        let (lagging, (_, claimed)) = run(batch, reuse, Helper::Lagging);
-        assert!(claimed > 0, "{case}: no job was claimed back");
-        assert_eq!(lagging, inline, "{case}: a lagging helper changed the run");
-    }
-}
-
-/// A network attacker holding a leaked session key of one link: it
-/// opens each record sent `from → to` with its twin of the receiving
-/// end, rewrites the target VM's message, and re-seals it with its twin
-/// of the sending end at the record's own sequence number.
-struct Substitute {
-    from: String,
-    to: String,
-    opener: monatt_net::channel::SecureChannel,
-    sealer: monatt_net::channel::SecureChannel,
-    msg: crate::protocol::MsgKind,
-    target: crate::types::Vid,
-    /// Re-sign the quote under `key`, or flip one quoted field.
-    resign: bool,
-    key: monatt_crypto::schnorr::SigningKey,
-}
-
-impl Substitute {
-    /// Rewrites `plaintext` if it is the target's message.
-    fn forge(&self, plaintext: &mut Vec<u8>) -> bool {
-        use crate::measurements::Measurement;
-        use crate::messages::{AttestationReportMsg, CustomerReportMsg, MeasureResponse};
-        use crate::protocol::MsgKind;
-        use crate::types::Vid;
-        use monatt_net::wire::Wire;
-        use monatt_tpm::quote::Quote;
-
-        let resign = |quote: &mut Quote| quote.signature = self.key.sign(&quote.digest);
-        let mut forged = Vec::new();
-        match self.msg {
-            MsgKind::Msg4 => {
-                let Ok(mut r) = MeasureResponse::from_wire(plaintext) else {
-                    return false;
-                };
-                if r.vid != self.target {
-                    return false;
-                }
-                match (self.resign, &mut r.measurement) {
-                    (true, _) => resign(&mut r.quote),
-                    (false, Measurement::BootIntegrity { image_hash, .. }) => image_hash[0] ^= 1,
-                    (false, _) => return false,
-                }
-                r.encode_into(&mut forged);
-            }
-            MsgKind::Msg5 => {
-                let Ok(mut r) = AttestationReportMsg::from_wire(plaintext) else {
-                    return false;
-                };
-                if r.vid != self.target {
-                    return false;
-                }
-                match self.resign {
-                    true => resign(&mut r.quote),
-                    false => r.vid = Vid(r.vid.0 ^ 1),
-                }
-                r.encode_into(&mut forged);
-            }
-            _ => {
-                let Ok(mut r) = CustomerReportMsg::from_wire(plaintext) else {
-                    return false;
-                };
-                if r.vid != self.target {
-                    return false;
-                }
-                match self.resign {
-                    true => resign(&mut r.quote),
-                    false => r.vid = Vid(r.vid.0 ^ 1),
-                }
-                r.encode_into(&mut forged);
-            }
-        }
-        *plaintext = forged;
-        true
-    }
-}
-
-impl monatt_net::sim::NetworkAttacker for Substitute {
-    fn intercept(&mut self, from: &str, to: &str, payload: &[u8]) -> monatt_net::sim::Intercept {
-        use monatt_net::sim::Intercept;
-        if from != self.from || to != self.to {
-            return Intercept::Pass;
-        }
-        let Some(seq) = payload.first_chunk::<8>().map(|s| u64::from_be_bytes(*s)) else {
-            return Intercept::Pass;
-        };
-        let Ok(mut plaintext) = self.opener.open(b"", payload) else {
-            return Intercept::Pass;
-        };
-        // Keep the sealing twin at the sender's sequence number.
-        while self.sealer.records_sent() < seq {
-            self.sealer.seal(b"", b"");
-        }
-        if self.sealer.records_sent() != seq || !self.forge(&mut plaintext) {
-            return Intercept::Pass;
-        }
-        Intercept::Modify(self.sealer.seal(b"", &plaintext))
-    }
-}
-
-#[test]
 fn a_verdict_never_vouches_for_other_bytes() {
-    use crate::controlplane::CUSTOMER_ENDPOINT;
-    use crate::links::LinkKey;
+    use super::same::{with_helper, Helper, Substitute};
     use crate::protocol::MsgKind;
-    use crate::types::Vid;
 
     let property = SecurityProperty::StartupIntegrity;
-    // Four VMs on server 0 attest on one period, so their messages 4
-    // share coalesced batches; the attacker rewrites the first VM's
-    // message `msg` only. Returns each subscription's reports, every
-    // failed sample's error and the helper verdicts receivers took.
-    let run = |msg: MsgKind, resign: bool, helper: Helper| {
+    let request = VmRequest::new(Flavor::Small, Image::Cirros).require(property);
+    let cases = [
+        (MsgKind::Msg4, "Q3"),
+        (MsgKind::Msg5, "Q2"),
+        (MsgKind::Msg6, "Q1"),
+    ];
+    for ((msg, quote), resign) in cases.into_iter().flat_map(|c| [(c, true), (c, false)]) {
+        let case = format!("{msg:?}, resign {resign}");
+        // Four VMs on server 0 attest on one period, so their messages 4
+        // share coalesced batches; the attacker rewrites the first VM's
+        // message `msg` only, and the helper verifies beside the event
+        // loop (the `helper` row of `same.rs` holds its verdicts to the
+        // inline run's).
         let mut c = CloudBuilder::new()
             .servers(2)
             .seed(1217)
             .as_batch(2_000, 8)
             .build();
-        with_helper(&mut c, helper);
-        let vids: Vec<Vid> = (0..4)
-            .map(|_| {
-                let request = VmRequest::new(Flavor::Small, Image::Cirros).require(property);
-                c.request_vm(request.on_server(ServerId(0))).unwrap()
-            })
-            .collect();
-        let subs: Vec<u64> = vids
-            .iter()
-            .map(|&vid| c.runtime_attest_periodic(vid, property, 100_000).unwrap())
-            .collect();
-        let (controller, attserver) = (NodeId::Controller(0), NodeId::AttestationServer(0));
-        let (link, from, to) = match msg {
-            MsgKind::Msg4 => (
-                LinkKey::AsServer(0, ServerId(0)),
-                NodeId::Server(ServerId(0)).endpoint(),
-                attserver.endpoint(),
-            ),
-            MsgKind::Msg5 => (
-                LinkKey::CtrlAs(0, 0),
-                attserver.endpoint(),
-                controller.endpoint(),
-            ),
-            _ => (
-                LinkKey::CustCtrl(0),
-                controller.endpoint(),
-                CUSTOMER_ENDPOINT.to_owned(),
-            ),
-        };
-        // Every message 4, 5 and 6 is a reply: the link's initiator
-        // receives it and its responder sends it.
-        let (opener, sealer) = c.links.leak(link, 1218);
-        let key = monatt_crypto::schnorr::SigningKey::generate(&mut Drbg::from_seed(1219));
-        c.network_mut().set_attacker(Box::new(Substitute {
-            from,
-            to,
-            opener,
-            sealer,
-            msg,
-            target: vids[0],
-            resign,
-            key,
-        }));
+        with_helper(&mut c, Helper::Serving);
+        let mut subs = Vec::new();
+        for _ in 0..4 {
+            let vid = c
+                .request_vm(request.clone().on_server(ServerId(0)))
+                .unwrap();
+            subs.push((
+                vid,
+                c.runtime_attest_periodic(vid, property, 100_000).unwrap(),
+            ));
+        }
+        let target = subs[0].0;
+        Substitute::install(&mut c, msg, target, resign).unwrap();
         c.run(2_000_000);
-        let reports: Vec<_> = subs
-            .iter()
-            .map(|&id| c.stop_attest_periodic(id).unwrap())
-            .collect();
+        // Every sample of the target fails on its quote; its batch-mates
+        // pass throughout.
         let failures = std::mem::take(&mut c.failures);
-        (vids[0], reports, failures, c.offload.taken().0)
-    };
-    for (msg, quote) in [
-        (MsgKind::Msg4, "Q3"),
-        (MsgKind::Msg5, "Q2"),
-        (MsgKind::Msg6, "Q1"),
-    ] {
-        for resign in [true, false] {
-            let case = format!("{msg:?}, resign {resign}");
-            let (target, reports, failures, untouched) = run(msg, resign, Helper::Inline);
-            assert_eq!(untouched, 0, "{case}");
-            // Every sample of the target fails on its quote; its
-            // batch-mates pass throughout.
-            assert!(failures.len() >= 2, "{case}: {failures:?}");
-            for (vid, e) in &failures {
-                assert_eq!(*vid, target, "{case}: {e}");
-                assert!(e.to_string().contains(quote), "{case}: {e}");
-            }
-            assert!(reports[0].iter().all(|r| !r.healthy()), "{case}");
-            for honest in &reports[1..] {
-                assert!(honest.len() >= 2, "{case}: {honest:?}");
-                assert!(honest.iter().all(AttestationReport::healthy), "{case}");
-            }
-            // With the helper's verdicts in flight, the same errors.
-            for helper in [Helper::Serving, Helper::Patient] {
-                let (_, served, served_failures, taken) = run(msg, resign, helper);
-                let case = format!("{case}, {helper:?}");
-                assert!(
-                    helper != Helper::Patient || taken > 0,
-                    "{case}: no verdict taken"
-                );
-                assert_eq!(served_failures, failures, "{case}: errors differ");
-                assert_eq!(served, reports, "{case}: reports differ");
+        assert!(failures.len() >= 2, "{case}: {failures:?}");
+        for (vid, e) in &failures {
+            assert_eq!(*vid, target, "{case}: {e}");
+            assert!(e.to_string().contains(quote), "{case}: {e}");
+        }
+        for (vid, id) in subs {
+            let reports = c.stop_attest_periodic(id).unwrap();
+            if vid == target {
+                assert!(reports.iter().all(|r| !r.healthy()), "{case}");
+            } else {
+                assert!(reports.len() >= 2, "{case}: {reports:?}");
+                assert!(reports.iter().all(AttestationReport::healthy), "{case}");
             }
         }
     }

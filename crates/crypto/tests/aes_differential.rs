@@ -8,8 +8,8 @@
 mod support;
 
 use monatt_crypto::aes::Aes128;
+use proptest::test_runner::TestRng;
 use support::aes_ref::{ctr_xor_ref, encrypt_block_ref};
-use support::SplitMix64;
 
 fn hex(s: &str) -> Vec<u8> {
     (0..s.len())
@@ -64,7 +64,7 @@ fn sp800_38a_f51_ctr_vectors() {
 
 #[test]
 fn table_rounds_match_byte_wise_rounds_on_random_blocks() {
-    let mut rng = SplitMix64(0xAE5);
+    let mut rng = TestRng::from_state(0xAE5);
     for _ in 0..300 {
         let (mut key, mut block) = ([0u8; 16], [0u8; 16]);
         rng.fill(&mut key);
@@ -92,7 +92,7 @@ fn table_rounds_match_byte_wise_rounds_on_random_blocks() {
 
 #[test]
 fn ctr_keystream_matches_byte_wise_ctr_at_every_length() {
-    let mut rng = SplitMix64(0xC7);
+    let mut rng = TestRng::from_state(0xC7);
     let (mut key, mut nonce) = ([0u8; 16], [0u8; 12]);
     rng.fill(&mut key);
     rng.fill(&mut nonce);

@@ -18,10 +18,10 @@ use monatt_crypto::error::CryptoError;
 use monatt_crypto::group::Group;
 use monatt_crypto::montgomery::MontgomeryCtx;
 use monatt_crypto::schnorr::{BoundKey, Signature, SigningKey};
+use proptest::test_runner::TestRng;
 use support::bignum_ref::mod_exp_ref;
-use support::SplitMix64;
 
-fn random_u256(rng: &mut SplitMix64) -> U256 {
+fn random_u256(rng: &mut TestRng) -> U256 {
     U256::from_limbs(std::array::from_fn(|_| rng.next_u64()))
 }
 
@@ -59,7 +59,7 @@ fn check_against_ladder(grp: &Group, base: &U256, exps: &[U256]) {
 #[test]
 fn comb_matches_ladder_on_random_exponents() {
     let grp = Group::default_group();
-    let mut rng = SplitMix64(0x636f_6d62);
+    let mut rng = TestRng::from_state(0x636f_6d62);
     let exps: Vec<U256> = (0..48)
         .map(|i| match i % 3 {
             // Full width (most are ≥ q), reduced, and short.

@@ -7,17 +7,17 @@ mod support;
 
 use monatt_crypto::bigint::U256;
 use monatt_crypto::group::Group;
+use proptest::test_runner::TestRng;
 use support::bignum_ref::{is_element_by_pow, is_element_by_ref_pow};
-use support::SplitMix64;
 
-fn random_u256(rng: &mut SplitMix64) -> U256 {
+fn random_u256(rng: &mut TestRng) -> U256 {
     U256::from_limbs(std::array::from_fn(|_| rng.next_u64()))
 }
 
 #[test]
 fn jacobi_agrees_with_exponentiation_on_random_values() {
     let grp = Group::default_group();
-    let mut rng = SplitMix64(0x4a41_434f_4249);
+    let mut rng = TestRng::from_state(0x4a41_434f_4249);
     let (mut members, mut outsiders) = (0u32, 0u32);
     for i in 0..12_000u32 {
         // Full-width values (a quarter land at or above p), values
@@ -67,7 +67,7 @@ fn jacobi_agrees_with_exponentiation_on_edges() {
         U256::from_limbs([u64::MAX, u64::MAX, 0, 0]),
     ];
     // Subgroup members g^k and their non-member negations p - g^k.
-    let mut rng = SplitMix64(7);
+    let mut rng = TestRng::from_state(7);
     for k in 0..200u64 {
         let exp = if k < 100 {
             U256::from_u64(k)
@@ -93,7 +93,7 @@ fn jacobi_agrees_with_the_bit_by_bit_ladder() {
     // with the shipped kernels; each call is a 256-step binary-division
     // ladder, so the sample is small.
     let grp = Group::default_group();
-    let mut rng = SplitMix64(0x0b17);
+    let mut rng = TestRng::from_state(0x0b17);
     for _ in 0..24 {
         let x = random_u256(&mut rng).rem(&grp.p);
         assert_eq!(

@@ -22,8 +22,8 @@ use monatt_crypto::montgomery::MontgomeryCtx;
 use monatt_crypto::schnorr::SigningKey;
 use monatt_crypto::sha256::Sha256;
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 use support::bignum_ref::{mod_add_ref, mod_exp_ref, mod_mul_ref, rem_binary};
-use support::SplitMix64;
 
 fn arb_u256() -> impl Strategy<Value = U256> {
     any::<[u64; 4]>().prop_map(U256::from_limbs)
@@ -194,7 +194,7 @@ fn edge_moduli_differential() {
 
 #[test]
 fn fused_kernels_on_edge_moduli_and_operands() {
-    let mut rng = SplitMix64(0x4d4f_4e54);
+    let mut rng = TestRng::from_state(0x4d4f_4e54);
     for hex in EDGE_MODULI_HEX {
         let m = U256::from_hex(hex).unwrap();
         let Some(ctx) = MontgomeryCtx::new(&m) else {
@@ -222,7 +222,7 @@ fn fused_kernels_on_edge_moduli_and_operands() {
 
 #[test]
 fn knuth_division_across_divisor_widths() {
-    let mut rng = SplitMix64(0x6b6e_7574);
+    let mut rng = TestRng::from_state(0x6b6e_7574);
     let mut limb = || rng.next_u64();
     for t in 0..200usize {
         let a = U256::from_limbs(std::array::from_fn(|_| limb()));
@@ -267,7 +267,7 @@ fn montgomery_eligibility() {
 fn scalar_field_matches_reference() {
     let grp = Group::default_group();
     let q = &grp.q;
-    let mut rng = SplitMix64(0x7363_616c);
+    let mut rng = TestRng::from_state(0x7363_616c);
     let mut operands = vec![U256::ZERO, U256::ONE, q.wrapping_sub(&U256::ONE)];
     for _ in 0..24 {
         operands.push(U256::from_limbs(std::array::from_fn(|_| rng.next_u64())).rem(q));

@@ -27,9 +27,10 @@ use monatt_hypervisor::profile::DescheduleReason;
 use monatt_hypervisor::scheduler::SchedParams;
 use monatt_hypervisor::time::{SimTime, MS, SEC};
 use monatt_hypervisor::vm::VmConfig;
+use proptest::test_runner::TestRng;
 use std::ops::Range;
 use support::{
-    deadline, fold_segment, fold_state, pattern, reason_code, ChunkedBusy, Fold, Retired, Rng,
+    deadline, fold_segment, fold_state, pattern, reason_code, ChunkedBusy, Fold, Retired,
 };
 
 const SCENARIOS: u64 = 64;
@@ -41,7 +42,7 @@ type Busy<'a> = &'a dyn Fn() -> Box<dyn WorkloadDriver>;
 
 /// A busy VM, a VM whose vCPU 0 is busy and whose other vCPUs run
 /// patterns that may IPI it, or a VM of patterns only.
-fn create(sim: &mut ServerSim, rng: &mut Rng, sleepy: bool, busy: Busy) -> VmId {
+fn create(sim: &mut ServerSim, rng: &mut TestRng, sleepy: bool, busy: Busy) -> VmId {
     let kind = rng.below(3);
     let vcpus = if kind == 1 {
         rng.range(2, 3)
@@ -71,7 +72,7 @@ fn create(sim: &mut ServerSim, rng: &mut Rng, sleepy: bool, busy: Busy) -> VmId 
 /// Runs scenario `seed` with `busy` loops; returns the digest at every
 /// checkpoint and how often each deschedule reason occurred.
 fn run_scenario(seed: u64, busy: Busy) -> (Vec<u64>, [usize; 6]) {
-    let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xb05e);
+    let mut rng = TestRng::from_state(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xb05e);
     let params = match seed % 3 {
         0 => SchedParams::default(),
         1 => SchedParams::without_boost(),

@@ -19,29 +19,8 @@ use monatt_hypervisor::profile::{
 };
 use monatt_hypervisor::time::SimTime;
 use monatt_hypervisor::vm::VmState;
+use proptest::test_runner::TestRng;
 use std::collections::BTreeMap;
-
-/// splitmix64: the scenarios must not move when the vendored `rand`
-/// shim does.
-pub struct Rng(pub u64);
-
-impl Rng {
-    pub fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    pub fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.below(hi - lo + 1)
-    }
-}
 
 /// A scripted pattern, cyclic or one-shot (then `Halt`), whose
 /// durations also depend on what the engine shows the driver — a wrong
@@ -92,7 +71,7 @@ impl WorkloadDriver for PatternDriver {
 /// A pattern for one vCPU of a `vcpus`-vCPU VM. Scenario-wide tempo:
 /// `sleepy` scenarios block long and compute short, so the server goes
 /// quiescent and `run_until_lazy` leaps.
-pub fn pattern(rng: &mut Rng, vcpus: usize, sleepy: bool) -> PatternDriver {
+pub fn pattern(rng: &mut TestRng, vcpus: usize, sleepy: bool) -> PatternDriver {
     let len = rng.range(1, 10) as usize;
     let (compute_hi, block_lo, block_hi) = if sleepy {
         (600, 15_000, 250_000)
@@ -137,14 +116,14 @@ pub fn pattern(rng: &mut Rng, vcpus: usize, sleepy: bool) -> PatternDriver {
         actions,
         pos: 0,
         cyclic: rng.below(4) != 0,
-        salt: rng.next(),
+        salt: rng.next_u64(),
     }
 }
 
 /// A deadline for the next run, at most `reach` µs ahead: random,
 /// tick-aligned (equal to the due time of the tick timer, and of the
 /// accounting timer every third tick), exactly `now`, or in the past.
-pub fn deadline(sim: &ServerSim, rng: &mut Rng, reach: u64) -> SimTime {
+pub fn deadline(sim: &ServerSim, rng: &mut TestRng, reach: u64) -> SimTime {
     let now = sim.now().as_micros();
     let tick = sim.params().tick_us;
     SimTime::from_micros(match rng.below(8) {

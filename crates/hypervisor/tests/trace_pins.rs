@@ -36,17 +36,18 @@ use monatt_hypervisor::profile::RunSegment;
 use monatt_hypervisor::scheduler::SchedParams;
 use monatt_hypervisor::time::SimTime;
 use monatt_hypervisor::vm::VmConfig;
+use proptest::test_runner::TestRng;
 use std::fmt::Write as _;
 use support::{
     check_registers_against_log, deadline, fold_observable, fold_segment, fold_state, pattern,
-    segment_fingerprint, Fold, Retired, Rng,
+    segment_fingerprint, Fold, Retired,
 };
 
 const PINS: &str = include_str!("pins/trace_pins.txt");
 const PINS_PATH: &str = "tests/pins/trace_pins.txt";
 const SCENARIOS: u64 = 64;
 
-fn create(sim: &mut ServerSim, rng: &mut Rng, sleepy: bool) -> VmId {
+fn create(sim: &mut ServerSim, rng: &mut TestRng, sleepy: bool) -> VmId {
     let vcpus = rng.range(1, 3) as usize;
     let drivers: Vec<Box<dyn WorkloadDriver>> = (0..vcpus)
         .map(|_| Box::new(pattern(rng, vcpus, sleepy)) as Box<dyn WorkloadDriver>)
@@ -68,7 +69,7 @@ fn create(sim: &mut ServerSim, rng: &mut Rng, sleepy: bool) -> VmId {
 /// digest of segments and state, the full segment log (both only
 /// meaningful with the log on), and per checkpoint [`fold_observable`].
 fn run_scenario(seed: u64, logging: bool) -> (u64, Vec<RunSegment>, Vec<u64>) {
-    let mut rng = Rng(seed.wrapping_mul(0x2545_f491_4f6c_dd1d) ^ 0x5eed);
+    let mut rng = TestRng::from_state(seed.wrapping_mul(0x2545_f491_4f6c_dd1d) ^ 0x5eed);
     let params = match seed % 3 {
         0 => SchedParams::default(),
         1 => SchedParams::without_boost(),

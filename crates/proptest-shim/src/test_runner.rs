@@ -60,6 +60,12 @@ impl TestRng {
         }
     }
 
+    /// Creates a generator whose raw splitmix64 state is `state`, for
+    /// seeded streams that must not move (`new` whitens its seed).
+    pub fn from_state(state: u64) -> Self {
+        TestRng { state }
+    }
+
     /// Returns the next pseudorandom `u64`.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -67,6 +73,34 @@ impl TestRng {
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
+    }
+
+    /// A draw in `0..n` (`n > 0`), one `next_u64` reduced modulo `n`.
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.next_u64() % n
+    }
+
+    /// A draw in `lo..=hi`.
+    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
+        lo + self.below(hi - lo + 1)
+    }
+
+    /// An element of `from`, drawn with one `below(from.len())`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is empty.
+    pub fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+        from[self.below(from.len() as u64) as usize]
+    }
+
+    /// Fills `out` with the next bytes of the stream: each `next_u64`
+    /// gives eight, little-endian.
+    pub fn fill(&mut self, out: &mut [u8]) {
+        for chunk in out.chunks_mut(8) {
+            let word = self.next_u64().to_le_bytes();
+            chunk.copy_from_slice(&word[..chunk.len()]);
+        }
     }
 }
 

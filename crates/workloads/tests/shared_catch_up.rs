@@ -17,8 +17,9 @@ use monatt_hypervisor::time::SimTime;
 use monatt_hypervisor::vm::VmConfig;
 use monatt_workloads::programs::SpecProgram;
 use monatt_workloads::services::{CloudService, ServiceStatsHandle};
+use proptest::test_runner::TestRng;
 use std::sync::{Barrier, Mutex};
-use support::{fold_observable, Retired, Rng};
+use support::{fold_observable, Retired};
 
 const SERVERS: u64 = 4;
 const CHECKPOINTS: usize = 24;
@@ -43,7 +44,7 @@ fn server(seed: u64) -> (ServerSim, Vec<ServiceStatsHandle>) {
 /// The seeded deadlines: uneven steps from a few µs to 400 ms, so some
 /// land mid-burst and some after long runs.
 fn deadlines() -> Vec<SimTime> {
-    let mut rng = Rng(0x5eed_ca7c);
+    let mut rng = TestRng::from_state(0x5eed_ca7c);
     let mut now = 0;
     (0..CHECKPOINTS)
         .map(|_| {

@@ -178,26 +178,3 @@ fn spec_program_completion_is_observable() {
     // Solo: finishes in exactly its work time (modulo launch epoch).
     assert!(elapsed < 10_000_000);
 }
-
-#[test]
-fn deterministic_cloud_given_seed() {
-    let run = |seed: u64| {
-        let mut cloud = CloudBuilder::new().servers(3).seed(seed).build();
-        let vid = cloud
-            .request_vm(
-                VmRequest::new(Flavor::Small, Image::Cirros)
-                    .require(SecurityProperty::StartupIntegrity)
-                    .workload(WorkloadSpec::Busy),
-            )
-            .unwrap();
-        let report = cloud
-            .runtime_attest_current(vid, SecurityProperty::StartupIntegrity)
-            .unwrap();
-        (
-            cloud.server_of(vid),
-            report.elapsed_us,
-            cloud.wall_clock_us(),
-        )
-    };
-    assert_eq!(run(55), run(55));
-}

@@ -390,39 +390,3 @@ fn subscription_escalates_exactly_at_the_kth_consecutive_failure() {
     assert_eq!(health.missed, 6, "{health:?}");
     assert_eq!(health.escalations, 2, "{health:?}");
 }
-
-#[test]
-fn clean_path_is_untouched_without_an_outage_model() {
-    // The chaos layer is strictly opt-in: a cloud with no outage
-    // model, no deadline and no admission gate draws not a single
-    // extra random number — same DRBG probe, same stats, same clock.
-    let run = |chaos_knobs: bool| {
-        let mut builder = CloudBuilder::new().servers(3).seed(911);
-        if chaos_knobs {
-            builder = builder
-                .session_deadline(60_000_000)
-                .admission_control(1024, 512);
-        }
-        let mut cloud = builder.build();
-        let vid = cloud
-            .request_vm(
-                VmRequest::new(Flavor::Small, Image::Cirros)
-                    .require(SecurityProperty::RuntimeIntegrity),
-            )
-            .unwrap();
-        for _ in 0..3 {
-            cloud
-                .runtime_attest_current(vid, SecurityProperty::RuntimeIntegrity)
-                .unwrap();
-        }
-        (
-            cloud.wall_clock_us(),
-            cloud.protocol_stats(),
-            cloud.drbg_probe(),
-        )
-    };
-    let baseline = run(false);
-    // Generous knobs that never fire do not perturb time, stats or the
-    // RNG stream.
-    assert_eq!(baseline, run(true));
-}
