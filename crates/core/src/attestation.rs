@@ -4,11 +4,14 @@
 //! and works with the privacy CA to authenticate cloud servers
 //! anonymously.
 
-use crate::error::CloudError;
+use crate::error::{Check, CloudError};
 use crate::interpret::{interpret, property_to_spec, ReferenceDb};
 use crate::measurements::MeasurementSpec;
-use crate::messages::{AttestationReportMsg, MeasureRequest, MeasureResponse};
+use crate::messages::{
+    q2_fields, q3_fields, AttestationReportMsg, MeasureRequest, MeasureResponse,
+};
 use crate::pca::PrivacyCa;
+use crate::protocol::{NonceSlot, QuoteKind};
 use crate::types::{HealthStatus, Image, SecurityProperty, ServerId, Vid};
 use crate::verify_ring::{HeldKey, HopVouchers};
 use monatt_crypto::batch::{batch_verify_each, BatchItem};
@@ -19,26 +22,9 @@ use monatt_net::wire::EncodeScratch;
 use monatt_tpm::quote::{Quote, QuoteError};
 use std::collections::BTreeMap;
 
-/// Cold error constructors, outlined so the validation path the session
-/// warm loop calls into allocates nothing when every check passes.
-#[cold]
-fn vid_mismatch(expected: Vid, got: Vid) -> CloudError {
-    CloudError::protocol(format!("vid mismatch: expected {expected}, got {got}"))
-}
-
-#[cold]
-fn certification_failure(e: impl std::fmt::Display) -> CloudError {
-    CloudError::protocol(format!("attestation key certification failed: {e}"))
-}
-
-#[cold]
-fn quote_failure(which: &str, e: impl std::fmt::Display) -> CloudError {
-    CloudError::protocol(format!("quote {which} verification failed: {e}"))
-}
-
-#[cold]
+/// Q3's signature failed, however it was verified.
 fn bad_q3(_: CryptoError) -> CloudError {
-    quote_failure("Q3", QuoteError::BadSignature)
+    Check::Quote(QuoteKind::Q3, QuoteError::BadSignature).into()
 }
 
 /// A property verdict held by the Property Certification Module for reuse
@@ -337,24 +323,25 @@ impl AttestationServer {
     ) -> Result<Option<BatchItem<'a>>, CloudError> {
         let response = item.response;
         if response.vid != item.expected_vid {
-            return Err(vid_mismatch(item.expected_vid, response.vid));
+            let (expected, got) = (item.expected_vid, response.vid);
+            return Err(Check::Vid { expected, got }.into());
         }
         if response.spec != item.expected_spec {
-            return Err(CloudError::protocol("measurement spec mismatch"));
+            return Err(Check::Spec.into());
         }
         if response.nonce3 != item.expected_nonce3 {
-            return Err(CloudError::protocol("nonce N3 mismatch (possible replay)"));
+            return Err(Check::Nonce(NonceSlot::N3).into());
         }
         let (cert, bound) = self
             .pca
             .certify_bound(&response.cert_request, vouchers.binding)
-            .map_err(certification_failure)?;
-        let vid_bytes = response.vid.0.to_be_bytes();
-        let (spec_bytes, meas_bytes) = scratch.encode_pair(&response.spec, &response.measurement);
+            .map_err(Check::Certification)?;
         let quote = &response.quote;
-        quote
-            .check_fields(&[&vid_bytes, spec_bytes, meas_bytes, &response.nonce3])
-            .map_err(|e| quote_failure("Q3", e))?;
+        let (vid, spec, measurement) = (response.vid, &response.spec, &response.measurement);
+        q3_fields(scratch, vid, spec, measurement, &response.nonce3, |f| {
+            quote.check_fields(f)
+        })
+        .map_err(|e| Check::Quote(QuoteKind::Q3, e))?;
         let (avk, digest, signature) = (
             cert.attestation_key,
             quote.digest.as_slice(),
@@ -416,13 +403,9 @@ impl AttestationServer {
         nonce2: [u8; 32],
         scratch: &mut EncodeScratch,
     ) -> AttestationReportMsg {
-        let vid_bytes = vid.0.to_be_bytes();
-        let server_bytes = server.0.to_be_bytes();
-        let (prop_bytes, status_bytes) = scratch.encode_pair(&property, &status);
-        let quote = Quote::create(
-            &self.identity,
-            &[&vid_bytes, &server_bytes, prop_bytes, status_bytes, &nonce2],
-        );
+        let quote = q2_fields(scratch, vid, server, &property, &status, &nonce2, |f| {
+            Quote::create(&self.identity, f)
+        });
         AttestationReportMsg {
             vid,
             server,
@@ -447,32 +430,45 @@ impl AttestationServer {
         scratch: &mut EncodeScratch,
     ) -> Result<(), CloudError> {
         if msg.nonce2 != expected_nonce2 {
-            return Err(CloudError::protocol("nonce N2 mismatch (possible replay)"));
+            return Err(Check::Nonce(NonceSlot::N2).into());
         }
-        let vid_bytes = msg.vid.0.to_be_bytes();
-        let server_bytes = msg.server.0.to_be_bytes();
-        let (prop_bytes, status_bytes) = scratch.encode_pair(&msg.property, &msg.status);
-        msg.quote
-            .verify(
-                attserver_key,
-                &[
-                    &vid_bytes,
-                    &server_bytes,
-                    prop_bytes,
-                    status_bytes,
-                    &msg.nonce2,
-                ],
-            )
-            .map_err(|e| quote_failure("Q2", e))
+        q2_fields(
+            scratch,
+            msg.vid,
+            msg.server,
+            &msg.property,
+            &msg.status,
+            &msg.nonce2,
+            |f| msg.quote.verify(attserver_key, f),
+        )
+        .map_err(|e| Check::Quote(QuoteKind::Q2, e).into())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pca::PcaError;
+    use crate::protocol::MsgKind;
     use crate::server::CloudServerNode;
     use monatt_hypervisor::driver::IdleDriver;
     use monatt_hypervisor::scheduler::SchedParams;
+
+    /// Message 4's quote and nonce, as the IR's obligations name them.
+    fn msg4() -> (QuoteKind, NonceSlot) {
+        let (Some(quote), Some(nonce)) = MsgKind::Msg4.obligations() else {
+            unreachable!("message 4 carries a quote and echoes a nonce")
+        };
+        (quote, nonce)
+    }
+
+    /// The check a protocol failure names.
+    fn check(e: &CloudError) -> Check {
+        match e {
+            CloudError::ProtocolFailure { check } => *check,
+            other => panic!("not a protocol failure: {other}"),
+        }
+    }
 
     fn setup() -> (AttestationServer, CloudServerNode) {
         let mut rng = Drbg::from_seed(40);
@@ -529,7 +525,10 @@ mod tests {
         let err = attserver
             .validate_response_with(&resp, Vid(1), req.spec, nonce3, &mut EncodeScratch::new())
             .unwrap_err();
-        assert!(matches!(err, CloudError::ProtocolFailure { .. }));
+        assert_eq!(
+            check(&err),
+            Check::Quote(msg4().0, QuoteError::DigestMismatch)
+        );
     }
 
     #[test]
@@ -548,10 +547,7 @@ mod tests {
                 &mut EncodeScratch::new(),
             )
             .unwrap_err();
-        let CloudError::ProtocolFailure { reason } = err else {
-            panic!("wrong error");
-        };
-        assert!(reason.contains("N3"));
+        assert_eq!(check(&err), Check::Nonce(msg4().1));
     }
 
     #[test]
@@ -587,10 +583,10 @@ mod tests {
                 &mut EncodeScratch::new(),
             )
             .unwrap_err();
-        let CloudError::ProtocolFailure { reason } = err else {
-            panic!("wrong error");
-        };
-        assert!(reason.contains("certification"));
+        assert_eq!(
+            check(&err),
+            Check::Certification(PcaError::UnregisteredServer)
+        );
     }
 
     #[test]
@@ -614,14 +610,19 @@ mod tests {
             )
         };
         verify(&msg, [8u8; 32]).unwrap();
+        let (Some(q2), Some(n2)) = MsgKind::Msg5.obligations() else {
+            unreachable!("message 5 carries a quote and echoes a nonce")
+        };
         // Tampering with the status breaks the quote.
         let mut forged = msg.clone();
         forged.status = HealthStatus::Compromised {
             reason: "flip".into(),
         };
-        assert!(verify(&forged, [8u8; 32]).is_err());
+        let err = verify(&forged, [8u8; 32]).unwrap_err();
+        assert_eq!(check(&err), Check::Quote(q2, QuoteError::DigestMismatch));
         // Wrong nonce is a replay.
-        assert!(verify(&msg, [9u8; 32]).is_err());
+        let err = verify(&msg, [9u8; 32]).unwrap_err();
+        assert_eq!(check(&err), Check::Nonce(n2));
     }
     /// Builds `n` independent valid measurement responses from the
     /// setup node (fresh nonce per item, fresh AVK per attest).
@@ -688,8 +689,8 @@ mod tests {
                 (Ok(()), Ok(())) => assert_ne!(i, 2, "forged item must fail"),
                 (Err(b), Err(s)) => {
                     assert_eq!(i, 2, "only the forged item may fail");
-                    assert_eq!(b.to_string(), s.to_string(), "error strings must match");
-                    assert!(b.to_string().contains("quote Q3"), "{b}");
+                    assert_eq!(b, s, "errors must match");
+                    assert_eq!(check(b), Check::Quote(msg4().0, QuoteError::BadSignature));
                 }
                 (b, s) => panic!("verdict diverged at {i}: batch {b:?} vs serial {s:?}"),
             }
@@ -708,13 +709,13 @@ mod tests {
             .validate_response_with(resp, Vid(1), *spec, *nonce3, &mut scratch)
             .unwrap();
         // And a cheap-check failure (wrong nonce echo) short-circuits
-        // before any Schnorr work, with the serial error string.
+        // before any Schnorr work, with the serial error.
         let items = [item(resp, *spec, [0xaa; 32])];
-        let err = attserver.validate_response_batch(&items, &mut scratch)[0]
-            .as_ref()
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("N3"), "{err}");
+        let batch = attserver.validate_response_batch(&items, &mut scratch);
+        assert_eq!(
+            check(batch[0].as_ref().unwrap_err()),
+            Check::Nonce(msg4().1)
+        );
         // A forged binding over an altered measurement fails the pCA's
         // certification before the digest is looked at, alone and beside
         // a genuine batch-mate alike.
@@ -726,8 +727,7 @@ mod tests {
         };
         let serial = attserver
             .validate_response_with(&forged, Vid(1), *spec, *nonce3, &mut scratch)
-            .unwrap_err()
-            .to_string();
+            .unwrap_err();
         let (mate, mate_spec, mate_nonce3) = &fixture[1];
         let items = [
             item(mate, *mate_spec, *mate_nonce3),
@@ -735,8 +735,8 @@ mod tests {
         ];
         let batch = attserver.validate_response_batch(&items, &mut scratch);
         assert!(batch[0].is_ok(), "{:?}", batch[0]);
-        assert_eq!(batch[1].as_ref().unwrap_err().to_string(), serial);
-        assert!(serial.contains("certification failed"), "{serial}");
+        assert_eq!(batch[1].as_ref().unwrap_err(), &serial);
+        assert_eq!(check(&serial), Check::Certification(PcaError::BadBinding));
     }
 
     #[test]
@@ -759,7 +759,8 @@ mod tests {
             let items = [item(resp, *spec, *nonce3)];
             let batch = batched.validate_response_batch(&items, &mut scratch);
             assert_eq!(batch, std::slice::from_ref(&serial));
-            assert!(serial.unwrap_err().to_string().contains("quote Q3"));
+            let forged = Check::Quote(msg4().0, QuoteError::BadSignature);
+            assert_eq!(check(&serial.unwrap_err()), forged);
         }
         assert_eq!(alone.avk_cert_cache_stats(), (1, 1));
         assert_eq!(batched.avk_cert_cache_stats(), alone.avk_cert_cache_stats());

@@ -11,7 +11,7 @@ use crate::attestation::{AttestationServer, CachedEvidence};
 use crate::error::CloudError;
 use crate::messages::MeasureResponse;
 use crate::outage::AdmissionControl;
-use crate::session::{lost_session, Msg4Meta, PendingMsg4};
+use crate::session::{Msg4Meta, PendingMsg4, LOST_SESSION};
 use crate::types::{HealthStatus, SecurityProperty, Vid};
 use monatt_net::wire::EncodeScratch;
 
@@ -70,7 +70,7 @@ impl Appraisers {
         let attserver = self
             .replicas
             .get_mut(replica as usize)
-            .ok_or_else(lost_session)?;
+            .ok_or(LOST_SESSION)?;
         Ok((attserver, &mut self.quote_scratch))
     }
 

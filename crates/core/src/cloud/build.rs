@@ -512,9 +512,7 @@ impl CloudBuilder {
             subscriptions: BTreeMap::new(),
             next_subscription: 1,
             escalation_threshold: self.escalation_threshold.max(1),
-            programs: crate::protocol::ProgramRegistry::standard().map_err(|e| {
-                CloudError::protocol(format!("standard protocols did not compile: {e}"))
-            })?,
+            programs: crate::protocol::ProgramRegistry::standard().map_err(CloudError::Compile)?,
             offload: Offload::default(),
             #[cfg(test)]
             failures: Vec::new(),

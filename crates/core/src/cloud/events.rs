@@ -19,7 +19,7 @@ use monatt_hypervisor::queue::EventQueue;
 
 use crate::error::CloudError;
 use crate::session::{
-    lost_session, AttestSession, CloudEvent, SessionArena, SessionEvent, SessionId,
+    AttestSession, CloudEvent, SessionArena, SessionEvent, SessionId, LOST_SESSION,
 };
 
 /// Clock, queue and session table. See the module docs.
@@ -102,12 +102,12 @@ impl Events {
 
     /// The live session behind `sid`.
     pub(crate) fn session(&self, sid: SessionId) -> Result<&AttestSession, CloudError> {
-        self.sessions.get(sid).ok_or_else(lost_session)
+        self.sessions.get(sid).ok_or(LOST_SESSION)
     }
 
     /// Mutable access to the live session behind `sid`.
     pub(crate) fn session_mut(&mut self, sid: SessionId) -> Result<&mut AttestSession, CloudError> {
-        self.sessions.get_mut(sid).ok_or_else(lost_session)
+        self.sessions.get_mut(sid).ok_or(LOST_SESSION)
     }
 
     /// High-water mark of the events pending since construction or the

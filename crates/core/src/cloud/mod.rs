@@ -54,7 +54,7 @@ use crate::error::CloudError;
 use crate::latency::{LatencyParams, RetryPolicy};
 use crate::links::Links;
 use crate::outage::{OutageModel, OutageStats, Outages};
-use crate::protocol::{CompileError, ProgramId, ProgramRegistry, Protocol};
+use crate::protocol::{ProgramId, ProgramRegistry, Protocol};
 use crate::server::CloudServerNode;
 use crate::session::{CloudEvent, SessionId, SessionOrigin};
 use crate::types::{HealthStatus, NodeId, ProtocolStats, SecurityProperty, ServerId, Vid};
@@ -88,11 +88,6 @@ impl AttestationReport {
     pub fn healthy(&self) -> bool {
         self.status.is_healthy()
     }
-}
-
-/// Maps a protocol-compile error into the cloud's error type.
-fn compile_failure(e: CompileError) -> CloudError {
-    CloudError::protocol(format!("protocol did not compile: {e}"))
 }
 
 /// The assembled CloudMonatt cloud.
@@ -601,13 +596,13 @@ impl Cloud {
         vid: Vid,
         properties: &[SecurityProperty],
     ) -> Result<AttestationReport, CloudError> {
-        let Some(&first) = properties.first() else {
-            return Err(CloudError::protocol("fan-out needs at least one property"));
-        };
         let program = self
             .programs
             .fanout_for(properties)
-            .map_err(compile_failure)?;
+            .map_err(CloudError::Compile)?;
+        // An empty fan-out does not compile, so `properties` has a first.
+        let first = properties.first().copied();
+        let first = first.unwrap_or(SecurityProperty::StartupIntegrity);
         self.attest_with_program(vid, first, program)
     }
 
@@ -617,10 +612,11 @@ impl Cloud {
     ///
     /// # Errors
     ///
-    /// A [`CloudError::ProtocolFailure`] carrying the compile error if
-    /// the term is ill-formed.
+    /// [`CloudError::Compile`] if the term is ill-formed.
     pub fn register_protocol(&mut self, protocol: &Protocol) -> Result<ProgramId, CloudError> {
-        self.programs.register(protocol).map_err(compile_failure)
+        self.programs
+            .register(protocol)
+            .map_err(CloudError::Compile)
     }
 
     /// Runs a registered protocol program as one synchronous session

@@ -13,15 +13,13 @@
 
 use super::{AttestationReport, Cloud, CloudBuilder, ResponseTiming, VmRequest, WorkloadSpec};
 use crate::controller::ResponseAction::{self, Migration, Suspension, Termination};
-use crate::controlplane::{ControlPlaneStats, CUSTOMER_ENDPOINT};
-use crate::error::CloudError;
+use crate::controlplane::ControlPlaneStats;
+use crate::error::{Check, CloudError, EndName};
 use crate::latency::RetryPolicy;
 use crate::links::LinkKey;
 use crate::outage::{OutageModel, OutageStats};
 use crate::protocol::MsgKind;
-use crate::types::{
-    Flavor, HealthStatus, Image, NodeId, ProtocolStats, SecurityProperty, ServerId, Vid,
-};
+use crate::types::{Flavor, HealthStatus, Image, ProtocolStats, SecurityProperty, ServerId, Vid};
 use monatt_crypto::drbg::Drbg;
 use monatt_crypto::schnorr::SigningKey;
 use monatt_net::channel::SecureChannel;
@@ -373,13 +371,14 @@ impl Run {
     /// A sample of the attacker's target failed on the quote its message
     /// carries.
     fn target_failed(&self, s: &Scenario) -> bool {
-        let quote = match s.attack {
-            Some((MsgKind::Msg4, _)) => "Q3",
-            Some((MsgKind::Msg5, _)) => "Q2",
-            _ => "Q1",
-        };
+        let quote = s.attack.and_then(|(msg, _)| msg.obligations().0);
         let mut failures = self.seen.failures.iter();
-        failures.any(|(vid, e)| Some(*vid) == self.target && e.to_string().contains(quote))
+        failures.any(|(vid, e)| match *e {
+            CloudError::ProtocolFailure {
+                check: Check::Quote(kind, _),
+            } => Some(*vid) == self.target && Some(kind) == quote,
+            _ => false,
+        })
     }
 
     /// Two `Busy` guests on different servers both ran, so the fleet's
@@ -394,8 +393,8 @@ impl Run {
     }
 }
 
-/// A check on one scenario's A and B runs.
-type Check = fn(&Scenario, &Run, &Run) -> bool;
+/// A claim on one scenario's A and B runs.
+type Claim = fn(&Scenario, &Run, &Run) -> bool;
 
 /// One "changes nothing" claim: on every scenario `admits` accepts,
 /// config `a` and each of `b` show the same, up to what `may_differ`
@@ -407,8 +406,8 @@ struct Row {
     a: Config,
     b: &'static [Config],
     may_differ: fn(&mut Observables, &mut Observables),
-    always: &'static [(&'static str, Check)],
-    sometimes: &'static [(&'static str, Check)],
+    always: &'static [(&'static str, Claim)],
+    sometimes: &'static [(&'static str, Claim)],
 }
 
 /// A row's defaults: every scenario, A as drawn, nothing may differ and
@@ -641,10 +640,7 @@ impl Substitute {
         };
         // Every message 4, 5 and 6 is a reply: the link's initiator
         // receives it and its responder sends it.
-        let ends = link.ends().map(|end| {
-            end.as_ref()
-                .map_or(CUSTOMER_ENDPOINT.to_owned(), NodeId::endpoint)
-        });
+        let ends = link.ends().map(|end| EndName(end).to_string());
         let (opener, sealer) = c.links.leak(link, 1218);
         let resign = resign.then(|| SigningKey::generate(&mut Drbg::from_seed(1219)));
         c.network_mut().set_attacker(Box::new(Substitute {

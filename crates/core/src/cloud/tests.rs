@@ -4,7 +4,7 @@
 
 use super::{AttestationReport, Cloud, CloudBuilder, Frequency, VmRequest, WorkloadSpec};
 use crate::controller::{ResponseAction, VmLifecycle};
-use crate::error::CloudError;
+use crate::error::{Check, CloudError};
 use crate::types::{
     Flavor, HealthStatus, Image, NodeId, ProtocolStats, SecurityProperty, ServerId,
 };
@@ -432,6 +432,7 @@ fn covert_channel_detected_on_sender() {
 
 #[test]
 fn network_tampering_is_detected_not_accepted() {
+    use monatt_net::channel::ChannelError;
     use monatt_net::sim::Tamperer;
     let mut c = cloud();
     let vid = c
@@ -444,7 +445,13 @@ fn network_tampering_is_detected_not_accepted() {
     let err = c
         .runtime_attest_current(vid, SecurityProperty::RuntimeIntegrity)
         .unwrap_err();
-    assert!(matches!(err, CloudError::ProtocolFailure { .. }));
+    let CloudError::ProtocolFailure {
+        check: Check::Channel { error, .. },
+    } = err
+    else {
+        panic!("tampering must fail the channel's check: {err}")
+    };
+    assert_eq!(error, ChannelError::RecordAuthentication);
     c.network_mut().clear_attacker();
     let ok = c
         .runtime_attest_current(vid, SecurityProperty::RuntimeIntegrity)
@@ -1168,7 +1175,7 @@ fn registered_protocols_run_like_builtins() {
     let err = c
         .register_protocol(&Protocol::Seq(vec![Protocol::Complete]))
         .unwrap_err();
-    assert!(matches!(err, CloudError::ProtocolFailure { .. }));
+    assert!(matches!(err, CloudError::Compile(_)), "{err}");
 }
 
 #[test]
@@ -1347,18 +1354,19 @@ fn a_bound_avk_rejects_exactly_what_the_bare_key_rejects() {
         (c, vid)
     };
     // Validates `forge` applied to a genuine, reused-key message 4 at the
-    // cloud's one AS replica, returning the verdict as a string.
-    fn validate(c: &mut Cloud, vid: crate::types::Vid, forge: fn(&mut MeasureResponse)) -> String {
+    // cloud's one AS replica.
+    fn validate(
+        c: &mut Cloud,
+        vid: crate::types::Vid,
+        forge: fn(&mut MeasureResponse),
+    ) -> Result<(), CloudError> {
         let (spec, nonce3) = (MeasurementSpec::BootIntegrity, [5u8; 32]);
         let server = c.server_of(vid).unwrap();
         let node = c.server_mut(server).unwrap();
         let mut response: MeasureResponse = node.attest(vid, spec, nonce3).unwrap().into();
         forge(&mut response);
         let (attserver, scratch) = c.appraisers.routed(0).unwrap();
-        match attserver.validate_response_with(&response, vid, spec, nonce3, scratch) {
-            Ok(()) => "ok".into(),
-            Err(e) => e.to_string(),
-        }
+        attserver.validate_response_with(&response, vid, spec, nonce3, scratch)
     }
     let genuine: fn(&mut MeasureResponse) = |_| {};
     let flipped_s: fn(&mut MeasureResponse) = |r| {
@@ -1384,7 +1392,7 @@ fn a_bound_avk_rejects_exactly_what_the_bare_key_rejects() {
     ] {
         let verdict = validate(&mut bound, vid, forge);
         assert_eq!(verdict, validate(&mut bare, bare_vid, forge), "{name}");
-        assert_eq!(verdict == "ok", name == "genuine", "{name}: {verdict}");
+        assert_eq!(verdict.is_ok(), name == "genuine", "{name}: {verdict:?}");
     }
     assert_eq!(bound.avk_cert_cache_stats(), (5, 1));
     // A recovery re-keys: the slot empties, the next session is a miss
@@ -1552,15 +1560,12 @@ fn touching_a_busy_server_catches_up_the_busy_fleet_and_nothing_else() {
 fn a_verdict_never_vouches_for_other_bytes() {
     use super::same::{with_helper, Helper, Substitute};
     use crate::protocol::MsgKind;
+    use monatt_tpm::quote::QuoteError;
 
     let property = SecurityProperty::StartupIntegrity;
     let request = VmRequest::new(Flavor::Small, Image::Cirros).require(property);
-    let cases = [
-        (MsgKind::Msg4, "Q3"),
-        (MsgKind::Msg5, "Q2"),
-        (MsgKind::Msg6, "Q1"),
-    ];
-    for ((msg, quote), resign) in cases.into_iter().flat_map(|c| [(c, true), (c, false)]) {
+    let cases = [MsgKind::Msg4, MsgKind::Msg5, MsgKind::Msg6];
+    for (msg, resign) in cases.into_iter().flat_map(|m| [(m, true), (m, false)]) {
         let case = format!("{msg:?}, resign {resign}");
         // Four VMs on server 0 attest on one period, so their messages 4
         // share coalesced batches; the attacker rewrites the first VM's
@@ -1586,13 +1591,21 @@ fn a_verdict_never_vouches_for_other_bytes() {
         let target = subs[0].0;
         Substitute::install(&mut c, msg, target, resign).unwrap();
         c.run(2_000_000);
-        // Every sample of the target fails on its quote; its batch-mates
-        // pass throughout.
+        // Every sample of the target fails on the quote its message
+        // carries, a re-signed one on its signature and a flipped one on
+        // its digest; its batch-mates pass throughout.
+        let (Some(quote), _) = msg.obligations() else {
+            unreachable!("messages 4, 5 and 6 carry quotes")
+        };
+        let error = match resign {
+            true => QuoteError::BadSignature,
+            false => QuoteError::DigestMismatch,
+        };
         let failures = std::mem::take(&mut c.failures);
         assert!(failures.len() >= 2, "{case}: {failures:?}");
         for (vid, e) in &failures {
             assert_eq!(*vid, target, "{case}: {e}");
-            assert!(e.to_string().contains(quote), "{case}: {e}");
+            assert_eq!(*e, Check::Quote(quote, error).into(), "{case}");
         }
         for (vid, id) in subs {
             let reports = c.stop_attest_periodic(id).unwrap();

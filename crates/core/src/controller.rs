@@ -4,21 +4,15 @@
 //! Module that executes remediation (Section 5.2).
 
 use crate::cloud::{WorkloadHandles, WorkloadSpec};
-use crate::error::CloudError;
-use crate::messages::CustomerReportMsg;
+use crate::error::{Check, CloudError};
+use crate::messages::{q1_fields, CustomerReportMsg};
+use crate::protocol::{NonceSlot, QuoteKind};
 use crate::types::{Flavor, HealthStatus, Image, SecurityProperty, ServerId, Vid};
 use monatt_crypto::drbg::Drbg;
 use monatt_crypto::schnorr::{BoundKey, SigningKey, Verifier, VerifyingKey};
 use monatt_net::wire::EncodeScratch;
 use monatt_tpm::quote::Quote;
 use std::collections::BTreeMap;
-
-/// Cold error constructor, outlined so the message-6 verification the
-/// session warm loop calls into allocates nothing when the quote holds.
-#[cold]
-fn quote_q1_failure(e: impl std::fmt::Display) -> CloudError {
-    CloudError::protocol(format!("quote Q1 verification failed: {e}"))
-}
 
 /// `vid`'s word in the tombstone bitmap, and its bit there.
 fn tombstone(vid: Vid) -> (usize, u64) {
@@ -373,9 +367,9 @@ impl CloudController {
         nonce1: [u8; 32],
         scratch: &mut EncodeScratch,
     ) -> CustomerReportMsg {
-        let vid_bytes = vid.0.to_be_bytes();
-        let (prop_bytes, status_bytes) = scratch.encode_pair(&property, &status);
-        let quote = Quote::create(key, &[&vid_bytes, prop_bytes, status_bytes, &nonce1]);
+        let quote = q1_fields(scratch, vid, &property, &status, &nonce1, |f| {
+            Quote::create(key, f)
+        });
         CustomerReportMsg {
             vid,
             property,
@@ -399,16 +393,17 @@ impl CloudController {
         scratch: &mut EncodeScratch,
     ) -> Result<(), CloudError> {
         if msg.nonce1 != expected_nonce1 {
-            return Err(CloudError::protocol("nonce N1 mismatch (possible replay)"));
+            return Err(Check::Nonce(NonceSlot::N1).into());
         }
-        let vid_bytes = msg.vid.0.to_be_bytes();
-        let (prop_bytes, status_bytes) = scratch.encode_pair(&msg.property, &msg.status);
-        msg.quote
-            .verify(
-                controller_key,
-                &[&vid_bytes, prop_bytes, status_bytes, &msg.nonce1],
-            )
-            .map_err(quote_q1_failure)
+        q1_fields(
+            scratch,
+            msg.vid,
+            &msg.property,
+            &msg.status,
+            &msg.nonce1,
+            |f| msg.quote.verify(controller_key, f),
+        )
+        .map_err(|e| Check::Quote(QuoteKind::Q1, e).into())
     }
 }
 

@@ -1,9 +1,106 @@
 //! Error types for the CloudMonatt core.
 
+use crate::controlplane::CUSTOMER_ENDPOINT;
+use crate::pca::PcaError;
+use crate::protocol::{CompileError, MsgKind, NonceSlot, QuoteKind};
 use crate::types::{NodeId, SecurityProperty, ServerId, Vid};
 use monatt_net::channel::ChannelError;
+use monatt_net::wire::WireError;
+use monatt_tpm::quote::QuoteError;
 use std::error::Error;
 use std::fmt;
+
+/// The receive check a [`CloudError::ProtocolFailure`] names: Figure 3's
+/// per-message nonce and quote obligations ([`MsgKind::obligations`]),
+/// message 4's vid, spec and certification checks, and the decoding,
+/// routing and secure channel beneath every hop.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Check {
+    /// The record did not echo the nonce issued into this slot (a
+    /// replay, or a reply to another request).
+    Nonce(NonceSlot),
+    /// The quote's digest does not cover the record's fields, or its
+    /// signature does not verify.
+    Quote(QuoteKind, QuoteError),
+    /// Message 4 answers for another VM than the one asked about.
+    Vid {
+        /// The VM the session asked about.
+        expected: Vid,
+        /// The VM the response names.
+        got: Vid,
+    },
+    /// Message 4 carries another measurement than the one requested.
+    Spec,
+    /// The pCA refused to certify message 4's attestation key.
+    Certification(PcaError),
+    /// The record does not decode as the message its hop carries.
+    Malformed(MsgKind, WireError),
+    /// A record on a replicated control plane lacks its route tag.
+    RouteTag,
+    /// A record's route tag is not the session's pinned route.
+    Misrouted,
+    /// Every delivery of a hop failed the receiving channel's check.
+    Channel {
+        /// The sending link end (`None` is the customer).
+        from: Option<NodeId>,
+        /// The receiving link end.
+        to: Option<NodeId>,
+        /// The last delivery's channel failure.
+        error: ChannelError,
+        /// How many delivery attempts were made.
+        attempts: u32,
+    },
+}
+
+/// A link end as its secure-channel peer name: the customer, or the node.
+pub(crate) struct EndName(pub(crate) Option<NodeId>);
+
+impl fmt::Display for EndName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            None => f.write_str(CUSTOMER_ENDPOINT),
+            Some(node) => write!(f, "{node}"),
+        }
+    }
+}
+
+impl fmt::Display for Check {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Check::Nonce(slot) => write!(f, "nonce {slot:?} mismatch (possible replay)"),
+            Check::Quote(kind, e) => write!(f, "quote {kind:?} verification failed: {e}"),
+            Check::Vid { expected, got } => {
+                write!(f, "vid mismatch: expected {expected}, got {got}")
+            }
+            Check::Spec => f.write_str("measurement spec mismatch"),
+            Check::Certification(e) => write!(f, "attestation key certification failed: {e}"),
+            Check::Malformed(msg, e) => {
+                let what = match msg {
+                    MsgKind::Msg1 => "request",
+                    MsgKind::Msg2 => "forward",
+                    MsgKind::Msg3 => "measure request",
+                    MsgKind::Msg4 => "measure response",
+                    MsgKind::Msg5 => "report",
+                    MsgKind::Msg6 => "customer report",
+                };
+                write!(f, "malformed {what}: {e}")
+            }
+            Check::RouteTag => f.write_str("record missing control-plane route tag"),
+            Check::Misrouted => f.write_str("record misrouted across the control plane"),
+            Check::Channel {
+                from,
+                to,
+                error,
+                attempts,
+            } => write!(
+                f,
+                "secure channel {}->{}: {error} ({attempts} attempts)",
+                EndName(from),
+                EndName(to)
+            ),
+        }
+    }
+}
 
 /// Errors surfaced by the cloud facade and its components.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -23,11 +120,17 @@ pub enum CloudError {
         /// Why the attestation failed.
         reason: String,
     },
-    /// The attestation protocol failed (signature, quote or nonce check).
+    /// The attestation protocol failed one of its receive checks.
     ProtocolFailure {
         /// Which check failed.
-        reason: String,
+        check: Check,
     },
+    /// A protocol term (or the fan-out built from a property list) did
+    /// not compile.
+    Compile(CompileError),
+    /// An invariant of the session machinery broke: a state no caller
+    /// or network input reaches, surfaced rather than trusted.
+    Internal(&'static str),
     /// A protocol hop could not deliver a message within its retry
     /// budget: the peer is unreachable (or the network is lossy beyond
     /// the retransmit layer's tolerance). Distinct from an unhealthy
@@ -88,12 +191,9 @@ pub enum CloudError {
     },
 }
 
-impl CloudError {
-    /// A [`CloudError::ProtocolFailure`] naming the failed check.
-    pub(crate) fn protocol(reason: impl Into<String>) -> Self {
-        CloudError::ProtocolFailure {
-            reason: reason.into(),
-        }
+impl From<Check> for CloudError {
+    fn from(check: Check) -> Self {
+        CloudError::ProtocolFailure { check }
     }
 }
 
@@ -111,9 +211,11 @@ impl fmt::Display for CloudError {
             CloudError::UnknownVm(vid) => write!(f, "unknown VM {vid}"),
             CloudError::UnknownServer(s) => write!(f, "unknown server {s}"),
             CloudError::LaunchRejected { reason } => write!(f, "VM launch rejected: {reason}"),
-            CloudError::ProtocolFailure { reason } => {
-                write!(f, "attestation protocol failure: {reason}")
+            CloudError::ProtocolFailure { check } => {
+                write!(f, "attestation protocol failure: {check}")
             }
+            CloudError::Compile(e) => write!(f, "protocol did not compile: {e}"),
+            CloudError::Internal(what) => write!(f, "internal error: {what}"),
             CloudError::Unreachable { peer, attempts } => {
                 write!(f, "{peer} unreachable after {attempts} delivery attempts")
             }
@@ -197,6 +299,53 @@ mod tests {
         assert!(CloudError::Overloaded { in_flight: 64 }
             .to_string()
             .contains("64 sessions"));
+        // One row per protocol check, as each prints.
+        let rows = [
+            (
+                Check::Nonce(NonceSlot::N3),
+                "nonce N3 mismatch (possible replay)",
+            ),
+            (
+                Check::Quote(QuoteKind::Q3, QuoteError::BadSignature),
+                "quote Q3 verification failed: quote signature verification failed",
+            ),
+            (
+                Check::Vid {
+                    expected: Vid(1),
+                    got: Vid(2),
+                },
+                "vid mismatch: expected vid-1, got vid-2",
+            ),
+            (Check::Spec, "measurement spec mismatch"),
+            (
+                Check::Certification(PcaError::UnregisteredServer),
+                "attestation key certification failed: server identity key not registered",
+            ),
+            (
+                Check::Malformed(MsgKind::Msg4, WireError::UnexpectedEnd),
+                "malformed measure response: unexpected end of input",
+            ),
+            (Check::RouteTag, "record missing control-plane route tag"),
+            (
+                Check::Misrouted,
+                "record misrouted across the control plane",
+            ),
+            (
+                Check::Channel {
+                    from: None,
+                    to: Some(NodeId::Controller(0)),
+                    error: ChannelError::RecordAuthentication,
+                    attempts: 4,
+                },
+                "secure channel customer->controller: record authentication failed (4 attempts)",
+            ),
+        ];
+        for (check, text) in rows {
+            let shown = CloudError::from(check).to_string();
+            assert_eq!(shown, format!("attestation protocol failure: {text}"));
+        }
+        // A failure names its check without growing the error.
+        assert!(std::mem::size_of::<CloudError>() <= 56);
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub use cloud::{
 };
 pub use controller::{CloudController, ResponseAction, ServerInfo, VmLifecycle, VmRecord};
 pub use controlplane::{ControlPlaneStats, ControlPlaneTopology, RouteTag};
-pub use error::CloudError;
+pub use error::{Check, CloudError};
 pub use interpret::{analyze_intervals, IntervalAnalysis, ReferenceDb, DEFAULT_WINDOW_US};
 pub use latency::{LatencyParams, RetryPolicy};
 pub use measurements::{Measurement, MeasurementSpec, TaskInfo};

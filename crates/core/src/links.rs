@@ -14,11 +14,11 @@
 //! channel pair, the long-term identity of every link end, and the set
 //! of links awaiting a lazy re-key.
 
-use crate::controlplane::{RouteTag, CUSTOMER_ENDPOINT};
-use crate::error::CloudError;
+use crate::controlplane::RouteTag;
+use crate::error::{CloudError, EndName};
 use crate::outage::OutageStats;
 use crate::protocol::{Channel, MsgKind};
-use crate::session::lost_session;
+use crate::session::LOST_SESSION;
 use crate::types::{NodeId, ServerId};
 use monatt_crypto::drbg::Drbg;
 use monatt_crypto::schnorr::SigningKey;
@@ -76,14 +76,9 @@ impl LinkKey {
     fn missing(self) -> CloudError {
         match self {
             LinkKey::AsServer(_, id) => CloudError::UnknownServer(id),
-            _ => lost_session(),
+            _ => LOST_SESSION,
         }
     }
-}
-
-/// The secure-channel peer name of one link end.
-fn end_name(end: Option<NodeId>) -> String {
-    end.map_or_else(|| CUSTOMER_ENDPOINT.to_owned(), |node| node.endpoint())
 }
 
 /// A resolved protocol hop: the link it crosses and which way.
@@ -109,6 +104,15 @@ impl Hop {
             Channel::Kz => LinkKey::AsServer(route.replica, server),
         };
         Hop { link, reply }
+    }
+
+    /// The hop's `(sender, receiver)` link ends.
+    pub(crate) fn ends(self) -> (Option<NodeId>, Option<NodeId>) {
+        let [initiator, responder] = self.link.ends();
+        match self.reply {
+            false => (initiator, responder),
+            true => (responder, initiator),
+        }
     }
 }
 
@@ -177,7 +181,7 @@ impl Links {
         let (Some(a_key), Some(b_key)) = (self.identities.get(&a), self.identities.get(&b)) else {
             return Err(link.missing());
         };
-        let (a_name, b_name) = (end_name(a), end_name(b));
+        let (a_name, b_name) = (EndName(a).to_string(), EndName(b).to_string());
         let (mut initiator, mut responder) = match handshake_pair(rng, a_key, b_key) {
             Ok(pair) => pair,
             Err(error) => {
@@ -419,13 +423,11 @@ mod tests {
                 );
                 assert_eq!(out.link, back.link, "{request}/{reply} share a link");
                 assert!(!out.reply && back.reply);
-                let [initiator, responder] = out.link.ends();
-                let (to, from) = peers(out);
-                assert_eq!(
-                    (to.clone(), from.clone()),
-                    (end_name(responder), end_name(initiator))
-                );
-                assert_eq!(peers(back), (from, to), "{reply} flips {request}");
+                let (from, to) = out.ends();
+                assert_eq!(back.ends(), (to, from), "{reply} flips {request}");
+                let names = |a, b| (EndName(a).to_string(), EndName(b).to_string());
+                assert_eq!(peers(out), names(to, from));
+                assert_eq!(peers(back), names(from, to));
             }
         }
     }

@@ -15,7 +15,7 @@ use crate::controlplane::RouteTag;
 use crate::measurements::{Measurement, MeasurementSpec};
 use crate::types::{HealthStatus, SecurityProperty, ServerId, Vid};
 use monatt_crypto::schnorr::{Signature, VerifyingKey};
-use monatt_net::wire::{Reader, Wire, WireError, Writer};
+use monatt_net::wire::{EncodeScratch, Reader, Wire, WireError, Writer};
 use monatt_tpm::module::CertificationRequest;
 use monatt_tpm::quote::Quote;
 
@@ -233,6 +233,21 @@ impl Wire for MeasureResponse {
     }
 }
 
+/// Quote Q3's fields in order, `Vid || rM || M || N3`, handed to
+/// `quote`, which signs or checks them. The encoded spec and
+/// measurement live in `scratch`, so neither side allocates.
+pub fn q3_fields<R>(
+    scratch: &mut EncodeScratch,
+    vid: Vid,
+    spec: &MeasurementSpec,
+    measurement: &Measurement,
+    nonce3: &[u8; 32],
+    quote: impl FnOnce(&[&[u8]]) -> R,
+) -> R {
+    let (spec_bytes, meas_bytes) = scratch.encode_pair(spec, measurement);
+    quote(&[&vid.0.to_be_bytes(), spec_bytes, meas_bytes, nonce3])
+}
+
 /// Message 5 (AS → CC): `[Vid, I, P, R, N2, Q2]SKa`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AttestationReportMsg {
@@ -272,6 +287,22 @@ impl Wire for AttestationReportMsg {
     }
 }
 
+/// Quote Q2's fields in order, `Vid || I || P || R || N2` (see
+/// [`q3_fields`]).
+pub fn q2_fields<R>(
+    scratch: &mut EncodeScratch,
+    vid: Vid,
+    server: ServerId,
+    property: &SecurityProperty,
+    status: &HealthStatus,
+    nonce2: &[u8; 32],
+    quote: impl FnOnce(&[&[u8]]) -> R,
+) -> R {
+    let (prop_bytes, status_bytes) = scratch.encode_pair(property, status);
+    let (vid_bytes, server_bytes) = (vid.0.to_be_bytes(), server.0.to_be_bytes());
+    quote(&[&vid_bytes, &server_bytes, prop_bytes, status_bytes, nonce2])
+}
+
 /// Message 6 (CC → C): `[Vid, P, R, N1, Q1]SKc`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CustomerReportMsg {
@@ -305,6 +336,20 @@ impl Wire for CustomerReportMsg {
             quote: get_quote(r)?,
         })
     }
+}
+
+/// Quote Q1's fields in order, `Vid || P || R || N1` (see
+/// [`q3_fields`]).
+pub fn q1_fields<R>(
+    scratch: &mut EncodeScratch,
+    vid: Vid,
+    property: &SecurityProperty,
+    status: &HealthStatus,
+    nonce1: &[u8; 32],
+    quote: impl FnOnce(&[&[u8]]) -> R,
+) -> R {
+    let (prop_bytes, status_bytes) = scratch.encode_pair(property, status);
+    quote(&[&vid.0.to_be_bytes(), prop_bytes, status_bytes, nonce1])
 }
 
 /// Byte length of an encoded [`RouteTag`] trailer (three `u32`s).

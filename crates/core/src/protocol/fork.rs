@@ -22,7 +22,7 @@
 
 use crate::cloud::Cloud;
 use crate::error::CloudError;
-use crate::session::{lost_session, SessionId, SessionOrigin};
+use crate::session::{SessionId, SessionOrigin, LOST_SESSION};
 use crate::types::HealthStatus;
 
 impl Cloud {
@@ -52,7 +52,7 @@ impl Cloud {
                 .get(program)
                 .and_then(|p| p.branches.get((first_branch + slot) as usize))
                 .copied()
-                .ok_or_else(lost_session)?;
+                .ok_or(LOST_SESSION)?;
             let property = spec.property.unwrap_or(parent_property);
             let origin = SessionOrigin::Child { parent: sid, slot };
             let spawned = self.begin_session(vid, placement, property, spec.program, origin);
@@ -126,7 +126,7 @@ impl Cloud {
         let healthy = match &session.status {
             Some(status) => status.is_healthy(),
             None => {
-                return Err(CloudError::protocol(
+                return Err(CloudError::Internal(
                     "gate reached without a delegated verdict",
                 ))
             }
@@ -156,7 +156,7 @@ fn combine_slots(
             Some(Ok(status)) => verdicts.push(status),
             Some(Err(e)) => return Err(e),
             None => {
-                return Err(CloudError::protocol(
+                return Err(CloudError::Internal(
                     "fork joined with an unfilled branch slot",
                 ))
             }
@@ -164,7 +164,7 @@ fn combine_slots(
     }
     if verdicts.len() == 1 {
         let Some(status) = verdicts.pop() else {
-            return Err(lost_session());
+            return Err(LOST_SESSION);
         };
         return Ok(status);
     }

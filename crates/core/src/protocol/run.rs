@@ -32,7 +32,7 @@ use super::compile::{Charge, Op};
 use crate::attestation::AttestationServer;
 use crate::cloud::Cloud;
 use crate::controller::CloudController;
-use crate::error::CloudError;
+use crate::error::{Check, CloudError};
 use crate::measurements::MeasurementSpec;
 use crate::messages::{
     append_route_tag, split_route_tag, AttestationReportMsg, ControllerForward, CustomerReportMsg,
@@ -40,21 +40,12 @@ use crate::messages::{
 };
 use crate::protocol::{MsgKind, NonceSlot};
 use crate::session::{
-    lost_session, malformed, CloudEvent, Msg4Meta, PendingMsg4, SessionEvent, SessionId,
-    SessionYield,
+    CloudEvent, Msg4Meta, PendingMsg4, SessionEvent, SessionId, SessionYield, LOST_SESSION,
 };
 use crate::verify_ring::{HeldKey, HopTickets, Offload, Ticket, Vouched};
 use monatt_crypto::schnorr::BoundKey;
 use monatt_net::wire::Wire;
 use monatt_tpm::quote::Quote;
-
-/// A program counter escaped its compiled schedule — impossible for a
-/// program the compiler accepted, but surfaced as a typed error rather
-/// than trusted.
-#[cold]
-fn program_error() -> CloudError {
-    CloudError::protocol("program counter outside compiled schedule")
-}
 
 /// Hands message 4's two signature checks to the verification helper:
 /// the attestation key's binding, under the identity key as the routed
@@ -126,11 +117,15 @@ impl Cloud {
     ) -> Result<(), CloudError> {
         let session = self.events.session(sid)?;
         let (program, pc) = (session.program, session.pc);
+        // A counter outside its compiled schedule is impossible for a
+        // program the compiler accepted, but surfaced rather than trusted.
         let op = self
             .programs
             .get(program)
             .and_then(|p| p.op(pc))
-            .ok_or_else(program_error)?;
+            .ok_or(CloudError::Internal(
+                "program counter outside compiled schedule",
+            ))?;
         // `Window` and `Complete` pay their charge and schedule the
         // event that carries the session forward; the other ops have
         // their own entry.
@@ -153,7 +148,7 @@ impl Cloud {
                 let status = session
                     .status
                     .take()
-                    .ok_or_else(|| CloudError::protocol("program completed without a verdict"))?;
+                    .ok_or(CloudError::Internal("program completed without a verdict"))?;
                 session.verdict = Some(status);
                 (pre, SessionEvent::Complete)
             }
@@ -231,7 +226,7 @@ impl Cloud {
                 // The measurement-window close: collect measurements,
                 // generate the quote, respond. Hashing/quoting cost is
                 // the hop's pre-delay.
-                let req = session.measure.ok_or_else(lost_session)?;
+                let req = session.measure.ok_or(LOST_SESSION)?;
                 let hashed = matches!(req.spec, MeasurementSpec::BootIntegrity)
                     .then(|| session.expected_image.size_mb());
                 charge = latency.measurement_us(hashed) + extra_us;
@@ -246,7 +241,7 @@ impl Cloud {
                 response.encode_into(&mut session.wire)
             }
             MsgKind::Msg5 => {
-                let status = session.status.take().ok_or_else(lost_session)?;
+                let status = session.status.take().ok_or(LOST_SESSION)?;
                 let (attserver, scratch) = appraisers.routed(session.route.replica)?;
                 let report = attserver.certify_report_with(
                     session.vid,
@@ -261,12 +256,12 @@ impl Cloud {
                 report.encode_into(&mut session.wire)
             }
             MsgKind::Msg6 => {
-                let status = session.status.take().ok_or_else(lost_session)?;
+                let status = session.status.take().ok_or(LOST_SESSION)?;
                 // Signed with the routed instance's own key.
                 let key = fleet
                     .controller
                     .instance_key(session.route.controller)
-                    .ok_or_else(lost_session)?;
+                    .ok_or(LOST_SESSION)?;
                 let report = CloudController::certify_customer_report_keyed(
                     key,
                     session.vid,
@@ -312,12 +307,9 @@ impl Cloud {
             // The trailer is public routing metadata (shard/instance/
             // replica indices), not authenticator material — the sealed
             // channel already authenticated the whole record.
-            let (body, wire_route) = split_route_tag(bytes)
-                .ok_or_else(|| CloudError::protocol("record missing control-plane route tag"))?;
+            let (body, wire_route) = split_route_tag(bytes).ok_or(Check::RouteTag)?;
             if wire_route != self.events.session(sid)?.route {
-                return Err(CloudError::protocol(
-                    "record misrouted across the control plane",
-                ));
+                return Err(Check::Misrouted.into());
             }
             body
         };
@@ -325,7 +317,7 @@ impl Cloud {
             MsgKind::Msg1 => {
                 // The controller reads the customer's request.
                 let request =
-                    CustomerRequest::from_wire(bytes).map_err(|e| malformed("request", e))?;
+                    CustomerRequest::from_wire(bytes).map_err(|e| Check::Malformed(msg, e))?;
                 let session = self.events.session_mut(sid)?;
                 session.req_vid = request.vid;
                 session.req_property = request.property;
@@ -333,7 +325,7 @@ impl Cloud {
             MsgKind::Msg2 => {
                 // The attestation server reads the forward.
                 let fwd =
-                    ControllerForward::from_wire(bytes).map_err(|e| malformed("forward", e))?;
+                    ControllerForward::from_wire(bytes).map_err(|e| Check::Malformed(msg, e))?;
                 let session = self.events.session_mut(sid)?;
                 session.req_vid = fwd.vid;
                 session.req_property = fwd.property;
@@ -341,8 +333,7 @@ impl Cloud {
             }
             MsgKind::Msg3 => {
                 // The cloud server reads the measurement request.
-                let req = MeasureRequest::from_wire(bytes)
-                    .map_err(|e| malformed("measure request", e))?;
+                let req = MeasureRequest::from_wire(bytes).map_err(|e| Check::Malformed(msg, e))?;
                 self.events.session_mut(sid)?.measure = Some(req);
             }
             // Advances on its own: inline, or later from the batch flush.
@@ -351,7 +342,7 @@ impl Cloud {
                 // The controller verifies the AS property report (quote
                 // Q2, nonce N2 echo).
                 let report_msg =
-                    AttestationReportMsg::from_wire(bytes).map_err(|e| malformed("report", e))?;
+                    AttestationReportMsg::from_wire(bytes).map_err(|e| Check::Malformed(msg, e))?;
                 let session = self.events.session_mut(sid)?;
                 // Verified against the key the controller holds for the
                 // *routed* replica (per-replica identities — no shared
@@ -360,7 +351,7 @@ impl Cloud {
                     .fleet
                     .controller
                     .attserver_key(session.route.replica)
-                    .ok_or_else(lost_session)?;
+                    .ok_or(LOST_SESSION)?;
                 let voucher = self.offload.vouchers(session.tickets).quote;
                 AttestationServer::verify_report_msg_with(
                     &report_msg,
@@ -373,13 +364,13 @@ impl Cloud {
             MsgKind::Msg6 => {
                 // The customer verifies the final report (quote Q1,
                 // nonce N1 echo).
-                let report_msg = CustomerReportMsg::from_wire(bytes)
-                    .map_err(|e| malformed("customer report", e))?;
+                let report_msg =
+                    CustomerReportMsg::from_wire(bytes).map_err(|e| Check::Malformed(msg, e))?;
                 let session = self.events.session_mut(sid)?;
                 let instance_key = self
                     .customer_anchors
                     .get(session.route.controller as usize)
-                    .ok_or_else(lost_session)?;
+                    .ok_or(LOST_SESSION)?;
                 let voucher = self.offload.vouchers(session.tickets).quote;
                 CloudController::verify_customer_report_with(
                     &report_msg,
@@ -403,9 +394,9 @@ impl Cloud {
     /// inline path) or when the window timer fires.
     fn recv_msg4(&mut self, sid: SessionId, bytes: &[u8]) -> Result<(), CloudError> {
         let msg4 =
-            MeasureResponse::from_wire(bytes).map_err(|e| malformed("measure response", e))?;
+            MeasureResponse::from_wire(bytes).map_err(|e| Check::Malformed(MsgKind::Msg4, e))?;
         let session = self.events.session_mut(sid)?;
-        let meta = session.msg4_meta().ok_or_else(lost_session)?;
+        let meta = session.msg4_meta().ok_or(LOST_SESSION)?;
         let tickets = session.tickets;
         if self.appraisers.batch_window_us == 0 {
             let vouchers = self.offload.vouchers(tickets);
@@ -550,7 +541,7 @@ impl Cloud {
         self.check_deadline(sid)?;
         let now = self.events.now();
         let session = self.events.session_mut(sid)?;
-        let req = session.measure.as_ref().ok_or_else(lost_session)?;
+        let req = session.measure.as_ref().ok_or(LOST_SESSION)?;
         let (server, req_vid, spec) = (session.server, req.vid, req.spec);
         let window = spec.window_us();
         if window == 0 {
@@ -587,7 +578,7 @@ impl Cloud {
         let status = session
             .verdict
             .take()
-            .ok_or_else(|| CloudError::protocol("session completed without a verdict"))?;
+            .ok_or(CloudError::Internal("session completed without a verdict"))?;
         let elapsed_us = session.elapsed_us;
         self.finish_session(sid, Ok(SessionYield { status, elapsed_us }));
         Ok(())

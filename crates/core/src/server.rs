@@ -3,6 +3,7 @@
 //! the Attestation Client (Figure 2).
 
 use crate::measurements::{Measurement, MeasurementSpec, TaskInfo};
+use crate::messages::q3_fields;
 use crate::types::{Image, SecurityProperty, ServerId, Vid};
 use monatt_crypto::drbg::Drbg;
 use monatt_crypto::schnorr::VerifyingKey;
@@ -463,9 +464,10 @@ impl CloudServerNode {
             fresh = self.trust.begin_attestation();
             &fresh
         };
-        let vid_bytes = vid.0.to_be_bytes();
-        let (spec_bytes, meas_bytes) = self.quote_scratch.encode_pair(&spec, &measurement);
-        let quote = session.quote(&[&vid_bytes, spec_bytes, meas_bytes, &nonce]);
+        let scratch = &mut self.quote_scratch;
+        let quote = q3_fields(scratch, vid, &spec, &measurement, &nonce, |f| {
+            session.quote(f)
+        });
         Some(AttestationResponse {
             vid,
             spec,

@@ -49,7 +49,7 @@
 use crate::attestation::BatchValidationItem;
 use crate::cloud::Cloud;
 use crate::controlplane::RouteTag;
-use crate::error::CloudError;
+use crate::error::{Check, CloudError, EndName};
 use crate::links::Hop;
 use crate::measurements::MeasurementSpec;
 use crate::messages::MeasureResponse;
@@ -444,21 +444,8 @@ impl AttestSession {
     }
 }
 
-pub(crate) fn lost_session() -> CloudError {
-    CloudError::protocol("attestation session state lost")
-}
-
-#[cold]
-pub(crate) fn malformed(what: &str, e: impl std::fmt::Display) -> CloudError {
-    CloudError::protocol(format!("malformed {what}: {e}"))
-}
-
-#[cold]
-fn duplicate_not_rejected(peer: &str, outcome: Result<(), ChannelError>) -> CloudError {
-    CloudError::protocol(format!(
-        "duplicate record from {peer} not rejected: {outcome:?}"
-    ))
-}
+/// A session id that names no live session.
+pub(crate) const LOST_SESSION: CloudError = CloudError::Internal("attestation session state lost");
 
 impl Cloud {
     /// Starts a session running the compiled `program` against `vid`:
@@ -501,7 +488,7 @@ impl Cloud {
             .events
             .sessions
             .alloc_with(|| AttestSession::VACANT)
-            .ok_or_else(lost_session)?;
+            .ok_or(LOST_SESSION)?;
         session.reset(vid, server, route, property, image, program, origin);
         session.deadline = deadline;
         self.stats.sessions_started += 1;
@@ -534,8 +521,8 @@ impl Cloud {
         self.events.sessions.remove(sid);
         match parked {
             Some(Some(outcome)) => outcome,
-            Some(None) => Err(CloudError::protocol("event queue stalled mid-session")),
-            None => Err(CloudError::protocol("attestation session vanished")),
+            Some(None) => Err(CloudError::Internal("event queue stalled mid-session")),
+            None => Err(CloudError::Internal("attestation session vanished")),
         }
     }
 
@@ -561,7 +548,7 @@ impl Cloud {
             ..
         } = self;
         let now = events.now();
-        let session = events.sessions.get_mut(sid).ok_or_else(lost_session)?;
+        let session = events.sessions.get_mut(sid).ok_or(LOST_SESSION)?;
         let hop = session.hop();
         // Fail fast when a node this hop depends on is crashed (the
         // customer end is assumed reliable) — checked before any RNG
@@ -646,7 +633,7 @@ impl Cloud {
                             Err(ChannelError::DuplicateRecord) => {
                                 stats.duplicates_rejected += 1;
                             }
-                            other => return Err(duplicate_not_rejected(recv.peer(), other)),
+                            _ => return Err(CloudError::Internal("duplicate record not rejected")),
                         }
                     }
                     [
@@ -707,9 +694,9 @@ impl Cloud {
     pub(crate) fn step_arrival(&mut self, sid: SessionId) -> Result<(), CloudError> {
         self.check_deadline(sid)?;
         let events = &mut self.events;
-        let session = events.sessions.get_mut(sid).ok_or_else(lost_session)?;
+        let session = events.sessions.get_mut(sid).ok_or(LOST_SESSION)?;
         if !std::mem::take(&mut session.inbox_full) {
-            return Err(CloudError::protocol(
+            return Err(CloudError::Internal(
                 "arrival event without a delivered record",
             ));
         }
@@ -775,20 +762,21 @@ impl Cloud {
     /// (the peer is unreachable). Reached only when a hop's whole retry
     /// budget burns down — never on the clean warm path.
     #[cold]
-    fn exhaustion_error(&mut self, sid: SessionId) -> Result<(), CloudError> {
-        let max_attempts = self.retry.max_attempts.max(1);
-        let session = self.events.sessions.get(sid).ok_or_else(lost_session)?;
-        let links = &mut self.links;
-        let (send, recv) = links.channels(session.hop())?;
-        Err(match &session.last_auth_failure {
-            Some(e) => CloudError::protocol(format!(
-                "secure channel {}->{}: {e} ({max_attempts} attempts)",
-                recv.peer(),
-                send.peer()
-            )),
+    fn exhaustion_error(&self, sid: SessionId) -> Result<(), CloudError> {
+        let attempts = self.retry.max_attempts.max(1);
+        let session = self.events.sessions.get(sid).ok_or(LOST_SESSION)?;
+        let (from, to) = session.hop().ends();
+        Err(match session.last_auth_failure {
+            Some(error) => Check::Channel {
+                from,
+                to,
+                error,
+                attempts,
+            }
+            .into(),
             None => CloudError::Unreachable {
-                peer: send.peer().to_owned(),
-                attempts: max_attempts,
+                peer: EndName(to).to_string(),
+                attempts,
             },
         })
     }

@@ -46,14 +46,6 @@ pub enum NodeId {
     Server(ServerId),
 }
 
-impl NodeId {
-    /// The network endpoint name this node terminates (its
-    /// secure-channel peer name).
-    pub fn endpoint(&self) -> String {
-        self.to_string()
-    }
-}
-
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -382,8 +374,8 @@ mod tests {
         assert_eq!(NodeId::Controller(0).to_string(), "controller");
         assert_eq!(NodeId::AttestationServer(0).to_string(), "attserver");
         assert_eq!(NodeId::Controller(2).to_string(), "controller-2");
-        assert_eq!(NodeId::AttestationServer(1).endpoint(), "attserver-1");
-        assert_eq!(NodeId::Server(ServerId(3)).endpoint(), "server-3");
+        assert_eq!(NodeId::AttestationServer(1).to_string(), "attserver-1");
+        assert_eq!(NodeId::Server(ServerId(3)).to_string(), "server-3");
         assert_eq!(Flavor::Large.to_string(), "large");
         assert_eq!(Image::Ubuntu.to_string(), "ubuntu");
         assert_eq!(

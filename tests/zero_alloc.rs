@@ -24,6 +24,10 @@
 //! bounds the other side, the launch path: a guest booted from an
 //! untampered image borrows the image's one shared copy.
 //!
+//! `rejected_message_4s_do_not_allocate` holds the Attestation Server's
+//! rejections of a forged Q3 and of a wrong N3 to the genuine round's
+//! zero.
+//!
 //! The live-byte pins difference two states of one cloud, so everything
 //! the cloud holds once (keys, tables, link grids) cancels:
 //! `churn_leaves_nothing_resident` holds launch → migrate → terminate
@@ -245,6 +249,72 @@ fn warm_rounds_of_the_compiled_figure3_program_do_not_allocate() {
          traffic on the warm path",
         delta as f64 / rounds as f64
     );
+}
+
+#[test]
+fn rejected_message_4s_do_not_allocate() {
+    // A failed check names itself as a value: rejecting a forged Q3 or a
+    // replayed N3 costs the Attestation Server no more heap than
+    // accepting a genuine message 4 does.
+    use cloudmonatt::core::messages::MeasureResponse;
+    use cloudmonatt::core::{AttestationServer, CloudServerNode, ReferenceDb, ServerId, Vid};
+    use cloudmonatt::crypto::bigint::U256;
+    use cloudmonatt::crypto::drbg::Drbg;
+    use cloudmonatt::hypervisor::driver::IdleDriver;
+    use cloudmonatt::hypervisor::scheduler::SchedParams;
+    use cloudmonatt::net::wire::EncodeScratch;
+
+    let property = SecurityProperty::StartupIntegrity;
+    let mut attserver = AttestationServer::new(&mut Drbg::from_seed(79));
+    let mut node = CloudServerNode::boot(
+        ServerId(0),
+        1,
+        SchedParams::default(),
+        Drbg::from_seed(80),
+        ReferenceDb::new().platform_components(),
+        &[property],
+    );
+    attserver.register_cloud_server(node.identity_key());
+    let image = Image::Cirros;
+    let guest = vec![Box::new(IdleDriver) as _];
+    node.launch_vm(Vid(1), image, image.pristine_bytes(), guest, 256);
+    let (nonce3, replayed) = ([3u8; 32], [4u8; 32]);
+    let request = attserver.build_measure_request(Vid(1), property, nonce3);
+    let genuine: MeasureResponse = node
+        .attest(Vid(1), request.spec, nonce3)
+        .expect("the VM is hosted")
+        .into();
+    // One signature byte flipped; the digest still matches its fields.
+    let mut forged = genuine.clone();
+    let mut s = forged.quote.signature.s.to_be_bytes();
+    s[31] ^= 1;
+    forged.quote.signature.s = U256::from_be_bytes(&s);
+
+    let mut scratch = EncodeScratch::new();
+    let mut validate = |response: &MeasureResponse, nonce3: [u8; 32]| {
+        attserver
+            .validate_response_with(response, Vid(1), request.spec, nonce3, &mut scratch)
+            .is_ok()
+    };
+    for _ in 0..8 {
+        assert!(validate(&genuine, nonce3), "warm-up");
+    }
+    let rounds = 16u64;
+    for (name, response, nonce3, accepted) in [
+        ("genuine", &genuine, nonce3, true),
+        ("forged Q3", &forged, nonce3, false),
+        ("wrong N3", &genuine, replayed, false),
+    ] {
+        let before = alloc_count();
+        for _ in 0..rounds {
+            assert_eq!(validate(response, nonce3), accepted, "{name}");
+        }
+        let delta = alloc_count() - before;
+        assert_eq!(
+            delta, 0,
+            "{name}: message-4 validation allocated {delta} times over {rounds} rounds"
+        );
+    }
 }
 
 /// The eight guest kinds every `busy_window` server hosts, two vCPUs per
