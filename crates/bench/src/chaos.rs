@@ -4,13 +4,14 @@
 //! on a seeded renewal process, messages drop, the admission gate
 //! sheds bursts and every session carries an end-to-end deadline. The
 //! harness is an executable liveness proof, not a latency figure: each
-//! cell asserts that every started session terminated, that the
-//! counters reconcile exactly, and that every surviving VM ended on a
-//! live server. A wedged queue, a leaked session or a stranded VM
-//! fails the sweep loudly.
+//! cell asserts that nothing is left in flight, that the cloud's own
+//! ledgers hold (`Cloud::audit`: sessions, outages, no stranded VM,
+//! shard ownership, resident rows) and that the drop and VM counts
+//! reconcile. A wedged queue, a leaked session or a stranded VM fails
+//! the sweep loudly.
 
 use monatt_core::{
-    CloudBuilder, Flavor, Image, NodeId, OutageModel, SecurityProperty, VmLifecycle, VmRequest,
+    Cloud, CloudBuilder, Flavor, Image, OutageModel, SecurityProperty, Vid, VmLifecycle, VmRequest,
 };
 use monatt_net::sim::FaultModel;
 
@@ -103,17 +104,16 @@ pub struct ChaosRow {
     pub composite_err: u64,
 }
 
-/// Runs and verifies one cell of the grid.
-fn measure(fleet: usize, mtbf_us: u64, loss: f64) -> ChaosRow {
-    let servers = fleet.div_ceil(4) + 3;
-    let seed = 0xCA05 ^ (fleet as u64) ^ mtbf_us ^ ((loss * 100.0) as u64).rotate_left(17);
-    let mut cloud = CloudBuilder::new()
-        .servers(servers)
+/// A cell's cloud: `fleet` VMs on `fleet / 4 + 3` servers, each
+/// subscribed to runtime integrity every period, every session under the
+/// deadline. The admission gate sheds at three quarters of a
+/// simultaneous round: the burst at each shared period sheds its tail,
+/// then hysteresis re-admits.
+fn subscribed_fleet(fleet: usize, cloud: CloudBuilder) -> (Cloud, Vec<Vid>) {
+    let mut cloud = cloud
+        .servers(fleet.div_ceil(4) + 3)
         .pcpus_per_server(16)
-        .seed(seed)
         .session_deadline(DEADLINE_US)
-        // Three quarters of a simultaneous round: the burst at each
-        // shared period sheds its tail, then hysteresis re-admits.
         .admission_control((fleet * 3 / 4).max(2), (fleet * 3 / 8).max(1))
         .build();
     let mut vids = Vec::with_capacity(fleet);
@@ -131,6 +131,13 @@ fn measure(fleet: usize, mtbf_us: u64, loss: f64) -> ChaosRow {
             .runtime_attest_periodic(vid, SecurityProperty::RuntimeIntegrity, PERIOD_US)
             .expect("subscribe");
     }
+    (cloud, vids)
+}
+
+/// Runs and verifies one cell of the grid.
+fn measure(fleet: usize, mtbf_us: u64, loss: f64) -> ChaosRow {
+    let seed = 0xCA05 ^ (fleet as u64) ^ mtbf_us ^ ((loss * 100.0) as u64).rotate_left(17);
+    let (mut cloud, vids) = subscribed_fleet(fleet, CloudBuilder::new().seed(seed));
     if loss > 0.0 {
         cloud
             .network_mut()
@@ -179,53 +186,35 @@ fn measure(fleet: usize, mtbf_us: u64, loss: f64) -> ChaosRow {
         .unwrap_or(0);
     let blackholed = cloud.network_mut().blackholed();
 
-    // Liveness invariant 1: nothing wedged — every started session
-    // terminated before the queue drained.
+    let cell = format!("cell fleet={fleet} mtbf={mtbf_us} loss={loss}");
+    // Liveness: nothing wedged — every started session terminated
+    // before the queue drained.
     assert_eq!(
         cloud.sessions_in_flight(),
         0,
-        "stuck sessions in cell fleet={fleet} mtbf={mtbf_us} loss={loss}: {stats:?}"
+        "stuck sessions in {cell}: {stats:?}"
     );
-    // Invariant 2: the session ledger reconciles exactly; shed sessions
-    // never entered it.
-    assert_eq!(
-        stats.sessions_started,
-        stats.sessions_completed + stats.sessions_failed,
-        "session ledger out of balance: {stats:?}"
-    );
-    // Invariant 3: every sender-side drop is accounted for by a fault
-    // injection (or a network black hole, which the cloud never uses).
+    // The cloud's own ledgers: sessions, outages, no VM on a crashed
+    // server, shard ownership, resident rows.
+    if let Err(broken) = cloud.audit() {
+        panic!("{cell}: {broken}");
+    }
+    // Every sender-side drop is accounted for by a fault injection (or
+    // a network black hole, which the cloud never uses).
     assert_eq!(
         stats.drops_seen,
         dropped + blackholed,
         "drop ledger out of balance: {stats:?} dropped={dropped} blackholed={blackholed}"
     );
-    // Invariant 4: every crash is matched by a recovery or the node is
-    // still down at the horizon.
+    // Auto-response is off in the sweep, so the only terminations are
+    // failed evacuations.
+    let vms_terminated = vids
+        .iter()
+        .filter(|&&v| matches!(cloud.vm_state(v), Some(VmLifecycle::Terminated) | None))
+        .count();
+    let vms_alive = vids.len() - vms_terminated;
     assert_eq!(
-        outages.crashes,
-        outages.recoveries + cloud.down_nodes().len() as u64,
-        "outage ledger out of balance: {outages:?}"
-    );
-    // Invariant 5: no VM is stranded on a crashed server.
-    let mut vms_alive = 0;
-    let mut vms_terminated = 0;
-    for &vid in &vids {
-        match cloud.vm_state(vid) {
-            Some(VmLifecycle::Terminated) | None => vms_terminated += 1,
-            _ => {
-                vms_alive += 1;
-                let server = cloud.server_of(vid).expect("live VM has a server");
-                assert!(
-                    !cloud.node_is_down(NodeId::Server(server)),
-                    "vm {vid:?} stranded on crashed {server:?}"
-                );
-            }
-        }
-    }
-    assert_eq!(
-        vms_terminated as u64,
-        outages.evacuation_failures + terminations_by_response(&stats),
+        vms_terminated as u64, outages.evacuation_failures,
         "vm ledger out of balance: {outages:?}"
     );
 
@@ -252,13 +241,6 @@ fn measure(fleet: usize, mtbf_us: u64, loss: f64) -> ChaosRow {
         composite_ok,
         composite_err,
     }
-}
-
-/// Auto-response is off in the sweep, so the only terminations are
-/// failed evacuations; kept as a named hook so the invariant reads as
-/// a ledger.
-fn terminations_by_response(_stats: &monatt_core::ProtocolStats) -> u64 {
-    0
 }
 
 /// One verified cell of the control-plane churn sweep: a replicated
@@ -307,31 +289,9 @@ pub struct ControlPlaneRow {
 
 /// Runs and verifies one cell of the control-plane churn grid.
 fn measure_control_plane(fleet: usize, k: u32, n: u32, mtbf_us: u64) -> ControlPlaneRow {
-    let servers = fleet.div_ceil(4) + 3;
     let seed = 0xC1A0 ^ (fleet as u64) ^ mtbf_us ^ (u64::from(k) << 32) ^ (u64::from(n) << 40);
-    let mut cloud = CloudBuilder::new()
-        .servers(servers)
-        .pcpus_per_server(16)
-        .seed(seed)
-        .control_plane(k, n)
-        .session_deadline(DEADLINE_US)
-        .admission_control((fleet * 3 / 4).max(2), (fleet * 3 / 8).max(1))
-        .build();
-    let mut vids = Vec::with_capacity(fleet);
-    for _ in 0..fleet {
-        let vid = cloud
-            .request_vm(
-                VmRequest::new(Flavor::Small, Image::Cirros)
-                    .require(SecurityProperty::RuntimeIntegrity),
-            )
-            .expect("launch on a healthy fleet");
-        vids.push(vid);
-    }
-    for &vid in &vids {
-        cloud
-            .runtime_attest_periodic(vid, SecurityProperty::RuntimeIntegrity, PERIOD_US)
-            .expect("subscribe");
-    }
+    let (mut cloud, vids) =
+        subscribed_fleet(fleet, CloudBuilder::new().seed(seed).control_plane(k, n));
     // Only the control plane churns: crashes land mid-burst on
     // controllers and AS replicas, never on servers, so the cell
     // isolates failover + rerouting from evacuation.
@@ -344,41 +304,20 @@ fn measure_control_plane(fleet: usize, k: u32, n: u32, mtbf_us: u64) -> ControlP
     let outages = cloud.outage_stats();
     let cp = cloud.control_plane_stats();
 
-    // Invariant 1: nothing wedged.
+    let cell = format!("cp cell fleet={fleet} k={k} n={n} mtbf={mtbf_us}");
+    // Liveness: nothing wedged.
     assert_eq!(
         cloud.sessions_in_flight(),
         0,
-        "stuck sessions in cp cell fleet={fleet} k={k} n={n} mtbf={mtbf_us}: {stats:?}"
+        "stuck sessions in {cell}: {stats:?}"
     );
-    // Invariant 2: the session ledger reconciles exactly.
-    assert_eq!(
-        stats.sessions_started,
-        stats.sessions_completed + stats.sessions_failed,
-        "session ledger out of balance: {stats:?}"
-    );
-    // Invariant 3: the outage ledger reconciles (a node may still be
-    // down at the horizon).
-    assert_eq!(
-        outages.crashes,
-        outages.recoveries + cloud.down_nodes().len() as u64,
-        "outage ledger out of balance: {outages:?}"
-    );
-    // Invariant 4: every VM's subscription is owned by exactly one
-    // *live* controller shard (ownership is a total function of the
-    // up-set whenever any instance is live).
-    let topology = cloud.control_plane();
-    for &vid in &vids {
-        let shard = topology.shard_of(vid);
-        let owner = topology
-            .owner_of_shard(shard)
-            .expect("ownerless shard with a live instance");
-        assert!(
-            topology.controller_is_live(owner),
-            "shard {shard} owned by a dead instance {owner}"
-        );
+    // The cloud's own ledgers, shard ownership among them: each shard
+    // is owned by the first live instance on its ring.
+    if let Err(broken) = cloud.audit() {
+        panic!("{cell}: {broken}");
     }
-    // Invariant 5: no server ever crashed, so no VM moved or died —
-    // every failure in this cell is a control-plane failure.
+    // No server ever crashed, so no VM moved or died — every failure in
+    // this cell is a control-plane failure.
     assert_eq!(outages.evacuations, 0, "{outages:?}");
     assert!(
         vids.iter()

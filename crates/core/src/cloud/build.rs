@@ -509,6 +509,7 @@ impl CloudBuilder {
             latency: LatencyParams::default(),
             retry: self.retry,
             stats: ProtocolStats::default(),
+            open_at_reset: 0,
             subscriptions: BTreeMap::new(),
             next_subscription: 1,
             escalation_threshold: self.escalation_threshold.max(1),

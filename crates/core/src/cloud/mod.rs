@@ -33,6 +33,7 @@
 //! instance `i`, Attestation-Server replica `r`, or a server.
 
 mod appraisers;
+mod audit;
 mod build;
 mod events;
 mod fleet;
@@ -43,6 +44,7 @@ mod subscriptions;
 #[cfg(test)]
 mod tests;
 
+pub use audit::Invariant;
 pub use build::{CloudBuilder, LaunchTiming, VmRequest, WorkloadHandles, WorkloadSpec};
 pub use response::ResponseTiming;
 pub use subscriptions::{Frequency, SubscriptionHealth};
@@ -116,6 +118,9 @@ pub struct Cloud {
     pub(crate) latency: LatencyParams,
     pub(crate) retry: RetryPolicy,
     pub(crate) stats: ProtocolStats,
+    /// Sessions still open when `stats` was last reset: they end after
+    /// it, so the session ledger ([`Cloud::audit`]) counts them started.
+    pub(crate) open_at_reset: u64,
     pub(crate) subscriptions: BTreeMap<u64, Subscription>,
     pub(crate) next_subscription: u64,
     pub(crate) escalation_threshold: u32,
@@ -217,6 +222,7 @@ impl Cloud {
     /// the lifetime peak.
     pub fn reset_protocol_stats(&mut self) {
         self.stats = ProtocolStats::default();
+        self.open_at_reset = self.open_sessions();
         self.events.reset_max_depth();
     }
 
@@ -290,6 +296,10 @@ impl Cloud {
                 CloudEvent::SubscriptionDue { id } => self.start_subscription_sample(id),
                 CloudEvent::Outage { node, down, chain } => self.apply_outage(node, down, chain),
                 CloudEvent::Msg4Flush => self.flush_msg4_batch(),
+            }
+            #[cfg(test)]
+            if let Err(broken) = self.audit() {
+                panic!("{broken} after {event:?}");
             }
         }
     }

@@ -57,11 +57,8 @@ fn tampered_image_rejected_at_launch() {
         matches!(err, CloudError::UnknownServer(ServerId(99))),
         "{err:?}"
     );
-    let hosted: usize = (0..3)
-        .map(|i| c.server(ServerId(i)).unwrap().vm_count())
-        .sum();
-    assert_eq!(hosted, 0);
     assert!(c.fleet.controller.vms().next().is_none());
+    assert_eq!(c.audit(), Ok(()));
 }
 
 #[test]
@@ -255,40 +252,17 @@ fn lifecycle_operations_refuse_a_terminated_vm() {
 
 #[test]
 fn a_dead_vm_owns_nothing() {
-    use monatt_hypervisor::ids::{VcpuId, VmId};
-    use monatt_hypervisor::pmu::VmCounters;
-    use monatt_hypervisor::profile::INTERVAL_BINS;
-    // Nothing on `server`'s simulator for its former VM `local`: no row,
-    // vCPU, register row or PMU row, and no more VMs than the node hosts.
-    let holds_nothing_for = |c: &Cloud, server: ServerId, local: VmId| {
-        let node = c.server(server).unwrap();
-        let sim = node.sim();
-        assert!(sim.vm(local).is_none(), "{server}: {local} has a row");
-        assert!(!sim.vm_ids().contains(&local));
-        assert_eq!(sim.vm_ids().len(), node.vm_count(), "{sim:?}");
-        assert_eq!(
-            sim.vcpu_pcpu(VcpuId {
-                vm: local,
-                index: 0
-            }),
-            None
-        );
-        assert_eq!(sim.pmu().counters(local), VmCounters::default());
-        assert_eq!(sim.profile().interval_registers(local), &[0; INTERVAL_BINS]);
-    };
     let mut c = cloud();
     let idle = || VmRequest::new(Flavor::Small, Image::Cirros).workload(WorkloadSpec::Idle);
     let vid = c.request_vm(idle()).unwrap();
-    let first = c.server_of(vid).unwrap();
-    let first_local = c.server(first).unwrap().local_vm(vid).unwrap();
     c.respond(vid, ResponseAction::Migration).unwrap();
-    // The source side of a migration is a termination there.
-    holds_nothing_for(&c, first, first_local);
+    // The source side of a migration is a termination there: every
+    // simulator holds rows for exactly the live VMs placed on it.
+    assert_eq!(c.audit(), Ok(()));
     let last = c.server_of(vid).unwrap();
-    let last_local = c.server(last).unwrap().local_vm(vid).unwrap();
     let neighbour = c.request_vm(idle().on_server(last)).unwrap();
     c.respond(vid, ResponseAction::Termination).unwrap();
-    holds_nothing_for(&c, last, last_local);
+    assert_eq!(c.audit(), Ok(()));
     assert_eq!(c.vm_state(vid), Some(VmLifecycle::Terminated));
     assert_eq!(c.server_of(vid), None);
 
@@ -1234,11 +1208,6 @@ fn deferred_retransmits_during_batch_flushes_are_counted_once() {
             c.stop_attest_periodic(sub).unwrap();
         }
         let stats = c.protocol_stats();
-        assert_eq!(
-            stats.sessions_started,
-            stats.sessions_completed + stats.sessions_failed,
-            "seed {seed}: session ledger drifted: {stats:?}"
-        );
         assert_eq!(c.sessions_in_flight(), 0, "seed {seed}: stuck session");
         saw_flush |= stats.msg4_flushes > 0;
         saw_duplicate |= stats.duplicates_rejected > 0;

@@ -75,7 +75,7 @@ pub(crate) mod verify_ring;
 
 pub use attestation::AttestationServer;
 pub use cloud::{
-    AttestationReport, Cloud, CloudBuilder, Frequency, LaunchTiming, ResponseTiming,
+    AttestationReport, Cloud, CloudBuilder, Frequency, Invariant, LaunchTiming, ResponseTiming,
     SubscriptionHealth, VmRequest, WorkloadSpec,
 };
 pub use controller::{CloudController, ResponseAction, ServerInfo, VmLifecycle, VmRecord};

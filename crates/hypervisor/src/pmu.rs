@@ -43,6 +43,11 @@ impl Pmu {
             .map_or_else(|_| VmCounters::default(), |row| self.rows[row].1)
     }
 
+    /// The VMs with a row, in ascending `VmId` order.
+    pub fn vms(&self) -> impl Iterator<Item = VmId> + '_ {
+        self.rows.iter().map(|&(id, _)| id)
+    }
+
     /// Appends a zeroed row for `vm`, which must outnumber every tracked
     /// VM: the engine calls this when it creates a VM, so counting never
     /// grows the table.

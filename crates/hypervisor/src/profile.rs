@@ -133,6 +133,11 @@ impl ProfileTool {
         (row.cpu_time_us, row.intervals)
     }
 
+    /// The VMs with a row, in ascending `VmId` order.
+    pub fn vms(&self) -> impl Iterator<Item = VmId> + '_ {
+        self.rows.iter().map(|r| r.vm)
+    }
+
     /// `vm`'s row, if the tool tracks it.
     fn row(&self, vm: VmId) -> Option<&VmRow> {
         let row = self.rows.binary_search_by_key(&vm, |r| r.vm).ok()?;

@@ -116,17 +116,12 @@ impl Default for Config {
             ct_ident_parts: strings(&["tag", "mac", "hmac", "digest", "pcr", "hash", "secret"]),
             ct_exempt_fns: strings(&["verify_tag", "ct_eq", "ct_eq_opt"]),
             panic_crates: strings(&["core", "net", "crypto", "tpm"]),
-            // `controlplane.rs` is already inside the `core` scope; it
-            // is pinned here explicitly as well so the failover routing
-            // kernel stays panic-checked even if the crate-level scope
-            // is ever narrowed.
             panic_files: strings(&[
                 // The cloud's one event queue (DESIGN §12): every hop of
                 // every session, whatever bytes it carried, is one pop.
                 "crates/hypervisor/src/queue.rs",
                 "crates/hypervisor/src/wheel.rs",
                 "crates/hypervisor/src/timers.rs",
-                "crates/core/src/controlplane.rs",
             ]),
             kernel_index_crates: strings(&["crypto"]),
             skip_crates: strings(&["rand-shim", "proptest-shim", "lint"]),

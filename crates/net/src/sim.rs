@@ -477,7 +477,7 @@ impl NetworkAttacker for Eavesdropper {
 /// configured endpoints.
 #[derive(Debug)]
 pub struct Tamperer {
-    /// Only tamper with messages whose destination contains this string
+    /// Only tamper with messages to the endpoint of exactly this name
     /// (empty = all).
     pub target_to: String,
     /// How many messages were modified.
@@ -485,7 +485,7 @@ pub struct Tamperer {
 }
 
 impl Tamperer {
-    /// Tampers with every message to destinations matching `target_to`.
+    /// Tampers with every message to the endpoint named `target_to`.
     pub fn new(target_to: &str) -> Self {
         Tamperer {
             target_to: target_to.to_owned(),
@@ -496,10 +496,8 @@ impl Tamperer {
 
 impl NetworkAttacker for Tamperer {
     fn intercept(&mut self, _from: &str, to: &str, payload: &[u8]) -> Intercept {
-        if !self.target_to.is_empty() && !to.contains(&self.target_to) {
-            return Intercept::Pass;
-        }
-        if payload.is_empty() {
+        let targeted = self.target_to.is_empty() || self.target_to == to;
+        if !targeted || payload.is_empty() {
             return Intercept::Pass;
         }
         let mut m = payload.to_vec();
@@ -527,9 +525,9 @@ pub struct Replayer {
 }
 
 impl Replayer {
-    /// Replays the first captured message (to destinations matching
-    /// `target_to`) in place of every message after the first
-    /// `replay_after`.
+    /// Replays the first captured message (to the endpoint named
+    /// `target_to`, empty = all) in place of every message after the
+    /// first `replay_after`.
     pub fn new(target_to: &str, replay_after: u64) -> Self {
         Replayer {
             target_to: target_to.to_owned(),
@@ -543,7 +541,7 @@ impl Replayer {
 
 impl NetworkAttacker for Replayer {
     fn intercept(&mut self, _from: &str, to: &str, payload: &[u8]) -> Intercept {
-        if !self.target_to.is_empty() && !to.contains(&self.target_to) {
+        if !self.target_to.is_empty() && self.target_to != to {
             return Intercept::Pass;
         }
         self.seen += 1;
@@ -599,11 +597,17 @@ mod tests {
     #[test]
     fn tamperer_modifies_targeted_messages() {
         let mut net = SimNetwork::default();
-        net.set_attacker(Box::new(Tamperer::new("server")));
-        let d = net.transmit("attestation", "cloud-server-1", b"request");
-        assert_ne!(d.payload.as_deref(), Some(b"request".as_slice()));
-        let d2 = net.transmit("customer", "controller", b"request");
-        assert_eq!(d2.payload.as_deref(), Some(b"request".as_slice()));
+        net.set_attacker(Box::new(Tamperer::new("server-1")));
+        let tampered = |net: &mut SimNetwork, to: &str| {
+            let d = net.transmit("attserver", to, b"request");
+            d.payload.as_deref() != Some(b"request".as_slice())
+        };
+        assert!(tampered(&mut net, "server-1"));
+        // Names match exactly: neither a longer name nor a shorter one
+        // that it contains is the target.
+        for other in ["server-10", "server", "attserver", "controller"] {
+            assert!(!tampered(&mut net, other), "{other}");
+        }
     }
 
     #[test]

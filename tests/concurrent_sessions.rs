@@ -124,9 +124,6 @@ fn sixty_four_lossy_subscriptions_interleave_without_blocking() {
         // Every dropped attempt was followed by a retransmission.
         assert_eq!(stats.retries, stats.drops_seen);
     }
-    assert_eq!(
-        stats.sessions_started,
-        stats.sessions_completed + stats.sessions_failed
-    );
+    assert_eq!(cloud.audit(), Ok(()));
     assert!(stats.sessions_completed >= 2 * SUBS as u64);
 }

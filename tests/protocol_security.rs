@@ -2,7 +2,10 @@
 //! adversaries (Section 3.3's Dolev-Yao attacker, here actually running
 //! against the real implementation rather than the symbolic model).
 
-use cloudmonatt::core::{CloudBuilder, CloudError, Flavor, Image, SecurityProperty, VmRequest};
+use cloudmonatt::core::controlplane::CUSTOMER_ENDPOINT;
+use cloudmonatt::core::{
+    Check, CloudBuilder, CloudError, Flavor, Image, NodeId, SecurityProperty, VmRequest,
+};
 use cloudmonatt::net::sim::{Eavesdropper, Intercept, NetworkAttacker, Replayer, Tamperer};
 
 fn cloud_with_vm() -> (cloudmonatt::core::Cloud, cloudmonatt::core::Vid) {
@@ -18,15 +21,26 @@ fn cloud_with_vm() -> (cloudmonatt::core::Cloud, cloudmonatt::core::Vid) {
 
 #[test]
 fn tampering_any_hop_is_detected() {
-    for target in ["controller", "attserver", "server", "customer"] {
+    let (cloud, vid) = cloud_with_vm();
+    let host = cloud.server_of(vid).map(NodeId::Server);
+    // Each receiver, whose channel check rejects the first record
+    // tampered toward it (`None` is the customer).
+    let controller = Some(NodeId::Controller(0));
+    for end in [controller, Some(NodeId::AttestationServer(0)), host, None] {
         let (mut cloud, vid) = cloud_with_vm();
+        let target = end.map_or(CUSTOMER_ENDPOINT.to_owned(), |node| node.to_string());
         cloud
             .network_mut()
-            .set_attacker(Box::new(Tamperer::new(target)));
+            .set_attacker(Box::new(Tamperer::new(&target)));
         let result = cloud.runtime_attest_current(vid, SecurityProperty::RuntimeIntegrity);
         assert!(
-            matches!(result, Err(CloudError::ProtocolFailure { .. })),
-            "tampering toward {target} went undetected: {result:?}"
+            matches!(
+                result,
+                Err(CloudError::ProtocolFailure {
+                    check: Check::Channel { to, .. }
+                }) if to == end
+            ),
+            "tampering toward {target} went undetected there: {result:?}"
         );
     }
 }
