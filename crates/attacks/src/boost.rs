@@ -114,8 +114,8 @@ mod tests {
             VmConfig::new("attacker", boost_attack_drivers()).pin(vec![PcpuId(0), PcpuId(0)]),
         );
         sim.run_until(SimTime::from_secs(10));
-        let vu = sim.profile().relative_cpu_usage(victim, sim.now());
-        let au = sim.profile().relative_cpu_usage(attacker, sim.now());
+        let vu = sim.relative_cpu_usage(victim);
+        let au = sim.relative_cpu_usage(attacker);
         (vu, au)
     }
 
@@ -168,7 +168,7 @@ mod tests {
         sim.run_until(SimTime::from_secs(5));
         // The attacker keeps winning boosts throughout the run, proof that
         // its credits never go negative despite ~95% CPU usage.
-        let counters = sim.pmu().counters(attacker);
+        let counters = sim.counters(attacker);
         assert!(counters.boosts > 400, "boosts = {}", counters.boosts);
     }
 

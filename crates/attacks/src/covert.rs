@@ -268,7 +268,7 @@ mod tests {
         // intervals cluster at the two burst lengths (Figure 5, top).
         let (sim, _, _) = run_channel(3);
         let sender_vm = sim.vm_ids()[0];
-        let hist = sim.profile().interval_registers(sender_vm);
+        let hist = sim.interval_registers(sender_vm);
         let total: u64 = hist.iter().sum();
         assert!(total > 0);
         // Bins 0 (1ms bursts) and 3 (4ms bursts) dominate.
@@ -286,7 +286,7 @@ mod tests {
         let receiver = CovertReceiver::new();
         sim.create_vm(VmConfig::new("other", vec![Box::new(receiver)]).pin(vec![PcpuId(0)]));
         sim.run_until(SimTime::from_secs(3));
-        let hist = sim.profile().interval_registers(benign);
+        let hist = sim.interval_registers(benign);
         let total: u64 = hist.iter().sum();
         assert!(
             hist[29] as f64 / total as f64 > 0.8,

@@ -56,7 +56,7 @@ pub fn run(seconds: u64, bins: usize) -> IntervalDistributions {
         sim.create_vm(VmConfig::new("sender", vec![Box::new(sender)]).pin(vec![PcpuId(0)]));
     sim.create_vm(VmConfig::new("receiver", vec![Box::new(receiver)]).pin(vec![PcpuId(0)]));
     sim.run_until(SimTime::from_secs(seconds));
-    let covert_hist = histogram(sim.profile().interval_registers(sender_vm));
+    let covert_hist = histogram(sim.interval_registers(sender_vm));
 
     // Benign scenario: two CPU-bound VMs sharing pCPU 0.
     let mut sim = ServerSim::new(1, SchedParams::default());
@@ -64,7 +64,7 @@ pub fn run(seconds: u64, bins: usize) -> IntervalDistributions {
         sim.create_vm(VmConfig::new("benign", vec![Box::new(BusyLoop)]).pin(vec![PcpuId(0)]));
     sim.create_vm(VmConfig::new("other", vec![Box::new(BusyLoop)]).pin(vec![PcpuId(0)]));
     sim.run_until(SimTime::from_secs(seconds));
-    let benign_hist = histogram(sim.profile().interval_registers(benign_vm));
+    let benign_hist = histogram(sim.interval_registers(benign_vm));
 
     let normalize = |hist: &[u64]| {
         let total: u64 = hist.iter().sum();

@@ -54,12 +54,11 @@ pub fn run_row(attacker: AttackerKind, seconds: u64) -> UsageRow {
     };
     // Warm up 1 s, then measure over the window.
     sim.run_for(1_000_000);
-    let start = sim.now();
-    sim.profile_mut().reset_window(start);
+    sim.reset_window();
     sim.run_for(seconds * 1_000_000);
-    let victim_usage = sim.profile().relative_cpu_usage(victim, sim.now());
+    let victim_usage = sim.relative_cpu_usage(victim);
     let attacker_usage = attacker_vm
-        .map(|vm| sim.profile().relative_cpu_usage(vm, sim.now()))
+        .map(|vm| sim.relative_cpu_usage(vm))
         .unwrap_or(0.0);
     UsageRow {
         attacker,

@@ -29,6 +29,10 @@ use monatt_workloads::programs::SpecProgram;
 use monatt_workloads::services::CloudService;
 use std::collections::BTreeMap;
 
+/// vCPU slots a server offers per pCPU: the controller's placement
+/// ledger starts each server at `pcpus_per_server` times this.
+const VCPUS_PER_PCPU: usize = 8;
+
 /// The guest workload to run in a requested VM. Kept as a declarative
 /// spec so migration can re-instantiate it on the destination server.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -419,7 +423,7 @@ impl CloudBuilder {
             node.set_avk_reuse(self.reuse_avk);
             controller.register_server(ServerInfo {
                 id,
-                free_vcpus: node.free_vcpus(),
+                free_vcpus: self.pcpus_per_server * VCPUS_PER_PCPU,
                 supported_properties: all_properties.iter().map(|p| p.label()).collect(),
             });
             servers.insert(id, node);
@@ -583,7 +587,7 @@ impl Cloud {
             });
             let placed = self.fleet.place(vid, server_id, self.events.now());
             // A forced server that does not exist leaves no row behind.
-            placed.inspect_err(|_| self.fleet.controller.forget_vm(vid))?;
+            placed.inspect_err(|_| self.fleet.controller.drop_rejected_vm(vid))?;
             // Attestation stage: a controller-internal startup-integrity
             // session (messages 2-5) against the just-placed VM, pumped
             // to completion.
@@ -618,7 +622,7 @@ impl Cloud {
             // Anything but a healthy verdict takes the VM off the server
             // again and drops its row.
             self.fleet.unplace(vid, self.events.now());
-            self.fleet.controller.forget_vm(vid);
+            self.fleet.controller.drop_rejected_vm(vid);
             match rejection? {
                 // Try another server for this VM.
                 reason if reason.contains("platform") => excluded.insert(server_id),

@@ -27,6 +27,7 @@ use monatt_net::channel::SecureChannel;
 use monatt_net::sim::{FaultModel, FaultStats, Intercept, NetworkAttacker};
 use monatt_workloads::services::CloudService::{File, Mail, Stream, Web};
 use proptest::test_runner::TestRng;
+use std::panic::AssertUnwindSafe;
 
 /// Scenarios each row sweeps.
 const SWEEP: usize = 10;
@@ -319,7 +320,7 @@ impl Run {
             let host = c.server_of(r.vid)?;
             let node = c.server(host)?;
             let local = node.local_vm(r.vid)?;
-            Some((r.vid, host, node.sim().profile().vm_cpu_time_us(local)))
+            Some((r.vid, host, node.sim().window_cpu_time_us(local)))
         });
         o.cpu_us = cpu_us.collect();
         let server_clocks_us = c.fleet.nodes().values().map(|n| n.sim().now().as_micros());
@@ -575,12 +576,24 @@ fn sweep(row: &Row) {
     let mut happened = vec![false; row.sometimes.len()];
     let admitted = (0..).map(|seed| (seed, Scenario::draw(seed)));
     for (seed, s) in admitted.filter(|(_, s)| (row.admits)(s)).take(SWEEP) {
-        let a = Run::new(&s, row.a);
+        let failed = |side: &str, config: Config, why: String| {
+            format!("row {name}, seed {seed}, {side} {config:?}: {why}\n{s:#?}")
+        };
+        // A panic inside a run (the audit hook's, say) names the scenario
+        // too.
+        let run = |side, config| {
+            let run = std::panic::catch_unwind(AssertUnwindSafe(|| Run::new(&s, config)));
+            run.unwrap_or_else(|panic| {
+                eprintln!("{}", failed(side, config, "panicked".to_string()));
+                std::panic::resume_unwind(panic)
+            })
+        };
+        let a = run("A", row.a);
         for &config in row.b {
-            let b = Run::new(&s, config);
+            let b = run("B", config);
             let (mut x, mut y) = (a.seen.clone(), b.seen.clone());
             (row.may_differ)(&mut x, &mut y);
-            let failed = |why| format!("row {name}, seed {seed}, B {config:?}: {why}\n{s:#?}");
+            let failed = |why| failed("B", config, why);
             assert!(x == y, "{}", failed(first_difference(&x, &y)));
             for (what, check) in row.always {
                 assert!(check(&s, &a, &b), "{}", failed(format!("not {what}")));

@@ -241,7 +241,7 @@ impl CloudController {
     }
 
     /// Drops the row of a VM whose launch was rejected.
-    pub(crate) fn forget_vm(&mut self, vid: Vid) {
+    pub(crate) fn drop_rejected_vm(&mut self, vid: Vid) {
         self.vms.remove(&vid);
     }
 

@@ -12,6 +12,7 @@ use monatt_hypervisor::driver::WorkloadDriver;
 use monatt_hypervisor::engine::ServerSim;
 use monatt_hypervisor::guest::GuestOs;
 use monatt_hypervisor::ids::VmId;
+use monatt_hypervisor::pmu::VmCounters;
 use monatt_hypervisor::scheduler::SchedParams;
 use monatt_hypervisor::vm::VmConfig;
 use monatt_hypervisor::vmi::VmiTool;
@@ -64,6 +65,12 @@ struct VmSlot {
     local: VmId,
     /// Image hash measured at launch time (before any runtime tampering).
     measured_image_hash: [u8; 32],
+    /// The VM's total vCPU time when its last `CpuTime` window opened;
+    /// 0 until one opens.
+    cpu_baseline_us: u64,
+    /// Its PMU counters when its last `SchedulerEvents` window opened;
+    /// zeroes until one opens.
+    pmu_baseline: VmCounters,
 }
 
 /// A cloud server node.
@@ -72,11 +79,7 @@ pub struct CloudServerNode {
     trust: TrustModule,
     sim: ServerSim,
     vms: BTreeMap<Vid, VmSlot>,
-    capacity_vcpus: usize,
-    used_vcpus: usize,
     supported: BTreeSet<&'static str>,
-    window_start_cpu: BTreeMap<Vid, u64>,
-    window_start_pmu: BTreeMap<Vid, monatt_hypervisor::pmu::VmCounters>,
     quote_scratch: monatt_net::wire::EncodeScratch,
     /// Opt-in: reuse one attestation session key across attestations so
     /// the pCA's certified-AVK cache can short-circuit repeat bindings.
@@ -97,7 +100,6 @@ impl std::fmt::Debug for CloudServerNode {
         f.debug_struct("CloudServerNode")
             .field("id", &self.id)
             .field("vms", &self.vms.len())
-            .field("capacity_vcpus", &self.capacity_vcpus)
             .finish_non_exhaustive()
     }
 }
@@ -127,11 +129,7 @@ impl CloudServerNode {
             trust,
             sim: ServerSim::new(pcpus, sched),
             vms: BTreeMap::new(),
-            capacity_vcpus: pcpus * 8,
-            used_vcpus: 0,
             supported: supported.iter().map(|p| p.label()).collect(),
-            window_start_cpu: BTreeMap::new(),
-            window_start_pmu: BTreeMap::new(),
             quote_scratch: monatt_net::wire::EncodeScratch::new(),
             reuse_avk: false,
             avk_session: None,
@@ -166,11 +164,6 @@ impl CloudServerNode {
     /// Whether the server's Monitor Module supports monitoring `property`.
     pub fn supports(&self, property: SecurityProperty) -> bool {
         self.supported.contains(property.label())
-    }
-
-    /// Free vCPU slots.
-    pub fn free_vcpus(&self) -> usize {
-        self.capacity_vcpus - self.used_vcpus
     }
 
     /// Read access to the hypervisor simulator (monitor tools, tests).
@@ -240,12 +233,13 @@ impl CloudServerNode {
             pinning: pin_pcpu.map(|p| vec![monatt_hypervisor::ids::PcpuId(p); vcpus]),
             guest,
         });
-        self.used_vcpus += vcpus;
         self.vms.insert(
             vid,
             VmSlot {
                 local,
                 measured_image_hash,
+                cpu_baseline_us: 0,
+                pmu_baseline: VmCounters::default(),
             },
         );
         local
@@ -255,12 +249,8 @@ impl CloudServerNode {
     /// baselines.
     pub fn remove_vm(&mut self, vid: Vid) {
         if let Some(slot) = self.vms.remove(&vid) {
-            let vcpus = self.sim.vm(slot.local).map(|v| v.vcpu_count).unwrap_or(0);
             self.sim.terminate_vm(slot.local);
-            self.used_vcpus = self.used_vcpus.saturating_sub(vcpus);
         }
-        self.window_start_cpu.remove(&vid);
-        self.window_start_pmu.remove(&vid);
     }
 
     /// Suspends a hosted VM.
@@ -305,8 +295,7 @@ impl CloudServerNode {
         if spec.window_us() == 0 {
             return;
         }
-        let now = self.sim.now();
-        self.sim.profile_mut().reset_window(now);
+        self.sim.reset_window();
         match spec {
             MeasurementSpec::UsageIntervals { .. } => {
                 self.trust.program_registers(RegisterLayout::Histogram {
@@ -317,31 +306,19 @@ impl CloudServerNode {
             MeasurementSpec::CpuTime { .. } => {
                 self.trust
                     .program_registers(RegisterLayout::Accumulators { count: 1 });
-                if let Some(local) = self.vms.get(&vid).map(|s| s.local) {
-                    let start = self.vm_total_cpu_us(local);
-                    self.window_start_cpu.insert(vid, start);
+                if let Some(slot) = self.vms.get_mut(&vid) {
+                    slot.cpu_baseline_us = total_cpu_us(&self.sim, slot.local);
                 }
             }
             MeasurementSpec::SchedulerEvents { .. } => {
                 self.trust
                     .program_registers(RegisterLayout::Accumulators { count: 3 });
-                if let Some(local) = self.vms.get(&vid).map(|s| s.local) {
-                    self.window_start_pmu
-                        .insert(vid, self.sim.pmu().counters(local));
+                if let Some(slot) = self.vms.get_mut(&vid) {
+                    slot.pmu_baseline = self.sim.counters(slot.local);
                 }
             }
             _ => {}
         }
-    }
-
-    fn vm_total_cpu_us(&self, local: VmId) -> u64 {
-        let count = self.sim.vm(local).map(|v| v.vcpu_count).unwrap_or(0);
-        (0..count)
-            .map(|index| {
-                self.sim
-                    .vcpu_cpu_time_us(monatt_hypervisor::ids::VcpuId { vm: local, index })
-            })
-            .sum()
     }
 
     /// Collects the measurements for `spec` — the Monitor Kernel writing
@@ -376,7 +353,7 @@ impl CloudServerNode {
                 // Copy the profile tool's interval bank into the
                 // registers, one write per bin, as the Monitor Kernel
                 // does, then read them out.
-                let bank = self.sim.profile().interval_registers(local);
+                let bank = self.sim.interval_registers(local);
                 let regs = self.trust.registers_mut()?;
                 let token = regs.unlock();
                 regs.clear(&token);
@@ -390,9 +367,8 @@ impl CloudServerNode {
                 })
             }
             MeasurementSpec::CpuTime { window_us } => {
-                let start = self.window_start_cpu.get(&vid).copied().unwrap_or(0);
-                let total = self.vm_total_cpu_us(local);
-                let virtual_time_us = total.saturating_sub(start);
+                let total = total_cpu_us(&self.sim, local);
+                let virtual_time_us = total.saturating_sub(slot.cpu_baseline_us);
                 let first_vcpu = monatt_hypervisor::ids::VcpuId {
                     vm: local,
                     index: 0,
@@ -416,8 +392,8 @@ impl CloudServerNode {
                 })
             }
             MeasurementSpec::SchedulerEvents { window_us } => {
-                let baseline = self.window_start_pmu.get(&vid).copied().unwrap_or_default();
-                let now = self.sim.pmu().counters(local);
+                let baseline = slot.pmu_baseline;
+                let now = self.sim.counters(local);
                 let boosts = now.boosts.saturating_sub(baseline.boosts);
                 let ipis_sent = now.ipis_sent.saturating_sub(baseline.ipis_sent);
                 let wakeups = now.wakeups.saturating_sub(baseline.wakeups);
@@ -477,6 +453,14 @@ impl CloudServerNode {
             cert_request: session.certification_request().clone(),
         })
     }
+}
+
+/// `local`'s total vCPU time on `sim`.
+fn total_cpu_us(sim: &ServerSim, local: VmId) -> u64 {
+    let count = sim.vm(local).map_or(0, |v| v.vcpu_count);
+    (0..count)
+        .map(|index| sim.vcpu_cpu_time_us(monatt_hypervisor::ids::VcpuId { vm: local, index }))
+        .sum()
 }
 
 #[cfg(test)]
@@ -546,45 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_tracking() {
-        let mut n = node();
-        assert_eq!(n.free_vcpus(), 16);
-        n.launch_vm(
-            Vid(1),
-            Image::Cirros,
-            Image::Cirros.pristine_bytes(),
-            vec![Box::new(IdleDriver), Box::new(IdleDriver)],
-            256,
-        );
-        assert_eq!(n.free_vcpus(), 14);
-        n.remove_vm(Vid(1));
-        assert_eq!(n.free_vcpus(), 16);
-        assert!(!n.hosts(Vid(1)));
-    }
-
-    #[test]
-    fn remove_vm_drops_its_window_baselines() {
-        let mut n = node();
-        n.launch_vm(
-            Vid(1),
-            Image::Cirros,
-            Image::Cirros.pristine_bytes(),
-            vec![Box::new(BusyLoop)],
-            256,
-        );
-        n.begin_window(MeasurementSpec::CpuTime { window_us: 1_000 }, Vid(1));
-        n.begin_window(
-            MeasurementSpec::SchedulerEvents { window_us: 1_000 },
-            Vid(1),
-        );
-        assert_eq!(n.window_start_cpu.len(), 1);
-        assert_eq!(n.window_start_pmu.len(), 1);
-        n.remove_vm(Vid(1));
-        assert!(n.window_start_cpu.is_empty());
-        assert!(n.window_start_pmu.is_empty());
-    }
-
-    #[test]
     fn usage_intervals_copy_the_interval_bank() {
         let mut n = node();
         n.launch_vm_pinned(
@@ -609,7 +554,7 @@ mod tests {
         n.begin_window(spec, Vid(1));
         n.advance(1_000_000);
         let local = n.local_vm(Vid(1)).unwrap();
-        let bank = *n.sim().profile().interval_registers(local);
+        let bank = *n.sim().interval_registers(local);
         let Measurement::UsageIntervals { bins, .. } = n.collect(spec, Vid(1)).unwrap() else {
             panic!("wrong measurement");
         };

@@ -1,17 +1,20 @@
 //! The discrete-event simulation engine: a simulated cloud server with
 //! physical CPUs, a Xen-style credit scheduler, VMs with driver-modelled
-//! guest workloads, and monitoring hooks (profile tool + PMU).
+//! guest workloads, and the monitoring the Monitor Module reads: each
+//! VM's PMU counters ([`crate::pmu`]) and profile window
+//! ([`crate::profile`]).
 //!
 //! A [`ServerSim`] is single-threaded, fully deterministic and `Send`:
 //! identical inputs produce identical schedules, which keeps the paper's
 //! figures reproducible run-to-run. It is a closed value — its drivers,
-//! their RNGs, its timers, profile rows and PMU — so one server may be
-//! caught up on another thread while a second server runs on this one,
-//! and the schedule of each is what it would have been alone.
+//! their RNGs, its timers and its VM rows — so one server may be caught
+//! up on another thread while a second server runs on this one, and the
+//! schedule of each is what it would have been alone.
 //!
 //! State is dense and holds only what is alive. The live VMs are rows of
-//! one table in creation order, their vCPUs rows of another, grouped by
-//! VM; a terminated VM's rows go, and the later rows move up, keeping
+//! one table in creation order, each holding the VM, its PMU counters
+//! and its profile window; their vCPUs are rows of another, grouped by
+//! VM. A terminated VM's rows go, and the later rows move up, keeping
 //! their order. The event path names a vCPU and its VM by row and never
 //! looks an id up; a [`VmId`] (a per-server counter, never reused) or
 //! [`VcpuId`] is translated once, at the public surface. Timers are
@@ -22,8 +25,8 @@
 
 use crate::driver::{VcpuAction, VcpuView, WakeReason, WorkloadDriver};
 use crate::ids::{PcpuId, VcpuId, VmId};
-use crate::pmu::{Pmu, VmCounters};
-use crate::profile::{DescheduleReason, ProfileTool, RunSegment, INTERVAL_BINS};
+use crate::pmu::VmCounters;
+use crate::profile::{DescheduleReason, RunSegment, WindowRegisters, INTERVAL_BINS};
 use crate::scheduler::{RunState, RunStateKind, SchedParams, SchedVcpu};
 use crate::time::SimTime;
 use crate::timers::TimerSlots;
@@ -64,7 +67,7 @@ struct Pcpu {
 
 struct Vcpu {
     id: VcpuId,
-    /// Its VM's row in `ServerSim::vms`, the profile and the PMU.
+    /// Its VM's row in `ServerSim::vms`.
     vm_row: usize,
     sched: SchedVcpu,
     /// Away while the driver is being asked (it may re-enter the engine
@@ -74,13 +77,15 @@ struct Vcpu {
     wake: usize,
 }
 
-/// One live VM.
+/// One live VM, with everything the server measures of it.
 struct VmRow {
     id: VmId,
     /// Its vCPU 0's row in `ServerSim::vcpus`; the rest follow in index
     /// order.
     first_vcpu: usize,
     vm: Vm,
+    counters: VmCounters,
+    window: WindowRegisters,
 }
 
 impl VmRow {
@@ -95,7 +100,7 @@ impl VmRow {
 pub struct RetiredVm {
     /// Its PMU counters.
     pub counters: VmCounters,
-    /// Its virtual running time in the profile tool's current window.
+    /// Its virtual running time in the current measurement window.
     pub window_cpu_time_us: u64,
     /// Its usage-interval registers for the current window.
     pub interval_registers: [u64; INTERVAL_BINS],
@@ -139,7 +144,7 @@ impl Vcpu {
 /// let mut sim = ServerSim::new(1, SchedParams::default());
 /// let vm = sim.create_vm(VmConfig::new("busy", vec![Box::new(BusyLoop)]));
 /// sim.run_until(SimTime::from_millis(300));
-/// let usage = sim.profile().relative_cpu_usage(vm, sim.now());
+/// let usage = sim.relative_cpu_usage(vm);
 /// assert!(usage > 0.99);
 /// ```
 pub struct ServerSim {
@@ -151,12 +156,15 @@ pub struct ServerSim {
     pcpus: Vec<Pcpu>,
     /// The live VMs in creation order, which is ascending `VmId` order:
     /// a `VmId` finds its row by binary search. A terminated VM's row is
-    /// removed; the profile and the PMU keep theirs in step.
+    /// removed.
     vms: Vec<VmRow>,
     /// The live VMs' vCPUs, grouped by VM in `vms` order.
     vcpus: Vec<Vcpu>,
-    profile: ProfileTool,
-    pmu: Pmu,
+    /// When the current measurement window began.
+    window_start: SimTime,
+    /// The opt-in run-segment log of the current window; `None` while
+    /// logging is off.
+    segment_log: Option<Vec<RunSegment>>,
     /// The next `VmId`: ids are never reused.
     next_vm: u32,
     next_pin: usize,
@@ -211,8 +219,8 @@ impl ServerSim {
             pcpus,
             vms: Vec::new(),
             vcpus: Vec::new(),
-            profile: ProfileTool::new(),
-            pmu: Pmu::new(),
+            window_start: SimTime::ZERO,
+            segment_log: None,
             next_vm: 0,
             next_pin: 0,
         }
@@ -233,20 +241,80 @@ impl ServerSim {
         self.pcpus.len()
     }
 
-    /// The VMM profile tool.
-    pub fn profile(&self) -> &ProfileTool {
-        &self.profile
+    /// `vm`'s PMU counters (zeroes for a VM not on the server: never
+    /// created, or terminated).
+    pub fn counters(&self, vm: VmId) -> VmCounters {
+        self.row_of(vm)
+            .map_or_else(VmCounters::default, |row| self.vms[row].counters)
     }
 
-    /// Mutable access to the profile tool (e.g. to reset a measurement
-    /// window).
-    pub fn profile_mut(&mut self) -> &mut ProfileTool {
-        &mut self.profile
+    /// Total virtual running time of `vm` in the current window
+    /// (`CPU_measure` in the paper), counting closed run segments only;
+    /// 0 for a VM not on the server.
+    pub fn window_cpu_time_us(&self, vm: VmId) -> u64 {
+        self.row_of(vm)
+            .map_or(0, |row| self.vms[row].window.cpu_time_us)
     }
 
-    /// The performance monitor unit.
-    pub fn pmu(&self) -> &Pmu {
-        &self.pmu
+    /// `vm`'s usage-interval registers for the current window: register
+    /// `i` counts the segments whose duration `d` fell in
+    /// `(i·w, (i+1)·w]` for `w` =
+    /// [`crate::profile::INTERVAL_BIN_WIDTH_US`], the last register also
+    /// those longer. All zero for a VM not on the server.
+    pub fn interval_registers(&self, vm: VmId) -> &[u64; INTERVAL_BINS] {
+        self.row_of(vm)
+            .map_or(&[0; INTERVAL_BINS], |row| &self.vms[row].window.intervals)
+    }
+
+    /// Relative CPU usage of `vm`: its window running time divided by
+    /// the window's length so far (Section 4.5.3). 0 for an empty window.
+    pub fn relative_cpu_usage(&self, vm: VmId) -> f64 {
+        let window = self.now.saturating_duration_since(self.window_start);
+        if window == 0 {
+            return 0.0;
+        }
+        self.window_cpu_time_us(vm) as f64 / window as f64
+    }
+
+    /// Starts a new measurement window now: zeroes every VM's running
+    /// time and interval registers and clears the segment log (which
+    /// keeps its capacity).
+    pub fn reset_window(&mut self) {
+        for row in &mut self.vms {
+            row.window = WindowRegisters::default();
+        }
+        if let Some(log) = &mut self.segment_log {
+            log.clear();
+        }
+        self.window_start = self.now;
+    }
+
+    /// Turns the run-segment log on or off (off by default). While on,
+    /// every closed segment is also kept until the next
+    /// [`Self::reset_window`], for [`Self::segments`] to return; the
+    /// counters and window registers are the same either way. Turning it
+    /// off drops the log.
+    pub fn set_segment_logging(&mut self, on: bool) {
+        self.segment_log = on.then(|| self.segment_log.take().unwrap_or_default());
+    }
+
+    /// All run segments closed since the last [`Self::reset_window`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the segment log is off ([`Self::set_segment_logging`]):
+    /// an empty answer would let a check over the log pass on nothing.
+    pub fn segments(&self) -> &[RunSegment] {
+        self.segment_log.as_deref().expect("segment log is off")
+    }
+
+    /// The logged segments of one VM.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the segment log is off, as [`Self::segments`].
+    pub fn vm_segments(&self, vm: VmId) -> impl Iterator<Item = &RunSegment> {
+        self.segments().iter().filter(move |s| s.vcpu.vm == vm)
     }
 
     /// Looks up a live VM.
@@ -327,10 +395,9 @@ impl ServerSim {
                 guest: config.guest,
                 vcpu_count: rows.len(),
             },
+            counters: VmCounters::default(),
+            window: WindowRegisters::default(),
         });
-        // Size the per-VM tables now, so no event ever grows them.
-        self.pmu.track(vm_id);
-        self.profile.track(vm_id);
         for (index, driver) in config.drivers.into_iter().enumerate() {
             let pcpu = match &config.pinning {
                 Some(pins) => pins[index],
@@ -432,10 +499,10 @@ impl ServerSim {
     /// [`Self::terminate_vm`], handing back what the VM showed as it
     /// terminated; `None` for an unknown or terminated VM. Its running
     /// vCPUs are descheduled first, as the hypervisor stops them. Then
-    /// its drivers, guest, timers, profile row and PMU row go, and every
-    /// later VM and vCPU row moves up one place in order: the event path
-    /// walks what is alive, in the order it was created. Its `VmId` is
-    /// never issued again.
+    /// its drivers, guest, timers and rows go, and every later VM and
+    /// vCPU row moves up one place in order: the event path walks what is
+    /// alive, in the order it was created. Its `VmId` is never issued
+    /// again.
     #[cold]
     pub fn retire_vm(&mut self, vm: VmId) -> Option<RetiredVm> {
         let row = self.row_of(vm)?;
@@ -465,14 +532,15 @@ impl ServerSim {
                 credits: vc.sched.credits,
             })
             .collect();
-        let (window_cpu_time_us, interval_registers) = self.profile.forget(row);
+        let VmRow {
+            counters, window, ..
+        } = self.vms.remove(row);
         let retired = RetiredVm {
-            counters: self.pmu.forget(row),
-            window_cpu_time_us,
-            interval_registers,
+            counters,
+            window_cpu_time_us: window.cpu_time_us,
+            interval_registers: window.intervals,
             vcpus,
         };
-        self.vms.remove(row);
         self.vcpus.drain(rows.clone());
         self.close_gap(row, rows);
         Some(retired)
@@ -761,7 +829,7 @@ impl ServerSim {
                 return;
             }
             self.deschedule(cur, DescheduleReason::Preempted, RunState::Runnable);
-            self.pmu.row_mut(self.vcpus[cur].vm_row).preemptions += 1;
+            self.vms[self.vcpus[cur].vm_row].counters.preemptions += 1;
             self.enqueue(cur);
         }
         self.dispatch(p);
@@ -785,7 +853,7 @@ impl ServerSim {
         vc.sched.state = RunState::Running { since: now };
         vc.sched.compute_started = now;
         self.pcpus[p].current = Some(v);
-        self.pmu.row_mut(vc.vm_row).schedules += 1;
+        self.vms[vc.vm_row].counters.schedules += 1;
         if vc.sched.pending_compute_us == 0 {
             if vc.driver.is_none() {
                 // `v` is inside its own `ask_driver` further up the stack:
@@ -853,7 +921,7 @@ impl ServerSim {
                     break;
                 }
                 VcpuAction::SendIpi { target_index } => {
-                    self.pmu.row_mut(vm_row).ipis_sent += 1;
+                    self.vms[vm_row].counters.ipis_sent += 1;
                     let siblings = self.vms[vm_row].vcpu_rows();
                     if target_index != id.index && target_index < siblings.len() {
                         self.wake_vcpu(siblings.start + target_index, WakeReason::Ipi);
@@ -865,7 +933,7 @@ impl ServerSim {
                 }
                 VcpuAction::Block { duration_us } => {
                     self.deschedule(v, DescheduleReason::Blocked, RunState::Blocked);
-                    self.pmu.row_mut(vm_row).blocks += 1;
+                    self.vms[vm_row].counters.blocks += 1;
                     if let Some(d) = duration_us {
                         self.timers.arm(self.vcpus[v].wake, self.now + d);
                     }
@@ -922,16 +990,19 @@ impl ServerSim {
             vs.boosted = false;
         }
         if ran > 0 {
-            self.profile.record(
-                vc.vm_row,
-                RunSegment {
-                    vcpu: vc.id,
-                    pcpu: vs.pcpu,
-                    start: since,
-                    end: now,
-                    reason,
-                },
-            );
+            self.vms[vc.vm_row].window.record(ran);
+            if let Some(log) = &mut self.segment_log {
+                log_segment(
+                    log,
+                    RunSegment {
+                        vcpu: vc.id,
+                        pcpu: vs.pcpu,
+                        start: since,
+                        end: now,
+                        reason,
+                    },
+                );
+            }
         }
         let pc = &mut self.pcpus[vs.pcpu.0];
         debug_assert_eq!(pc.current, Some(v));
@@ -951,7 +1022,7 @@ impl ServerSim {
         self.timers.disarm(vc.wake);
         vc.sched.state = RunState::Runnable;
         vc.sched.boosted = self.params.boost_enabled && vc.sched.credits >= 0;
-        let counters = self.pmu.row_mut(vc.vm_row);
+        let counters = &mut self.vms[vc.vm_row].counters;
         counters.wakeups += 1;
         if vc.sched.boosted {
             counters.boosts += 1;
@@ -965,6 +1036,12 @@ impl ServerSim {
         self.enqueue(v);
         self.preempt_check(self.vcpus[v].sched.pcpu.0);
     }
+}
+
+/// The opt-in log's push, kept off the event path's inlined body.
+#[cold]
+fn log_segment(log: &mut Vec<RunSegment>, segment: RunSegment) {
+    log.push(segment);
 }
 
 /// Calls `credit(vcpu, share)` for every schedulable vCPU pinned to `pc`
@@ -1009,10 +1086,11 @@ mod tests {
     fn solo_busy_vm_gets_full_cpu() {
         let mut sim = ServerSim::new(1, SchedParams::default());
         let vm = busy_vm(&mut sim, "solo", 0);
+        assert_eq!(sim.relative_cpu_usage(vm), 0.0, "an empty window");
         sim.run_until(SimTime::from_secs(1));
         // The in-progress run segment (up to 30 ms) is not yet recorded,
         // so allow a small shortfall.
-        let usage = sim.profile().relative_cpu_usage(vm, sim.now());
+        let usage = sim.relative_cpu_usage(vm);
         assert!(usage > 0.95, "usage = {usage}");
     }
 
@@ -1022,8 +1100,8 @@ mod tests {
         let a = busy_vm(&mut sim, "a", 0);
         let b = busy_vm(&mut sim, "b", 0);
         sim.run_until(SimTime::from_secs(3));
-        let ua = sim.profile().relative_cpu_usage(a, sim.now());
-        let ub = sim.profile().relative_cpu_usage(b, sim.now());
+        let ua = sim.relative_cpu_usage(a);
+        let ub = sim.relative_cpu_usage(b);
         assert!((ua - 0.5).abs() < 0.05, "a = {ua}");
         assert!((ub - 0.5).abs() < 0.05, "b = {ub}");
     }
@@ -1042,8 +1120,8 @@ mod tests {
                 .pin(vec![PcpuId(0)]),
         );
         sim.run_until(SimTime::from_secs(5));
-        let uh = sim.profile().relative_cpu_usage(heavy, sim.now());
-        let ul = sim.profile().relative_cpu_usage(light, sim.now());
+        let uh = sim.relative_cpu_usage(heavy);
+        let ul = sim.relative_cpu_usage(light);
         assert!(uh > ul, "heavy {uh} should beat light {ul}");
         assert!((uh / ul - 2.0).abs() < 0.5, "ratio = {}", uh / ul);
     }
@@ -1056,13 +1134,64 @@ mod tests {
         let a = busy_vm(&mut sim, "a", 0);
         let _b = busy_vm(&mut sim, "b", 0);
         sim.run_until(SimTime::from_secs(5));
-        let hist = sim.profile().interval_registers(a);
+        let hist = sim.interval_registers(a);
         let total: u64 = hist.iter().sum();
         assert!(total > 0);
         assert!(
             hist[29] as f64 / total as f64 > 0.8,
             "expected dominant 30ms bin, got {hist:?}"
         );
+    }
+
+    #[test]
+    fn window_reset_zeroes_the_registers_and_the_log() {
+        let mut sim = ServerSim::new(1, SchedParams::default());
+        sim.set_segment_logging(true);
+        let a = busy_vm(&mut sim, "a", 0);
+        let _b = busy_vm(&mut sim, "b", 0);
+        sim.run_until(SimTime::from_millis(100));
+        assert!(sim.window_cpu_time_us(a) > 0);
+        let counters = sim.counters(a);
+        sim.reset_window();
+        assert_eq!(sim.window_cpu_time_us(a), 0);
+        assert_eq!(sim.interval_registers(a), &[0; INTERVAL_BINS]);
+        assert!(sim.segments().is_empty());
+        assert_eq!(sim.counters(a), counters, "the PMU is not windowed");
+        sim.run_until(SimTime::from_millis(400));
+        let usage = sim.relative_cpu_usage(a);
+        assert!((usage - 0.5).abs() < 0.1, "usage = {usage}");
+    }
+
+    #[test]
+    fn segment_log_is_opt_in_and_changes_no_count() {
+        let run = |logging: bool| {
+            let mut sim = ServerSim::new(1, SchedParams::default());
+            sim.set_segment_logging(logging);
+            let vms = [busy_vm(&mut sim, "a", 0), busy_vm(&mut sim, "b", 0)];
+            sim.run_until(SimTime::from_millis(300));
+            let logged = logging.then(|| sim.vm_segments(vms[0]).count());
+            let seen = vms.map(|vm| {
+                let registers = *sim.interval_registers(vm);
+                (sim.window_cpu_time_us(vm), registers, sim.counters(vm))
+            });
+            (sim, logged, seen)
+        };
+        let (mut on, logged, seen_on) = run(true);
+        let (_, _, seen_off) = run(false);
+        assert_eq!(seen_on, seen_off);
+        let registers = seen_on[0].1.iter().sum::<u64>() as usize;
+        assert_eq!(logged, Some(registers), "one logged segment per count");
+        on.set_segment_logging(false);
+        assert!(on.segment_log.is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "segment log is off")]
+    fn reading_a_segment_log_that_is_off_panics() {
+        let mut sim = ServerSim::new(1, SchedParams::default());
+        busy_vm(&mut sim, "a", 0);
+        sim.run_until(SimTime::from_millis(100));
+        let _ = sim.segments();
     }
 
     #[test]
@@ -1135,10 +1264,10 @@ mod tests {
         sim.run_until(SimTime::from_secs(2));
         // The waker wakes every ~8ms and must run promptly thanks to
         // boost: its share is ~1/8 even though the busy VM never yields.
-        let uw = sim.profile().relative_cpu_usage(waker, sim.now());
+        let uw = sim.relative_cpu_usage(waker);
         assert!(uw > 0.10, "waker usage = {uw}");
-        assert!(sim.pmu().counters(waker).boosts > 100);
-        let ub = sim.profile().relative_cpu_usage(busy, sim.now());
+        assert!(sim.counters(waker).boosts > 100);
+        let ub = sim.relative_cpu_usage(busy);
         assert!(ub > 0.8, "busy usage = {ub}");
     }
 
@@ -1252,7 +1381,7 @@ mod tests {
             2_000,
             "sender should finish both compute batches"
         );
-        assert_eq!(sim.pmu().counters(vm).ipis_sent, 1);
+        assert_eq!(sim.counters(vm).ipis_sent, 1);
     }
 
     #[test]
@@ -1286,7 +1415,7 @@ mod tests {
         );
         sim.run_until(SimTime::from_millis(50));
         assert_eq!(sim.vcpu_cpu_time_us(VcpuId { vm, index: 0 }), 16_000);
-        let counters = sim.pmu().counters(vm);
+        let counters = sim.counters(vm);
         assert_eq!(counters.ipis_sent, 1);
         assert_eq!(counters.preemptions, 1);
         assert_eq!(counters.boosts, 2, "the sender's wake, then the receiver's");
@@ -1335,8 +1464,9 @@ mod tests {
         assert!(sim.vm(vm).is_none());
         assert!(sim.vm_ids().is_empty());
         assert!(sim.vms.is_empty() && sim.vcpus.is_empty());
-        assert_eq!(sim.profile.vm_cpu_time_us(vm), 0);
-        assert_eq!(sim.pmu().counters(vm), VmCounters::default());
+        assert_eq!(sim.window_cpu_time_us(vm), 0);
+        assert_eq!(sim.counters(vm), VmCounters::default());
+        assert_eq!(sim.interval_registers(vm), &[0; INTERVAL_BINS]);
         assert_eq!(sim.vcpu_pcpu(id), None);
         assert!(sim.pcpus.iter().all(|pc| pc.members.is_empty()));
         assert_eq!(sim.retire_vm(vm), None, "terminating twice is a no-op");
@@ -1391,7 +1521,7 @@ mod tests {
             }
             sim.run_until(SimTime::from_millis(200));
             [vms[0], vms[2]].map(|vm| {
-                let c = sim.pmu().counters(vm);
+                let c = sim.counters(vm);
                 let cpu = |index| sim.vcpu_cpu_time_us(VcpuId { vm, index });
                 (cpu(0), cpu(1), c.schedules, c.wakeups, c.ipis_sent)
             })
@@ -1481,14 +1611,14 @@ mod tests {
     fn determinism() {
         let run = || {
             let mut sim = ServerSim::new(2, SchedParams::default());
-            sim.profile_mut().set_logging(true);
+            sim.set_segment_logging(true);
             let a = busy_vm(&mut sim, "a", 0);
             let _b = busy_vm(&mut sim, "b", 0);
             let _c = busy_vm(&mut sim, "c", 1);
             sim.run_until(SimTime::from_secs(2));
             (
                 sim.vcpu_cpu_time_us(VcpuId { vm: a, index: 0 }),
-                sim.profile().segments().len(),
+                sim.segments().len(),
             )
         };
         assert_eq!(run(), run());
@@ -1510,8 +1640,8 @@ mod tests {
         let a = busy_vm(&mut sim, "a", 0);
         let b = busy_vm(&mut sim, "b", 1);
         sim.run_until(SimTime::from_secs(1));
-        assert!(sim.profile().relative_cpu_usage(a, sim.now()) > 0.95);
-        assert!(sim.profile().relative_cpu_usage(b, sim.now()) > 0.95);
+        assert!(sim.relative_cpu_usage(a) > 0.95);
+        assert!(sim.relative_cpu_usage(b) > 0.95);
     }
 
     #[test]
@@ -1663,7 +1793,7 @@ mod tests {
         // Lazy chunked driving of a busy server must match one eager run.
         let run = |lazy: bool| {
             let mut sim = ServerSim::new(1, SchedParams::default());
-            sim.profile_mut().set_logging(true);
+            sim.set_segment_logging(true);
             let a = busy_vm(&mut sim, "a", 0);
             let _b = busy_vm(&mut sim, "b", 0);
             if lazy {
@@ -1675,7 +1805,7 @@ mod tests {
             }
             (
                 sim.vcpu_cpu_time_us(VcpuId { vm: a, index: 0 }),
-                sim.profile().segments().len(),
+                sim.segments().len(),
                 sim.now(),
             )
         };
@@ -1701,7 +1831,7 @@ mod tests {
         let a = busy_vm(&mut sim, "a", 0);
         let _b = busy_vm(&mut sim, "b", 0);
         sim.run_until(SimTime::from_secs(30));
-        let ua = sim.profile().relative_cpu_usage(a, sim.now());
+        let ua = sim.relative_cpu_usage(a);
         assert!((ua - 0.5).abs() < 0.02, "long-run share drifted: {ua}");
         assert_eq!(sim.now(), SimTime::from_secs(30));
         let _ = SEC; // keep the import used

@@ -17,12 +17,16 @@
 //! * [`driver`] — the guest-workload interface ([`driver::WorkloadDriver`]).
 //! * [`guest`] — simulated guest OS state: kernel vs. guest-visible task
 //!   lists (rootkits hide tasks), VM images.
-//! * [`profile`] — the VMM Profile Tool: per-VM virtual running time and
-//!   30 × 1 ms usage-interval registers, updated as each run segment
-//!   closes, plus an opt-in run-segment log (off by default).
+//! * [`profile`] — the VMM Profile Tool's window: per-VM virtual running
+//!   time and 30 × 1 ms usage-interval registers, updated as each run
+//!   segment closes, plus an opt-in run-segment log (off by default).
 //! * [`pmu`] — per-VM performance counters.
 //! * [`vmi`] — the VM introspection tool reading kernel state from outside
 //!   the VM.
+//!
+//! The profile window and the PMU counters live in the VM's row of
+//! [`engine::ServerSim`], which reads them out: `counters`,
+//! `window_cpu_time_us`, `interval_registers`, `relative_cpu_usage`.
 //!
 //! ## Example: fair sharing under the credit scheduler
 //!
@@ -38,7 +42,7 @@
 //! let a = sim.create_vm(VmConfig::new("a", vec![Box::new(BusyLoop)]).pin(vec![PcpuId(0)]));
 //! let b = sim.create_vm(VmConfig::new("b", vec![Box::new(BusyLoop)]).pin(vec![PcpuId(0)]));
 //! sim.run_until(SimTime::from_secs(3));
-//! let share_a = sim.profile().relative_cpu_usage(a, sim.now());
+//! let share_a = sim.relative_cpu_usage(a);
 //! assert!((share_a - 0.5).abs() < 0.05);
 //! # let _ = b;
 //! ```
@@ -64,7 +68,7 @@ pub use driver::{VcpuAction, VcpuView, WakeReason, WorkloadDriver};
 pub use engine::ServerSim;
 pub use guest::{GuestOs, GuestTask};
 pub use ids::{PcpuId, VcpuId, VmId};
-pub use profile::{DescheduleReason, ProfileTool, RunSegment};
+pub use profile::{DescheduleReason, RunSegment};
 pub use scheduler::{Priority, SchedParams};
 pub use time::SimTime;
 pub use vm::{Vm, VmConfig, VmState};

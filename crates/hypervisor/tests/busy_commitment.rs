@@ -83,7 +83,7 @@ fn run_scenario(seed: u64, busy: Busy) -> (Vec<u64>, [usize; 6]) {
     // microsecond of the oracle is an event.
     let reach = if sleepy { 50_000 } else { 25_000 };
     let mut sim = ServerSim::new(rng.range(1, 4) as usize, params);
-    sim.profile_mut().set_logging(true);
+    sim.set_segment_logging(true);
     let mut fold = Fold::new();
     let mut digests = Vec::new();
     let mut reasons = [0_usize; 6];
@@ -112,14 +112,13 @@ fn run_scenario(seed: u64, busy: Busy) -> (Vec<u64>, [usize; 6]) {
                 sim.run_until(d);
             }
         }
-        for seg in sim.profile().segments() {
+        for seg in sim.segments() {
             fold_segment(&mut fold, seg);
             reasons[reason_code(seg.reason) as usize] += 1;
         }
         fold_state(&mut fold, &sim, &retired);
         digests.push(fold.finish());
-        let now = sim.now();
-        sim.profile_mut().reset_window(now);
+        sim.reset_window();
         retired.reset_window();
     }
     (digests, reasons)
@@ -218,7 +217,7 @@ impl WorkloadDriver for Waker {
 fn ten_seconds(driver: impl WorkloadDriver + 'static) -> (u64, u64, u64, usize) {
     let asked = shared(0);
     let mut sim = ServerSim::new(1, SchedParams::default());
-    sim.profile_mut().set_logging(true);
+    sim.set_segment_logging(true);
     let counted = sim.create_vm(
         VmConfig::new(
             "counted",
@@ -248,7 +247,6 @@ fn ten_seconds(driver: impl WorkloadDriver + 'static) -> (u64, u64, u64, usize) 
     }
     sim.run_until(SimTime::from_secs(10));
     let slices = sim
-        .profile()
         .segments()
         .iter()
         .filter(|seg| seg.vcpu.vm == counted && seg.reason == DescheduleReason::SliceExpired)
@@ -261,7 +259,7 @@ fn ten_seconds(driver: impl WorkloadDriver + 'static) -> (u64, u64, u64, usize) 
     (
         asks,
         sim.vcpu_cpu_time_us(id),
-        sim.pmu().counters(counted).preemptions,
+        sim.counters(counted).preemptions,
         slices,
     )
 }

@@ -57,7 +57,7 @@ proptest! {
         pcpus in 1usize..3,
     ) {
         let mut sim = ServerSim::new(pcpus, SchedParams::default());
-        sim.profile_mut().set_logging(true);
+        sim.set_segment_logging(true);
         for (i, pattern) in patterns.iter().enumerate() {
             sim.create_vm(
                 VmConfig::new(&format!("fuzz{i}"), vec![Box::new(FuzzDriver::new(pattern.clone()))])
@@ -68,7 +68,6 @@ proptest! {
         sim.run_until(SimTime::from_micros(horizon));
         for p in 0..pcpus {
             let mut segs: Vec<(u64, u64)> = sim
-                .profile()
                 .segments()
                 .iter()
                 .filter(|s| s.pcpu == PcpuId(p))
@@ -93,14 +92,13 @@ proptest! {
     #[test]
     fn cpu_time_accounting_is_consistent(pattern in arb_pattern()) {
         let mut sim = ServerSim::new(1, SchedParams::default());
-        sim.profile_mut().set_logging(true);
+        sim.set_segment_logging(true);
         let vm = sim.create_vm(VmConfig::new(
             "fuzz",
             vec![Box::new(FuzzDriver::new(pattern))],
         ));
         sim.run_until(SimTime::from_secs(1));
         let from_segments: u64 = sim
-            .profile()
             .vm_segments(vm)
             .map(|s| s.duration_us())
             .sum();
@@ -117,7 +115,7 @@ proptest! {
     ) {
         let run = || {
             let mut sim = ServerSim::new(2, SchedParams::default());
-            sim.profile_mut().set_logging(true);
+            sim.set_segment_logging(true);
             for (i, pattern) in patterns.iter().enumerate() {
                 sim.create_vm(VmConfig::new(
                     &format!("vm{i}"),
@@ -126,8 +124,8 @@ proptest! {
             }
             sim.run_until(SimTime::from_millis(500));
             (
-                sim.profile().segments().len(),
-                sim.profile().segments().last().copied(),
+                sim.segments().len(),
+                sim.segments().last().copied(),
             )
         };
         prop_assert_eq!(run(), run());

@@ -23,7 +23,7 @@ fn three_way_contention_shares_thirds() {
         .collect();
     sim.run_until(SimTime::from_secs(9));
     for vm in vms {
-        let share = sim.profile().relative_cpu_usage(vm, sim.now());
+        let share = sim.relative_cpu_usage(vm);
         assert!((share - 1.0 / 3.0).abs() < 0.05, "share = {share}");
     }
 }
@@ -60,11 +60,11 @@ fn io_service_fits_between_cpu_hogs() {
 #[test]
 fn slice_expiry_reason_is_recorded() {
     let mut sim = ServerSim::new(1, SchedParams::default());
-    sim.profile_mut().set_logging(true);
+    sim.set_segment_logging(true);
     let a = sim.create_vm(VmConfig::new("a", vec![Box::new(BusyLoop)]).pin(vec![PcpuId(0)]));
     sim.create_vm(VmConfig::new("b", vec![Box::new(BusyLoop)]).pin(vec![PcpuId(0)]));
     sim.run_until(SimTime::from_secs(1));
-    let reasons: Vec<DescheduleReason> = sim.profile().vm_segments(a).map(|s| s.reason).collect();
+    let reasons: Vec<DescheduleReason> = sim.vm_segments(a).map(|s| s.reason).collect();
     assert!(!reasons.is_empty());
     assert!(
         reasons.iter().all(|r| matches!(
@@ -101,7 +101,7 @@ fn halted_vm_releases_the_pcpu() {
     ));
     let beneficiary = sim.create_vm(VmConfig::new("long", vec![Box::new(BusyLoop)]));
     sim.run_until(SimTime::from_secs(1));
-    let share = sim.profile().relative_cpu_usage(beneficiary, sim.now());
+    let share = sim.relative_cpu_usage(beneficiary);
     assert!(share > 0.95, "beneficiary should inherit the CPU: {share}");
 }
 
@@ -172,6 +172,6 @@ fn idle_vcpus_cost_nothing() {
     ));
     let busy = sim.create_vm(VmConfig::new("busy", vec![Box::new(BusyLoop)]));
     sim.run_until(SimTime::from_secs(2));
-    assert_eq!(sim.profile().vm_cpu_time_us(idle), 0);
-    assert!(sim.profile().relative_cpu_usage(busy, sim.now()) > 0.95);
+    assert_eq!(sim.window_cpu_time_us(idle), 0);
+    assert!(sim.relative_cpu_usage(busy) > 0.95);
 }

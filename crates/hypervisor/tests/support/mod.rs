@@ -240,10 +240,7 @@ fn registers<'a>(
     vm: VmId,
     retired: Option<&'a RetiredVm>,
 ) -> &'a [u64; INTERVAL_BINS] {
-    retired.map_or_else(
-        || sim.profile().interval_registers(vm),
-        |r| &r.interval_registers,
-    )
+    retired.map_or_else(|| sim.interval_registers(vm), |r| &r.interval_registers)
 }
 
 /// Clock, per-VM state / PMU counters / window CPU time, per-vCPU
@@ -267,8 +264,8 @@ pub fn fold_state(f: &mut Fold, sim: &ServerSim, retired: &Retired) {
             VmState::Running => 0,
             VmState::Suspended => 1,
         });
-        fold_counters(f, sim.pmu().counters(vm));
-        f.u64(sim.profile().vm_cpu_time_us(vm));
+        fold_counters(f, sim.counters(vm));
+        f.u64(sim.window_cpu_time_us(vm));
         for index in 0..v.vcpu_count {
             let id = VcpuId { vm, index };
             f.u64(sim.vcpu_pcpu(id).expect("listed vCPU exists").0 as u64);
@@ -313,7 +310,7 @@ pub fn histogram_of<'a>(segments: impl Iterator<Item = &'a RunSegment>) -> [u64;
 /// last `reset_window`.
 pub fn check_registers_against_log(sim: &ServerSim, retired: &Retired, context: &str) {
     for (vm, gone) in every_vm(sim, retired) {
-        let want = histogram_of(sim.profile().vm_segments(vm));
+        let want = histogram_of(sim.vm_segments(vm));
         assert_eq!(
             registers(sim, vm, gone),
             &want,

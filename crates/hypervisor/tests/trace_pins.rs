@@ -78,7 +78,7 @@ fn run_scenario(seed: u64, logging: bool) -> (u64, Vec<RunSegment>, Vec<u64>) {
     let sleepy = seed % 4 == 3;
     let reach = if sleepy { 400_000 } else { 60_000 };
     let mut sim = ServerSim::new(rng.range(1, 4) as usize, params);
-    sim.profile_mut().set_logging(logging);
+    sim.set_segment_logging(logging);
     let mut fold = Fold::new();
     let mut log: Vec<RunSegment> = Vec::new();
     let mut observed = Vec::new();
@@ -114,15 +114,14 @@ fn run_scenario(seed: u64, logging: bool) -> (u64, Vec<RunSegment>, Vec<u64>) {
         // open a new profile window.
         if logging {
             check_registers_against_log(&sim, &retired, &format!("scenario seed {seed}"));
-            for seg in sim.profile().segments() {
+            for seg in sim.segments() {
                 fold_segment(&mut fold, seg);
                 log.push(*seg);
             }
         }
         fold_state(&mut fold, &sim, &retired);
         observed.push(fold_observable(&sim, &retired));
-        let now = sim.now();
-        sim.profile_mut().reset_window(now);
+        sim.reset_window();
         retired.reset_window();
     }
     (fold.finish(), log, observed)

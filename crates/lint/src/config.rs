@@ -120,14 +120,17 @@ impl Default for Config {
                 // The cloud's one event queue (DESIGN §12): every hop of
                 // every session, whatever bytes it carried, is one pop.
                 "crates/hypervisor/src/queue.rs",
+                // The benchmark's `hypervisor.wheel.*` leaves time it as
+                // a drop-in for that queue (DESIGN §12), so it keeps the
+                // queue's contract.
                 "crates/hypervisor/src/wheel.rs",
+                // No panic on a pop (DESIGN §12.1's hazard table): every
+                // `ServerSim` event is a `TimerSlots` pop.
                 "crates/hypervisor/src/timers.rs",
             ]),
             kernel_index_crates: strings(&["crypto"]),
             skip_crates: strings(&["rand-shim", "proptest-shim", "lint"]),
             det_crates: strings(&["core", "net", "hypervisor", "crypto", "tpm", "workloads"]),
-            // The drivers run inside every `ServerSim` pop, behind the
-            // `dyn WorkloadDriver` call the rule cannot follow.
             warm_path_files: strings(&[
                 "crates/net/src/wire.rs",
                 "crates/net/src/channel.rs",
@@ -145,10 +148,24 @@ impl Default for Config {
                 // The cloud's one event queue (DESIGN §12): a warm round
                 // schedules and pops without growing it.
                 "crates/hypervisor/src/queue.rs",
+                // Timed by the benchmark as a drop-in for that queue
+                // (DESIGN §12).
                 "crates/hypervisor/src/wheel.rs",
+                // A busy server's pops allocate nothing (DESIGN §12.1,
+                // "Dense tables of what is alive"): the event path names
+                // rows sized at `create_vm`.
                 "crates/hypervisor/src/engine.rs",
+                // Timer slots are re-armed in place (DESIGN §12.1,
+                // "Timer slots").
                 "crates/hypervisor/src/timers.rs",
+                // Closing a segment into a VM's window counts into fixed
+                // registers (DESIGN §12.1, "The Trust Evidence Registers
+                // are registers").
                 "crates/hypervisor/src/profile.rs",
+                // The drivers run inside every `ServerSim` pop, behind
+                // the `dyn WorkloadDriver` call the rule cannot follow;
+                // the eight `busy_window` guest kinds run with zero
+                // allocator calls (DESIGN §12.1, `tests/zero_alloc.rs`).
                 "crates/hypervisor/src/driver.rs",
                 "crates/workloads/src/services.rs",
                 "crates/workloads/src/programs.rs",

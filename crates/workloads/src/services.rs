@@ -210,7 +210,7 @@ mod tests {
         let svc = CloudService::Database.driver(1);
         let vm = sim.create_vm(VmConfig::new("db", vec![Box::new(svc)]).pin(vec![PcpuId(0)]));
         sim.run_until(SimTime::from_secs(5));
-        let usage = sim.profile().relative_cpu_usage(vm, sim.now());
+        let usage = sim.relative_cpu_usage(vm);
         assert!(usage > 0.6, "database usage = {usage}");
     }
 
@@ -220,7 +220,7 @@ mod tests {
         let svc = CloudService::Mail.driver(1);
         let vm = sim.create_vm(VmConfig::new("mail", vec![Box::new(svc)]).pin(vec![PcpuId(0)]));
         sim.run_until(SimTime::from_secs(5));
-        let usage = sim.profile().relative_cpu_usage(vm, sim.now());
+        let usage = sim.relative_cpu_usage(vm);
         assert!(usage < 0.15, "mail usage = {usage}");
     }
 

@@ -46,7 +46,7 @@ fn run(logging: bool) -> ([u64; 8], [u64; 8]) {
     // Four pCPUs, round-robin placement, three vCPUs per pCPU: one busy
     // loop, the six services, the three programs, and a two-vCPU VM.
     let mut sim = ServerSim::new(4, SchedParams::default());
-    sim.profile_mut().set_logging(logging);
+    sim.set_segment_logging(logging);
     sim.create_vm(VmConfig::new("busy", vec![Box::new(BusyLoop)]));
     for (i, service) in CloudService::ALL.into_iter().enumerate() {
         sim.create_vm(VmConfig::new(
@@ -73,14 +73,13 @@ fn run(logging: bool) -> ([u64; 8], [u64; 8]) {
         sim.run_for(250_000);
         if logging {
             check_registers_against_log(&sim, &Retired::default(), &format!("window {window}"));
-            for seg in sim.profile().segments() {
+            for seg in sim.segments() {
                 fold_segment(&mut fold, seg);
             }
         }
         fold_state(&mut fold, &sim, &Retired::default());
         *seen = fold_observable(&sim, &Retired::default());
-        let now = sim.now();
-        sim.profile_mut().reset_window(now);
+        sim.reset_window();
         *digest = fold.finish();
     }
     (digests, observed)

@@ -10,9 +10,10 @@
 //!
 //! 1. compile (`Cloud::register_protocol` accepts it) and reach a
 //!    verdict on a clean network,
-//! 2. terminate under a 30% message-drop fault model — a `Done` verdict
-//!    or a typed error, never a hang (the synchronous pump returning at
-//!    all is the liveness proof in a discrete-event engine), and
+//! 2. terminate under message loss — at 30 % drop, or at a rate that
+//!    exhausts the default retry ladder — with a `Done` verdict or a
+//!    typed error, never a hang (the synchronous pump returning at all
+//!    is the liveness proof in a discrete-event engine), and
 //! 3. verify symbolically: lowered by `monatt_verifier::lower`, the full
 //!    protocol holds on every gate path without truncating the search.
 
@@ -39,6 +40,14 @@ fn arb_branch_property() -> impl Strategy<Value = Option<SecurityProperty>> {
 
 fn arb_bool() -> impl Strategy<Value = bool> {
     prop_oneof![Just(false), Just(true)]
+}
+
+/// A drop rate at which the default retry ladder (five attempts per hop)
+/// runs out: most programs end `Unreachable` at it.
+const LADDER_EXHAUSTING_DROP: f64 = 0.9;
+
+fn arb_drop_rate() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(0.30), Just(LADDER_EXHAUSTING_DROP)]
 }
 
 /// The generated shape of a program body (between the message-2 hop
@@ -134,13 +143,14 @@ fn build_program(customer: bool, body: &Body, claims: bool) -> Protocol {
     Protocol::Seq(steps)
 }
 
-/// Compiles and runs `program` on a fresh cloud, returning the report
-/// (or typed error).
+/// Compiles and runs `program` on a fresh cloud, dropping each message
+/// with probability `drop` (none installed: a clean network), returning
+/// the report (or typed error).
 fn run_once(
     program: &Protocol,
     property: SecurityProperty,
     seed: u64,
-    drop: bool,
+    drop: Option<f64>,
 ) -> Result<AttestationReport, CloudError> {
     let mut cloud = CloudBuilder::new().servers(2).seed(seed).build();
     let vid = cloud
@@ -153,10 +163,10 @@ fn run_once(
     let id = cloud
         .register_protocol(program)
         .expect("well-formed programs compile");
-    if drop {
+    if let Some(p) = drop {
         cloud
             .network_mut()
-            .set_fault_model(FaultModel::new(seed ^ 0xD0).drop_prob(0.30));
+            .set_fault_model(FaultModel::new(seed ^ 0xD0).drop_prob(p));
     }
     cloud.attest_with_program(vid, property, id)
 }
@@ -176,13 +186,13 @@ proptest! {
         let program = build_program(customer, &body, claims);
         // A clean-network run of a well-formed program always reaches a
         // verdict (Gate may certify a negative one, never an error).
-        let outcome = run_once(&program, property, seed, false);
+        let outcome = run_once(&program, property, seed, None);
         prop_assert!(outcome.is_ok(), "clean run failed: {:?}", outcome);
     }
 
-    /// Under a 30% drop rate every program still terminates with a
-    /// verdict or a typed error — retry ladders, deadlines and the
-    /// fork/join ledger never wedge a session.
+    /// Under loss every program still terminates with a verdict or a
+    /// typed error — retry ladders, deadlines and the fork/join ledger
+    /// never wedge a session.
     #[test]
     fn programs_terminate_under_loss(
         customer in arb_bool(),
@@ -190,17 +200,31 @@ proptest! {
         claims in arb_bool(),
         property in arb_property(),
         seed in 0u64..500,
+        drop in arb_drop_rate(),
     ) {
         let program = build_program(customer, &body, claims);
         // Returning at all is the liveness property. A verdict and the
         // one failure loss causes (a hop out of retransmissions) are the
         // acceptable outcomes; any other error, `Internal` say, is a bug.
-        let outcome = run_once(&program, property, seed, true);
+        let outcome = run_once(&program, property, seed, Some(drop));
         match outcome {
             Ok(report) => prop_assert!(report.elapsed_us > 0),
             Err(e) => prop_assert!(matches!(e, CloudError::Unreachable { .. }), "{e:?}"),
         }
     }
+}
+
+/// The loss property's failure arm is reachable: at the exhausting rate
+/// a Figure-3 program runs out of retransmissions on some hop.
+#[test]
+fn exhausted_retries_end_unreachable() {
+    let program = build_program(true, &Body::Flat, true);
+    let property = SecurityProperty::RuntimeIntegrity;
+    let outcome = run_once(&program, property, 1, Some(LADDER_EXHAUSTING_DROP));
+    assert!(
+        matches!(outcome, Err(CloudError::Unreachable { .. })),
+        "{outcome:?}"
+    );
 }
 
 proptest! {

@@ -356,17 +356,13 @@ fn busy_server_steady_state_does_not_allocate() {
     // One warm window, twice as long as the measured one: the run queues
     // reach a capacity the jittered second stays inside.
     sim.run_for(2_000_000);
-    let now = sim.now();
-    sim.profile_mut().reset_window(now);
+    sim.reset_window();
 
     let before = alloc_count();
     sim.run_for(1_000_000);
     let delta = alloc_count() - before;
 
-    let segments: u64 = vms
-        .iter()
-        .flat_map(|&vm| sim.profile().interval_registers(vm))
-        .sum();
+    let segments: u64 = vms.iter().flat_map(|&vm| sim.interval_registers(vm)).sum();
     assert!(
         segments > 500,
         "only {segments} segments: the server was not busy"
@@ -389,7 +385,7 @@ fn unattested_busy_server_does_not_allocate() {
     sim.run_for(100_000_000);
     let delta = alloc_count() - before;
 
-    let cpu_us: u64 = vms.iter().map(|&vm| sim.profile().vm_cpu_time_us(vm)).sum();
+    let cpu_us: u64 = vms.iter().map(|&vm| sim.window_cpu_time_us(vm)).sum();
     assert!(
         cpu_us > 200_000_000,
         "only {cpu_us} µs of CPU, under half of four pCPUs for 102 s: the server was not busy"
@@ -476,8 +472,9 @@ fn churn_leaves_nothing_resident() {
 #[test]
 fn bytes_per_resident_idle_vm() {
     // One more resident idle VM costs its controller record, its server's
-    // slot and simulator rows (VM, vCPU, profile registers, PMU) and its
-    // workload handles. Ceiling: 1,083 B, the cost measured before a
+    // slot (with its window baselines), its simulator rows (one VM row
+    // holding its PMU counters and profile window, one row per vCPU) and
+    // its workload handles. Ceiling: 1,083 B, the cost measured before a
     // terminated VM's rows were reclaimed, plus 10 %.
     const CEILING: i64 = 1_191;
     const N: i64 = 200;
