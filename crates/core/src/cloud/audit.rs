@@ -1,9 +1,9 @@
 //! The cloud's ledgers, stated once. [`Cloud::audit`] reads the planes'
 //! own state — the session arena, `Outages::down`, the controller's VM
-//! records, the topology, each server's simulator — and names the first
-//! rule that drifted. It takes `&self`: it draws nothing from the DRBG
-//! and moves no clock. Test builds audit after every event `Cloud::pump`
-//! dispatches.
+//! records, the topology, each server's simulator, each subscription's
+//! report log — and names the first rule that drifted. It takes `&self`:
+//! it draws nothing from the DRBG and moves no clock. Test builds audit
+//! after every event `Cloud::pump` dispatches.
 
 use super::Cloud;
 use crate::types::{NodeId, ServerId, Vid};
@@ -55,6 +55,13 @@ pub enum Invariant {
         /// The server whose rows drifted.
         server: ServerId,
     },
+    /// Each periodic subscription's report log holds one record per
+    /// delivered report and per escalation, its `Unreachable` records are
+    /// its escalations, and none was issued after the wall clock.
+    SubscriptionLedger {
+        /// The subscription whose log drifted.
+        id: u64,
+    },
 }
 
 impl fmt::Display for Invariant {
@@ -64,7 +71,7 @@ impl fmt::Display for Invariant {
 }
 
 impl Cloud {
-    /// Checks the cloud's five ledgers against its own state. Changes
+    /// Checks the cloud's six ledgers against its own state. Changes
     /// nothing.
     ///
     /// # Errors
@@ -116,7 +123,8 @@ impl Cloud {
                 return Err(Invariant::ShardOwner { node });
             }
         }
-        self.audit_resident_rows()
+        self.audit_resident_rows()?;
+        self.audit_subscriptions()
     }
 
     /// Sessions in the arena with no outcome yet.
@@ -146,6 +154,22 @@ impl Cloud {
             want.sort_unstable();
             if node.vm_count() != want.len() || node.sim().vm_ids() != want {
                 return Err(Invariant::ResidentRows { server });
+            }
+        }
+        Ok(())
+    }
+
+    /// The [`Invariant::SubscriptionLedger`] rule: O(1) a subscription.
+    fn audit_subscriptions(&self) -> Result<(), Invariant> {
+        let now = self.events.now();
+        for (&id, sub) in &self.subscriptions {
+            let (log, health) = (&sub.reports, &sub.health);
+            let escalations = u64::from(health.escalations);
+            if log.len() != health.delivered + escalations
+                || log.unreachable() != escalations
+                || log.last_issued_at_us().is_some_and(|at| at > now)
+            {
+                return Err(Invariant::SubscriptionLedger { id });
             }
         }
         Ok(())

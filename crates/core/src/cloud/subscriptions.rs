@@ -58,10 +58,118 @@ pub(crate) struct Subscription {
     pub(crate) property: SecurityProperty,
     pub(crate) frequency: Frequency,
     pub(crate) next_due_us: u64,
-    pub(crate) reports: Vec<AttestationReport>,
-    /// The degradation counters, kept in their reporting form
-    /// (`delivered` is counted from `reports` on read).
+    /// Every report filed so far, held until [`Cloud::stop_attest_periodic`].
+    pub(crate) reports: ReportLog,
+    /// The degradation counters, kept in their reporting form.
     pub(crate) health: SubscriptionHealth,
+}
+
+/// Records per chunk of a [`ReportLog`] (384 B).
+const CHUNK: usize = 16;
+
+/// One filed report, less the `vid` and `property` its subscription
+/// holds: 24 B, where an [`AttestationReport`] is 56.
+#[derive(Clone, Copy, Debug, Default)]
+struct Record {
+    issued_at_us: u64,
+    elapsed_us: u64,
+    status: Status,
+}
+
+const _: () = assert!(std::mem::size_of::<Record>() == 24);
+
+/// A record's verdict. A compromised record's reason is the next one in
+/// its log's `reasons`, so only compromised samples pay for a `String`.
+#[derive(Clone, Copy, Debug, Default)]
+enum Status {
+    #[default]
+    Healthy,
+    Compromised,
+    Unreachable {
+        missed: u32,
+    },
+}
+
+/// A subscription's reports in issue order: fixed-size records in
+/// fixed-size chunks, so the log holds at most one chunk more than its
+/// length.
+#[derive(Debug, Default)]
+pub(crate) struct ReportLog {
+    /// Full chunks, then the one being filled. Each is its own
+    /// allocation, so growing the log never copies a record.
+    #[allow(clippy::vec_box)]
+    chunks: Vec<Box<[Record; CHUNK]>>,
+    len: usize,
+    /// The compromised records' reasons, in issue order.
+    reasons: Vec<String>,
+    /// `Unreachable` records: the escalations filed.
+    unreachable: u64,
+}
+
+impl ReportLog {
+    fn push(&mut self, status: HealthStatus, elapsed_us: u64, issued_at_us: u64) {
+        let status = match status {
+            HealthStatus::Healthy => Status::Healthy,
+            HealthStatus::Compromised { reason } => {
+                self.reasons.push(reason);
+                Status::Compromised
+            }
+            HealthStatus::Unreachable { missed } => {
+                self.unreachable += 1;
+                Status::Unreachable { missed }
+            }
+        };
+        let slot = self.len % CHUNK;
+        if slot == 0 {
+            self.chunks.push(Box::new([Record::default(); CHUNK]));
+        }
+        if let Some(record) = self.chunks.last_mut().and_then(|c| c.get_mut(slot)) {
+            *record = Record {
+                issued_at_us,
+                elapsed_us,
+                status,
+            };
+            self.len += 1;
+        }
+    }
+
+    /// Records filed.
+    pub(crate) fn len(&self) -> u64 {
+        self.len as u64
+    }
+
+    /// `Unreachable` records filed.
+    pub(crate) fn unreachable(&self) -> u64 {
+        self.unreachable
+    }
+
+    /// When the last record was issued, if there is one.
+    pub(crate) fn last_issued_at_us(&self) -> Option<u64> {
+        let last = self.len.checked_sub(1)? % CHUNK;
+        self.chunks.last()?.get(last).map(|r| r.issued_at_us)
+    }
+
+    /// The reports again, in issue order, with the subscription's `vid`
+    /// and `property`.
+    fn into_reports(self, vid: Vid, property: SecurityProperty) -> Vec<AttestationReport> {
+        let mut reasons = self.reasons.into_iter();
+        let records = self.chunks.iter().flat_map(|c| c.iter()).take(self.len);
+        let mut reports = Vec::with_capacity(self.len);
+        reports.extend(records.map(|r| AttestationReport {
+            vid,
+            property,
+            status: match r.status {
+                Status::Healthy => HealthStatus::Healthy,
+                Status::Compromised => HealthStatus::Compromised {
+                    reason: reasons.next().unwrap_or_default(),
+                },
+                Status::Unreachable { missed } => HealthStatus::Unreachable { missed },
+            },
+            elapsed_us: r.elapsed_us,
+            issued_at_us: r.issued_at_us,
+        }));
+        reports
+    }
 }
 
 /// Degradation counters of one periodic subscription — missed samples
@@ -69,7 +177,7 @@ pub(crate) struct Subscription {
 /// distinguishable from a healthy one.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SubscriptionHealth {
-    /// Reports successfully delivered so far.
+    /// Reports successfully delivered so far (escalations excluded).
     pub delivered: u64,
     /// Samples that came due but produced no report.
     pub missed: u64,
@@ -123,7 +231,7 @@ impl Cloud {
                 property,
                 frequency,
                 next_due_us: self.events.now() + first,
-                reports: Vec::new(),
+                reports: ReportLog::default(),
                 health: SubscriptionHealth::default(),
             },
         );
@@ -136,15 +244,10 @@ impl Cloud {
     ///
     /// [`CloudError::UnknownSubscription`] for an unknown id.
     pub fn subscription_health(&self, subscription: u64) -> Result<SubscriptionHealth, CloudError> {
-        let sub = self
-            .subscriptions
+        self.subscriptions
             .get(&subscription)
-            .ok_or(CloudError::UnknownSubscription(subscription))?;
-        let delivered = sub.reports.iter().filter(|r| !r.status.is_unreachable());
-        Ok(SubscriptionHealth {
-            delivered: delivered.count() as u64,
-            ..sub.health
-        })
+            .map(|s| s.health)
+            .ok_or(CloudError::UnknownSubscription(subscription))
     }
 
     /// Table 1: `stop_attest_periodic(Vid, P, N)` — ends a subscription
@@ -159,7 +262,7 @@ impl Cloud {
     ) -> Result<Vec<AttestationReport>, CloudError> {
         self.subscriptions
             .remove(&subscription)
-            .map(|s| s.reports)
+            .map(|s| s.reports.into_reports(s.vid, s.property))
             .ok_or(CloudError::UnknownSubscription(subscription))
     }
 
@@ -305,8 +408,11 @@ impl Cloud {
         let mut escalated = false;
         match result {
             Ok(report) => {
+                debug_assert_eq!((report.vid, report.property), (vid, property));
                 health.consecutive_failures = 0;
-                sub.reports.push(report);
+                health.delivered += 1;
+                sub.reports
+                    .push(report.status, report.elapsed_us, report.issued_at_us);
             }
             Err(e) => {
                 health.missed += 1;
@@ -323,13 +429,8 @@ impl Cloud {
                     // File the degradation as a first-class report so
                     // the customer sees the monitoring gap.
                     let missed = std::mem::take(&mut health.consecutive_failures);
-                    sub.reports.push(AttestationReport {
-                        vid,
-                        property,
-                        status: HealthStatus::Unreachable { missed },
-                        elapsed_us: 0,
-                        issued_at_us: now,
-                    });
+                    sub.reports
+                        .push(HealthStatus::Unreachable { missed }, 0, now);
                 }
             }
         }

@@ -44,8 +44,12 @@ pub struct FileContext {
     /// Code tokens.
     pub tokens: Vec<Token>,
     /// For each token, whether it sits inside `#[cfg(test)]` / `#[test]`
-    /// code.
+    /// code. [`crate::Workspace::build`] marks every token of a file that
+    /// is compiled only through a test-only `mod name;`.
     pub in_test: Vec<bool>,
+    /// Out-of-line module declarations (`mod name;`): the index of the
+    /// `mod` token and the module's name.
+    pub mod_decls: Vec<(usize, String)>,
     /// For each token, the name of the innermost enclosing `fn` (empty if
     /// none).
     pub enclosing_fn: Vec<String>,
@@ -78,6 +82,7 @@ impl FileContext {
             .unwrap_or("")
             .to_string();
         let in_test = mark_test_regions(&tokens);
+        let mod_decls = collect_mod_decls(&tokens);
         let enclosing_fn = mark_fn_scopes(&tokens);
         let (derives, defined_types) = collect_derives_and_types(&tokens);
         let impls = collect_impls(&tokens);
@@ -101,6 +106,7 @@ impl FileContext {
             crate_name,
             tokens,
             in_test,
+            mod_decls,
             enclosing_fn,
             derives,
             impls,
@@ -129,6 +135,28 @@ impl FileContext {
             // comment on a code line suppresses that line only.
             (*cl..line).all(|l| !self.token_lines.get(l as usize).copied().unwrap_or(false))
         })
+    }
+
+    /// The files a `mod name;` in this file may declare: `name.rs` or
+    /// `name/mod.rs` beside a `lib.rs`, `main.rs` or `mod.rs`, under a
+    /// directory named after any other file.
+    pub fn module_paths(&self, name: &str) -> [String; 2] {
+        let (dir, file) = self.path.rsplit_once('/').unwrap_or(("", &self.path));
+        let stem = file.strip_suffix(".rs").unwrap_or(file);
+        let dir = match stem {
+            "lib" | "main" | "mod" => dir.to_string(),
+            _ if dir.is_empty() => stem.to_string(),
+            _ => format!("{dir}/{stem}"),
+        };
+        let prefix = if dir.is_empty() {
+            String::new()
+        } else {
+            format!("{dir}/")
+        };
+        [
+            format!("{prefix}{name}.rs"),
+            format!("{prefix}{name}/mod.rs"),
+        ]
     }
 
     /// The token index range of the body of the impl of `trait_name` for
@@ -192,7 +220,8 @@ pub fn match_delim(tokens: &[Token], open: usize) -> usize {
     tokens.len().saturating_sub(1)
 }
 
-/// Marks tokens inside `#[cfg(test)]` items and `#[test]` functions.
+/// Marks tokens inside `#[cfg(test)]` items and `#[test]` functions. An
+/// item without a body (`#[cfg(test)] mod t;`) is marked up to its `;`.
 fn mark_test_regions(tokens: &[Token]) -> Vec<bool> {
     let mut in_test = vec![false; tokens.len()];
     let mut i = 0usize;
@@ -204,17 +233,18 @@ fn mark_test_regions(tokens: &[Token]) -> Vec<bool> {
                 && attr.iter().any(|t| t.is_ident("test")))
                 || (attr.len() == 1 && attr[0].is_ident("test"));
             if is_test_attr {
-                // Find the item body: the first `{` before any `;` at this
-                // level (a `;` means e.g. `#[cfg(test)] mod t;`).
+                // Find the item's end: its body's closing `}`, or a `;`
+                // at this level before any `{` (`#[cfg(test)] mod t;`).
                 let mut j = close + 1;
-                let mut body_open = None;
+                let mut end = None;
                 while j < tokens.len() {
                     let t = &tokens[j];
                     if t.is_punct("{") {
-                        body_open = Some(j);
+                        end = Some(match_delim(tokens, j));
                         break;
                     }
                     if t.is_punct(";") {
+                        end = Some(j);
                         break;
                     }
                     if t.is_punct("(") || t.is_punct("[") {
@@ -222,8 +252,7 @@ fn mark_test_regions(tokens: &[Token]) -> Vec<bool> {
                     }
                     j += 1;
                 }
-                if let Some(open) = body_open {
-                    let end = match_delim(tokens, open);
+                if let Some(end) = end {
                     for flag in in_test.iter_mut().take(end + 1).skip(i) {
                         *flag = true;
                     }
@@ -237,6 +266,16 @@ fn mark_test_regions(tokens: &[Token]) -> Vec<bool> {
         i += 1;
     }
     in_test
+}
+
+/// Finds every `mod name;`: a module whose body is another file.
+fn collect_mod_decls(tokens: &[Token]) -> Vec<(usize, String)> {
+    let decl = |w: &[Token]| {
+        (w[0].is_ident("mod") && w[1].kind == TokenKind::Ident && w[2].is_punct(";"))
+            .then(|| w[1].text.clone())
+    };
+    let windows = tokens.windows(3).enumerate();
+    windows.filter_map(|(i, w)| Some((i, decl(w)?))).collect()
 }
 
 /// Computes the innermost enclosing function name for every token.
@@ -438,6 +477,30 @@ mod tests {
         assert_eq!(unwraps.len(), 2);
         assert!(!ctx.in_test[unwraps[0]]);
         assert!(ctx.in_test[unwraps[1]]);
+    }
+
+    #[test]
+    fn test_only_mod_decl_marked_and_resolved() {
+        let src = "#[cfg(test)]\nmod same;\nmod fleet;";
+        let ctx = FileContext::new("crates/core/src/cloud/mod.rs", src);
+        let names: Vec<(&str, bool)> = ctx
+            .mod_decls
+            .iter()
+            .map(|(tok, name)| (name.as_str(), ctx.in_test[*tok]))
+            .collect();
+        assert_eq!(names, [("same", true), ("fleet", false)]);
+        assert_eq!(
+            ctx.module_paths("same"),
+            [
+                "crates/core/src/cloud/same.rs",
+                "crates/core/src/cloud/same/mod.rs"
+            ]
+        );
+        let nested = FileContext::new("crates/core/src/cloud/same.rs", "");
+        assert_eq!(
+            nested.module_paths("rows")[0],
+            "crates/core/src/cloud/same/rows.rs"
+        );
     }
 
     #[test]

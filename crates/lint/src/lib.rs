@@ -54,6 +54,7 @@ pub use config::Config;
 pub use diag::{Diagnostic, Note};
 pub use engine::{Allowlist, Report};
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use callgraph::CallGraph;
@@ -72,8 +73,10 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// Builds the symbol table and call graph over `files`.
-    pub fn build(files: Vec<FileContext>) -> Self {
+    /// Builds the symbol table and call graph over `files`, after marking
+    /// the files compiled only as test code.
+    pub fn build(mut files: Vec<FileContext>) -> Self {
+        mark_test_modules(&mut files);
         let symbols = SymbolTable::build(&files);
         let calls = CallGraph::build(&files);
         Workspace {
@@ -88,6 +91,34 @@ impl Workspace {
     /// the interprocedural rules too.
     pub fn single(path: &str, src: &str) -> Self {
         Self::build(vec![FileContext::new(path, src)])
+    }
+}
+
+/// Marks every token of a file that a test-only `mod name;` declares
+/// (`#[cfg(test)] mod same;`), and of the files that file declares in
+/// turn: `#[cfg(test)]` is per file, so the file's own regions cannot say
+/// that all of it is test code.
+fn mark_test_modules(files: &mut [FileContext]) {
+    let index: BTreeMap<String, usize> = files
+        .iter()
+        .enumerate()
+        .map(|(i, f)| (f.path.clone(), i))
+        .collect();
+    let mut work: Vec<usize> = (0..files.len()).collect();
+    while let Some(parent) = work.pop() {
+        let f = &files[parent];
+        let test_mods = f.mod_decls.iter().filter(|(tok, _)| f.in_test[*tok]);
+        let children: Vec<usize> = test_mods
+            .filter_map(|(_, name)| f.module_paths(name).iter().find_map(|p| index.get(p)))
+            .copied()
+            .collect();
+        for child in children {
+            let in_test = &mut files[child].in_test;
+            if !in_test.iter().all(|&t| t) {
+                in_test.fill(true);
+                work.push(child);
+            }
+        }
     }
 }
 

@@ -121,8 +121,9 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              \n\
              In `core`, `net`, `crypto`, `tpm` (and enrolled files such as the\n\
              hypervisor event queue), `.unwrap()`, `.expect()`, the panic! macro\n\
-             family, and unguarded slice indexing are banned outside tests: a\n\
-             Dolev-Yao attacker controls wire bytes, so any reachable panic is a\n\
+             family, and unguarded slice indexing are banned outside tests (a\n\
+             file declared by `#[cfg(test)] mod name;` is test code throughout):\n\
+             a Dolev-Yao attacker controls wire bytes, so any reachable panic is a\n\
              remote crash. Kernel crates (`crypto`) keep loop-counter indexing;\n\
              strict crates must use `get`/`split_at` with an error path.\n\
              \n\

@@ -398,8 +398,9 @@ fn static_rules_cover_files_runtime_tests_skip() {
 #[test]
 fn ws_scan_finds_known_debt_and_skips_shim_crates() {
     let report = scan(&ws_root(), &Config::default(), &Allowlist::default()).unwrap();
-    // rand-shim is excluded, so only crates/core/src/lib.rs is scanned.
-    assert_eq!(report.files, 1);
+    // rand-shim is excluded, so only crates/core/src/{lib,sweep}.rs are
+    // scanned; the test-only sweep.rs has no finding.
+    assert_eq!(report.files, 2);
     assert_eq!(report.findings.len(), 2, "{:?}", report.findings);
     assert!(report
         .findings
@@ -520,11 +521,39 @@ fn ws_widened_panic_scope_reaches_shim_crate_when_unskipped() {
     cfg.skip_crates.retain(|c| c != "rand-shim");
     cfg.panic_crates.push("rand-shim".to_string());
     let report = scan(&ws_root(), &cfg, &Allowlist::default()).unwrap();
-    assert_eq!(report.files, 2);
+    assert_eq!(report.files, 3);
     assert!(report
         .findings
         .iter()
         .any(|d| d.file == "crates/rand-shim/src/lib.rs"));
+}
+
+#[test]
+fn ws_test_only_module_file_is_test_code() {
+    // The pair: sweep.rs's `panic!` is clean when lib.rs declares it
+    // `#[cfg(test)] mod sweep;`, and flagged when the `mod` line lacks
+    // the attribute.
+    use monatt_lint::context::FileContext;
+    use monatt_lint::rules::run_all;
+    use monatt_lint::Workspace;
+
+    let src = |file: &str| {
+        let path = ws_root().join("crates/core/src").join(file);
+        std::fs::read_to_string(path).unwrap()
+    };
+    let (lib, sweep) = (src("lib.rs"), src("sweep.rs"));
+    assert!(lib.contains("#[cfg(test)]\nmod sweep;"), "{lib}");
+    let sweep_findings = |lib: &str| {
+        let ws = Workspace::build(vec![
+            FileContext::new("crates/core/src/lib.rs", lib),
+            FileContext::new("crates/core/src/sweep.rs", &sweep),
+        ]);
+        let diags = run_all(&ws, 1, &Config::default());
+        rules_of(&diags).join(" ")
+    };
+    assert_eq!(sweep_findings(&lib), "");
+    let shipped = lib.replace("#[cfg(test)]\nmod sweep;", "mod sweep;");
+    assert_eq!(sweep_findings(&shipped), "panic_freedom");
 }
 
 // ---------------------------------------------------------------------------
@@ -595,7 +624,7 @@ fn cli_json_reports_findings_and_violations() {
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.starts_with("{\"findings\":["), "{stdout}");
     assert!(stdout.contains("\"rule\":\"panic_freedom\""), "{stdout}");
-    assert!(stdout.contains("\"files\":1"), "{stdout}");
+    assert!(stdout.contains("\"files\":2"), "{stdout}");
     assert!(stdout.contains("allowlist budget 0"), "{stdout}");
 }
 

@@ -7,6 +7,7 @@ use cloudmonatt::core::{
     CloudBuilder, CloudError, Flavor, HealthStatus, Image, ResponseAction, SecurityProperty,
     VmLifecycle, VmRequest, WorkloadSpec,
 };
+use cloudmonatt::net::sim::FaultModel;
 
 const AVAIL: SecurityProperty = SecurityProperty::CpuAvailability { min_share_pct: 50 };
 
@@ -147,6 +148,100 @@ fn periodic_attestation_detects_mid_run_infection() {
         panic!();
     };
     assert!(reason.contains("late-malware"));
+}
+
+#[test]
+fn periodic_reports_come_back_in_issue_order() {
+    // A subscription files healthy reports, then compromised ones after
+    // an infection, then escalations under a blackout. The run goes in
+    // quarter-second slices; each slice files at most one report, and the
+    // slice's health counters say which kind. `stop_attest_periodic` must
+    // hand back exactly those reports, in that order, each issued inside
+    // its slice.
+    const SLICE_US: u64 = 250_000;
+    const THRESHOLD: u32 = 2;
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Kind {
+        Healthy,
+        Compromised,
+        Escalation,
+    }
+    let property = SecurityProperty::RuntimeIntegrity;
+    let mut cloud = CloudBuilder::new()
+        .servers(2)
+        .seed(108)
+        .escalation_threshold(THRESHOLD)
+        .build();
+    let vid = cloud
+        .request_vm(
+            VmRequest::new(Flavor::Small, Image::Ubuntu)
+                .require(property)
+                .workload(WorkloadSpec::Busy),
+        )
+        .expect("launch");
+    let sub = cloud
+        .runtime_attest_periodic(vid, property, 2_000_000)
+        .expect("subscribe");
+    let mut expected: Vec<(Kind, u64, u64)> = Vec::new();
+    let mut run = |cloud: &mut cloudmonatt::core::Cloud, phase: Kind, slices: u32| {
+        for _ in 0..slices {
+            let before = cloud.subscription_health(sub).expect("subscribed");
+            let from = cloud.wall_clock_us();
+            cloud.run(SLICE_US);
+            let after = cloud.subscription_health(sub).expect("subscribed");
+            let filed = (after.delivered - before.delivered)
+                + u64::from(after.escalations - before.escalations);
+            assert!(filed <= 1, "{filed} reports in one slice");
+            let kind = if after.escalations > before.escalations {
+                Kind::Escalation
+            } else {
+                phase
+            };
+            if filed == 1 {
+                expected.push((kind, from, cloud.wall_clock_us()));
+            }
+        }
+    };
+    run(&mut cloud, Kind::Healthy, 40);
+    cloud.infect_vm(vid, "late-malware").expect("infect");
+    run(&mut cloud, Kind::Compromised, 40);
+    cloud
+        .network_mut()
+        .set_fault_model(FaultModel::new(9).drop_prob(1.0));
+    run(&mut cloud, Kind::Escalation, 80);
+    let health = cloud.subscription_health(sub).expect("subscribed");
+    let reports = cloud.stop_attest_periodic(sub).expect("stop");
+
+    for kind in [Kind::Healthy, Kind::Compromised, Kind::Escalation] {
+        let filed = expected.iter().filter(|e| e.0 == kind).count();
+        assert!(filed >= 2, "{filed} {kind:?} reports: {expected:?}");
+    }
+    let escalations = expected.iter().filter(|e| e.0 == Kind::Escalation);
+    assert_eq!(u64::from(health.escalations), escalations.count() as u64);
+    assert_eq!(
+        health.delivered + u64::from(health.escalations),
+        reports.len() as u64
+    );
+    assert_eq!(reports.len(), expected.len(), "{reports:#?}");
+    for (report, &(kind, from, to)) in reports.iter().zip(&expected) {
+        assert_eq!((report.vid, report.property), (vid, property));
+        assert!(
+            from < report.issued_at_us && report.issued_at_us <= to,
+            "{report:?} issued outside ({from}, {to}]"
+        );
+        match (kind, &report.status) {
+            (Kind::Healthy, HealthStatus::Healthy) => assert!(report.elapsed_us > 0),
+            (Kind::Compromised, HealthStatus::Compromised { reason }) => {
+                assert!(reason.contains("late-malware"), "{reason}");
+                assert!(report.elapsed_us > 0);
+            }
+            (Kind::Escalation, HealthStatus::Unreachable { missed }) => {
+                assert_eq!(*missed, THRESHOLD);
+                assert_eq!(report.elapsed_us, 0);
+            }
+            _ => panic!("expected a {kind:?} report, got {report:?}"),
+        }
+    }
 }
 
 #[test]

@@ -31,15 +31,17 @@
 //! The live-byte pins difference two states of one cloud, so everything
 //! the cloud holds once (keys, tables, link grids) cancels:
 //! `churn_leaves_nothing_resident` holds launch → migrate → terminate
-//! cycles to a constant live heap, and `bytes_per_resident_idle_vm` and
-//! `bytes_per_in_flight_session` cap what one more VM and one more
-//! concurrent session cost.
+//! cycles to a constant live heap, and `bytes_per_resident_idle_vm`,
+//! `bytes_per_in_flight_session` and `bytes_per_delivered_report` cap
+//! what one more VM, one more concurrent session and one more held
+//! periodic report cost.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::Ordering;
 
 use cloudmonatt::core::{
-    CloudBuilder, Flavor, Image, ResponseAction, SecurityProperty, VmRequest, WorkloadSpec,
+    Cloud, CloudBuilder, Flavor, Frequency, Image, ResponseAction, SecurityProperty, VmRequest,
+    WorkloadSpec,
 };
 
 struct CountingAlloc;
@@ -532,6 +534,50 @@ fn bytes_per_in_flight_session() {
     assert!(
         per_session <= CEILING,
         "an in-flight session costs {per_session} B live (ceiling {CEILING})"
+    );
+}
+
+#[test]
+fn bytes_per_delivered_report() {
+    // A subscription holds every report it files until
+    // `stop_attest_periodic`. Sixty-four idle VMs subscribe at random
+    // intervals, so their logs fill out of step and no chunk boundary
+    // lines up; the live heap the second half of the run adds, over the
+    // reports it delivers, is what one report costs: a 24-byte record
+    // and its share of a chunk. Ceiling: 27 B, the cost measured, plus
+    // 10 %. Held as a `Vec<AttestationReport>`, a report cost 84 B here.
+    const CEILING: i64 = 29;
+    const VMS: usize = 64;
+    const HALF_US: u64 = 60_000_000;
+    let property = SecurityProperty::RuntimeIntegrity;
+    let frequency = Frequency::Random {
+        min_us: 500_000,
+        max_us: 1_500_000,
+    };
+    let mut cloud = CloudBuilder::new().servers(16).seed(83).build();
+    let subs: Vec<u64> = (0..VMS)
+        .map(|_| {
+            let vid = cloud.request_vm(idle_vm()).expect("launch");
+            cloud
+                .runtime_attest_with_frequency(vid, property, frequency)
+                .expect("subscribe")
+        })
+        .collect();
+    let delivered = |cloud: &Cloud| -> i64 {
+        let health = subs.iter().map(|&s| cloud.subscription_health(s));
+        health
+            .map(|h| h.expect("subscribed").delivered as i64)
+            .sum()
+    };
+    cloud.run(HALF_US);
+    let (live, reports) = (live_bytes(), delivered(&cloud));
+    cloud.run(HALF_US);
+    let added = delivered(&cloud) - reports;
+    assert!(added >= 1_000, "only {added} reports delivered");
+    let per_report = (live_bytes() - live) / added;
+    assert!(
+        per_report <= CEILING,
+        "a delivered report costs {per_report} B live (ceiling {CEILING})"
     );
 }
 
