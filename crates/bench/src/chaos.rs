@@ -4,14 +4,17 @@
 //! on a seeded renewal process, messages drop, the admission gate
 //! sheds bursts and every session carries an end-to-end deadline. The
 //! harness is an executable liveness proof, not a latency figure: each
-//! cell asserts that nothing is left in flight, that the cloud's own
-//! ledgers hold (`Cloud::audit`: sessions, outages, no stranded VM,
-//! shard ownership, resident rows) and that the drop and VM counts
-//! reconcile. A wedged queue, a leaked session or a stranded VM fails
-//! the sweep loudly.
+//! cell audits the cloud's own ledgers (`Cloud::audit`: sessions,
+//! outages, no stranded VM, shard ownership, resident rows) after every
+//! event it dispatches, through the attached `Audit` observer, then
+//! asserts that nothing is left in flight and that the drop and VM
+//! counts reconcile. A wedged queue, a leaked session or a VM stranded
+//! for even one event fails the sweep loudly, naming the cell, the event
+//! and the broken invariant.
 
 use monatt_core::{
-    Cloud, CloudBuilder, Flavor, Image, OutageModel, SecurityProperty, Vid, VmLifecycle, VmRequest,
+    Audit, Cloud, CloudBuilder, Flavor, Image, OutageModel, SecurityProperty, Vid, VmLifecycle,
+    VmRequest,
 };
 use monatt_net::sim::FaultModel;
 
@@ -108,14 +111,16 @@ pub struct ChaosRow {
 /// subscribed to runtime integrity every period, every session under the
 /// deadline. The admission gate sheds at three quarters of a
 /// simultaneous round: the burst at each shared period sheds its tail,
-/// then hysteresis re-admits.
-fn subscribed_fleet(fleet: usize, cloud: CloudBuilder) -> (Cloud, Vec<Vid>) {
+/// then hysteresis re-admits. The cloud is audited after every event it
+/// dispatches, a failure naming `cell`.
+fn subscribed_fleet(fleet: usize, cloud: CloudBuilder, cell: &str) -> (Cloud, Vec<Vid>) {
     let mut cloud = cloud
         .servers(fleet.div_ceil(4) + 3)
         .pcpus_per_server(16)
         .session_deadline(DEADLINE_US)
         .admission_control((fleet * 3 / 4).max(2), (fleet * 3 / 8).max(1))
         .build();
+    cloud.set_observer(Some(Box::new(Audit::new(cell))));
     let mut vids = Vec::with_capacity(fleet);
     for _ in 0..fleet {
         let vid = cloud
@@ -137,7 +142,8 @@ fn subscribed_fleet(fleet: usize, cloud: CloudBuilder) -> (Cloud, Vec<Vid>) {
 /// Runs and verifies one cell of the grid.
 fn measure(fleet: usize, mtbf_us: u64, loss: f64) -> ChaosRow {
     let seed = 0xCA05 ^ (fleet as u64) ^ mtbf_us ^ ((loss * 100.0) as u64).rotate_left(17);
-    let (mut cloud, vids) = subscribed_fleet(fleet, CloudBuilder::new().seed(seed));
+    let cell = format!("cell fleet={fleet} mtbf={mtbf_us} loss={loss}");
+    let (mut cloud, vids) = subscribed_fleet(fleet, CloudBuilder::new().seed(seed), &cell);
     if loss > 0.0 {
         cloud
             .network_mut()
@@ -186,7 +192,6 @@ fn measure(fleet: usize, mtbf_us: u64, loss: f64) -> ChaosRow {
         .unwrap_or(0);
     let blackholed = cloud.network_mut().blackholed();
 
-    let cell = format!("cell fleet={fleet} mtbf={mtbf_us} loss={loss}");
     // Liveness: nothing wedged — every started session terminated
     // before the queue drained.
     assert_eq!(
@@ -290,8 +295,9 @@ pub struct ControlPlaneRow {
 /// Runs and verifies one cell of the control-plane churn grid.
 fn measure_control_plane(fleet: usize, k: u32, n: u32, mtbf_us: u64) -> ControlPlaneRow {
     let seed = 0xC1A0 ^ (fleet as u64) ^ mtbf_us ^ (u64::from(k) << 32) ^ (u64::from(n) << 40);
-    let (mut cloud, vids) =
-        subscribed_fleet(fleet, CloudBuilder::new().seed(seed).control_plane(k, n));
+    let cell = format!("cp cell fleet={fleet} k={k} n={n} mtbf={mtbf_us}");
+    let builder = CloudBuilder::new().seed(seed).control_plane(k, n);
+    let (mut cloud, vids) = subscribed_fleet(fleet, builder, &cell);
     // Only the control plane churns: crashes land mid-burst on
     // controllers and AS replicas, never on servers, so the cell
     // isolates failover + rerouting from evacuation.
@@ -304,7 +310,6 @@ fn measure_control_plane(fleet: usize, k: u32, n: u32, mtbf_us: u64) -> ControlP
     let outages = cloud.outage_stats();
     let cp = cloud.control_plane_stats();
 
-    let cell = format!("cp cell fleet={fleet} k={k} n={n} mtbf={mtbf_us}");
     // Liveness: nothing wedged.
     assert_eq!(
         cloud.sessions_in_flight(),

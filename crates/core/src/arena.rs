@@ -7,9 +7,13 @@
 //! nodes plus the session's own buffers. Here a [`SessionId`] is a slot
 //! index plus a generation tag, so lookup is one bounds-checked array
 //! index, and a retired slot **keeps its value** — the next allocation
-//! reuses the retained buffers (wire/sealed/late capacity) instead of
+//! reuses the retained buffers (sealed/inbox/late capacity) instead of
 //! round-tripping the allocator. That retention is what makes the warm
 //! Msg1–Msg6 round allocation-free (pinned by `tests/zero_alloc.rs`).
+//!
+//! The slots live in fixed chunks of [`CHUNK`], each allocated once and
+//! never moved, so the table grows a chunk at a time, never copies a
+//! slot, and holds at most `CHUNK − 1` never-used slots.
 //!
 //! ## Generations against stale ids
 //!
@@ -31,6 +35,16 @@ pub(crate) struct SessionId {
     generation: u32,
 }
 
+/// Slots per chunk.
+const CHUNK: usize = 32;
+
+impl SessionId {
+    /// The slot index and the generation.
+    pub(crate) fn parts(self) -> (u32, u32) {
+        (self.index, self.generation)
+    }
+}
+
 #[derive(Debug)]
 struct Slot<T> {
     generation: u32,
@@ -44,7 +58,9 @@ struct Slot<T> {
 /// slots. See the module docs.
 #[derive(Debug)]
 pub(crate) struct Arena<T> {
-    slots: Vec<Slot<T>>,
+    /// Slot `i` is `chunks[i / CHUNK][i % CHUNK]`. Every chunk but the
+    /// last is full, and none grows past its first allocation.
+    chunks: Vec<Vec<Slot<T>>>,
     /// Indices of unoccupied slots, most recently freed last (LIFO
     /// reuse keeps the hot slots hot).
     free: Vec<u32>,
@@ -54,7 +70,7 @@ pub(crate) struct Arena<T> {
 impl<T> Arena<T> {
     pub(crate) fn new() -> Self {
         Arena {
-            slots: Vec::new(),
+            chunks: Vec::new(),
             free: Vec::new(),
             live: 0,
         }
@@ -74,17 +90,11 @@ impl<T> Arena<T> {
     pub(crate) fn alloc_with(&mut self, vacant: impl FnOnce() -> T) -> Option<(SessionId, &mut T)> {
         let index = match self.free.pop() {
             Some(i) => i,
-            None => {
-                let i = u32::try_from(self.slots.len()).ok()?;
-                self.slots.push(Slot {
-                    generation: 0,
-                    occupied: false,
-                    value: None,
-                });
-                i
-            }
+            None => self.push_slot()?,
         };
-        let slot = self.slots.get_mut(index as usize)?;
+        // Borrowed field by field: `live` is bumped while the slot is held.
+        let i = index as usize;
+        let slot = self.chunks.get_mut(i / CHUNK)?.get_mut(i % CHUNK)?;
         slot.occupied = true;
         self.live += 1;
         let sid = SessionId {
@@ -94,18 +104,45 @@ impl<T> Arena<T> {
         Some((sid, slot.value.get_or_insert_with(vacant)))
     }
 
+    /// Appends a never-used slot, opening a chunk when the last is full,
+    /// and returns its index. Runs only when more sessions are in flight
+    /// than ever before.
+    #[cold]
+    fn push_slot(&mut self) -> Option<u32> {
+        if self.chunks.last().is_none_or(|c| c.len() == CHUNK) {
+            self.chunks.push(Vec::with_capacity(CHUNK));
+        }
+        let full_chunks = self.chunks.len() - 1;
+        let chunk = self.chunks.last_mut()?;
+        let index = u32::try_from(full_chunks * CHUNK + chunk.len()).ok()?;
+        chunk.push(Slot {
+            generation: 0,
+            occupied: false,
+            value: None,
+        });
+        Some(index)
+    }
+
+    fn slot(&self, index: u32) -> Option<&Slot<T>> {
+        let i = index as usize;
+        self.chunks.get(i / CHUNK)?.get(i % CHUNK)
+    }
+
+    fn slot_mut(&mut self, index: u32) -> Option<&mut Slot<T>> {
+        let i = index as usize;
+        self.chunks.get_mut(i / CHUNK)?.get_mut(i % CHUNK)
+    }
+
     /// The value behind `sid`, if its session is still live.
     pub(crate) fn get(&self, sid: SessionId) -> Option<&T> {
-        self.slots
-            .get(sid.index as usize)
+        self.slot(sid.index)
             .filter(|s| s.occupied && s.generation == sid.generation)
             .and_then(|s| s.value.as_ref())
     }
 
     /// Mutable access to the value behind `sid`, if still live.
     pub(crate) fn get_mut(&mut self, sid: SessionId) -> Option<&mut T> {
-        self.slots
-            .get_mut(sid.index as usize)
+        self.slot_mut(sid.index)
             .filter(|s| s.occupied && s.generation == sid.generation)
             .and_then(|s| s.value.as_mut())
     }
@@ -119,7 +156,7 @@ impl<T> Arena<T> {
     /// the slot joins the free list, **keeping its value** for the next
     /// tenant to reset. Returns whether anything was removed.
     pub(crate) fn remove(&mut self, sid: SessionId) -> bool {
-        match self.slots.get_mut(sid.index as usize) {
+        match self.slot_mut(sid.index) {
             Some(slot) if slot.occupied && slot.generation == sid.generation => {
                 slot.occupied = false;
                 slot.generation = slot.generation.wrapping_add(1);
@@ -133,7 +170,8 @@ impl<T> Arena<T> {
 
     /// Iterates over live entries in slot order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (SessionId, &T)> {
-        self.slots.iter().enumerate().filter_map(|(i, s)| {
+        let slots = self.chunks.iter().flatten();
+        slots.enumerate().filter_map(|(i, s)| {
             if !s.occupied {
                 return None;
             }
@@ -224,6 +262,27 @@ mod tests {
         let (r1, _) = a.alloc_with(|| ()).expect("alloc");
         assert_eq!(r0.index, s1.index);
         assert_eq!(r1.index, s0.index);
-        assert_eq!(a.slots.len(), 2);
+        assert_eq!(a.chunks.iter().flatten().count(), 2);
+    }
+
+    #[test]
+    fn slots_grow_a_chunk_at_a_time_and_never_move() {
+        let mut a: Arena<u32> = Arena::new();
+        let n = CHUNK as u32 * 2 + 1;
+        let ids: Vec<_> = (0..n)
+            .map(|i| {
+                let (sid, v) = a.alloc_with(|| 0).expect("alloc");
+                *v = i;
+                sid
+            })
+            .collect();
+        let caps: Vec<_> = a.chunks.iter().map(Vec::capacity).collect();
+        assert_eq!(caps, [CHUNK; 3]);
+        for (i, sid) in (0..n).zip(&ids) {
+            assert_eq!(sid.index, i);
+            assert_eq!(a.get(*sid), Some(&i));
+        }
+        let live: Vec<u32> = a.iter().map(|(_, v)| *v).collect();
+        assert_eq!(live, (0..n).collect::<Vec<_>>());
     }
 }

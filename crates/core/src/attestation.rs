@@ -10,7 +10,7 @@ use crate::measurements::MeasurementSpec;
 use crate::messages::{
     q2_fields, q3_fields, AttestationReportMsg, MeasureRequest, MeasureResponse,
 };
-use crate::pca::PrivacyCa;
+use crate::pca::{IdentityTable, PrivacyCa};
 use crate::protocol::{NonceSlot, QuoteKind};
 use crate::types::{HealthStatus, Image, SecurityProperty, ServerId, Vid};
 use crate::verify_ring::{HeldKey, HopVouchers};
@@ -99,6 +99,16 @@ impl AttestationServer {
         self.pca.register_server(identity);
     }
 
+    /// [`Self::register_cloud_server`], sharing the key's table with every
+    /// other replica `table` is handed to.
+    pub(crate) fn register_cloud_server_sharing(
+        &mut self,
+        identity: VerifyingKey,
+        table: IdentityTable,
+    ) {
+        self.pca.register_sharing(identity, table);
+    }
+
     /// Turns on the pCA's certified-AVK cache (see
     /// [`PrivacyCa::enable_cert_cache`]).
     pub fn enable_avk_cert_cache(&mut self) {
@@ -112,7 +122,7 @@ impl AttestationServer {
 
     /// The key the pCA verifies `identity`'s bindings against, as the
     /// pCA holds it, if that server is registered.
-    pub(crate) fn identity_anchor(&self, identity: &VerifyingKey) -> Option<&HeldKey> {
+    pub(crate) fn identity_anchor(&self, identity: &VerifyingKey) -> Option<HeldKey> {
         self.pca.identity_anchor(identity)
     }
 

@@ -2,13 +2,12 @@
 //! own state — the session arena, `Outages::down`, the controller's VM
 //! records, the topology, each server's simulator, each subscription's
 //! report log — and names the first rule that drifted. It takes `&self`:
-//! it draws nothing from the DRBG and moves no clock. Test builds audit
-//! after every event `Cloud::pump` dispatches.
+//! it draws nothing from the DRBG and moves no clock. Attached as the
+//! [`Audit`](super::Audit) observer, it runs after every event
+//! `Cloud::pump` dispatches; `monatt-core`'s test builds attach it.
 
 use super::Cloud;
 use crate::types::{NodeId, ServerId, Vid};
-use monatt_hypervisor::ids::VmId;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A broken cloud invariant: the rule, and what shows it broken.
@@ -99,10 +98,17 @@ impl Cloud {
             });
         }
         let is_down = |node| self.outage.down.contains(&node);
-        for r in self.fleet.controller.vms() {
-            if is_down(NodeId::Server(r.server)) {
-                let (vid, server) = (r.vid, r.server);
-                return Err(Invariant::StrandedVm { vid, server });
+        let server_down = self
+            .outage
+            .down
+            .iter()
+            .any(|n| matches!(n, NodeId::Server(_)));
+        if server_down {
+            for r in self.fleet.controller.vms() {
+                if is_down(NodeId::Server(r.server)) {
+                    let (vid, server) = (r.vid, r.server);
+                    return Err(Invariant::StrandedVm { vid, server });
+                }
             }
         }
         // A controller's up flag shows through its home shard's owner; a
@@ -133,28 +139,40 @@ impl Cloud {
         sessions.filter(|(_, s)| s.pending.is_none()).count() as u64
     }
 
-    /// The [`Invariant::ResidentRows`] rule.
+    /// The [`Invariant::ResidentRows`] rule, server by server: each
+    /// slot is a live VM placed on its server, with a simulator row of
+    /// its flavor's vCPUs that no other slot names, and the simulator
+    /// has no other row. Slots are keyed by vid and a vid is placed on
+    /// one server, so if the slots also number the live VMs, every live
+    /// VM has its slot. Allocates only for a server with more than 64
+    /// VMs: it runs after every event the audit observer sees.
     fn audit_resident_rows(&self) -> Result<(), Invariant> {
+        let controller = &self.fleet.controller;
         let nodes = self.fleet.nodes();
-        let mut placed: BTreeMap<ServerId, Vec<VmId>> = BTreeMap::new();
-        for r in self.fleet.controller.vms() {
-            let server = r.server;
-            let node = nodes.get(&server);
-            let Some((node, local)) = node.and_then(|n| Some((n, n.local_vm(r.vid)?))) else {
-                return Err(Invariant::ResidentRows { server });
-            };
-            let vcpus = node.sim().vm(local).map(|vm| vm.vcpu_count);
-            if vcpus != Some(r.flavor.vcpus()) {
-                return Err(Invariant::ResidentRows { server });
-            }
-            placed.entry(server).or_default().push(local);
-        }
+        let mut slots = 0;
         for (&server, node) in nodes {
-            let mut want = placed.remove(&server).unwrap_or_default();
-            want.sort_unstable();
-            if node.vm_count() != want.len() || node.sim().vm_ids() != want {
+            let sim = node.sim();
+            let rows = sim.vm_count();
+            let mut named = RowSet::new(rows);
+            let held = node.residents().all(|(vid, local)| {
+                let record = controller.vm(vid).filter(|r| r.server == server);
+                let vcpus = record.map(|r| r.flavor.vcpus());
+                let row = sim.vm_row(local).filter(|&row| named.insert(row));
+                row.is_some() && sim.vm(local).map(|vm| vm.vcpu_count) == vcpus
+            });
+            if !held || node.vm_count() != rows {
                 return Err(Invariant::ResidentRows { server });
             }
+            slots += rows;
+        }
+        if slots != controller.vm_count() {
+            // A live VM without its slot: name its server.
+            let unplaced = controller.vms().find(|r| {
+                let node = nodes.get(&r.server);
+                node.and_then(|n| n.local_vm(r.vid)).is_none()
+            });
+            let server = unplaced.map_or(ServerId(0), |r| r.server);
+            return Err(Invariant::ResidentRows { server });
         }
         Ok(())
     }
@@ -173,5 +191,39 @@ impl Cloud {
             }
         }
         Ok(())
+    }
+}
+
+/// The simulator rows one server's slots have named so far.
+enum RowSet {
+    /// Up to 64 rows: a bit each.
+    Small(u64),
+    /// More.
+    Large(Vec<bool>),
+}
+
+impl RowSet {
+    fn new(rows: usize) -> Self {
+        if rows <= 64 {
+            RowSet::Small(0)
+        } else {
+            RowSet::Large(vec![false; rows])
+        }
+    }
+
+    /// Marks `row` named; `false` if it already was (or is out of range).
+    fn insert(&mut self, row: usize) -> bool {
+        match self {
+            RowSet::Small(bits) if row < 64 => {
+                let bit = 1u64 << row;
+                let fresh = *bits & bit == 0;
+                *bits |= bit;
+                fresh
+            }
+            RowSet::Small(_) => false,
+            RowSet::Large(named) => named
+                .get_mut(row)
+                .is_some_and(|seen| !std::mem::replace(seen, true)),
+        }
     }
 }

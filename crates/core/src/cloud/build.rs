@@ -3,7 +3,7 @@
 //! (Section 7.1.1's Scheduling → Networking → Block-device-mapping →
 //! Spawning → Attestation stages).
 
-use super::{Appraisers, Cloud, Events, Fleet};
+use super::{Appraisers, Audit, Cloud, Events, Fleet, Observer};
 use crate::attestation::AttestationServer;
 use crate::controller::{CloudController, ServerInfo, VmLifecycle, VmRecord};
 use crate::controlplane::ControlPlaneTopology;
@@ -12,6 +12,7 @@ use crate::interpret::ReferenceDb;
 use crate::latency::{LatencyParams, RetryPolicy};
 use crate::links::{LinkKey, Links};
 use crate::outage::{AdmissionControl, Outages};
+use crate::pca::IdentityTable;
 use crate::server::CloudServerNode;
 use crate::session::{SessionOrigin, SessionOutcome};
 use crate::types::{
@@ -463,12 +464,18 @@ impl CloudBuilder {
                 SigningKey::generate(&mut rng),
             );
         }
+        // Each server's identity key gets one table, however many
+        // replicas bind it.
+        let identities: Vec<_> = servers
+            .values()
+            .map(|node| (node.identity_key(), IdentityTable::default()))
+            .collect();
         for replica in &mut attservers {
             if self.avk_cert_cache {
                 replica.enable_avk_cert_cache();
             }
-            for node in servers.values() {
-                replica.register_cloud_server(node.identity_key());
+            for (identity, table) in &identities {
+                replica.register_cloud_server_sharing(*identity, table.clone());
             }
         }
         for i in 1..k {
@@ -519,6 +526,10 @@ impl CloudBuilder {
             escalation_threshold: self.escalation_threshold.max(1),
             programs: crate::protocol::ProgramRegistry::standard().map_err(CloudError::Compile)?,
             offload: Offload::default(),
+            // `monatt-core`'s own test builds audit every cloud after
+            // every event.
+            observer: cfg!(test)
+                .then(|| Box::new(Audit::new("monatt-core test build")) as Box<dyn Observer>),
             #[cfg(test)]
             failures: Vec::new(),
         })

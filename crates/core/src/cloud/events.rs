@@ -38,6 +38,10 @@ pub(crate) struct Events {
     pub(crate) horizon: Option<u64>,
     /// End-to-end deadline budget applied to every new session, if any.
     pub(crate) deadline_us: Option<u64>,
+    /// Reusable buffer a hop entry encodes its plaintext into; the
+    /// hop's first transmit attempt seals it at once, so one cloud-wide
+    /// buffer serves every session (see `Cloud::transmit_attempt`).
+    pub(crate) plaintext: Vec<u8>,
     /// Reusable buffer for the record a transmit delivers (the wire
     /// bytes between seal and open). One message is in flight per
     /// transmit resolution, so a single cloud-wide buffer suffices.
@@ -55,6 +59,7 @@ impl Events {
             sessions: SessionArena::new(),
             horizon: None,
             deadline_us,
+            plaintext: Vec::new(),
             record_scratch: Vec::new(),
             inbox_scratch: Vec::new(),
         }

@@ -26,6 +26,8 @@
 //! * `subscriptions` — periodic attestation ([`Frequency`],
 //!   [`SubscriptionHealth`]) and [`Cloud::run`].
 //! * `response` — the Response Module's remediation actions.
+//! * `observe` — the event seam: an attached [`Observer`] sees the cloud
+//!   after every dispatched event; [`Audit`] is the first.
 //!
 //! The protocol state machines themselves live in `crate::session` and
 //! [`crate::protocol`]; this module only owns the state they operate
@@ -37,6 +39,7 @@ mod audit;
 mod build;
 mod events;
 mod fleet;
+mod observe;
 mod response;
 #[cfg(test)]
 mod same;
@@ -46,6 +49,7 @@ mod tests;
 
 pub use audit::Invariant;
 pub use build::{CloudBuilder, LaunchTiming, VmRequest, WorkloadHandles, WorkloadSpec};
+pub use observe::{Audit, Dispatched, EventKind, Observer, Subject};
 pub use response::ResponseTiming;
 pub use subscriptions::{Frequency, SubscriptionHealth};
 
@@ -132,6 +136,9 @@ pub struct Cloud {
     /// The event loop's end of the verification helper's ring (see
     /// [`crate::verify_ring`]): idle outside [`Cloud::run`].
     pub(crate) offload: Offload,
+    /// The observer [`Cloud::pump`] hands each dispatched event to, if
+    /// one is attached (see `observe`).
+    pub(crate) observer: Option<Box<dyn Observer>>,
     /// Every failed subscription sample's error, in order: what the
     /// tests compare across helper modes.
     #[cfg(test)]
@@ -281,7 +288,8 @@ impl Cloud {
     }
 
     /// The one event loop: pops the next event (which moves the clock),
-    /// routes it to its handler, and repeats until the queue drains —
+    /// routes it to its handler, hands the attached observer (if any) a
+    /// summary of it, and repeats until the queue drains —
     /// or, when `until` names a session, until that session has parked
     /// its outcome. Outside [`Cloud::run`] the queue only ever holds
     /// that session's events (and those of any fork children it
@@ -291,15 +299,15 @@ impl Cloud {
             let Some(event) = self.events.pop() else {
                 return;
             };
+            let at_us = self.events.now();
             match event {
                 CloudEvent::Session { sid, event } => self.step_session(sid, event),
                 CloudEvent::SubscriptionDue { id } => self.start_subscription_sample(id),
                 CloudEvent::Outage { node, down, chain } => self.apply_outage(node, down, chain),
                 CloudEvent::Msg4Flush => self.flush_msg4_batch(),
             }
-            #[cfg(test)]
-            if let Err(broken) = self.audit() {
-                panic!("{broken} after {event:?}");
+            if self.observer.is_some() {
+                self.notify(event, at_us);
             }
         }
     }

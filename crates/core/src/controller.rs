@@ -287,6 +287,11 @@ impl CloudController {
         self.vms.values()
     }
 
+    /// How many VMs are live.
+    pub(crate) fn vm_count(&self) -> usize {
+        self.vms.len()
+    }
+
     /// Takes `flavor`'s capacity on `server` (a VM was placed there).
     pub fn take_capacity(&mut self, server: ServerId, flavor: Flavor) {
         if let Some(info) = self.servers.get_mut(&server) {

@@ -75,8 +75,8 @@ pub(crate) mod verify_ring;
 
 pub use attestation::AttestationServer;
 pub use cloud::{
-    AttestationReport, Cloud, CloudBuilder, Frequency, Invariant, LaunchTiming, ResponseTiming,
-    SubscriptionHealth, VmRequest, WorkloadSpec,
+    AttestationReport, Audit, Cloud, CloudBuilder, Dispatched, EventKind, Frequency, Invariant,
+    LaunchTiming, Observer, ResponseTiming, Subject, SubscriptionHealth, VmRequest, WorkloadSpec,
 };
 pub use controller::{CloudController, ResponseAction, ServerInfo, VmLifecycle, VmRecord};
 pub use controlplane::{ControlPlaneStats, ControlPlaneTopology, RouteTag};

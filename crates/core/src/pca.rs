@@ -15,6 +15,7 @@ use monatt_crypto::sha256::Sha256;
 use monatt_crypto::zeroize::ct_eq;
 use monatt_tpm::module::CertificationRequest;
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 /// Domain-separation tag mixed into every certificate signature, so a pCA
 /// signature over an attestation key can never be confused with any other
@@ -74,15 +75,24 @@ pub struct PrivacyCa {
     cache_misses: u64,
 }
 
+/// One server identity key's table (8 KiB), built at most once however
+/// many pCAs register the key: every AS replica's pCA holds a clone, and
+/// the first to bind the key builds it for all of them.
+#[derive(Clone, Default)]
+pub(crate) struct IdentityTable(Arc<OnceLock<BoundKey>>);
+
 /// What the pCA holds for one registered server.
 struct Registration {
     /// The identity key VKs, which every session's binding is verified
-    /// against for as long as the server is deployed. It is held bare
-    /// until its second binding and bound (8 KiB) from then on, the rule
-    /// the AVK slot follows: a server whose reused AVK the cache answers
-    /// shows its identity key once per epoch and never pays the table.
-    identity: HeldKey,
-    /// Whether a binding has been verified under the bare key.
+    /// against for as long as the server is deployed.
+    identity: VerifyingKey,
+    /// Its table. This pCA builds it on the key's second binding, the
+    /// rule the AVK slot follows: a server whose reused AVK the cache
+    /// answers shows its identity key once per epoch and never pays the
+    /// table. Until then the key verifies bare, unless another pCA
+    /// sharing the table has built it already.
+    table: IdentityTable,
+    /// Whether a binding has been verified here.
     seen: bool,
     /// The certified-AVK cache's one entry for this server: its last
     /// certified request this epoch. A new request replaces it, and an
@@ -100,13 +110,23 @@ impl Registration {
         request: &CertificationRequest,
         binding: Option<Voucher<'_>>,
     ) -> bool {
-        if let HeldKey::Bare(key) = self.identity {
-            if self.seen {
-                self.identity = HeldKey::Bound(BoundKey::new(key));
-            }
-            self.seen = true;
+        let IdentityTable(table) = &self.table;
+        if std::mem::replace(&mut self.seen, true) {
+            table.get_or_init(|| BoundKey::new(self.identity));
         }
-        request.verify_with(&Vouched::new(&self.identity, request.identity_key, binding))
+        let element = request.identity_key;
+        match table.get() {
+            Some(bound) => request.verify_with(&Vouched::new(bound, element, binding)),
+            None => request.verify_with(&Vouched::new(&self.identity, element, binding)),
+        }
+    }
+
+    /// The identity key in the form its bindings verify under.
+    fn held(&self) -> HeldKey {
+        let IdentityTable(table) = &self.table;
+        table.get().map_or(HeldKey::Bare(self.identity), |bound| {
+            HeldKey::Bound(bound.clone())
+        })
     }
 }
 
@@ -183,10 +203,17 @@ impl PrivacyCa {
     /// key is bound on its second binding, not here. Registering a key
     /// again changes nothing.
     pub fn register_server(&mut self, identity: VerifyingKey) {
+        self.register_sharing(identity, IdentityTable::default());
+    }
+
+    /// [`Self::register_server`], with the key's table shared with every
+    /// other pCA `table` is handed to.
+    pub(crate) fn register_sharing(&mut self, identity: VerifyingKey, table: IdentityTable) {
         self.registered
             .entry(identity.to_bytes())
             .or_insert(Registration {
-                identity: HeldKey::Bare(identity),
+                identity,
+                table,
                 seen: false,
                 slot: None,
             });
@@ -257,9 +284,9 @@ impl PrivacyCa {
 
     /// The key `identity`'s bindings verify against, in the form the
     /// pCA holds it.
-    pub(crate) fn identity_anchor(&self, identity: &VerifyingKey) -> Option<&HeldKey> {
+    pub(crate) fn identity_anchor(&self, identity: &VerifyingKey) -> Option<HeldKey> {
         let server = self.registered.get(&identity.to_bytes())?;
-        Some(&server.identity)
+        Some(server.held())
     }
 
     /// Registered identity keys the pCA holds bound.
@@ -267,7 +294,7 @@ impl PrivacyCa {
     pub(crate) fn identity_tables(&self) -> usize {
         let servers = self.registered.values();
         servers
-            .filter(|s| matches!(s.identity, HeldKey::Bound(_)))
+            .filter(|s| matches!(s.held(), HeldKey::Bound(_)))
             .count()
     }
 
@@ -452,7 +479,7 @@ mod tests {
         pca.register_server(identity);
         assert_eq!(pca.identity_tables(), 0, "registering builds no table");
         let anchor = |pca: &PrivacyCa| match pca.identity_anchor(&identity) {
-            Some(HeldKey::Bare(key)) => (false, *key),
+            Some(HeldKey::Bare(key)) => (false, key),
             Some(HeldKey::Bound(bound)) => (true, bound.key()),
             None => panic!("registered"),
         };
@@ -464,6 +491,36 @@ mod tests {
             assert_eq!(anchor(&pca), (bound, identity), "sight {sight}");
         }
         assert_eq!(pca.identity_tables(), 1);
+    }
+
+    #[test]
+    fn replicas_share_one_identity_table() {
+        // Two pCAs registering one key share its table: the first to see
+        // a second binding builds it, and the other verifies through it
+        // from its own first binding on. Neither builds it before then.
+        let mut tm = TrustModule::provision(Drbg::from_seed(71));
+        let identity = tm.identity_key();
+        let table = IdentityTable::default();
+        let mut pcas = [72, 73].map(|seed| PrivacyCa::new(&mut Drbg::from_seed(seed)));
+        for pca in &mut pcas {
+            pca.register_sharing(identity, table.clone());
+        }
+        let [a, b] = &mut pcas;
+        let mut certify = |pca: &mut PrivacyCa| {
+            let session = tm.begin_attestation();
+            pca.certify(session.certification_request()).unwrap();
+        };
+        certify(a);
+        assert_eq!((a.identity_tables(), b.identity_tables()), (0, 0));
+        certify(a);
+        assert_eq!((a.identity_tables(), b.identity_tables()), (1, 1));
+        certify(b);
+        assert!(matches!(
+            b.identity_anchor(&identity),
+            Some(HeldKey::Bound(_))
+        ));
+        let IdentityTable(shared) = &table;
+        assert_eq!(Arc::strong_count(shared), 3, "this handle and one per pCA");
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! it here reproduces the exact DRBG draw order, latency arithmetic and
 //! stats of the old state machine (pinned byte-for-byte by the golden
 //! trace). The interpreter's warm path — the flat Figure-3 program —
-//! allocates nothing: records are encoded into the session's retained
-//! buffers and the register file is plain moves.
+//! allocates nothing: records are encoded into retained buffers and the
+//! register file is plain moves.
 //!
 //! ## Interception points
 //!
@@ -63,9 +63,8 @@ fn vouch_msg4(
     let request = &response.cert_request;
     let anchor = attserver.and_then(|a| a.identity_anchor(&request.identity_key));
     let avk = request.attestation_key;
-    let binding = anchor.and_then(|anchor| {
-        offload.submit(anchor.clone(), avk.to_bytes(), request.identity_signature)
-    });
+    let binding = anchor
+        .and_then(|anchor| offload.submit(anchor, avk.to_bytes(), request.identity_signature));
     let quote = &response.quote;
     HopTickets {
         binding,
@@ -161,9 +160,9 @@ impl Cloud {
     }
 
     /// The send side of a `Hop` op: draw the declared nonce, encode the
-    /// record for `msg` from the register file into the session's wire
-    /// buffer, and transmit it with the op's pre-charge (plus
-    /// `extra_us`) as the pre-delay.
+    /// record for `msg` from the register file into the cloud's
+    /// plaintext scratch, and transmit it (sealing it there and then)
+    /// with the op's pre-charge (plus `extra_us`) as the pre-delay.
     fn enter_hop(
         &mut self,
         sid: SessionId,
@@ -196,7 +195,8 @@ impl Cloud {
             ..
         } = self;
         let now = events.now();
-        let session = events.session_mut(sid)?;
+        let session = events.sessions.get_mut(sid).ok_or(LOST_SESSION)?;
+        let wire = &mut events.plaintext;
         session.tickets = HopTickets::NONE;
         match msg {
             MsgKind::Msg1 => CustomerRequest {
@@ -204,14 +204,14 @@ impl Cloud {
                 property: session.property,
                 nonce1: session.nonce1,
             }
-            .encode_into(&mut session.wire),
+            .encode_into(wire),
             MsgKind::Msg2 => ControllerForward {
                 vid: session.req_vid,
                 server: session.server,
                 property: session.req_property,
                 nonce2: session.nonce2,
             }
-            .encode_into(&mut session.wire),
+            .encode_into(wire),
             MsgKind::Msg3 => {
                 let (attserver, _) = appraisers.routed(session.route.replica)?;
                 let measure_req = attserver.build_measure_request(
@@ -220,7 +220,7 @@ impl Cloud {
                     session.nonce3,
                 );
                 session.spec = Some(measure_req.spec);
-                measure_req.encode_into(&mut session.wire)
+                measure_req.encode_into(wire)
             }
             MsgKind::Msg4 => {
                 // The measurement-window close: collect measurements,
@@ -238,7 +238,7 @@ impl Cloud {
                 let response = MeasureResponse::from(response);
                 let attserver = appraisers.replica(session.route.replica);
                 session.tickets = vouch_msg4(offload, attserver, &response);
-                response.encode_into(&mut session.wire)
+                response.encode_into(wire)
             }
             MsgKind::Msg5 => {
                 let status = session.status.take().ok_or(LOST_SESSION)?;
@@ -253,7 +253,7 @@ impl Cloud {
                 );
                 let anchor = fleet.controller.attserver_key(session.route.replica);
                 session.tickets.quote = vouch_quote(offload, anchor, &report.quote);
-                report.encode_into(&mut session.wire)
+                report.encode_into(wire)
             }
             MsgKind::Msg6 => {
                 let status = session.status.take().ok_or(LOST_SESSION)?;
@@ -272,7 +272,7 @@ impl Cloud {
                 );
                 let anchor = customer_anchors.get(session.route.controller as usize);
                 session.tickets.quote = vouch_quote(offload, anchor, &report.quote);
-                report.encode_into(&mut session.wire)
+                report.encode_into(wire)
             }
         }
         session.msg = msg;
@@ -282,7 +282,7 @@ impl Cloud {
         // bytes on the wire, so the latency model and golden trace are
         // untouched by default.
         if !topology.is_dormant() {
-            append_route_tag(&mut session.wire, session.route);
+            append_route_tag(wire, session.route);
         }
         self.transmit_attempt(sid, charge)
     }

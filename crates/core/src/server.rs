@@ -272,6 +272,11 @@ impl CloudServerNode {
         self.vms.get(&vid).map(|s| s.local)
     }
 
+    /// Each hosted VM with its local simulator id, in vid order.
+    pub(crate) fn residents(&self) -> impl Iterator<Item = (Vid, VmId)> + '_ {
+        self.vms.iter().map(|(&vid, slot)| (vid, slot.local))
+    }
+
     /// Runs the hypervisor for `duration_us` of simulated time.
     pub fn advance(&mut self, duration_us: u64) {
         self.sim.run_for(duration_us);

@@ -227,10 +227,8 @@ pub(crate) struct AttestSession {
     pub(crate) attempt: u32,
     /// Accumulated end-to-end latency charge.
     pub(crate) elapsed_us: u64,
-    /// The plaintext being (re)transmitted on the current hop.
-    pub(crate) wire: Vec<u8>,
-    /// The sealed record of the current hop, cached on the first
-    /// attempt so retransmits put the byte-identical record (same
+    /// The current hop's record, sealed on its first attempt so
+    /// retransmits put the byte-identical record (same
     /// channel sequence number) back on the wire. A late or duplicated
     /// copy of an already-delivered record then bounces off the
     /// receiver's anti-replay window — the hop can never be processed
@@ -326,7 +324,6 @@ impl AttestSession {
         msg: MsgKind::Msg2,
         attempt: 0,
         elapsed_us: 0,
-        wire: Vec::new(),
         sealed: Vec::new(),
         generation: 0,
         late: Vec::new(),
@@ -354,9 +351,9 @@ impl AttestSession {
 
     /// Re-initializes a (possibly recycled) arena slot for a new
     /// exchange: [`AttestSession::VACANT`] plus the arguments, with the
-    /// five `Vec`-backed fields carried across cleared so a recycled
+    /// four `Vec`-backed fields carried across cleared so a recycled
     /// slot's buffer capacity survives. The caller then enters the
-    /// program's first op, which encodes the opening hop into `wire`.
+    /// program's first op, which builds and seals the opening hop.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn reset(
         &mut self,
@@ -382,7 +379,6 @@ impl AttestSession {
             program,
             req_vid: vid,
             req_property: property,
-            wire: cleared(&mut self.wire),
             sealed: cleared(&mut self.sealed),
             late: cleared(&mut self.late),
             inbox: cleared(&mut self.inbox),
@@ -526,7 +522,9 @@ impl Cloud {
         }
     }
 
-    /// Seals and transmits the session's current hop payload once. The
+    /// Transmits the session's current hop record once, sealing it from
+    /// `Events::plaintext` on the hop's first attempt (the hop entry
+    /// encodes it there just before). The
     /// simulator resolves the outcome at send time; exactly one
     /// follow-up event is scheduled — the arrival of a delivered record
     /// or the sender's timeout for a lost/rejected one. `pre_delay_us`
@@ -575,10 +573,11 @@ impl Cloud {
         // Seal once per hop: retransmits resend the byte-identical
         // record, so the receiver's anti-replay window deduplicates a
         // late first copy arriving after a retransmit was processed.
-        // The sealed record lives in the session's reusable buffer
-        // (empty = not sealed yet for this hop).
+        // The sealed record lives in the session's reusable buffer; the
+        // plaintext is dead once sealed, so it never leaves the
+        // cloud-wide scratch.
         if session.attempt == 1 {
-            send.seal_into(b"", &session.wire, &mut session.sealed);
+            send.seal_into(b"", &events.plaintext, &mut session.sealed);
         }
         stats.messages_sent += 1;
         let record = &mut events.record_scratch;

@@ -23,7 +23,8 @@
 //! Like the rest of the crate this is not constant-time: the table index
 //! is the exponent's column.
 //!
-//! The tables are immutable once built and shared behind an [`Arc`], so
+//! The tables are immutable once built and shared behind an [`Arc`]
+//! together with their Montgomery context, so a comb is one pointer and
 //! a clone — a verifier handing its key to another thread — bumps a
 //! reference count instead of copying kilobytes.
 
@@ -42,10 +43,16 @@ const ENTRIES: usize = 1 << ROWS;
 /// exponent. See the module docs for the layout and the cost.
 #[derive(Clone)]
 pub struct Comb<const SUBTABLES: usize> {
+    shared: Arc<Shared<SUBTABLES>>,
+}
+
+/// What every clone of a [`Comb`] shares: the context the entries are
+/// in, and the entries.
+struct Shared<const SUBTABLES: usize> {
     ctx: MontgomeryCtx,
     /// `tables[j][u]` is the product over the rows `i` set in `u` of
     /// `base^(2^(ROW_BITS·i + BLOCK·j))`, in Montgomery form.
-    tables: Arc<[[U256; ENTRIES]; SUBTABLES]>,
+    tables: [[U256; ENTRIES]; SUBTABLES],
 }
 
 impl<const SUBTABLES: usize> Comb<SUBTABLES> {
@@ -58,7 +65,11 @@ impl<const SUBTABLES: usize> Comb<SUBTABLES> {
     /// Builds the table for `base` (ordinary form, reduced or not) under
     /// `ctx`: 256 squarings plus 247 multiplies per sub-table, paid once.
     pub fn new(ctx: &MontgomeryCtx, base: &U256) -> Self {
-        let mut tables = Box::new([[ctx.one_mont(); ENTRIES]; SUBTABLES]);
+        let mut shared = Box::new(Shared {
+            ctx: ctx.clone(),
+            tables: [[ctx.one_mont(); ENTRIES]; SUBTABLES],
+        });
+        let tables = &mut shared.tables;
         // `power` walks base^(2^t); bit t is column `t % ROW_BITS` of row
         // `t / ROW_BITS`, and a column that opens a block seeds the
         // single-row entry of that block's sub-table.
@@ -80,30 +91,30 @@ impl<const SUBTABLES: usize> Comb<SUBTABLES> {
             }
         }
         Comb {
-            ctx: ctx.clone(),
-            tables: Arc::from(tables),
+            shared: Arc::from(shared),
         }
     }
 
     /// Computes `base^exp` modulo the context's modulus.
     pub fn pow(&self, exp: &U256) -> U256 {
-        self.ctx.from_mont(&self.pow_mont(exp))
+        self.shared.ctx.from_mont(&self.pow_mont(exp))
     }
 
     /// [`Self::pow`], but the result stays in Montgomery form, for
     /// callers that multiply it into other Montgomery-domain factors
     /// before converting out once.
     pub fn pow_mont(&self, exp: &U256) -> U256 {
-        let mut acc = self.ctx.one_mont();
+        let Shared { ctx, tables } = &*self.shared;
+        let mut acc = ctx.one_mont();
         for k in (0..Self::BLOCK).rev() {
             if k + 1 != Self::BLOCK {
-                acc = self.ctx.mont_sqr(&acc);
+                acc = ctx.mont_sqr(&acc);
             }
-            for (j, table) in self.tables.iter().enumerate() {
+            for (j, table) in tables.iter().enumerate() {
                 // Exponent-indexed lookup: a documented simulation
                 // tradeoff, as in `MontgomeryCtx::pow_mont`.
                 let entry = &table[column(exp, j * Self::BLOCK + k)];
-                acc = self.ctx.mont_mul(&acc, entry);
+                acc = ctx.mont_mul(&acc, entry);
             }
         }
         acc

@@ -441,6 +441,14 @@ mod tests {
     }
 
     #[test]
+    fn a_bound_key_is_a_key_and_a_pointer() {
+        // The table and its Montgomery context sit behind the one
+        // shared pointer, so a clone held per job stays small.
+        let pointer = std::mem::size_of::<usize>();
+        assert_eq!(std::mem::size_of::<BoundKey>(), 32 + pointer);
+    }
+
+    #[test]
     fn debug_hides_secret() {
         let sk = keypair(11);
         let repr = format!("{:?}", sk);

@@ -328,6 +328,17 @@ impl ServerSim {
         Some(&mut self.vms[row].vm)
     }
 
+    /// The position of `vm`'s row among the live VMs' (creation order),
+    /// if it is live.
+    pub fn vm_row(&self, vm: VmId) -> Option<usize> {
+        self.row_of(vm)
+    }
+
+    /// How many VMs are live.
+    pub fn vm_count(&self) -> usize {
+        self.vms.len()
+    }
+
     /// The live VMs' ids, in creation order.
     #[cold]
     pub fn vm_ids(&self) -> Vec<VmId> {

@@ -13,16 +13,20 @@
 use cloudmonatt::core::{CloudBuilder, Flavor, Image, SecurityProperty, VmRequest};
 use cloudmonatt::net::sim::FaultModel;
 
+mod support;
+use support::audited;
+
 const SUBS: usize = 64;
 const PERIOD_US: u64 = 1_000_000;
 
 #[test]
 fn sixty_four_lossy_subscriptions_interleave_without_blocking() {
-    let mut cloud = CloudBuilder::new()
-        .servers(4)
-        .pcpus_per_server(16)
-        .seed(0xC0FFEE)
-        .build();
+    let mut cloud = audited(
+        CloudBuilder::new()
+            .servers(4)
+            .pcpus_per_server(16)
+            .seed(0xC0FFEE),
+    );
 
     let mut vids = Vec::with_capacity(SUBS);
     for _ in 0..SUBS {

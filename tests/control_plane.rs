@@ -8,6 +8,9 @@
 
 use cloudmonatt::core::{CloudBuilder, Flavor, Image, NodeId, SecurityProperty, Vid, VmRequest};
 
+mod support;
+use support::audited;
+
 fn launch(cloud: &mut cloudmonatt::core::Cloud) -> Vid {
     cloud
         .request_vm(
@@ -19,11 +22,12 @@ fn launch(cloud: &mut cloudmonatt::core::Cloud) -> Vid {
 
 #[test]
 fn controller_crash_fails_over_and_recovery_reclaims() {
-    let mut cloud = CloudBuilder::new()
-        .servers(3)
-        .seed(1601)
-        .control_plane(3, 1)
-        .build();
+    let mut cloud = audited(
+        CloudBuilder::new()
+            .servers(3)
+            .seed(1601)
+            .control_plane(3, 1),
+    );
     let vid = launch(&mut cloud);
     let shard = cloud.control_plane().shard_of(vid);
     let home = cloud
@@ -67,11 +71,12 @@ fn controller_crash_fails_over_and_recovery_reclaims() {
 
 #[test]
 fn total_controller_outage_fails_fast_until_recovery() {
-    let mut cloud = CloudBuilder::new()
-        .servers(2)
-        .seed(1602)
-        .control_plane(2, 1)
-        .build();
+    let mut cloud = audited(
+        CloudBuilder::new()
+            .servers(2)
+            .seed(1602)
+            .control_plane(2, 1),
+    );
     let vid = launch(&mut cloud);
     cloud.crash_node(NodeId::Controller(0));
     cloud.crash_node(NodeId::Controller(1));
@@ -94,12 +99,13 @@ fn total_controller_outage_fails_fast_until_recovery() {
 
 #[test]
 fn as_replica_crash_reroutes_and_invalidates_only_its_cache() {
-    let mut cloud = CloudBuilder::new()
-        .servers(3)
-        .seed(1603)
-        .control_plane(1, 2)
-        .evidence_cache(60_000_000)
-        .build();
+    let mut cloud = audited(
+        CloudBuilder::new()
+            .servers(3)
+            .seed(1603)
+            .control_plane(1, 2)
+            .evidence_cache(60_000_000),
+    );
     // Find one VM preferring each replica (the preference is a stable
     // Vid hash, so a handful of launches covers both).
     let mut on_replica = [None::<Vid>; 2];

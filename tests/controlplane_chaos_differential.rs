@@ -12,6 +12,9 @@ use cloudmonatt::core::{
 };
 use proptest::prelude::*;
 
+mod support;
+use support::audited;
+
 /// Horizon of every run, in µs. Scripted events are quantized onto a
 /// coarse grid well inside it so each crash has room to recover.
 const HORIZON_US: u64 = 24_000_000;
@@ -63,11 +66,12 @@ proptest! {
         seed in 0u64..500,
         events in arb_events(),
     ) {
-        let mut cloud = CloudBuilder::new()
-            .servers(3)
-            .seed(seed)
-            .control_plane(k, n)
-            .build();
+        let mut cloud = audited(
+            CloudBuilder::new()
+                .servers(3)
+                .seed(seed)
+                .control_plane(k, n)
+        );
         let vid = cloud
             .request_vm(
                 VmRequest::new(Flavor::Small, Image::Cirros)

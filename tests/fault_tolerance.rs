@@ -8,8 +8,11 @@ use cloudmonatt::core::{
 };
 use cloudmonatt::net::sim::FaultModel;
 
+mod support;
+use support::audited;
+
 fn lossy_cloud(seed: u64) -> (cloudmonatt::core::Cloud, cloudmonatt::core::Vid) {
-    let mut cloud = CloudBuilder::new().servers(3).seed(seed).build();
+    let mut cloud = audited(CloudBuilder::new().servers(3).seed(seed));
     let vid = cloud
         .request_vm(
             VmRequest::new(Flavor::Small, Image::Cirros)
@@ -80,12 +83,13 @@ fn corruption_is_rejected_then_retried() {
 
 #[test]
 fn total_blackout_escalates_and_auto_migrates() {
-    let mut cloud = CloudBuilder::new()
-        .servers(3)
-        .seed(504)
-        .escalation_threshold(2)
-        .auto_response(true)
-        .build();
+    let mut cloud = audited(
+        CloudBuilder::new()
+            .servers(3)
+            .seed(504)
+            .escalation_threshold(2)
+            .auto_response(true),
+    );
     let vid = cloud
         .request_vm(
             VmRequest::new(Flavor::Small, Image::Cirros)
@@ -136,11 +140,12 @@ fn retry_policy_budget_is_respected() {
 
 #[test]
 fn fail_fast_policy_restores_old_behaviour() {
-    let mut cloud = CloudBuilder::new()
-        .servers(3)
-        .seed(506)
-        .retry(RetryPolicy::disabled())
-        .build();
+    let mut cloud = audited(
+        CloudBuilder::new()
+            .servers(3)
+            .seed(506)
+            .retry(RetryPolicy::disabled()),
+    );
     let vid = cloud
         .request_vm(
             VmRequest::new(Flavor::Small, Image::Cirros)

@@ -8,10 +8,13 @@ use cloudmonatt::core::{
 };
 use cloudmonatt::net::sim::FaultModel;
 
+mod support;
+use support::audited;
+
 /// A three-server cloud from `cloud` with one VM monitored for runtime
 /// integrity.
 fn chaos_cloud(cloud: CloudBuilder) -> (cloudmonatt::core::Cloud, cloudmonatt::core::Vid) {
-    let mut cloud = cloud.servers(3).build();
+    let mut cloud = audited(cloud.servers(3));
     let vid = cloud
         .request_vm(
             VmRequest::new(Flavor::Small, Image::Cirros)
@@ -140,7 +143,7 @@ fn stochastic_churn_preserves_liveness_invariants() {
     // Servers churn with a 4 s MTBF and 1 s MTTR while attestation
     // sessions run every half second.
     let churn = || {
-        let mut cloud = CloudBuilder::new().servers(4).seed(905).build();
+        let mut cloud = audited(CloudBuilder::new().servers(4).seed(905));
         for _ in 0..3 {
             let vid = cloud
                 .request_vm(

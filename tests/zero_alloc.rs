@@ -11,7 +11,7 @@
 //! buffers with a batch of direct attestations. After warm-up, every
 //! further attestation round must perform **zero** heap allocations: the slab
 //! arena recycles the session slot, `Wire::encode_into` reuses the
-//! session's wire buffer, the channel seals and opens into retained
+//! cloud's plaintext scratch, the channel seals and opens into retained
 //! scratch buffers, and the event queue's heap has reached its
 //! steady-state capacity.
 //!
@@ -34,14 +34,16 @@
 //! cycles to a constant live heap, and `bytes_per_resident_idle_vm`,
 //! `bytes_per_in_flight_session` and `bytes_per_delivered_report` cap
 //! what one more VM, one more concurrent session and one more held
-//! periodic report cost.
+//! periodic report cost. `a_second_replica_builds_no_second_identity_table`
+//! caps what a second Attestation-Server replica costs below one
+//! identity-key table per server.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::Ordering;
 
 use cloudmonatt::core::{
-    Cloud, CloudBuilder, Flavor, Frequency, Image, ResponseAction, SecurityProperty, VmRequest,
-    WorkloadSpec,
+    Cloud, CloudBuilder, Flavor, Frequency, Image, ResponseAction, SecurityProperty, ServerId,
+    VmRequest, WorkloadSpec,
 };
 
 struct CountingAlloc;
@@ -166,7 +168,7 @@ fn warm_attestation_rounds_do_not_allocate() {
             )
             .expect("launch");
 
-        // Warm-up: let every reusable buffer (session wire/sealed/inbox,
+        // Warm-up: let every reusable buffer (session sealed/inbox,
         // cloud scratch, the event heap, channel replay windows) reach its
         // steady-state capacity.
         for _ in 0..32 {
@@ -502,9 +504,9 @@ fn bytes_per_in_flight_session() {
     // periodic attestation. Every subscription's first session comes due
     // at one instant, so `Cloud::run` holds them all in flight at once;
     // the run's peak live heap over its start is their cost. Ceiling:
-    // 2,102 B, the cost measured before a terminated VM's rows were
-    // reclaimed, plus 10 %.
-    const CEILING: i64 = 2_312;
+    // 1,942 B, the cost measured once a session stopped keeping its hop's
+    // plaintext (2,294 B before), plus 10 %.
+    const CEILING: i64 = 2_136;
     const VMS: usize = 128;
     let property = SecurityProperty::RuntimeIntegrity;
     let peak_over_start = |subscribed: usize| {
@@ -534,6 +536,42 @@ fn bytes_per_in_flight_session() {
     assert!(
         per_session <= CEILING,
         "an in-flight session costs {per_session} B live (ceiling {CEILING})"
+    );
+}
+
+#[test]
+fn a_second_replica_builds_no_second_identity_table() {
+    // Two clouds alike but for their Attestation-Server replicas, one or
+    // two, each warmed until every server's identity key has been bound
+    // by every replica that appraises it: eight VMs a server, each
+    // attested three times. The second replica brings its own keys,
+    // channels and pCA registrations, but the identity keys' tables are
+    // shared: it must cost less than one more 8 KiB table per server.
+    // It reads 92,184 B; with a table per replica, 230,168 B.
+    const SERVERS: u32 = 16;
+    const TABLE: i64 = 8 * 1024;
+    let property = SecurityProperty::StartupIntegrity;
+    let held = |replicas: u32| {
+        let start = live_bytes();
+        let builder = CloudBuilder::new().servers(SERVERS as usize).seed(84);
+        let mut cloud = builder.control_plane(1, replicas).build();
+        for server in (0..SERVERS).cycle().take(8 * SERVERS as usize) {
+            let request = idle_vm().require(property).on_server(ServerId(server));
+            let vid = cloud.request_vm(request).expect("launch");
+            for _ in 0..3 {
+                let report = cloud.startup_attest_current(vid, property);
+                assert!(report.expect("attest").healthy());
+            }
+        }
+        let held = live_bytes() - start;
+        drop(cloud);
+        held
+    };
+    let second = held(2) - held(1);
+    assert!(
+        second < i64::from(SERVERS) * TABLE,
+        "a second replica costs {second} B live: at least one identity table \
+         ({TABLE} B) per server ({SERVERS})"
     );
 }
 
