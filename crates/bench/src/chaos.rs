@@ -5,7 +5,7 @@
 //! sheds bursts and every session carries an end-to-end deadline. The
 //! harness is an executable liveness proof, not a latency figure: each
 //! cell audits the cloud's own ledgers (`Cloud::audit`: sessions,
-//! outages, no stranded VM, shard ownership, resident rows) after every
+//! outages, no stranded VM, resident rows, report issue times) after every
 //! event it dispatches, through the attached `Audit` observer, then
 //! asserts that nothing is left in flight and that the drop and VM
 //! counts reconcile. A wedged queue, a leaked session or a VM stranded

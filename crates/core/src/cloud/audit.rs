@@ -1,8 +1,10 @@
-//! The cloud's ledgers, stated once. [`Cloud::audit`] reads the planes'
-//! own state — the session arena, `Outages::down`, the controller's VM
-//! records, the topology, each server's simulator, each subscription's
-//! report log — and names the first rule that drifted. It takes `&self`:
-//! it draws nothing from the DRBG and moves no clock. Attached as the
+//! The cloud's ledgers, stated once. Each fact the cloud keeps has one
+//! owner; [`Cloud::audit`] checks only what is kept twice on purpose —
+//! a history against what it produced (sessions, outages, report issue
+//! times) and a named cache against its owner (a VM row's `server` and
+//! a server's `free_vcpus`, both caches of the nodes' slots; DESIGN.md
+//! §10.2) — and names the first rule that drifted. It takes `&self`: it
+//! draws nothing from the DRBG and moves no clock. Attached as the
 //! [`Audit`](super::Audit) observer, it runs after every event
 //! `Cloud::pump` dispatches; `monatt-core`'s test builds attach it.
 
@@ -30,7 +32,7 @@ pub enum Invariant {
         crashes: u64,
         /// Recoveries applied.
         recoveries: u64,
-        /// Nodes in the down-set.
+        /// Nodes in the topology's down-set.
         down: u64,
     },
     /// No live VM sits on a crashed server.
@@ -40,23 +42,16 @@ pub enum Invariant {
         /// Its host, which is down.
         server: ServerId,
     },
-    /// The topology mirrors the down-set: each shard is owned by the
-    /// first live controller on its ring, and each replica's up flag is
-    /// right.
-    ShardOwner {
-        /// `Controller(s)` for a misowned shard `s`, or the replica.
-        node: NodeId,
-    },
-    /// Each server holds a slot, and its simulator a VM row (which holds
-    /// the VM's PMU counters and profile window) and vCPU rows, for
-    /// exactly the live VMs placed on it, with their flavors' vCPUs.
+    /// The placement caches agree with the nodes' slots, which own
+    /// what each server hosts: every slot's record names its server and
+    /// the slots number the live VMs, each server's simulator has one VM
+    /// per slot, and its cached `free_vcpus` is what its node has free.
     ResidentRows {
         /// The server whose rows drifted.
         server: ServerId,
     },
-    /// Each periodic subscription's report log holds one record per
-    /// delivered report and per escalation, its `Unreachable` records are
-    /// its escalations, and none was issued after the wall clock.
+    /// No record in a periodic subscription's report log was issued
+    /// after the wall clock.
     SubscriptionLedger {
         /// The subscription whose log drifted.
         id: u64,
@@ -70,7 +65,7 @@ impl fmt::Display for Invariant {
 }
 
 impl Cloud {
-    /// Checks the cloud's six ledgers against its own state. Changes
+    /// Checks the cloud's five ledgers against its own state. Changes
     /// nothing.
     ///
     /// # Errors
@@ -89,7 +84,8 @@ impl Cloud {
             });
         }
         let outages = &self.outage.stats;
-        let down = self.outage.down.len() as u64;
+        let topology = &self.topology;
+        let down = topology.down_nodes().count() as u64;
         if outages.crashes != outages.recoveries + down {
             return Err(Invariant::OutageLedger {
                 crashes: outages.crashes,
@@ -97,36 +93,15 @@ impl Cloud {
                 down,
             });
         }
-        let is_down = |node| self.outage.down.contains(&node);
-        let server_down = self
-            .outage
-            .down
-            .iter()
-            .any(|n| matches!(n, NodeId::Server(_)));
-        if server_down {
-            for r in self.fleet.controller.vms() {
-                if is_down(NodeId::Server(r.server)) {
-                    let (vid, server) = (r.vid, r.server);
-                    return Err(Invariant::StrandedVm { vid, server });
-                }
-            }
-        }
-        // A controller's up flag shows through its home shard's owner; a
-        // replica's is checked directly.
-        let topology = &self.topology;
-        for r in 0..topology.replicas() {
-            let node = NodeId::AttestationServer(r);
-            if topology.replica_is_live(r) == is_down(node) {
-                return Err(Invariant::ShardOwner { node });
-            }
-        }
-        let k = topology.controllers();
-        for shard in 0..k {
-            let mut ring = (shard..shard + k).map(|i| i % k);
-            let first_live = ring.find(|&i| !is_down(NodeId::Controller(i)));
-            if topology.owner_of_shard(shard) != first_live {
-                let node = NodeId::Controller(shard);
-                return Err(Invariant::ShardOwner { node });
+        // What a server hosts is its node's slots (the records agree, or
+        // `ResidentRows` below fails).
+        for node in topology.down_nodes() {
+            let NodeId::Server(server) = node else {
+                continue;
+            };
+            let slots = self.fleet.nodes().get(&server).map(|n| n.residents());
+            if let Some((vid, _)) = slots.and_then(|mut s| s.next()) {
+                return Err(Invariant::StrandedVm { vid, server });
             }
         }
         self.audit_resident_rows()?;
@@ -139,91 +114,50 @@ impl Cloud {
         sessions.filter(|(_, s)| s.pending.is_none()).count() as u64
     }
 
-    /// The [`Invariant::ResidentRows`] rule, server by server: each
-    /// slot is a live VM placed on its server, with a simulator row of
-    /// its flavor's vCPUs that no other slot names, and the simulator
-    /// has no other row. Slots are keyed by vid and a vid is placed on
-    /// one server, so if the slots also number the live VMs, every live
-    /// VM has its slot. Allocates only for a server with more than 64
-    /// VMs: it runs after every event the audit observer sees.
+    /// The [`Invariant::ResidentRows`] rule. Per server: the simulator
+    /// counts one VM a slot and the cached free vCPUs are the node's.
+    /// The simulator's rows need no more than a count:
+    /// `CloudServerNode::launch_vm_pinned` and `remove_vm` are the only
+    /// code that creates or retires a simulator VM. Then the records, in
+    /// vid order, claim each server's slots, in vid order: every record
+    /// claims the next slot of the server it names, and no slot is left
+    /// unclaimed. One pass, no lookup by vid: it runs after every event
+    /// the audit observer sees.
     fn audit_resident_rows(&self) -> Result<(), Invariant> {
         let controller = &self.fleet.controller;
-        let nodes = self.fleet.nodes();
-        let mut slots = 0;
-        for (&server, node) in nodes {
-            let sim = node.sim();
-            let rows = sim.vm_count();
-            let mut named = RowSet::new(rows);
-            let held = node.residents().all(|(vid, local)| {
-                let record = controller.vm(vid).filter(|r| r.server == server);
-                let vcpus = record.map(|r| r.flavor.vcpus());
-                let row = sim.vm_row(local).filter(|&row| named.insert(row));
-                row.is_some() && sim.vm(local).map(|vm| vm.vcpu_count) == vcpus
-            });
-            if !held || node.vm_count() != rows {
+        let mut table = controller.servers();
+        let mut slots = Vec::with_capacity(self.fleet.nodes().len());
+        for (&server, node) in self.fleet.nodes() {
+            let info = table.next().filter(|info| info.id == server);
+            let free = info.map(|info| info.free_vcpus);
+            if node.vm_count() != node.sim().vm_count() || free != Some(node.free_vcpus()) {
                 return Err(Invariant::ResidentRows { server });
             }
-            slots += rows;
+            slots.push((server, node.residents()));
         }
-        if slots != controller.vm_count() {
-            // A live VM without its slot: name its server.
-            let unplaced = controller.vms().find(|r| {
-                let node = nodes.get(&r.server);
-                node.and_then(|n| n.local_vm(r.vid)).is_none()
-            });
-            let server = unplaced.map_or(ServerId(0), |r| r.server);
-            return Err(Invariant::ResidentRows { server });
+        for r in controller.vms() {
+            // The builder numbers the servers from 0: an id is an index.
+            let cursor = slots.get_mut(r.server.0 as usize);
+            let cursor = cursor.filter(|(id, _)| *id == r.server);
+            let claimed = cursor.and_then(|(_, slots)| slots.next());
+            if claimed.map(|(vid, _)| vid) != Some(r.vid) {
+                return Err(Invariant::ResidentRows { server: r.server });
+            }
         }
-        Ok(())
+        let unclaimed = slots
+            .iter_mut()
+            .find_map(|(id, left)| left.next().map(|_| *id));
+        unclaimed.map_or(Ok(()), |server| Err(Invariant::ResidentRows { server }))
     }
 
     /// The [`Invariant::SubscriptionLedger`] rule: O(1) a subscription.
     fn audit_subscriptions(&self) -> Result<(), Invariant> {
         let now = self.events.now();
         for (&id, sub) in &self.subscriptions {
-            let (log, health) = (&sub.reports, &sub.health);
-            let escalations = u64::from(health.escalations);
-            if log.len() != health.delivered + escalations
-                || log.unreachable() != escalations
-                || log.last_issued_at_us().is_some_and(|at| at > now)
-            {
+            if sub.reports.last_issued_at_us().is_some_and(|at| at > now) {
                 return Err(Invariant::SubscriptionLedger { id });
             }
         }
         Ok(())
-    }
-}
-
-/// The simulator rows one server's slots have named so far.
-enum RowSet {
-    /// Up to 64 rows: a bit each.
-    Small(u64),
-    /// More.
-    Large(Vec<bool>),
-}
-
-impl RowSet {
-    fn new(rows: usize) -> Self {
-        if rows <= 64 {
-            RowSet::Small(0)
-        } else {
-            RowSet::Large(vec![false; rows])
-        }
-    }
-
-    /// Marks `row` named; `false` if it already was (or is out of range).
-    fn insert(&mut self, row: usize) -> bool {
-        match self {
-            RowSet::Small(bits) if row < 64 => {
-                let bit = 1u64 << row;
-                let fresh = *bits & bit == 0;
-                *bits |= bit;
-                fresh
-            }
-            RowSet::Small(_) => false,
-            RowSet::Large(named) => named
-                .get_mut(row)
-                .is_some_and(|seen| !std::mem::replace(seen, true)),
-        }
     }
 }

@@ -30,10 +30,6 @@ use monatt_workloads::programs::SpecProgram;
 use monatt_workloads::services::CloudService;
 use std::collections::BTreeMap;
 
-/// vCPU slots a server offers per pCPU: the controller's placement
-/// ledger starts each server at `pcpus_per_server` times this.
-const VCPUS_PER_PCPU: usize = 8;
-
 /// The guest workload to run in a requested VM. Kept as a declarative
 /// spec so migration can re-instantiate it on the destination server.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -424,7 +420,7 @@ impl CloudBuilder {
             node.set_avk_reuse(self.reuse_avk);
             controller.register_server(ServerInfo {
                 id,
-                free_vcpus: self.pcpus_per_server * VCPUS_PER_PCPU,
+                free_vcpus: node.free_vcpus(),
                 supported_properties: all_properties.iter().map(|p| p.label()).collect(),
             });
             servers.insert(id, node);
@@ -556,7 +552,7 @@ impl Cloud {
         let mut timing = LaunchTiming::default();
         // Crashed servers are never placement candidates; servers that
         // fail platform attestation join the exclusion set per attempt.
-        let mut excluded = self.outage.down_servers();
+        let mut excluded = self.topology.down_servers();
         let servers = self.server_count();
         // Try servers until one passes platform attestation.
         for _attempt in 0..servers.max(1) {

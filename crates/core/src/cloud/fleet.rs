@@ -5,8 +5,9 @@
 //!
 //! * **placement** — [`Fleet::place`] / [`Fleet::unplace`] are the only
 //!   code that puts a VM on a server or takes it off (launch, migration
-//!   and crash evacuation all go through them), so the simulator, the
-//!   row and the capacity table cannot disagree;
+//!   and crash evacuation all go through them). The node's slot map owns
+//!   what a server hosts; the row's `server` and the capability table's
+//!   `free_vcpus` are caches of it that these two refresh;
 //! * **lifecycle** — [`Fleet::set_state`] moves the node and the row
 //!   together (termination leaves neither a simulator row nor a record),
 //!   and [`Fleet::live`] is the one gate every operation on a VM passes:
@@ -170,18 +171,16 @@ impl Fleet {
         self.controller.vm(vid).ok_or(CloudError::UnknownVm(vid))
     }
 
-    /// The live VMs resident on `server`.
+    /// The live VMs resident on `server`, in vid order: its node's slots.
     pub(crate) fn residents(&self, server: ServerId) -> Vec<Vid> {
-        self.controller
-            .vms()
-            .filter(|r| r.server == server)
-            .map(|r| r.vid)
-            .collect()
+        let node = self.nodes.get(&server);
+        node.map_or_else(Vec::new, |n| n.residents().map(|(vid, _)| vid).collect())
     }
 
     /// Puts the recorded VM `vid` on `server`: boots its image (with the
     /// row's tamper flip), re-instantiates its workload from the
-    /// declarative spec, and books the row and the capacity table.
+    /// declarative spec, and refreshes the two caches of the placement —
+    /// the row's `server` and the server's free vCPUs.
     pub(crate) fn place(
         &mut self,
         vid: Vid,
@@ -211,22 +210,23 @@ impl Fleet {
         row.handles = handles;
         row.server = server;
         row.state = VmLifecycle::Active;
-        let flavor = row.flavor;
-        self.controller.take_capacity(server, flavor);
+        let free = node.free_vcpus();
+        self.controller.cache_free_vcpus(server, free);
         Ok(())
     }
 
     /// Takes `vid` off its server: the simulator state goes and the
-    /// capacity is released. The record stays (its `server` names the
-    /// last host) for the caller to re-place or retire.
+    /// server's free vCPUs are refreshed. The record stays (its `server`
+    /// names the last host) for the caller to re-place or retire.
     pub(crate) fn unplace(&mut self, vid: Vid, now_us: u64) {
         let Some(server) = self.controller.vm(vid).map(|r| r.server) else {
             return;
         };
         if let Some(node) = self.touch(server, now_us) {
             node.remove_vm(vid);
+            let free = node.free_vcpus();
+            self.controller.cache_free_vcpus(server, free);
         }
-        self.controller.release_capacity(vid);
     }
 
     /// Moves the live VM `vid` to the emptiest qualified server outside

@@ -13,7 +13,9 @@
 //!   pair, one lifecycle `set_state`, one `live` gate.
 //! * `appraisers` — the Attestation-Server replicas behind their
 //!   admission gate, msg-4 coalescing buffer and evidence window.
-//! * [`crate::outage`]'s `Outages` — schedule, down-set, counters.
+//! * [`crate::outage`]'s `Outages` — schedule, counters.
+//! * `topology` ([`ControlPlaneTopology`]) — the one down-set, shard
+//!   owners and replica health read from it, per-session routes.
 //! * `crate::links` — every secure channel and its re-key state.
 //!
 //! The files of this module are the facade over them:
@@ -110,10 +112,11 @@ pub struct Cloud {
     /// deployment. Message 6 is verified against the instance that
     /// served the session.
     pub(crate) customer_anchors: Vec<BoundKey>,
-    /// The outage schedule, the nodes currently down, the counters.
+    /// The outage schedule and the counters.
     pub(crate) outage: Outages,
-    /// The replicated control-plane topology: shard ownership, replica
-    /// health, and the per-session routing decisions.
+    /// The replicated control-plane topology: the nodes currently down
+    /// (servers included), the shard owners and replica health read
+    /// from them, and the per-session routing decisions.
     pub(crate) topology: ControlPlaneTopology,
     pub(crate) network: SimNetwork,
     /// Every secure channel, the identities behind them and the lazy
@@ -319,7 +322,7 @@ impl Cloud {
         if self.respond(vid, action).is_err() {
             self.fleet.auto_response_failures += 1;
             if let Some(s) = sub.and_then(|id| self.subscriptions.get_mut(&id)) {
-                s.health.failed_responses += 1;
+                s.failed_responses += 1;
             }
         }
     }
@@ -347,12 +350,12 @@ impl Cloud {
 
     /// Whether `node` is currently crashed.
     pub fn node_is_down(&self, node: NodeId) -> bool {
-        self.outage.down.contains(&node)
+        self.topology.is_down(node)
     }
 
     /// The nodes currently crashed.
     pub fn down_nodes(&self) -> Vec<NodeId> {
-        self.outage.down.iter().copied().collect()
+        self.topology.down_nodes().collect()
     }
 
     /// Whether the Attestation Server's admission gate is currently
@@ -368,15 +371,14 @@ impl Cloud {
     /// (checked before anything is transmitted), and a cloud server's
     /// resident VMs are evacuated to live servers.
     pub fn crash_node(&mut self, node: NodeId) {
-        if !self.outage.down.insert(node) {
-            return;
-        }
-        self.outage.stats.crashes += 1;
         // A crashed controller instance hands its shards to the next
         // live instance on the ring; a crashed AS replica drops out of
         // selection. New sessions route around the hole — the in-flight
         // ones pinned to it fail fast below and re-admit.
-        self.topology.on_crash(node);
+        if !self.topology.on_crash(node) {
+            return;
+        }
+        self.outage.stats.crashes += 1;
         // Fail in-flight sessions whose current hop depends on the
         // node. Sessions already holding a verdict or a parked outcome
         // keep it — their network work is done.
@@ -413,11 +415,10 @@ impl Cloud {
     /// never resume, without a synchronized handshake burst at
     /// recovery.
     pub fn recover_node(&mut self, node: NodeId) {
-        if !self.outage.down.remove(&node) {
+        if !self.topology.on_recover(node) {
             return;
         }
         self.outage.stats.recoveries += 1;
-        self.topology.on_recover(node);
         // Channel re-keying is deferred to first use (a mass recovery
         // must not burst handshakes), but the *trust boundary* advances
         // now: the pCA epoch of every replica whose links went stale
@@ -439,9 +440,9 @@ impl Cloud {
         }
     }
 
-    /// The replicated control-plane topology: shard ownership, replica
-    /// health and sizing. Dormant (K=1, N=1) unless configured via
-    /// [`CloudBuilder::control_plane`].
+    /// The replicated control-plane topology: the nodes down, shard
+    /// ownership, replica health and sizing. Dormant (K=1, N=1) unless
+    /// configured via [`CloudBuilder::control_plane`].
     pub fn control_plane(&self) -> &ControlPlaneTopology {
         &self.topology
     }

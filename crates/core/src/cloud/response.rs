@@ -48,7 +48,7 @@ impl Cloud {
             ResponseAction::Migration => {
                 // Re-run Policy Validation excluding the source and any
                 // crashed server.
-                let mut excluded = self.outage.down_servers();
+                let mut excluded = self.topology.down_servers();
                 self.fleet
                     .relocate(vid, &mut excluded, now)
                     .map_err(|_| CloudError::MigrationFailed { vid })?;
@@ -74,7 +74,7 @@ impl Cloud {
     /// migration.
     pub(crate) fn evacuate_server(&mut self, crashed: ServerId) {
         let now = self.events.now();
-        let mut excluded = self.outage.down_servers();
+        let mut excluded = self.topology.down_servers();
         for vid in self.fleet.residents(crashed) {
             // Evidence gathered on the crashed host is void for this VM
             // wherever it lands — on every replica.

@@ -58,10 +58,30 @@ pub(crate) struct Subscription {
     pub(crate) property: SecurityProperty,
     pub(crate) frequency: Frequency,
     pub(crate) next_due_us: u64,
-    /// Every report filed so far, held until [`Cloud::stop_attest_periodic`].
+    /// Every report filed so far, held until [`Cloud::stop_attest_periodic`]:
+    /// what [`SubscriptionHealth`]'s `delivered` and `escalations` count.
     pub(crate) reports: ReportLog,
-    /// The degradation counters, kept in their reporting form.
-    pub(crate) health: SubscriptionHealth,
+    /// Samples that came due but produced no report.
+    missed: u64,
+    /// Failures since the last successful sample.
+    consecutive_failures: u32,
+    /// Automatic remediation responses that failed.
+    pub(crate) failed_responses: u64,
+}
+
+impl Subscription {
+    /// The degradation counters: `delivered` and `escalations` counted
+    /// from the report log, the rest as kept.
+    fn health(&self) -> SubscriptionHealth {
+        let escalations = self.reports.unreachable();
+        SubscriptionHealth {
+            delivered: self.reports.len() - u64::from(escalations),
+            missed: self.missed,
+            consecutive_failures: self.consecutive_failures,
+            escalations,
+            failed_responses: self.failed_responses,
+        }
+    }
 }
 
 /// Records per chunk of a [`ReportLog`] (384 B).
@@ -103,7 +123,7 @@ pub(crate) struct ReportLog {
     /// The compromised records' reasons, in issue order.
     reasons: Vec<String>,
     /// `Unreachable` records: the escalations filed.
-    unreachable: u64,
+    unreachable: u32,
 }
 
 impl ReportLog {
@@ -139,7 +159,7 @@ impl ReportLog {
     }
 
     /// `Unreachable` records filed.
-    pub(crate) fn unreachable(&self) -> u64 {
+    pub(crate) fn unreachable(&self) -> u32 {
         self.unreachable
     }
 
@@ -232,7 +252,9 @@ impl Cloud {
                 frequency,
                 next_due_us: self.events.now() + first,
                 reports: ReportLog::default(),
-                health: SubscriptionHealth::default(),
+                missed: 0,
+                consecutive_failures: 0,
+                failed_responses: 0,
             },
         );
         Ok(id)
@@ -246,7 +268,7 @@ impl Cloud {
     pub fn subscription_health(&self, subscription: u64) -> Result<SubscriptionHealth, CloudError> {
         self.subscriptions
             .get(&subscription)
-            .map(|s| s.health)
+            .map(Subscription::health)
             .ok_or(CloudError::UnknownSubscription(subscription))
     }
 
@@ -404,31 +426,29 @@ impl Cloud {
             return;
         };
         sub.next_due_us = next_due;
-        let health = &mut sub.health;
         let mut escalated = false;
         match result {
             Ok(report) => {
                 debug_assert_eq!((report.vid, report.property), (vid, property));
-                health.consecutive_failures = 0;
-                health.delivered += 1;
+                sub.consecutive_failures = 0;
                 sub.reports
                     .push(report.status, report.elapsed_us, report.issued_at_us);
             }
             Err(e) => {
-                health.missed += 1;
+                sub.missed += 1;
                 // An admission-shed sample is the attestation server's
                 // own load decision, not evidence the monitored node is
                 // failing: it counts as missed but does not feed the
                 // unreachable-escalation streak.
                 if !matches!(e, CloudError::Overloaded { .. }) {
-                    health.consecutive_failures += 1;
-                    escalated = health.consecutive_failures >= threshold;
+                    sub.consecutive_failures += 1;
+                    escalated = sub.consecutive_failures >= threshold;
                 }
                 if escalated {
-                    health.escalations += 1;
                     // File the degradation as a first-class report so
-                    // the customer sees the monitoring gap.
-                    let missed = std::mem::take(&mut health.consecutive_failures);
+                    // the customer sees the monitoring gap: the log's
+                    // `Unreachable` records are the escalations.
+                    let missed = std::mem::take(&mut sub.consecutive_failures);
                     sub.reports
                         .push(HealthStatus::Unreachable { missed }, 0, now);
                 }

@@ -208,6 +208,29 @@ fn repeated_termination_releases_capacity_once() {
 }
 
 #[test]
+fn forced_overcommit_returns_exactly_the_capacity_it_took() {
+    // One pCPU: 8 vCPU slots a server. A forced placement skips Policy
+    // Validation's capacity filter, so three `Large` VMs (12 vCPUs) fit
+    // on server 0 and leave it 0 free, not less.
+    let mut c = CloudBuilder::new()
+        .servers(2)
+        .pcpus_per_server(1)
+        .seed(3)
+        .build();
+    // Server 0's cached free vCPUs.
+    let free = |c: &Cloud| c.fleet.controller.servers().next().map(|s| s.free_vcpus);
+    assert_eq!(free(&c), Some(8));
+    let large = || VmRequest::new(Flavor::Large, Image::Cirros).on_server(ServerId(0));
+    let vids: Vec<_> = (0..3).map(|_| c.request_vm(large()).unwrap()).collect();
+    assert_eq!(free(&c), Some(0));
+    for vid in vids {
+        c.respond(vid, ResponseAction::Termination).unwrap();
+    }
+    assert_eq!(free(&c), Some(8));
+    assert_eq!(c.audit(), Ok(()));
+}
+
+#[test]
 fn unreachable_escalation_does_not_resurrect_a_terminated_vm() {
     let prop = SecurityProperty::RuntimeIntegrity;
     let mut c = CloudBuilder::new()
@@ -844,6 +867,9 @@ fn missed_periodic_samples_escalate_to_unreachable() {
     let reports = c.stop_attest_periodic(sub).unwrap();
     let unreachable = reports.iter().filter(|r| r.status.is_unreachable()).count();
     assert!(unreachable >= 1, "escalation should file a report");
+    // The two counts are the report log's.
+    assert_eq!(health.escalations as usize, unreachable);
+    assert_eq!(health.delivered as usize, reports.len() - unreachable);
     assert!(c.subscription_health(sub).is_err());
 }
 

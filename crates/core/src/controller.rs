@@ -66,7 +66,9 @@ pub struct VmRecord {
 pub struct ServerInfo {
     /// The server id.
     pub id: ServerId,
-    /// Free vCPU slots (kept in sync by the deployment module).
+    /// Free vCPU slots: a cache of what the server's node can still
+    /// host, refreshed from the node by every placement and removal
+    /// (DESIGN.md §10.2).
     pub free_vcpus: usize,
     /// Property labels the server's Monitor Module supports.
     pub supported_properties: Vec<&'static str>,
@@ -234,8 +236,8 @@ impl CloudController {
             })
     }
 
-    /// Records a VM row. Capacity is taken when the VM is placed on its
-    /// server ([`Self::take_capacity`]) and released when it leaves.
+    /// Records a VM row. Its server's free vCPUs are refreshed when the
+    /// VM is placed there.
     pub fn record_deployment(&mut self, record: VmRecord) {
         self.vms.insert(record.vid, record);
     }
@@ -245,8 +247,8 @@ impl CloudController {
         self.vms.remove(&vid);
     }
 
-    /// Replaces a terminated VM's record by its tombstone. Its capacity
-    /// must have been released first ([`Self::release_capacity`]).
+    /// Replaces a terminated VM's record by its tombstone. It must have
+    /// been taken off its server first.
     pub(crate) fn retire_vm(&mut self, vid: Vid) {
         if self.vms.remove(&vid).is_none() {
             return;
@@ -287,25 +289,16 @@ impl CloudController {
         self.vms.values()
     }
 
-    /// How many VMs are live.
-    pub(crate) fn vm_count(&self) -> usize {
-        self.vms.len()
+    /// The capability table, in server-id order.
+    pub(crate) fn servers(&self) -> impl Iterator<Item = &ServerInfo> {
+        self.servers.values()
     }
 
-    /// Takes `flavor`'s capacity on `server` (a VM was placed there).
-    pub fn take_capacity(&mut self, server: ServerId, flavor: Flavor) {
+    /// Refreshes `server`'s free vCPU slots from its node, which the
+    /// caller has just placed a VM on or taken one off.
+    pub(crate) fn cache_free_vcpus(&mut self, server: ServerId, free: usize) {
         if let Some(info) = self.servers.get_mut(&server) {
-            info.free_vcpus = info.free_vcpus.saturating_sub(flavor.vcpus());
-        }
-    }
-
-    /// Releases a VM's capacity on its server (termination/migration).
-    pub fn release_capacity(&mut self, vid: Vid) {
-        if let Some(record) = self.vms.get(&vid) {
-            let vcpus = record.flavor.vcpus();
-            if let Some(server) = self.servers.get_mut(&record.server) {
-                server.free_vcpus += vcpus;
-            }
+            info.free_vcpus = free;
         }
     }
 
@@ -483,28 +476,6 @@ mod tests {
             .select_server(Flavor::Large, &[], Some(ServerId(1)))
             .unwrap_err();
         assert!(matches!(err, CloudError::NoQualifiedServer { .. }));
-    }
-
-    #[test]
-    fn capacity_bookkeeping() {
-        let mut c = controller_with_servers();
-        let vid = c.allocate_vid();
-        c.record_deployment(VmRecord {
-            vid,
-            flavor: Flavor::Large,
-            image: Image::Ubuntu,
-            properties: vec![],
-            server: ServerId(1),
-            state: VmLifecycle::Active,
-            workload: WorkloadSpec::Idle,
-            tampered: false,
-            pin_pcpu: None,
-            handles: WorkloadHandles::default(),
-        });
-        c.take_capacity(ServerId(1), Flavor::Large);
-        assert_eq!(c.servers[&ServerId(1)].free_vcpus, 12);
-        c.release_capacity(vid);
-        assert_eq!(c.servers[&ServerId(1)].free_vcpus, 16);
     }
 
     #[test]

@@ -4,20 +4,23 @@
 //! CloudMonatt's Figure 2 concentrates the trust pipeline in one Cloud
 //! Controller and one Attestation Server; this module describes the
 //! redundancy layer that turns a control-plane crash into a latency
-//! blip instead of an outage. It is pure *topology* — who owns which
-//! VM, which replica serves which session — and deliberately knows
-//! nothing about the data-plane latency model, channels, or caches:
+//! blip instead of an outage. It is pure *topology* — which nodes are
+//! down, who owns which VM, which replica serves which session — and
+//! deliberately knows nothing about the data-plane latency model,
+//! channels, or caches. Its down-set is the cloud's one record of
+//! crashed nodes, servers included; shard owners and replica health are
+//! read from it when asked:
 //!
 //! * **Controller sharding.** VM records, subscriptions and placement
 //!   decisions are routed to one of `K` controller instances by a
 //!   stable hash of the [`Vid`]. Every shard has a *home* instance
 //!   (`shard == instance index`); when the home is down, ownership
 //!   moves deterministically to the next live instance on the ring
-//!   (`home, home+1, …` mod `K`). Ownership is a pure function of the
-//!   up-set, so there is no adoption state to drift: recomputing after
-//!   every transition *is* the failover, and "every shard owned by
-//!   exactly one live instance" holds by construction whenever any
-//!   instance is live.
+//!   (`home, home+1, …` mod `K`). Ownership is a ring scan over the
+//!   down-set, so there is no adoption state to drift: a crash or
+//!   recovery *is* the failover, and "every shard owned by exactly one
+//!   live instance" holds by construction whenever any instance is
+//!   live. [`ControlPlaneStats`] counts the shards that change hands.
 //! * **AS replica pool.** Each session has a preferred replica (again a
 //!   stable `Vid` hash, salted so controller and AS assignments are
 //!   independent); a crashed replica reroutes sessions to the next live
@@ -44,7 +47,8 @@
 //! byte-identical to the unreplicated cloud (pinned by the golden
 //! trace).
 
-use crate::types::{NodeId, Vid};
+use crate::types::{NodeId, ServerId, Vid};
+use std::collections::BTreeSet;
 
 /// Hash salt separating the AS-replica assignment from the controller
 /// shard assignment, so the two ring positions of a VM are independent.
@@ -58,15 +62,6 @@ fn splitmix64(seed: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-/// The first live member of a ring of `up` flags, scanning from
-/// `start` — the one failover rule controllers and AS replicas share.
-fn first_live(up: &[bool], start: u32) -> Option<u32> {
-    let n = up.len() as u32;
-    (0..n)
-        .map(|step| (start + step) % n.max(1))
-        .find(|&i| up.get(i as usize).copied().unwrap_or(false))
 }
 
 /// The customer's secure-channel peer name. The customer endpoint is
@@ -111,16 +106,16 @@ pub struct ControlPlaneStats {
 }
 
 /// The replicated control-plane topology: `K` controller instances,
-/// `N` AS replicas, and the live/down health of each. See the module
-/// docs for the ownership and routing rules.
+/// `N` AS replicas, and the cloud's one record of which nodes are down
+/// (cloud servers included). Shard owners and replica health are read
+/// from that set on demand. See the module docs for the ownership and
+/// routing rules.
 #[derive(Clone, Debug)]
 pub struct ControlPlaneTopology {
     shards: u32,
     replicas: u32,
-    controller_up: Vec<bool>,
-    replica_up: Vec<bool>,
-    /// Current owner of each shard (`None` iff no controller is live).
-    owner: Vec<Option<u32>>,
+    /// Nodes currently crashed, of every kind.
+    down: BTreeSet<NodeId>,
     stats: ControlPlaneStats,
 }
 
@@ -129,26 +124,12 @@ impl ControlPlaneTopology {
     /// an AS pool of `replicas` (both clamped to ≥ 1). Everything
     /// starts live; each shard starts at its home instance.
     pub fn new(controllers: u32, replicas: u32) -> Self {
-        let shards = controllers.max(1);
-        let replicas = replicas.max(1);
         ControlPlaneTopology {
-            shards,
-            replicas,
-            controller_up: vec![true; shards as usize],
-            replica_up: vec![true; replicas as usize],
-            owner: (0..shards).map(Some).collect(),
+            shards: controllers.max(1),
+            replicas: replicas.max(1),
+            down: BTreeSet::new(),
             stats: ControlPlaneStats::default(),
         }
-    }
-
-    /// Number of controller instances (== number of shards), `K`.
-    pub fn controllers(&self) -> u32 {
-        self.shards
-    }
-
-    /// Number of AS replicas, `N`.
-    pub fn replicas(&self) -> u32 {
-        self.replicas
     }
 
     /// True for the unreplicated K=1/N=1 topology: no extra key
@@ -173,27 +154,35 @@ impl ControlPlaneTopology {
         (splitmix64(vid.0 ^ REPLICA_SALT) % u64::from(self.replicas)) as u32
     }
 
+    /// Whether `node` is currently crashed.
+    pub fn is_down(&self, node: NodeId) -> bool {
+        self.down.contains(&node)
+    }
+
+    /// The nodes currently crashed, in [`NodeId`] order.
+    pub fn down_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.down.iter().copied()
+    }
+
+    /// Cloud servers currently crashed (the exclusion set for
+    /// placement).
+    pub(crate) fn down_servers(&self) -> BTreeSet<ServerId> {
+        self.down_nodes()
+            .filter_map(|n| match n {
+                NodeId::Server(id) => Some(id),
+                _ => None,
+            })
+            .collect()
+    }
+
     /// The live owner of `shard`: the first live instance on the ring
     /// starting at the shard's home. `None` iff every controller
-    /// instance is down.
+    /// instance is down (or `shard` is not one of this topology's).
     pub fn owner_of_shard(&self, shard: u32) -> Option<u32> {
-        self.owner.get(shard as usize).copied().flatten()
-    }
-
-    /// Whether controller instance `instance` is currently live.
-    pub fn controller_is_live(&self, instance: u32) -> bool {
-        self.controller_up
-            .get(instance as usize)
-            .copied()
-            .unwrap_or(false)
-    }
-
-    /// Whether AS replica `replica` is currently live.
-    pub fn replica_is_live(&self, replica: u32) -> bool {
-        self.replica_up
-            .get(replica as usize)
-            .copied()
-            .unwrap_or(false)
+        if shard >= self.shards {
+            return None;
+        }
+        self.first_live(self.shards, shard, NodeId::Controller)
     }
 
     /// Every control-plane node of this topology, controllers first —
@@ -251,70 +240,59 @@ impl ControlPlaneTopology {
 
     /// First live replica on the ring starting at `preferred`.
     fn live_replica_from(&self, preferred: u32) -> Option<u32> {
-        first_live(&self.replica_up, preferred)
+        self.first_live(self.replicas, preferred, NodeId::AttestationServer)
     }
 
-    /// Recomputes every shard's owner from the up-set; returns how many
-    /// shards changed hands.
-    fn recompute_owners(&mut self) -> u64 {
-        let mut moved = 0u64;
-        for shard in 0..self.shards {
-            // First live controller instance on the ring from home.
-            let new = first_live(&self.controller_up, shard);
-            if let Some(slot) = self.owner.get_mut(shard as usize) {
-                if *slot != new {
-                    *slot = new;
-                    moved += 1;
-                }
-            }
-        }
-        moved
+    /// The first live member of a ring of `len` nodes named by `node`,
+    /// scanning from `start` — the one failover rule controllers and AS
+    /// replicas share.
+    fn first_live(&self, len: u32, start: u32, node: fn(u32) -> NodeId) -> Option<u32> {
+        (0..len)
+            .map(|step| (start + step) % len)
+            .find(|&i| !self.is_down(node(i)))
     }
 
-    /// Records a node crash. Server crashes are not topology events and
-    /// are ignored; a controller crash triggers the deterministic
-    /// failover (standbys adopt the dead instance's shards), an AS
-    /// crash gates the replica out of selection.
-    pub fn on_crash(&mut self, node: NodeId) {
-        match node {
-            NodeId::Controller(i) => {
-                if let Some(slot) = self.controller_up.get_mut(i as usize) {
-                    *slot = false;
-                }
-                let moved = self.recompute_owners();
-                if moved > 0 {
-                    self.stats.failovers += 1;
-                    self.stats.shards_adopted += moved;
-                }
-            }
-            NodeId::AttestationServer(r) => {
-                if let Some(slot) = self.replica_up.get_mut(r as usize) {
-                    *slot = false;
-                }
-            }
-            NodeId::Server(_) => {}
-        }
+    /// How many shards controller instance `instance` owns right now.
+    fn shards_owned_by(&self, instance: u32) -> u64 {
+        let shards = 0..self.shards;
+        shards
+            .filter(|&s| self.owner_of_shard(s) == Some(instance))
+            .count() as u64
     }
 
-    /// Records a node recovery: a recovered controller reclaims the
-    /// shards it is nearest home for; a recovered AS replica re-enters
-    /// selection (with cold caches — warming is the replica's problem,
-    /// not the topology's).
-    pub fn on_recover(&mut self, node: NodeId) {
-        match node {
-            NodeId::Controller(i) => {
-                if let Some(slot) = self.controller_up.get_mut(i as usize) {
-                    *slot = true;
-                }
-                self.stats.shards_reclaimed += self.recompute_owners();
-            }
-            NodeId::AttestationServer(r) => {
-                if let Some(slot) = self.replica_up.get_mut(r as usize) {
-                    *slot = true;
-                }
-            }
-            NodeId::Server(_) => {}
+    /// Records a node crash; `false` if it was already down. A
+    /// controller crash hands each shard it owned to the next live
+    /// instance on the ring (exactly those shards change hands), an AS
+    /// crash gates the replica out of selection, and a server crash
+    /// changes no route.
+    pub fn on_crash(&mut self, node: NodeId) -> bool {
+        let adopted = match node {
+            NodeId::Controller(i) => self.shards_owned_by(i),
+            _ => 0,
+        };
+        if !self.down.insert(node) {
+            return false;
         }
+        if adopted > 0 {
+            self.stats.failovers += 1;
+            self.stats.shards_adopted += adopted;
+        }
+        true
+    }
+
+    /// Records a node recovery; `false` if it was not down. A recovered
+    /// controller reclaims the shards it is nearest home for (exactly
+    /// those change hands); a recovered AS replica re-enters selection
+    /// (with cold caches — warming is the replica's problem, not the
+    /// topology's).
+    pub fn on_recover(&mut self, node: NodeId) -> bool {
+        if !self.down.remove(&node) {
+            return false;
+        }
+        if let NodeId::Controller(i) = node {
+            self.stats.shards_reclaimed += self.shards_owned_by(i);
+        }
+        true
     }
 }
 
@@ -356,20 +334,28 @@ mod tests {
     fn controller_crash_fails_over_on_the_ring_and_recovery_reclaims() {
         let mut t = ControlPlaneTopology::new(3, 1);
         assert_eq!(t.owner_of_shard(1), Some(1));
-        t.on_crash(NodeId::Controller(1));
+        assert!(t.on_crash(NodeId::Controller(1)));
         assert_eq!(t.owner_of_shard(1), Some(2), "next live on the ring");
         assert_eq!(t.owner_of_shard(0), Some(0), "other shards untouched");
         assert_eq!(t.stats().failovers, 1);
         assert_eq!(t.stats().shards_adopted, 1);
+        assert!(!t.on_crash(NodeId::Controller(1)), "already down");
+        assert_eq!(t.stats().failovers, 1, "a repeat crash moves nothing");
         t.on_crash(NodeId::Controller(2));
         assert_eq!(t.owner_of_shard(1), Some(0), "wraps past two dead");
         assert_eq!(t.owner_of_shard(2), Some(0));
-        t.on_recover(NodeId::Controller(1));
+        // Instance 2 owned shards 1 and 2; both move, in one failover.
+        assert_eq!(t.stats().failovers, 2);
+        assert_eq!(t.stats().shards_adopted, 3);
+        assert!(t.on_recover(NodeId::Controller(1)));
         assert_eq!(t.owner_of_shard(1), Some(1), "home reclaims");
         // Shard 2's home is still down; its ring scan (2 → 0 → 1) finds
         // instance 0 first, so recovery of 1 does not move it.
         assert_eq!(t.owner_of_shard(2), Some(0), "ring order is stable");
         assert_eq!(t.stats().shards_reclaimed, 1);
+        assert!(!t.on_recover(NodeId::Controller(1)), "already live");
+        assert_eq!(t.stats().shards_reclaimed, 1);
+        assert_eq!(t.down_nodes().collect::<Vec<_>>(), [NodeId::Controller(2)]);
     }
 
     #[test]
@@ -380,7 +366,11 @@ mod tests {
         let vid = Vid(7);
         let home = t.shard_of(vid);
         assert_eq!(t.owner_of_shard(home), None);
+        assert_eq!(t.owner_of_shard(2), None, "not a shard of this ring");
         assert_eq!(t.route_for(vid).controller, home);
+        // Shard 0 moved to instance 1, then both shards moved from
+        // instance 1 to nobody.
+        assert_eq!(t.stats().shards_adopted, 3);
     }
 
     #[test]
@@ -399,12 +389,20 @@ mod tests {
     }
 
     #[test]
-    fn server_churn_is_not_a_topology_event() {
+    fn server_churn_is_down_but_moves_no_route() {
         let mut t = ControlPlaneTopology::new(2, 2);
         let before = t.clone();
-        t.on_crash(NodeId::Server(crate::types::ServerId(3)));
-        t.on_recover(NodeId::Server(crate::types::ServerId(3)));
-        assert_eq!(t.owner_of_shard(0), before.owner_of_shard(0));
+        let server = NodeId::Server(ServerId(3));
+        assert!(t.on_crash(server));
+        assert!(t.is_down(server));
+        assert_eq!(t.down_servers(), BTreeSet::from([ServerId(3)]));
+        for vid in (0..16).map(Vid) {
+            let shard = t.shard_of(vid);
+            assert_eq!(t.owner_of_shard(shard), Some(shard));
+            assert_eq!(t.serving_replica(vid), t.preferred_replica(vid));
+        }
+        assert!(t.on_recover(server));
+        assert!(!t.is_down(server));
         assert_eq!(t.stats(), before.stats());
     }
 

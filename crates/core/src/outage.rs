@@ -21,12 +21,11 @@
 //!
 //! What a crash *means* (fail-fast sessions and hops, VM evacuation,
 //! forced re-handshake on recovery) is implemented in the cloud facade;
-//! the down-set and the counters live in `Outages`, the one record of
-//! which nodes are down.
+//! the schedule and the counters live in `Outages`, and the one record
+//! of which nodes are down is the [`crate::ControlPlaneTopology`].
 
 use crate::types::{NodeId, ServerId};
 use monatt_crypto::drbg::Drbg;
-use std::collections::BTreeSet;
 
 /// One node state transition the schedule wants to happen.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -278,31 +277,16 @@ pub struct OutageStats {
     pub evacuation_failures: u64,
 }
 
-/// The outage side of the cloud: the installed schedule, the nodes
-/// currently crashed and the failure counters. What a crash *does* to
-/// the other planes is [`crate::Cloud`]'s crash/recovery handler; this
-/// is the one owner of "which nodes are down".
+/// The outage side of the cloud: the installed schedule and the failure
+/// counters. What a crash *does* to the other planes is
+/// [`crate::Cloud`]'s crash/recovery handler; which nodes are down is
+/// the topology's.
 #[derive(Debug, Default)]
 pub(crate) struct Outages {
     /// The installed node-outage schedule, if any.
     pub(crate) model: Option<OutageModel>,
-    /// Nodes currently crashed.
-    pub(crate) down: BTreeSet<NodeId>,
     /// Node-failure activity counters.
     pub(crate) stats: OutageStats,
-}
-
-impl Outages {
-    /// Servers currently crashed (the exclusion set for placement).
-    pub(crate) fn down_servers(&self) -> BTreeSet<ServerId> {
-        self.down
-            .iter()
-            .filter_map(|n| match n {
-                NodeId::Server(id) => Some(*id),
-                _ => None,
-            })
-            .collect()
-    }
 }
 
 /// The Attestation Server's bounded admission gate.

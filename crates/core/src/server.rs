@@ -26,6 +26,9 @@ use std::collections::{BTreeMap, BTreeSet};
 /// 30 bins of 1 ms (Section 4.4.2): the VMM profile tool's interval bank.
 pub use monatt_hypervisor::profile::{INTERVAL_BINS, INTERVAL_BIN_WIDTH_US};
 
+/// vCPU slots a server offers per pCPU.
+const VCPUS_PER_PCPU: usize = 8;
+
 /// The signed response of the Attestation Client: measurements plus the
 /// quote `Q3 = H(Vid || rM || M || N3)` signed with the session key ASKs
 /// (Figure 3, message 4 content).
@@ -177,14 +180,17 @@ impl CloudServerNode {
         &mut self.sim
     }
 
-    /// Whether this server hosts `vid`.
-    pub fn hosts(&self, vid: Vid) -> bool {
-        self.vms.contains_key(&vid)
-    }
-
     /// Number of VMs on the server.
     pub fn vm_count(&self) -> usize {
         self.vms.len()
+    }
+
+    /// The vCPU slots still free: `VCPUS_PER_PCPU` per pCPU less the
+    /// hosted VMs' vCPUs, and none below zero (a placement forced onto
+    /// the server may overcommit it).
+    pub(crate) fn free_vcpus(&self) -> usize {
+        let slots = self.sim.pcpu_count() * VCPUS_PER_PCPU;
+        slots.saturating_sub(self.sim.vcpu_count())
     }
 
     /// Launches a VM: boots the guest from `image_bytes` (possibly
@@ -272,7 +278,8 @@ impl CloudServerNode {
         self.vms.get(&vid).map(|s| s.local)
     }
 
-    /// Each hosted VM with its local simulator id, in vid order.
+    /// Each hosted VM with its local simulator id, in vid order: the
+    /// one record of what this server hosts.
     pub(crate) fn residents(&self) -> impl Iterator<Item = (Vid, VmId)> + '_ {
         self.vms.iter().map(|(&vid, slot)| (vid, slot.local))
     }

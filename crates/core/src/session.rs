@@ -543,6 +543,7 @@ impl Cloud {
             retry,
             links,
             outage,
+            topology,
             ..
         } = self;
         let now = events.now();
@@ -553,7 +554,7 @@ impl Cloud {
         // draw or transmission, so the session does not burn the
         // retransmission ladder against a black hole.
         let mut ends = hop.link.ends().into_iter().flatten();
-        if let Some(node) = ends.find(|n| outage.down.contains(n)) {
+        if let Some(node) = ends.find(|&n| topology.is_down(n)) {
             return Err(CloudError::NodeDown { node });
         }
         // Lazy re-keying: a link marked stale by a node recovery is

@@ -328,15 +328,14 @@ impl ServerSim {
         Some(&mut self.vms[row].vm)
     }
 
-    /// The position of `vm`'s row among the live VMs' (creation order),
-    /// if it is live.
-    pub fn vm_row(&self, vm: VmId) -> Option<usize> {
-        self.row_of(vm)
-    }
-
     /// How many VMs are live.
     pub fn vm_count(&self) -> usize {
         self.vms.len()
+    }
+
+    /// How many vCPUs the live VMs have between them.
+    pub fn vcpu_count(&self) -> usize {
+        self.vcpus.len()
     }
 
     /// The live VMs' ids, in creation order.
@@ -396,6 +395,10 @@ impl ServerSim {
         self.next_vm += 1;
         let vm_row = self.vms.len();
         let rows = self.vcpus.len()..self.vcpus.len() + config.drivers.len();
+        // Rows grow by exactly what the VM adds: a server's VM count moves
+        // by one at a time, and doubling would hold room for as many again.
+        self.vms.reserve_exact(1);
+        self.vcpus.reserve_exact(rows.len());
         self.vms.push(VmRow {
             id: vm_id,
             first_vcpu: rows.start,
@@ -554,6 +557,8 @@ impl ServerSim {
         };
         self.vcpus.drain(rows.clone());
         self.close_gap(row, rows);
+        give_back_room(&mut self.vms);
+        give_back_room(&mut self.vcpus);
         Some(retired)
     }
 
@@ -1080,6 +1085,15 @@ fn for_each_share(
                 (params.credits_per_acct as i128 * vs.weight as i128 / total_weight as i128) as i64;
             credit(vs, share);
         }
+    }
+}
+
+/// Gives a row table's spare room back once its rows fall to half of
+/// it or less: a server that emptied (a crash evacuated it, churn
+/// moved its VMs on) keeps no room for the VMs it used to host.
+fn give_back_room<T>(rows: &mut Vec<T>) {
+    if rows.len() <= rows.capacity() / 2 {
+        rows.shrink_to_fit();
     }
 }
 
