@@ -510,7 +510,7 @@ mod tests {
         let req =
             attserver.build_measure_request(Vid(1), SecurityProperty::StartupIntegrity, nonce3);
         let resp: crate::messages::MeasureResponse =
-            node.attest(req.vid, req.spec, req.nonce3).unwrap().into();
+            node.attest(req.vid, req.spec, req.nonce3).unwrap();
         attserver
             .validate_response_with(&resp, Vid(1), req.spec, nonce3, &mut EncodeScratch::new())
             .unwrap();
@@ -526,7 +526,7 @@ mod tests {
         let req =
             attserver.build_measure_request(Vid(1), SecurityProperty::StartupIntegrity, nonce3);
         let mut resp: crate::messages::MeasureResponse =
-            node.attest(req.vid, req.spec, req.nonce3).unwrap().into();
+            node.attest(req.vid, req.spec, req.nonce3).unwrap();
         // Forge the measurement after quoting.
         resp.measurement = crate::measurements::Measurement::BootIntegrity {
             platform_pcr: [0; 32],
@@ -547,7 +547,7 @@ mod tests {
         let req =
             attserver.build_measure_request(Vid(1), SecurityProperty::StartupIntegrity, [3u8; 32]);
         let resp: crate::messages::MeasureResponse =
-            node.attest(req.vid, req.spec, req.nonce3).unwrap().into();
+            node.attest(req.vid, req.spec, req.nonce3).unwrap();
         let err = attserver
             .validate_response_with(
                 &resp,
@@ -580,10 +580,9 @@ mod tests {
             vec![Box::new(IdleDriver)],
             256,
         );
-        let resp: crate::messages::MeasureResponse = node
+        let resp = node
             .attest(Vid(1), MeasurementSpec::BootIntegrity, [0u8; 32])
-            .unwrap()
-            .into();
+            .unwrap();
         let err = attserver
             .validate_response_with(
                 &resp,
@@ -650,7 +649,7 @@ mod tests {
                     nonce3,
                 );
                 let resp: crate::messages::MeasureResponse =
-                    node.attest(req.vid, req.spec, req.nonce3).unwrap().into();
+                    node.attest(req.vid, req.spec, req.nonce3).unwrap();
                 (resp, req.spec, nonce3)
             })
             .collect()

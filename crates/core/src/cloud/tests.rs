@@ -1358,7 +1358,7 @@ fn a_bound_avk_rejects_exactly_what_the_bare_key_rejects() {
         let (spec, nonce3) = (MeasurementSpec::BootIntegrity, [5u8; 32]);
         let server = c.server_of(vid).unwrap();
         let node = c.server_mut(server).unwrap();
-        let mut response: MeasureResponse = node.attest(vid, spec, nonce3).unwrap().into();
+        let mut response = node.attest(vid, spec, nonce3).unwrap();
         forge(&mut response);
         let (attserver, scratch) = c.appraisers.routed(0).unwrap();
         attserver.validate_response_with(&response, vid, spec, nonce3, scratch)

@@ -74,17 +74,7 @@ impl fmt::Display for Check {
             }
             Check::Spec => f.write_str("measurement spec mismatch"),
             Check::Certification(e) => write!(f, "attestation key certification failed: {e}"),
-            Check::Malformed(msg, e) => {
-                let what = match msg {
-                    MsgKind::Msg1 => "request",
-                    MsgKind::Msg2 => "forward",
-                    MsgKind::Msg3 => "measure request",
-                    MsgKind::Msg4 => "measure response",
-                    MsgKind::Msg5 => "report",
-                    MsgKind::Msg6 => "customer report",
-                };
-                write!(f, "malformed {what}: {e}")
-            }
+            Check::Malformed(msg, e) => write!(f, "malformed {}: {e}", msg.row().noun),
             Check::RouteTag => f.write_str("record missing control-plane route tag"),
             Check::Misrouted => f.write_str("record misrouted across the control plane"),
             Check::Channel {

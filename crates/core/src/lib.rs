@@ -87,7 +87,7 @@ pub use measurements::{Measurement, MeasurementSpec, TaskInfo};
 pub use outage::{AdmissionControl, OutageModel, OutageStats};
 pub use pca::{AvkCertificate, PrivacyCa};
 pub use protocol::{Branch, CompileError, MsgKind, NonceSlot, ProgramId, Protocol, QuoteKind};
-pub use server::{AttestationResponse, CloudServerNode};
+pub use server::CloudServerNode;
 pub use types::{
     Flavor, HealthStatus, Image, NodeId, Nonce, ProtocolStats, SecurityProperty, ServerId, Vid,
 };

@@ -17,7 +17,7 @@
 use crate::controlplane::RouteTag;
 use crate::error::{CloudError, EndName};
 use crate::outage::OutageStats;
-use crate::protocol::{Channel, MsgKind};
+use crate::protocol::{Channel, MsgKind, MsgRow};
 use crate::session::LOST_SESSION;
 use crate::types::{NodeId, ServerId};
 use monatt_crypto::drbg::Drbg;
@@ -93,11 +93,11 @@ pub(crate) struct Hop {
 
 impl Hop {
     /// The hop a Figure-3 message makes for a session routed by `route`
-    /// and placed on `server` ([`MsgKind::channel`] names the channel).
+    /// and placed on `server` (its [`MsgKind::row`] names the channel).
     /// The single source of endpoint resolution — protocol code never
     /// names a link by string.
     pub(crate) fn of(msg: MsgKind, route: RouteTag, server: ServerId) -> Hop {
-        let (channel, reply) = msg.channel();
+        let MsgRow { channel, reply, .. } = msg.row();
         let link = match channel {
             Channel::Kx => LinkKey::CustCtrl(route.controller),
             Channel::Ky => LinkKey::CtrlAs(route.controller, route.replica),

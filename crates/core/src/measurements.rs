@@ -1,7 +1,11 @@
 //! Security measurements: what the Monitor Module collects and the Trust
 //! Module signs — the `M` of the attestation protocol.
 
+use monatt_hypervisor::profile::INTERVAL_BINS;
 use monatt_net::wire::{Reader, Wire, WireError, Writer};
+
+/// The most tasks one task list may carry on the wire.
+const MAX_TASKS: usize = 1_000_000;
 
 /// A measurement request specification (the protocol's `rM`): which
 /// measurements the Attestation Server wants from the target server. This
@@ -123,7 +127,7 @@ pub enum Measurement {
     },
     /// The 30 Trust Evidence Register counters of Case Study III.
     UsageIntervals {
-        /// Histogram counters.
+        /// Histogram counters: at most [`INTERVAL_BINS`] on the wire.
         bins: Vec<u64>,
         /// Bin width in microseconds.
         bin_width_us: u64,
@@ -162,7 +166,7 @@ fn put_tasks(w: &mut Writer, tasks: &[TaskInfo]) {
 
 fn get_tasks(r: &mut Reader<'_>) -> Result<Vec<TaskInfo>, WireError> {
     let n = r.get_u32()? as usize;
-    if n > 1_000_000 {
+    if n > MAX_TASKS {
         return Err(WireError::LengthOverflow);
     }
     (0..n).map(|_| TaskInfo::decode(r)).collect()
@@ -237,7 +241,7 @@ impl Wire for Measurement {
             }),
             2 => {
                 let n = r.get_u32()? as usize;
-                if n > 1_000_000 {
+                if n > INTERVAL_BINS {
                     return Err(WireError::LengthOverflow);
                 }
                 let bins = (0..n).map(|_| r.get_u64()).collect::<Result<Vec<_>, _>>()?;
@@ -326,6 +330,22 @@ mod tests {
     fn windows() {
         assert_eq!(MeasurementSpec::BootIntegrity.window_us(), 0);
         assert_eq!(MeasurementSpec::CpuTime { window_us: 77 }.window_us(), 77);
+    }
+
+    #[test]
+    fn usage_intervals_carry_at_most_the_register_bank() {
+        let intervals = |n: usize| Measurement::UsageIntervals {
+            bins: vec![1; n],
+            bin_width_us: 1_000,
+            window_us: 3_000_000,
+        };
+        let bank = intervals(INTERVAL_BINS);
+        assert_eq!(Measurement::from_wire(&bank.to_wire()), Ok(bank));
+        let over = intervals(INTERVAL_BINS + 1).to_wire();
+        assert_eq!(
+            Measurement::from_wire(&over),
+            Err(WireError::LengthOverflow)
+        );
     }
 
     #[test]

@@ -2,14 +2,14 @@
 //! encodings. Each message travels inside a [`monatt_net::SecureChannel`]
 //! record (the session keys Kx, Ky, Kz).
 //!
-//! Each message kind carries a *wire-fixed* freshness/quote obligation
-//! the receive path always enforces: message 4 echoes N3 under quote
-//! Q3, message 5 echoes N2 under Q2, message 6 echoes N1 under Q1.
-//! The protocol IR treats these as validated claims, not code — a
-//! [`crate::protocol::Protocol`] term may spell them out
-//! (`CheckNonce`/`VerifyQuote`) or elide them, but the compiler
-//! rejects a term that declares the wrong obligation for a hop
-//! (see `crate::protocol::compile`).
+//! What each record carries is declared once, in the message table
+//! ([`crate::protocol::MsgKind::row`]): its fields in wire order, then
+//! its channel's nonce, then, for a reply, its channel's quote (message
+//! 4 echoes N3 under Q3, message 5 N2 under Q2, message 6 N1 under Q1).
+//! The `Wire` impls below encode exactly those fields, and each quote's
+//! field list is written once, in [`q1_fields`], [`q2_fields`] and
+//! [`q3_fields`], which sender and receiver both call.
+//! `tests/message_table.rs` pins the codecs and the quotes to the table.
 
 use crate::controlplane::RouteTag;
 use crate::measurements::{Measurement, MeasurementSpec};

@@ -4,16 +4,15 @@
 //! ## Compilation rules
 //!
 //! * `Seq` flattens; nesting is free.
-//! * `IssueNonce(slot)` fuses into the following `Hop` as its
-//!   `issue` attribute: the interpreter draws the nonce immediately
-//!   before building that hop's message, preserving the DRBG draw
-//!   order of the hand-written Figure-3 state machine.
-//! * `CheckNonce`/`VerifyQuote` after a `Hop` are *claims*: the wire
-//!   format fixes which quote and nonce echo each message kind
-//!   carries ([`MsgKind::obligations`]), and the interpreter always
-//!   enforces them on receive. The compiler validates the claims
-//!   against that table and rejects a program that declares the wrong
-//!   obligation.
+//! * `IssueNonce` before a `Hop` and `CheckNonce`/`VerifyQuote` after
+//!   one are *claims*: the message table fixes the nonce each request
+//!   issues ([`MsgKind::issues`]) and the quote and nonce echo each
+//!   reply carries ([`MsgKind::obligations`]). The interpreter always
+//!   draws the one (immediately before building the record, the DRBG
+//!   order of the hand-written Figure-3 state machine) and enforces
+//!   the others on receive. The compiler validates the claims against
+//!   the table and rejects a program that declares the wrong one; a
+//!   request's `IssueNonce` may not be elided.
 //! * Every op carries its *pre-charge* — the processing latency paid
 //!   before it runs: the first op charges nothing, an op after
 //!   `Hop(msgN)` charges `post_hop_us(N)`, and the op after `Window`
@@ -85,13 +84,12 @@ pub enum Charge {
 /// op and never move the counter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Op {
-    /// Build and transmit one Figure-3 record (drawing `issue` first
-    /// if set), then wait for its receive processing.
+    /// Build and transmit one Figure-3 record (drawing the nonce it
+    /// issues first, [`MsgKind::issues`]), then wait for its receive
+    /// processing.
     Hop {
         /// The record to put on the wire.
         msg: MsgKind,
-        /// Nonce drawn immediately before the message is built.
-        issue: Option<NonceSlot>,
         /// Pre-charge (see [`Charge`]).
         pre: Charge,
     },
@@ -203,7 +201,7 @@ pub fn compile_into(
     }
     let mut ops: Vec<Op> = Vec::new();
     let mut branches: Vec<BranchSpec> = Vec::new();
-    // `IssueNonce` parked for the next hop.
+    // `IssueNonce` claimed for the next hop.
     let mut pending_issue: Option<NonceSlot> = None;
     // Pre-charge owed to the next op (see the module docs).
     let mut next_pre = Charge::None;
@@ -244,22 +242,16 @@ pub fn compile_into(
             }
             Protocol::Hop(msg) => {
                 check_hop_position(*msg, &ops, pending_issue, at)?;
+                pending_issue = None;
                 ops.push(Op::Hop {
                     msg: *msg,
-                    issue: pending_issue.take(),
                     pre: next_pre,
                 });
                 next_pre = Charge::PostHop(msg.number());
                 last_hop = Some(*msg);
             }
             Protocol::Window => {
-                if !matches!(
-                    ops.last(),
-                    Some(Op::Hop {
-                        msg: MsgKind::Msg3,
-                        ..
-                    })
-                ) {
+                if !follows(&ops, MsgKind::Msg3) {
                     return Err(err(at, "the window must follow the message-3 hop"));
                 }
                 ops.push(Op::Window { pre: next_pre });
@@ -359,13 +351,7 @@ fn push_fork(
     pre: Charge,
     at: usize,
 ) -> Result<(), CompileError> {
-    if !matches!(
-        ops.last(),
-        Some(Op::Hop {
-            msg: MsgKind::Msg2,
-            ..
-        })
-    ) {
+    if !follows(ops, MsgKind::Msg2) {
         return Err(err(
             at,
             "forks happen at the appraiser: after the message-2 hop",
@@ -393,95 +379,58 @@ fn push_fork(
 
 /// Positional/register preconditions for transmitting each message
 /// kind — the "can this hop be built from what earlier ops wrote"
-/// check.
+/// check — after the pending `IssueNonce` claim is checked against the
+/// nonce the kind issues.
 fn check_hop_position(
     msg: MsgKind,
     ops: &[Op],
     pending_issue: Option<NonceSlot>,
     at: usize,
 ) -> Result<(), CompileError> {
-    let require_issue = |slot: NonceSlot| -> Result<(), CompileError> {
-        if pending_issue == Some(slot) {
-            Ok(())
-        } else {
-            Err(err(at, format!("{msg} requires a fresh {slot:?}")))
-        }
-    };
-    match msg {
-        MsgKind::Msg1 => {
-            if !ops.is_empty() {
-                return Err(err(at, "the customer request opens a program"));
-            }
-            require_issue(NonceSlot::N1)
-        }
-        MsgKind::Msg2 => {
-            let ok = ops.is_empty()
-                || matches!(
-                    ops.last(),
-                    Some(Op::Hop {
-                        msg: MsgKind::Msg1,
-                        ..
-                    })
-                );
-            if !ok {
-                return Err(err(
-                    at,
-                    "the forward follows the customer request (or opens an internal program)",
-                ));
-            }
-            require_issue(NonceSlot::N2)
-        }
-        MsgKind::Msg3 => {
-            let ok = ops.is_empty()
-                || matches!(
-                    ops.last(),
-                    Some(Op::Hop {
-                        msg: MsgKind::Msg2,
-                        ..
-                    }) | Some(Op::Gate { .. })
-                );
-            if !ok {
-                return Err(err(
-                    at,
-                    "the measure request follows the forward (or a passed gate, or opens a branch)",
-                ));
-            }
-            require_issue(NonceSlot::N3)
-        }
-        MsgKind::Msg4 => {
-            if pending_issue.is_some() {
-                return Err(err(at, "the measurement response issues no nonce"));
-            }
-            if !matches!(ops.last(), Some(Op::Window { .. })) {
-                return Err(err(at, "the measurement response follows the window"));
-            }
-            Ok(())
-        }
-        MsgKind::Msg5 => {
-            if pending_issue.is_some() {
-                return Err(err(at, "the property report issues no nonce"));
-            }
-            if !status_available(ops) {
-                return Err(err(at, "nothing produced a verdict to certify"));
-            }
-            Ok(())
-        }
-        MsgKind::Msg6 => {
-            if pending_issue.is_some() {
-                return Err(err(at, "the customer report issues no nonce"));
-            }
-            if !matches!(
-                ops.last(),
-                Some(Op::Hop {
-                    msg: MsgKind::Msg5,
-                    ..
-                })
-            ) {
-                return Err(err(at, "the customer report follows the property report"));
-            }
-            Ok(())
-        }
+    if pending_issue != msg.issues() {
+        return Err(err(
+            at,
+            match msg.issues() {
+                Some(slot) => format!("{msg} requires a fresh {slot:?}"),
+                None => format!("the {} issues no nonce", msg.row().noun),
+            },
+        ));
     }
+    let (ok, rule) = match msg {
+        MsgKind::Msg1 => (ops.is_empty(), "the customer request opens a program"),
+        MsgKind::Msg2 => (
+            ops.is_empty() || follows(ops, MsgKind::Msg1),
+            "the forward follows the customer request (or opens an internal program)",
+        ),
+        MsgKind::Msg3 => (
+            ops.is_empty()
+                || follows(ops, MsgKind::Msg2)
+                || matches!(ops.last(), Some(Op::Gate { .. })),
+            "the measure request follows the forward (or a passed gate, or opens a branch)",
+        ),
+        MsgKind::Msg4 => (
+            matches!(ops.last(), Some(Op::Window { .. })),
+            "the measurement response follows the window",
+        ),
+        MsgKind::Msg5 => (
+            status_available(ops),
+            "nothing produced a verdict to certify",
+        ),
+        MsgKind::Msg6 => (
+            follows(ops, MsgKind::Msg5),
+            "the customer report follows the property report",
+        ),
+    };
+    if ok {
+        Ok(())
+    } else {
+        Err(err(at, rule))
+    }
+}
+
+/// Whether the last op is the hop that puts `msg` on the wire.
+fn follows(ops: &[Op], msg: MsgKind) -> bool {
+    matches!(ops.last(), Some(Op::Hop { msg: last, .. }) if *last == msg)
 }
 
 /// Whether the status register is written by the preceding op: a
@@ -529,33 +478,27 @@ mod tests {
         let expect = [
             Op::Hop {
                 msg: Msg1,
-                issue: Some(NonceSlot::N1),
                 pre: None,
             },
             Op::Hop {
                 msg: Msg2,
-                issue: Some(NonceSlot::N2),
                 pre: PostHop(1),
             },
             Op::Hop {
                 msg: Msg3,
-                issue: Some(NonceSlot::N3),
                 pre: PostHop(2),
             },
             Op::Window { pre: PostHop(3) },
             Op::Hop {
                 msg: Msg4,
-                issue: Option::None,
                 pre: Measurement,
             },
             Op::Hop {
                 msg: Msg5,
-                issue: Option::None,
                 pre: PostHop(4),
             },
             Op::Hop {
                 msg: Msg6,
-                issue: Option::None,
                 pre: PostHop(5),
             },
             Op::Complete { pre: PostHop(6) },
@@ -572,23 +515,19 @@ mod tests {
         let expect = [
             Op::Hop {
                 msg: Msg2,
-                issue: Some(NonceSlot::N2),
                 pre: None,
             },
             Op::Hop {
                 msg: Msg3,
-                issue: Some(NonceSlot::N3),
                 pre: PostHop(2),
             },
             Op::Window { pre: PostHop(3) },
             Op::Hop {
                 msg: Msg4,
-                issue: Option::None,
                 pre: Measurement,
             },
             Op::Hop {
                 msg: Msg5,
-                issue: Option::None,
                 pre: PostHop(4),
             },
             Op::Complete { pre: PostHop(5) },

@@ -18,12 +18,12 @@ use crate::types::SecurityProperty;
 
 /// Which Figure-3 record a hop puts on the wire. The kind fixes the
 /// endpoints (customer ↔ controller ↔ AS ↔ server), the secure channel
-/// (Kx for 1/6, Ky for 2/5, Kz for 3/4) and the wire format; the IR
-/// composes hops, it does not redefine them.
+/// and the wire format ([`MsgKind::row`]); the IR composes hops, it
+/// does not redefine them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MsgKind {
     /// Customer → controller attestation request (carries N1).
-    Msg1,
+    Msg1 = 1,
     /// Controller → Attestation Server forward (carries N2).
     Msg2,
     /// Attestation Server → cloud server measurement request (N3).
@@ -38,42 +38,98 @@ pub enum MsgKind {
     Msg6,
 }
 
+/// A value a Figure-3 record carries ahead of its nonce, named as in
+/// the paper.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Field {
+    /// `Vid`: the VM.
+    Vid,
+    /// `I`: the cloud server hosting it.
+    Server,
+    /// `P`: the security property.
+    Property,
+    /// `rM`: the measurement spec.
+    Spec,
+    /// `M`: the measurements.
+    Measurement,
+    /// `R`: the verdict.
+    Report,
+}
+
+/// One row of Figure 3's message table ([`MsgKind::row`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MsgRow {
+    /// The secure channel the record crosses.
+    pub channel: Channel,
+    /// Whether the record is the reply travelling back from the
+    /// channel's responder.
+    pub reply: bool,
+    /// What the record carries ahead of its nonce, in wire order. A
+    /// reply's quote covers exactly these, then the nonce.
+    pub fields: &'static [Field],
+    /// What [`crate::Check::Malformed`] calls the record.
+    pub noun: &'static str,
+}
+
 impl MsgKind {
+    /// The six records, in message order.
+    pub const ALL: [MsgKind; 6] = [
+        MsgKind::Msg1,
+        MsgKind::Msg2,
+        MsgKind::Msg3,
+        MsgKind::Msg4,
+        MsgKind::Msg5,
+        MsgKind::Msg6,
+    ];
+
     /// The Figure-3 message number, used to index the per-message
     /// processing charge ([`crate::latency::LatencyParams::post_hop_us`]).
     pub fn number(self) -> u8 {
-        match self {
-            MsgKind::Msg1 => 1,
-            MsgKind::Msg2 => 2,
-            MsgKind::Msg3 => 3,
-            MsgKind::Msg4 => 4,
-            MsgKind::Msg5 => 5,
-            MsgKind::Msg6 => 6,
+        self as u8
+    }
+
+    /// Figure 3 as a table: the one place that says what each record
+    /// carries. The compiler, the interpreter, the error text and the
+    /// symbolic verifier read it; the codec and the quotes
+    /// (`crate::messages`) are pinned to it by `tests/message_table.rs`.
+    /// Nonce and quote follow from the channel and the direction
+    /// ([`MsgKind::issues`], [`MsgKind::obligations`]).
+    pub const fn row(self) -> MsgRow {
+        use Channel::{Kx, Ky, Kz};
+        use Field::{Measurement, Property, Report, Server, Spec, Vid};
+        let (channel, reply, fields, noun): (Channel, bool, &'static [Field], _) = match self {
+            MsgKind::Msg1 => (Kx, false, &[Vid, Property], "request"),
+            MsgKind::Msg2 => (Ky, false, &[Vid, Server, Property], "forward"),
+            MsgKind::Msg3 => (Kz, false, &[Vid, Spec], "measure request"),
+            MsgKind::Msg4 => (Kz, true, &[Vid, Spec, Measurement], "measure response"),
+            MsgKind::Msg5 => (Ky, true, &[Vid, Server, Property, Report], "report"),
+            MsgKind::Msg6 => (Kx, true, &[Vid, Property, Report], "customer report"),
+        };
+        MsgRow {
+            channel,
+            reply,
+            fields,
+            noun,
         }
     }
 
-    /// The channel the message crosses, and whether it is the reply
-    /// travelling back from the responder (messages 4, 5, 6).
-    pub fn channel(self) -> (Channel, bool) {
-        match self {
-            MsgKind::Msg1 => (Channel::Kx, false),
-            MsgKind::Msg2 => (Channel::Ky, false),
-            MsgKind::Msg3 => (Channel::Kz, false),
-            MsgKind::Msg4 => (Channel::Kz, true),
-            MsgKind::Msg5 => (Channel::Ky, true),
-            MsgKind::Msg6 => (Channel::Kx, true),
-        }
+    /// The nonce a request issues: its channel's, drawn immediately
+    /// before the record is built. A reply issues none.
+    pub fn issues(self) -> Option<NonceSlot> {
+        let row = self.row();
+        (!row.reply).then_some(row.channel.carries().0)
     }
 
-    /// The receive obligations the wire format fixes: which quote the
-    /// record carries and which nonce it must echo (re-derived from the
-    /// message structs in [`crate::messages`]).
+    /// The receive obligations: a reply carries its channel's quote and
+    /// echoes its channel's nonce, and the interpreter always checks
+    /// both; a request carries neither.
     pub fn obligations(self) -> (Option<QuoteKind>, Option<NonceSlot>) {
-        match self {
-            MsgKind::Msg1 | MsgKind::Msg2 | MsgKind::Msg3 => (None, None),
-            MsgKind::Msg4 => (Some(QuoteKind::Q3), Some(NonceSlot::N3)),
-            MsgKind::Msg5 => (Some(QuoteKind::Q2), Some(NonceSlot::N2)),
-            MsgKind::Msg6 => (Some(QuoteKind::Q1), Some(NonceSlot::N1)),
+        let row = self.row();
+        let (nonce, quote) = row.channel.carries();
+        if row.reply {
+            (Some(quote), Some(nonce))
+        } else {
+            (None, None)
         }
     }
 }
@@ -88,6 +144,18 @@ pub enum Channel {
     Ky,
     /// Attestation Server → cloud server.
     Kz,
+}
+
+impl Channel {
+    /// The nonce the channel's request issues and its reply echoes, and
+    /// the quote the reply carries: Kx, Ky, Kz carry N1/Q1, N2/Q2, N3/Q3.
+    pub fn carries(self) -> (NonceSlot, QuoteKind) {
+        match self {
+            Channel::Kx => (NonceSlot::N1, QuoteKind::Q1),
+            Channel::Ky => (NonceSlot::N2, QuoteKind::Q2),
+            Channel::Kz => (NonceSlot::N3, QuoteKind::Q3),
+        }
+    }
 }
 
 impl std::fmt::Display for MsgKind {
@@ -140,8 +208,11 @@ pub enum Protocol {
     /// processing (decode, the wire-fixed nonce/quote checks, register
     /// writes) at the far end.
     Hop(MsgKind),
-    /// Draw a fresh nonce into `slot` immediately before the next hop
-    /// is built (the draw order is part of the protocol).
+    /// Declare that the next hop draws a fresh nonce into `slot`. The
+    /// draw is wire-fixed ([`MsgKind::issues`]): the interpreter always
+    /// makes it immediately before building that hop's record. The
+    /// compiler checks the claim like [`Protocol::CheckNonce`], but a
+    /// request's hop may not elide it.
     IssueNonce(NonceSlot),
     /// Declare that the message just received must echo `slot`. The
     /// check itself is wire-fixed — the interpreter always enforces it

@@ -16,7 +16,7 @@ pub mod ir;
 pub(crate) mod run;
 
 pub use compile::{CompileError, ProgramId};
-pub use ir::{Branch, Channel, MsgKind, NonceSlot, Protocol, QuoteKind};
+pub use ir::{Branch, Channel, Field, MsgKind, MsgRow, NonceSlot, Protocol, QuoteKind};
 
 use crate::types::SecurityProperty;
 use compile::{compile_into, CompiledProgram};

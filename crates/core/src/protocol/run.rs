@@ -1,7 +1,7 @@
 //! The session-layer interpreter: executes compiled protocol ops.
 //!
 //! One compiled op at a time: *entering* an op performs its send side
-//! (draw the declared nonce, build the record from the register file,
+//! (draw the nonce the record issues, build the record from the register file,
 //! transmit with the op's pre-charge), and the matching *receive*
 //! dispatch ([`Cloud::dispatch_receive`]) runs when the record's
 //! arrival event fires — it writes the registers the wire format
@@ -129,7 +129,7 @@ impl Cloud {
         // event that carries the session forward; the other ops have
         // their own entry.
         let (pre, event) = match op {
-            Op::Hop { msg, issue, pre } => return self.enter_hop(sid, msg, issue, pre, extra_us),
+            Op::Hop { msg, pre } => return self.enter_hop(sid, msg, pre, extra_us),
             Op::Fork {
                 first_branch,
                 n_branches,
@@ -159,7 +159,8 @@ impl Cloud {
         Ok(())
     }
 
-    /// The send side of a `Hop` op: draw the declared nonce, encode the
+    /// The send side of a `Hop` op: draw the nonce `msg` issues
+    /// ([`MsgKind::issues`]), encode the
     /// record for `msg` from the register file into the cloud's
     /// plaintext scratch, and transmit it (sealing it there and then)
     /// with the op's pre-charge (plus `extra_us`) as the pre-delay.
@@ -167,14 +168,13 @@ impl Cloud {
         &mut self,
         sid: SessionId,
         msg: MsgKind,
-        issue: Option<NonceSlot>,
         pre: Charge,
         extra_us: u64,
     ) -> Result<(), CloudError> {
         // The nonce draw happens immediately before the record is
-        // built — the compiler fused `IssueNonce` into the hop to pin
-        // exactly this DRBG draw order.
-        if let Some(slot) = issue {
+        // built: the DRBG draw order of the hand-written Figure-3
+        // state machine.
+        if let Some(slot) = msg.issues() {
             let nonce = self.rng.next_bytes32();
             let session = self.events.session_mut(sid)?;
             match slot {
@@ -235,7 +235,6 @@ impl Cloud {
                     .ok_or(CloudError::UnknownServer(session.server))?
                     .attest(req.vid, req.spec, req.nonce3)
                     .ok_or(CloudError::UnknownVm(session.vid))?;
-                let response = MeasureResponse::from(response);
                 let attserver = appraisers.replica(session.route.replica);
                 session.tickets = vouch_msg4(offload, attserver, &response);
                 response.encode_into(wire)

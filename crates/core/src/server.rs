@@ -3,7 +3,7 @@
 //! the Attestation Client (Figure 2).
 
 use crate::measurements::{Measurement, MeasurementSpec, TaskInfo};
-use crate::messages::q3_fields;
+use crate::messages::{q3_fields, MeasureResponse};
 use crate::types::{Image, SecurityProperty, ServerId, Vid};
 use monatt_crypto::drbg::Drbg;
 use monatt_crypto::schnorr::VerifyingKey;
@@ -16,8 +16,7 @@ use monatt_hypervisor::pmu::VmCounters;
 use monatt_hypervisor::scheduler::SchedParams;
 use monatt_hypervisor::vm::VmConfig;
 use monatt_hypervisor::vmi::VmiTool;
-use monatt_tpm::module::{CertificationRequest, TrustModule};
-use monatt_tpm::quote::Quote;
+use monatt_tpm::module::TrustModule;
 use monatt_tpm::registers::RegisterLayout;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -28,39 +27,6 @@ pub use monatt_hypervisor::profile::{INTERVAL_BINS, INTERVAL_BIN_WIDTH_US};
 
 /// vCPU slots a server offers per pCPU.
 const VCPUS_PER_PCPU: usize = 8;
-
-/// The signed response of the Attestation Client: measurements plus the
-/// quote `Q3 = H(Vid || rM || M || N3)` signed with the session key ASKs
-/// (Figure 3, message 4 content).
-#[derive(Clone, Debug)]
-pub struct AttestationResponse {
-    /// The VM the measurements concern.
-    pub vid: Vid,
-    /// Echo of the measurement spec (`rM`).
-    pub spec: MeasurementSpec,
-    /// The measurements (`M`).
-    pub measurement: Measurement,
-    /// Echo of the nonce (`N3`).
-    pub nonce: [u8; 32],
-    /// The signed quote.
-    pub quote: Quote,
-    /// The session attestation key and its certification request for the
-    /// privacy CA.
-    pub cert_request: CertificationRequest,
-}
-
-impl From<AttestationResponse> for crate::messages::MeasureResponse {
-    fn from(r: AttestationResponse) -> Self {
-        crate::messages::MeasureResponse {
-            vid: r.vid,
-            spec: r.spec,
-            measurement: r.measurement,
-            nonce3: r.nonce,
-            quote: r.quote,
-            cert_request: r.cert_request,
-        }
-    }
-}
 
 /// Per-VM record on the server.
 #[derive(Debug)]
@@ -429,6 +395,9 @@ impl CloudServerNode {
 
     /// The Attestation Client flow (steps 1-8 of Figure 2): collect
     /// measurements, generate a session attestation key, quote and sign.
+    /// The result is message 4: the measurements under quote
+    /// `Q3 = H(Vid || rM || M || N3)` signed with the session key ASKs,
+    /// and the key's certification request for the privacy CA.
     ///
     /// Returns `None` if the VM is not hosted here.
     pub fn attest(
@@ -436,7 +405,7 @@ impl CloudServerNode {
         vid: Vid,
         spec: MeasurementSpec,
         nonce: [u8; 32],
-    ) -> Option<AttestationResponse> {
+    ) -> Option<MeasureResponse> {
         let measurement = self.collect(spec, vid)?;
         // Default: a fresh session key pair per attestation (anonymity).
         // Under `reuse_avk` the previous session is kept so repeat
@@ -456,11 +425,11 @@ impl CloudServerNode {
         let quote = q3_fields(scratch, vid, &spec, &measurement, &nonce, |f| {
             session.quote(f)
         });
-        Some(AttestationResponse {
+        Some(MeasureResponse {
             vid,
             spec,
             measurement,
-            nonce,
+            nonce3: nonce,
             quote,
             cert_request: session.certification_request().clone(),
         })
@@ -624,7 +593,7 @@ mod tests {
             .quote
             .verify(
                 &resp.cert_request.attestation_key,
-                &[&vid_bytes, &spec_bytes, &meas_bytes, &resp.nonce]
+                &[&vid_bytes, &spec_bytes, &meas_bytes, &resp.nonce3]
             )
             .is_ok());
         // Each attestation uses a fresh session key.

@@ -1,15 +1,14 @@
 //! Lowering: the programs `monatt-core` compiles, as symbolic models.
 //!
 //! [`lower`] compiles a [`Program`] with the [`compile_into`] the cloud's
-//! program registry calls, and turns its op schedule into roles. Three
+//! program registry calls, and turns its op schedule into roles. Two
 //! facts come from core, so the model and the runtime share one copy of
-//! each: the op list (a `Hop` per Figure-3 record, with the nonce it
-//! issues); the quote and nonce echo each message carries
-//! ([`MsgKind::obligations`], which the interpreter enforces on receive;
-//! the `CheckNonce`/`VerifyQuote` claims are not read); and the channel
-//! and direction of each message ([`MsgKind::channel`]). The one fact
-//! only the model has is the field table `fields`: the symbolic content
-//! of the six messages.
+//! each: the op list (a `Hop` per Figure-3 record) and the message table
+//! ([`MsgKind::row`]: channel, direction and fields; the nonce a request
+//! issues and the quote and nonce a reply carries, which the interpreter
+//! enforces; the program's claims are not read). `value` names each core
+//! [`Field`]'s atom; the one fact only the model has is which end
+//! originates a field (`originates`: message 5 names its server).
 //!
 //! The roles are the ends of the three channels. A hop is a `Send` by
 //! one end and a `Recv` by the other. A sender puts in each field the
@@ -34,7 +33,7 @@ use crate::protocol::{Bindings, Pat, Protocol, Role, Step};
 use crate::search::{verify, Correspondence, Properties, SearchConfig, VerifyOutcome};
 use crate::term::{Kind, Term};
 use monatt_core::protocol::compile::{compile_into, CompiledProgram, Op};
-use monatt_core::protocol::{CompileError, MsgKind, NonceSlot, Protocol as Program, QuoteKind};
+use monatt_core::protocol::{CompileError, Field, MsgKind, Protocol as Program, QuoteKind};
 use std::collections::BTreeMap;
 
 /// Configuration of the model: the full protocol and its weakened
@@ -115,7 +114,7 @@ pub fn verify_program(
     Ok(models.iter().map(outcome).collect())
 }
 
-/// Channel `c` of [`MsgKind::channel`] runs from role `c` to role `c + 1`.
+/// Channel `c` of a [`MsgKind::row`] runs from role `c` to role `c + 1`.
 const ROLES: [&str; 4] = ["customer", "controller", "attserver", "server"];
 
 /// How widely a value is shared: by every session, by the sessions
@@ -128,38 +127,39 @@ enum Scope {
 }
 
 /// A value: atom name, kind, scope, and whether it must stay secret.
-struct Field(&'static str, Kind, Scope, bool);
+struct Value(&'static str, Kind, Scope, bool);
 
-const VID: Field = Field("vid", Kind::Id, Scope::LongTerm, false);
-const SERVER: Field = Field("server_i", Kind::Id, Scope::LongTerm, false);
-const PROP: Field = Field("prop_p", Kind::Data, Scope::Property, true);
-const SPEC: Field = Field("raw_measurement_spec", Kind::Data, Scope::Property, false);
-const MEAS: Field = Field("measurement_m", Kind::Data, Scope::Session, true);
-const REPORT: Field = Field("report_r", Kind::Data, Scope::Session, true);
-/// N1, N2, N3 in [`NonceSlot`] order.
-const NONCES: [Field; 3] = [
-    Field("n1", Kind::Nonce, Scope::Session, false),
-    Field("n2", Kind::Nonce, Scope::Session, false),
-    Field("n3", Kind::Nonce, Scope::Session, false),
+const VID: Value = Value("vid", Kind::Id, Scope::LongTerm, false);
+const SERVER: Value = Value("server_i", Kind::Id, Scope::LongTerm, false);
+/// N1, N2, N3 in `NonceSlot` order.
+const NONCES: [Value; 3] = [
+    Value("n1", Kind::Nonce, Scope::Session, false),
+    Value("n2", Kind::Nonce, Scope::Session, false),
+    Value("n3", Kind::Nonce, Scope::Session, false),
 ];
 /// The Q3 signing key: the server's long-term key, or ASKs per session.
-const Q3_KEYS: [Field; 2] = [
-    Field("sks_longterm", Kind::Key, Scope::LongTerm, true),
-    Field("asks_session", Kind::Key, Scope::Session, true),
+const Q3_KEYS: [Value; 2] = [
+    Value("sks_longterm", Kind::Key, Scope::LongTerm, true),
+    Value("asks_session", Kind::Key, Scope::Session, true),
 ];
 
-/// The field table: what each message carries ahead of its nonce and
-/// quote. `true` marks a field the sender always names itself: message 5
-/// names the server that supplied the measurements.
-fn fields(msg: MsgKind) -> &'static [(Field, bool)] {
-    match msg {
-        MsgKind::Msg1 => &[(VID, false), (PROP, false)],
-        MsgKind::Msg2 => &[(VID, false), (SERVER, false), (PROP, false)],
-        MsgKind::Msg3 => &[(VID, false), (SPEC, false)],
-        MsgKind::Msg4 => &[(VID, false), (SPEC, false), (MEAS, false)],
-        MsgKind::Msg5 => &[(VID, false), (SERVER, true), (PROP, false), (REPORT, false)],
-        MsgKind::Msg6 => &[(VID, false), (PROP, false), (REPORT, false)],
+/// The atom a message field is named by.
+fn value(f: Field) -> &'static Value {
+    match f {
+        Field::Vid => &VID,
+        Field::Server => &SERVER,
+        Field::Property => &Value("prop_p", Kind::Data, Scope::Property, true),
+        Field::Spec => &Value("raw_measurement_spec", Kind::Data, Scope::Property, false),
+        Field::Measurement => &Value("measurement_m", Kind::Data, Scope::Session, true),
+        Field::Report => &Value("report_r", Kind::Data, Scope::Session, true),
     }
+}
+
+/// Whether `msg`'s sender always names `f` itself instead of passing on
+/// what it holds: message 5 names the server that supplied the
+/// measurements.
+fn originates(msg: MsgKind, f: Field) -> bool {
+    (msg, f) == (MsgKind::Msg5, Field::Server)
 }
 
 /// `[field, commit, running]`: accepting the field must follow its
@@ -177,20 +177,20 @@ const EVENTS: [[&str; 3]; 2] = [
     ],
 ];
 
-fn event(f: &Field) -> Option<&'static [&'static str; 3]> {
+fn event(f: &Value) -> Option<&'static [&'static str; 3]> {
     EVENTS.iter().find(|e| e[0] == f.0)
 }
 
 /// The `(sender, receiver)` roles of `msg`: a reply runs back.
 fn ends(msg: MsgKind) -> (usize, usize) {
-    let (channel, reply) = msg.channel();
-    let c = channel as usize;
+    let row = msg.row();
+    let (c, reply) = (row.channel as usize, row.reply);
     (c + usize::from(reply), c + usize::from(!reply))
 }
 
 /// `msg`'s channel key and, if it carries a quote, the quote's key.
 fn keys(msg: MsgKind, q3: &Term) -> (Term, Option<Term>) {
-    let channel = Term::key(["kx", "ky", "kz"][msg.channel().0 as usize]);
+    let channel = Term::key(["kx", "ky", "kz"][msg.row().channel as usize]);
     let quote = msg.obligations().0.map(|q| match q {
         QuoteKind::Q3 => q3.clone(),
         QuoteKind::Q2 => Term::key("ska"),
@@ -201,17 +201,19 @@ fn keys(msg: MsgKind, q3: &Term) -> (Term, Option<Term>) {
 
 /// Message `msg` as `cfg` shapes it. `cell` resolves each field of its
 /// row, then its nonce (issued, or echoed), given whether the sender
-/// always names that field itself.
+/// always names that value itself.
 fn message(
     cfg: &ModelConfig,
     msg: MsgKind,
-    issue: Option<NonceSlot>,
     q3: &Term,
-    mut cell: impl FnMut(&Field, bool) -> Pat,
+    mut cell: impl FnMut(&Value, bool) -> Pat,
 ) -> Pat {
-    let echo = msg.obligations().1.filter(|_| cfg.include_nonces);
-    let mut parts: Vec<Pat> = fields(msg).iter().map(|(f, own)| cell(f, *own)).collect();
-    if let Some(slot) = issue.or(echo) {
+    let (issue, echo) = (msg.issues(), msg.obligations().1);
+    let fields = msg.row().fields.iter();
+    let mut parts: Vec<Pat> = fields
+        .map(|&f| cell(value(f), originates(msg, f)))
+        .collect();
+    if let Some(slot) = issue.or(echo.filter(|_| cfg.include_nonces)) {
         parts.push(cell(&NONCES[slot as usize], issue.is_some()));
     }
     let (channel, quote) = keys(msg, q3);
@@ -230,13 +232,12 @@ fn message(
 
 /// A hop on a path: its instance (0 is the session, `k` the `k`-th fork
 /// branch on the path), whether that instance attests its own property,
-/// its record and the nonce it issues.
+/// and its record.
 #[derive(Clone, Copy)]
 struct PathHop {
     inst: usize,
     own_property: bool,
     msg: MsgKind,
-    issue: Option<NonceSlot>,
 }
 
 /// Collects every path from `pc` of `program`; a `Gate` continues on its
@@ -250,11 +251,10 @@ fn walk(
 ) {
     for (pc, op) in program.ops.iter().enumerate().skip(pc) {
         let hop = |inst, own_property, op: &Op| match *op {
-            Op::Hop { msg, issue, .. } => Some(PathHop {
+            Op::Hop { msg, .. } => Some(PathHop {
                 inst,
                 own_property,
                 msg,
-                issue,
             }),
             _ => None,
         };
@@ -284,12 +284,12 @@ fn walk(
 }
 
 /// Whether `hop`'s instance shares the session's value of `f`.
-fn shared(f: &Field, hop: PathHop) -> bool {
+fn shared(f: &Value, hop: PathHop) -> bool {
     hop.inst == 0 || f.2 == Scope::LongTerm || (f.2 == Scope::Property && !hop.own_property)
 }
 
 /// The atom `hop`'s instance names `f` with.
-fn atom(f: &Field, hop: PathHop) -> Term {
+fn atom(f: &Value, hop: PathHop) -> Term {
     if shared(f, hop) {
         Term::atom(f.0, f.1)
     } else {
@@ -298,7 +298,7 @@ fn atom(f: &Field, hop: PathHop) -> Term {
 }
 
 /// The names the recorded earlier session gave its fresh values.
-fn recorded(f: &Field) -> Term {
+fn recorded(f: &Value) -> Term {
     match (f.2, f.0) {
         (Scope::Session, "measurement_m") => Term::data("old_measurement"),
         (Scope::Session, name) => Term::atom(&format!("old_{name}"), f.1),
@@ -329,7 +329,7 @@ fn lower_path(cfg: ModelConfig, path: &[PathHop]) -> Model {
         }
         quote.into_iter().for_each(&mut secret);
 
-        let send = message(&cfg, msg, hop.issue, &q3, |f, own| {
+        let send = message(&cfg, msg, &q3, |f, own| {
             let inherited = || held.get(&(from, f.0, 0)).filter(|_| shared(f, hop));
             let pat = match held.get(&(from, f.0, inst)).or_else(inherited) {
                 Some(pat) if !own => pat.clone(),
@@ -353,7 +353,7 @@ fn lower_path(cfg: ModelConfig, path: &[PathHop]) -> Model {
         steps.push((from, Step::Send(send)));
 
         let mut commits = Vec::new();
-        let recv = message(&cfg, msg, hop.issue, &q3, |f, _| {
+        let recv = message(&cfg, msg, &q3, |f, _| {
             if let Some(pat) = held.get(&(to, f.0, inst)) {
                 return pat.clone();
             }
@@ -361,7 +361,7 @@ fn lower_path(cfg: ModelConfig, path: &[PathHop]) -> Model {
             let forwards = |h: &PathHop| {
                 h.inst == inst
                     && ends(h.msg).0 == to
-                    && fields(h.msg).iter().any(|(g, _)| g.0 == f.0)
+                    && h.msg.row().fields.iter().any(|&g| value(g).0 == f.0)
             };
             if let Some(&[_, commit, _]) = event(f).filter(|_| !path[i + 1..].iter().any(forwards))
             {
@@ -394,7 +394,7 @@ fn lower_path(cfg: ModelConfig, path: &[PathHop]) -> Model {
     }
     if cfg.preload_old_session {
         let q3 = recorded(q3_key);
-        let msg4 = message(&cfg, MsgKind::Msg4, None, &q3, |f, _| Pat::lit(recorded(f)));
+        let msg4 = message(&cfg, MsgKind::Msg4, &q3, |f, _| Pat::lit(recorded(f)));
         initial.push(msg4.instantiate(&Bindings::new()));
     }
     let correspondences = EVENTS

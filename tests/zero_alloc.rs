@@ -284,10 +284,9 @@ fn rejected_message_4s_do_not_allocate() {
     node.launch_vm(Vid(1), image, image.pristine_bytes(), guest, 256);
     let (nonce3, replayed) = ([3u8; 32], [4u8; 32]);
     let request = attserver.build_measure_request(Vid(1), property, nonce3);
-    let genuine: MeasureResponse = node
+    let genuine = node
         .attest(Vid(1), request.spec, nonce3)
-        .expect("the VM is hosted")
-        .into();
+        .expect("the VM is hosted");
     // One signature byte flipped; the digest still matches its fields.
     let mut forged = genuine.clone();
     let mut s = forged.quote.signature.s.to_be_bytes();
