@@ -90,10 +90,6 @@ pub struct ChaosRow {
     pub retries: u64,
     /// Records the fault model dropped.
     pub dropped: u64,
-    /// Records the network black-holed. Always 0: a hop that needs a
-    /// crashed node fails before it transmits. Kept for the committed
-    /// JSON schema.
-    pub blackholed: u64,
     /// VMs still running at the end (on live servers — verified).
     pub vms_alive: usize,
     /// VMs terminated (responses or failed evacuations).
@@ -190,7 +186,6 @@ fn measure(fleet: usize, mtbf_us: u64, loss: f64) -> ChaosRow {
         .fault_stats()
         .map(|f| f.dropped)
         .unwrap_or(0);
-    let blackholed = cloud.network_mut().blackholed();
 
     // Liveness: nothing wedged — every started session terminated
     // before the queue drained.
@@ -204,12 +199,10 @@ fn measure(fleet: usize, mtbf_us: u64, loss: f64) -> ChaosRow {
     if let Err(broken) = cloud.audit() {
         panic!("{cell}: {broken}");
     }
-    // Every sender-side drop is accounted for by a fault injection (or
-    // a network black hole, which the cloud never uses).
+    // Every sender-side drop is accounted for by a fault injection.
     assert_eq!(
-        stats.drops_seen,
-        dropped + blackholed,
-        "drop ledger out of balance: {stats:?} dropped={dropped} blackholed={blackholed}"
+        stats.drops_seen, dropped,
+        "drop ledger out of balance: {stats:?} dropped={dropped}"
     );
     // Auto-response is off in the sweep, so the only terminations are
     // failed evacuations.
@@ -240,7 +233,6 @@ fn measure(fleet: usize, mtbf_us: u64, loss: f64) -> ChaosRow {
         node_down_failures: outages.node_down_failures,
         retries: stats.retries,
         dropped,
-        blackholed,
         vms_alive,
         vms_terminated,
         composite_ok,
@@ -486,7 +478,9 @@ pub fn print(rows: &[ChaosRow]) {
     }
 }
 
-/// Renders the sweep as the committed `BENCH_chaos.json` document.
+/// Renders the sweep as the committed `BENCH_chaos.json` document. Its
+/// `blackholed` column is always 0 (the network black-holes nothing) and
+/// stays for the committed schema.
 pub fn to_json(rows: &[ChaosRow]) -> String {
     let mut out = String::from("{\n  \"chaos_sweep\": [\n");
     for (i, row) in rows.iter().enumerate() {
@@ -496,7 +490,7 @@ pub fn to_json(rows: &[ChaosRow]) -> String {
              \"rehandshakes\": {}, \"sessions_started\": {}, \"sessions_completed\": {}, \
              \"sessions_failed\": {}, \"sessions_shed\": {}, \"deadlines_exceeded\": {}, \
              \"node_down_failures\": {}, \"retries\": {}, \"dropped\": {}, \
-             \"blackholed\": {}, \"vms_alive\": {}, \"vms_terminated\": {}}}{}\n",
+             \"blackholed\": 0, \"vms_alive\": {}, \"vms_terminated\": {}}}{}\n",
             row.fleet,
             row.mtbf_us,
             row.loss,
@@ -513,7 +507,6 @@ pub fn to_json(rows: &[ChaosRow]) -> String {
             row.node_down_failures,
             row.retries,
             row.dropped,
-            row.blackholed,
             row.vms_alive,
             row.vms_terminated,
             if i + 1 == rows.len() { "" } else { "," },

@@ -4,14 +4,14 @@
 //! and works with the privacy CA to authenticate cloud servers
 //! anonymously.
 
-use crate::error::{Check, CloudError};
+use crate::error::{reply_obligations, Check, CloudError};
 use crate::interpret::{interpret, property_to_spec, ReferenceDb};
 use crate::measurements::MeasurementSpec;
 use crate::messages::{
     q2_fields, q3_fields, AttestationReportMsg, MeasureRequest, MeasureResponse,
 };
 use crate::pca::{IdentityTable, PrivacyCa};
-use crate::protocol::{NonceSlot, QuoteKind};
+use crate::protocol::MsgKind;
 use crate::types::{HealthStatus, Image, SecurityProperty, ServerId, Vid};
 use crate::verify_ring::{HeldKey, HopVouchers};
 use monatt_crypto::batch::{batch_verify_each, BatchItem};
@@ -22,9 +22,12 @@ use monatt_net::wire::EncodeScratch;
 use monatt_tpm::quote::{Quote, QuoteError};
 use std::collections::BTreeMap;
 
-/// Q3's signature failed, however it was verified.
+/// Message 4's quote signature failed, however it was verified.
 fn bad_q3(_: CryptoError) -> CloudError {
-    Check::Quote(QuoteKind::Q3, QuoteError::BadSignature).into()
+    match reply_obligations(MsgKind::Msg4) {
+        Ok((quote, _)) => Check::Quote(quote, QuoteError::BadSignature).into(),
+        Err(e) => e,
+    }
 }
 
 /// A property verdict held by the Property Certification Module for reuse
@@ -339,8 +342,9 @@ impl AttestationServer {
         if response.spec != item.expected_spec {
             return Err(Check::Spec.into());
         }
+        let (quote_kind, nonce_slot) = reply_obligations(MsgKind::Msg4)?;
         if response.nonce3 != item.expected_nonce3 {
-            return Err(Check::Nonce(NonceSlot::N3).into());
+            return Err(Check::Nonce(nonce_slot).into());
         }
         let (cert, bound) = self
             .pca
@@ -351,7 +355,7 @@ impl AttestationServer {
         q3_fields(scratch, vid, spec, measurement, &response.nonce3, |f| {
             quote.check_fields(f)
         })
-        .map_err(|e| Check::Quote(QuoteKind::Q3, e))?;
+        .map_err(|e| Check::Quote(quote_kind, e))?;
         let (avk, digest, signature) = (
             cert.attestation_key,
             quote.digest.as_slice(),
@@ -439,8 +443,9 @@ impl AttestationServer {
         expected_nonce2: [u8; 32],
         scratch: &mut EncodeScratch,
     ) -> Result<(), CloudError> {
+        let (quote_kind, nonce_slot) = reply_obligations(MsgKind::Msg5)?;
         if msg.nonce2 != expected_nonce2 {
-            return Err(Check::Nonce(NonceSlot::N2).into());
+            return Err(Check::Nonce(nonce_slot).into());
         }
         q2_fields(
             scratch,
@@ -451,7 +456,7 @@ impl AttestationServer {
             &msg.nonce2,
             |f| msg.quote.verify(attserver_key, f),
         )
-        .map_err(|e| Check::Quote(QuoteKind::Q2, e).into())
+        .map_err(|e| Check::Quote(quote_kind, e).into())
     }
 }
 
@@ -459,7 +464,7 @@ impl AttestationServer {
 mod tests {
     use super::*;
     use crate::pca::PcaError;
-    use crate::protocol::MsgKind;
+    use crate::protocol::{NonceSlot, QuoteKind};
     use crate::server::CloudServerNode;
     use monatt_hypervisor::driver::IdleDriver;
     use monatt_hypervisor::scheduler::SchedParams;

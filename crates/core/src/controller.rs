@@ -4,9 +4,9 @@
 //! Module that executes remediation (Section 5.2).
 
 use crate::cloud::{WorkloadHandles, WorkloadSpec};
-use crate::error::{Check, CloudError};
+use crate::error::{reply_obligations, Check, CloudError};
 use crate::messages::{q1_fields, CustomerReportMsg};
-use crate::protocol::{NonceSlot, QuoteKind};
+use crate::protocol::MsgKind;
 use crate::types::{Flavor, HealthStatus, Image, SecurityProperty, ServerId, Vid};
 use monatt_crypto::drbg::Drbg;
 use monatt_crypto::schnorr::{BoundKey, SigningKey, Verifier, VerifyingKey};
@@ -390,8 +390,9 @@ impl CloudController {
         expected_nonce1: [u8; 32],
         scratch: &mut EncodeScratch,
     ) -> Result<(), CloudError> {
+        let (quote_kind, nonce_slot) = reply_obligations(MsgKind::Msg6)?;
         if msg.nonce1 != expected_nonce1 {
-            return Err(Check::Nonce(NonceSlot::N1).into());
+            return Err(Check::Nonce(nonce_slot).into());
         }
         q1_fields(
             scratch,
@@ -401,7 +402,7 @@ impl CloudController {
             &msg.nonce1,
             |f| msg.quote.verify(controller_key, f),
         )
-        .map_err(|e| Check::Quote(QuoteKind::Q1, e).into())
+        .map_err(|e| Check::Quote(quote_kind, e).into())
     }
 }
 

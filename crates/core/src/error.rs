@@ -52,6 +52,15 @@ pub enum Check {
     },
 }
 
+/// The quote a reply carries and the nonce it echoes, as Figure 3's
+/// table gives them ([`MsgKind::obligations`]): what its receiver checks.
+pub(crate) fn reply_obligations(msg: MsgKind) -> Result<(QuoteKind, NonceSlot), CloudError> {
+    match msg.obligations() {
+        (Some(quote), Some(nonce)) => Ok((quote, nonce)),
+        _ => Err(CloudError::Internal("a request carries no quote")),
+    }
+}
+
 /// A link end as its secure-channel peer name: the customer, or the node.
 pub(crate) struct EndName(pub(crate) Option<NodeId>);
 
@@ -126,8 +135,9 @@ pub enum CloudError {
     /// the retransmit layer's tolerance). Distinct from an unhealthy
     /// attestation verdict — no evidence about the VM was gathered.
     Unreachable {
-        /// The endpoint that could not be reached.
-        peer: String,
+        /// The link end that could not be reached (`None` is the
+        /// customer).
+        peer: Option<NodeId>,
         /// How many delivery attempts were made.
         attempts: u32,
     },
@@ -172,10 +182,10 @@ pub enum CloudError {
     /// Establishing a secure channel between two protocol endpoints
     /// failed while assembling the cloud.
     ChannelEstablishment {
-        /// The initiating endpoint.
-        initiator: String,
-        /// The responding endpoint.
-        responder: String,
+        /// The initiating link end (`None` is the customer).
+        initiator: Option<NodeId>,
+        /// The responding link end.
+        responder: Option<NodeId>,
         /// The underlying handshake failure.
         error: ChannelError,
     },
@@ -206,9 +216,11 @@ impl fmt::Display for CloudError {
             }
             CloudError::Compile(e) => write!(f, "protocol did not compile: {e}"),
             CloudError::Internal(what) => write!(f, "internal error: {what}"),
-            CloudError::Unreachable { peer, attempts } => {
-                write!(f, "{peer} unreachable after {attempts} delivery attempts")
-            }
+            CloudError::Unreachable { peer, attempts } => write!(
+                f,
+                "{} unreachable after {attempts} delivery attempts",
+                EndName(*peer)
+            ),
             CloudError::PropertyNotSupported { property, server } => {
                 write!(f, "property {property} not supported on {server}")
             }
@@ -236,12 +248,12 @@ impl fmt::Display for CloudError {
                 initiator,
                 responder,
                 error,
-            } => {
-                write!(
-                    f,
-                    "secure-channel handshake {initiator}<->{responder} failed: {error}"
-                )
-            }
+            } => write!(
+                f,
+                "secure-channel handshake {}<->{} failed: {error}",
+                EndName(*initiator),
+                EndName(*responder)
+            ),
         }
     }
 }

@@ -186,9 +186,9 @@ impl LatencyParams {
     /// and 5 each add one signature (the server signing its response,
     /// the Attestation Server signing the property report) and message 6
     /// adds two (the controller signing quote Q1, the customer verifying
-    /// it). The session state machine charges these between an arrival
-    /// event and the next transmission, which keeps the end-to-end sum
-    /// identical to the pre-event-loop inline model.
+    /// it). A session charges these between an arrival event and the
+    /// next transmission, so its end-to-end latency is the sum of its
+    /// hop, processing and window charges.
     pub fn post_hop_us(&self, message: u8) -> u64 {
         let signatures: u64 = match message {
             4 | 5 => 1,

@@ -181,19 +181,16 @@ impl Links {
         let (Some(a_key), Some(b_key)) = (self.identities.get(&a), self.identities.get(&b)) else {
             return Err(link.missing());
         };
-        let (a_name, b_name) = (EndName(a).to_string(), EndName(b).to_string());
-        let (mut initiator, mut responder) = match handshake_pair(rng, a_key, b_key) {
-            Ok(pair) => pair,
-            Err(error) => {
-                return Err(CloudError::ChannelEstablishment {
-                    initiator: a_name,
-                    responder: b_name,
+        let (mut initiator, mut responder) =
+            handshake_pair(rng, a_key, b_key).map_err(|error| {
+                CloudError::ChannelEstablishment {
+                    initiator: a,
+                    responder: b,
                     error,
-                })
-            }
-        };
-        initiator.set_peer(&b_name);
-        responder.set_peer(&a_name);
+                }
+            })?;
+        initiator.set_peer(&EndName(b).to_string());
+        responder.set_peer(&EndName(a).to_string());
         Ok(ChannelPair {
             initiator,
             responder,

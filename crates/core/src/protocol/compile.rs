@@ -9,7 +9,7 @@
 //!   issues ([`MsgKind::issues`]) and the quote and nonce echo each
 //!   reply carries ([`MsgKind::obligations`]). The interpreter always
 //!   draws the one (immediately before building the record, the DRBG
-//!   order of the hand-written Figure-3 state machine) and enforces
+//!   order the golden trace pins) and enforces
 //!   the others on receive. The compiler validates the claims against
 //!   the table and rejects a program that declares the wrong one; a
 //!   request's `IssueNonce` may not be elided.

@@ -11,13 +11,13 @@
 //! fork/join for parallel and delegated sub-protocols lives in
 //! [`crate::protocol::fork`].
 //!
-//! The op bodies are ports of the hand-written `on_msgN` handlers, call
-//! for call and charge for charge: compiling Figure 3 and interpreting
-//! it here reproduces the exact DRBG draw order, latency arithmetic and
-//! stats of the old state machine (pinned byte-for-byte by the golden
-//! trace). The interpreter's warm path — the flat Figure-3 program —
-//! allocates nothing: records are encoded into retained buffers and the
-//! register file is plain moves.
+//! A request's nonce is drawn immediately before its record is built,
+//! and each op's processing is charged as its pre-delay, so a session's
+//! DRBG draw order and latency arithmetic follow from its op list alone
+//! (for Figure 3, pinned byte for byte by the golden trace). The
+//! interpreter's warm path — the flat Figure-3 program — allocates
+//! nothing: records are encoded into retained buffers and the register
+//! file is plain moves.
 //!
 //! ## Interception points
 //!
@@ -171,9 +171,8 @@ impl Cloud {
         pre: Charge,
         extra_us: u64,
     ) -> Result<(), CloudError> {
-        // The nonce draw happens immediately before the record is
-        // built: the DRBG draw order of the hand-written Figure-3
-        // state machine.
+        // The nonce is drawn immediately before the record is built,
+        // one draw per request: the DRBG order the golden trace pins.
         if let Some(slot) = msg.issues() {
             let nonce = self.rng.next_bytes32();
             let session = self.events.session_mut(sid)?;

@@ -17,7 +17,6 @@ use monatt_hypervisor::scheduler::SchedParams;
 use monatt_hypervisor::vm::VmConfig;
 use monatt_hypervisor::vmi::VmiTool;
 use monatt_tpm::module::TrustModule;
-use monatt_tpm::registers::RegisterLayout;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -266,7 +265,8 @@ impl CloudServerNode {
     }
 
     /// Opens a measurement window for a runtime spec: resets the VMM
-    /// profile tool and programs the Trust Evidence Registers. The caller
+    /// profile tool's windows (running time and the Trust Evidence
+    /// Registers) and takes the VM's CPU-time or PMU baseline. The caller
     /// then advances the simulator by the spec's window before calling
     /// [`Self::collect`].
     pub fn begin_window(&mut self, spec: MeasurementSpec, vid: Vid) {
@@ -274,36 +274,25 @@ impl CloudServerNode {
             return;
         }
         self.sim.reset_window();
+        let Some(slot) = self.vms.get_mut(&vid) else {
+            return;
+        };
         match spec {
-            MeasurementSpec::UsageIntervals { .. } => {
-                self.trust.program_registers(RegisterLayout::Histogram {
-                    bins: INTERVAL_BINS,
-                    bin_width_us: INTERVAL_BIN_WIDTH_US,
-                });
-            }
             MeasurementSpec::CpuTime { .. } => {
-                self.trust
-                    .program_registers(RegisterLayout::Accumulators { count: 1 });
-                if let Some(slot) = self.vms.get_mut(&vid) {
-                    slot.cpu_baseline_us = total_cpu_us(&self.sim, slot.local);
-                }
+                slot.cpu_baseline_us = total_cpu_us(&self.sim, slot.local);
             }
             MeasurementSpec::SchedulerEvents { .. } => {
-                self.trust
-                    .program_registers(RegisterLayout::Accumulators { count: 3 });
-                if let Some(slot) = self.vms.get_mut(&vid) {
-                    slot.pmu_baseline = self.sim.counters(slot.local);
-                }
+                slot.pmu_baseline = self.sim.counters(slot.local);
             }
             _ => {}
         }
     }
 
-    /// Collects the measurements for `spec` — the Monitor Kernel writing
-    /// into the Trust Evidence Registers and reading them back.
+    /// Collects the measurements for `spec` — the Monitor Kernel reading
+    /// the VM's PCR, task lists, Trust Evidence Registers or counters.
     ///
     /// Returns `None` if the VM is not hosted here.
-    pub fn collect(&mut self, spec: MeasurementSpec, vid: Vid) -> Option<Measurement> {
+    pub fn collect(&self, spec: MeasurementSpec, vid: Vid) -> Option<Measurement> {
         let slot = self.vms.get(&vid)?;
         let local = slot.local;
         match spec {
@@ -327,23 +316,11 @@ impl CloudServerNode {
                     guest_visible: to_info(vmi.guest_visible_task_list(local).ok()?),
                 })
             }
-            MeasurementSpec::UsageIntervals { window_us } => {
-                // Copy the profile tool's interval bank into the
-                // registers, one write per bin, as the Monitor Kernel
-                // does, then read them out.
-                let bank = self.sim.interval_registers(local);
-                let regs = self.trust.registers_mut()?;
-                let token = regs.unlock();
-                regs.clear(&token);
-                for (bin, &count) in (0..).zip(bank) {
-                    regs.record_interval(&token, bin * INTERVAL_BIN_WIDTH_US + 1, count);
-                }
-                Some(Measurement::UsageIntervals {
-                    bins: regs.snapshot(),
-                    bin_width_us: INTERVAL_BIN_WIDTH_US,
-                    window_us,
-                })
-            }
+            MeasurementSpec::UsageIntervals { window_us } => Some(Measurement::UsageIntervals {
+                bins: self.sim.interval_registers(local).to_vec(),
+                bin_width_us: INTERVAL_BIN_WIDTH_US,
+                window_us,
+            }),
             MeasurementSpec::CpuTime { window_us } => {
                 let total = total_cpu_us(&self.sim, local);
                 let virtual_time_us = total.saturating_sub(slot.cpu_baseline_us);
@@ -357,12 +334,6 @@ impl CloudServerNode {
                     .map(|p| self.sim.schedulable_vcpus_on(p))
                     .unwrap_or(1)
                     .max(1);
-                // Write CPU_measure into a Trust Evidence Register.
-                if let Some(regs) = self.trust.registers_mut() {
-                    let token = regs.unlock();
-                    regs.clear(&token);
-                    regs.accumulate(&token, 0, virtual_time_us);
-                }
                 Some(Measurement::CpuTime {
                     virtual_time_us,
                     window_us,
@@ -375,14 +346,6 @@ impl CloudServerNode {
                 let boosts = now.boosts.saturating_sub(baseline.boosts);
                 let ipis_sent = now.ipis_sent.saturating_sub(baseline.ipis_sent);
                 let wakeups = now.wakeups.saturating_sub(baseline.wakeups);
-                // Write the event counts into Trust Evidence Registers.
-                if let Some(regs) = self.trust.registers_mut() {
-                    let token = regs.unlock();
-                    regs.clear(&token);
-                    regs.accumulate(&token, 0, boosts);
-                    regs.accumulate(&token, 1, ipis_sent);
-                    regs.accumulate(&token, 2, wakeups);
-                }
                 Some(Measurement::SchedulerEvents {
                     boosts,
                     ipis_sent,
@@ -511,7 +474,7 @@ mod tests {
     }
 
     #[test]
-    fn usage_intervals_copy_the_interval_bank() {
+    fn usage_intervals_are_the_interval_bank() {
         let mut n = node();
         n.launch_vm_pinned(
             Vid(1),

@@ -20,15 +20,15 @@
 //!
 //! ## Latency accounting
 //!
-//! Every microsecond the old inline implementation added to `elapsed`
-//! is mirrored here as a scheduled delay, charged when the delay is
-//! scheduled: hop latencies at transmit resolution, per-message
-//! processing ([`LatencyParams::post_hop_us`]) as a pre-delay on the
-//! next transmission, the measurement window between `WindowOpen` and
+//! Every microsecond a session adds to `elapsed_us` is a scheduled
+//! delay, charged when the delay is scheduled: hop latencies at
+//! transmit resolution, per-message processing
+//! ([`LatencyParams::post_hop_us`]) as a pre-delay on the next
+//! transmission, the measurement window between `WindowOpen` and
 //! `WindowClose`, and the final processing tail before `Complete`. The
 //! completion event therefore fires at exactly `start + elapsed_us`,
-//! which keeps the clean-path Figure 9–11 numbers bit-identical to the
-//! pre-event-loop code (pinned by the golden-trace test).
+//! and a clean session's latency is the sum of those charges: the
+//! Figure 9–11 numbers, pinned byte for byte by the golden-trace test.
 //!
 //! [`LatencyParams::post_hop_us`]: crate::latency::LatencyParams::post_hop_us
 //!
@@ -37,11 +37,11 @@
 //! The network simulator resolves a record's fate at send time, so each
 //! attempt schedules exactly one follow-up: the arrival of a delivered
 //! record, or the sender's loss-detection timeout for a lost/rejected
-//! one. On timeout the session retries (charging backoff, drawn in
-//! event order from the cloud DRBG — the same draw sequence the
-//! blocking loop made) until the [`RetryPolicy`] budget is exhausted,
-//! then fails with the same error classification as before:
-//! authentication failures are protocol failures, pure silence is
+//! one. On timeout the session retries, charging a backoff drawn from
+//! the cloud DRBG in event order (the draw sequence the golden trace
+//! pins), until the [`RetryPolicy`] budget is exhausted. Then it fails:
+//! a hop whose every delivery failed authentication is a protocol
+//! failure ([`Check::Channel`]), pure silence is
 //! [`CloudError::Unreachable`].
 //!
 //! [`RetryPolicy`]: crate::latency::RetryPolicy
@@ -49,7 +49,7 @@
 use crate::attestation::BatchValidationItem;
 use crate::cloud::Cloud;
 use crate::controlplane::RouteTag;
-use crate::error::{Check, CloudError, EndName};
+use crate::error::{Check, CloudError};
 use crate::links::Hop;
 use crate::measurements::MeasurementSpec;
 use crate::messages::MeasureResponse;
@@ -660,8 +660,8 @@ impl Cloud {
         Ok(())
     }
 
-    /// Steps `sid` for `event`; any error terminates the session with
-    /// the same classification the blocking implementation returned.
+    /// Steps `sid` for `event`; an error terminates the session with
+    /// that error as its outcome.
     pub(crate) fn step_session(&mut self, sid: SessionId, event: SessionEvent) {
         // Stale events — timers or late arrivals outliving a session
         // that already terminated (failed fast on a node crash, or its
@@ -724,7 +724,7 @@ impl Cloud {
     }
 
     /// A loss-detection timeout fired: retry within budget, otherwise
-    /// fail with the blocking implementation's exact classification.
+    /// fail as [`Self::exhaustion_error`] classifies the hop.
     fn step_retry(&mut self, sid: SessionId, generation: u32) -> Result<(), CloudError> {
         let exhausted = {
             let session = self.events.session(sid)?;
@@ -774,10 +774,7 @@ impl Cloud {
                 attempts,
             }
             .into(),
-            None => CloudError::Unreachable {
-                peer: EndName(to).to_string(),
-                attempts,
-            },
+            None => CloudError::Unreachable { peer: to, attempts },
         })
     }
 

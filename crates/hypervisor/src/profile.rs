@@ -1,8 +1,8 @@
 //! The VMM Profile Tool (Section 4.5.2): observes vCPU transitions on each
 //! physical core and keeps, per VM and per measurement window, its
 //! virtual running time and a bank of [`INTERVAL_BINS`] usage-interval
-//! counters — the values the covert-channel detector's Trust Evidence
-//! Registers hold (Section 4.4.2). Both live in the VM's row of
+//! counters: the covert-channel detector's Trust Evidence Registers
+//! (Section 4.4.2), kept nowhere else. Both live in the VM's row of
 //! [`crate::engine::ServerSim`] and are updated as each run segment
 //! closes, so a server's profile is a fixed-size row per VM however long
 //! it runs unattested.

@@ -10,6 +10,11 @@
 //! network), then the fault model degrades whatever the adversary let
 //! through, so attacks and packet loss coexist in one simulation.
 //!
+//! The network keeps no record of which nodes are down. The cloud's
+//! topology owns that record and fails a hop that needs a down node
+//! before it transmits, so every message that reaches [`SimNetwork`]
+//! meets the adversary and the fault model.
+//!
 //! Transmission is synchronous (the architecture's flows are
 //! request/response RPCs); each transmit reports the latency it would have
 //! taken, which the core crate's latency model accumulates into the
@@ -19,7 +24,6 @@
 //! timing model.
 
 use monatt_crypto::drbg::Drbg;
-use std::collections::BTreeSet;
 
 /// What the attacker does to a message in flight.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -237,13 +241,6 @@ pub struct SimNetwork {
     latency: LatencyModel,
     attacker: Option<Box<dyn NetworkAttacker>>,
     faults: Option<FaultModel>,
-    // Endpoints whose host node is crashed. Messages from or to a down
-    // endpoint are black-holed before the attacker or fault model act
-    // on them — a crashed machine neither sends nor receives, and its
-    // silence must not consume fault-model RNG draws (the clean path's
-    // draw sequence is pinned by the golden trace).
-    down_endpoints: BTreeSet<String>,
-    blackholed: u64,
     // Per-message log entries allocate (owned endpoint names and byte
     // copies) and the log is unbounded, so it is recorded only for a
     // caller that asks to read it; fates, latencies and RNG draws are
@@ -258,7 +255,6 @@ impl std::fmt::Debug for SimNetwork {
             .field("latency", &self.latency)
             .field("messages", &self.log.len())
             .field("attacker", &self.attacker.is_some())
-            .field("down_endpoints", &self.down_endpoints)
             .finish()
     }
 }
@@ -276,8 +272,6 @@ impl SimNetwork {
             latency,
             attacker: None,
             faults: None,
-            down_endpoints: BTreeSet::new(),
-            blackholed: 0,
             logging: false,
             log: Vec::new(),
         }
@@ -291,25 +285,13 @@ impl SimNetwork {
         self.logging = on;
     }
 
-    /// Marks `endpoint` as down: every message from or to it is
-    /// black-holed until [`SimNetwork::set_endpoint_up`]. Idempotent.
-    pub fn set_endpoint_down(&mut self, endpoint: &str) {
-        self.down_endpoints.insert(endpoint.to_owned());
-    }
-
-    /// Brings `endpoint` back: deliveries involving it resume.
-    pub fn set_endpoint_up(&mut self, endpoint: &str) {
-        self.down_endpoints.remove(endpoint);
-    }
-
-    /// Whether `endpoint` is currently black-holed.
-    pub fn endpoint_is_down(&self, endpoint: &str) -> bool {
-        self.down_endpoints.contains(endpoint)
-    }
-
-    /// Messages black-holed because one of their endpoints was down.
+    /// Always 0: the network black-holes nothing (see the module docs).
+    /// This exists only because `benchmark/src/scenario.rs` folds it
+    /// into its digest and drop ledger, and it goes once ROADMAP item
+    /// 0 (h) drops that read.
+    #[doc(hidden)]
     pub fn blackholed(&self) -> u64 {
-        self.blackholed
+        0
     }
 
     /// Installs (or replaces) the network adversary.
@@ -370,24 +352,6 @@ impl SimNetwork {
         out: &mut Vec<u8>,
     ) -> TransmitOutcome {
         out.clear();
-        if self.down_endpoints.contains(from) || self.down_endpoints.contains(to) {
-            // A crashed node neither transmits nor receives. Checked
-            // before the attacker and fault model so a black-holed
-            // message consumes zero fault RNG draws. Serialization is
-            // still charged: the sender finds out from its timeout, not
-            // instantaneously.
-            self.blackholed += 1;
-            let latency_us = self.latency.latency_for(payload.len());
-            if self.logging {
-                self.record(from, to, payload, None, latency_us);
-            }
-            return TransmitOutcome {
-                delivered: false,
-                deliver_at_us: now_us.saturating_add(latency_us),
-                latency_us,
-                duplicated: false,
-            };
-        }
         let action = match &mut self.attacker {
             Some(att) => att.intercept(from, to, payload),
             None => Intercept::Pass,
@@ -737,64 +701,6 @@ mod tests {
     }
 
     #[test]
-    fn down_endpoint_blackholes_both_directions() {
-        let mut net = SimNetwork::default();
-        net.set_endpoint_down("server-1");
-        assert!(net.endpoint_is_down("server-1"));
-        assert_eq!(net.transmit("attserver", "server-1", b"req").payload, None);
-        assert_eq!(net.transmit("server-1", "attserver", b"rsp").payload, None);
-        assert_eq!(net.blackholed(), 2);
-        // Unrelated endpoints are unaffected.
-        assert!(net
-            .transmit("customer", "controller", b"ok")
-            .payload
-            .is_some());
-        net.set_endpoint_up("server-1");
-        assert!(!net.endpoint_is_down("server-1"));
-        assert!(net
-            .transmit("attserver", "server-1", b"req")
-            .payload
-            .is_some());
-        assert_eq!(net.blackholed(), 2);
-    }
-
-    #[test]
-    fn blackhole_consumes_no_fault_draws() {
-        // Two networks with the same fault seed; one black-holes a
-        // message in the middle. The fates of the surrounding messages
-        // must be identical — a down endpoint skips the fault model
-        // entirely rather than burning its draws.
-        let fates = |down: bool| -> Vec<bool> {
-            let mut net = SimNetwork::default();
-            net.set_fault_model(FaultModel::new(11).drop_prob(0.5));
-            let mut out = Vec::new();
-            for i in 0..32 {
-                if i == 16 && down {
-                    net.set_endpoint_down("b");
-                    net.transmit("a", "b", b"blackholed");
-                    net.set_endpoint_up("b");
-                }
-                out.push(net.transmit("a", "b", b"x").payload.is_some());
-            }
-            out
-        };
-        assert_eq!(fates(false), fates(true));
-    }
-
-    #[test]
-    fn blackhole_still_charges_latency_and_logs() {
-        let mut clean = SimNetwork::default();
-        let baseline = clean.transmit("a", "b", b"msg").latency_us;
-        let mut net = SimNetwork::default();
-        net.set_logging(true);
-        net.set_endpoint_down("b");
-        let d = net.transmit("a", "b", b"msg");
-        assert_eq!(d.latency_us, baseline);
-        assert_eq!(net.log().len(), 1);
-        assert_eq!(net.log()[0].delivered, None);
-    }
-
-    #[test]
     fn transmit_into_reuses_buffer_and_matches_transmit() {
         let run_owned = |seed: u64| {
             let mut net = SimNetwork::default();
@@ -820,7 +726,7 @@ mod tests {
     #[test]
     fn lost_message_leaves_out_buffer_empty() {
         let mut net = SimNetwork::default();
-        net.set_endpoint_down("b");
+        net.set_fault_model(FaultModel::new(6).drop_prob(1.0));
         let mut buf = b"stale".to_vec();
         let o = net.transmit_into("a", "b", b"x", 100, &mut buf);
         assert!(!o.delivered);

@@ -6,14 +6,15 @@
 //!
 //! * [`pcr`] — Platform Configuration Registers with extend-only semantics
 //!   and a measurement log (the Integrity Measurement Unit).
-//! * [`registers`] — the paper's new *Trust Evidence Registers*:
-//!   programmable security-measurement counters (histograms and
-//!   accumulators).
 //! * [`quote`] — hash-then-sign quotes over measurement fields
 //!   (`Q = H(Vid || rM || M || N)` in the protocol of Figure 3).
 //! * [`module`] — the [`TrustModule`] facade: identity key, per-session
-//!   attestation keys with pCA certification requests, RNG, PCRs and
-//!   registers.
+//!   attestation keys with pCA certification requests, RNG and PCRs.
+//!
+//! The paper's *Trust Evidence Registers* (Section 3.2.4) are not kept
+//! here: they are counted once, in each VM's row of the hypervisor
+//! simulator (`monatt_hypervisor::profile`), and the Monitor Module
+//! reads them straight into the measurement that the quote covers.
 //!
 //! ## Example: one attestation session
 //!
@@ -36,9 +37,7 @@
 pub mod module;
 pub mod pcr;
 pub mod quote;
-pub mod registers;
 
 pub use module::{AttestationSession, CertificationRequest, TrustModule};
 pub use pcr::{Digest, MeasurementEvent, PcrBank};
 pub use quote::{Quote, QuoteError};
-pub use registers::{RegisterLayout, TrustEvidenceRegisters};

@@ -3,9 +3,10 @@
 //!
 //! It contains the server's **identity key** (never released), a **key
 //! generator** and **random number generator**, a **crypto engine** (here,
-//! the `monatt-crypto` primitives), **Trust Evidence Registers** for
-//! security measurements, and the PCR bank of the integrity measurement
-//! unit.
+//! the `monatt-crypto` primitives) and the PCR bank of the integrity
+//! measurement unit. Its quotes cover the security measurements, which
+//! the Monitor Module reads from the hypervisor's per-VM Trust Evidence
+//! Registers.
 //!
 //! For each attestation session the module generates a fresh attestation
 //! key pair `{AVKs, ASKs}` and signs the public half with the identity key
@@ -14,7 +15,6 @@
 
 use crate::pcr::PcrBank;
 use crate::quote::Quote;
-use crate::registers::{RegisterLayout, TrustEvidenceRegisters};
 use monatt_crypto::drbg::Drbg;
 use monatt_crypto::schnorr::{Signature, SigningKey, Verifier, VerifyingKey};
 
@@ -87,7 +87,6 @@ pub struct TrustModule {
     identity: SigningKey,
     rng: Drbg,
     pcrs: PcrBank,
-    registers: Option<TrustEvidenceRegisters>,
 }
 
 impl std::fmt::Debug for TrustModule {
@@ -96,7 +95,6 @@ impl std::fmt::Debug for TrustModule {
         f.debug_struct("TrustModule")
             .field("identity_key", &self.identity.verifying_key())
             .field("pcrs", &self.pcrs)
-            .field("registers", &self.registers)
             .finish_non_exhaustive()
     }
 }
@@ -110,7 +108,6 @@ impl TrustModule {
             identity,
             rng,
             pcrs: PcrBank::new(),
-            registers: None,
         }
     }
 
@@ -148,22 +145,6 @@ impl TrustModule {
     /// Mutable access to the PCR bank.
     pub fn pcrs_mut(&mut self) -> &mut PcrBank {
         &mut self.pcrs
-    }
-
-    /// Programs the Trust Evidence Registers with a new layout, discarding
-    /// any previous contents.
-    pub fn program_registers(&mut self, layout: RegisterLayout) {
-        self.registers = Some(TrustEvidenceRegisters::new(layout));
-    }
-
-    /// Access to the Trust Evidence Registers, if programmed.
-    pub fn registers(&self) -> Option<&TrustEvidenceRegisters> {
-        self.registers.as_ref()
-    }
-
-    /// Mutable access to the Trust Evidence Registers, if programmed.
-    pub fn registers_mut(&mut self) -> Option<&mut TrustEvidenceRegisters> {
-        self.registers.as_mut()
     }
 }
 
@@ -237,18 +218,9 @@ mod tests {
     }
 
     #[test]
-    fn pcr_and_register_plumbing() {
+    fn pcr_plumbing() {
         let mut m = module(8);
         m.pcrs_mut().extend(0, sha256(b"hypervisor"), "hypervisor");
         assert_eq!(m.pcrs().log().len(), 1);
-        assert!(m.registers().is_none());
-        m.program_registers(RegisterLayout::Accumulators { count: 1 });
-        let regs = m.registers_mut().unwrap();
-        let token = regs.unlock();
-        regs.accumulate(&token, 0, 42);
-        assert_eq!(m.registers().unwrap().snapshot(), vec![42]);
-        // Reprogramming clears.
-        m.program_registers(RegisterLayout::Accumulators { count: 1 });
-        assert_eq!(m.registers().unwrap().snapshot(), vec![0]);
     }
 }

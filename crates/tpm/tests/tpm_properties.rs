@@ -3,7 +3,6 @@
 use monatt_crypto::drbg::Drbg;
 use monatt_tpm::pcr::PcrBank;
 use monatt_tpm::quote::Quote;
-use monatt_tpm::registers::{RegisterLayout, TrustEvidenceRegisters};
 use monatt_tpm::TrustModule;
 use proptest::prelude::*;
 
@@ -42,27 +41,6 @@ proptest! {
         }
         prop_assert_eq!(bank.read(index), PcrBank::replay(&digests));
         prop_assert_eq!(bank.log().len(), digests.len());
-    }
-
-    /// Histogram registers preserve total counts and bin samples.
-    #[test]
-    fn histogram_registers_conserve_counts(
-        samples in proptest::collection::vec(1u64..60_000, 0..64),
-    ) {
-        let mut regs = TrustEvidenceRegisters::new(RegisterLayout::Histogram {
-            bins: 30,
-            bin_width_us: 1_000,
-        });
-        let token = regs.unlock();
-        for s in &samples {
-            regs.record_interval(&token, *s, 1);
-        }
-        prop_assert_eq!(regs.total(), samples.len() as u64);
-        let dist = regs.distribution();
-        if !samples.is_empty() {
-            let sum: f64 = dist.iter().sum();
-            prop_assert!((sum - 1.0).abs() < 1e-9);
-        }
     }
 
     /// Quotes verify for exactly the fields they were created over.

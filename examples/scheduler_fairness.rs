@@ -2,8 +2,8 @@
 //! number of security properties and monitoring mechanisms" — here, a
 //! CC-Hunter-inspired *scheduler fairness* property added on top of the
 //! paper's four case studies. It flags the attacker VM of the boost
-//! attack directly by the density of its boosted wake-ups (from the PMU,
-//! via the Trust Evidence Registers).
+//! attack directly by the density of its boosted wake-ups (from the PMU
+//! counters, under a signed quote).
 //!
 //! ```sh
 //! cargo run --example scheduler_fairness

@@ -13,11 +13,12 @@
 //! * [`crypto`] — from-scratch cryptographic substrate (SHA-256, HMAC, HKDF,
 //!   AES-128-CTR, ChaCha20 DRBG, Schnorr signatures and Diffie-Hellman over a
 //!   256-bit safe-prime group).
-//! * [`tpm`] — the Trust Module: PCRs, Trust Evidence Registers, identity and
-//!   per-session attestation keys, quote generation.
+//! * [`tpm`] — the Trust Module: PCRs, identity and per-session
+//!   attestation keys, quote generation.
 //! * [`hypervisor`] — a discrete-event Xen-style cloud server simulator with
 //!   a credit scheduler (UNDER/OVER/BOOST), IPIs, VM introspection, a VMM
-//!   profile tool and a performance monitor unit.
+//!   profile tool (its per-VM interval bank is the Trust Evidence
+//!   Registers) and a performance monitor unit.
 //! * [`workloads`] — SPEC-like CPU-bound programs and cloud service workload
 //!   models (database, file, web, app, stream, mail).
 //! * [`attacks`] — the paper's two new attacks (CPU covert channel,

@@ -17,8 +17,10 @@
 //!
 //! This pins the perf claim structurally: it is impossible for a later
 //! change to quietly reintroduce per-round heap traffic without this
-//! test failing. `busy_server_steady_state_does_not_allocate` makes the
-//! same proof for the hypervisor simulator's event path, and
+//! test failing. `warm_windowed_rounds_do_not_allocate` extends it to
+//! the CPU-availability and scheduler-fairness rounds, which open a
+//! measurement window. `busy_server_steady_state_does_not_allocate`
+//! makes the same proof for the hypervisor simulator's event path, and
 //! `unattested_busy_server_does_not_allocate` for a busy server whose
 //! profile window is never reset. `pristine_launch_copies_no_image`
 //! bounds the other side, the launch path: a guest booted from an
@@ -253,6 +255,42 @@ fn warm_rounds_of_the_compiled_figure3_program_do_not_allocate() {
          traffic on the warm path",
         delta as f64 / rounds as f64
     );
+}
+
+#[test]
+fn warm_windowed_rounds_do_not_allocate() {
+    // The two properties measured over a window whose measurement is a
+    // fixed set of counters: opening the window and collecting the
+    // VM's CPU time or PMU deltas reads the simulator's row and writes
+    // nothing else. (A covert-channel round allocates its `bins` list,
+    // one `Vec` per measurement copy.)
+    for property in [
+        SecurityProperty::CpuAvailability { min_share_pct: 0 },
+        SecurityProperty::SchedulerFairness,
+    ] {
+        let mut cloud = CloudBuilder::new().servers(1).seed(79).build();
+        let vid = cloud.request_vm(idle_vm()).expect("launch");
+        for _ in 0..32 {
+            cloud
+                .runtime_attest_current(vid, property)
+                .expect("warm-up attestation");
+        }
+
+        let before = alloc_count();
+        let rounds = 64u64;
+        for _ in 0..rounds {
+            let report = cloud
+                .runtime_attest_current(vid, property)
+                .expect("measured attestation");
+            assert_eq!(report.vid, vid);
+        }
+        let delta = alloc_count() - before;
+
+        assert_eq!(
+            delta, 0,
+            "{property}: warm windowed rounds allocated {delta} times over {rounds} rounds"
+        );
+    }
 }
 
 #[test]
