@@ -1172,9 +1172,7 @@ fn registered_protocols_run_like_builtins() {
     assert_eq!(via_program.status, via_api.status);
     assert_eq!(via_program.elapsed_us, via_api.elapsed_us);
     // Ill-formed terms are rejected with a typed error.
-    let err = c
-        .register_protocol(&Protocol::Seq(vec![Protocol::Complete]))
-        .unwrap_err();
+    let err = c.register_protocol(&Protocol(vec![])).unwrap_err();
     assert!(matches!(err, CloudError::Compile(_)), "{err}");
 }
 

@@ -86,7 +86,9 @@ pub use latency::{LatencyParams, RetryPolicy};
 pub use measurements::{Measurement, MeasurementSpec, TaskInfo};
 pub use outage::{AdmissionControl, OutageModel, OutageStats};
 pub use pca::{AvkCertificate, PrivacyCa};
-pub use protocol::{Branch, CompileError, MsgKind, NonceSlot, ProgramId, Protocol, QuoteKind};
+pub use protocol::{
+    Branch, CompileError, MsgKind, NonceSlot, ProgramId, Protocol, QuoteKind, Step,
+};
 pub use server::CloudServerNode;
 pub use types::{
     Flavor, HealthStatus, Image, NodeId, Nonce, ProtocolStats, SecurityProperty, ServerId, Vid,

@@ -244,7 +244,10 @@ impl Wire for Measurement {
                 if n > INTERVAL_BINS {
                     return Err(WireError::LengthOverflow);
                 }
-                let bins = (0..n).map(|_| r.get_u64()).collect::<Result<Vec<_>, _>>()?;
+                let mut bins = Vec::with_capacity(n);
+                for _ in 0..n {
+                    bins.push(r.get_u64()?);
+                }
                 Ok(Measurement::UsageIntervals {
                     bins,
                     bin_width_us: r.get_u64()?,

@@ -243,11 +243,6 @@ impl OutageModel {
             stochastic: true,
         });
     }
-
-    /// Whether any transitions are still pending.
-    pub fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
-    }
 }
 
 /// Counters of node-level failure activity, surfaced via
@@ -350,12 +345,11 @@ mod tests {
         assert!(due[0].down);
         assert_eq!(due[1].at_us, 300);
         assert!(!due[1].down);
-        // The 500us crash is past the horizon: still pending.
-        assert!(model.has_pending());
+        // The 500us crash is past the horizon: it drains later, once.
         let later = model.drain_due(1_000);
         assert_eq!(later.len(), 1);
         assert_eq!(later[0].node, NodeId::Server(ServerId(1)));
-        assert!(!model.has_pending());
+        assert!(model.drain_due(u64::MAX).is_empty());
     }
 
     #[test]

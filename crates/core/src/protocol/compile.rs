@@ -3,45 +3,46 @@
 //!
 //! ## Compilation rules
 //!
-//! * `Seq` flattens; nesting is free.
-//! * `IssueNonce` before a `Hop` and `CheckNonce`/`VerifyQuote` after
-//!   one are *claims*: the message table fixes the nonce each request
-//!   issues ([`MsgKind::issues`]) and the quote and nonce echo each
-//!   reply carries ([`MsgKind::obligations`]). The interpreter always
-//!   draws the one (immediately before building the record, the DRBG
-//!   order the golden trace pins) and enforces
-//!   the others on receive. The compiler validates the claims against
-//!   the table and rejects a program that declares the wrong one; a
-//!   request's `IssueNonce` may not be elided.
+//! A program says only what the message table cannot; the compiler
+//! derives the rest.
+//!
+//! * Each `Hop` becomes an [`Op::Hop`]. The nonce it draws and the
+//!   quote and nonce echo it is checked for on receive are the table's
+//!   ([`MsgKind::issues`], [`MsgKind::obligations`]): the interpreter
+//!   draws the one immediately before building the record (the DRBG
+//!   order the golden trace pins) and always enforces the others.
+//! * Every message-3 hop is followed by an [`Op::Window`], and the
+//!   program ends with one [`Op::Complete`], provided its last op
+//!   produced a verdict.
 //! * Every op carries its *pre-charge* — the processing latency paid
 //!   before it runs: the first op charges nothing, an op after
-//!   `Hop(msgN)` charges `post_hop_us(N)`, and the op after `Window`
-//!   charges the measurement cost (hash + quote + signature), which
-//!   depends on the spec and is resolved at run time.
-//! * `Par`/`Delegate` branches compile to child programs registered
-//!   alongside the parent; the parent gets one `Fork` op that spawns
-//!   them as child sessions and parks until all complete. A
-//!   fork-with-one-branch followed by `Gate` is a delegation; the
-//!   gate's fail edge is patched to the program's message-5 hop so an
-//!   unhealthy delegated verdict is still certified and reported.
-//! * `Complete` terminates the program (exactly one, at the end).
+//!   `Hop(msgN)` charges `post_hop_us(N)`, an op after a fork nothing,
+//!   and the op after the window charges the measurement cost (hash +
+//!   quote + signature), which depends on the spec and is resolved at
+//!   run time.
+//! * A `Fork`'s branches compile to child programs registered
+//!   alongside the parent; the parent gets one [`Op::Fork`] that spawns
+//!   them as child sessions and parks until all complete. A one-branch
+//!   fork followed by `Gate` is a delegation; the gate's fail edge is
+//!   patched to the program's next message-5 hop so an unhealthy
+//!   delegated verdict is still certified and reported.
 //!
-//! The checks below are the typed-register well-formedness pass: a
-//! program that compiles can only read registers (nonces, the
-//! measurement request, the verdict) after some earlier op wrote
-//! them, so the interpreter's register file never traps on the clean
-//! path.
+//! The positional checks below are the typed-register well-formedness
+//! pass: a program that compiles can only read registers (nonces, the
+//! measurement request, the verdict) after some earlier op wrote them,
+//! so the interpreter's register file never traps on the clean path.
 
-use super::ir::{Branch, MsgKind, NonceSlot, Protocol};
+use super::ir::{Branch, MsgKind, Protocol, Step};
 use crate::types::SecurityProperty;
 
 /// Why a [`Protocol`] term failed to compile.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CompileError {
-    /// Index of the offending atom in the flattened term.
+    /// Index of the offending step in its program (a branch's own
+    /// steps for an error inside a branch body).
     pub at: usize,
     /// What rule it broke.
-    pub reason: String,
+    pub reason: &'static str,
 }
 
 impl std::fmt::Display for CompileError {
@@ -147,40 +148,20 @@ impl CompiledProgram {
     }
 }
 
-fn err(at: usize, reason: impl Into<String>) -> CompileError {
-    CompileError {
-        at,
-        reason: reason.into(),
-    }
-}
-
-/// Flattens nested `Seq` terms into one atom list (`Par`/`Delegate`
-/// bodies are compiled recursively, not flattened here).
-fn flatten<'a>(p: &'a Protocol, out: &mut Vec<&'a Protocol>) {
-    match p {
-        Protocol::Seq(steps) => {
-            for s in steps {
-                flatten(s, out);
-            }
-        }
-        other => out.push(other),
-    }
+fn err(at: usize, reason: &'static str) -> CompileError {
+    CompileError { at, reason }
 }
 
 /// Whether a branch body is appraiser-side: no customer hops, no
 /// nested forks. (The one-level depth bound keeps fork/join state a
 /// single parent pointer per session.)
 fn check_branch_shape(body: &Protocol, at: usize) -> Result<(), CompileError> {
-    let mut atoms = Vec::new();
-    flatten(body, &mut atoms);
-    for a in &atoms {
-        match a {
-            Protocol::Hop(MsgKind::Msg1) | Protocol::Hop(MsgKind::Msg6) => {
+    for step in &body.0 {
+        match step {
+            Step::Hop(MsgKind::Msg1 | MsgKind::Msg6) => {
                 return Err(err(at, "branch bodies cannot contain customer hops"))
             }
-            Protocol::Par(_) | Protocol::Delegate(_) | Protocol::Gate => {
-                return Err(err(at, "forks do not nest: branch bodies are flat"))
-            }
+            Step::Fork(_) => return Err(err(at, "forks do not nest: branch bodies are flat")),
             _ => {}
         }
     }
@@ -194,144 +175,68 @@ pub fn compile_into(
     p: &Protocol,
     store: &mut Vec<CompiledProgram>,
 ) -> Result<ProgramId, CompileError> {
-    let mut atoms = Vec::new();
-    flatten(p, &mut atoms);
-    if atoms.is_empty() {
-        return Err(err(0, "empty protocol"));
-    }
     let mut ops: Vec<Op> = Vec::new();
     let mut branches: Vec<BranchSpec> = Vec::new();
-    // `IssueNonce` claimed for the next hop.
-    let mut pending_issue: Option<NonceSlot> = None;
     // Pre-charge owed to the next op (see the module docs).
     let mut next_pre = Charge::None;
-    // The hop whose receive obligations subsequent checks claim.
-    let mut last_hop: Option<MsgKind> = None;
-    // Gate ops awaiting their fail edge.
-    let mut open_gates: Vec<usize> = Vec::new();
-    let mut completed = false;
-    for (at, atom) in atoms.iter().enumerate() {
-        if completed {
-            return Err(err(at, "steps after Complete"));
-        }
-        match atom {
-            Protocol::Seq(_) => {
-                // Flattened away above.
-            }
-            Protocol::IssueNonce(slot) => {
-                if pending_issue.is_some() {
-                    return Err(err(at, "two nonce issues before one hop"));
-                }
-                pending_issue = Some(*slot);
-            }
-            Protocol::CheckNonce(slot) => {
-                let Some(msg) = last_hop else {
-                    return Err(err(at, "nonce check before any hop"));
-                };
-                if msg.obligations().1 != Some(*slot) {
-                    return Err(err(at, format!("{msg} does not echo {slot:?}")));
-                }
-            }
-            Protocol::VerifyQuote(quote) => {
-                let Some(msg) = last_hop else {
-                    return Err(err(at, "quote verify before any hop"));
-                };
-                if msg.obligations().0 != Some(*quote) {
-                    return Err(err(at, format!("{msg} does not carry {quote:?}")));
-                }
-            }
-            Protocol::Hop(msg) => {
-                check_hop_position(*msg, &ops, pending_issue, at)?;
-                pending_issue = None;
+    // Gate steps and ops awaiting their fail edge.
+    let mut open_gates: Vec<(usize, usize)> = Vec::new();
+    for (at, step) in p.0.iter().enumerate() {
+        match step {
+            Step::Hop(msg) => {
+                check_hop_position(*msg, &ops, at)?;
                 ops.push(Op::Hop {
                     msg: *msg,
                     pre: next_pre,
                 });
                 next_pre = Charge::PostHop(msg.number());
-                last_hop = Some(*msg);
-            }
-            Protocol::Window => {
-                if !follows(&ops, MsgKind::Msg3) {
-                    return Err(err(at, "the window must follow the message-3 hop"));
+                if *msg == MsgKind::Msg3 {
+                    ops.push(Op::Window { pre: next_pre });
+                    next_pre = Charge::Measurement;
                 }
-                ops.push(Op::Window { pre: next_pre });
-                next_pre = Charge::Measurement;
-                last_hop = None;
             }
-            Protocol::Par(list) => {
-                if list.is_empty() {
-                    return Err(err(at, "empty parallel composition"));
-                }
+            Step::Fork(list) => {
                 push_fork(&mut ops, &mut branches, list, store, next_pre, at)?;
                 next_pre = Charge::None;
-                last_hop = None;
             }
-            Protocol::Delegate(branch) => {
-                push_fork(
-                    &mut ops,
-                    &mut branches,
-                    std::slice::from_ref(&**branch),
-                    store,
-                    next_pre,
-                    at,
-                )?;
-                next_pre = Charge::None;
-                last_hop = None;
-            }
-            Protocol::Gate => {
-                let delegation = matches!(ops.last(), Some(Op::Fork { n_branches: 1, .. }));
-                if !delegation {
-                    return Err(err(at, "a gate must follow a single-branch delegation"));
+            Step::Gate => {
+                if !matches!(ops.last(), Some(Op::Fork { n_branches: 1, .. })) {
+                    return Err(err(at, "a gate must follow a single-branch fork"));
                 }
-                open_gates.push(ops.len());
+                open_gates.push((at, ops.len()));
                 ops.push(Op::Gate { fail_pc: u16::MAX });
-                last_hop = None;
-            }
-            Protocol::Complete => {
-                if !status_available(&ops) {
-                    return Err(err(at, "nothing produced a verdict to complete with"));
-                }
-                ops.push(Op::Complete { pre: next_pre });
-                completed = true;
             }
         }
         if ops.len() > u16::MAX as usize {
             return Err(err(at, "program too long"));
         }
     }
-    if !completed {
-        return Err(err(atoms.len(), "program does not end with Complete"));
+    if !status_available(&ops) {
+        return Err(err(
+            p.0.len(),
+            "nothing produced a verdict to complete with",
+        ));
     }
-    if pending_issue.is_some() {
-        return Err(err(atoms.len(), "nonce issued but never used by a hop"));
-    }
+    ops.push(Op::Complete { pre: next_pre });
     // Patch every gate's fail edge to the certification tail: the
     // first message-5 hop after it, so an unhealthy delegated verdict
     // is still certified and delivered instead of silently dropping
     // the session.
-    for gate_pc in open_gates {
-        let target = ops
-            .iter()
-            .enumerate()
-            .skip(gate_pc)
-            .find(|(_, op)| {
-                matches!(
-                    op,
-                    Op::Hop {
-                        msg: MsgKind::Msg5,
-                        ..
-                    }
-                )
-            })
-            .map(|(pc, _)| pc);
-        let Some(target) = target else {
-            return Err(err(
-                gate_pc,
-                "gate without a later message-5 hop to report on",
-            ));
+    for (at, gate_pc) in open_gates {
+        let target = ops.iter().skip(gate_pc).position(|op| {
+            matches!(
+                op,
+                Op::Hop {
+                    msg: MsgKind::Msg5,
+                    ..
+                }
+            )
+        });
+        let Some(offset) = target else {
+            return Err(err(at, "gate without a later message-5 hop to report on"));
         };
         if let Some(Op::Gate { fail_pc }) = ops.get_mut(gate_pc) {
-            *fail_pc = target as u16;
+            *fail_pc = (gate_pc + offset) as u16;
         }
     }
     if store.len() >= u16::MAX as usize {
@@ -351,6 +256,9 @@ fn push_fork(
     pre: Charge,
     at: usize,
 ) -> Result<(), CompileError> {
+    if list.is_empty() {
+        return Err(err(at, "empty fork"));
+    }
     if !follows(ops, MsgKind::Msg2) {
         return Err(err(
             at,
@@ -379,23 +287,8 @@ fn push_fork(
 
 /// Positional/register preconditions for transmitting each message
 /// kind — the "can this hop be built from what earlier ops wrote"
-/// check — after the pending `IssueNonce` claim is checked against the
-/// nonce the kind issues.
-fn check_hop_position(
-    msg: MsgKind,
-    ops: &[Op],
-    pending_issue: Option<NonceSlot>,
-    at: usize,
-) -> Result<(), CompileError> {
-    if pending_issue != msg.issues() {
-        return Err(err(
-            at,
-            match msg.issues() {
-                Some(slot) => format!("{msg} requires a fresh {slot:?}"),
-                None => format!("the {} issues no nonce", msg.row().noun),
-            },
-        ));
-    }
+/// check.
+fn check_hop_position(msg: MsgKind, ops: &[Op], at: usize) -> Result<(), CompileError> {
     let (ok, rule) = match msg {
         MsgKind::Msg1 => (ops.is_empty(), "the customer request opens a program"),
         MsgKind::Msg2 => (
@@ -449,30 +342,18 @@ fn status_available(ops: &[Op]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::ir::Protocol;
+    use crate::protocol::ir::{Protocol, Step};
 
-    /// Test fixture: an internal exchange missing its `Complete`.
-    fn figure3_internal_truncated() -> Protocol {
-        Protocol::Seq(vec![
-            Protocol::IssueNonce(NonceSlot::N2),
-            Protocol::Hop(MsgKind::Msg2),
-            Protocol::IssueNonce(NonceSlot::N3),
-            Protocol::Hop(MsgKind::Msg3),
-            Protocol::Window,
-            Protocol::Hop(MsgKind::Msg4),
-        ])
-    }
-
-    fn compile_one(p: &Protocol) -> Result<(CompiledProgram, Vec<CompiledProgram>), CompileError> {
+    /// The parent program `p` compiles to.
+    fn compile_one(p: &Protocol) -> Result<CompiledProgram, CompileError> {
         let mut store = Vec::new();
         let id = compile_into(p, &mut store)?;
-        let parent = store[id.0 as usize].clone();
-        Ok((parent, store))
+        Ok(store.swap_remove(id.index()))
     }
 
     #[test]
     fn figure3_customer_compiles_to_the_expected_schedule() {
-        let (p, _) = compile_one(&Protocol::figure3_customer()).unwrap();
+        let p = compile_one(&Protocol::figure3_customer()).unwrap();
         use Charge::*;
         use MsgKind::*;
         let expect = [
@@ -509,7 +390,7 @@ mod tests {
 
     #[test]
     fn figure3_internal_compiles_to_the_expected_schedule() {
-        let (p, _) = compile_one(&Protocol::figure3_internal()).unwrap();
+        let p = compile_one(&Protocol::figure3_internal()).unwrap();
         use Charge::*;
         use MsgKind::*;
         let expect = [
@@ -535,120 +416,106 @@ mod tests {
         assert_eq!(p.ops, expect);
     }
 
-    #[test]
-    fn layered_gate_fails_to_the_certification_tail() {
-        let (p, store) =
-            compile_one(&Protocol::layered(SecurityProperty::StartupIntegrity)).unwrap();
-        let gate = p
-            .ops
-            .iter()
-            .copied()
-            .find(|op| matches!(op, Op::Gate { .. }))
-            .unwrap();
-        let Op::Gate { fail_pc } = gate else {
-            unreachable!()
-        };
-        assert!(
-            matches!(
-                p.op(fail_pc),
-                Some(Op::Hop {
-                    msg: MsgKind::Msg5,
-                    ..
-                })
-            ),
-            "gate must fail onto the message-5 hop, got {:?}",
-            p.op(fail_pc)
-        );
-        assert_eq!(p.branches.len(), 1);
-        // The delegated child is the internal exchange.
-        let child = &store[p.branches[0].program.0 as usize];
-        assert!(matches!(
-            child.ops[0],
-            Op::Hop {
-                msg: MsgKind::Msg2,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn fanout_branches_share_the_parent_report() {
-        let props = [
-            SecurityProperty::RuntimeIntegrity,
-            SecurityProperty::CpuAvailability { min_share_pct: 50 },
-        ];
-        let (p, store) = compile_one(&Protocol::fanout(&props)).unwrap();
-        assert_eq!(p.branches.len(), 2);
-        let fork = p.ops.iter().find(|op| matches!(op, Op::Fork { .. }));
-        assert!(matches!(fork, Some(Op::Fork { n_branches: 2, .. })));
-        for b in &p.branches {
-            let child = &store[b.program.0 as usize];
-            // Measurement-only branch: request, window, response, done.
-            assert!(matches!(
-                child.ops[0],
-                Op::Hop {
-                    msg: MsgKind::Msg3,
-                    ..
-                }
-            ));
-            assert!(matches!(
-                child.ops.last(),
-                Some(Op::Complete {
-                    pre: Charge::PostHop(4)
-                })
-            ));
+    /// A fork branch over `steps`, inheriting the session's property.
+    fn branch(steps: &[Step]) -> Branch {
+        Branch {
+            property: None,
+            body: Protocol(steps.to_vec()),
         }
     }
 
     #[test]
-    fn wrong_obligation_claims_are_rejected() {
-        // Claims N2 on message 4 (which echoes N3).
-        let bad = Protocol::Seq(vec![
-            Protocol::IssueNonce(NonceSlot::N2),
-            Protocol::Hop(MsgKind::Msg2),
-            Protocol::IssueNonce(NonceSlot::N3),
-            Protocol::Hop(MsgKind::Msg3),
-            Protocol::Window,
-            Protocol::Hop(MsgKind::Msg4),
-            Protocol::CheckNonce(NonceSlot::N2),
-            Protocol::Hop(MsgKind::Msg5),
-            Protocol::Complete,
-        ]);
-        assert!(compile_one(&bad).is_err());
-    }
-
-    #[test]
-    fn structural_violations_are_rejected() {
-        // Hop without its nonce.
-        assert!(compile_one(&Protocol::Seq(vec![
-            Protocol::Hop(MsgKind::Msg2),
-            Protocol::Complete,
-        ]))
-        .is_err());
-        // Window without the measure request.
-        assert!(compile_one(&Protocol::Seq(vec![
-            Protocol::IssueNonce(NonceSlot::N2),
-            Protocol::Hop(MsgKind::Msg2),
-            Protocol::Window,
-            Protocol::Complete,
-        ]))
-        .is_err());
-        // Missing Complete.
-        assert!(compile_one(&figure3_internal_truncated()).is_err());
-        // Nested forks.
-        let nested = Protocol::Seq(vec![
-            Protocol::IssueNonce(NonceSlot::N1),
-            Protocol::Hop(MsgKind::Msg1),
-            Protocol::IssueNonce(NonceSlot::N2),
-            Protocol::Hop(MsgKind::Msg2),
-            Protocol::Delegate(Box::new(Branch {
-                property: None,
-                body: Protocol::layered(SecurityProperty::StartupIntegrity),
-            })),
-            Protocol::Gate,
-            Protocol::Hop(MsgKind::Msg5),
-            Protocol::Complete,
-        ]);
-        assert!(compile_one(&nested).is_err());
+    fn every_positional_rule_rejects_its_violation() {
+        use MsgKind::*;
+        use Step::{Fork, Gate, Hop};
+        let measure = [Hop(Msg3), Hop(Msg4)];
+        let internal = Protocol::figure3_internal().0;
+        let customer = Protocol::figure3_customer().0;
+        let nested = [Hop(Msg2), Fork(vec![branch(&measure)])];
+        // Each program breaks one rule, at step `at`; the reason names it.
+        let cases: [(Vec<Step>, usize, &str); 15] = [
+            (
+                vec![Hop(Msg2), Hop(Msg1)],
+                1,
+                "the customer request opens a program",
+            ),
+            (
+                vec![Hop(Msg2), Hop(Msg2)],
+                1,
+                "the forward follows the customer request (or opens an internal program)",
+            ),
+            (
+                vec![Hop(Msg1), Hop(Msg3)],
+                1,
+                "the measure request follows the forward (or a passed gate, or opens a branch)",
+            ),
+            (
+                vec![Hop(Msg2), Hop(Msg4)],
+                1,
+                "the measurement response follows the window",
+            ),
+            (
+                vec![Hop(Msg2), Hop(Msg5)],
+                1,
+                "nothing produced a verdict to certify",
+            ),
+            (
+                vec![Hop(Msg1), Hop(Msg2), Hop(Msg3), Hop(Msg4), Hop(Msg6)],
+                4,
+                "the customer report follows the property report",
+            ),
+            (
+                vec![Hop(Msg2), Fork(vec![branch(&customer)])],
+                1,
+                "branch bodies cannot contain customer hops",
+            ),
+            (
+                vec![Hop(Msg2), Fork(vec![branch(&nested)])],
+                1,
+                "forks do not nest: branch bodies are flat",
+            ),
+            (vec![Hop(Msg2), Fork(vec![]), Hop(Msg5)], 1, "empty fork"),
+            (
+                vec![Hop(Msg1), Fork(vec![branch(&measure)])],
+                1,
+                "forks happen at the appraiser: after the message-2 hop",
+            ),
+            (
+                vec![Hop(Msg2), Hop(Msg3), Hop(Msg4), Gate],
+                3,
+                "a gate must follow a single-branch fork",
+            ),
+            (
+                vec![
+                    Hop(Msg2),
+                    Fork(vec![branch(&measure), branch(&measure)]),
+                    Gate,
+                ],
+                2,
+                "a gate must follow a single-branch fork",
+            ),
+            (
+                vec![
+                    Hop(Msg2),
+                    Fork(vec![branch(&internal)]),
+                    Gate,
+                    Hop(Msg3),
+                    Hop(Msg4),
+                ],
+                2,
+                "gate without a later message-5 hop to report on",
+            ),
+            (vec![], 0, "nothing produced a verdict to complete with"),
+            (
+                vec![Hop(Msg2), Hop(Msg3)],
+                2,
+                "nothing produced a verdict to complete with",
+            ),
+        ];
+        for (steps, at, reason) in cases {
+            let program = Protocol(steps);
+            let got = compile_one(&program).map(|_| ());
+            assert_eq!(got, Err(CompileError { at, reason }), "{program:?}");
+        }
     }
 }

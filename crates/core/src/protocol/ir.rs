@@ -1,15 +1,15 @@
 //! The attestation-protocol IR: Figure 3 (and its variants) as data.
 //!
-//! A [`Protocol`] term describes one attestation exchange the way the
-//! paper draws it — a sequence of message hops between the customer,
-//! the Cloud Controller, the Attestation Server and a cloud server,
-//! with nonce freshness, quote verification and the measurement window
-//! made explicit. Terms compose sequentially ([`Protocol::Seq`], the
-//! paper's `;`) and in parallel ([`Protocol::Par`], `||`), and a term
-//! can delegate a whole sub-protocol to the appraiser
-//! ([`Protocol::Delegate`]) and gate what follows on its verdict
-//! ([`Protocol::Gate`]) — the Copland idea of protocols as terms run by
-//! an interpreter, applied to CloudMonatt's message flow.
+//! Figure 3's message table ([`MsgKind::row`]) fixes everything about
+//! each record: its endpoints, its channel, its fields, the nonce a
+//! request draws and the nonce and quote a reply carries. A [`Protocol`]
+//! says only what the table cannot: which records a program sends, in
+//! which order ([`Step::Hop`]), which sub-protocols it runs in parallel
+//! at the appraiser ([`Step::Fork`]), and where a delegated verdict
+//! gates what follows ([`Step::Gate`]) — the Copland idea of protocols
+//! as terms run by an interpreter, applied to CloudMonatt's message
+//! flow. The measurement window and the completion follow from the
+//! hops and are the compiler's.
 //!
 //! Terms are *compiled* ([`crate::protocol::compile`]) to a flat op
 //! list interpreted by the session layer; nothing here executes.
@@ -186,111 +186,58 @@ pub enum QuoteKind {
     Q1,
 }
 
-/// One parallel branch of a [`Protocol::Par`] term, or the body of a
-/// [`Protocol::Delegate`]: a sub-protocol run as its own session on
-/// behalf of the enclosing one.
+/// One branch of a [`Step::Fork`]: a sub-protocol run as its own
+/// session on behalf of the enclosing one.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Branch {
     /// The security property the branch attests. `None` inherits the
     /// enclosing session's property; a fan-out sets one per branch.
     pub property: Option<SecurityProperty>,
-    /// The branch body. Must be appraiser-side (no customer hops):
-    /// it may start at message 2 (a full delegated appraisal) or at
-    /// message 3 (a measurement-only branch).
+    /// The branch body. Must be appraiser-side (no customer hops, no
+    /// forks): it may start at message 2 (a full delegated appraisal)
+    /// or at message 3 (a measurement-only branch).
     pub body: Protocol,
 }
 
-/// An attestation-protocol term. See the module docs for the grammar;
-/// [`crate::protocol::compile`] for what each construct lowers to.
+/// One step of a [`Protocol`]. See [`crate::protocol::compile`] for
+/// what each lowers to and where it may stand.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Protocol {
+pub enum Step {
     /// Put one Figure-3 record on the wire and wait for its receive
-    /// processing (decode, the wire-fixed nonce/quote checks, register
-    /// writes) at the far end.
+    /// processing at the far end. Its nonce draw and its receive checks
+    /// are the table's ([`MsgKind::issues`], [`MsgKind::obligations`]),
+    /// and a message-3 hop is followed by the measurement window.
     Hop(MsgKind),
-    /// Declare that the next hop draws a fresh nonce into `slot`. The
-    /// draw is wire-fixed ([`MsgKind::issues`]): the interpreter always
-    /// makes it immediately before building that hop's record. The
-    /// compiler checks the claim like [`Protocol::CheckNonce`], but a
-    /// request's hop may not elide it.
-    IssueNonce(NonceSlot),
-    /// Declare that the message just received must echo `slot`. The
-    /// check itself is wire-fixed — the interpreter always enforces it
-    /// — so the compiler *validates* the claim against the preceding
-    /// hop's message kind and rejects a program that declares the
-    /// wrong obligation.
-    CheckNonce(NonceSlot),
-    /// Declare that the message just received carries `quote` and that
-    /// it must verify. Validated like [`Protocol::CheckNonce`].
-    VerifyQuote(QuoteKind),
-    /// Run the measurement window on the target server (serialized
-    /// per server), then measure and quote. Must sit between the
-    /// message-3 and message-4 hops.
-    Window,
-    /// Sequential composition: `p1 ; p2 ; …`.
-    Seq(Vec<Protocol>),
-    /// Parallel composition: every branch runs as a delegated child
-    /// session concurrently (`b1 || b2 || …`); the parent parks until
-    /// all branches complete and resumes with the combined verdict
-    /// (healthy iff every branch is healthy).
-    Par(Vec<Branch>),
-    /// Delegate one sub-protocol to the appraiser: the branch runs as
-    /// a child session; the parent parks until it completes and
-    /// resumes with the child's verdict in its status register.
-    Delegate(Box<Branch>),
-    /// Branch on the preceding delegation's verdict: healthy falls
+    /// Run every branch as a delegated child session concurrently
+    /// (`b1 || b2 || …`); the parent parks until all complete and
+    /// resumes with the combined verdict (healthy iff every branch is
+    /// healthy). One branch is a delegation.
+    Fork(Vec<Branch>),
+    /// Branch on the preceding one-branch fork's verdict: healthy falls
     /// through to the next step; unhealthy skips straight to the
     /// report-certification tail (the message-5 hop), so the appraiser
     /// still certifies the negative verdict instead of measuring a
     /// platform it no longer trusts.
     Gate,
-    /// Deliver the session verdict after the final processing charge.
-    /// Every program ends with exactly one `Complete`.
-    Complete,
 }
+
+/// An attestation-protocol term: its steps, in order. The program
+/// completes after its last step with the verdict that step produced.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Protocol(pub Vec<Step>);
 
 impl Protocol {
     /// The flat Figure-3 customer exchange, messages 1–6 — the default
     /// program every Table-1 API runs.
     pub fn figure3_customer() -> Protocol {
-        Protocol::Seq(vec![
-            Protocol::IssueNonce(NonceSlot::N1),
-            Protocol::Hop(MsgKind::Msg1),
-            Protocol::IssueNonce(NonceSlot::N2),
-            Protocol::Hop(MsgKind::Msg2),
-            Protocol::IssueNonce(NonceSlot::N3),
-            Protocol::Hop(MsgKind::Msg3),
-            Protocol::Window,
-            Protocol::Hop(MsgKind::Msg4),
-            Protocol::VerifyQuote(QuoteKind::Q3),
-            Protocol::CheckNonce(NonceSlot::N3),
-            Protocol::Hop(MsgKind::Msg5),
-            Protocol::VerifyQuote(QuoteKind::Q2),
-            Protocol::CheckNonce(NonceSlot::N2),
-            Protocol::Hop(MsgKind::Msg6),
-            Protocol::VerifyQuote(QuoteKind::Q1),
-            Protocol::CheckNonce(NonceSlot::N1),
-            Protocol::Complete,
-        ])
+        Protocol(MsgKind::ALL.map(Step::Hop).to_vec())
     }
 
     /// The controller-internal Figure-3 exchange, messages 2–5 — the
     /// launch pipeline's attestation stage (no customer endpoint).
     pub fn figure3_internal() -> Protocol {
-        Protocol::Seq(vec![
-            Protocol::IssueNonce(NonceSlot::N2),
-            Protocol::Hop(MsgKind::Msg2),
-            Protocol::IssueNonce(NonceSlot::N3),
-            Protocol::Hop(MsgKind::Msg3),
-            Protocol::Window,
-            Protocol::Hop(MsgKind::Msg4),
-            Protocol::VerifyQuote(QuoteKind::Q3),
-            Protocol::CheckNonce(NonceSlot::N3),
-            Protocol::Hop(MsgKind::Msg5),
-            Protocol::VerifyQuote(QuoteKind::Q2),
-            Protocol::CheckNonce(NonceSlot::N2),
-            Protocol::Complete,
-        ])
+        use MsgKind::{Msg2, Msg3, Msg4, Msg5};
+        Protocol([Msg2, Msg3, Msg4, Msg5].map(Step::Hop).to_vec())
     }
 
     /// Layered attestation: appraise the hosting platform first (a
@@ -301,29 +248,20 @@ impl Protocol {
     /// gated on the platform's. An unhealthy platform skips the VM
     /// measurement and certifies the negative verdict directly.
     pub fn layered(platform_property: SecurityProperty) -> Protocol {
-        Protocol::Seq(vec![
-            Protocol::IssueNonce(NonceSlot::N1),
-            Protocol::Hop(MsgKind::Msg1),
-            Protocol::IssueNonce(NonceSlot::N2),
-            Protocol::Hop(MsgKind::Msg2),
-            Protocol::Delegate(Box::new(Branch {
-                property: Some(platform_property),
-                body: Protocol::figure3_internal(),
-            })),
-            Protocol::Gate,
-            Protocol::IssueNonce(NonceSlot::N3),
-            Protocol::Hop(MsgKind::Msg3),
-            Protocol::Window,
-            Protocol::Hop(MsgKind::Msg4),
-            Protocol::VerifyQuote(QuoteKind::Q3),
-            Protocol::CheckNonce(NonceSlot::N3),
-            Protocol::Hop(MsgKind::Msg5),
-            Protocol::VerifyQuote(QuoteKind::Q2),
-            Protocol::CheckNonce(NonceSlot::N2),
-            Protocol::Hop(MsgKind::Msg6),
-            Protocol::VerifyQuote(QuoteKind::Q1),
-            Protocol::CheckNonce(NonceSlot::N1),
-            Protocol::Complete,
+        use MsgKind::{Msg1, Msg2, Msg3, Msg4, Msg5, Msg6};
+        let platform = Branch {
+            property: Some(platform_property),
+            body: Protocol::figure3_internal(),
+        };
+        Protocol(vec![
+            Step::Hop(Msg1),
+            Step::Hop(Msg2),
+            Step::Fork(vec![platform]),
+            Step::Gate,
+            Step::Hop(Msg3),
+            Step::Hop(Msg4),
+            Step::Hop(Msg5),
+            Step::Hop(Msg6),
         ])
     }
 
@@ -333,34 +271,20 @@ impl Protocol {
     /// then certifies one combined report — healthy iff every branch
     /// is healthy.
     pub fn fanout(properties: &[SecurityProperty]) -> Protocol {
+        use MsgKind::{Msg1, Msg2, Msg3, Msg4, Msg5, Msg6};
         let branches = properties
             .iter()
             .map(|&p| Branch {
                 property: Some(p),
-                body: Protocol::Seq(vec![
-                    Protocol::IssueNonce(NonceSlot::N3),
-                    Protocol::Hop(MsgKind::Msg3),
-                    Protocol::Window,
-                    Protocol::Hop(MsgKind::Msg4),
-                    Protocol::VerifyQuote(QuoteKind::Q3),
-                    Protocol::CheckNonce(NonceSlot::N3),
-                    Protocol::Complete,
-                ]),
+                body: Protocol(vec![Step::Hop(Msg3), Step::Hop(Msg4)]),
             })
             .collect();
-        Protocol::Seq(vec![
-            Protocol::IssueNonce(NonceSlot::N1),
-            Protocol::Hop(MsgKind::Msg1),
-            Protocol::IssueNonce(NonceSlot::N2),
-            Protocol::Hop(MsgKind::Msg2),
-            Protocol::Par(branches),
-            Protocol::Hop(MsgKind::Msg5),
-            Protocol::VerifyQuote(QuoteKind::Q2),
-            Protocol::CheckNonce(NonceSlot::N2),
-            Protocol::Hop(MsgKind::Msg6),
-            Protocol::VerifyQuote(QuoteKind::Q1),
-            Protocol::CheckNonce(NonceSlot::N1),
-            Protocol::Complete,
+        Protocol(vec![
+            Step::Hop(Msg1),
+            Step::Hop(Msg2),
+            Step::Fork(branches),
+            Step::Hop(Msg5),
+            Step::Hop(Msg6),
         ])
     }
 }

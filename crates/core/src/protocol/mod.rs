@@ -2,12 +2,15 @@
 //! session-layer interpreter.
 //!
 //! CloudMonatt's Figure-3 message flow is a term language
-//! ([`Protocol`]) compiled ([`compile`]) to flat op schedules that the
-//! session interpreter (`run`, `fork`) executes on the engine's
-//! event queue. Figure 3 ships as the default program — its every
-//! byte, latency and DRBG draw pinned by the golden trace — and new
-//! scenarios (layered platform-then-VM attestation, multi-property
-//! fan-out, delegation) are new *programs*, not new code.
+//! ([`Protocol`]: a list of hops, forks and gates) compiled
+//! ([`compile`]) to flat op schedules that the session interpreter
+//! (`run`, `fork`) executes on the engine's event queue. What each
+//! record carries — nonce, quote, fields — is the message table's
+//! ([`MsgKind::row`]), not the program's. Figure 3 ships as the
+//! default program — its every byte, latency and DRBG draw pinned by
+//! the golden trace — and new scenarios (layered platform-then-VM
+//! attestation, multi-property fan-out, delegation) are new
+//! *programs*, not new code.
 
 pub mod compile;
 pub(crate) mod fork;
@@ -15,7 +18,7 @@ pub mod ir;
 pub(crate) mod run;
 
 pub use compile::{CompileError, ProgramId};
-pub use ir::{Branch, Channel, Field, MsgKind, MsgRow, NonceSlot, Protocol, QuoteKind};
+pub use ir::{Branch, Channel, Field, MsgKind, MsgRow, NonceSlot, Protocol, QuoteKind, Step};
 
 use crate::types::SecurityProperty;
 use compile::{compile_into, CompiledProgram};

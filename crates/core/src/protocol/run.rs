@@ -287,8 +287,8 @@ impl Cloud {
 
     /// The receive side of the current `Hop` op: decode `bytes` per the
     /// wire format of `msg`, enforce its obligations (nonce echo, quote
-    /// verification — the claims the compiler validated), write the
-    /// registers, and advance into the next op.
+    /// verification — the message table's, [`MsgKind::obligations`]),
+    /// write the registers, and advance into the next op.
     pub(crate) fn dispatch_receive(
         &mut self,
         sid: SessionId,

@@ -113,12 +113,6 @@ impl SecurityProperty {
             SecurityProperty::SchedulerFairness => "scheduler-fairness",
         }
     }
-
-    /// True if monitoring this property requires a runtime observation
-    /// window (as opposed to boot-time measurements).
-    pub fn needs_runtime_window(&self) -> bool {
-        !matches!(self, SecurityProperty::StartupIntegrity)
-    }
 }
 
 impl fmt::Display for SecurityProperty {
@@ -382,13 +376,6 @@ mod tests {
             SecurityProperty::CpuAvailability { min_share_pct: 40 }.to_string(),
             "cpu-availability(min 40%)"
         );
-    }
-
-    #[test]
-    fn property_classification() {
-        assert!(!SecurityProperty::StartupIntegrity.needs_runtime_window());
-        assert!(SecurityProperty::RuntimeIntegrity.needs_runtime_window());
-        assert!(SecurityProperty::CovertChannelFreedom.needs_runtime_window());
     }
 
     #[test]

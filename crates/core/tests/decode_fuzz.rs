@@ -6,17 +6,23 @@
 //! (message 5 or 6) that still decodes must be refused with a check its
 //! row names. A message 4 that still decodes goes on to the Attestation
 //! Server's validator, which must judge it the same alone and in a batch.
+//! The routing trailer and the three 32-byte key decoders (Schnorr
+//! verifying and bound keys, Diffie-Hellman shares) get the same random
+//! bytes, the keys their first 32 zero-padded.
 
 use monatt_core::attestation::{AttestationServer, BatchValidationItem};
 use monatt_core::measurements::{Measurement, MeasurementSpec};
 use monatt_core::messages::{
-    AttestationReportMsg, ControllerForward, CustomerReportMsg, CustomerRequest, MeasureRequest,
-    MeasureResponse,
+    append_route_tag, split_route_tag, AttestationReportMsg, ControllerForward, CustomerReportMsg,
+    CustomerRequest, MeasureRequest, MeasureResponse,
 };
 use monatt_core::types::{HealthStatus, Image, SecurityProperty, ServerId, Vid};
-use monatt_core::{Check, CloudController, CloudError, CloudServerNode, MsgKind, ReferenceDb};
+use monatt_core::{
+    Check, CloudController, CloudError, CloudServerNode, MsgKind, ReferenceDb, RouteTag,
+};
+use monatt_crypto::dh::PublicShare;
 use monatt_crypto::drbg::Drbg;
-use monatt_crypto::schnorr::VerifyingKey;
+use monatt_crypto::schnorr::{BoundKey, VerifyingKey};
 use monatt_hypervisor::driver::IdleDriver;
 use monatt_hypervisor::scheduler::SchedParams;
 use monatt_net::wire::{EncodeScratch, Wire};
@@ -199,6 +205,28 @@ proptest! {
         let _ = MeasurementSpec::from_wire(&bytes);
         let _ = SecurityProperty::from_wire(&bytes);
         let _ = HealthStatus::from_wire(&bytes);
+        let _ = split_route_tag(&bytes);
+        let mut key = [0u8; 32];
+        let n = bytes.len().min(32);
+        key[..n].copy_from_slice(&bytes[..n]);
+        let _ = VerifyingKey::from_bytes(&key);
+        let _ = BoundKey::from_bytes(&key);
+        let _ = PublicShare::from_bytes(&key);
+    }
+
+    /// The routing trailer splits off exactly what was appended, for any
+    /// body and any tag.
+    #[test]
+    fn route_tags_split_off_what_was_appended(
+        body in arb_bytes(),
+        shard in any::<u32>(),
+        controller in any::<u32>(),
+        replica in any::<u32>(),
+    ) {
+        let tag = RouteTag { shard, controller, replica };
+        let mut wire = body.clone();
+        append_route_tag(&mut wire, tag);
+        prop_assert_eq!(split_route_tag(&wire), Some((&body[..], tag)));
     }
 
     /// Bit-flipping a genuine encoding of each record either still

@@ -84,11 +84,6 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
-    /// Appends a bool as one byte.
-    pub fn put_bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
-    }
-
     /// Appends fixed-width bytes with no length prefix (use for hashes,
     /// keys, nonces whose length is fixed by the protocol).
     pub fn put_fixed(&mut self, v: &[u8]) {
@@ -180,15 +175,6 @@ impl<'a> Reader<'a> {
         Ok(u64::from_be_bytes(arr))
     }
 
-    /// Reads a bool (0 or 1; other values are an invalid discriminant).
-    pub fn get_bool(&mut self) -> Result<bool, WireError> {
-        match self.get_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            d => Err(WireError::InvalidDiscriminant(d)),
-        }
-    }
-
     /// Reads `N` fixed bytes.
     pub fn get_fixed<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
         let b = self.take(N)?;
@@ -276,7 +262,6 @@ mod tests {
         id: u64,
         name: String,
         payload: Vec<u8>,
-        flag: bool,
         digest: [u8; 32],
     }
 
@@ -285,7 +270,6 @@ mod tests {
             w.put_u64(self.id);
             w.put_str(&self.name);
             w.put_bytes(&self.payload);
-            w.put_bool(self.flag);
             w.put_fixed(&self.digest);
         }
 
@@ -294,7 +278,6 @@ mod tests {
                 id: r.get_u64()?,
                 name: r.get_str()?,
                 payload: r.get_bytes()?,
-                flag: r.get_bool()?,
                 digest: r.get_fixed()?,
             })
         }
@@ -305,7 +288,6 @@ mod tests {
             id: 42,
             name: "attest".into(),
             payload: vec![1, 2, 3],
-            flag: true,
             digest: [7u8; 32],
         }
     }
@@ -337,12 +319,6 @@ mod tests {
         let mut bytes = demo().to_wire();
         bytes.push(0);
         assert_eq!(Demo::from_wire(&bytes), Err(WireError::TrailingBytes));
-    }
-
-    #[test]
-    fn bad_bool_rejected() {
-        let mut r = Reader::new(&[2]);
-        assert_eq!(r.get_bool(), Err(WireError::InvalidDiscriminant(2)));
     }
 
     #[test]

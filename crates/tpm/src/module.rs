@@ -116,11 +116,6 @@ impl TrustModule {
         self.identity.verifying_key()
     }
 
-    /// Generates a fresh nonce.
-    pub fn fresh_nonce(&mut self) -> [u8; 32] {
-        self.rng.next_bytes32()
-    }
-
     /// Starts a new attestation session: generates `{AVKs, ASKs}` and signs
     /// AVKs with the identity key.
     pub fn begin_attestation(&mut self) -> AttestationSession {
@@ -209,12 +204,6 @@ mod tests {
         assert!(quote
             .verify(&m.identity_key(), &[b"vid", b"measurement", b"nonce"])
             .is_err());
-    }
-
-    #[test]
-    fn nonces_are_fresh() {
-        let mut m = module(7);
-        assert_ne!(m.fresh_nonce(), m.fresh_nonce());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! each: the op list (a `Hop` per Figure-3 record) and the message table
 //! ([`MsgKind::row`]: channel, direction and fields; the nonce a request
 //! issues and the quote and nonce a reply carries, which the interpreter
-//! enforces; the program's claims are not read). `value` names each core
+//! enforces). `value` names each core
 //! [`Field`]'s atom; the one fact only the model has is which end
 //! originates a field (`originates`: message 5 names its server).
 //!
@@ -23,7 +23,7 @@
 //!   property and measurement spec when the branch attests its own
 //!   property. A value the child sends without having received it is
 //!   the parent session's.
-//! * **Bound:** the branches of a `Par` run one after another in branch
+//! * **Bound:** the branches of a fork run one after another in branch
 //!   order, the order the runtime spawns them; no other interleaving is
 //!   searched.
 //! * Each path through the `Gate`s is its own model: the healthy
@@ -490,7 +490,7 @@ mod tests {
 
     #[test]
     fn a_program_core_refuses_does_not_lower() {
-        let unfinished = Program::Seq(vec![Program::Hop(MsgKind::Msg2)]);
+        let unfinished = Program(vec![monatt_core::protocol::Step::Hop(MsgKind::Msg2)]);
         assert!(lower(&unfinished, &ModelConfig::full()).is_err());
     }
 }

@@ -91,12 +91,6 @@ impl CloudService {
         }
     }
 
-    /// True for the CPU-bound services (Database, Web, App).
-    pub fn is_cpu_bound(&self) -> bool {
-        let (c, io) = self.profile();
-        c > io
-    }
-
     /// Instantiates the service as a workload driver with jitter seeded by
     /// `seed`.
     pub fn driver(&self, seed: u64) -> ServiceWorkload {
@@ -183,12 +177,6 @@ mod tests {
     #[test]
     fn catalog_is_consistent() {
         assert_eq!(CloudService::ALL.len(), 6);
-        assert!(CloudService::Database.is_cpu_bound());
-        assert!(CloudService::Web.is_cpu_bound());
-        assert!(CloudService::App.is_cpu_bound());
-        assert!(!CloudService::File.is_cpu_bound());
-        assert!(!CloudService::Stream.is_cpu_bound());
-        assert!(!CloudService::Mail.is_cpu_bound());
         assert_eq!(CloudService::Mail.to_string(), "mail");
     }
 

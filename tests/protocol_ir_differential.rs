@@ -4,9 +4,7 @@
 //! the compiler accepts — an optional customer prologue, a body that is
 //! either a flat measurement, a parallel fan-out of 1–4 branches, or a
 //! delegated platform appraisal gated by its verdict, and the
-//! certification tail — with freshness/quote claims included or elided
-//! at random (they are wire-fixed validations, not behaviour). Each
-//! generated program must:
+//! certification tail. Each generated program must:
 //!
 //! 1. compile (`Cloud::register_protocol` accepts it) and reach a
 //!    verdict on a clean network,
@@ -18,8 +16,8 @@
 //!    protocol holds on every gate path without truncating the search.
 
 use cloudmonatt::core::{
-    AttestationReport, Branch, CloudBuilder, CloudError, Flavor, Image, MsgKind, NonceSlot,
-    Protocol, QuoteKind, SecurityProperty, VmRequest, WorkloadSpec,
+    AttestationReport, Branch, CloudBuilder, CloudError, Flavor, Image, MsgKind, Protocol,
+    SecurityProperty, Step, VmRequest, WorkloadSpec,
 };
 use cloudmonatt::net::sim::FaultModel;
 use cloudmonatt::verifier::{verify_program, ModelConfig, SearchConfig};
@@ -59,88 +57,61 @@ enum Body {
     /// Parallel fan-out: each branch is `(property, full)` where `full`
     /// selects a delegated messages-2–5 appraisal over a
     /// measurement-only messages-3–4 branch.
-    Par(Vec<(Option<SecurityProperty>, bool)>),
-    /// Delegated platform appraisal whose verdict gates a flat
-    /// measurement.
+    Fanout(Vec<(Option<SecurityProperty>, bool)>),
+    /// A platform appraisal, run as a one-branch fork, whose verdict
+    /// gates a flat measurement.
     Layered(Option<SecurityProperty>),
 }
 
 fn arb_body() -> impl Strategy<Value = Body> {
     prop_oneof![
         Just(Body::Flat),
-        proptest::collection::vec((arb_branch_property(), arb_bool()), 1..=4).prop_map(Body::Par),
+        proptest::collection::vec((arb_branch_property(), arb_bool()), 1..=4)
+            .prop_map(Body::Fanout),
         arb_branch_property().prop_map(Body::Layered),
     ]
 }
 
-/// The measurement core: msg 3 → window → msg 4, with the quote/nonce
-/// claims optionally spelled out.
-fn measurement(claims: bool, out: &mut Vec<Protocol>) {
-    out.push(Protocol::IssueNonce(NonceSlot::N3));
-    out.push(Protocol::Hop(MsgKind::Msg3));
-    out.push(Protocol::Window);
-    out.push(Protocol::Hop(MsgKind::Msg4));
-    if claims {
-        out.push(Protocol::VerifyQuote(QuoteKind::Q3));
-        out.push(Protocol::CheckNonce(NonceSlot::N3));
-    }
-}
+/// The measurement core: msg 3 (the compiler adds the window), msg 4.
+const MEASUREMENT: [Step; 2] = [Step::Hop(MsgKind::Msg3), Step::Hop(MsgKind::Msg4)];
 
 /// A fan-out branch body: measurement-only, or a full delegated
 /// messages-2–5 appraisal.
-fn branch(property: Option<SecurityProperty>, full: bool, claims: bool) -> Branch {
+fn branch(property: Option<SecurityProperty>, full: bool) -> Branch {
     let body = if full {
         Protocol::figure3_internal()
     } else {
-        let mut steps = Vec::new();
-        measurement(claims, &mut steps);
-        steps.push(Protocol::Complete);
-        Protocol::Seq(steps)
+        Protocol(MEASUREMENT.to_vec())
     };
     Branch { property, body }
 }
 
 /// Assembles a well-formed program from the generated shape.
-fn build_program(customer: bool, body: &Body, claims: bool) -> Protocol {
+fn build_program(customer: bool, body: &Body) -> Protocol {
     let mut steps = Vec::new();
     if customer {
-        steps.push(Protocol::IssueNonce(NonceSlot::N1));
-        steps.push(Protocol::Hop(MsgKind::Msg1));
+        steps.push(Step::Hop(MsgKind::Msg1));
     }
-    steps.push(Protocol::IssueNonce(NonceSlot::N2));
-    steps.push(Protocol::Hop(MsgKind::Msg2));
+    steps.push(Step::Hop(MsgKind::Msg2));
     match body {
-        Body::Flat => measurement(claims, &mut steps),
-        Body::Par(branches) => {
-            steps.push(Protocol::Par(
-                branches
-                    .iter()
-                    .map(|&(property, full)| branch(property, full, claims))
-                    .collect(),
-            ));
-        }
+        Body::Flat => steps.extend(MEASUREMENT),
+        Body::Fanout(branches) => steps.push(Step::Fork(
+            branches
+                .iter()
+                .map(|&(property, full)| branch(property, full))
+                .collect(),
+        )),
         Body::Layered(platform) => {
-            steps.push(Protocol::Delegate(Box::new(branch(
-                *platform, true, claims,
-            ))));
-            steps.push(Protocol::Gate);
-            measurement(claims, &mut steps);
+            steps.push(Step::Fork(vec![branch(*platform, true)]));
+            steps.push(Step::Gate);
+            steps.extend(MEASUREMENT);
         }
     }
-    steps.push(Protocol::Hop(MsgKind::Msg5));
-    if claims {
-        steps.push(Protocol::VerifyQuote(QuoteKind::Q2));
-        steps.push(Protocol::CheckNonce(NonceSlot::N2));
-    }
+    steps.push(Step::Hop(MsgKind::Msg5));
     if customer {
-        steps.push(Protocol::Hop(MsgKind::Msg6));
-        if claims {
-            steps.push(Protocol::VerifyQuote(QuoteKind::Q1));
-            steps.push(Protocol::CheckNonce(NonceSlot::N1));
-        }
+        steps.push(Step::Hop(MsgKind::Msg6));
     }
-    steps.push(Protocol::Complete);
-    Protocol::Seq(steps)
+    Protocol(steps)
 }
 
 /// Compiles and runs `program` on a fresh cloud, dropping each message
@@ -179,11 +150,10 @@ proptest! {
     fn programs_compile_and_reach_a_verdict(
         customer in arb_bool(),
         body in arb_body(),
-        claims in arb_bool(),
         property in arb_property(),
         seed in 0u64..500,
     ) {
-        let program = build_program(customer, &body, claims);
+        let program = build_program(customer, &body);
         // A clean-network run of a well-formed program always reaches a
         // verdict (Gate may certify a negative one, never an error).
         let outcome = run_once(&program, property, seed, None);
@@ -197,12 +167,11 @@ proptest! {
     fn programs_terminate_under_loss(
         customer in arb_bool(),
         body in arb_body(),
-        claims in arb_bool(),
         property in arb_property(),
         seed in 0u64..500,
         drop in arb_drop_rate(),
     ) {
-        let program = build_program(customer, &body, claims);
+        let program = build_program(customer, &body);
         // Returning at all is the liveness property. A verdict and the
         // one failure loss causes (a hop out of retransmissions) are the
         // acceptable outcomes; any other error, `Internal` say, is a bug.
@@ -218,7 +187,7 @@ proptest! {
 /// a Figure-3 program runs out of retransmissions on some hop.
 #[test]
 fn exhausted_retries_end_unreachable() {
-    let program = build_program(true, &Body::Flat, true);
+    let program = build_program(true, &Body::Flat);
     let property = SecurityProperty::RuntimeIntegrity;
     let outcome = run_once(&program, property, 1, Some(LADDER_EXHAUSTING_DROP));
     assert!(
@@ -236,9 +205,8 @@ proptest! {
     fn programs_verify_symbolically(
         customer in arb_bool(),
         body in arb_body(),
-        claims in arb_bool(),
     ) {
-        let program = build_program(customer, &body, claims);
+        let program = build_program(customer, &body);
         let outcomes = verify_program(&program, &ModelConfig::full(), SearchConfig::default())
             .expect("well-formed programs compile");
         for outcome in outcomes {

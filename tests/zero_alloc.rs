@@ -19,7 +19,9 @@
 //! change to quietly reintroduce per-round heap traffic without this
 //! test failing. `warm_windowed_rounds_do_not_allocate` extends it to
 //! the CPU-availability and scheduler-fairness rounds, which open a
-//! measurement window. `busy_server_steady_state_does_not_allocate`
+//! measurement window, and `warm_covert_channel_rounds_allocate_only_the_bins`
+//! holds a covert-channel round to its two usage-interval lists.
+//! `busy_server_steady_state_does_not_allocate`
 //! makes the same proof for the hypervisor simulator's event path, and
 //! `unattested_busy_server_does_not_allocate` for a busy server whose
 //! profile window is never reset. `pristine_launch_copies_no_image`
@@ -291,6 +293,46 @@ fn warm_windowed_rounds_do_not_allocate() {
             "{property}: warm windowed rounds allocated {delta} times over {rounds} rounds"
         );
     }
+}
+
+#[test]
+fn warm_covert_channel_rounds_allocate_only_the_bins() {
+    // A covert-channel round measures the VM's 30 usage-interval bins.
+    // Its warm cost is two allocations of 30 × 8 B each: the list the
+    // server collects and the one the Attestation Server decodes from
+    // message 4 (each sized once, never grown).
+    const CALLS: u64 = 2;
+    const BYTES: u64 = 2 * 30 * 8;
+    let property = SecurityProperty::CovertChannelFreedom;
+    let mut cloud = CloudBuilder::new().servers(1).seed(79).build();
+    let vid = cloud.request_vm(idle_vm()).expect("launch");
+    for _ in 0..32 {
+        cloud
+            .runtime_attest_current(vid, property)
+            .expect("warm-up attestation");
+    }
+
+    let before = (alloc_count(), alloc_bytes());
+    let rounds = 64u64;
+    for _ in 0..rounds {
+        let report = cloud
+            .runtime_attest_current(vid, property)
+            .expect("measured attestation");
+        assert_eq!(report.vid, vid);
+    }
+    let (calls, bytes) = (alloc_count() - before.0, alloc_bytes() - before.1);
+
+    assert_eq!(
+        (
+            calls / rounds,
+            bytes / rounds,
+            calls % rounds,
+            bytes % rounds
+        ),
+        (CALLS, BYTES, 0, 0),
+        "a warm covert-channel round made {calls} allocator calls for {bytes} B \
+         over {rounds} rounds"
+    );
 }
 
 #[test]
