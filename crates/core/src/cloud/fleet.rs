@@ -16,11 +16,15 @@
 //!   node, catching its simulator up to the wall clock first. Idle
 //!   servers stay behind until touched; touching a busy one catches up
 //!   every lagging busy server, over the host's hardware threads
-//!   ([`Fleet::catch_up_busy`]).
+//!   ([`Fleet::catch_up_busy`]). Every path moves a node through
+//!   [`CloudServerNode::catch_up`], which applies a measurement window
+//!   opened since ([`Fleet::open_window`]) at its own instant, so a
+//!   windowed session costs one catch-up, at its message 4.
 
 use super::LaunchTiming;
 use crate::controller::{CloudController, VmLifecycle, VmRecord};
 use crate::error::CloudError;
+use crate::measurements::MeasurementSpec;
 use crate::server::CloudServerNode;
 use crate::types::{ServerId, Vid};
 use monatt_hypervisor::engine::ServerSim;
@@ -51,6 +55,10 @@ pub(crate) struct Fleet {
     /// Automatic remediation responses that themselves failed (the error
     /// used to be silently discarded).
     pub(crate) auto_response_failures: u64,
+    /// Busy catch-ups that shared servers over threads while one of them
+    /// held a pending window.
+    #[cfg(test)]
+    pub(crate) shared_windows: u64,
 }
 
 impl Fleet {
@@ -68,6 +76,8 @@ impl Fleet {
             last_launch: None,
             auto_response,
             auto_response_failures: 0,
+            #[cfg(test)]
+            shared_windows: 0,
         }
     }
 
@@ -91,6 +101,20 @@ impl Fleet {
         Some(node)
     }
 
+    /// Opens `spec`'s measurement window for `vid` on `id` at `now_us`
+    /// without catching anything up: the node applies it at its next
+    /// catch-up. `None` if there is no such server.
+    pub(crate) fn open_window(
+        &mut self,
+        id: ServerId,
+        now_us: u64,
+        spec: MeasurementSpec,
+        vid: Vid,
+    ) -> Option<()> {
+        self.nodes.get_mut(&id)?.open_window(now_us, spec, vid);
+        Some(())
+    }
+
     /// Catches every server simulator up to `now_us`: the busy ones
     /// shared over the host's threads, then the idle ones' leaps here.
     pub(crate) fn sync(&mut self, now_us: u64) {
@@ -100,47 +124,59 @@ impl Fleet {
         }
     }
 
-    /// Catches up every busy server that lags `now_us`. The caller and
-    /// up to `workers − 1` scoped helpers pull servers from one queue
-    /// until it is empty — work-sharing, so a helper slowed by a busy
-    /// host core takes fewer servers rather than holding up the call. A
-    /// helper holds only the `&mut ServerSim` it pulled. With one
-    /// hardware thread, or one server to catch up, nothing is spawned.
+    /// Catches up every busy server that lags `now_us`, applying the
+    /// windows pending on them on the way. The caller and up to
+    /// `workers − 1` scoped helpers pull nodes from one queue until it is
+    /// empty — work-sharing, so a helper slowed by a busy host core takes
+    /// fewer servers rather than holding up the call. The helpers take
+    /// from the front of the id-ordered queue and the caller from the
+    /// back, so a server tends to stay on one thread, and in its core's
+    /// cache, from one catch-up to the next. A helper holds only the
+    /// `&mut CloudServerNode` it pulled. With one hardware thread, or one
+    /// server to catch up, the nodes are caught up in place.
     ///
-    /// Exact whatever the thread or order: each `ServerSim` is a closed
-    /// value, and catching it up to `now_us` early, then on to a later
-    /// instant, is the schedule of catching it up once (the lazy/eager
+    /// Exact whatever the thread or order: each node is a closed value,
+    /// and catching it up to `now_us` early, then on to a later instant,
+    /// is the schedule of catching it up once (the lazy/eager
     /// interleavings of both `trace_pins` suites and
     /// `busy_commitment.rs`). A panic on a helper resumes here.
     fn catch_up_busy(&mut self, now_us: u64) {
         let deadline = SimTime::from_micros(now_us);
-        let lagging: Vec<&mut ServerSim> = self
-            .nodes
-            .values_mut()
-            .map(CloudServerNode::sim_mut)
-            .filter(|sim| lags_busy(sim, deadline))
-            .collect();
-        let helpers = (self.workers - 1).min(lagging.len().saturating_sub(1));
-        let queue = Mutex::new(lagging.into_iter());
-        let drain = || {
-            while let Some(sim) = pull(&queue) {
-                sim.run_until_lazy(deadline);
-            }
-        };
-        if helpers == 0 {
-            drain();
+        let mut lagging = (self.nodes.values_mut()).filter(|node| lags_busy(node.sim(), deadline));
+        if self.workers == 1 {
+            lagging.for_each(|node| node.catch_up(now_us));
             return;
         }
+        let Some(first) = lagging.next() else {
+            return;
+        };
+        let Some(second) = lagging.next() else {
+            first.catch_up(now_us);
+            return;
+        };
+        let queue: Vec<&mut CloudServerNode> = [first, second].into_iter().chain(lagging).collect();
+        #[cfg(test)]
+        if queue.iter().any(|node| node.window_pending()) {
+            self.shared_windows += 1;
+        }
+        let helpers = (self.workers - 1).min(queue.len() - 1);
+        let queue = Mutex::new(queue.into_iter());
+        let drain = |back| {
+            while let Some(node) = pull(&queue, back) {
+                node.catch_up(now_us);
+            }
+        };
         std::thread::scope(|scope| {
             for _ in 0..helpers {
-                scope.spawn(drain);
+                scope.spawn(|| drain(false));
             }
-            drain();
+            drain(true);
         });
     }
 
     /// `server` crashed: its volatile attestation session dies with it,
-    /// and so does its measurement window.
+    /// and so does its measurement window's reservation. A window still
+    /// pending stays: its reset is part of the schedule before the crash.
     pub(crate) fn on_server_crash(&mut self, server: ServerId) {
         if let Some(node) = self.nodes.get_mut(&server) {
             node.reset_avk_session();
@@ -279,7 +315,13 @@ fn lags_busy(sim: &ServerSim, deadline: SimTime) -> bool {
     sim.now() < deadline && sim.is_busy()
 }
 
-/// The next item of a shared queue; the lock is released on return.
-fn pull<I: Iterator>(queue: &Mutex<I>) -> Option<I::Item> {
-    queue.lock().unwrap_or_else(PoisonError::into_inner).next()
+/// The front item of a shared queue, or with `back` its back item; the
+/// lock is released on return.
+fn pull<I: DoubleEndedIterator>(queue: &Mutex<I>, back: bool) -> Option<I::Item> {
+    let mut queue = queue.lock().unwrap_or_else(PoisonError::into_inner);
+    if back {
+        queue.next_back()
+    } else {
+        queue.next()
+    }
 }

@@ -186,7 +186,9 @@ impl Cloud {
     /// catch up just the nodes they act on — an idle node when touched, a
     /// busy one whenever any busy node is touched — so call
     /// [`Cloud::advance`] or [`Cloud::sync_servers`] first for current
-    /// values.
+    /// values. A measurement window a session opened is applied at the
+    /// node's next catch-up, at the instant it opened: until then the
+    /// node's window registers still count from the previous window.
     pub fn server(&self, id: ServerId) -> Option<&CloudServerNode> {
         self.fleet.nodes().get(&id)
     }

@@ -247,13 +247,15 @@ enum Config {
 
 /// One run of a scenario, and what it did besides what it showed: the
 /// helper verdicts receivers took and the jobs they claimed back, the
-/// VMs it launched, those of them that run `Busy`, and the attacker's
+/// busy catch-ups it shared over threads with a window pending, the VMs
+/// it launched, those of them that run `Busy`, and the attacker's
 /// target.
 #[derive(Default)]
 struct Run {
     config: Config,
     seen: Observables,
     taken: (u64, u64),
+    shared_windows: u64,
     vids: Vec<Vid>,
     busy: Vec<Vid>,
     target: Option<Vid>,
@@ -334,6 +336,7 @@ impl Run {
         o.drbg = c.drbg_probe();
         o.clock_us = c.wall_clock_us();
         run.taken = c.offload.taken();
+        run.shared_windows = c.fleet.shared_windows;
         run
     }
 
@@ -497,6 +500,10 @@ const ROWS: [Row; 6] = [
             (
                 "a receiver claimed a job back from a lagging helper",
                 |_, _, b| b.config == Config::Helper(Helper::Lagging) && b.taken.1 > 0,
+            ),
+            (
+                "a catch-up shared two busy servers with a window pending",
+                |_, _, b| b.shared_windows > 0,
             ),
             ("a node crashed", |_, a, _| a.seen.outages.crashes > 0),
             ("a failover", |_, a, _| a.seen.control_plane.failovers > 0),

@@ -1513,40 +1513,88 @@ fn touching_a_busy_server_catches_up_the_busy_fleet_and_nothing_else() {
         [idle, idle],
         [idle, idle],
     ];
-    let mut c = CloudBuilder::new().servers(4).seed(1212).build();
-    let mut vids = Vec::new();
-    for (server, guests) in (0..).zip(guests) {
-        for workload in guests {
-            let request = VmRequest::new(Flavor::Small, Image::Cirros).workload(workload);
-            vids.push(c.request_vm(request.on_server(ServerId(server))).unwrap());
+    // On one thread and shared over two.
+    for workers in [1, 2] {
+        let mut c = CloudBuilder::new().servers(4).seed(1212).build();
+        c.fleet.workers = workers;
+        let mut vids = Vec::new();
+        for (server, guests) in (0..).zip(guests) {
+            for workload in guests {
+                let request = VmRequest::new(Flavor::Small, Image::Cirros).workload(workload);
+                vids.push(c.request_vm(request.on_server(ServerId(server))).unwrap());
+            }
         }
+        c.sync_servers();
+        let synced = c.wall_clock_us();
+        c.events.advance(300_000);
+        let now = c.wall_clock_us();
+        c.server_mut(ServerId(1)).unwrap();
+        assert_eq!(server_clocks(&c), [now, now, synced, synced]);
+        c.events.advance(300_000);
+        let before = server_clocks(&c);
+        // A windowed attestation touches server 0 once, at the window's
+        // close (the open is applied on the way); the touch brings busy
+        // server 1 along.
+        let property = SecurityProperty::CpuAvailability { min_share_pct: 10 };
+        c.runtime_attest_current(vids[0], property).unwrap();
+        let after = server_clocks(&c);
+        assert!(after[0] > before[0] + 1_000_000, "{after:?}");
+        assert_eq!(after[1], after[0], "the other busy server was left behind");
+        assert_eq!(after[2..], before[2..], "an idle server was caught up");
+        assert!(after.iter().all(|&t| t < c.wall_clock_us()));
+        // Touching an idle server moves nothing else.
+        c.events.advance(300_000);
+        c.server_mut(ServerId(2)).unwrap();
+        let idle_touch = server_clocks(&c);
+        assert_eq!(idle_touch[2], c.wall_clock_us());
+        assert_eq!(
+            [idle_touch[0], idle_touch[1], idle_touch[3]],
+            [after[0], after[1], after[3]]
+        );
     }
-    c.sync_servers();
-    let synced = c.wall_clock_us();
-    c.events.advance(300_000);
-    let now = c.wall_clock_us();
-    c.server_mut(ServerId(1)).unwrap();
-    assert_eq!(server_clocks(&c), [now, now, synced, synced]);
-    c.events.advance(300_000);
-    let before = server_clocks(&c);
-    // A windowed attestation touches server 0 at the window's open and
-    // close; each touch brings busy server 1 along.
-    let property = SecurityProperty::CpuAvailability { min_share_pct: 10 };
-    c.runtime_attest_current(vids[0], property).unwrap();
-    let after = server_clocks(&c);
-    assert!(after[0] > before[0] + 1_000_000, "{after:?}");
-    assert_eq!(after[1], after[0], "the other busy server was left behind");
-    assert_eq!(after[2..], before[2..], "an idle server was caught up");
-    assert!(after.iter().all(|&t| t < c.wall_clock_us()));
-    // Touching an idle server moves nothing else.
-    c.events.advance(300_000);
-    c.server_mut(ServerId(2)).unwrap();
-    let idle_touch = server_clocks(&c);
-    assert_eq!(idle_touch[2], c.wall_clock_us());
-    assert_eq!(
-        [idle_touch[0], idle_touch[1], idle_touch[3]],
-        [after[0], after[1], after[3]]
-    );
+}
+
+#[test]
+fn a_server_crash_keeps_the_window_it_has_not_applied() {
+    use crate::session::{CloudEvent, SessionOrigin};
+    // A busy guest on server 0 is measured for CPU availability; its
+    // server crashes 200 ms into the window, and the guest is evacuated
+    // to server 1. After recovery a fresh guest on server 0 reads its
+    // usage over the window that opened before the crash, applied at
+    // once (`eager`) or left pending through the crash.
+    let run = |eager: bool| {
+        let mut c = CloudBuilder::new().servers(2).seed(1213).build();
+        let server = ServerId(0);
+        let busy = VmRequest::new(Flavor::Small, Image::Cirros).workload(WorkloadSpec::Busy);
+        let vid = c.request_vm(busy.clone().on_server(server)).unwrap();
+        c.advance(100_000);
+        let property = SecurityProperty::CpuAvailability { min_share_pct: 10 };
+        let program = c.programs.fig3_customer;
+        let sid = (c.begin_session(vid, None, property, program, SessionOrigin::Api)).unwrap();
+        while c.fleet.nodes()[&server].window_free_at == 0 {
+            let Some(CloudEvent::Session { sid, event }) = c.events.pop() else {
+                panic!("the session ended before its window opened");
+            };
+            c.step_session(sid, event);
+        }
+        if eager {
+            c.sync_servers();
+        }
+        assert_eq!(c.fleet.nodes()[&server].window_pending(), !eager);
+        c.events.advance(200_000);
+        c.crash_node(NodeId::Server(server));
+        assert!(c.events.settled(sid), "the crash did not end the session");
+        assert_eq!(c.server_of(vid), Some(ServerId(1)));
+        c.recover_node(NodeId::Server(server));
+        let fresh = c.request_vm(busy.on_server(server)).unwrap();
+        c.advance(300_000);
+        let node = c.server(server).unwrap();
+        let usage = node.sim().relative_cpu_usage(node.local_vm(fresh).unwrap());
+        (usage, server_clocks(&c), c.wall_clock_us())
+    };
+    let eager = run(true);
+    assert!(eager.0 > 0.0, "{eager:?}");
+    assert_eq!(run(false), eager);
 }
 
 #[test]

@@ -170,8 +170,22 @@ fn check_branch_shape(body: &Protocol, at: usize) -> Result<(), CompileError> {
 
 /// Compiles `p` into `store`, registering any fork-branch child
 /// programs first, and returns the parent's id. The cloud's registry
-/// and the symbolic verifier both compile through here.
+/// and the symbolic verifier both compile through here. A rejected
+/// program leaves `store` as it found it, children included.
 pub fn compile_into(
+    p: &Protocol,
+    store: &mut Vec<CompiledProgram>,
+) -> Result<ProgramId, CompileError> {
+    let entry = store.len();
+    let compiled = compile_parent(p, store);
+    if compiled.is_err() {
+        store.truncate(entry);
+    }
+    compiled
+}
+
+/// [`compile_into`], less the clean-up on error.
+fn compile_parent(
     p: &Protocol,
     store: &mut Vec<CompiledProgram>,
 ) -> Result<ProgramId, CompileError> {
@@ -516,6 +530,16 @@ mod tests {
             let program = Protocol(steps);
             let got = compile_one(&program).map(|_| ());
             assert_eq!(got, Err(CompileError { at, reason }), "{program:?}");
+        }
+        // A rejection leaves no fork child behind in the store.
+        let gated = Protocol(vec![Hop(Msg2), Fork(vec![branch(&measure)]), Gate]);
+        let mut store = Vec::new();
+        compile_into(&Protocol::figure3_internal(), &mut store).unwrap();
+        for _ in 0..3 {
+            let got = compile_into(&gated, &mut store).map(|_| ());
+            let reason = "nothing produced a verdict to complete with";
+            assert_eq!(got, Err(CompileError { at: 3, reason }));
+            assert_eq!(store.len(), 1, "a rejected program left children");
         }
     }
 }

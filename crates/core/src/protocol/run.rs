@@ -534,7 +534,9 @@ impl Cloud {
     /// Opens the server's measurement window, or queues behind the
     /// session currently holding it (a server's profiling window is
     /// server-global state, so windowed sessions serialize per server;
-    /// the wait is charged as queueing latency).
+    /// the wait is charged as queueing latency). The open moves no
+    /// simulator: the node applies it at its next catch-up, normally
+    /// message 4's.
     pub(crate) fn step_window_open(&mut self, sid: SessionId) -> Result<(), CloudError> {
         self.check_deadline(sid)?;
         let now = self.events.now();
@@ -549,12 +551,9 @@ impl Cloud {
         let (wait, next) = if free_at > now {
             (free_at - now, SessionEvent::WindowOpen)
         } else {
-            let node = self
-                .fleet
-                .touch(server, now)
+            (self.fleet)
+                .open_window(server, now, spec, req_vid)
                 .ok_or(CloudError::UnknownServer(server))?;
-            node.begin_window(spec, req_vid);
-            node.window_free_at = now + window;
             (window, SessionEvent::WindowClose)
         };
         session.elapsed_us += wait;

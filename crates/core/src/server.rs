@@ -14,6 +14,7 @@ use monatt_hypervisor::guest::GuestOs;
 use monatt_hypervisor::ids::VmId;
 use monatt_hypervisor::pmu::VmCounters;
 use monatt_hypervisor::scheduler::SchedParams;
+use monatt_hypervisor::time::SimTime;
 use monatt_hypervisor::vm::VmConfig;
 use monatt_hypervisor::vmi::VmiTool;
 use monatt_tpm::module::TrustModule;
@@ -61,6 +62,9 @@ pub struct CloudServerNode {
     /// session (the profiling window is server-global, so windowed
     /// sessions serialize per server; see `Cloud::step_window_open`).
     pub(crate) window_free_at: u64,
+    /// A window opened at `.0` that the simulator has not reached yet:
+    /// the next [`Self::catch_up`] past that instant applies it there.
+    pending_window: Option<(u64, MeasurementSpec, Vid)>,
 }
 
 impl std::fmt::Debug for CloudServerNode {
@@ -102,6 +106,7 @@ impl CloudServerNode {
             reuse_avk: false,
             avk_session: None,
             window_free_at: 0,
+            pending_window: None,
         }
     }
 
@@ -259,9 +264,39 @@ impl CloudServerNode {
     /// node pays its elapsed time when next touched). Quiescent servers
     /// fast-forward in O(pending events) rather than O(elapsed ticks),
     /// which is what makes 100k-server fleets tractable.
+    ///
+    /// A window the cloud opened (`open_window`) at or before `wall_us`
+    /// is applied on the way, at its own instant: catching up to that
+    /// instant and then on to `wall_us` is the schedule of catching up
+    /// once, so the window costs no catch-up of its own.
     pub fn catch_up(&mut self, wall_us: u64) {
-        self.sim
-            .run_until_lazy(monatt_hypervisor::time::SimTime::from_micros(wall_us));
+        if let Some((at_us, spec, vid)) = self.pending_window.take_if(|w| w.0 <= wall_us) {
+            self.sim.run_until_lazy(SimTime::from_micros(at_us));
+            self.begin_window(spec, vid);
+        }
+        self.sim.run_until_lazy(SimTime::from_micros(wall_us));
+    }
+
+    /// Opens `spec`'s window for `vid` at wall-clock instant `at_us` and
+    /// reserves the window until it closes (`window_free_at`), leaving
+    /// the simulator where it is: the node's next [`Self::catch_up`]
+    /// past `at_us` applies [`Self::begin_window`] there. A window opened
+    /// while another is pending, or at an instant the simulator has
+    /// already reached, is applied at once, after catching up to `at_us`.
+    pub(crate) fn open_window(&mut self, at_us: u64, spec: MeasurementSpec, vid: Vid) {
+        self.window_free_at = at_us + spec.window_us();
+        if self.pending_window.is_some() || self.sim.now() >= SimTime::from_micros(at_us) {
+            self.catch_up(at_us);
+            self.begin_window(spec, vid);
+        } else {
+            self.pending_window = Some((at_us, spec, vid));
+        }
+    }
+
+    /// Whether a window waits for a catch-up past its instant.
+    #[cfg(test)]
+    pub(crate) fn window_pending(&self) -> bool {
+        self.pending_window.is_some()
     }
 
     /// Opens a measurement window for a runtime spec: resets the VMM
@@ -410,6 +445,7 @@ fn total_cpu_us(sim: &ServerSim, local: VmId) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cloud::WorkloadSpec;
     use crate::interpret::ReferenceDb;
     use monatt_hypervisor::driver::{BusyLoop, IdleDriver};
 
@@ -533,6 +569,103 @@ mod tests {
         assert!(virtual_time_us > 900_000, "usage = {virtual_time_us}");
         assert_eq!(window_us, 1_000_000);
         assert_eq!(contending_vcpus, 1);
+    }
+
+    /// Launches one single-vCPU `guest` as `vid`.
+    fn launch(n: &mut CloudServerNode, vid: Vid, guest: WorkloadSpec) {
+        let (drivers, _) = guest.drivers(1, vid.0);
+        n.launch_vm(vid, Image::Cirros, Image::Cirros.pristine(), drivers, 256);
+    }
+
+    /// What happens on the node between a window's open and its close.
+    #[derive(Clone, Copy, Debug)]
+    enum Between {
+        Nothing,
+        Suspend,
+        Launch,
+        Remove,
+        /// A second window, on another VM.
+        Window(MeasurementSpec),
+    }
+
+    #[test]
+    fn a_deferred_window_measures_what_an_applied_one_does() {
+        use monatt_workloads::{CloudService, SpecProgram};
+        use WorkloadSpec::{Busy, Program, Service};
+        let (t0, tm, window_us) = (200_000, 450_000, 500_000);
+        let t1 = t0 + window_us;
+        let specs = [
+            MeasurementSpec::UsageIntervals { window_us },
+            MeasurementSpec::CpuTime { window_us },
+            MeasurementSpec::SchedulerEvents { window_us },
+        ];
+        // Five single-vCPU guests on two pCPUs, caught up to 100 ms.
+        let busy_node = || {
+            let mut n = node();
+            let guests = [
+                Busy,
+                Service(CloudService::Web),
+                Service(CloudService::Mail),
+                Program(SpecProgram::Bzip2),
+                Busy,
+            ];
+            for (vid, guest) in (1..).zip(guests) {
+                launch(&mut n, Vid(vid), guest);
+            }
+            n.catch_up(100_000);
+            n
+        };
+        // What happens at `tm`: on the lazy path a second window is
+        // opened as the cloud opens it; anything else catches up first,
+        // as the fleet's `touch` does.
+        let act = |n: &mut CloudServerNode, between: Between, lazy: bool| match between {
+            Between::Nothing if lazy => {}
+            Between::Window(second) if lazy => n.open_window(tm, second, Vid(2)),
+            _ => {
+                n.catch_up(tm);
+                match between {
+                    Between::Nothing => {}
+                    Between::Suspend => n.suspend_vm(Vid(2)),
+                    Between::Launch => launch(n, Vid(6), Busy),
+                    Between::Remove => n.remove_vm(Vid(3)),
+                    Between::Window(second) => n.begin_window(second, Vid(2)),
+                }
+            }
+        };
+        // Every windowed measurement of every VM, and the clock.
+        let seen = |n: &CloudServerNode| {
+            let all = specs
+                .iter()
+                .flat_map(|&s| (1..=6).map(move |v| (s, Vid(v))));
+            let measurements: Vec<_> = all.map(|(s, vid)| n.collect(s, vid)).collect();
+            (measurements, n.sim().now())
+        };
+        let betweens = [
+            Between::Nothing,
+            Between::Suspend,
+            Between::Launch,
+            Between::Remove,
+        ];
+        let seconds = specs.map(Between::Window);
+        for spec in specs {
+            for between in betweens.into_iter().chain(seconds) {
+                // The applied order, in public calls only.
+                let mut applied = busy_node();
+                applied.catch_up(t0);
+                applied.begin_window(spec, Vid(1));
+                act(&mut applied, between, false);
+                applied.catch_up(t1);
+                // The deferred open, then one catch-up.
+                let mut deferred = busy_node();
+                deferred.open_window(t0, spec, Vid(1));
+                assert!(deferred.window_pending());
+                assert_eq!(deferred.window_free_at, t1);
+                act(&mut deferred, between, true);
+                deferred.catch_up(t1);
+                assert!(!deferred.window_pending());
+                assert_eq!(seen(&deferred), seen(&applied), "{spec:?}, {between:?}");
+            }
+        }
     }
 
     #[test]
